@@ -63,8 +63,7 @@ def main() -> None:
     player = MediaPlayer(network, "dana")
     player.connect(catalog.url_of("CS520", second))
     player.play(burst_factor=4.0)
-    while player.state is not PlayerState.PLAYING:
-        network.simulator.step()
+    network.simulator.wait(lambda: player.state is PlayerState.PLAYING)
     network.simulator.run_until(network.simulator.now + 12.0)
     player.stop()
     progress.record_session("CS520", second, player.report())

@@ -108,8 +108,7 @@ def main() -> None:
     player = MediaPlayer(network, "lan-student")
     player.connect(url)
     player.play()
-    while player.state is not PlayerState.PLAYING:
-        network.simulator.step()
+    network.simulator.wait(lambda: player.state is PlayerState.PLAYING)
     network.simulator.run_until(network.simulator.now + 2.0)
     player.seek(45.0)  # jump to "extended-net"
     report = player.run_until_finished()

@@ -291,7 +291,7 @@ def run_workload(
             cfg.tracer.bind_clock(sim)
         origin = MediaServer(
             net, "origin", port=8080,
-            shared_pacing=True, pacing_quantum=cfg.pacing_quantum,
+            pacing_quantum=cfg.pacing_quantum,
             tracer=cfg.tracer, trace_label="origin",
         )
         captures: Dict[str, Any] = {}

@@ -193,29 +193,27 @@ def apply_to_stream(
     player.connect(url)
     player.play()
     simulator = network.simulator
+
+    def finished() -> bool:
+        return player.state is PlayerState.FINISHED
+
     # wait for playback to actually start
-    while player.state is not PlayerState.PLAYING:
-        if simulator.peek_time() is None:
-            raise PlayerError("stream never started")
-        simulator.step()
+    if not simulator.wait(lambda: player.state is PlayerState.PLAYING):
+        raise PlayerError("stream never started")
     origin = simulator.now
     applied = rejected = 0
     for action in script.actions:
         target = origin + action.at
-        while simulator.now < target and player.state is not PlayerState.FINISHED:
-            if simulator.peek_time() is None or simulator.peek_time() > target:
-                simulator.run_until(target)
-                break
-            simulator.step()
-        if player.state is PlayerState.FINISHED:
+        if not simulator.wait(
+            lambda: simulator.now >= target or finished(), deadline=target
+        ):
+            simulator.run_until(target)  # quiet until the action is due
+        if finished():
             break
         # a user acts when the UI is responsive: let transient buffering
         # (e.g. right after a seek) drain before applying the action
-        while player.state is PlayerState.BUFFERING:
-            if simulator.peek_time() is None:
-                break
-            simulator.step()
-        if player.state is PlayerState.FINISHED:
+        simulator.wait(lambda: player.state is not PlayerState.BUFFERING)
+        if finished():
             break
         try:
             if action.action == "pause":
@@ -230,11 +228,8 @@ def apply_to_stream(
         except PlayerError:
             rejected += 1
     deadline = simulator.now + timeout
-    while player.state is not PlayerState.FINISHED:
-        if player.state is PlayerState.PAUSED:
-            player.resume()
-        nxt = simulator.peek_time()
-        if nxt is None or nxt > deadline:
-            raise PlayerError("stream run did not finish")
-        simulator.step()
+    if player.state is PlayerState.PAUSED:
+        player.resume()  # a script that ends paused would never finish
+    if not simulator.wait(finished, deadline=deadline):
+        raise PlayerError("stream run did not finish")
     return StreamRunResult(player.report(), applied, rejected)

@@ -154,29 +154,35 @@ class LODPlayback:
         player.play(start=first)
         simulator = self.network.simulator
 
-        played: List[str] = []
-        cursor = 0
+        def play_to(position: float) -> bool:
+            """Run until the playhead is at ``position``; False when
+            playback ended first."""
+            if not simulator.wait(
+                lambda: player.state is PlayerState.FINISHED
+                or (
+                    player.state is PlayerState.PLAYING
+                    and player.position >= position
+                )
+            ):
+                raise LectureError("simulation drained before playback finished")
+            return player.state is not PlayerState.FINISHED
+
         # Drive playback: when the current wanted segment finishes, seek to
         # the next wanted segment (or stop).
-        while player.state is not PlayerState.FINISHED:
-            if simulator.peek_time() is None:
-                raise LectureError("simulation drained before playback finished")
-            simulator.step()
-            if player.state is not PlayerState.PLAYING:
-                continue
-            position = player.position
-            name = wanted[cursor]
+        played: List[str] = []
+        for cursor, name in enumerate(wanted):
             start, end = self._schedule[name]
-            if name not in played and position >= start:
-                played.append(name)
-            if position >= end - 1e-9:
-                cursor += 1
-                if cursor >= len(wanted):
-                    player.stop()
-                    break
-                next_start = self._schedule[wanted[cursor]][0]
-                if next_start > position + 1e-9:
-                    player.seek(next_start)
+            if not play_to(start):
+                break
+            played.append(name)
+            if not play_to(end - 1e-9):
+                break
+            if cursor + 1 == len(wanted):
+                player.stop()
+                break
+            next_start = self._schedule[wanted[cursor + 1]][0]
+            if next_start > player.position + 1e-9:
+                player.seek(next_start)
         report = player.report()
         return LevelReplayReport(
             level=summary.level,

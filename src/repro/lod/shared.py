@@ -80,15 +80,13 @@ class SharedViewing:
         self.floor.advance(dt)
 
     def wait_all_playing(self, *, timeout: float = 60.0) -> None:
-        deadline = self.now + timeout
-        simulator = self.network.simulator
-        while any(
-            p.state is not PlayerState.PLAYING for p in self.players.values()
+        if not self.network.simulator.wait(
+            lambda: all(
+                p.state is PlayerState.PLAYING for p in self.players.values()
+            ),
+            deadline=self.now + timeout,
         ):
-            nxt = simulator.peek_time()
-            if nxt is None or nxt > deadline:
-                raise PlayerError("not all members reached playing state")
-            simulator.step()
+            raise PlayerError("not all members reached playing state")
         self.floor.advance(self.now - self.floor.now)
 
     # -- floor --------------------------------------------------------
@@ -157,18 +155,18 @@ class SharedViewing:
     def finish_all(self, *, timeout: float = 3_600.0) -> Dict[str, object]:
         """Run every stream to completion; returns per-user reports."""
         deadline = self.now + timeout
-        simulator = self.network.simulator
-        while any(
-            p.state is not PlayerState.FINISHED for p in self.players.values()
+        # a member paused at end-of-session would never finish; nothing
+        # pauses a player but a call through this object, so once is enough
+        for player in self.players.values():
+            if player.state is PlayerState.PAUSED:
+                player.resume()
+        if not self.network.simulator.wait(
+            lambda: all(
+                p.state is PlayerState.FINISHED for p in self.players.values()
+            ),
+            deadline=deadline,
         ):
-            # a member paused at end-of-session would never finish
-            for player in self.players.values():
-                if player.state is PlayerState.PAUSED:
-                    player.resume()
-            nxt = simulator.peek_time()
-            if nxt is None or nxt > deadline:
-                raise PlayerError("shared session did not finish")
-            simulator.step()
+            raise PlayerError("shared session did not finish")
         return {user: p.report() for user, p in self.players.items()}
 
     def denial_count(self) -> int:

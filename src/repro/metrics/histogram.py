@@ -53,18 +53,6 @@ class Histogram:
 
     # ------------------------------------------------------------------
 
-    @property
-    def values(self) -> List[float]:
-        """The population expanded value-by-value (legacy view).
-
-        O(total count) — fine for real-session populations, not meant for
-        million-viewer weighted ones; the statistics below never expand.
-        """
-        out: List[float] = []
-        for value, count in zip(self._values, self._counts):
-            out.extend([value] * count)
-        return out
-
     def items(self) -> List[tuple]:
         """The weighted population as ``(value, count)`` pairs."""
         return list(zip(self._values, self._counts))

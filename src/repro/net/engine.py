@@ -199,6 +199,26 @@ class Simulator:
             return True
         return False
 
+    def wait(
+        self, done: Callable[[], bool], *, deadline: float = math.inf
+    ) -> bool:
+        """Run events until ``done()`` holds — the one way to block.
+
+        Gives up when the queue runs dry or the next event lies past
+        ``deadline`` (an event at exactly ``deadline`` still runs); the
+        clock never moves past the last event executed. Every event is
+        dispatched through :meth:`step`, so a handler may itself ``wait``
+        (an HTTP round-trip inside a fill inside a join) and the outer
+        predicate is simply re-evaluated when the inner wait returns.
+        Returns ``done()``.
+        """
+        while not done():
+            nxt = self.peek_time()
+            if nxt is None or nxt > deadline:
+                return False
+            self.step()
+        return True
+
     def run_until(self, when: float, *, max_events: int = 1_000_000) -> None:
         """Process every event up to (and including) time ``when``.
 

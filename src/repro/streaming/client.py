@@ -25,7 +25,7 @@ import copy
 import enum
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Collection, Dict, List, Optional, Set, Tuple
 from urllib.parse import urlparse
 
 from ..asf.constants import SCRIPT_STREAM_NUMBER
@@ -265,11 +265,7 @@ class MediaPlayer:
         self._server_url = base
         if self.header.file_properties.is_protected:
             self._acquire_license()
-        self._media_streams = [
-            s.stream_number
-            for s in self.header.streams
-            if s.stream_type in ("video", "audio")
-        ]
+        self._select_streams()
         commands = list(self.header.script_commands)
         self._dispatcher = ScriptCommandDispatcher(commands, self._on_command_fired)
         self._timer_commands = sorted(commands)
@@ -285,6 +281,19 @@ class MediaPlayer:
             self.header.drm.content_id, self.user
         )
 
+    def _select_streams(self, included: Optional[Collection[int]] = None) -> None:
+        """Buffer-depth accounting covers the header's media streams —
+        under MBR only those the server actually sends this session
+        (``included``). Always recomputed from the header, so a reconnect
+        after a downshift starts clean."""
+        assert self.header is not None
+        self._media_streams = [
+            s.stream_number
+            for s in self.header.streams
+            if s.stream_type in ("video", "audio")
+            and (included is None or s.stream_number in included)
+        ]
+
     def _control(self, action: str, **fields) -> Any:
         assert self._server_url is not None
         response = self.http.post(f"{self._server_url}/control/{action}", body=fields)
@@ -295,15 +304,7 @@ class MediaPlayer:
             self._recovery_sink = response.body.get("recovery_sink")
             included = response.body.get("streams")
             if included is not None:
-                # MBR: buffer-depth accounting covers only streams the
-                # server actually sends this session — recomputed from the
-                # header so a reconnect after a downshift starts clean
-                self._media_streams = [
-                    s.stream_number
-                    for s in self.header.streams
-                    if s.stream_type in ("video", "audio")
-                    and s.stream_number in included
-                ]
+                self._select_streams(included)
                 self.selected_video = response.body.get("selected_video")
             self._pending_streams.clear()
         return response.body
@@ -323,27 +324,51 @@ class MediaPlayer:
             self._playback_span = self.tracer.begin(
                 "playback", client=self.user, point=self._point
             )
-        self._control(
-            "open", point=self._point, deliver=self._on_packet,
-            multiplicity=self.multiplicity, relocate=self._on_relocate,
-        )
-        if self.tracer is not None:
-            self.tracer.event(
-                "session.attach",
-                span=self._playback_span,
-                client=self.user,
-                session=self.session_id,
-            )
-        self._control(
-            "play", session_id=self.session_id, start=start,
-            burst_factor=burst_factor,
-        )
+        self._open_and_play(start, burst_factor)
         self.state = PlayerState.BUFFERING
         self._start_position = start
         self._play_burst_factor = burst_factor
         self._pending_catchup = start > 0
         self._arm_recovery()
         self._start_render_loop()
+
+    def _open_and_play(
+        self,
+        start: Optional[float],
+        burst_factor: float = 1.0,
+        *,
+        announce: bool = True,
+    ) -> None:
+        """Open a session on the current server and start its delivery.
+
+        ``start`` is the media position to deliver from. ``None`` resumes
+        a player that already holds content (reconnect, reconnect-style
+        split) at its buffered frontier: the replay overlaps delivered
+        content at the boundary and the depacketizer drops whatever is
+        already reassembled. A live feed has one position — it is just
+        (re)attached, and the sequence gap across an outage drives NAK
+        repair of whatever the feed sent meanwhile.
+        """
+        self._control(
+            "open", point=self._point, deliver=self._on_packet,
+            multiplicity=self.multiplicity, relocate=self._on_relocate,
+        )
+        if announce and self.tracer is not None:
+            self.tracer.event(
+                "session.attach",
+                span=self._playback_span,
+                client=self.user,
+                session=self.session_id,
+            )
+        if start is None and self._broadcast:
+            start = 0.0
+        elif start is None:
+            start = self._reconnect_position()
+            self._depacketizer.expect_replay(suppress_completed=True)
+        self._control(
+            "play", session_id=self.session_id, start=start,
+            burst_factor=burst_factor,
+        )
 
     def _start_render_loop(self) -> None:
         if self._render_ticker is not None:
@@ -495,12 +520,7 @@ class MediaPlayer:
         self._nak_channel = None  # pointed at the drained edge's link
         included = notice.get("streams")
         if included is not None and self.header is not None:
-            self._media_streams = [
-                s.stream_number
-                for s in self.header.streams
-                if s.stream_type in ("video", "audio")
-                and s.stream_number in included
-            ]
+            self._select_streams(included)
             self.selected_video = notice.get("selected_video")
         self._pending_streams.clear()
         self.recovery_stats.inc("handoffs")
@@ -573,22 +593,7 @@ class MediaPlayer:
             # close old sessions first so their servers free the QoS
             # channels before the new open reserves another
             self._close_orphans()
-            resume_at = self._reconnect_position()
-            self._control(
-                "open", point=self._point, deliver=self._on_packet,
-                multiplicity=self.multiplicity, relocate=self._on_relocate,
-            )
-            if self._broadcast:
-                # live: just reattach; the sequence gap across the outage
-                # drives NAK repair of whatever the feed sent meanwhile
-                self._control("play", session_id=self.session_id)
-            else:
-                # replay overlaps delivered content at the boundary; the
-                # depacketizer drops anything already reassembled
-                self._depacketizer.expect_replay(suppress_completed=True)
-                self._control(
-                    "play", session_id=self.session_id, start=resume_at
-                )
+            self._open_and_play(None, announce=False)
         except (PlayerError, HTTPError):
             self.session_id = None
             if self._reconnect_attempts >= self.recovery_config.max_reconnects:
@@ -955,12 +960,16 @@ class MediaPlayer:
         self._control("seek", session_id=self.session_id, position=position)
         if was_paused:
             self._control("resume", session_id=self.session_id)
+        self._seek_transition(now, position)
+
+    def _seek_transition(self, now: float, position: float) -> None:
+        """Client side of a reposition the server has already accepted."""
         self._buffer.clear()
         self._depacketizer.expect_replay()  # the server re-sends from here
         if self._recovery is not None:
             self._recovery.reset()  # gaps before the seek are moot
         self._clock.seek(now, position)
-        if not was_paused:
+        if not self._clock.paused:
             self._clock.pause(now)
         if self._dispatcher is not None:
             self._dispatcher.seek(position)
@@ -1084,27 +1093,12 @@ class MediaPlayer:
             twin._playback_span = self.tracer.begin(
                 "playback", client=twin.user, point=twin._point
             )
-        twin._control(
-            "open", point=twin._point, deliver=twin._on_packet, multiplicity=1,
-            relocate=twin._on_relocate,
-        )
-        if self.tracer is not None:
-            self.tracer.event(
-                "session.attach",
-                span=twin._playback_span,
-                client=twin.user,
-                session=twin.session_id,
-            )
-        if self._broadcast:
-            # live: just attach; the feed's next packets reach the twin
-            twin._control("play", session_id=twin.session_id)
-        elif seek_to is not None:
+        # seek_to=None is the reconnect-style individuation (and the only
+        # form a live member takes): resume at the buffered frontier
+        twin._open_and_play(seek_to, self._play_burst_factor)
+        if seek_to is not None:
             # the server resolves play(start=p) with the same cursor as
             # seek(p); client-side this is exactly seek()'s transition
-            twin._control(
-                "play", session_id=twin.session_id, start=seek_to,
-                burst_factor=self._play_burst_factor,
-            )
             if self.tracer is not None:
                 self.tracer.event(
                     "playback.seek",
@@ -1112,25 +1106,7 @@ class MediaPlayer:
                     client=twin.user,
                     position=seek_to,
                 )
-            twin._buffer.clear()
-            twin._depacketizer.expect_replay()
-            twin._clock.seek(now, seek_to)
-            if twin._clock.started and not twin._clock.paused:
-                twin._clock.pause(now)
-            if twin._dispatcher is not None:
-                twin._dispatcher.seek(seek_to)
-            twin._stall_started = now
-            twin._stall_is_underrun = False
-            twin.state = PlayerState.BUFFERING
-        else:
-            # reconnect-style individuation: resume at the buffered
-            # frontier; the replay overlap dedups in the depacketizer
-            resume_at = twin._reconnect_position()
-            twin._depacketizer.expect_replay(suppress_completed=True)
-            twin._control(
-                "play", session_id=twin.session_id, start=resume_at,
-                burst_factor=self._play_burst_factor,
-            )
+            twin._seek_transition(now, seek_to)
         twin._arm_recovery()
         twin._start_render_loop()
         return twin
@@ -1142,14 +1118,13 @@ class MediaPlayer:
     def run_until_finished(self, *, timeout: float = 3_600.0) -> "PlaybackReport":
         """Advance the simulation until playback completes."""
         deadline = self.simulator.now + timeout
-        while self.state is not PlayerState.FINISHED:
-            nxt = self.simulator.peek_time()
-            if nxt is None or nxt > deadline:
-                raise PlayerError(
-                    f"playback did not finish before t={deadline} "
-                    f"(state {self.state.value})"
-                )
-            self.simulator.step()
+        if not self.simulator.wait(
+            lambda: self.state is PlayerState.FINISHED, deadline=deadline
+        ):
+            raise PlayerError(
+                f"playback did not finish before t={deadline} "
+                f"(state {self.state.value})"
+            )
         return self.report()
 
     def watch(self, url: str, **play_kwargs) -> "PlaybackReport":

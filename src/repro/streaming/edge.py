@@ -765,6 +765,15 @@ class EdgeRelay(MediaServer):
     #: point lifecycle is authoritative for the trace audit
     _trace_point_lifecycle = False
 
+    #: backbone fill: seconds one upstream attempt may take, the quiet
+    #: interval after which missing packets are NAKed, and how many such
+    #: rounds an attempt gets
+    FILL_TIMEOUT = 30.0
+    FILL_NAK_INTERVAL = 0.25
+    FILL_NAK_ROUNDS = 8
+    #: hop budget minted into a viewer-triggered :class:`FillToken`
+    FILL_HOP_LIMIT = 3
+
     def __init__(
         self,
         network: VirtualNetwork,
@@ -776,29 +785,22 @@ class EdgeRelay(MediaServer):
         port: int = 8080,
         qos_enabled: bool = False,
         pacing_quantum: float = 0.0,
-        shared_pacing: bool = True,
         join_quantum: float = 0.0,
         fill_burst: float = 64.0,
-        fill_timeout: float = 30.0,
-        fill_nak_interval: float = 0.25,
-        fill_nak_rounds: int = 8,
         region: Optional[str] = None,
         parent_url: Optional[str] = None,
         is_parent: bool = False,
         backbone: Optional[BackboneBudget] = None,
-        fill_hop_limit: int = 3,
         live_history_seconds: float = 0.0,
         tracer=None,
     ) -> None:
         if join_quantum < 0:
             raise PublishError("join_quantum must be >= 0")
-        if fill_hop_limit < 1:
-            raise PublishError("fill_hop_limit must be >= 1")
         self.name = name or host
         super().__init__(
             network, host,
             port=port, qos_enabled=qos_enabled,
-            pacing_quantum=pacing_quantum, shared_pacing=shared_pacing,
+            pacing_quantum=pacing_quantum,
             tracer=tracer, trace_label=self.name,
         )
         self.origin_url = origin_url.rstrip("/")
@@ -808,14 +810,10 @@ class EdgeRelay(MediaServer):
         self.cache.clock = lambda: self.simulator.now
         self.join_quantum = join_quantum
         self.fill_burst = fill_burst
-        self.fill_timeout = fill_timeout
-        self.fill_nak_interval = fill_nak_interval
-        self.fill_nak_rounds = fill_nak_rounds
         self.region = region
         self.parent_url = parent_url.rstrip("/") if parent_url else None
         self.is_parent = is_parent
         self.backbone = backbone
-        self.fill_hop_limit = fill_hop_limit
         self.live_history_seconds = live_history_seconds
         #: sibling-aware fill sourcing; set via :meth:`attach_directory`
         self.directory: Optional[EdgeDirectory] = None
@@ -888,9 +886,6 @@ class EdgeRelay(MediaServer):
                 f"{response.status} {response.body}"
             )
         return response.body
-
-    def _control_upstream(self, action: str, **fields) -> Any:
-        return self._control_at(self.origin_url, action, **fields)
 
     def _open_upstream(
         self,
@@ -1066,19 +1061,16 @@ class EdgeRelay(MediaServer):
         self._begin_fill(name, token)
 
     def _ride_broadcast_attach(self, name: str) -> None:
-        """Wait (re-entrant stepping) on another frame's in-flight
-        broadcast attach instead of opening a duplicate upstream feed."""
-        simulator = self.simulator
-        deadline = simulator.now + self.fill_timeout
-        while (
-            name in self._pending_broadcasts
-            and name not in self.points
-            and not self.crashed
-            and simulator.now < deadline
-        ):
-            if simulator.peek_time() is None:
-                break
-            simulator.step()
+        """Wait (nested) on another frame's in-flight broadcast attach
+        instead of opening a duplicate upstream feed."""
+        self.simulator.wait(
+            lambda: (
+                name not in self._pending_broadcasts
+                or name in self.points
+                or self.crashed
+            ),
+            deadline=self.simulator.now + self.FILL_TIMEOUT,
+        )
         if name not in self.points:
             raise PublishError(f"broadcast attach of {name!r} failed")
 
@@ -1135,7 +1127,7 @@ class EdgeRelay(MediaServer):
     def _begin_fill(self, name: str, token: Optional[FillToken]) -> None:
         out_token = (
             token.descend(self.name) if token is not None
-            else FillToken((self.name,), self.fill_hop_limit)
+            else FillToken((self.name,), self.FILL_HOP_LIMIT)
         )
         # always describe the origin first: the authoritative manifest
         # (cache key, sequence list) is what gates stale replicas out of
@@ -1344,8 +1336,14 @@ class EdgeRelay(MediaServer):
                     fill.header.file_properties.duration_ms / 1000.0 + 1.0
                 ),
             )
-            self._await_fill(fill, ref)
+            self._wait_fill(
+                fill, self.simulator.now + self.FILL_TIMEOUT, rider=False
+            )
         except (HTTPError, PublishError):
+            pass  # the play round-trip failed: nothing was awaited
+        if not fill.done:
+            # a timeout, crash or dry queue fails only *this attempt*;
+            # the caller moves to the next source in the plan
             fill.attempt_failed = True
         if fill.done and name in self.points:
             # the burst is over: give the link its bandwidth back — the
@@ -1412,67 +1410,59 @@ class EdgeRelay(MediaServer):
                 packets=len(fill.sequences),
             )
 
-    def _await_fill(self, fill: _FillState, ref: _UpstreamRef) -> None:
-        """Drive the simulator until the current attempt completes or
-        gives up (driver side).
+    def _wait_fill(
+        self, fill: _FillState, deadline: float, *, rider: bool
+    ) -> None:
+        """Block (nested wait, like ``HTTPClient.fetch``) on a fill.
 
-        Re-entrant stepping, the same pattern HTTPClient.fetch uses. Lost
-        fill packets are recovered by periodic upstream NAK rounds — the
-        upstream repairs from its shared packet cache even after the
-        burst finished (FINISHED sessions still answer NAKs). A timeout
-        or a dry event queue fails only *this attempt*; the caller moves
-        to the next source in the plan.
+        The *driver* waits out its current attempt (``done`` or
+        ``attempt_failed``); a *rider* — a concurrent request for a point
+        someone else is filling — waits out the whole source plan (``done``
+        or ``exhausted``) and never mutates the fill. Both send the NAK
+        rounds: lost fill packets are re-requested whenever the wire goes
+        quiet for ``FILL_NAK_INTERVAL`` (the upstream repairs from its
+        shared packet cache even after the burst — FINISHED sessions still
+        answer NAKs), and inside a nested frame the driver sits below the
+        rider on the stack and cannot act until the rider returns. A local
+        crash, ``deadline`` or a dry event queue just ends the wait; the
+        caller reads the outcome off ``fill``.
         """
         simulator = self.simulator
-        deadline = simulator.now + self.fill_timeout
-        next_nak = simulator.now + self.fill_nak_interval
+
+        def settled() -> bool:
+            return (
+                fill.done
+                or (fill.exhausted if rider else fill.attempt_failed)
+                or self.crashed
+                or simulator.now >= deadline
+            )
+
         rounds = 0
-        while not fill.done and not fill.attempt_failed:
-            if self.crashed or simulator.now >= deadline:
-                fill.attempt_failed = True
+        while True:
+            next_nak = simulator.now + self.FILL_NAK_INTERVAL
+            simulator.wait(
+                lambda: settled() or simulator.now >= next_nak,
+                deadline=next_nak,
+            )
+            if settled():
+                return
+            missing = fill.missing()
+            if not missing or rounds >= self.FILL_NAK_ROUNDS:
                 break
-            nxt = simulator.peek_time()
-            if nxt is None or nxt > next_nak or simulator.now >= next_nak:
-                missing = fill.missing()
-                if missing and rounds < self.fill_nak_rounds:
-                    self._nak_upstream(ref, missing)
-                    rounds += 1
-                    next_nak = simulator.now + self.fill_nak_interval
-                    continue  # the NAK just scheduled wire events
-                if nxt is None or nxt > deadline:
-                    fill.attempt_failed = True
-                    break
-                next_nak = max(next_nak, simulator.now) + self.fill_nak_interval
-            simulator.step()
+            # quiet until the round was due: re-request what is missing
+            self._nak_upstream(self._upstream.get(fill.point), missing)
+            rounds += 1
+        simulator.wait(settled, deadline=deadline)
 
     def _ride_fill(self, fill: _FillState, name: str) -> None:
-        """Wait on someone else's in-flight fill (re-entrant stepping).
-
-        The rider never mutates the fill — the driver owns retries and
-        source switching — but it *does* send NAK rounds for missing
-        packets: inside a nested frame the driver sits below us on the
-        stack and cannot act until we return. The deadline is generous
-        enough to span the driver walking its whole source plan.
-        """
-        simulator = self.simulator
-        deadline = simulator.now + self.fill_timeout * (self.fill_hop_limit + 2)
-        next_nak = simulator.now + self.fill_nak_interval
-        rounds = 0
-        while not fill.done and not fill.exhausted:
-            if self.crashed or simulator.now >= deadline:
-                break
-            nxt = simulator.peek_time()
-            if nxt is None or nxt > next_nak or simulator.now >= next_nak:
-                missing = fill.missing()
-                if missing and rounds < self.fill_nak_rounds:
-                    self._nak_upstream(self._upstream.get(name), missing)
-                    rounds += 1
-                    next_nak = simulator.now + self.fill_nak_interval
-                    continue
-                if nxt is None or nxt > deadline:
-                    break
-                next_nak = max(next_nak, simulator.now) + self.fill_nak_interval
-            simulator.step()
+        """Wait on someone else's in-flight fill. The deadline is generous
+        enough to span the driver walking its whole source plan."""
+        self._wait_fill(
+            fill,
+            self.simulator.now
+            + self.FILL_TIMEOUT * (self.FILL_HOP_LIMIT + 2),
+            rider=True,
+        )
         if fill.done and name in self.points:
             return
         raise PublishError(f"edge fill of {name!r} failed")
@@ -1499,7 +1489,7 @@ class EdgeRelay(MediaServer):
         upstream_url = self._current_parent_url() or self.origin_url
         out_token = (
             token.descend(self.name) if token is not None
-            else FillToken((self.name,), self.fill_hop_limit)
+            else FillToken((self.name,), self.FILL_HOP_LIMIT)
         )
         upstream_host = urlparse(upstream_url).hostname
         rid: Optional[str] = None
@@ -1877,7 +1867,7 @@ class EdgeRelay(MediaServer):
             ref = self._upstream.get(point)
             if ref is not None and ref.url == dead_url and not fill.done:
                 # the driver frame owns this ref's teardown: flagging the
-                # attempt failed breaks its re-entrant wait loop, which
+                # attempt failed ends its nested fill wait, which
                 # releases the budget and moves to the next plan source
                 # (skipping the close round-trip — a silent host would
                 # stall the driver for a full fetch timeout)
@@ -1934,7 +1924,7 @@ class EdgeRelay(MediaServer):
             except BudgetError:
                 self.cache.counters.inc("feed_migration_budget_refused")
                 return False
-        token = FillToken((self.name,), self.fill_hop_limit)
+        token = FillToken((self.name,), self.FILL_HOP_LIMIT)
         try:
             ref = self._open_upstream(
                 new_url, point,
@@ -2158,149 +2148,33 @@ class EdgeRelay(MediaServer):
 # topology construction
 # ----------------------------------------------------------------------
 
+#: every tier link (origin-edge, parent-leaf, edge-edge) the builders lay
+BACKBONE_BANDWIDTH = 50_000_000.0
+BACKBONE_DELAY = 0.005
 
-def _make_cache(
+
+def _build_tier(
+    network: VirtualNetwork,
+    origin: MediaServer,
+    regions: Dict[Optional[str], Sequence[str]],
+    *,
+    attach_directory: bool,
+    capacity: Optional[int],
     cache_bytes: int,
+    vnodes: int,
+    seed: int,
+    origin_fallback: bool,
+    join_quantum: float,
     cache_admission: bool,
-    cache_ttl_seconds: Optional[float],
     admission_seed: int,
-) -> PacketRunCache:
-    """Per-relay cache (separate machines, separate disks) — with its
-    own TinyLFU instance when admission is on, so edges' frequency
-    windows are independent."""
-    admission = None
-    if cache_admission:
-        # local import: repro.catalog sits above repro.streaming in the
-        # layer order, so the streaming module must not hard-require it
-        from ..catalog.admission import TinyLFUAdmission
-        admission = TinyLFUAdmission(seed=admission_seed)
-    return PacketRunCache(
-        max_bytes=cache_bytes,
-        admission=admission,
-        ttl_seconds=cache_ttl_seconds,
-    )
-
-
-def build_edge_tier(
-    network: VirtualNetwork,
-    origin: MediaServer,
-    edge_hosts: Sequence[str],
-    *,
-    backbone_bandwidth: float = 50_000_000.0,
-    backbone_delay: float = 0.005,
-    capacity: Optional[int] = None,
-    cache_bytes: int = 64 * 1024 * 1024,
-    vnodes: int = 64,
-    seed: int = 0,
-    port: int = 8080,
-    qos_enabled: bool = False,
-    pacing_quantum: float = 0.0,
-    shared_pacing: bool = True,
-    join_quantum: float = 0.0,
-    fill_burst: float = 64.0,
-    origin_fallback: bool = False,
-    sibling_fills: bool = False,
-    backbone_budget: Optional[BackboneBudget] = None,
-    live_history_seconds: float = 0.0,
-    cache_admission: bool = False,
-    cache_ttl_seconds: Optional[float] = None,
-    admission_seed: int = 0,
-    tracer=None,
-) -> Tuple[EdgeDirectory, List[EdgeRelay]]:
-    """Origin + N edges: backbone links, relays, populated directory.
-
-    Each edge gets its own backbone link to the origin and its own
-    :class:`PacketRunCache` (separate machines, separate disks). The
-    returned directory places clients; hand it to players (re-route on
-    reconnect) and to :meth:`FaultInjector.register_directory
-    <repro.net.faults.FaultInjector.register_directory>` (chaos).
-
-    ``sibling_fills=True`` attaches the directory to every relay so
-    cache misses fill from sibling edges before the origin; the default
-    keeps PR 5's flat origin-only behaviour. For regional parents and
-    live multicast use :func:`build_relay_tree`.
-    """
-    origin_url = f"http://{origin.host}:{origin.port}"
-    directory = EdgeDirectory(
-        vnodes=vnodes, seed=seed,
-        origin_url=origin_url if origin_fallback else None,
-    )
-    relays: List[EdgeRelay] = []
-    for host in edge_hosts:
-        network.connect(
-            origin.host, host,
-            bandwidth=backbone_bandwidth, delay=backbone_delay,
-        )
-        relay = EdgeRelay(
-            network, host,
-            origin_url=origin_url,
-            cache=_make_cache(
-                cache_bytes, cache_admission, cache_ttl_seconds,
-                admission_seed,
-            ),
-            port=port,
-            qos_enabled=qos_enabled,
-            pacing_quantum=pacing_quantum,
-            shared_pacing=shared_pacing,
-            join_quantum=join_quantum,
-            fill_burst=fill_burst,
-            backbone=backbone_budget,
-            live_history_seconds=live_history_seconds,
-            tracer=tracer,
-        )
-        relays.append(relay)
-        directory.add_edge(relay.name, relay=relay, capacity=capacity)
-    if sibling_fills:
-        for relay in relays:
-            relay.attach_directory(directory)
-    # edge-to-edge mesh: the drain protocol's adopt round-trip and the
-    # sibling fills run peer-to-peer (never transiting the origin)
-    for i, a in enumerate(relays):
-        for b in relays[i + 1:]:
-            network.connect(
-                a.host, b.host,
-                bandwidth=backbone_bandwidth, delay=backbone_delay,
-            )
-    return directory, relays
-
-
-def build_relay_tree(
-    network: VirtualNetwork,
-    origin: MediaServer,
-    regions: Dict[str, Sequence[str]],
-    *,
-    backbone_bandwidth: float = 50_000_000.0,
-    backbone_delay: float = 0.005,
-    capacity: Optional[int] = None,
-    cache_bytes: int = 64 * 1024 * 1024,
-    vnodes: int = 64,
-    seed: int = 0,
-    port: int = 8080,
-    qos_enabled: bool = False,
-    pacing_quantum: float = 0.0,
-    shared_pacing: bool = True,
-    join_quantum: float = 0.0,
-    fill_burst: float = 64.0,
-    fill_hop_limit: int = 3,
-    live_history_seconds: float = 30.0,
-    backbone_budget: Optional[BackboneBudget] = None,
-    origin_fallback: bool = False,
-    cache_admission: bool = False,
-    cache_ttl_seconds: Optional[float] = None,
-    admission_seed: int = 0,
-    tracer=None,
+    **relay_options: Any,
 ) -> Tuple[EdgeDirectory, Dict[str, EdgeRelay], List[EdgeRelay]]:
-    """Origin + regional parents + leaf edges: the multi-level tree.
+    """The one tier builder: links, relays, populated directory.
 
-    ``regions`` maps a region name to its leaf edge hosts. Every region
-    gets one parent relay (host ``<region>-parent``) linked to the
-    origin; leaves link to their parent, to the origin (authority
-    describes and last-resort fills), and to each other (sibling fills,
-    drain adopts). The directory is attached to every relay, so cache
-    misses fill sibling → parent → origin, and broadcast feeds enter
-    each region exactly once at the parent.
-
-    Returns ``(directory, {region: parent relay}, leaf relays)``.
+    ``regions`` maps a region to its leaf hosts. A named region gets a
+    parent relay its leaves hang under; the ``None`` region has none —
+    its leaves know only the origin, which is the whole flat tier.
+    ``relay_options`` go to every :class:`EdgeRelay` verbatim.
     """
     origin_url = f"http://{origin.host}:{origin.port}"
     directory = EdgeDirectory(
@@ -2318,68 +2192,151 @@ def build_relay_tree(
             return
         connected.add(pair)
         network.connect(
-            a, b, bandwidth=backbone_bandwidth, delay=backbone_delay
+            a, b, bandwidth=BACKBONE_BANDWIDTH, delay=BACKBONE_DELAY
         )
 
-    for region in sorted(regions):
-        parent_host = f"{region}-parent"
-        connect(origin.host, parent_host)
-        parent = EdgeRelay(
-            network, parent_host,
+    def relay_on(host: str, **role: Any) -> EdgeRelay:
+        # one cache per relay (separate machines, separate disks) — with
+        # its own TinyLFU instance when admission is on, so edges'
+        # frequency windows are independent
+        admission = None
+        if cache_admission:
+            # local import: repro.catalog sits above repro.streaming in the
+            # layer order, so the streaming module must not hard-require it
+            from ..catalog.admission import TinyLFUAdmission
+            admission = TinyLFUAdmission(seed=admission_seed)
+        relay = EdgeRelay(
+            network, host,
             origin_url=origin_url,
-            name=f"parent-{region}",
-            cache=_make_cache(
-                cache_bytes, cache_admission, cache_ttl_seconds,
-                admission_seed,
-            ),
-            port=port,
-            qos_enabled=qos_enabled,
-            pacing_quantum=pacing_quantum,
-            shared_pacing=shared_pacing,
-            fill_burst=fill_burst,
-            region=region,
-            is_parent=True,
-            backbone=backbone_budget,
-            fill_hop_limit=fill_hop_limit,
-            live_history_seconds=live_history_seconds,
-            tracer=tracer,
+            cache=PacketRunCache(max_bytes=cache_bytes, admission=admission),
+            **relay_options, **role,
         )
-        parents[region] = parent
-        all_relays.append(parent)
-        directory.add_parent(region, relay=parent, name=parent.name)
-        parent_url = f"http://{parent.host}:{parent.port}"
+        all_relays.append(relay)
+        return relay
+
+    for region in sorted(regions):
+        parent_host = parent_url = None
+        if region is not None:
+            parent_host = f"{region}-parent"
+            connect(origin.host, parent_host)
+            parent = relay_on(
+                parent_host, name=f"parent-{region}", region=region,
+                is_parent=True,
+            )
+            parents[region] = parent
+            directory.add_parent(region, relay=parent, name=parent.name)
+            parent_url = f"http://{parent.host}:{parent.port}"
         for host in regions[region]:
             connect(origin.host, host)
-            connect(parent_host, host)
-            relay = EdgeRelay(
-                network, host,
-                origin_url=origin_url,
-                cache=_make_cache(
-                    cache_bytes, cache_admission, cache_ttl_seconds,
-                    admission_seed,
-                ),
-                port=port,
-                qos_enabled=qos_enabled,
-                pacing_quantum=pacing_quantum,
-                shared_pacing=shared_pacing,
-                join_quantum=join_quantum,
-                fill_burst=fill_burst,
-                region=region,
+            if parent_host is not None:
+                connect(parent_host, host)
+            relay = relay_on(
+                host, join_quantum=join_quantum, region=region,
                 parent_url=parent_url,
-                backbone=backbone_budget,
-                fill_hop_limit=fill_hop_limit,
-                live_history_seconds=live_history_seconds,
-                tracer=tracer,
             )
             leaves.append(relay)
-            all_relays.append(relay)
             directory.add_edge(
                 relay.name, relay=relay, capacity=capacity, region=region
             )
-    for relay in all_relays:
-        relay.attach_directory(directory)
-    # peer mesh: sibling fills and drain adopts run edge-to-edge
+    if attach_directory:
+        for relay in all_relays:
+            relay.attach_directory(directory)
+    # peer mesh: sibling fills and the drain protocol's adopt round-trip
+    # run edge-to-edge (never transiting the origin)
     for i, a in enumerate(all_relays):
         for b in all_relays[i + 1:]:
             connect(a.host, b.host)
     return directory, parents, leaves
+
+
+def build_edge_tier(
+    network: VirtualNetwork,
+    origin: MediaServer,
+    edge_hosts: Sequence[str],
+    *,
+    capacity: Optional[int] = None,
+    cache_bytes: int = 64 * 1024 * 1024,
+    vnodes: int = 64,
+    seed: int = 0,
+    port: int = 8080,
+    qos_enabled: bool = False,
+    pacing_quantum: float = 0.0,
+    join_quantum: float = 0.0,
+    fill_burst: float = 64.0,
+    origin_fallback: bool = False,
+    sibling_fills: bool = False,
+    backbone_budget: Optional[BackboneBudget] = None,
+    live_history_seconds: float = 0.0,
+    cache_admission: bool = False,
+    admission_seed: int = 0,
+    tracer=None,
+) -> Tuple[EdgeDirectory, List[EdgeRelay]]:
+    """Origin + N edges: backbone links, relays, populated directory.
+
+    Each edge gets its own backbone link to the origin and its own
+    :class:`PacketRunCache` (separate machines, separate disks). The
+    returned directory places clients; hand it to players (re-route on
+    reconnect) and to :meth:`FaultInjector.register_directory
+    <repro.net.faults.FaultInjector.register_directory>` (chaos).
+
+    ``sibling_fills=True`` attaches the directory to every relay so
+    cache misses fill from sibling edges before the origin; the default
+    keeps PR 5's flat origin-only behaviour. For regional parents and
+    live multicast use :func:`build_relay_tree`.
+    """
+    directory, _, relays = _build_tier(
+        network, origin, {None: edge_hosts},
+        attach_directory=sibling_fills,
+        capacity=capacity, cache_bytes=cache_bytes, vnodes=vnodes, seed=seed,
+        origin_fallback=origin_fallback, join_quantum=join_quantum,
+        cache_admission=cache_admission, admission_seed=admission_seed,
+        port=port, qos_enabled=qos_enabled, pacing_quantum=pacing_quantum,
+        fill_burst=fill_burst, backbone=backbone_budget,
+        live_history_seconds=live_history_seconds, tracer=tracer,
+    )
+    return directory, relays
+
+
+def build_relay_tree(
+    network: VirtualNetwork,
+    origin: MediaServer,
+    regions: Dict[str, Sequence[str]],
+    *,
+    capacity: Optional[int] = None,
+    cache_bytes: int = 64 * 1024 * 1024,
+    vnodes: int = 64,
+    seed: int = 0,
+    port: int = 8080,
+    qos_enabled: bool = False,
+    pacing_quantum: float = 0.0,
+    join_quantum: float = 0.0,
+    fill_burst: float = 64.0,
+    live_history_seconds: float = 30.0,
+    backbone_budget: Optional[BackboneBudget] = None,
+    origin_fallback: bool = False,
+    cache_admission: bool = False,
+    admission_seed: int = 0,
+    tracer=None,
+) -> Tuple[EdgeDirectory, Dict[str, EdgeRelay], List[EdgeRelay]]:
+    """Origin + regional parents + leaf edges: the multi-level tree.
+
+    ``regions`` maps a region name to its leaf edge hosts. Every region
+    gets one parent relay (host ``<region>-parent``) linked to the
+    origin; leaves link to their parent, to the origin (authority
+    describes and last-resort fills), and to each other (sibling fills,
+    drain adopts). The directory is attached to every relay, so cache
+    misses fill sibling → parent → origin, and broadcast feeds enter
+    each region exactly once at the parent.
+
+    Returns ``(directory, {region: parent relay}, leaf relays)``.
+    """
+    return _build_tier(
+        network, origin, regions,
+        attach_directory=True,
+        capacity=capacity, cache_bytes=cache_bytes, vnodes=vnodes, seed=seed,
+        origin_fallback=origin_fallback, join_quantum=join_quantum,
+        cache_admission=cache_admission, admission_seed=admission_seed,
+        port=port, qos_enabled=qos_enabled, pacing_quantum=pacing_quantum,
+        fill_burst=fill_burst, backbone=backbone_budget,
+        live_history_seconds=live_history_seconds, tracer=tracer,
+    )

@@ -222,13 +222,9 @@ class HTTPClient:
         )
         request_channel.send(Message(request, request.wire_size()))
 
-        deadline = simulator.now + self.timeout
-        while not result and simulator.now < deadline:
-            nxt = simulator.peek_time()
-            if nxt is None or nxt > deadline:
-                break
-            simulator.step()
-        if not result:
+        if not simulator.wait(
+            lambda: bool(result), deadline=simulator.now + self.timeout
+        ):
             raise HTTPError(f"timeout after {self.timeout}s: {method} {url}")
         return result[0]
 
