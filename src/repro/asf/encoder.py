@@ -43,6 +43,7 @@ from .farm import (
     JOB_VIDEO,
     EncodeFarm,
     EncodeJob,
+    adopt_farm,
 )
 from .header import FileProperties, HeaderObject, StreamProperties
 from .packets import (
@@ -180,6 +181,54 @@ class EncodeCache:
         self._segments.clear()
 
 
+def assemble_asf(
+    file_id: str,
+    duration: float,
+    streams: List[StreamProperties],
+    unit_lists: List[List[MediaUnit]],
+    command_list: List[ScriptCommand],
+    *,
+    packet_size: int,
+    preroll_ms: int,
+    metadata: Dict[str, str],
+    drm: Optional[DRMInfo] = None,
+) -> ASFFile:
+    """Build a stored, indexed .asf file from numbered streams and units.
+
+    The one tail every stored file goes through: the (sorted) script
+    commands become the command stream, the header is written, and the
+    units are packetized on the duration-paced send schedule.
+    """
+    if command_list:
+        streams.append(
+            StreamProperties(
+                SCRIPT_STREAM_NUMBER, STREAM_TYPE_COMMAND, codec="script", name="commands"
+            )
+        )
+        unit_lists.append(units_from_commands(command_list))
+    header = HeaderObject(
+        file_properties=FileProperties(
+            file_id=file_id,
+            duration_ms=round(duration * 1000),
+            packet_size=packet_size,
+            preroll_ms=preroll_ms,
+            flags=FLAG_DRM_PROTECTED if drm is not None else 0,
+        ),
+        streams=streams,
+        metadata=metadata,
+        script_commands=command_list,
+        drm=drm,
+    )
+    packetizer = Packetizer(
+        packet_size=packet_size,
+        bitrate=max(header.total_bitrate, 1.0),
+        pacing="duration",
+    )
+    asf = ASFFile(header=header, packets=packetizer.packetize(unit_lists))
+    asf.ensure_index()
+    return asf
+
+
 class ASFEncoder:
     """Builds ASF content from media sources under a bandwidth profile.
 
@@ -204,13 +253,7 @@ class ASFEncoder:
         self.config = config
         self.cache = cache
         self.tracer = tracer  # optional repro.obs.Tracer
-        if farm is None:
-            farm = EncodeFarm(0, cache=cache, tracer=tracer)
-        elif farm.cache is None and cache is not None:
-            farm.cache = cache
-        if farm.tracer is None and tracer is not None:
-            farm.tracer = tracer
-        self.farm = farm
+        self.farm = adopt_farm(farm, cache, tracer)
         self._next_stream = itertools.count(1)
         self._image_codec = ImageCodec()
 
@@ -221,39 +264,24 @@ class ASFEncoder:
         audio: Optional[AudioObject],
         images: Sequence[Tuple[ImageObject, float]],
         commands: Sequence[ScriptCommand],
+        ladder: Optional[Sequence[BandwidthProfile]],
     ) -> tuple:
-        """Everything that can change the encoded bytes, in one hashable key."""
-        return (
-            file_id,
-            video,
-            audio,
-            tuple(images),
-            tuple(commands),
-            self.config.profile,
-            self.config.packet_size,
-            self.config.preroll_ms,
-            self.config.with_data,
-            tuple(sorted(self.config.metadata.items())),
-        )
+        """Everything that can change the encoded bytes, in one hashable key.
 
-    def _cache_key_mbr(
-        self,
-        file_id: str,
-        video: VideoObject,
-        audio: Optional[AudioObject],
-        images: Sequence[Tuple[ImageObject, float]],
-        commands: Sequence[ScriptCommand],
-        ordered: Sequence[BandwidthProfile],
-    ) -> tuple:
-        """Rendition-aware key for :meth:`encode_file_mbr` outputs."""
-        return (
-            "mbr",
+        A ladder (:meth:`encode_file_mbr`) replaces the config profile
+        and tags the key ``"mbr"``.
+        """
+        if ladder is None:
+            prefix, rates = (), self.config.profile
+        else:
+            prefix, rates = ("mbr",), tuple(ladder)
+        return prefix + (
             file_id,
             video,
             audio,
             tuple(images),
             tuple(commands),
-            tuple(ordered),
+            rates,
             self.config.packet_size,
             self.config.preroll_ms,
             self.config.with_data,
@@ -277,24 +305,22 @@ class ASFEncoder:
         audio: Optional[AudioObject],
         images: Sequence[Tuple[ImageObject, float]],
         encoded: Sequence[EncodedStream],
-        *,
-        video_profiles: Optional[Sequence[BandwidthProfile]] = None,
+        profiles: Sequence[BandwidthProfile],
+        laddered: bool,
     ) -> Tuple[List[StreamProperties], List[List[MediaUnit]], float]:
         """Turn farm results into (stream table, unit lists, duration).
 
         ``encoded`` must match the job submission order: one entry per
-        video profile (``video_profiles``, or the config profile), then
-        audio, then one per image. Stream numbers are assigned here, in
-        that fixed order — identical for serial and parallel encodes.
+        video profile in ``profiles``, then audio (at the first profile),
+        then one per image. Stream numbers are assigned here, in that
+        fixed order — identical for serial and parallel encodes.
         """
-        profile = self.config.profile
         streams: List[StreamProperties] = []
         unit_lists: List[List[MediaUnit]] = []
         duration = 0.0
         cursor = iter(encoded)
 
         if video is not None:
-            profiles = list(video_profiles) if video_profiles else [profile]
             mbr = len(profiles) > 1
             for rank, video_profile in enumerate(profiles):
                 number = next(self._next_stream)
@@ -329,17 +355,14 @@ class ASFEncoder:
             duration = max(duration, video.duration)
 
         if audio is not None:
-            audio_profile = (
-                list(video_profiles)[0] if video_profiles else profile
-            )
             number = next(self._next_stream)
             enc = next(cursor)
-            extra = {} if video_profiles else {"quality": f"{enc.quality:.4f}"}
+            extra = {} if laddered else {"quality": f"{enc.quality:.4f}"}
             streams.append(
                 StreamProperties(
                     number,
                     STREAM_TYPE_AUDIO,
-                    codec=audio_profile.audio_codec,
+                    codec=profiles[0].audio_codec,
                     bitrate=enc.bitrate,
                     name=audio.name,
                     extra=extra,
@@ -380,11 +403,6 @@ class ASFEncoder:
 
         return streams, unit_lists, duration
 
-    def _command_stream_properties(self) -> StreamProperties:
-        return StreamProperties(
-            SCRIPT_STREAM_NUMBER, STREAM_TYPE_COMMAND, codec="script", name="commands"
-        )
-
     def _protect_units(
         self, unit_lists: List[List[MediaUnit]], key: str
     ) -> List[List[MediaUnit]]:
@@ -419,64 +437,9 @@ class ASFEncoder:
         """Encode sources into a stored, indexed .asf file."""
         if video is None and audio is None and not images:
             raise ASFError("nothing to encode")
-        command_list = sorted(commands)
-        cache_key: Optional[tuple] = None
-        if self.cache is not None and license_server is None:
-            cache_key = self._cache_key(file_id, video, audio, images, command_list)
-            cached = self.cache.lookup(cache_key)
-            if cached is not None:
-                if self.tracer is not None:
-                    self.tracer.event(
-                        "encode.file", file_id=file_id, cached=True
-                    )
-                return cached
-        if self.tracer is not None:
-            self.tracer.event("encode.file", file_id=file_id, cached=False)
-        jobs: List[EncodeJob] = []
-        if video is not None:
-            jobs.append(self._job(JOB_VIDEO, video, self.config.profile))
-        if audio is not None:
-            jobs.append(self._job(JOB_AUDIO, audio, self.config.profile))
-        jobs.extend(self._job(JOB_IMAGE, image) for image, _ in images)
-        encoded = self.farm.encode_batch(jobs, use_cache=license_server is None)
-        streams, unit_lists, duration = self._assemble_sources(
-            video, audio, images, encoded
+        return self._encode(
+            file_id, video, audio, images, commands, license_server, None
         )
-        flags = 0
-        drm: Optional[DRMInfo] = None
-        if license_server is not None:
-            key = license_server.register(file_id)
-            unit_lists = self._protect_units(unit_lists, key)
-            drm = DRMInfo(content_id=file_id)
-            flags |= FLAG_DRM_PROTECTED
-
-        if command_list:
-            streams.append(self._command_stream_properties())
-            unit_lists.append(units_from_commands(command_list))
-
-        header = HeaderObject(
-            file_properties=FileProperties(
-                file_id=file_id,
-                duration_ms=round(duration * 1000),
-                packet_size=self.config.packet_size,
-                preroll_ms=self.config.preroll_ms,
-                flags=flags,
-            ),
-            streams=streams,
-            metadata=dict(self.config.metadata),
-            script_commands=command_list,
-            drm=drm,
-        )
-        packetizer = Packetizer(
-            packet_size=self.config.packet_size,
-            bitrate=max(header.total_bitrate, 1.0),
-            pacing="duration",
-        )
-        asf = ASFFile(header=header, packets=packetizer.packetize(unit_lists))
-        asf.ensure_index()
-        if cache_key is not None:
-            self.cache.store(cache_key, asf)
-        return asf
 
     def encode_file_mbr(
         self,
@@ -505,60 +468,68 @@ class ASFEncoder:
         """
         if not renditions:
             raise ASFError("MBR encoding needs at least one rendition")
-        ordered = sorted(renditions, key=lambda p: p.video_bitrate)
+        ladder = sorted(renditions, key=lambda p: p.video_bitrate)
+        return self._encode(
+            file_id, video, audio, images, commands, license_server, ladder
+        )
+
+    def _encode(
+        self,
+        file_id: str,
+        video: Optional[VideoObject],
+        audio: Optional[AudioObject],
+        images: Sequence[Tuple[ImageObject, float]],
+        commands: Sequence[ScriptCommand],
+        license_server: Optional[LicenseServer],
+        ladder: Optional[List[BandwidthProfile]],
+    ) -> ASFFile:
+        """Cache lookup → farm batch → stream table → :func:`assemble_asf`.
+
+        ``ladder=None`` is a single-rate file at the config profile (the
+        only kind that traces ``encode.file``); a ladder encodes the video
+        once per profile, lowest rate first.
+        """
         command_list = sorted(commands)
+        tracer = self.tracer if ladder is None else None
         cache_key: Optional[tuple] = None
         if self.cache is not None and license_server is None:
-            cache_key = self._cache_key_mbr(
-                file_id, video, audio, images, command_list, ordered
+            cache_key = self._cache_key(
+                file_id, video, audio, images, command_list, ladder
             )
             cached = self.cache.lookup(cache_key)
             if cached is not None:
+                if tracer is not None:
+                    tracer.event("encode.file", file_id=file_id, cached=True)
                 return cached
-
-        jobs: List[EncodeJob] = [
-            self._job(JOB_VIDEO, video, profile) for profile in ordered
-        ]
+        if tracer is not None:
+            tracer.event("encode.file", file_id=file_id, cached=False)
+        profiles = ladder or [self.config.profile]
+        jobs: List[EncodeJob] = []
+        if video is not None:
+            jobs.extend(self._job(JOB_VIDEO, video, profile) for profile in profiles)
         if audio is not None:
-            jobs.append(self._job(JOB_AUDIO, audio, ordered[0]))
+            jobs.append(self._job(JOB_AUDIO, audio, profiles[0]))
         jobs.extend(self._job(JOB_IMAGE, image) for image, _ in images)
         encoded = self.farm.encode_batch(jobs, use_cache=license_server is None)
         streams, unit_lists, duration = self._assemble_sources(
-            video, audio, images, encoded, video_profiles=ordered
+            video, audio, images, encoded, profiles, ladder is not None
         )
-
-        flags = 0
         drm: Optional[DRMInfo] = None
         if license_server is not None:
             key = license_server.register(file_id)
             unit_lists = self._protect_units(unit_lists, key)
             drm = DRMInfo(content_id=file_id)
-            flags |= FLAG_DRM_PROTECTED
-
-        if command_list:
-            streams.append(self._command_stream_properties())
-            unit_lists.append(units_from_commands(command_list))
-
-        header = HeaderObject(
-            file_properties=FileProperties(
-                file_id=file_id,
-                duration_ms=round(duration * 1000),
-                packet_size=self.config.packet_size,
-                preroll_ms=self.config.preroll_ms,
-                flags=flags,
-            ),
-            streams=streams,
+        asf = assemble_asf(
+            file_id,
+            duration,
+            streams,
+            unit_lists,
+            command_list,
+            packet_size=self.config.packet_size,
+            preroll_ms=self.config.preroll_ms,
             metadata=dict(self.config.metadata),
-            script_commands=command_list,
             drm=drm,
         )
-        packetizer = Packetizer(
-            packet_size=self.config.packet_size,
-            bitrate=max(header.total_bitrate, 1.0),
-            pacing="duration",
-        )
-        asf = ASFFile(header=header, packets=packetizer.packetize(unit_lists))
-        asf.ensure_index()
         if cache_key is not None:
             self.cache.store(cache_key, asf)
         return asf

@@ -318,3 +318,21 @@ class EncodeFarm:
 
 def _noop(value: int) -> int:
     return value
+
+
+def adopt_farm(
+    farm: Optional[EncodeFarm], cache: Optional["EncodeCache"], tracer  # noqa: F821
+) -> EncodeFarm:
+    """The farm an encoder or publisher runs its codecs on.
+
+    ``None`` becomes a private serial farm; a farm given without its own
+    cache or tracer adopts the caller's, so segment-level reuse and
+    ``farm.*`` trace records stay on.
+    """
+    if farm is None:
+        return EncodeFarm(0, cache=cache, tracer=tracer)
+    if farm.cache is None and cache is not None:
+        farm.cache = cache
+    if farm.tracer is None and tracer is not None:
+        farm.tracer = tracer
+    return farm

@@ -378,7 +378,6 @@ class HeartbeatMonitor:
             # round-trips — already answers the new parent
             self.directory.promote_parent(region, successor_name)
             successor.is_parent = True
-            successor.parent_url = None
             # the successor's own feeds now enter the region from the
             # origin; its viewers ride the same local streams throughout
             merge(successor.upstream_crashed(
@@ -391,7 +390,6 @@ class HeartbeatMonitor:
         for peer in self._region_relays(region, exclude=state.name):
             if successor is not None and peer.name == successor_name:
                 continue
-            peer.parent_url = new_upstream
             merge(peer.upstream_crashed(
                 dead_url,
                 migrate_to=new_upstream if new_upstream is not None

@@ -48,6 +48,14 @@ from .workload import (
 #: grace period past the script horizon before the run is drained — covers
 #: preroll buffering and the close handshakes that trail the last render
 TAIL_SECONDS = 15.0
+#: delivery quantum of the origin and every relay pacer
+PACING_QUANTUM = 0.5
+#: bounded live history served to late joiners (tree mode); kept small —
+#: a flash crowd of real players each receiving a long catch-up train
+#: costs wall clock, not insight
+LIVE_HISTORY_SECONDS = 5.0
+#: livelock guard handed to every simulator drive call
+MAX_EVENTS = 50_000_000
 
 
 def peak_rss_bytes() -> int:
@@ -118,15 +126,7 @@ class LoadConfig:
     #: optional :class:`~repro.streaming.BackboneBudget` charged by every
     #: tree fill and live feed
     backbone_budget: Any = None
-    #: bounded live history served to late joiners (tree mode); kept
-    #: small by default — a flash crowd of real players each receiving
-    #: a long catch-up train costs wall clock, not insight
-    live_history_seconds: float = 5.0
     profile: str = "dsl-256k"
-    slides: int = 2
-    fps: int = 10
-    pacing_quantum: float = 0.5
-    burst_factor: float = 1.0
     #: > 0 arms a skippable presence beacon per cohort at this interval
     heartbeat_interval: float = 0.0
     client_bandwidth: float = 2_000_000.0
@@ -139,17 +139,12 @@ class LoadConfig:
     #: lecture start times + Zipf popularity into per-(lecture, relay)
     #: warm actions on the run's own timeline, traced and audited
     prefetch: Any = True
-    #: per-relay packet-run cache budget handed to the tier builders
-    cache_bytes: int = 64 * 1024 * 1024
     #: give every relay cache a TinyLFU admission policy (scan resistance)
     cache_admission: bool = False
-    admission_seed: int = 0
     #: prefix for generated client host names — lets two runs share one
     #: :class:`ServingTier` (warm wave-2 measurements) without host
     #: collisions
     client_prefix: str = ""
-    collect_qoe: bool = True
-    max_events: int = 50_000_000
     tracer: Any = None
     #: :class:`~repro.streaming.recovery.RecoveryConfig` for every player
     #: (None: stalls are terminal, the pre-chaos behaviour). With a config
@@ -157,19 +152,14 @@ class LoadConfig:
     #: re-route to a surviving edge.
     recovery: Any = None
     #: :class:`~repro.net.faults.FaultPlan` applied to the built tier
-    #: (origin registered as "origin", relays under their edge names)
+    #: (origin registered as "origin", relays under their edge names,
+    #: region parents as ``parent-<region>``) — the one crash script
     fault_plan: Any = None
     #: arm a :class:`~repro.control.HeartbeatMonitor` over the tier so
     #: crashes are *detected* (directory marked down) rather than known
     heartbeat_monitor: bool = False
     monitor_interval: float = 0.5
     monitor_miss_threshold: int = 3
-    #: >= 0 crashes ``parent_kill_region``'s parent relay that many
-    #: seconds after the tier is ready (same clock as fault-plan times)
-    #: — the scripted trigger for heartbeat-driven region failover;
-    #: requires ``regions > 0`` and (for recovery) ``heartbeat_monitor``
-    parent_kill_at: float = -1.0
-    parent_kill_region: str = "r0"
     #: shut surviving relays down after the run (settles replica sessions
     #: so post-run audits can demand an empty origin session table)
     teardown: bool = False
@@ -291,7 +281,7 @@ def run_workload(
             cfg.tracer.bind_clock(sim)
         origin = MediaServer(
             net, "origin", port=8080,
-            pacing_quantum=cfg.pacing_quantum,
+            pacing_quantum=PACING_QUANTUM,
             tracer=cfg.tracer, trace_label="origin",
         )
         captures: Dict[str, Any] = {}
@@ -311,8 +301,7 @@ def run_workload(
                 origin.publish(lecture.name, capture.stream)
             else:
                 asf = encode_lecture(
-                    lecture.name, lecture.duration,
-                    profile=cfg.profile, slides=cfg.slides, fps=cfg.fps,
+                    lecture.name, lecture.duration, profile=cfg.profile
                 )
                 origin.publish(lecture.name, asf)
                 if catalog is not None:
@@ -328,23 +317,19 @@ def run_workload(
                 region_map[f"r{i % cfg.regions}"].append(f"edge{i}")
             directory, parents, relays = build_relay_tree(
                 net, origin, region_map,
-                pacing_quantum=cfg.pacing_quantum,
+                pacing_quantum=PACING_QUANTUM,
                 join_quantum=spec.join_quantum,
                 backbone_budget=cfg.backbone_budget,
-                live_history_seconds=cfg.live_history_seconds,
-                cache_bytes=cfg.cache_bytes,
+                live_history_seconds=LIVE_HISTORY_SECONDS,
                 cache_admission=cfg.cache_admission,
-                admission_seed=cfg.admission_seed,
                 tracer=cfg.tracer,
             )
         else:
             directory, relays = build_edge_tier(
                 net, origin, [f"edge{i}" for i in range(cfg.edges)],
-                pacing_quantum=cfg.pacing_quantum,
+                pacing_quantum=PACING_QUANTUM,
                 join_quantum=spec.join_quantum,
-                cache_bytes=cfg.cache_bytes,
                 cache_admission=cfg.cache_admission,
-                admission_seed=cfg.admission_seed,
                 tracer=cfg.tracer,
             )
         tier = ServingTier(
@@ -402,22 +387,6 @@ def run_workload(
         # "seconds after the tier is ready", never "before setup ended"
         fault_offset = sim.now
         injector.apply(cfg.fault_plan, offset=fault_offset)
-
-    parent_kill: Optional[Dict[str, Any]] = None
-    if cfg.parent_kill_at >= 0.0:
-        target = parents.get(cfg.parent_kill_region)
-        if target is None:
-            raise ValueError(
-                f"parent_kill_region {cfg.parent_kill_region!r} has no "
-                f"parent relay (regions={cfg.regions})"
-            )
-        kill_time = sim.now + cfg.parent_kill_at
-        parent_kill = {
-            "region": cfg.parent_kill_region,
-            "parent": target.name,
-            "time": kill_time,
-        }
-        sim.schedule(cfg.parent_kill_at, target.crash)
 
     def place(arrival: ViewerArrival) -> str:
         return directory.place(f"{arrival.viewer}|{arrival.lecture}")
@@ -582,7 +551,7 @@ def run_workload(
             def _cohort_start(url, c=cohort, p=plan):
                 if url is not None:
                     c.url = url
-                c.start(start=p.start_position, burst_factor=cfg.burst_factor)
+                c.start(start=p.start_position)
 
             actions.append((
                 plan.join_time, next(seq),
@@ -608,8 +577,7 @@ def run_workload(
             if url is None:
                 url = f"{directory.edge_url(relay.name)}/lod/{arrival.lecture}"
             player.connect(url)
-            player.play(start=arrival.start_position,
-                        burst_factor=cfg.burst_factor)
+            player.play(start=arrival.start_position)
 
         def _leave(player: MediaPlayer) -> None:
             if player.state not in (PlayerState.IDLE, PlayerState.FINISHED):
@@ -657,14 +625,17 @@ def run_workload(
     # is pending, so beacon-only windows are leapt, never ticked.
     # ------------------------------------------------------------------
     actions.sort(key=lambda a: (a[0], a[1]))
+    # a reused ServingTier's simulator carries the previous wave's totals
     events_before = sim.events_processed
+    leapt_before = sim.events_leapt
+    drained_before = sim.cancelled_drained
     t0 = time.perf_counter()
     for when, _, fn in actions:
         if when > sim.now:
-            sim.fast_forward(when, max_events=cfg.max_events)
+            sim.fast_forward(when, max_events=MAX_EVENTS)
         fn()
     horizon = max(script.horizon, sim.now) + TAIL_SECONDS
-    sim.fast_forward(horizon, max_events=cfg.max_events)
+    sim.fast_forward(horizon, max_events=MAX_EVENTS)
     for cohort in cohorts:
         cohort.stop_heartbeat()
     if monitor is not None:
@@ -683,35 +654,27 @@ def run_workload(
         for p in watcher_players:
             if p.state not in (PlayerState.IDLE, PlayerState.FINISHED):
                 p.stop()
-    sim.run(max_events=cfg.max_events)
+    sim.run(max_events=MAX_EVENTS)
     if cfg.teardown:
         # children before parents: a leaf's upstream close must reach a
         # parent that is still serving. Leaves *promoted* to acting
-        # parent during a failover go in the parent wave — their former
-        # siblings now hold upstream sessions at them.
-        for relay in relays:
-            if not relay.is_parent and not relay.crashed and not relay.draining:
+        # parent during a failover go in the parent wave (the sort is
+        # stable) — their former siblings now hold upstream sessions at them.
+        waves = sorted(relays, key=lambda r: r.is_parent) + list(parents.values())
+        for relay in waves:
+            if not relay.crashed and not relay.draining:
                 relay.shutdown()
-        for relay in relays:
-            if relay.is_parent and not relay.crashed and not relay.draining:
-                relay.shutdown()
-        for parent in parents.values():
-            if not parent.crashed and not parent.draining:
-                parent.shutdown()
-        sim.run(max_events=cfg.max_events)
+        sim.run(max_events=MAX_EVENTS)
     wall = time.perf_counter() - t0
 
-    qoe_summary: Dict[str, Any] = {}
-    if cfg.collect_qoe:
-        aggregator = QoEAggregator()
-        for cohort in cohorts:
-            for qoe in cohort.qoes():
-                aggregator.add(qoe)
-        for player in players:
-            aggregator.add(
-                SessionQoE.from_report(player.report(), client=player.user)
-            )
-        qoe_summary = aggregator.summary()
+    aggregator = QoEAggregator()
+    for cohort in cohorts:
+        for qoe in cohort.qoes():
+            aggregator.add(qoe)
+    for player in players:
+        aggregator.add(
+            SessionQoE.from_report(player.report(), client=player.user)
+        )
 
     control_facts: Dict[str, Any] = {
         # per-run deltas, so a reused ServingTier's second wave reports
@@ -728,8 +691,6 @@ def run_workload(
         control_facts["monitor"] = monitor.counters.as_dict()
         control_facts["suspicions"] = list(monitor.suspicions)
         control_facts["failovers"] = list(monitor.failovers)
-    if parent_kill is not None:
-        control_facts["parent_kill"] = parent_kill
     if joins_deferred[0]:
         control_facts["joins_deferred"] = joins_deferred[0]
     if injector is not None:
@@ -754,13 +715,13 @@ def run_workload(
         splits=splits,
         departures=sum(len(c.departed) for c in cohorts),
         events_processed=sim.events_processed - events_before,
-        events_leapt=sim.events_leapt,
-        cancelled_drained=sim.cancelled_drained,
+        events_leapt=sim.events_leapt - leapt_before,
+        cancelled_drained=sim.cancelled_drained - drained_before,
         beacons=sum(c.beacons for c in cohorts),
         horizon=sim.now,
         wall_s=wall,
         peak_rss=peak_rss_bytes(),
-        qoe=qoe_summary,
+        qoe=aggregator.summary(),
         control=control_facts,
         tier=tier if keep_tier else None,
     )

@@ -21,24 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..asf.constants import (
-    SCRIPT_STREAM_NUMBER,
-    STREAM_TYPE_AUDIO,
-    STREAM_TYPE_COMMAND,
-    STREAM_TYPE_IMAGE,
-    STREAM_TYPE_VIDEO,
-)
+from ..asf.constants import STREAM_TYPE_AUDIO, STREAM_TYPE_IMAGE, STREAM_TYPE_VIDEO
 from ..asf.drm import LicenseServer
-from ..asf.encoder import EncodeCache
-from ..asf.farm import JOB_AUDIO, JOB_IMAGE, JOB_VIDEO, EncodeFarm, EncodeJob
-from ..asf.header import FileProperties, HeaderObject, StreamProperties
-from ..asf.packets import (
-    MediaUnit,
-    Packetizer,
-    concat_unit_lists,
-    units_from_commands,
-    units_from_encoded,
-)
+from ..asf.encoder import EncodeCache, assemble_asf
+from ..asf.farm import JOB_AUDIO, JOB_IMAGE, JOB_VIDEO, EncodeFarm, EncodeJob, adopt_farm
+from ..asf.header import StreamProperties
+from ..asf.packets import MediaUnit, concat_unit_lists, units_from_encoded
 from ..asf.script_commands import TYPE_SLIDE, TYPE_TREE_LEVEL, ScriptCommand
 from ..asf.stream import ASFFile
 from ..contenttree.abstractor import Abstractor
@@ -408,15 +396,8 @@ class LODPublisher:
         self.media_server = media_server
         self.renditions = sorted(renditions, key=lambda p: p.total_bitrate)
         self.tracer = tracer  # optional repro.obs.Tracer
-        if farm is None:
-            farm = EncodeFarm(0, cache=cache, tracer=tracer)
-        else:
-            if farm.cache is None and cache is not None:
-                farm.cache = cache
-            if farm.tracer is None and tracer is not None:
-                farm.tracer = tracer
-        self.farm = farm
-        self.cache = cache if cache is not None else farm.cache
+        self.farm = adopt_farm(farm, cache, tracer)
+        self.cache = cache if cache is not None else self.farm.cache
         self.packet_size = packet_size
         self.preroll_ms = preroll_ms
         self.with_data = with_data
@@ -731,25 +712,14 @@ class LODPublisher:
             ScriptCommand(offset, TYPE_SLIDE, seg.name)
             for seg, offset in zip(plan.segments, offsets_ms)
         )
-        command_list = sorted(commands)
-        streams.append(
-            StreamProperties(
-                SCRIPT_STREAM_NUMBER,
-                STREAM_TYPE_COMMAND,
-                codec="script",
-                name="commands",
-            )
-        )
-        unit_lists.append(units_from_commands(command_list))
-
-        header = HeaderObject(
-            file_properties=FileProperties(
-                file_id=file_id,
-                duration_ms=round(duration * 1000),
-                packet_size=self.packet_size,
-                preroll_ms=self.preroll_ms,
-            ),
-            streams=streams,
+        return assemble_asf(
+            file_id,
+            duration,
+            streams,
+            unit_lists,
+            sorted(commands),
+            packet_size=self.packet_size,
+            preroll_ms=self.preroll_ms,
             metadata={
                 "title": lecture.title,
                 "author": lecture.author,
@@ -757,13 +727,4 @@ class LODPublisher:
                 "profile": plan.profile.name,
                 "segments": str(len(plan.segments)),
             },
-            script_commands=command_list,
         )
-        packetizer = Packetizer(
-            packet_size=self.packet_size,
-            bitrate=max(header.total_bitrate, 1.0),
-            pacing="duration",
-        )
-        asf = ASFFile(header=header, packets=packetizer.packetize(unit_lists))
-        asf.ensure_index()
-        return asf

@@ -165,7 +165,8 @@ class Simulator:
             len(self._cancelled) > self.COMPACT_MIN_CANCELLED
             and len(self._cancelled) * 2 > len(self._queue)
         ):
-            self._queue = [e for e in self._queue if e[2] not in self._cancelled]
+            # in place: _drain holds the list across callbacks that cancel
+            self._queue[:] = [e for e in self._queue if e[2] not in self._cancelled]
             heapq.heapify(self._queue)
             self.cancelled_drained += len(self._cancelled)
             self._cancelled.clear()
@@ -219,20 +220,16 @@ class Simulator:
             self.step()
         return True
 
-    def run_until(self, when: float, *, max_events: int = 1_000_000) -> None:
-        """Process every event up to (and including) time ``when``.
+    def _drain(self, when: float, max_events: int) -> int:
+        """Pop and execute every event due by ``when``; returns the count.
 
         The hot loop: one heap pop per entry, dead (cancelled) entries
         drained in the same pass as live ones — the former
         ``peek_time()``-then-``step()`` shape paid a second membership
         scan per event, which cancellation-heavy pacing turned into pure
-        overhead.
+        overhead. Stops early once more than ``max_events`` have run; the
+        caller turns that into its livelock error.
         """
-        if when < self.now:
-            raise SimulationError("cannot run backwards")
-        span = None
-        if self.tracer is not None:
-            span = self.tracer.begin("sim.run", until=when)
         # local bindings: every attribute lookup shaved here is paid back
         # once per event at 100k-viewer scale
         queue = self._queue
@@ -240,10 +237,7 @@ class Simulator:
         pending = self._pending_seqs
         pop = heapq.heappop
         processed = 0
-        while queue:
-            time = queue[0][0]
-            if time > when:
-                break
+        while queue and queue[0][0] <= when and processed <= max_events:
             entry = pop(queue)
             seq = entry[2]
             if seq in cancelled:
@@ -257,44 +251,32 @@ class Simulator:
             self.now = entry[0]
             entry[3]()
             processed += 1
-            if processed > max_events:
-                self.events_processed += processed
-                if self.tracer is not None:
-                    self.tracer.end(span, events=processed, livelock=True)
-                raise SimulationError(
-                    f"more than {max_events} events before t={when} "
-                    "(livelock in the model?)"
-                )
         self.events_processed += processed
+        return processed
+
+    def run_until(self, when: float, *, max_events: int = 1_000_000) -> None:
+        """Process every event up to (and including) time ``when``."""
+        if when < self.now:
+            raise SimulationError("cannot run backwards")
+        span = None
+        if self.tracer is not None:
+            span = self.tracer.begin("sim.run", until=when)
+        processed = self._drain(when, max_events)
+        if processed > max_events:
+            if self.tracer is not None:
+                self.tracer.end(span, events=processed, livelock=True)
+            raise SimulationError(
+                f"more than {max_events} events before t={when} "
+                "(livelock in the model?)"
+            )
         self.now = when
         if self.tracer is not None:
             self.tracer.end(span, events=processed)
 
     def run(self, *, max_events: int = 1_000_000) -> None:
         """Process events until the queue drains."""
-        queue = self._queue
-        cancelled = self._cancelled
-        pending = self._pending_seqs
-        pop = heapq.heappop
-        processed = 0
-        while queue:
-            entry = pop(queue)
-            seq = entry[2]
-            if seq in cancelled:
-                cancelled.discard(seq)
-                self.cancelled_drained += 1
-                continue
-            pending.discard(seq)
-            if self._skippable_seqs:
-                self._skippable_seqs.discard(seq)
-                self._skippable_owners.pop(seq, None)
-            self.now = entry[0]
-            entry[3]()
-            processed += 1
-            if processed > max_events:
-                self.events_processed += processed
-                raise SimulationError(f"more than {max_events} events (livelock?)")
-        self.events_processed += processed
+        if self._drain(math.inf, max_events) > max_events:
+            raise SimulationError(f"more than {max_events} events (livelock?)")
 
     def fast_forward(self, to: float, *, max_events: int = 1_000_000) -> int:
         """Like :meth:`run_until`, but leap quiet windows.
@@ -351,6 +333,16 @@ class Simulator:
         Zero means :meth:`fast_forward` can leap the current window.
         """
         return len(self._pending_seqs) - len(self._skippable_seqs)
+
+
+def _first_tick_after(epoch: float, interval: float, to: float) -> int:
+    """Index of the first grid point ``epoch + n·interval`` strictly after ``to``."""
+    target = math.floor((to - epoch) / interval) + 1
+    while epoch + (target - 1) * interval > to:
+        target -= 1  # float fuzz pushed us one grid point too far
+    while epoch + target * interval <= to:
+        target += 1
+    return target
 
 
 class PeriodicTask:
@@ -428,12 +420,7 @@ class PeriodicTask:
         if self._handle is not None:
             simulator.cancel(self._handle)
             self._handle = None
-        # first tick index whose instant is > to
-        target = math.floor((to - self.epoch) / self.interval) + 1
-        while self.epoch + (target - 1) * self.interval > to:
-            target -= 1  # float fuzz pushed us one grid point too far
-        while self.epoch + target * self.interval <= to:
-            target += 1
+        target = _first_tick_after(self.epoch, self.interval, to)
         skipped = target - self.ticks
         self.ticks = target
         if skipped > 0 and self.on_skip is not None:
@@ -541,11 +528,6 @@ class SharedTicker:
             simulator.cancel(self._handle)
             self._handle = None
         start = self.ticks
-        target = math.floor((to - self.epoch) / self.interval) + 1
-        while self.epoch + (target - 1) * self.interval > to:
-            target -= 1
-        while self.epoch + target * self.interval <= to:
-            target += 1
-        self.ticks = max(start, target)
+        self.ticks = max(start, _first_tick_after(self.epoch, self.interval, to))
         self._schedule_next()
         return max(0, self.ticks - start)

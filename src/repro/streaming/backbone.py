@@ -142,6 +142,11 @@ class BackboneBudget:
                 self.counters.inc("late_releases")
                 return
             raise BudgetError(f"backbone reservation {rid!r} not active")
+        self._settle(rid)
+
+    def _settle(self, rid: str, **forced: bool) -> None:
+        """Pop one reservation, return its bandwidth, count and trace it
+        (``forced=True`` rides on the trace record of a forced release)."""
         key, bandwidth, owner = self._reservations.pop(rid)
         remaining = self._reserved.get(key, 0.0) - bandwidth
         if remaining <= 1e-9:
@@ -156,6 +161,7 @@ class BackboneBudget:
                 link=f"{key[0]}<->{key[1]}",
                 bandwidth=bandwidth,
                 owner=owner,
+                **forced,
             )
 
     def force_release_host(self, host: str) -> List[str]:
@@ -169,24 +175,9 @@ class BackboneBudget:
             if host in key
         ]
         for rid in sorted(doomed):
-            key, bandwidth, owner = self._reservations.pop(rid)
-            remaining = self._reserved.get(key, 0.0) - bandwidth
-            if remaining <= 1e-9:
-                self._reserved.pop(key, None)
-            else:
-                self._reserved[key] = remaining
             self._force_released.add(rid)
-            self.counters.inc("releases")
+            self._settle(rid, forced=True)
             self.counters.inc("forced_releases")
-            if self.tracer is not None:
-                self.tracer.event(
-                    "backbone.release",
-                    rid=rid,
-                    link=f"{key[0]}<->{key[1]}",
-                    bandwidth=bandwidth,
-                    owner=owner,
-                    forced=True,
-                )
         return sorted(doomed)
 
     # ------------------------------------------------------------------

@@ -179,6 +179,8 @@ class MediaPlayer:
         #: play() parameters, kept so split_member can replay the cohort's
         #: exact fast-start shape on the split-out session
         self._play_burst_factor = 1.0
+        #: play(start > 0) owes one stateful-command catch-up at render start
+        self._pending_catchup = False
         self._media_streams: List[int] = []
         self.selected_video: Optional[int] = None
         self._timer_commands: List[ScriptCommand] = []
@@ -815,7 +817,7 @@ class MediaPlayer:
             self._clock.resume(now)
         elif not self._clock.started:
             self._clock.start(now, media_time=self._start_position)
-        if getattr(self, "_pending_catchup", False):
+        if self._pending_catchup:
             # starting mid-lecture: replay only the latest stateful command
             # per type (the current slide), not the whole history
             self._pending_catchup = False
@@ -1079,7 +1081,7 @@ class MediaPlayer:
         twin._play_burst_factor = self._play_burst_factor
         twin._stream_ended = self._stream_ended
         twin.downshift_log = list(self.downshift_log)
-        twin._pending_catchup = getattr(self, "_pending_catchup", False)
+        twin._pending_catchup = self._pending_catchup
         twin.state = self.state
         self.multiplicity -= 1
         if self.tracer is not None:

@@ -396,6 +396,21 @@ class EdgeDirectory:
 
     # -- membership -----------------------------------------------------
 
+    def _register(
+        self, what: str, name: str, relay: Optional["EdgeRelay"],
+        url: Optional[str], capacity: Optional[int], **entry: Any,
+    ) -> None:
+        """One directory entry — a ring leaf or a region parent."""
+        if name in self._edges:
+            raise PlacementError(f"edge {name!r} already registered")
+        if relay is not None and url is None:
+            url = f"http://{relay.host}:{relay.port}"
+        if url is None:
+            raise PlacementError(f"{what} {name!r} needs a relay or a url")
+        self._edges[name] = _EdgeEntry(
+            name, url.rstrip("/"), relay, capacity, **entry
+        )
+
     def add_edge(
         self,
         name: str,
@@ -405,15 +420,7 @@ class EdgeDirectory:
         capacity: Optional[int] = None,
         region: Optional[str] = None,
     ) -> None:
-        if name in self._edges:
-            raise PlacementError(f"edge {name!r} already registered")
-        if relay is not None and url is None:
-            url = f"http://{relay.host}:{relay.port}"
-        if url is None:
-            raise PlacementError(f"edge {name!r} needs a relay or a url")
-        self._edges[name] = _EdgeEntry(
-            name, url.rstrip("/"), relay, capacity, region=region
-        )
+        self._register("edge", name, relay, url, capacity, region=region)
         for v in range(self.vnodes):
             self._ring.append((self._hash(f"{name}#{v}"), name))
         self._ring.sort()
@@ -432,17 +439,10 @@ class EdgeDirectory:
         fill sources — but never placed on the ring: clients land on
         leaves, parents absorb fan-in."""
         name = name or f"parent-{region}"
-        if name in self._edges:
-            raise PlacementError(f"edge {name!r} already registered")
         if region in self._parents:
             raise PlacementError(f"region {region!r} already has a parent")
-        if relay is not None and url is None:
-            url = f"http://{relay.host}:{relay.port}"
-        if url is None:
-            raise PlacementError(f"parent {name!r} needs a relay or a url")
-        self._edges[name] = _EdgeEntry(
-            name, url.rstrip("/"), relay, capacity,
-            region=region, placeable=False,
+        self._register(
+            "parent", name, relay, url, capacity, region=region, placeable=False
         )
         self._parents[region] = name
         return name
@@ -550,11 +550,11 @@ class EdgeDirectory:
 
     # -- holder registry (who holds which run) --------------------------
 
-    def record_fill(self, name: str, point: str, *, pending: bool = False) -> None:
+    def record_fill(self, name: str, point: str) -> None:
         """Advertise that ``name`` holds ``point``. Fills register at
-        *begin* (``pending=True``) as well as at completion, so two
-        siblings missing concurrently coalesce: the second finds the
-        first's in-flight fill and rides it instead of starting its own."""
+        *begin* as well as at completion, so two siblings missing
+        concurrently coalesce: the second finds the first's in-flight
+        fill and rides it instead of starting its own."""
         if name in self._edges:
             self._holders.setdefault(point, set()).add(name)
 
@@ -788,7 +788,6 @@ class EdgeRelay(MediaServer):
         join_quantum: float = 0.0,
         fill_burst: float = 64.0,
         region: Optional[str] = None,
-        parent_url: Optional[str] = None,
         is_parent: bool = False,
         backbone: Optional[BackboneBudget] = None,
         live_history_seconds: float = 0.0,
@@ -811,7 +810,6 @@ class EdgeRelay(MediaServer):
         self.join_quantum = join_quantum
         self.fill_burst = fill_burst
         self.region = region
-        self.parent_url = parent_url.rstrip("/") if parent_url else None
         self.is_parent = is_parent
         self.backbone = backbone
         self.live_history_seconds = live_history_seconds
@@ -1089,21 +1087,19 @@ class EdgeRelay(MediaServer):
     def _current_parent_url(self) -> Optional[str]:
         """This relay's regional upstream right now, or ``None``.
 
-        The directory's parent slot wins over the constructor-time
-        ``parent_url`` so a failover promotion is picked up by every
-        leaf without reconfiguration, and a parent marked down (or a
-        region fallen flat) yields ``None`` — never a dead upstream.
+        Read from the directory's parent slot — the only place the
+        topology is stored — so a failover promotion is picked up by
+        every leaf without reconfiguration, and a parent marked down (or
+        a region fallen flat) yields ``None`` — never a dead upstream.
         """
-        if self.is_parent:
+        if self.is_parent or self.directory is None or self.region is None:
             return None
-        if self.directory is not None and self.region is not None:
-            pname = self.directory.parent_name(self.region)
-            if pname is None or pname == self.name:
-                return None  # region fell flat, or we *are* the parent
-            if not self.directory.can_serve_fill(pname):
-                return None  # down/crashed parent is no upstream at all
-            return self.directory.edge_url(pname)
-        return self.parent_url
+        pname = self.directory.parent_name(self.region)
+        if pname is None or pname == self.name:
+            return None  # region fell flat, or we *are* the parent
+        if not self.directory.can_serve_fill(pname):
+            return None  # down/crashed parent is no upstream at all
+        return self.directory.edge_url(pname)
 
     def _data_sources(
         self, name: str, token: FillToken
@@ -1229,7 +1225,7 @@ class EdgeRelay(MediaServer):
         if self.directory is not None:
             # advertise immediately: a sibling missing concurrently finds
             # this in-flight fill and rides it instead of duplicating it
-            self.directory.record_fill(self.name, name, pending=True)
+            self.directory.record_fill(self.name, name)
         try:
             plan = source_plan if source_plan is not None else \
                 self._data_sources(name, out_token)
@@ -1790,8 +1786,8 @@ class EdgeRelay(MediaServer):
                         "relocate": session.relocate,
                         "multiplicity": session.multiplicity,
                         "cursor": session.packet_cursor,
-                        "burst_factor": getattr(session, "_burst_factor", 1.0),
-                        "burst_window_ms": getattr(session, "_burst_window_ms", 0.0),
+                        "burst_factor": session._burst_factor,
+                        "burst_window_ms": session._burst_window_ms,
                     },
                 )
             except HTTPError:
@@ -2024,30 +2020,25 @@ class EdgeRelay(MediaServer):
         receives the bounded live history as a catch-up train.
         """
         session = self.sessions.get(session_id)
-        if session.broadcast:
-            super().play(
-                session_id, start=start, burst_factor=burst_factor,
-                burst_seconds=burst_seconds,
-            )
-            # replica sessions get catch-up too: that is how a late-
-            # attaching child edge pulls its parent's history down the
-            # tree before the live fan-out takes over
-            self._serve_live_history(session)
-            return
-        if self.join_quantum <= 0.0:
-            super().play(
-                session_id, start=start, burst_factor=burst_factor,
-                burst_seconds=burst_seconds,
-            )
-            return
-        quantum = self.join_quantum
         now = self.simulator.now
-        boundary = math.ceil(now / quantum - 1e-9) * quantum
-        if boundary <= now + 1e-9:
-            super().play(
+        boundary = now
+        if not session.broadcast and self.join_quantum > 0.0:
+            quantum = self.join_quantum
+            boundary = math.ceil(now / quantum - 1e-9) * quantum
+
+        def begin() -> None:
+            super(EdgeRelay, self).play(
                 session_id, start=start, burst_factor=burst_factor,
                 burst_seconds=burst_seconds,
             )
+
+        if boundary <= now + 1e-9:
+            begin()
+            if session.broadcast:
+                # replica sessions get catch-up too: that is how a late-
+                # attaching child edge pulls its parent's history down the
+                # tree before the live fan-out takes over
+                self._serve_live_history(session)
             return
 
         def deferred() -> None:
@@ -2063,10 +2054,7 @@ class EdgeRelay(MediaServer):
                 SessionState.FINISHED,
             ):
                 return
-            super(EdgeRelay, self).play(
-                session_id, start=start, burst_factor=burst_factor,
-                burst_seconds=burst_seconds,
-            )
+            begin()
 
         self.simulator.schedule_at(boundary, deferred)
 
@@ -2215,7 +2203,7 @@ def _build_tier(
         return relay
 
     for region in sorted(regions):
-        parent_host = parent_url = None
+        parent_host = None
         if region is not None:
             parent_host = f"{region}-parent"
             connect(origin.host, parent_host)
@@ -2225,15 +2213,11 @@ def _build_tier(
             )
             parents[region] = parent
             directory.add_parent(region, relay=parent, name=parent.name)
-            parent_url = f"http://{parent.host}:{parent.port}"
         for host in regions[region]:
             connect(origin.host, host)
             if parent_host is not None:
                 connect(parent_host, host)
-            relay = relay_on(
-                host, join_quantum=join_quantum, region=region,
-                parent_url=parent_url,
-            )
+            relay = relay_on(host, join_quantum=join_quantum, region=region)
             leaves.append(relay)
             directory.add_edge(
                 relay.name, relay=relay, capacity=capacity, region=region

@@ -435,8 +435,8 @@ class MediaServer:
         window = burst_seconds
         if window is None:
             window = point.header.file_properties.preroll_ms / 1000.0
-        session._burst_factor = burst_factor  # type: ignore[attr-defined]
-        session._burst_window_ms = window * 1000.0  # type: ignore[attr-defined]
+        session._burst_factor = burst_factor
+        session._burst_window_ms = window * 1000.0
         self._start_pacing(session)
 
     def adopt_session(
@@ -475,8 +475,8 @@ class MediaServer:
         session.packet_cursor = cursor
         if cursor < len(sched.packets):
             session.position = sched.packets[cursor].send_time_ms / 1000.0
-            session._burst_factor = burst_factor  # type: ignore[attr-defined]
-            session._burst_window_ms = burst_window_ms  # type: ignore[attr-defined]
+            session._burst_factor = burst_factor
+            session._burst_window_ms = burst_window_ms
             self._start_pacing(session)
         else:
             session.position = (
@@ -745,13 +745,11 @@ class MediaServer:
         # runs its own event chain over the point's packets
         point = self._point(session.point)
         asf: ASFFile = point.content
-        session._pace_origin = self.simulator.now  # type: ignore[attr-defined]
+        session._pace_origin = self.simulator.now
         if session.packet_cursor < len(asf.packets):
-            session._pace_base = asf.packets[  # type: ignore[attr-defined]
-                session.packet_cursor
-            ].send_time_ms
+            session._pace_base = asf.packets[session.packet_cursor].send_time_ms
         else:
-            session._pace_base = 0  # type: ignore[attr-defined]
+            session._pace_base = 0
         self._schedule_next_packet(session)
 
     def _schedule_next_packet(self, session: StreamSession) -> None:
@@ -762,9 +760,9 @@ class MediaServer:
                 session.transition(SessionState.FINISHED)
             return
         packet = asf.packets[session.packet_cursor]
-        offset_ms = packet.send_time_ms - session._pace_base  # type: ignore[attr-defined]
-        burst = getattr(session, "_burst_factor", 1.0)
-        window = getattr(session, "_burst_window_ms", 0.0)
+        offset_ms = packet.send_time_ms - session._pace_base
+        burst = session._burst_factor
+        window = session._burst_window_ms
         if burst > 1.0:
             if offset_ms <= window:
                 offset_ms = offset_ms / burst
@@ -780,7 +778,7 @@ class MediaServer:
             session.packet_cursor += 1
             self._schedule_next_packet(session)
 
-        at = session._pace_origin + max(0.0, offset)  # type: ignore[attr-defined]
+        at = session._pace_origin + max(0.0, offset)
         session.pacing_handle = self.simulator.schedule_at(
             max(at, self.simulator.now), send
         )
@@ -793,8 +791,8 @@ class MediaServer:
         """Attach a session to the pacing group walking its point from the
         same cursor at this instant — creating the group if none exists."""
         sched = self._schedules[session.point]
-        burst = getattr(session, "_burst_factor", 1.0)
-        window = getattr(session, "_burst_window_ms", 0.0)
+        burst = session._burst_factor
+        window = session._burst_window_ms
         now = self.simulator.now
         key = (session.point, session.packet_cursor, now, burst, window)
         group = self._groups.get(key)

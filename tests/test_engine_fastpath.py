@@ -63,6 +63,28 @@ class TestUnifiedDrain:
         assert len(fired) == 10 * 30
         assert not sim._queue and not sim._cancelled
 
+    @pytest.mark.parametrize("drive", ["run_until", "run"])
+    def test_compaction_inside_a_callback_keeps_the_dead_dead(self, drive):
+        # a handler cancelling enough to trip compaction *while the drain
+        # loop holds the heap*: the loop must keep popping the compacted
+        # heap, never a stale copy in which the cancelled entries (their
+        # seqs already forgotten) would run as live
+        sim = Simulator()
+        fired = []
+        doomed = [
+            sim.schedule(5.0 + 0.001 * i, lambda: fired.append("dead"))
+            for i in range(200)
+        ]
+        sim.schedule(6.0, lambda: fired.append("live"))
+        sim.schedule(1.0, lambda: [sim.cancel(h) for h in doomed])
+        if drive == "run":
+            sim.run()
+        else:
+            sim.run_until(10.0)
+        assert fired == ["live"]
+        assert sim.events_processed == 2
+        assert sim.cancelled_drained == 200
+
     def test_peek_time_share_the_same_counter(self):
         sim = Simulator()
         first = sim.schedule(1.0, lambda: None)

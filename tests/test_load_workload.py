@@ -290,16 +290,26 @@ class TestPlannerPrefetch:
         assert checker.prefetch_bytes > 0
 
     def test_tier_reuse_makes_second_wave_origin_free(self):
+        # heartbeats give both waves beacon windows to leap and cancelled
+        # ticks to drain, so the simulator counters below are non-zero
         wave1 = run_workload(
-            self.spec(), mode="cohort", config=self.config(), keep_tier=True,
+            self.spec(), mode="cohort",
+            config=self.config(heartbeat_interval=1.0), keep_tier=True,
         )
         assert wave1.tier is not None
         assert wave1.control["origin"]["bytes_served"] > 0
+        sim = wave1.tier.net.simulator
+        leapt_before, drained_before = sim.events_leapt, sim.cancelled_drained
+        assert wave1.events_leapt > 0 and wave1.cancelled_drained > 0
         wave2 = run_workload(
             self.spec(), mode="cohort",
-            config=self.config(client_prefix="w2-"),
+            config=self.config(client_prefix="w2-", heartbeat_interval=1.0),
             tier=wave1.tier,
         )
+        # every LoadResult counter is this wave's own share, not the kept
+        # simulator's lifetime total
+        assert wave2.events_leapt == sim.events_leapt - leapt_before
+        assert wave2.cancelled_drained == sim.cancelled_drained - drained_before
         # every warm is a local cache hit: zero origin media egress
         assert wave2.control["prefetch"]["ok"] == 6
         assert wave2.control["prefetch"]["origin_egress_bytes"] == 0

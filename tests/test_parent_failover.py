@@ -480,8 +480,9 @@ class TestHarnessParentKill:
                 live_capture=True,
                 backbone_budget=budget,
                 heartbeat_monitor=True,
-                parent_kill_at=4.0,
-                parent_kill_region="r0",
+                fault_plan=FaultPlan("parent-kill").edge_crash(
+                    "parent-r0", at=4.0
+                ),
                 tracer=tracer,
                 teardown=True,
             ),
@@ -493,7 +494,9 @@ class TestHarnessParentKill:
         assert failovers[0]["region"] == "r0"
         assert failovers[0]["mode"] == "promote"
         assert failovers[0]["feeds_dropped"] == 0
-        kill = result.control["parent_kill"]
+        (kill,) = result.control["faults_applied"]
+        assert kill["target"] == "parent-r0"
+        assert kill["time"] == result.control["fault_offset"] + 4.0
         assert failovers[0]["time"] - kill["time"] <= DETECTION_BOUND
         # every live leaf of r0 migrated (3 leaves + the promoted one)
         assert failovers[0]["feeds_migrated"] == 4

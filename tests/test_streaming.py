@@ -102,6 +102,9 @@ class TestSessionTable:
         table = SessionTable()
         session = table.create("p", "host", lambda pkt: None, broadcast=False)
         assert session.state is SessionState.CONNECTING
+        # pacing state is declared, not grown by the first play()
+        assert (session._burst_factor, session._burst_window_ms) == (1.0, 0.0)
+        assert (session._pace_origin, session._pace_base) == (0.0, 0)
         session.transition(SessionState.STREAMING)
         session.transition(SessionState.PAUSED)
         session.transition(SessionState.STREAMING)
@@ -248,9 +251,12 @@ class TestPlayback:
     def test_start_midway(self):
         net, server = make_world()
         player = MediaPlayer(net, "student")
+        assert player._pending_catchup is False  # declared before any play()
         player.connect(server.url_of("lecture1"))
         player.play(start=10.0)
+        assert player._pending_catchup is True
         report = player.run_until_finished()
+        assert player._pending_catchup is False
         positions = [r.position for r in report.rendered]
         assert min(positions) >= 9.0  # nothing from the first slide segment
 
