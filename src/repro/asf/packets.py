@@ -40,7 +40,15 @@ PACKET_HEADER_SIZE = 8 + 4 + 4 + 8 + 1 + 2
 
 @dataclass(frozen=True)
 class Payload:
-    """A fragment of one media object inside a packet."""
+    """A fragment of one media object inside a packet.
+
+    ``_shared`` is the reassembly memo, the twin of ``DataPacket._wire``:
+    on an offset-0 fragment, ``(the object's other fragments in offset
+    order, the MediaUnit they reassemble to)``. Receivers fill it
+    (:func:`_reassemble`), the :class:`Packetizer` never does; it is not
+    on the wire, not compared, not hashed, not pickled, and dies with the
+    packet run that holds the fragments.
+    """
 
     stream_number: int
     object_number: int
@@ -49,12 +57,22 @@ class Payload:
     timestamp_ms: int
     keyframe: bool
     data: bytes
+    _shared: Optional[Tuple[Tuple["Payload", ...], "MediaUnit"]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not MIN_STREAM_NUMBER <= self.stream_number <= MAX_STREAM_NUMBER:
             raise ASFError(f"bad stream number {self.stream_number}")
         if self.offset + len(self.data) > self.object_size:
             raise ASFError("payload fragment exceeds object size")
+
+    def __getstate__(self) -> dict:
+        # pickle and deepcopy carry the fragment, never the memo: a copy
+        # is a different run, and the joined bytes would double the pickle
+        state = dict(self.__dict__)
+        state.pop("_shared", None)
+        return state
 
     @property
     def is_complete_object(self) -> bool:
@@ -352,6 +370,53 @@ class LossReport:
         return missing / total if total else 0.0
 
 
+def _reassemble(bucket: Dict[int, Payload], last: Payload) -> MediaUnit:
+    """The unit a completed ``bucket`` (offset → fragment) reassembles to;
+    ``last`` is the fragment that completed it.
+
+    Reassemble once, render many: the server ships the *same* frozen
+    fragment objects to every in-process receiver, so the first receiver
+    to complete an object leaves its unit on the offset-0 fragment and
+    every later receiver whose bucket holds the very same fragment
+    objects — checked by identity, every fragment — takes that unit
+    instead of joining a private copy. Anything else (packets unpacked
+    from bytes, a bucket mixing two generations of a run, overlapping
+    fragments) falls through to the join, the one reference path.
+    """
+    head = bucket.get(0)
+    memo = head._shared if head is not None else None
+    if memo is not None:
+        rest, unit = memo
+        if len(rest) + 1 == len(bucket) and all(
+            bucket.get(fragment.offset) is fragment for fragment in rest
+        ):
+            return unit
+    parts = [bucket[offset] for offset in sorted(bucket)]
+    data = b"".join(part.data for part in parts)
+    unit = MediaUnit(
+        last.stream_number,
+        last.object_number,
+        last.timestamp_ms,
+        last.keyframe,
+        data[: last.object_size],
+    )
+    if (
+        parts[0] is head
+        and all(
+            part.timestamp_ms == last.timestamp_ms
+            and part.keyframe == last.keyframe
+            and part.object_size == last.object_size
+            for part in parts
+        )
+    ):
+        # fragments that agree about their object yield this unit whichever
+        # of them arrives last; the latest join wins, so a bucket that mixed
+        # in a foreign fragment cannot pin the memo. The head is kept out of
+        # its own memo: no reference cycle, the memo is freed with the run
+        object.__setattr__(head, "_shared", (tuple(parts[1:]), unit))
+    return unit
+
+
 class Depacketizer:
     """Reassembles media units from (possibly lossy) packet arrivals.
 
@@ -365,7 +430,6 @@ class Depacketizer:
         self, *, on_gap: Optional[Callable[[List[int]], None]] = None
     ) -> None:
         self._fragments: Dict[Tuple[int, int], Dict[int, Payload]] = {}
-        self._meta: Dict[Tuple[int, int], Payload] = {}
         #: running reassembled byte count per in-flight object
         self._have: Dict[Tuple[int, int], int] = {}
         self.completed: List[MediaUnit] = []
@@ -412,39 +476,40 @@ class Depacketizer:
             self._max_sequence = packet.sequence
         finished: List[MediaUnit] = []
         fragments = self._fragments
+        stream = seen = done = None
         for payload in packet.payloads:
-            stream = payload.stream_number
+            if payload.stream_number != stream:
+                stream = payload.stream_number
+                seen = self._seen_objects.setdefault(stream, set())
+                done = self._completed_objects.setdefault(stream, set())
             key = (stream, payload.object_number)
-            if (
-                self._suppress_completed
-                and payload.object_number
-                in self._completed_objects.get(stream, ())
-            ):
+            if self._suppress_completed and payload.object_number in done:
                 self.suppressed_duplicates += 1
                 continue
-            self._seen_objects.setdefault(stream, set()).add(
-                payload.object_number
-            )
+            seen.add(payload.object_number)
             if payload.is_complete_object and key not in fragments:
                 # the common case — an unfragmented object in one payload:
-                # its data IS the unit, no bucket, no re-sum, no join
-                unit = MediaUnit(
-                    stream,
-                    payload.object_number,
-                    payload.timestamp_ms,
-                    payload.keyframe,
-                    payload.data,
-                )
+                # its data IS the unit, no bucket, no re-sum, no join; the
+                # unit is built once per payload, not once per receiver
+                memo = payload._shared
+                if memo is None:
+                    unit = MediaUnit(
+                        stream,
+                        payload.object_number,
+                        payload.timestamp_ms,
+                        payload.keyframe,
+                        payload.data,
+                    )
+                    object.__setattr__(payload, "_shared", ((), unit))
+                else:
+                    unit = memo[1]
                 finished.append(unit)
                 self.completed.append(unit)
-                self._completed_objects.setdefault(stream, set()).add(
-                    payload.object_number
-                )
+                done.add(payload.object_number)
                 continue
             bucket = fragments.setdefault(key, {})
             old = bucket.get(payload.offset)
             bucket[payload.offset] = payload
-            self._meta[key] = payload
             # running byte count per object instead of re-summing the
             # whole bucket on every fragment (quadratic on large objects)
             have = self._have.get(key, 0) + len(payload.data)
@@ -452,26 +517,11 @@ class Depacketizer:
                 have -= len(old.data)
             self._have[key] = have
             if have >= payload.object_size:
-                if len(bucket) == 1:
-                    data = payload.data
-                else:
-                    data = b"".join(
-                        bucket[offset].data for offset in sorted(bucket)
-                    )
-                unit = MediaUnit(
-                    stream,
-                    payload.object_number,
-                    payload.timestamp_ms,
-                    payload.keyframe,
-                    data[: payload.object_size],
-                )
+                unit = _reassemble(bucket, payload)
                 finished.append(unit)
                 self.completed.append(unit)
-                self._completed_objects.setdefault(stream, set()).add(
-                    payload.object_number
-                )
+                done.add(payload.object_number)
                 del fragments[key]
-                del self._meta[key]
                 del self._have[key]
         return finished
 

@@ -55,9 +55,10 @@ import functools
 import hashlib
 import itertools
 import math
+from bisect import bisect_left
 from collections import OrderedDict, deque
 from typing import (
-    Any, Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple,
+    Any, Callable, Deque, Dict, Iterator, List, Optional, Sequence, Set, Tuple,
 )
 from urllib.parse import urlparse
 
@@ -391,6 +392,7 @@ class EdgeDirectory:
         self.origin_url = origin_url.rstrip("/") if origin_url else None
         self._edges: Dict[str, _EdgeEntry] = {}
         self._ring: List[Tuple[int, str]] = []  # (hash, edge name), sorted
+        self._ring_edges = 0  # distinct names on the ring
         self._parents: Dict[str, str] = {}  # region -> parent entry name
         self._holders: Dict[str, Set[str]] = {}  # point -> edge names
 
@@ -424,6 +426,7 @@ class EdgeDirectory:
         for v in range(self.vnodes):
             self._ring.append((self._hash(f"{name}#{v}"), name))
         self._ring.sort()
+        self._ring_edges += 1
 
     def add_parent(
         self,
@@ -450,8 +453,9 @@ class EdgeDirectory:
     def remove_edge(self, name: str) -> None:
         if name not in self._edges:
             raise PlacementError(f"no edge {name!r}")
-        del self._edges[name]
-        self._ring = [(h, n) for h, n in self._ring if n != name]
+        if self._edges.pop(name).placeable:
+            self._ring = [(h, n) for h, n in self._ring if n != name]
+            self._ring_edges -= 1
         for point in list(self._holders):
             self.forget_fill(name, point)
         for region, parent in list(self._parents.items()):
@@ -608,37 +612,30 @@ class EdgeDirectory:
         digest = hashlib.sha1(f"{self.seed}:{value}".encode()).hexdigest()
         return int(digest[:16], 16)
 
+    def _ring_walk(self, key: str) -> Iterator[str]:
+        """Each edge on the ring once, clockwise from ``key``'s hash."""
+        ring = self._ring
+        start = bisect_left(ring, (self._hash(key),))
+        seen: Set[str] = set()
+        for i in range(len(ring)):
+            name = ring[(start + i) % len(ring)][1]
+            if name not in seen:
+                seen.add(name)
+                yield name
+                if len(seen) == self._ring_edges:
+                    return
+
     def spill_order(self, key: str) -> List[str]:
         """Every placeable edge in ring-walk order from ``key``'s hash.
 
         The first entry is the primary placement; the rest is the
         deterministic overflow order when primaries refuse admission.
         """
-        if not self._ring:
-            return []
-        h = self._hash(key)
-        lo, hi = 0, len(self._ring)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._ring[mid][0] < h:
-                lo = mid + 1
-            else:
-                hi = mid
-        ring_names = {n for _, n in self._ring}
-        order: List[str] = []
-        seen: Set[str] = set()
-        for i in range(len(self._ring)):
-            name = self._ring[(lo + i) % len(self._ring)][1]
-            if name not in seen:
-                seen.add(name)
-                order.append(name)
-            if len(seen) == len(ring_names):
-                break
-        return order
+        return list(self._ring_walk(key))
 
     def place(self, key: str) -> str:
         """Edge name admitting ``key``; raises :class:`PlacementError`."""
-        for name in self.spill_order(key):
+        for name in self._ring_walk(key):
             if self._edges[name].available():
                 return name
         raise PlacementError(
