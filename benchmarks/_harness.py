@@ -1,37 +1,7 @@
 """Shared helpers for the benchmark suite."""
 
-import resource
-import time
-
 
 def run_once(benchmark, fn, *args, **kwargs):
     """Benchmark a heavy end-to-end scenario with a single measured round."""
     return benchmark.pedantic(fn, args=args, kwargs=kwargs,
                               rounds=1, iterations=1, warmup_rounds=0)
-
-
-def peak_rss_bytes():
-    """Peak resident set size of this process in bytes.
-
-    Linux reports ``ru_maxrss`` in KiB; this is a high-water mark for the
-    whole process, so compare runs in separate processes (or read deltas
-    with care) when isolating one scenario's footprint.
-    """
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
-
-
-def measure(fn, *args, **kwargs):
-    """Run ``fn`` and return ``(result, wall_seconds)``."""
-    t0 = time.perf_counter()
-    result = fn(*args, **kwargs)
-    return result, time.perf_counter() - t0
-
-
-def throughput_fields(events, wall_s):
-    """The uniform rate/footprint block every ``BENCH_*.json`` carries."""
-    return {
-        "events": events,
-        "wall_s": wall_s,
-        "events_per_sec": events / wall_s if wall_s > 0 else 0.0,
-        "peak_rss_bytes": peak_rss_bytes(),
-    }

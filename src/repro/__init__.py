@@ -33,7 +33,7 @@ Subpackages
     The Lecture-on-Demand application: recorder, orchestrator, web
     publishing manager, level-based replay, classroom floor control.
 :mod:`repro.metrics`
-    Statistics and experiment collectors used by the benchmarks.
+    Statistics and experiment collectors used by the paper benches.
 
 Quick start
 -----------

@@ -43,17 +43,10 @@ registry is separate from the parent's — :func:`run_job_with_deltas`
 returns each job's counter delta with its result and the parent merges it
 (:func:`repro.metrics.counters.merge_snapshot`), so serial and parallel
 runs report identical totals.
-
-``simulated_cost`` models wall-clock codec latency (seconds a real encoder
-of the paper's era would burn on the job). The parametric codec models in
-this repository are intentionally near-free to execute, which would make a
-scheduling benchmark measure nothing; jobs carry an explicit latency model
-instead, and it never affects output bytes. Production paths leave it 0.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -91,9 +84,7 @@ class EncodeJob:
     ``kind`` selects the codec path: ``"video"``/``"audio"`` need a
     :class:`~repro.media.profiles.BandwidthProfile`, ``"image"`` an
     :class:`~repro.media.codecs.ImageCodec` (defaults to the standard slide
-    compressor). ``simulated_cost`` is modeled encoder latency in seconds —
-    it shapes scheduling, never output bytes, and is excluded from the
-    fingerprint.
+    compressor).
     """
 
     kind: str
@@ -101,15 +92,12 @@ class EncodeJob:
     profile: Optional[BandwidthProfile] = None
     with_data: bool = False
     image_codec: Optional[ImageCodec] = None
-    simulated_cost: float = 0.0
 
     def __post_init__(self) -> None:
         if self.kind not in (JOB_VIDEO, JOB_AUDIO, JOB_IMAGE):
             raise FarmError(f"unknown job kind {self.kind!r}")
         if self.kind in (JOB_VIDEO, JOB_AUDIO) and self.profile is None:
             raise FarmError(f"{self.kind} job needs a bandwidth profile")
-        if self.simulated_cost < 0:
-            raise FarmError("simulated_cost must be >= 0")
 
     def _codec_fingerprint(self) -> tuple:
         if self.kind == JOB_VIDEO:
@@ -123,7 +111,7 @@ class EncodeJob:
 
         Source descriptor (the synthetic media's full identity, seed
         included), profile, codec identity + keyframe/GOP parameters, and
-        the payload mode. Deliberately excludes ``simulated_cost``.
+        the payload mode.
         """
         return (
             self.kind,
@@ -136,8 +124,6 @@ class EncodeJob:
 
 def run_encode_job(job: EncodeJob) -> EncodedStream:
     """Execute one job — the worker entry point (top-level for pickling)."""
-    if job.simulated_cost > 0:
-        time.sleep(job.simulated_cost)
     if job.kind == JOB_VIDEO:
         stream = job.profile.encode_video(job.media, with_data=job.with_data)
     elif job.kind == JOB_AUDIO:

@@ -29,19 +29,11 @@ def pack_u64(value: int) -> bytes:
     return struct.pack("<Q", value)
 
 
-def pack_f64(value: float) -> bytes:
-    return struct.pack("<d", value)
-
-
 def pack_str(text: str) -> bytes:
     raw = text.encode("utf-8")
     if len(raw) > 0xFFFF:
         raise ASFError("string too long for wire format")
     return pack_u16(len(raw)) + raw
-
-
-def pack_blob(data: bytes) -> bytes:
-    return pack_u32(len(data)) + data
 
 
 def write_object(tag: bytes, payload: bytes) -> bytes:
@@ -81,9 +73,6 @@ class Reader:
 
     def u64(self) -> int:
         return struct.unpack("<Q", self._take(8))[0]
-
-    def f64(self) -> float:
-        return struct.unpack("<d", self._take(8))[0]
 
     def string(self) -> str:
         length = self.u16()

@@ -121,7 +121,7 @@ class PrefetchPlanner:
             (
                 (rank, spec)
                 for rank, spec in enumerate(lectures)
-                if not getattr(spec, "live", False)
+                if not spec.live
             ),
             key=lambda pair: pair[0],
         )
@@ -141,7 +141,7 @@ class PrefetchPlanner:
                 self.budget_skipped += 1
                 continue
             spent += cost
-            at = max(0.0, getattr(spec, "start_time", 0.0) - cfg.lead_time)
+            at = max(0.0, spec.start_time - cfg.lead_time)
             for target in targets:
                 items.append(
                     PrefetchItem(

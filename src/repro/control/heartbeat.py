@@ -312,7 +312,7 @@ class HeartbeatMonitor:
         if state.relay is not None and state.relay.crashed:
             self._settle_orphans(state.relay)
         if self.parent_failover and state.relay is not None:
-            if getattr(state.relay, "is_parent", False):
+            if state.relay.is_parent:
                 self._fail_over_parent(state)
             elif state.relay.crashed:
                 self._abort_downstream(state.relay)
@@ -346,7 +346,7 @@ class HeartbeatMonitor:
         cleared and leaves work straight against the origin.
         """
         relay = state.relay
-        region = getattr(relay, "region", None)
+        region = relay.region
         if region is None or self.directory.parent_name(region) != state.name:
             return  # not this region's acting parent (already failed over)
         dead_url = f"http://{relay.host}:{relay.port}"
@@ -400,7 +400,7 @@ class HeartbeatMonitor:
         # is settled now; the holder's own later release is a tolerated
         # no-op, so the budget is leak-free the moment suspicion fires
         forced = []
-        backbone = getattr(relay, "backbone", None)
+        backbone = relay.backbone
         if backbone is not None:
             forced = backbone.force_release_host(relay.host)
         self.counters.inc("feeds_migrated", stats["feeds_migrated"])
@@ -489,7 +489,7 @@ class HeartbeatMonitor:
         state = self._watched.get(name)
         if state is None or state.relay is None:
             raise KeyError(f"unknown or object-less edge {name!r}")
-        if not getattr(state.relay, "is_parent", False):
+        if not state.relay.is_parent:
             raise ValueError(f"{name!r} is not a region parent")
         try:
             self.directory.mark_down(name)

@@ -5,7 +5,7 @@ See :mod:`repro.load.workload` for the catalog-driven generator (Zipf
 popularity, flash crowds, diurnal churn), :mod:`repro.load.cohort` for
 the N-viewers-one-session aggregation with lazy de-aggregation, and
 :mod:`repro.load.harness` for the real/cohort execution modes and the
-measurements behind ``BENCH_load_scale.json``.
+measurements ``bench/run.py`` reports.
 """
 
 from .cohort import CohortError, CohortViewer

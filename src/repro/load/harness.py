@@ -139,8 +139,6 @@ class LoadConfig:
     #: lecture start times + Zipf popularity into per-(lecture, relay)
     #: warm actions on the run's own timeline, traced and audited
     prefetch: Any = True
-    #: give every relay cache a TinyLFU admission policy (scan resistance)
-    cache_admission: bool = False
     #: prefix for generated client host names — lets two runs share one
     #: :class:`ServingTier` (warm wave-2 measurements) without host
     #: collisions
@@ -321,7 +319,6 @@ def run_workload(
                 join_quantum=spec.join_quantum,
                 backbone_budget=cfg.backbone_budget,
                 live_history_seconds=LIVE_HISTORY_SECONDS,
-                cache_admission=cfg.cache_admission,
                 tracer=cfg.tracer,
             )
         else:
@@ -329,7 +326,6 @@ def run_workload(
                 net, origin, [f"edge{i}" for i in range(cfg.edges)],
                 pacing_quantum=PACING_QUANTUM,
                 join_quantum=spec.join_quantum,
-                cache_admission=cfg.cache_admission,
                 tracer=cfg.tracer,
             )
         tier = ServingTier(

@@ -367,9 +367,7 @@ class LODPublisher:
     produce **byte-identical** variants to ``workers=0``.
 
     ``media_server=None`` skips publication and just builds the variants —
-    handy for benchmarks and tests. ``simulated_cost_per_second`` is
-    modeled encoder latency per media-second (see :mod:`repro.asf.farm`);
-    production paths leave it 0.
+    handy for benchmarks and tests.
     """
 
     def __init__(
@@ -382,7 +380,6 @@ class LODPublisher:
         packet_size: int = 1_450,
         preroll_ms: int = 3_000,
         with_data: bool = False,
-        simulated_cost_per_second: float = 0.0,
         edge_directory=None,
         catalog=None,
         tracer=None,
@@ -401,7 +398,6 @@ class LODPublisher:
         self.packet_size = packet_size
         self.preroll_ms = preroll_ms
         self.with_data = with_data
-        self.simulated_cost_per_second = simulated_cost_per_second
         #: :class:`~repro.streaming.edge.EdgeDirectory` — when attached,
         #: a ``replace=True`` publish pushes an eager ``invalidate`` to
         #: every edge the holder registry lists for a changed point, so
@@ -470,9 +466,6 @@ class LODPublisher:
                             clip,
                             profile=profile,
                             with_data=self.with_data,
-                            simulated_cost=(
-                                self.simulated_cost_per_second * seg.duration
-                            ),
                         )
                     )
                 if lecture.audio is not None:
@@ -485,11 +478,6 @@ class LODPublisher:
                                 track,
                                 profile=profile,
                                 with_data=self.with_data,
-                                simulated_cost=(
-                                    self.simulated_cost_per_second
-                                    * seg.duration
-                                    / 6.0
-                                ),
                             )
                         )
                 for seg in plan.segments:

@@ -2,7 +2,7 @@
 
 A :class:`MetricsCollector` accumulates ``(series, x, y)`` samples during a
 run and renders them as the rows a paper figure would plot — the common
-shape of every bench in ``benchmarks/``.
+shape of every paper bench in ``benchmarks/``.
 """
 
 from __future__ import annotations
@@ -30,9 +30,6 @@ class MetricsCollector:
 
     def record(self, series: str, x: float, y: float) -> None:
         self._samples.setdefault(series, []).append((x, y))
-
-    def series_names(self) -> List[str]:
-        return list(self._samples)
 
     def series(self, name: str) -> List[Tuple[float, float]]:
         if name not in self._samples:

@@ -3,7 +3,7 @@
 The benches already summarize via :func:`repro.metrics.stats.percentile`;
 :class:`Histogram` packages that with recording, merging (needed when
 QoE is aggregated across farm workers or client fleets) and a dict form
-for the ``BENCH_*.json`` artifacts. Values are kept exactly — the
+for result files. Values are kept exactly — the
 populations here are hundreds of sessions, not millions of packets — so
 percentiles are exact, deterministic, and merge without bucket error.
 

@@ -182,10 +182,6 @@ class Link:
     def queue_depth(self) -> int:
         return self._queued
 
-    def utilization_until(self) -> float:
-        """Time at which the link drains everything already accepted."""
-        return max(self._busy_until, self.simulator.now)
-
     def transmit(
         self,
         size_bytes: int,

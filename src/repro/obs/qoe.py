@@ -55,10 +55,10 @@ class SessionQoE:
         multiplicity: int = 1,
     ) -> "SessionQoE":
         """Build from a :class:`PlaybackReport` (duck-typed)."""
-        recovery = getattr(report, "recovery", {}) or {}
+        recovery = report.recovery
         return cls(
             client=client,
-            point=getattr(report, "point", ""),
+            point=report.point,
             multiplicity=multiplicity,
             startup_delay=report.startup_latency,
             rebuffer_count=report.rebuffer_count,
@@ -66,7 +66,7 @@ class SessionQoE:
             duration_watched=report.duration_watched,
             media_bytes=report.media_bytes,
             clean_media_bytes=clean_media_bytes,
-            downshifts=list(getattr(report, "downshifts", ())),
+            downshifts=list(report.downshifts),
             naks_sent=recovery.get("naks_sent", 0),
             repairs_received=recovery.get("repairs_received", 0),
         )

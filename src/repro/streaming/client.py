@@ -109,9 +109,6 @@ class PlaybackReport:
     def slide_changes(self) -> List[FiredCommand]:
         return [c for c in self.commands if c.command.type == "SLIDE"]
 
-    def rendered_for_stream(self, stream_number: int) -> List[RenderedUnit]:
-        return [r for r in self.rendered if r.unit.stream_number == stream_number]
-
 
 class MediaPlayer:
     """A streaming client on one host of the virtual network."""

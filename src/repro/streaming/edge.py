@@ -2150,8 +2150,6 @@ def _build_tier(
     seed: int,
     origin_fallback: bool,
     join_quantum: float,
-    cache_admission: bool,
-    admission_seed: int,
     **relay_options: Any,
 ) -> Tuple[EdgeDirectory, Dict[str, EdgeRelay], List[EdgeRelay]]:
     """The one tier builder: links, relays, populated directory.
@@ -2181,19 +2179,11 @@ def _build_tier(
         )
 
     def relay_on(host: str, **role: Any) -> EdgeRelay:
-        # one cache per relay (separate machines, separate disks) — with
-        # its own TinyLFU instance when admission is on, so edges'
-        # frequency windows are independent
-        admission = None
-        if cache_admission:
-            # local import: repro.catalog sits above repro.streaming in the
-            # layer order, so the streaming module must not hard-require it
-            from ..catalog.admission import TinyLFUAdmission
-            admission = TinyLFUAdmission(seed=admission_seed)
+        # one cache per relay (separate machines, separate disks)
         relay = EdgeRelay(
             network, host,
             origin_url=origin_url,
-            cache=PacketRunCache(max_bytes=cache_bytes, admission=admission),
+            cache=PacketRunCache(max_bytes=cache_bytes),
             **relay_options, **role,
         )
         all_relays.append(relay)
@@ -2248,8 +2238,6 @@ def build_edge_tier(
     sibling_fills: bool = False,
     backbone_budget: Optional[BackboneBudget] = None,
     live_history_seconds: float = 0.0,
-    cache_admission: bool = False,
-    admission_seed: int = 0,
     tracer=None,
 ) -> Tuple[EdgeDirectory, List[EdgeRelay]]:
     """Origin + N edges: backbone links, relays, populated directory.
@@ -2270,7 +2258,6 @@ def build_edge_tier(
         attach_directory=sibling_fills,
         capacity=capacity, cache_bytes=cache_bytes, vnodes=vnodes, seed=seed,
         origin_fallback=origin_fallback, join_quantum=join_quantum,
-        cache_admission=cache_admission, admission_seed=admission_seed,
         port=port, qos_enabled=qos_enabled, pacing_quantum=pacing_quantum,
         fill_burst=fill_burst, backbone=backbone_budget,
         live_history_seconds=live_history_seconds, tracer=tracer,
@@ -2295,8 +2282,6 @@ def build_relay_tree(
     live_history_seconds: float = 30.0,
     backbone_budget: Optional[BackboneBudget] = None,
     origin_fallback: bool = False,
-    cache_admission: bool = False,
-    admission_seed: int = 0,
     tracer=None,
 ) -> Tuple[EdgeDirectory, Dict[str, EdgeRelay], List[EdgeRelay]]:
     """Origin + regional parents + leaf edges: the multi-level tree.
@@ -2316,7 +2301,6 @@ def build_relay_tree(
         attach_directory=True,
         capacity=capacity, cache_bytes=cache_bytes, vnodes=vnodes, seed=seed,
         origin_fallback=origin_fallback, join_quantum=join_quantum,
-        cache_admission=cache_admission, admission_seed=admission_seed,
         port=port, qos_enabled=qos_enabled, pacing_quantum=pacing_quantum,
         fill_burst=fill_burst, backbone=backbone_budget,
         live_history_seconds=live_history_seconds, tracer=tracer,

@@ -167,6 +167,36 @@ class TestCacheAdmissionGate:
         assert hot.fingerprint() in cache
         assert counters["admission_rejected"] == 0
 
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_one_shot_scan_does_not_flush_the_hot_set(self, seed):
+        """10 hot keys, then a 50-key one-shot scan through 12 slots: TinyLFU
+        keeps the hot set, plain LRU loses it (10/10 vs 0/10, 38 rejections,
+        at seeds 0-2 in the retired cache-predict bench, PR 10)."""
+        run = make_asf()
+        size = packed_size(run)
+        hot = [f"scan{i}" for i in range(10)]
+
+        def hot_keys_surviving_a_scan(admission, counters):
+            cache = PacketRunCache(
+                max_bytes=size * 12 + size // 2,
+                counters=counters, admission=admission,
+            )
+            for key in hot:
+                cache.store(key, run)
+            for _ in range(6):  # the hot set earns its frequency
+                for key in hot:
+                    cache.lookup(key)
+            for key in (f"scan{i}" for i in range(50)):
+                if cache.lookup(key) is None:
+                    cache.store(key, run)
+            return sum(1 for key in hot if key in cache)
+
+        counters = Counters()
+        policy = TinyLFUAdmission(seed=seed, width=1024, counters=counters)
+        assert hot_keys_surviving_a_scan(policy, counters) >= 9
+        assert counters["admission_rejected"] > 0
+        assert hot_keys_surviving_a_scan(None, Counters()) < 5
+
     def test_store_into_empty_cache_never_consults_admission(self):
         cache, counters, policy, runs = self.build()
         big = runs["run0"]

@@ -59,7 +59,8 @@ def make_asf():
     )
 
 
-def make_tier(*, edges=2, tracer=None, seed=0, **tier_kwargs):
+def make_tier(*, edges=2, tracer=None, seed=0, hosts=("student",),
+              **tier_kwargs):
     reset_counters("edge_cache")
     net = VirtualNetwork()
     if tracer is not None:
@@ -75,17 +76,18 @@ def make_tier(*, edges=2, tracer=None, seed=0, **tier_kwargs):
         pacing_quantum=0.5, seed=seed, tracer=tracer, **tier_kwargs,
     )
     for relay in relays:
-        net.connect(relay.host, "student", bandwidth=2_000_000, delay=0.02)
-        net.link(relay.host, "student").rng.seed(1000 + CHAOS_SEED)
+        for host in hosts:
+            net.connect(relay.host, host, bandwidth=2_000_000, delay=0.02)
+            net.link(relay.host, host).rng.seed(1000 + CHAOS_SEED)
     return net, origin, directory, relays
 
 
-def start_player(net, directory, tracer=None):
+def start_player(net, directory, tracer=None, host="student"):
     player = MediaPlayer(
-        net, "student", directory=directory,
+        net, host, directory=directory,
         recovery=RecoveryConfig(), tracer=tracer,
     )
-    player.connect(directory.url_for("student", "lecture"))
+    player.connect(directory.url_for(host, "lecture"))
     player.play()
     return player
 
@@ -151,6 +153,35 @@ class TestWarmHandoff:
         assert tracer.events("playback.handoff")
         # admission stayed off for the drained edge
         assert not directory.is_available(home)
+
+    def test_drain_hands_off_every_concurrent_viewer(self):
+        """Eight viewers, the busier edge drains mid-stream: every drained
+        session is handed off warm (rate 1.00 at seeds 0-2 in the retired
+        resilience bench, PR 7) and each hand-off relocates one client."""
+        hosts = tuple(f"viewer{i}" for i in range(8))
+        tracer = Tracer("drain-many")
+        net, origin, directory, relays = make_tier(
+            tracer=tracer, seed=CHAOS_SEED, hosts=hosts
+        )
+        players = [start_player(net, directory, tracer, host) for host in hosts]
+        homes = [directory.place(f"{host}|lecture") for host in hosts]
+        busiest = max(set(homes), key=homes.count)
+        relay = next(r for r in relays if r.name == busiest)
+        stats = {}
+        net.simulator.schedule_at(
+            8.0, lambda: stats.update(relay.drain(directory))
+        )
+        reports = [finish(net, player) for player in players]
+
+        assert stats == {"handoffs": homes.count(busiest), "fallbacks": 0}
+        relocated = sum(r.recovery.get("handoffs", 0) for r in reports)
+        assert relocated == stats["handoffs"]
+        for report in reports:
+            assert report.recovery.get("stalls_detected", 0) == 0
+            assert report.duration_watched == pytest.approx(DURATION, abs=0.3)
+        checker = teardown_audit(origin, relays, tracer)
+        assert checker.handoffs_seen == stats["handoffs"]
+        assert checker.fallbacks_seen == 0
 
     def test_drain_under_qos_never_double_reserves(self):
         tracer = Tracer("drain-qos")

@@ -168,6 +168,58 @@ class TestPacketRunCache:
         # and the origin still tracks exactly one (register-only) session
         assert len(origin.sessions) == 1
 
+    def test_two_waves_over_eight_edges_cost_one_fill_per_edge(self):
+        """64 staggered viewers x 2 waves: the origin pays one fill per
+        edge, and the tier runs fewer events than direct serving."""
+        edges, clients = 8, 64
+        asf = make_asf()
+
+        def two_waves(net, server_for):
+            for _ in range(2):
+                sessions = []
+
+                def opener(name):
+                    server = server_for(name)
+                    session = server.open_session("lecture", name, [].append)
+                    server.play(session.session_id)
+                    sessions.append((server, session.session_id))
+
+                base = net.simulator.now
+                for i in range(clients):
+                    net.simulator.schedule_at(
+                        base + 0.015 * (i + 1), lambda n=f"c{i}": opener(n)
+                    )
+                net.simulator.run(max_events=1_000_000)
+                for server, session_id in sessions:
+                    server.close_session(session_id)
+            return net.simulator.events_processed
+
+        direct_net = VirtualNetwork()
+        for i in range(clients):
+            direct_net.connect("origin", f"c{i}", bandwidth=2_000_000, delay=0.02)
+        direct = MediaServer(direct_net, "origin", port=8080, pacing_quantum=0.5)
+        direct.publish("lecture", asf)
+        direct_events = two_waves(direct_net, lambda name: direct)
+
+        net, origin, directory, relays = make_world(
+            asf, edges=edges, clients=clients, join_quantum=0.5
+        )
+        for relay in relays:
+            relay.prefetch("lecture")
+        one_fill = sum(map(len, asf.packed_packets()))
+        by_name = {relay.name: relay for relay in relays}
+        tier_events = two_waves(
+            net, lambda name: by_name[directory.place(f"{name}|lecture")]
+        )
+        # both waves were served off the packet-run caches: 16x less origin
+        # egress than direct serving (the retired edge-scale bench's figure
+        # at PR 5: 64 clients x 2 waves / 8 edges)
+        assert origin.bytes_served == edges * one_fill
+        assert direct.bytes_served == 2 * clients * one_fill
+        # join_quantum groups staggered viewers the origin never could
+        # (11 842 < 14 720 at PR 5 on a 20 s lecture)
+        assert tier_events < direct_events
+
     def test_seek_replay_served_from_local_buffer(self):
         net, origin, _, (edge,) = make_world()
         sink = []

@@ -70,15 +70,6 @@ class TestEncodeJob:
         with pytest.raises(FarmError):
             EncodeJob(JOB_AUDIO, AudioObject("a", 1.0))
 
-    def test_negative_cost_rejected(self):
-        with pytest.raises(FarmError):
-            video_job(simulated_cost=-0.1)
-
-    def test_fingerprint_excludes_simulated_cost(self):
-        assert video_job().fingerprint() == video_job(
-            simulated_cost=0.5
-        ).fingerprint()
-
     def test_fingerprint_separates_content(self):
         base = video_job().fingerprint()
         assert video_job(seed="other").fingerprint() != base
@@ -241,5 +232,6 @@ class TestByteIdentity:
             renditions=renditions, farm=parallel_farm
         ).publish(lecture(), "p")
         assert serial.variants.keys() == parallel.variants.keys()
+        assert parallel.encodes_performed == serial.encodes_performed
         for key, variant in serial.variants.items():
             assert parallel.variants[key].asf.pack() == variant.asf.pack(), key

@@ -216,6 +216,30 @@ class TestHarness:
         # aggregation must make the run cheaper, not just equal
         assert cohort.events_processed < real.events_processed
 
+    def test_ten_times_the_audience_costs_under_twice_the_events(self):
+        """Cost tracks distinct behaviours, not audience size (the retired
+        load-scale bench at PR 6: 10k -> 41 245 events, 100k and 1M ->
+        45 655 each)."""
+        def run(viewers):
+            return run_workload(
+                WorkloadSpec(
+                    viewers=viewers, seed=0, zipf_s=1.1, flash_fraction=0.9,
+                    flash_width=2.0, join_quantum=0.5,
+                    lectures=lecture_catalog(2, 8.0, stagger=2.0),
+                ),
+                mode="cohort",
+                config=LoadConfig(edges=2, heartbeat_interval=1.0),
+            )
+
+        small, large = run(2_000), run(20_000)
+        assert large.viewers == large.qoe["viewers"] == 20_000
+        assert large.events_processed < 2 * small.events_processed
+        for row in (small, large):
+            # sessions are a tiny fraction of the audience, and the
+            # beacon-quiet windows were leapt, not ticked through
+            assert row.sessions * 20 <= row.viewers
+            assert row.events_leapt > 0
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             run_workload(self.spec(), mode="hybrid")
@@ -275,6 +299,11 @@ class TestPlannerPrefetch:
         assert stats["items"] == 6
         assert stats["ok"] == 6 and stats["failed"] == 0
         assert stats["warmed_bytes"] == stats["planned_bytes"] > 0
+        # the cold fill moved out of the viewer window: the origin served
+        # nothing but the warms (0 in-window bytes vs 21.6 MB cold in the
+        # retired cache-predict bench, PR 10)
+        origin_bytes = result.control["origin"]["bytes_served"]
+        assert origin_bytes - stats["origin_egress_bytes"] == 0
         assert result.tier is None  # not kept unless asked
 
     def test_planner_run_passes_trace_audit(self):

@@ -86,8 +86,10 @@ class TestLossyBaseline:
             burst_loss=GilbertElliott.from_average(0.05, mean_burst=5.0)
         )
         lossy = watch(lossy_net, lossy_srv)
-        # no recovery: every burst is a permanent hole in the media
-        assert lossy.media_bytes < clean.media_bytes
+        # no recovery: every burst is a permanent hole in the media —
+        # under the 99 % bar test_recovery holds the repaired run to
+        # (0.970 vs 1.000 in the retired robustness bench, PR 2)
+        assert lossy.media_bytes < 0.99 * clean.media_bytes
         assert any(rate > 0 for rate in lossy.loss_rates.values())
         # and the player never even tried to repair anything
         assert "naks_sent" not in lossy.recovery

@@ -111,6 +111,11 @@ class TestFillCascade:
             leaf.prefetch("lecture")
         counters = get_counters("edge_cache")
         assert counters["origin_fills"] == 2      # one per regional parent
+        # ...one run each, where a flat tier pays one per edge: origin
+        # egress falls by edges / regions (16.0x at 64 edges / 4 regions
+        # in the retired relay-tree bench, PR 8)
+        run = origin.points["lecture"].content.packed_packets()
+        assert origin.bytes_served == len(parents) * sum(map(len, run))
         assert counters["parent_fills"] == 2      # first leaf per region
         assert counters["sibling_fills"] == 2     # second leaf per region
         assert counters["fills"] == 6
