@@ -51,9 +51,7 @@ def main() -> None:
 
     # --- session 1: dana watches lecture 1 fully --------------------------
     first = course.lectures[0].title
-    report = MediaPlayer(network, "dana").watch(
-        catalog.url_of("CS520", first), burst_factor=4.0
-    )
+    report = MediaPlayer(network, "dana").watch(catalog.url_of("CS520", first))
     progress.record_session("CS520", first, report)
     print(f"\nsession 1: finished {first!r} "
           f"({progress.lecture_completion('CS520', first):.0%})")
@@ -62,7 +60,7 @@ def main() -> None:
     second = course.lectures[1].title
     player = MediaPlayer(network, "dana")
     player.connect(catalog.url_of("CS520", second))
-    player.play(burst_factor=4.0)
+    player.play()
     network.simulator.wait(lambda: player.state is PlayerState.PLAYING)
     network.simulator.run_until(network.simulator.now + 12.0)
     player.stop()
@@ -75,7 +73,7 @@ def main() -> None:
     resume_at = progress.resume_position("CS520", second)
     player = MediaPlayer(network, "dana")
     player.connect(catalog.url_of("CS520", second))
-    player.play(start=resume_at, burst_factor=4.0)
+    player.play(start=resume_at)
     report = player.run_until_finished()
     progress.record_session("CS520", second, report, start=resume_at)
     print(f"session 3: resumed at {resume_at:.1f}s, finished "

@@ -40,7 +40,7 @@ def main() -> None:
     )
 
     session = SharedViewing(network, record.url, members, moderator="maria")
-    session.start(burst_factor=4.0)
+    session.start()
     session.wait_all_playing()
     print(f"session started; {session.floor.holder!r} holds the floor")
 

@@ -49,7 +49,7 @@ def main(argv=None) -> int:
     print(timeline_to_ascii(timeline, width=44))
 
     player = MediaPlayer(network, "student")
-    report = player.watch(record.url, burst_factor=4.0)
+    report = player.watch(record.url)
     print(f"\nplayback: startup {report.startup_latency:.2f}s, "
           f"{report.rebuffer_count} rebuffers, "
           f"watched {report.duration_watched:.1f}s")

@@ -21,7 +21,7 @@ from .constants import ASFError, FLAG_BROADCAST, FLAG_SEEKABLE, TAG_DATA
 from .header import HeaderObject
 from .indexer import SimpleIndex
 from .packets import DataPacket, Depacketizer, MediaUnit
-from .wire import Reader, pack_u32, write_object
+from .wire import Reader, pack_u32
 
 
 @dataclass
@@ -118,12 +118,20 @@ class ASFFile:
     # ------------------------------------------------------------------
 
     def pack(self) -> bytes:
-        out = [self.header.pack()]
-        data = pack_u32(len(self.packets)) + b"".join(p.pack() for p in self.packets)
-        out.append(write_object(TAG_DATA, data))
+        # one join builds the image: header, the data object's tag, length
+        # and packet count, every packet's memoized wire, the index — no
+        # intermediate copy of the (multi-megabyte) packet run
+        wires = [p.pack() for p in self.packets]
+        parts = [
+            self.header.pack(),
+            TAG_DATA,
+            pack_u32(4 + sum(map(len, wires))),
+            pack_u32(len(wires)),
+            *wires,
+        ]
         if self.index is not None:
-            out.append(self.index.pack())
-        return b"".join(out)
+            parts.append(self.index.pack())
+        return b"".join(parts)
 
     @classmethod
     def unpack(cls, data: bytes) -> "ASFFile":

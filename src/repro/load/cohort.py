@@ -87,10 +87,10 @@ class CohortViewer:
         """Viewers still aggregated behind the delegate."""
         return self.delegate.multiplicity
 
-    def start(self, *, start: float = 0.0, burst_factor: float = 1.0) -> None:
+    def start(self, *, start: float = 0.0) -> None:
         """Connect and play the delegate; arm the presence beacon."""
         self.delegate.connect(self.url)
-        self.delegate.play(start=start, burst_factor=burst_factor)
+        self.delegate.play(start=start)
         if self._heartbeat_interval > 0:
             self._heartbeat = PeriodicTask(
                 self.simulator,

@@ -68,11 +68,11 @@ class SharedViewing:
     def _log(self, user: str, action: str, detail: str = "") -> None:
         self.events.append(SharedEvent(self.now, user, action, detail))
 
-    def start(self, *, burst_factor: float = 1.0) -> None:
+    def start(self) -> None:
         """Connect and start every member's stream."""
         for user, player in self.players.items():
             player.connect(self.url)
-            player.play(burst_factor=burst_factor)
+            player.play()
         self._log(self.moderator, "start")
 
     def advance(self, dt: float) -> None:

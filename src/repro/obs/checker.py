@@ -55,7 +55,14 @@ simulator cannot enforce locally:
   the origin's run — the same fingerprint the fill path verified); the
   run's accumulated warmed bytes never exceed its declared
   ``budget_bytes``; and nothing prefetches a point after its
-  ``point.retired`` (no warming torn-down content).
+  ``point.retired`` (no warming torn-down content);
+* **fast start is granted once** — every ``faststart.grant`` names an
+  open viewer session of a stored point (never a replica fill, never a
+  broadcast); a factor above 1 keeps ``factor × bitrate`` within the
+  link's bandwidth; and a ``resume`` grant *carries* a window, so it is
+  no larger than the one the session — or, across a warm hand-off, its
+  predecessor — was last granted: only ``play`` and ``seek`` (the
+  client's buffer is empty) open a fresh one.
 
 Violations accumulate (so one audit reports *all* problems) and
 :meth:`TraceChecker.assert_ok` raises :class:`TraceViolation` with every
@@ -103,6 +110,7 @@ class TraceChecker:
         self.points_retired = 0
         self.prefetch_spans = 0
         self.prefetch_bytes = 0
+        self.grants_seen = 0
         self._checked = False
 
     # ------------------------------------------------------------------
@@ -142,6 +150,13 @@ class TraceChecker:
         prefetch_runs: Dict[Any, List[Any]] = {}
         # open prefetch span id -> (t, run, edge, point, expect_key)
         open_prefetches: Dict[Any, Tuple[float, Any, Any, Any, str]] = {}
+        # sessions that may never be granted fast start (replica, broadcast)
+        ungrantable: set = set()
+        # session -> window (ms) of its latest fast-start grant
+        granted_window: Dict[Any, float] = {}
+        # adopted session -> (t, window) of a carried grant whose hand-off
+        # record (emitted by the predecessor after the adopt) is still due
+        carried_in: Dict[Any, Tuple[float, float]] = {}
 
         for record in self.records:
             name = record["name"]
@@ -155,6 +170,43 @@ class TraceChecker:
                     self._fail(f"session {sid!r} opened twice (t={t:.3f})")
                 open_sessions[sid] = t
                 closed_sessions.pop(sid, None)
+                if attrs.get("broadcast") or attrs.get("replica"):
+                    ungrantable.add(sid)
+
+            elif name == "faststart.grant":
+                sid = attrs.get("session")
+                factor = float(attrs.get("factor", 1.0))
+                window = float(attrs.get("window_ms", 0.0))
+                self.grants_seen += 1
+                if sid not in open_sessions:
+                    self._fail(
+                        f"fast start granted to session {sid!r} which is "
+                        f"not open (t={t:.3f})"
+                    )
+                elif sid in ungrantable:
+                    self._fail(
+                        f"fast start granted to replica/broadcast session "
+                        f"{sid!r} (t={t:.3f})"
+                    )
+                rate = factor * float(attrs.get("bitrate", 0.0))
+                link_bps = float(attrs.get("link_bps", 0.0))
+                if factor < 1.0 or (factor > 1.0 and rate > link_bps + 1e-6):
+                    self._fail(
+                        f"fast start grant of {factor:g}x ({rate:g} b/s) to "
+                        f"session {sid!r} exceeds its {link_bps:g} b/s link "
+                        f"(t={t:.3f})"
+                    )
+                if attrs.get("reason") == "resume":
+                    last = granted_window.get(sid)
+                    if last is None:
+                        carried_in[sid] = (t, window)
+                    elif window > last + 1e-6:
+                        self._fail(
+                            f"session {sid!r} resumed with a {window:g} ms "
+                            f"fast-start window but only {last:g} ms was "
+                            f"left to carry (t={t:.3f})"
+                        )
+                granted_window[sid] = window
 
             elif name == "session.close":
                 sid = attrs.get("session")
@@ -278,6 +330,14 @@ class TraceChecker:
                         self._fail(
                             f"handoff of session {sid!r} targets session "
                             f"{to!r} which is not open (t={t:.3f})"
+                        )
+                    carried = carried_in.pop(to, None)
+                    had = granted_window.get(sid, 0.0)
+                    if carried is not None and carried[1] > had + 1e-6:
+                        self._fail(
+                            f"session {to!r} adopted a {carried[1]:g} ms "
+                            f"fast-start window from {sid!r}, which had "
+                            f"{had:g} ms (t={t:.3f})"
                         )
 
             elif name == "drain.end":
@@ -541,6 +601,11 @@ class TraceChecker:
                                 f"{state[0]:g} (t={t:.3f})"
                             )
 
+        for sid, (granted_at, window) in sorted(carried_in.items(), key=str):
+            self._fail(
+                f"session {sid!r} resumed a {window:g} ms fast-start window "
+                f"at t={granted_at:.3f} that no play, seek or hand-off left it"
+            )
         for edge in sorted(active_drains, key=str):
             self._fail(f"drain of edge {edge!r} never ended")
         for sid, opened_at in sorted(open_sessions.items(), key=str):
@@ -614,6 +679,7 @@ class TraceChecker:
             "points_retired": self.points_retired,
             "prefetch_spans": self.prefetch_spans,
             "prefetch_bytes": self.prefetch_bytes,
+            "grants_seen": self.grants_seen,
             "violations": len(self.violations),
         }
 

@@ -173,9 +173,6 @@ class MediaPlayer:
         self._dispatcher: Optional[ScriptCommandDispatcher] = None
         #: PeriodicTask or a SharedTicker slot — both expose .stop()
         self._render_task: Optional[Any] = None
-        #: play() parameters, kept so split_member can replay the cohort's
-        #: exact fast-start shape on the split-out session
-        self._play_burst_factor = 1.0
         #: play(start > 0) owes one stateful-command catch-up at render start
         self._pending_catchup = False
         self._media_streams: List[int] = []
@@ -308,12 +305,11 @@ class MediaPlayer:
             self._pending_streams.clear()
         return response.body
 
-    def play(self, *, start: float = 0.0, burst_factor: float = 1.0) -> None:
+    def play(self, *, start: float = 0.0) -> None:
         """Open a session and begin buffering from ``start`` seconds.
 
-        ``burst_factor`` > 1 asks the server for fast start: the preroll
-        is delivered at that multiple of real time, cutting startup
-        latency roughly to ``preroll / burst_factor``.
+        How fast the preroll arrives is the server's call: it grants
+        fast start from the headroom of this client's link.
         """
         if self.header is None:
             raise PlayerError("connect() first")
@@ -323,20 +319,15 @@ class MediaPlayer:
             self._playback_span = self.tracer.begin(
                 "playback", client=self.user, point=self._point
             )
-        self._open_and_play(start, burst_factor)
+        self._open_and_play(start)
         self.state = PlayerState.BUFFERING
         self._start_position = start
-        self._play_burst_factor = burst_factor
         self._pending_catchup = start > 0
         self._arm_recovery()
         self._start_render_loop()
 
     def _open_and_play(
-        self,
-        start: Optional[float],
-        burst_factor: float = 1.0,
-        *,
-        announce: bool = True,
+        self, start: Optional[float], *, announce: bool = True
     ) -> None:
         """Open a session on the current server and start its delivery.
 
@@ -364,10 +355,7 @@ class MediaPlayer:
         elif start is None:
             start = self._reconnect_position()
             self._depacketizer.expect_replay(suppress_completed=True)
-        self._control(
-            "play", session_id=self.session_id, start=start,
-            burst_factor=burst_factor,
-        )
+        self._control("play", session_id=self.session_id, start=start)
 
     def _start_render_loop(self) -> None:
         if self._render_ticker is not None:
@@ -949,13 +937,6 @@ class MediaPlayer:
             raise PlayerError(f"cannot seek from {self.state.value}")
         now = self.simulator.now
         was_paused = self.state is PlayerState.PAUSED
-        if self.tracer is not None:
-            self.tracer.event(
-                "playback.seek",
-                span=self._playback_span,
-                client=self.user,
-                position=position,
-            )
         self._control("seek", session_id=self.session_id, position=position)
         if was_paused:
             self._control("resume", session_id=self.session_id)
@@ -963,6 +944,16 @@ class MediaPlayer:
 
     def _seek_transition(self, now: float, position: float) -> None:
         """Client side of a reposition the server has already accepted."""
+        if self.tracer is not None:
+            # recorded here, not when the request leaves: render ticks keep
+            # firing during the control round trip, and the playhead only
+            # rebases (to the index point at or before ``position``) now
+            self.tracer.event(
+                "playback.seek",
+                span=self._playback_span,
+                client=self.user,
+                position=position,
+            )
         self._buffer.clear()
         self._depacketizer.expect_replay()  # the server re-sends from here
         if self._recovery is not None:
@@ -1011,8 +1002,8 @@ class MediaPlayer:
         The twin's post-split delivery is byte-identical to what an
         independent player that issued the same action would receive:
         ``server.play(start=p)`` and ``server.seek(p)`` resolve the same
-        packet cursor, and the twin replays the delegate's fast-start
-        parameters so the pacing shape matches too.
+        packet cursor and are granted the same fresh fast-start window,
+        so the pacing shape matches too.
         """
         if self.state not in (
             PlayerState.BUFFERING, PlayerState.PLAYING, PlayerState.PAUSED
@@ -1075,7 +1066,6 @@ class MediaPlayer:
         twin._stall_started = self._stall_started
         twin._stall_is_underrun = self._stall_is_underrun
         twin._start_position = self._start_position
-        twin._play_burst_factor = self._play_burst_factor
         twin._stream_ended = self._stream_ended
         twin.downshift_log = list(self.downshift_log)
         twin._pending_catchup = self._pending_catchup
@@ -1094,17 +1084,10 @@ class MediaPlayer:
             )
         # seek_to=None is the reconnect-style individuation (and the only
         # form a live member takes): resume at the buffered frontier
-        twin._open_and_play(seek_to, self._play_burst_factor)
+        twin._open_and_play(seek_to)
         if seek_to is not None:
             # the server resolves play(start=p) with the same cursor as
             # seek(p); client-side this is exactly seek()'s transition
-            if self.tracer is not None:
-                self.tracer.event(
-                    "playback.seek",
-                    span=twin._playback_span,
-                    client=twin.user,
-                    position=seek_to,
-                )
             twin._seek_transition(now, seek_to)
         twin._arm_recovery()
         twin._start_render_loop()

@@ -1699,10 +1699,10 @@ class EdgeRelay(MediaServer):
         seek+replay reconnect; a *planned* removal shouldn't. ``drain``
         first stops admitting viewers (the directory reports this edge
         unavailable), then for every live streaming session transfers
-        the delivery cursor — point, packet-sequence frontier, burst
-        parameters, effectively the pacing-group position — to the first
-        available successor in :meth:`EdgeDirectory.spill_order`, via the
-        successor's ``/control/adopt`` route. The successor opens (and
+        the delivery cursor — point, packet-sequence frontier, unspent
+        fast-start window, effectively the pacing-group position — to the
+        first available successor in :meth:`EdgeDirectory.spill_order`,
+        via the successor's ``/control/adopt`` route. The successor opens (and
         QoS-reserves) its own session starting at exactly the next
         unsent packet, the client is re-pointed through its ``relocate``
         callback, and only then is the local session closed (releasing
@@ -1783,7 +1783,9 @@ class EdgeRelay(MediaServer):
                         "relocate": session.relocate,
                         "multiplicity": session.multiplicity,
                         "cursor": session.packet_cursor,
-                        "burst_factor": session._burst_factor,
+                        # what is left of the fast-start window (freezing
+                        # delivery above wrote the remainder back); the
+                        # successor grants its own factor over it
                         "burst_window_ms": session._burst_window_ms,
                     },
                 )
@@ -2004,15 +2006,16 @@ class EdgeRelay(MediaServer):
         session_id: int,
         *,
         start: float = 0.0,
-        burst_factor: float = 1.0,
+        burst_factor: Optional[float] = None,
         burst_seconds: Optional[float] = None,
     ) -> None:
         """Start delivery, deferred to the next ``join_quantum`` boundary.
 
         Clients arriving within one quantum land on the *same* boundary
-        with the same cursor and burst parameters, so they share one
-        pacing group — the edge-side half of request coalescing. With
-        ``join_quantum == 0`` behaviour is exactly the base class's.
+        with the same cursor and — equal links, equal renditions — the
+        same fast-start grant, so they share one pacing group: the
+        edge-side half of request coalescing. With ``join_quantum == 0``
+        behaviour is exactly the base class's.
         Broadcast joins start immediately; a late joiner additionally
         receives the bounded live history as a catch-up train.
         """

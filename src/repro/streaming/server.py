@@ -19,7 +19,11 @@ The serving stack's structural invariant is **encode once, serve many**:
   all of them, instead of one private event chain per client;
 * broadcast delivery is event-driven: the live stream pushes freshly
   encoded packets to the server, which schedules their fan-out at their
-  send times — there is no polling pump.
+  send times — there is no polling pump;
+* **Fast Start is a grant**: whenever a viewer's buffer is empty (play,
+  seek, reconnect) the server sends the preroll at whatever the client
+  link has to spare — it knows the link and the session's bitrate, the
+  client does not (:meth:`MediaServer._grant_fast_start`, DESIGN.md §10).
 
 Control is exposed both as a Python API (used by
 :class:`repro.streaming.client.MediaPlayer`) and as HTTP routes on the
@@ -47,6 +51,12 @@ from .session import SessionError, SessionState, SessionTable, StreamSession
 
 class PublishError(Exception):
     """Publishing-point misuse."""
+
+
+#: share of a client link one session may fill — the margin rendition
+#: selection, QoS admission and the fast-start grant all leave for
+#: protocol overhead and cross traffic
+LINK_HEADROOM = 0.9
 
 
 class _PointSchedule:
@@ -116,11 +126,16 @@ class _PacingGroup:
     parameters, so a single event per packet train paces every one of
     them. A session that pauses/seeks/closes leaves the group, taking a
     snapshot of the shared cursor as its private ``packet_cursor``.
+
+    ``replica`` groups carry edge fills: their trains are bounded by
+    *send* time (a 64× fill is a handful of big messages); viewer groups
+    bound a train by *media* time, so a burst never puts more content
+    into one loss unit than real-time pacing does.
     """
 
     __slots__ = (
         "point", "key", "cursor", "origin", "base_ms",
-        "burst_factor", "burst_window_ms", "members", "handle",
+        "burst_factor", "burst_window_ms", "replica", "members", "handle",
     )
 
     def __init__(
@@ -132,6 +147,7 @@ class _PacingGroup:
         base_ms: int,
         burst_factor: float,
         burst_window_ms: float,
+        replica: bool,
     ) -> None:
         self.point = point
         self.key = key
@@ -140,6 +156,7 @@ class _PacingGroup:
         self.base_ms = base_ms
         self.burst_factor = burst_factor
         self.burst_window_ms = burst_window_ms
+        self.replica = replica
         self.members: Dict[int, StreamSession] = {}
         self.handle: Optional[object] = None
 
@@ -345,6 +362,7 @@ class MediaServer:
                 client_host,
                 QoSManager(
                     self.network.link(self.host, client_host),
+                    headroom=LINK_HEADROOM,
                     tracer=self.tracer,
                     label=qos_label,
                 ),
@@ -377,7 +395,7 @@ class MediaServer:
             s.bitrate for s in header.streams
             if s.extra.get("mbr_group") != "video"
         )
-        budget = link.bandwidth * 0.9 - other
+        budget = link.bandwidth * LINK_HEADROOM - other
         chosen = renditions[0]
         for rendition in renditions:
             if rendition.bitrate <= budget:
@@ -394,6 +412,57 @@ class MediaServer:
             if s.stream_number not in session.excluded_streams
         )
 
+    def _grant_fast_start(
+        self,
+        session: StreamSession,
+        point: PublishingPoint,
+        reason: str,
+        window_ms: Optional[float] = None,
+    ) -> None:
+        """Decide how fast this session's empty buffer may be refilled.
+
+        The one Fast Start policy: a viewer of a stored point gets its
+        preroll at the rate the client link can carry — the link's
+        bandwidth less the usual headroom, and under QoS admission no
+        more than the session's own channel plus what nobody reserved —
+        expressed as a multiple of the session's bitrate *after*
+        rendition selection. ``window_ms=None`` grants a fresh window of
+        one header preroll (play, seek: the buffer is empty); a value
+        carries the unspent remainder of an earlier window (resume,
+        hand-off: the buffer already holds the rest). Replica fills name
+        their own burst in :meth:`play` and are granted none; broadcast
+        sessions never get here — nothing is stored to send ahead.
+        """
+        if session.replica:
+            session._burst_factor, session._burst_window_ms = 1.0, 0.0
+            return
+        if window_ms is None:
+            window_ms = float(point.header.file_properties.preroll_ms)
+        link = self.network.link(self.host, session.client_host)
+        rate = link.bandwidth * LINK_HEADROOM
+        if self.qos_enabled:
+            own = (
+                session.reservation.spec.bandwidth
+                if session.reservation is not None else 0.0
+            )
+            rate = min(rate, own + self._qos[session.client_host].available)
+        bitrate = self._session_bitrate(session, point)
+        factor = max(1.0, rate / bitrate) if bitrate > 0 else 1.0
+        if factor == 1.0:
+            window_ms = 0.0  # nothing to spend: one key for every 1× walk
+        session._burst_factor = factor
+        session._burst_window_ms = window_ms
+        if self.tracer is not None:
+            self.tracer.event(
+                "faststart.grant",
+                session=self._sid(session.session_id),
+                factor=factor,
+                window_ms=window_ms,
+                link_bps=link.bandwidth,
+                bitrate=bitrate,
+                reason=reason,
+            )
+
     def included_streams(self, session_id: int) -> List[int]:
         """Stream numbers this session actually receives."""
         session = self.sessions.get(session_id)
@@ -408,19 +477,24 @@ class MediaServer:
         session_id: int,
         *,
         start: float = 0.0,
-        burst_factor: float = 1.0,
+        burst_factor: Optional[float] = None,
         burst_seconds: Optional[float] = None,
     ) -> None:
         """Start (or restart) delivery.
 
-        ``burst_factor`` > 1 enables *fast start*: the first
-        ``burst_seconds`` of content (default: the file's preroll) is sent
-        at ``burst_factor``× the nominal pacing so the client fills its
-        preroll buffer quickly, then delivery settles to real-time pacing —
-        Windows Media's "Fast Start" behaviour.
+        *Fast start* — Windows Media's "Fast Start" — sends the first
+        stretch of content faster than real time so the client fills its
+        preroll buffer quickly, then settles to real-time pacing. Left
+        alone, the server grants it (:meth:`_grant_fast_start`). An
+        explicit ``burst_factor`` is the bare mechanism, for callers that
+        drive a session server-side (an edge's replica fill, tests): the
+        first ``burst_seconds`` of content (default: the file's preroll)
+        go out at ``burst_factor``× the nominal pacing.
         """
-        if burst_factor < 1.0:
+        if burst_factor is not None and burst_factor < 1.0:
             raise SessionError("burst_factor must be >= 1")
+        if burst_factor is None and burst_seconds is not None:
+            raise SessionError("burst_seconds needs an explicit burst_factor")
         session = self.sessions.get(session_id)
         point = self._point(session.point)
         if session.state is SessionState.CONNECTING:
@@ -432,11 +506,14 @@ class MediaServer:
         self._stop_session_pacing(session)
         session.position = start
         session.packet_cursor = self._cursor_for(point.content, start)
-        window = burst_seconds
-        if window is None:
-            window = point.header.file_properties.preroll_ms / 1000.0
-        session._burst_factor = burst_factor
-        session._burst_window_ms = window * 1000.0
+        if burst_factor is None:
+            self._grant_fast_start(session, point, "play")
+        else:
+            session._burst_factor = burst_factor
+            session._burst_window_ms = (
+                burst_seconds * 1000.0 if burst_seconds is not None
+                else float(point.header.file_properties.preroll_ms)
+            )
         self._start_pacing(session)
 
     def adopt_session(
@@ -447,7 +524,6 @@ class MediaServer:
         *,
         cursor: int = 0,
         multiplicity: int = 1,
-        burst_factor: float = 1.0,
         burst_window_ms: float = 0.0,
         relocate: Optional[Callable] = None,
     ) -> StreamSession:
@@ -458,6 +534,9 @@ class MediaServer:
         from the nearest index point, adoption resumes at precisely the
         next unsent packet index — the client's buffer already holds
         everything before it, so there is no seek, no replay, and no gap.
+        ``burst_window_ms`` is what the predecessor left unspent of the
+        session's fast-start window; this server grants its own factor
+        over it (its link to the client, not the predecessor's).
         A cursor at/past the end of the schedule adopts straight into
         FINISHED (the predecessor had already delivered everything);
         broadcast sessions just attach to the live fan-out.
@@ -475,8 +554,10 @@ class MediaServer:
         session.packet_cursor = cursor
         if cursor < len(sched.packets):
             session.position = sched.packets[cursor].send_time_ms / 1000.0
-            session._burst_factor = burst_factor
-            session._burst_window_ms = burst_window_ms
+            if burst_window_ms > 0.0:
+                self._grant_fast_start(
+                    session, point, "resume", burst_window_ms
+                )
             self._start_pacing(session)
         else:
             session.position = (
@@ -498,6 +579,13 @@ class MediaServer:
         session = self.sessions.get(session_id)
         session.transition(SessionState.STREAMING)
         if not session.broadcast:
+            if session._burst_window_ms > 0.0 and not session.replica:
+                # paused mid-window: the buffer holds what was sent, so
+                # only the remainder is still owed at burst speed
+                self._grant_fast_start(
+                    session, self._point(session.point), "resume",
+                    session._burst_window_ms,
+                )
             self._start_pacing(session)
 
     def seek(self, session_id: int, position: float) -> None:
@@ -512,6 +600,9 @@ class MediaServer:
             was_streaming = True
         session.position = position
         session.packet_cursor = self._cursor_for(point.content, position)
+        # the client flushes its buffer on a seek: a fresh window, spent
+        # now or (seek while paused) when the session resumes
+        self._grant_fast_start(session, point, "seek")
         if was_streaming:
             self._start_pacing(session)
 
@@ -734,7 +825,24 @@ class MediaServer:
         if session.pacing_handle is not None:
             self.simulator.cancel(session.pacing_handle)
             session.pacing_handle = None
+            self._carry_window(session, session._pace_base)
         self._leave_group(session)
+
+    def _carry_window(self, session: StreamSession, base_ms: int) -> None:
+        """A walk anchored at ``base_ms`` stops at the session's cursor:
+        leave on the session what it has not yet spent of its fast-start
+        window, so the next walk continues the burst instead of sending
+        a whole new one into a buffer that is already part full."""
+        if session._burst_window_ms <= 0.0:
+            return
+        packets = self._schedules[session.point].packets
+        left = 0.0
+        if session.packet_cursor < len(packets):
+            spent = packets[session.packet_cursor].send_time_ms - base_ms
+            left = session._burst_window_ms - spent
+        if left <= 0.0:
+            session._burst_factor, left = 1.0, 0.0
+        session._burst_window_ms = left
 
     def _start_pacing(self, session: StreamSession) -> None:
         """Anchor pacing at 'now'; packets go out at their relative send times."""
@@ -794,7 +902,10 @@ class MediaServer:
         burst = session._burst_factor
         window = session._burst_window_ms
         now = self.simulator.now
-        key = (session.point, session.packet_cursor, now, burst, window)
+        key = (
+            session.point, session.packet_cursor, now, burst, window,
+            session.replica,
+        )
         group = self._groups.get(key)
         if group is None:
             if session.packet_cursor < len(sched.packets):
@@ -803,7 +914,7 @@ class MediaServer:
                 base_ms = 0
             group = _PacingGroup(
                 session.point, key, session.packet_cursor, now,
-                base_ms, burst, window,
+                base_ms, burst, window, session.replica,
             )
             self._groups[key] = group
         group.members[session.session_id] = session
@@ -817,6 +928,7 @@ class MediaServer:
             return
         session.packet_cursor = group.cursor
         session.pacing_group = None
+        self._carry_window(session, group.base_ms)
         group.members.pop(session.session_id, None)
         if not group.members:
             if group.handle is not None:
@@ -846,15 +958,20 @@ class MediaServer:
         if sched is None:
             return  # point unpublished with a fan-out still in flight
         packets = sched.packets
-        start_eff = group.effective_offset_ms(
-            packets[group.cursor].send_time_ms
-        )
+        # a train is one wire message and a link loses a message whole:
+        # a viewer's train spans at most one quantum of *media* however
+        # fast it leaves, so a burst never coarsens loss past what NAK
+        # repair is budgeted for; a replica fill spans a quantum of
+        # compressed *send* time — few big messages, which its relay's
+        # time-gated NAK rounds rely on
+        span_ms = group.effective_offset_ms if group.replica else float
+        start_ms = span_ms(packets[group.cursor].send_time_ms)
         quantum_ms = self.pacing_quantum * 1000.0
         train = [group.cursor]
         group.cursor += 1
         while group.cursor < len(packets):
-            eff = group.effective_offset_ms(packets[group.cursor].send_time_ms)
-            if eff - start_eff > quantum_ms:
+            at_ms = span_ms(packets[group.cursor].send_time_ms)
+            if at_ms - start_ms > quantum_ms:
                 break
             train.append(group.cursor)
             group.cursor += 1
@@ -1092,7 +1209,6 @@ class MediaServer:
                     body["point"], body["client_host"], body["deliver"],
                     cursor=int(body.get("cursor", 0)),
                     multiplicity=int(body.get("multiplicity", 1)),
-                    burst_factor=float(body.get("burst_factor", 1.0)),
                     burst_window_ms=float(body.get("burst_window_ms", 0.0)),
                     relocate=body.get("relocate"),
                 )
@@ -1120,15 +1236,17 @@ class MediaServer:
                     },
                 )
             if action == "play":
+                # only an edge's replica fill names its own burst; what a
+                # viewer gets is the server's grant, never the request's
+                shape = {}
+                if self.sessions.get(session_id).replica:
+                    shape = {
+                        key: float(body[key])
+                        for key in ("burst_factor", "burst_seconds")
+                        if key in body
+                    }
                 self.play(
-                    session_id,
-                    start=float(body.get("start", 0.0)),
-                    burst_factor=float(body.get("burst_factor", 1.0)),
-                    burst_seconds=(
-                        float(body["burst_seconds"])
-                        if "burst_seconds" in body
-                        else None
-                    ),
+                    session_id, start=float(body.get("start", 0.0)), **shape
                 )
             elif action == "pause":
                 self.pause(session_id)

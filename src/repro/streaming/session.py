@@ -60,7 +60,9 @@ class StreamSession:
     bytes_sent: int = 0
     pacing_handle: Optional[object] = None
     #: fast start: packets due within the window go out ``_burst_factor``×
-    #: faster (set by play/adopt; 1.0 = real-time pacing from the start)
+    #: faster (1.0 = real-time pacing). The server grants both; leaving a
+    #: pacing walk writes the window's *unspent remainder* back here, so a
+    #: resume or hand-off continues the burst instead of restarting it
     _burst_factor: float = 1.0
     _burst_window_ms: float = 0.0
     #: per-session pacing anchor: wall instant and send time of the first
@@ -169,6 +171,8 @@ class SessionTable:
             )
             if multiplicity > 1:
                 attrs["multiplicity"] = multiplicity
+            if replica:
+                attrs["replica"] = True
             self.tracer.event("session.open", **attrs)
         return session
 

@@ -95,7 +95,7 @@ class TestResumeWorkflow:
         # session 1: stop partway
         player = MediaPlayer(net, "dana")
         player.connect(url)
-        player.play(burst_factor=4.0)
+        player.play()
         while player.state is not PlayerState.PLAYING:
             net.simulator.step()
         net.simulator.run_until(net.simulator.now + 14.0)
@@ -108,7 +108,7 @@ class TestResumeWorkflow:
         # session 2: resume from the stored position
         player = MediaPlayer(net, "dana")
         player.connect(url)
-        player.play(start=mid, burst_factor=4.0)
+        player.play(start=mid)
         report = player.run_until_finished()
         progress.record_session("C1", "Resume", report, start=mid)
         assert progress.lecture_completion("C1", "Resume") == pytest.approx(1.0)

@@ -31,7 +31,7 @@ def session():
     shared = SharedViewing(
         net, record.url, ["anna", "ben", "caleb"], moderator="anna"
     )
-    shared.start(burst_factor=4.0)
+    shared.start()
     shared.wait_all_playing()
     return net, shared
 

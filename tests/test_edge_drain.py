@@ -154,6 +154,52 @@ class TestWarmHandoff:
         # admission stayed off for the drained edge
         assert not directory.is_available(home)
 
+    def test_drain_mid_window_hands_off_only_the_remainder(self):
+        """A hand-off inside the fast-start window carries what is left
+        of it: the successor bursts the remainder, not a second preroll
+        into a buffer that already holds the first part."""
+        tracer = Tracer("drain-window")
+        net, origin, directory, relays = make_tier(tracer=tracer)
+        home = directory.place("student|lecture")
+        home_relay = next(r for r in relays if r.name == home)
+        survivor = next(r for r in relays if r.name != home)
+
+        player = start_player(net, directory, tracer)
+        (session,) = [s for s in home_relay.sessions.all() if not s.replica]
+        preroll_ms = float(player.header.file_properties.preroll_ms)
+        net.simulator.wait(lambda: session.packets_sent > 0)
+        net.simulator.run_until(net.simulator.now + 0.15)
+        assert home_relay.drain(directory) == {"handoffs": 1, "fallbacks": 0}
+
+        (adopted,) = [s for s in survivor.sessions.all() if not s.replica]
+        granted, carried = (
+            g["attrs"] for g in tracer.events("faststart.grant")
+        )
+        assert (granted["reason"], granted["window_ms"]) == ("play", preroll_ms)
+        assert carried["reason"] == "resume"
+        assert carried["session"] == f"{survivor.name}:{adopted.session_id}"
+        assert 0.0 < carried["window_ms"] < preroll_ms  # drained mid-window
+        # the successor grants its own factor over the carried window
+        assert carried["factor"] == granted["factor"] > 1.0
+        # over the next half second: the remainder at burst speed, then
+        # real time — a restarted window would send a whole preroll more
+        before = adopted.bytes_sent
+        net.simulator.run_until(net.simulator.now + 0.5)
+        media_s = carried["window_ms"] / 1000.0 + 0.5 + 0.5  # + one train
+        wire = player.header.total_bitrate / 8 * 1.15  # packet overhead
+        assert adopted.bytes_sent - before <= media_s * wire
+        assert media_s < preroll_ms / 1000.0 + 0.5
+
+        report = finish(net, player)
+        assert report.rebuffer_count == 0
+        assert report.duration_watched == pytest.approx(DURATION, abs=0.3)
+        keys = [
+            (r.unit.stream_number, r.unit.object_number)
+            for r in report.rendered
+        ]
+        assert len(keys) == len(set(keys))
+        teardown_audit(origin, relays, tracer)
+
     def test_drain_hands_off_every_concurrent_viewer(self):
         """Eight viewers, the busier edge drains mid-stream: every drained
         session is handed off warm (rate 1.00 at seeds 0-2 in the retired

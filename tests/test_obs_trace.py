@@ -183,6 +183,80 @@ class TestTraceCheckerSessions:
         TraceChecker(list(reversed(records))).assert_ok()
 
 
+class TestTraceCheckerFastStart:
+    @staticmethod
+    def grant(session, reason, window_ms, factor=7.2, **attrs):
+        return ("faststart.grant", {
+            "session": session, "reason": reason, "window_ms": window_ms,
+            "factor": factor, "bitrate": 250_000, "link_bps": 2_000_000,
+            **attrs,
+        })
+
+    def test_fresh_then_carried_windows_pass(self):
+        checker = TraceChecker(trace_of(
+            ("session.open", {"session": 1}),
+            self.grant(1, "play", 3000.0),
+            self.grant(1, "resume", 1200.0),
+            self.grant(1, "seek", 3000.0),
+            # warm hand-off: the successor's grant precedes the record
+            ("session.open", {"session": 2}),
+            self.grant(2, "resume", 800.0),
+            ("drain.begin", {"edge": "e", "sessions": [1]}),
+            ("session.handoff", {"edge": "e", "session": 1, "to": 2}),
+            ("session.close", {"session": 1}),
+            ("drain.end", {"edge": "e"}),
+            ("session.close", {"session": 2}),
+        ))
+        assert checker.check() == []
+        assert checker.summary()["grants_seen"] == 4
+
+    def test_grant_above_the_link_flagged(self):
+        violations = TraceChecker(trace_of(
+            ("session.open", {"session": 1}),
+            self.grant(1, "play", 3000.0, factor=9.0),
+            self.grant(1, "seek", 0.0, factor=1.0, bitrate=3_000_000),
+            ("session.close", {"session": 1}),
+        )).check()
+        # 9 x 250 kb/s > 2 Mb/s; a 1x walk on a narrow link is no grant
+        assert len(violations) == 1 and "exceeds its" in violations[0]
+
+    def test_replica_broadcast_and_unknown_sessions_flagged(self):
+        violations = TraceChecker(trace_of(
+            ("session.open", {"session": 1, "replica": True}),
+            ("session.open", {"session": 2, "broadcast": True}),
+            self.grant(1, "play", 3000.0),
+            self.grant(2, "play", 3000.0),
+            self.grant(3, "play", 3000.0),
+            ("session.close", {"session": 1}),
+            ("session.close", {"session": 2}),
+        )).check()
+        assert sum("replica/broadcast" in v for v in violations) == 2
+        assert sum("not open" in v for v in violations) == 1
+
+    def test_restarted_window_flagged(self):
+        violations = TraceChecker(trace_of(
+            ("session.open", {"session": 1}),
+            self.grant(1, "play", 3000.0),
+            self.grant(1, "resume", 3000.0),  # resumed with nothing spent
+            self.grant(1, "resume", 1000.0),
+            self.grant(1, "resume", 2000.0),  # pause/resume re-burst
+            ("session.open", {"session": 2}),
+            self.grant(2, "resume", 3000.0),  # nothing left it a window
+            ("session.open", {"session": 3}),
+            self.grant(3, "resume", 3000.0),  # hand-off grew the window
+            ("drain.begin", {"edge": "e", "sessions": [1]}),
+            ("session.handoff", {"edge": "e", "session": 1, "to": 3}),
+            ("session.close", {"session": 1}),
+            ("drain.end", {"edge": "e"}),
+            ("session.close", {"session": 2}),
+            ("session.close", {"session": 3}),
+        )).check()
+        assert len(violations) == 3
+        assert any("left to carry" in v for v in violations)
+        assert any("adopted a 3000 ms" in v for v in violations)
+        assert any("no play, seek or hand-off" in v for v in violations)
+
+
 class TestTraceCheckerQoS:
     def test_balanced_reservations_pass(self):
         TraceChecker(trace_of(

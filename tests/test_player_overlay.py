@@ -35,7 +35,7 @@ def world():
 def play_to(net, record, position):
     player = MediaPlayer(net, "student")
     player.connect(record.url)
-    player.play(burst_factor=8.0)
+    player.play()
     while player.state is not PlayerState.PLAYING or player.position < position:
         if player.state is PlayerState.FINISHED:
             break

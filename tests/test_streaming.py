@@ -213,11 +213,17 @@ class TestPlayback:
         assert all(rate == 0.0 for rate in report.loss_rates.values())
 
     def test_startup_latency_near_preroll(self):
-        net, server = make_world()
-        player = MediaPlayer(net, "student")
-        report = player.watch(server.url_of("lecture1"))
-        preroll = 3.0
-        assert preroll <= report.startup_latency <= preroll + 2.0
+        """Startup is the handshake plus the preroll at the granted rate
+        — the link's bandwidth less 10 % headroom — never less: the
+        grant cannot beat the link."""
+        asf = make_asf()
+        net, server = make_world(asf)
+        report = MediaPlayer(net, "student").watch(server.url_of("lecture1"))
+        preroll = asf.header.file_properties.preroll_ms / 1000.0
+        granted_rate = 0.9 * net.link("server", "student").bandwidth
+        burst = preroll * asf.header.total_bitrate / granted_rate
+        assert burst < preroll / 4
+        assert burst <= report.startup_latency <= burst + 1.0
 
     def test_slides_fire_at_commanded_times(self):
         net, server = make_world()

@@ -39,27 +39,29 @@ def world(asf, *, bandwidth=2e6, host="student", **link):
 
 class TestFastStart:
     def test_burst_cuts_startup_latency(self):
-        baseline_net, baseline_srv = world(single_rate_asf())
-        baseline = MediaPlayer(baseline_net, "student")
-        baseline.connect(baseline_srv.url_of("p"))
-        baseline.play()
-        slow = baseline.run_until_finished()
+        """The grant follows the link: the same file, the same client
+        code, over a link with no headroom and one with plenty."""
+        asf = single_rate_asf()
+        preroll = asf.header.file_properties.preroll_ms / 1000.0
 
-        burst_net, burst_srv = world(single_rate_asf())
-        player = MediaPlayer(burst_net, "student")
-        player.connect(burst_srv.url_of("p"))
-        player.play(burst_factor=5.0)
-        fast = player.run_until_finished()
+        def watch_over(headroom):
+            net, server = world(
+                asf, bandwidth=headroom * asf.header.total_bitrate
+            )
+            return MediaPlayer(net, "student").watch(server.url_of("p"))
 
-        assert fast.startup_latency < slow.startup_latency / 2
-        assert fast.rebuffer_count == 0
-        assert fast.duration_watched == pytest.approx(30.0, abs=0.2)
+        narrow, wide = watch_over(1.1), watch_over(8.0)
+        # 1.1x less the usual headroom leaves nothing to burst with
+        assert narrow.startup_latency >= preroll
+        assert wide.startup_latency < preroll / 2
+        assert wide.rebuffer_count == 0
+        assert wide.duration_watched == pytest.approx(30.0, abs=0.2)
 
     def test_burst_does_not_change_sync(self):
         net, server = world(single_rate_asf())
         player = MediaPlayer(net, "student")
         player.connect(server.url_of("p"))
-        player.play(burst_factor=4.0)
+        player.play()
         report = player.run_until_finished()
         assert report.max_command_sync_error <= 0.1
 
@@ -75,7 +77,7 @@ class TestFastStart:
         net, server = world(single_rate_asf())
         player = MediaPlayer(net, "student")
         player.connect(server.url_of("p"))
-        player.play(burst_factor=10.0)
+        player.play()
         player.run_until_finished()
         session_stats = server.sessions  # session already closed
         # playback completed at roughly real time + startup
