@@ -17,6 +17,7 @@ profile's bitrate.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -113,6 +114,12 @@ class DataPacket:
     header fields and payload list settle (after packetization / live
     rebasing) the serialized form never changes — the server can ship the
     same ``bytes`` object to any number of clients without re-packing.
+
+    ``_plan`` is the receive memo, the twin of ``_wire``: a mark once one
+    receiver reached the packet, then the :class:`_ReceivePlan` the next
+    receiver on the shared chain built for it. Like ``Payload._shared`` it
+    is not on the wire, not compared, not pickled, and dies with the
+    packet run.
     """
 
     sequence: int
@@ -125,6 +132,15 @@ class DataPacket:
     _wire_key: Optional[tuple] = field(
         default=None, init=False, repr=False, compare=False
     )
+    _plan: object = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def __getstate__(self) -> dict:
+        # a copy is a different run: it starts without a receive plan
+        state = dict(self.__dict__)
+        state.pop("_plan", None)
+        return state
 
     def used(self) -> int:
         return PACKET_HEADER_SIZE + sum(p.wire_size() for p in self.payloads)
@@ -417,6 +433,120 @@ def _reassemble(bucket: Dict[int, Payload], last: Payload) -> MediaUnit:
     return unit
 
 
+def _whole_unit(payload: Payload) -> MediaUnit:
+    """The unit of an unfragmented object: its data IS the unit, built once
+    per payload, not once per receiver."""
+    memo = payload._shared
+    if memo is not None:
+        return memo[1]
+    unit = MediaUnit(
+        payload.stream_number,
+        payload.object_number,
+        payload.timestamp_ms,
+        payload.keyframe,
+        payload.data,
+    )
+    object.__setattr__(payload, "_shared", ((), unit))
+    return unit
+
+
+#: fragment chain: an object's fragments newest first, as nested
+#: ``(payload, older)`` pairs ending in None — appending shares the tail
+_Chain = Optional[Tuple[Payload, "_Chain"]]
+
+
+def _bucket(chain: _Chain) -> Dict[int, Payload]:
+    """A chain as the reference path's bucket (offset → latest fragment)."""
+    bucket: Dict[int, Payload] = {}
+    while chain is not None:
+        payload, chain = chain
+        bucket.setdefault(payload.offset, payload)
+    return bucket
+
+
+def _fragment_at(chain: _Chain, offset: int) -> Optional[Payload]:
+    while chain is not None:
+        payload, chain = chain
+        if payload.offset == offset:
+            return payload
+    return None
+
+
+#: state serials of the shared receive chain; 0 names "nothing open"
+_serials = itertools.count(1)
+#: a memo no payload ever holds: a completion recorded with it is redone
+#: by every receiver, as the reference path redoes a join it cannot share
+_NO_MEMO = object()
+#: ``DataPacket._plan`` of a packet one receiver has reached
+_REACHED = object()
+
+
+class _ReceivePlan:
+    """What one packet does to a receiver whose open objects are those of
+    chain state ``prev`` — the per-payload loop, run once for all of them.
+
+    ``done``: per unit the packet completes, ``(head, memo, chain)``. The
+    unit is ``memo[1]`` while ``head._shared is memo`` (the reassembly memo
+    it came from still holds); otherwise it is re-taken the reference way
+    from ``chain`` (None for an unfragmented object), so a receiver sees
+    exactly the units the reference path would hand it.
+
+    ``open``: the objects still in flight after the packet, as
+    ``(key, chain, have, top)`` — fragment chain, byte count, highest
+    offset. Chains are shared with the plans before this one, so no plan
+    copies a bucket. ``serial`` names that state (0 when nothing is open):
+    a receiver's place on the chain is a number, not a reference, so a
+    run's plans die with the run even while a receiver holds its last one.
+    """
+
+    __slots__ = ("prev", "serial", "done", "open", "__weakref__")
+
+    def __init__(self, packet: DataPacket, prev: int, state: tuple) -> None:
+        entries = {entry[0]: entry for entry in state}
+        done = []
+        for payload in packet.payloads:
+            key = (payload.stream_number, payload.object_number)
+            entry = entries.pop(key, None)
+            if entry is None:
+                if payload.is_complete_object:
+                    _whole_unit(payload)
+                    done.append((payload, payload._shared, None))
+                    continue
+                chain, have, top = None, 0, -1
+            else:
+                key, chain, have, top = entry
+            have += len(payload.data)
+            # offsets only grow along an in-order run: a repeat needs a scan
+            if payload.offset > top:
+                top = payload.offset
+            else:
+                old = _fragment_at(chain, payload.offset)
+                if old is not None:
+                    have -= len(old.data)
+            chain = (payload, chain)
+            if have < payload.object_size:
+                entries[key] = (key, chain, have, top)
+                continue
+            bucket = _bucket(chain)
+            unit = _reassemble(bucket, payload)
+            head = bucket.get(0)
+            memo = head._shared if head is not None else None
+            if memo is None or memo[1] is not unit:
+                head, memo = payload, _NO_MEMO  # a private join
+            done.append((head, memo, chain))
+        self.prev = prev
+        self.serial = next(_serials) if entries else 0
+        self.done = tuple(done)
+        self.open = tuple(entries.values())
+
+
+def _retake(head: Payload, chain: _Chain) -> MediaUnit:
+    """A completion whose memo moved since its plan was built."""
+    if chain is None:
+        return head._shared[1]
+    return _reassemble(_bucket(chain), chain[0])
+
+
 class Depacketizer:
     """Reassembles media units from (possibly lossy) packet arrivals.
 
@@ -424,6 +554,18 @@ class Depacketizer:
     earlier packets were skipped, with the sorted list of missing
     sequences — the hook the client's NAK loop
     (:mod:`repro.streaming.recovery`) hangs off.
+
+    Depacketize once per packet run: receivers of the same in-process
+    packets share the work a packet causes. A receiver *on the shared
+    chain* keeps its open objects in the :class:`_ReceivePlan` it followed
+    last; reaching a packet whose plan continues from that state it takes
+    the plan's units in O(units), with no per-payload work. A packet's
+    first arrival only marks it; the next receiver to reach it in sequence
+    builds its plan. Any other arrival — the first, a loss, a reorder, a
+    replay over stale open objects, suppression of completed objects —
+    takes the receiver off the chain: its open objects become buckets
+    again and it runs the per-payload loop, the one reference path, until
+    it holds no open object.
     """
 
     def __init__(
@@ -440,6 +582,57 @@ class Depacketizer:
         self._suppress_completed = False
         self.suppressed_duplicates = 0
         self.on_gap = on_gap
+        #: the plan followed last (None: off the chain, or at its start);
+        #: while on the chain the open objects live in the plan and the
+        #: object sets miss the units of ``completed[_synced:]``
+        self._last_plan: Optional[_ReceivePlan] = None
+        self._synced = 0
+
+    def __getstate__(self) -> dict:
+        # pickle and deepcopy never carry a plan: a copy is written out as
+        # the reference path keeps it, open objects as buckets
+        state = dict(self.__dict__)
+        plan = self._last_plan
+        if plan is None:
+            return state
+        fragments, have = dict(self._fragments), dict(self._have)
+        for key, chain, total, _ in plan.open:
+            fragments[key] = _bucket(chain)
+            have[key] = total
+        seen, done = self._object_sets()
+        state.update(
+            _fragments=fragments, _have=have, _seen_objects=seen,
+            _completed_objects=done, _last_plan=None,
+            _synced=len(self.completed),
+        )
+        return state
+
+    def _leave_chain(self) -> None:
+        if self._last_plan is not None:
+            self.__dict__.update(self.__getstate__())
+
+    def _object_sets(self) -> Tuple[Dict[int, set], Dict[int, set]]:
+        """``(seen, completed)`` object numbers per stream. On the chain
+        they are derived, never kept: completed units, plus open objects
+        for seen."""
+        plan = self._last_plan
+        if plan is None:
+            return self._seen_objects, self._completed_objects
+        seen = {s: set(numbers) for s, numbers in self._seen_objects.items()}
+        done = {
+            s: set(numbers) for s, numbers in self._completed_objects.items()
+        }
+        pending = self.completed[self._synced:]
+        for stream in {unit.stream_number for unit in pending}:
+            numbers = {
+                unit.object_number
+                for unit in pending if unit.stream_number == stream
+            }
+            seen.setdefault(stream, set()).update(numbers)
+            done.setdefault(stream, set()).update(numbers)
+        for (stream, number), _, _, _ in plan.open:
+            seen.setdefault(stream, set()).add(number)
+        return seen, done
 
     def expect_replay(self, *, suppress_completed: bool = False) -> None:
         """The source will intentionally re-send earlier packets (a seek):
@@ -450,6 +643,10 @@ class Depacketizer:
         where the replay overlaps content the client has already rendered
         and must not surface twice.
         """
+        plan = self._last_plan
+        if plan is not None and (plan.open or suppress_completed):
+            # stale open objects would seed plans no other receiver shares
+            self._leave_chain()
         self._seen_sequences.clear()
         self._max_sequence = None
         self._suppress_completed = suppress_completed
@@ -460,20 +657,57 @@ class Depacketizer:
         A packet whose sequence number was already delivered (a retransmit
         or duplicated datagram) is dropped whole — re-pushing it must not
         produce its units twice."""
-        if packet.sequence in self._seen_sequences:
+        sequence = packet.sequence
+        seen_sequences = self._seen_sequences
+        if sequence in seen_sequences:
             return []
-        self._seen_sequences.add(packet.sequence)
-        if self.on_gap is not None and self._max_sequence is not None:
-            if packet.sequence > self._max_sequence + 1:
+        seen_sequences.add(sequence)
+        highest = self._max_sequence
+        if highest is None or sequence > highest:
+            if (
+                self.on_gap is not None
+                and highest is not None
+                and sequence > highest + 1
+            ):
                 missing = [
                     seq
-                    for seq in range(self._max_sequence + 1, packet.sequence)
-                    if seq not in self._seen_sequences
+                    for seq in range(highest + 1, sequence)
+                    if seq not in seen_sequences
                 ]
                 if missing:
                     self.on_gap(missing)
-        if self._max_sequence is None or packet.sequence > self._max_sequence:
-            self._max_sequence = packet.sequence
+            self._max_sequence = sequence
+        last = self._last_plan
+        plan = packet._plan
+        if plan is None:
+            # the first arrival only marks the packet: a plan pays off for
+            # a packet a second receiver reaches, and a run one receiver
+            # plays costs what the per-payload loop costs
+            packet._plan = _REACHED
+        elif last is not None or not (
+            self._fragments or self._suppress_completed
+        ):
+            at = last.serial if last is not None else 0
+            if plan is _REACHED and (
+                highest is None or sequence == highest + 1
+            ):
+                # only an unbroken run of arrivals builds: a receiver past
+                # a loss or a reorder would build a plan nobody follows
+                plan = packet._plan = _ReceivePlan(
+                    packet, at, last.open if last is not None else ()
+                )
+            if plan is not _REACHED and plan.prev == at:
+                if last is None:
+                    self._synced = len(self.completed)
+                self._last_plan = plan
+                finished = [
+                    memo[1] if head._shared is memo else _retake(head, chain)
+                    for head, memo, chain in plan.done
+                ]
+                self.completed.extend(finished)
+                return finished
+        if last is not None:
+            self._leave_chain()
         finished: List[MediaUnit] = []
         fragments = self._fragments
         stream = seen = done = None
@@ -489,20 +723,8 @@ class Depacketizer:
             seen.add(payload.object_number)
             if payload.is_complete_object and key not in fragments:
                 # the common case — an unfragmented object in one payload:
-                # its data IS the unit, no bucket, no re-sum, no join; the
-                # unit is built once per payload, not once per receiver
-                memo = payload._shared
-                if memo is None:
-                    unit = MediaUnit(
-                        stream,
-                        payload.object_number,
-                        payload.timestamp_ms,
-                        payload.keyframe,
-                        payload.data,
-                    )
-                    object.__setattr__(payload, "_shared", ((), unit))
-                else:
-                    unit = memo[1]
+                # no bucket, no re-sum, no join
+                unit = _whole_unit(payload)
                 finished.append(unit)
                 self.completed.append(unit)
                 done.add(payload.object_number)
@@ -537,10 +759,11 @@ class Depacketizer:
         completed number are losses even if no fragment arrived at all.
         """
         report = LossReport()
-        streams = set(self._seen_objects) | set(self._completed_objects)
+        seen_objects, completed_objects = self._object_sets()
+        streams = set(seen_objects) | set(completed_objects)
         for stream in streams:
-            done = self._completed_objects.get(stream, set())
-            seen = self._seen_objects.get(stream, set())
+            done = completed_objects.get(stream, set())
+            seen = seen_objects.get(stream, set())
             highest = max(seen | done, default=-1)
             expected = set(range(highest + 1))
             report.delivered[stream] = len(done)

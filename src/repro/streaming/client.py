@@ -58,6 +58,10 @@ class PlayerState(enum.Enum):
 class RenderedUnit:
     """One media unit handed to the renderer."""
 
+    # by hand, not slots=True (Python 3.10+): the rendered log is the
+    # largest thing each viewer retains
+    __slots__ = ("wall_time", "position", "unit")
+
     wall_time: float
     position: float
     unit: MediaUnit
@@ -725,18 +729,20 @@ class MediaPlayer:
         now = self.simulator.now
         # stall watchdog, piggybacked on the tick the player already runs:
         # total delivery silence means the server crashed or the path is
-        # partitioned — reconnect and resume from the buffered frontier
+        # partitioned — reconnect and resume from the buffered frontier.
+        # The O(1) silence test goes before the end-of-content scan
         if (
             self._recovery is not None
             and not self._reconnecting
             and not self._stream_ended
-            and not self._end_of_content()
             and self._recovery.stalled(now)
+            and not self._end_of_content()
         ):
             self._begin_reconnect(now)
             return
+        position = self.position
         if self.state is PlayerState.BUFFERING:
-            anchor = self.position if self._clock.started else self._start_position
+            anchor = position if self._clock.started else self._start_position
             if (
                 self._buffer.depth(anchor, self._media_streams) >= self.preroll
                 or self._end_of_content()
@@ -745,7 +751,6 @@ class MediaPlayer:
                 self._start_playing(now)
             return
         # PLAYING
-        position = self.position
         due = self._buffer.pop_due(position)
         for unit in due:
             self.rendered.append(RenderedUnit(now, position, unit))

@@ -118,6 +118,24 @@ class _PointSchedule:
         self._thinned[key] = result
         return result
 
+    def train(
+        self, first: int, end: int, excluded: frozenset
+    ) -> Tuple[List[DataPacket], int]:
+        """``(packets, wire size)`` of indices ``first:end`` as a session
+        withholding ``excluded`` receives them — the :meth:`entry` walk;
+        unthinned, a slice of the run itself."""
+        if not excluded:
+            batch = self.packets[first:end]
+            return batch, sum(packet.packet_size for packet in batch)
+        batch = []
+        wire = 0
+        for index in range(first, end):
+            entry = self.entry(index, excluded)
+            if entry is not None:
+                batch.append(entry[0])
+                wire += entry[1]
+        return batch, wire
+
 
 class _PacingGroup:
     """Sessions walking one point's schedule in lock-step.
@@ -965,29 +983,28 @@ class MediaServer:
         # compressed *send* time — few big messages, which its relay's
         # time-gated NAK rounds rely on
         span_ms = group.effective_offset_ms if group.replica else float
-        start_ms = span_ms(packets[group.cursor].send_time_ms)
+        first = group.cursor
+        start_ms = span_ms(packets[first].send_time_ms)
         quantum_ms = self.pacing_quantum * 1000.0
-        train = [group.cursor]
         group.cursor += 1
         while group.cursor < len(packets):
             at_ms = span_ms(packets[group.cursor].send_time_ms)
             if at_ms - start_ms > quantum_ms:
                 break
-            train.append(group.cursor)
             group.cursor += 1
+        end = group.cursor
+        # one train per rendition selection, shared by its members
+        trains: Dict[frozenset, Tuple[List[DataPacket], int]] = {}
         delivered: List[int] = []
         total_wire = 0
         for session in list(group.members.values()):
             if session.state is not SessionState.STREAMING:
                 continue
-            batch: List[DataPacket] = []
-            wire = 0
-            for index in train:
-                entry = sched.entry(index, session.excluded_streams)
-                if entry is None:
-                    continue
-                batch.append(entry[0])
-                wire += entry[1]
+            excluded = session.excluded_streams
+            train = trains.get(excluded)
+            if train is None:
+                train = trains[excluded] = sched.train(first, end, excluded)
+            batch, wire = train
             if batch:
                 self._send_train(session, batch, wire, traced=False)
                 delivered.append(session.session_id)
@@ -999,10 +1016,10 @@ class MediaServer:
             self.tracer.event(
                 "packet.train",
                 sessions=[self._sid(s) for s in delivered],
-                count=len(train),
+                count=end - first,
                 bytes=total_wire,
-                first_seq=packets[train[0]].sequence,
-                last_seq=packets[train[-1]].sequence,
+                first_seq=packets[first].sequence,
+                last_seq=packets[end - 1].sequence,
             )
         for session in group.members.values():
             session.packet_cursor = group.cursor
