@@ -453,10 +453,12 @@ def _whole_unit(payload: Payload) -> MediaUnit:
 #: fragment chain: an object's fragments newest first, as nested
 #: ``(payload, older)`` pairs ending in None — appending shares the tail
 _Chain = Optional[Tuple[Payload, "_Chain"]]
+#: an object in flight: ``(key, chain, bytes held, highest offset)``
+_Open = Tuple[Tuple[int, int], _Chain, int, int]
 
 
 def _bucket(chain: _Chain) -> Dict[int, Payload]:
-    """A chain as the reference path's bucket (offset → latest fragment)."""
+    """A chain as ``_reassemble``'s bucket (offset → latest fragment)."""
     bucket: Dict[int, Payload] = {}
     while chain is not None:
         payload, chain = chain
@@ -472,49 +474,49 @@ def _fragment_at(chain: _Chain, offset: int) -> Optional[Payload]:
     return None
 
 
+def _own(state: Iterable[_Open]) -> Dict[Tuple[int, int], _Open]:
+    """A writable copy of a shared state (a plan's ``open``), by key."""
+    return {entry[0]: entry for entry in state}
+
+
 #: state serials of the shared receive chain; 0 names "nothing open"
 _serials = itertools.count(1)
-#: a memo no payload ever holds: a completion recorded with it is redone
-#: by every receiver, as the reference path redoes a join it cannot share
+#: a memo no payload holds: every follower redoes that completion's join
 _NO_MEMO = object()
 #: ``DataPacket._plan`` of a packet one receiver has reached
 _REACHED = object()
 
 
-class _ReceivePlan:
-    """What one packet does to a receiver whose open objects are those of
-    chain state ``prev`` — the per-payload loop, run once for all of them.
+def _receive(
+    packet: DataPacket, entries: Dict[tuple, _Open], skip: Optional[set]
+) -> Tuple[List[MediaUnit], tuple, int]:
+    """The per-payload loop: what ``packet`` does to a receiver whose
+    objects in flight are ``entries``, updated in place (O(1) per in-order
+    payload, a walk of its object's chain for a repeated offset).
 
-    ``done``: per unit the packet completes, ``(head, memo, chain)``. The
-    unit is ``memo[1]`` while ``head._shared is memo`` (the reassembly memo
-    it came from still holds); otherwise it is re-taken the reference way
-    from ``chain`` (None for an unfragmented object), so a receiver sees
-    exactly the units the reference path would hand it.
-
-    ``open``: the objects still in flight after the packet, as
-    ``(key, chain, have, top)`` — fragment chain, byte count, highest
-    offset. Chains are shared with the plans before this one, so no plan
-    copies a bucket. ``serial`` names that state (0 when nothing is open):
-    a receiver's place on the chain is a number, not a reference, so a
-    run's plans die with the run even while a receiver holds its last one.
+    Returns ``(units, done, suppressed)``: the units the packet completes;
+    per unit the recipe ``(head, memo, chain)`` a :class:`_ReceivePlan`
+    hands its followers; and how many payloads ``skip`` — the keys of
+    completed objects in a ``suppress_completed`` replay — dropped.
     """
-
-    __slots__ = ("prev", "serial", "done", "open", "__weakref__")
-
-    def __init__(self, packet: DataPacket, prev: int, state: tuple) -> None:
-        entries = {entry[0]: entry for entry in state}
-        done = []
-        for payload in packet.payloads:
-            key = (payload.stream_number, payload.object_number)
-            entry = entries.pop(key, None)
-            if entry is None:
-                if payload.is_complete_object:
-                    _whole_unit(payload)
-                    done.append((payload, payload._shared, None))
-                    continue
-                chain, have, top = None, 0, -1
-            else:
-                key, chain, have, top = entry
+    units: List[MediaUnit] = []
+    done = []
+    suppressed = 0
+    for payload in packet.payloads:
+        key = (payload.stream_number, payload.object_number)
+        if skip is not None and key in skip:
+            suppressed += 1
+            continue
+        entry = entries.pop(key, None)
+        if entry is None and payload.is_complete_object:
+            # the common case — an unfragmented object in one payload:
+            # no chain, no re-sum, no join
+            unit = _whole_unit(payload)
+            head, memo, chain = payload, payload._shared, None
+        else:
+            _, chain, have, top = entry or (key, None, 0, -1)
+            # running byte count per object instead of re-summing its
+            # fragments on every one (quadratic on large objects)
             have += len(payload.data)
             # offsets only grow along an in-order run: a repeat needs a scan
             if payload.offset > top:
@@ -533,11 +535,38 @@ class _ReceivePlan:
             memo = head._shared if head is not None else None
             if memo is None or memo[1] is not unit:
                 head, memo = payload, _NO_MEMO  # a private join
-            done.append((head, memo, chain))
-        self.prev = prev
-        self.serial = next(_serials) if entries else 0
-        self.done = tuple(done)
+        units.append(unit)
+        done.append((head, memo, chain))
+        if skip is not None:
+            skip.add(key)
+    return units, tuple(done), suppressed
+
+
+class _ReceivePlan:
+    """What one packet does to every receiver whose objects in flight are
+    those of state ``prev``: :func:`_receive`, run once for all of them.
+
+    ``done``: per unit the packet completes, ``(head, memo, chain)``. The
+    unit is ``memo[1]`` while ``head._shared is memo`` (the reassembly memo
+    it came from still holds); otherwise it is re-taken through
+    :func:`_reassemble` from ``chain`` (None for an unfragmented object),
+    so a follower sees exactly the units the loop would hand it.
+
+    ``open``: the objects still in flight after the packet, a tuple of
+    :data:`_Open` entries shared with the plans before this one wherever an
+    object did not move. ``serial`` names that state (0 when nothing is
+    open): a receiver's place on the chain is a number, not a reference,
+    so a run's plans die with the run.
+    """
+
+    __slots__ = ("prev", "serial", "done", "open", "__weakref__")
+
+    def __init__(self, packet: DataPacket, prev: int, state: tuple) -> None:
+        entries = _own(state)
+        _, self.done, _ = _receive(packet, entries, None)
         self.open = tuple(entries.values())
+        self.prev = prev
+        self.serial = next(_serials) if self.open else 0
 
 
 def _retake(head: Payload, chain: _Chain) -> MediaUnit:
@@ -556,83 +585,39 @@ class Depacketizer:
     (:mod:`repro.streaming.recovery`) hangs off.
 
     Depacketize once per packet run: receivers of the same in-process
-    packets share the work a packet causes. A receiver *on the shared
-    chain* keeps its open objects in the :class:`_ReceivePlan` it followed
-    last; reaching a packet whose plan continues from that state it takes
-    the plan's units in O(units), with no per-payload work. A packet's
-    first arrival only marks it; the next receiver to reach it in sequence
-    builds its plan. Any other arrival — the first, a loss, a reorder, a
-    replay over stale open objects, suppression of completed objects —
-    takes the receiver off the chain: its open objects become buckets
-    again and it runs the per-payload loop, the one reference path, until
-    it holds no open object.
+    packets share the work a packet causes. :func:`_receive` is the one
+    per-payload loop. A packet's first arrival runs it and marks the
+    packet; the next arrival in sequence from a shared state (nothing
+    open, or the state a plan left) stores its result as the packet's
+    :class:`_ReceivePlan`, which every receiver in that state follows in
+    O(units). Any other arrival — a loss, a reorder, a replay over open
+    objects, suppression of completed objects, a deep-copied or unpickled
+    twin — runs the loop on the receiver's own copy of its state, updated
+    in place until no object is open.
     """
 
     def __init__(
         self, *, on_gap: Optional[Callable[[List[int]], None]] = None
     ) -> None:
-        self._fragments: Dict[Tuple[int, int], Dict[int, Payload]] = {}
-        #: running reassembled byte count per in-flight object
-        self._have: Dict[Tuple[int, int], int] = {}
         self.completed: List[MediaUnit] = []
-        self._seen_objects: Dict[int, set] = {}
-        self._completed_objects: Dict[int, set] = {}
         self._seen_sequences: set = set()
         self._max_sequence: Optional[int] = None
-        self._suppress_completed = False
         self.suppressed_duplicates = 0
         self.on_gap = on_gap
-        #: the plan followed last (None: off the chain, or at its start);
-        #: while on the chain the open objects live in the plan and the
-        #: object sets miss the units of ``completed[_synced:]``
-        self._last_plan: Optional[_ReceivePlan] = None
-        self._synced = 0
+        #: objects in flight: the ``open`` of the plan that left them, named
+        #: by ``_serial`` (0 when nothing is open); or, while ``_serial`` is
+        #: None, a dict this receiver owns (:func:`_own`)
+        self._open = ()
+        self._serial: Optional[int] = 0
+        #: keys of completed objects, during a ``suppress_completed`` replay
+        self._skip: Optional[set] = None
 
     def __getstate__(self) -> dict:
-        # pickle and deepcopy never carry a plan: a copy is written out as
-        # the reference path keeps it, open objects as buckets
+        # a copy owns copies of its fragments; a serial names nothing there
         state = dict(self.__dict__)
-        plan = self._last_plan
-        if plan is None:
-            return state
-        fragments, have = dict(self._fragments), dict(self._have)
-        for key, chain, total, _ in plan.open:
-            fragments[key] = _bucket(chain)
-            have[key] = total
-        seen, done = self._object_sets()
-        state.update(
-            _fragments=fragments, _have=have, _seen_objects=seen,
-            _completed_objects=done, _last_plan=None,
-            _synced=len(self.completed),
-        )
+        if self._serial:
+            state["_open"], state["_serial"] = _own(self._open), None
         return state
-
-    def _leave_chain(self) -> None:
-        if self._last_plan is not None:
-            self.__dict__.update(self.__getstate__())
-
-    def _object_sets(self) -> Tuple[Dict[int, set], Dict[int, set]]:
-        """``(seen, completed)`` object numbers per stream. On the chain
-        they are derived, never kept: completed units, plus open objects
-        for seen."""
-        plan = self._last_plan
-        if plan is None:
-            return self._seen_objects, self._completed_objects
-        seen = {s: set(numbers) for s, numbers in self._seen_objects.items()}
-        done = {
-            s: set(numbers) for s, numbers in self._completed_objects.items()
-        }
-        pending = self.completed[self._synced:]
-        for stream in {unit.stream_number for unit in pending}:
-            numbers = {
-                unit.object_number
-                for unit in pending if unit.stream_number == stream
-            }
-            seen.setdefault(stream, set()).update(numbers)
-            done.setdefault(stream, set()).update(numbers)
-        for (stream, number), _, _, _ in plan.open:
-            seen.setdefault(stream, set()).add(number)
-        return seen, done
 
     def expect_replay(self, *, suppress_completed: bool = False) -> None:
         """The source will intentionally re-send earlier packets (a seek):
@@ -643,13 +628,16 @@ class Depacketizer:
         where the replay overlaps content the client has already rendered
         and must not surface twice.
         """
-        plan = self._last_plan
-        if plan is not None and (plan.open or suppress_completed):
+        if self._serial:
             # stale open objects would seed plans no other receiver shares
-            self._leave_chain()
+            self._open, self._serial = _own(self._open), None
         self._seen_sequences.clear()
         self._max_sequence = None
-        self._suppress_completed = suppress_completed
+        self._skip = (
+            {(unit.stream_number, unit.object_number) for unit in self.completed}
+            if suppress_completed
+            else None
+        )
 
     def push_packet(self, packet: DataPacket) -> List[MediaUnit]:
         """Feed one packet; returns units completed by it (in order).
@@ -677,74 +665,36 @@ class Depacketizer:
                 if missing:
                     self.on_gap(missing)
             self._max_sequence = sequence
-        last = self._last_plan
+        serial = self._serial
         plan = packet._plan
         if plan is None:
             # the first arrival only marks the packet: a plan pays off for
             # a packet a second receiver reaches, and a run one receiver
-            # plays costs what the per-payload loop costs
+            # plays costs what the loop costs
             packet._plan = _REACHED
-        elif last is not None or not (
-            self._fragments or self._suppress_completed
-        ):
-            at = last.serial if last is not None else 0
+        elif serial is not None and self._skip is None:
             if plan is _REACHED and (
                 highest is None or sequence == highest + 1
             ):
                 # only an unbroken run of arrivals builds: a receiver past
                 # a loss or a reorder would build a plan nobody follows
-                plan = packet._plan = _ReceivePlan(
-                    packet, at, last.open if last is not None else ()
-                )
-            if plan is not _REACHED and plan.prev == at:
-                if last is None:
-                    self._synced = len(self.completed)
-                self._last_plan = plan
+                plan = packet._plan = _ReceivePlan(packet, serial, self._open)
+            if plan is not _REACHED and plan.prev == serial:
+                self._open, self._serial = plan.open, plan.serial
                 finished = [
                     memo[1] if head._shared is memo else _retake(head, chain)
                     for head, memo, chain in plan.done
                 ]
                 self.completed.extend(finished)
                 return finished
-        if last is not None:
-            self._leave_chain()
-        finished: List[MediaUnit] = []
-        fragments = self._fragments
-        stream = seen = done = None
-        for payload in packet.payloads:
-            if payload.stream_number != stream:
-                stream = payload.stream_number
-                seen = self._seen_objects.setdefault(stream, set())
-                done = self._completed_objects.setdefault(stream, set())
-            key = (stream, payload.object_number)
-            if self._suppress_completed and payload.object_number in done:
-                self.suppressed_duplicates += 1
-                continue
-            seen.add(payload.object_number)
-            if payload.is_complete_object and key not in fragments:
-                # the common case — an unfragmented object in one payload:
-                # no bucket, no re-sum, no join
-                unit = _whole_unit(payload)
-                finished.append(unit)
-                self.completed.append(unit)
-                done.add(payload.object_number)
-                continue
-            bucket = fragments.setdefault(key, {})
-            old = bucket.get(payload.offset)
-            bucket[payload.offset] = payload
-            # running byte count per object instead of re-summing the
-            # whole bucket on every fragment (quadratic on large objects)
-            have = self._have.get(key, 0) + len(payload.data)
-            if old is not None:
-                have -= len(old.data)
-            self._have[key] = have
-            if have >= payload.object_size:
-                unit = _reassemble(bucket, payload)
-                finished.append(unit)
-                self.completed.append(unit)
-                done.add(payload.object_number)
-                del fragments[key]
-                del self._have[key]
+        entries = self._open
+        if serial is not None:
+            # leaving the chain: the plan's state is copied, not written
+            entries = self._open = _own(entries)
+        finished, _, suppressed = _receive(packet, entries, self._skip)
+        self._serial = None if entries else 0
+        self.suppressed_duplicates += suppressed
+        self.completed.extend(finished)
         return finished
 
     def units_for(self, stream_number: int) -> List[MediaUnit]:
@@ -755,17 +705,20 @@ class Depacketizer:
     def loss_report(self) -> LossReport:
         """Lost = seen-or-implied object numbers never completed.
 
-        Object numbers are dense per stream, so gaps below the maximum
-        completed number are losses even if no fragment arrived at all.
+        Object numbers are dense per stream, so gaps below the highest
+        seen number — completed or still open — are losses even if no
+        fragment arrived at all.
         """
+        done: Dict[int, set] = {}
+        for unit in self.completed:
+            done.setdefault(unit.stream_number, set()).add(unit.object_number)
+        highest = {stream: max(numbers) for stream, numbers in done.items()}
+        opened = self._open if self._serial is None else _own(self._open)
+        for stream, number in opened:
+            highest[stream] = max(highest.get(stream, -1), number)
         report = LossReport()
-        seen_objects, completed_objects = self._object_sets()
-        streams = set(seen_objects) | set(completed_objects)
-        for stream in streams:
-            done = completed_objects.get(stream, set())
-            seen = seen_objects.get(stream, set())
-            highest = max(seen | done, default=-1)
-            expected = set(range(highest + 1))
-            report.delivered[stream] = len(done)
-            report.lost[stream] = sorted(expected - done)
+        for stream, top in highest.items():
+            finished = done.get(stream, set())
+            report.delivered[stream] = len(finished)
+            report.lost[stream] = sorted(set(range(top + 1)) - finished)
         return report

@@ -69,7 +69,7 @@ from ..net.transport import DatagramChannel, Message
 from ..web.http import HTTPClient, HTTPError, HTTPRequest, HTTPResponse, VirtualNetwork
 from .backbone import BackboneBudget, BudgetError
 from .recovery import NAK_WIRE_SIZE, NakRequest
-from .server import MediaServer, PublishError
+from .server import MediaServer, PublishError, _thin
 from .session import SessionError, SessionState, StreamSession
 
 
@@ -200,14 +200,7 @@ class PacketRunCache:
         self.counters.inc("insertions")
         self.counters.inc("bytes_inserted", size)
         while self.bytes_cached > self.max_bytes and len(self._entries) > 1:
-            victim, _ = self._entries.popitem(last=False)
-            freed = self._sizes.pop(victim)
-            self._stored_at.pop(victim, None)
-            self.bytes_cached -= freed
-            self.counters.inc("evictions")
-            self.counters.inc("bytes_evicted", freed)
-            if self.on_evict is not None:
-                self.on_evict(victim)
+            self._drop(next(iter(self._entries)), "evictions", "bytes_evicted")
         return True
 
     def remove(self, key: str, *, counter: str = "invalidations") -> bool:
@@ -218,15 +211,19 @@ class PacketRunCache:
         """
         if key not in self._entries:
             return False
+        self._drop(key, counter, "bytes_invalidated")
+        return True
+
+    def _drop(self, key: str, counter: str, bytes_counter: str) -> None:
+        """Take a resident run out, charges and holder registry included."""
         del self._entries[key]
         freed = self._sizes.pop(key)
         self._stored_at.pop(key, None)
         self.bytes_cached -= freed
         self.counters.inc(counter)
-        self.counters.inc("bytes_invalidated", freed)
+        self.counters.inc(bytes_counter, freed)
         if self.on_evict is not None:
             self.on_evict(key)
-        return True
 
     # -- bounded live history -------------------------------------------
 
@@ -1592,7 +1589,7 @@ class EdgeRelay(MediaServer):
         packets: List[DataPacket] = []
         wire_size = 0
         for packet in tail:
-            entry = self._thin_for(session, packet)
+            entry = _thin(packet, session.excluded_streams)
             if entry is not None:
                 packets.append(entry[0])
                 wire_size += entry[1]

@@ -59,6 +59,23 @@ class PublishError(Exception):
 LINK_HEADROOM = 0.9
 
 
+def _thin(
+    packet: DataPacket, excluded: frozenset
+) -> Optional[Tuple[DataPacket, int]]:
+    """``(packet, wire size)`` as a session withholding ``excluded``
+    streams receives it (MBR thinning), or None when the whole packet
+    belongs to withheld renditions."""
+    if not excluded:
+        return packet, packet.packet_size
+    kept = [p for p in packet.payloads if p.stream_number not in excluded]
+    if not kept:
+        return None
+    thin = DataPacket(
+        packet.sequence, packet.send_time_ms, kept, packet.packet_size
+    )
+    return thin, thin.used()  # thinned: padding stripped
+
+
 class _PointSchedule:
     """The shared packet walk of one on-demand publishing point.
 
@@ -104,19 +121,8 @@ class _PointSchedule:
         try:
             return self._thinned[key]
         except KeyError:
-            pass
-        kept = [
-            p for p in packet.payloads if p.stream_number not in excluded
-        ]
-        if not kept:
-            result: Optional[Tuple[DataPacket, int]] = None
-        else:
-            thin = DataPacket(
-                packet.sequence, packet.send_time_ms, kept, packet.packet_size
-            )
-            result = (thin, thin.used())  # thinned: padding stripped
-        self._thinned[key] = result
-        return result
+            result = self._thinned[key] = _thin(packet, excluded)
+            return result
 
     def train(
         self, first: int, end: int, excluded: frozenset
@@ -218,7 +224,8 @@ class MediaServer:
     ``0.0`` (the default) paces packet-by-packet, exactly like a private
     walk. ``shared_pacing=False`` disables the shared-schedule fast path
     entirely and gives every session its own event chain — the seed
-    behaviour, kept as the baseline for the serving-scale benchmark.
+    behaviour, kept as the reference ``tests/test_serving_fast_path.py``
+    checks the fast path's delivered bytes against.
     """
 
     def __init__(
@@ -751,7 +758,7 @@ class MediaServer:
             packet = self._live_packet(point, sequence)
             if packet is None:
                 return None
-            return self._thin_for(session, packet)
+            return _thin(packet, session.excluded_streams)
         sched = self._schedules.get(point.name)
         if sched is None:
             return None
@@ -867,8 +874,8 @@ class MediaServer:
         if self.shared_pacing:
             self._join_group(session)
             return
-        # legacy per-session packet walk (bench baseline): every session
-        # runs its own event chain over the point's packets
+        # legacy per-session packet walk (the fast path's test reference):
+        # every session runs its own event chain over the point's packets
         point = self._point(session.point)
         asf: ASFFile = point.content
         session._pace_origin = self.simulator.now
@@ -1125,26 +1132,8 @@ class MediaServer:
         session.bytes_sent += wire_size
         self.bytes_served += wire_size
 
-    def _thin_for(
-        self, session: StreamSession, packet: DataPacket
-    ) -> Optional[Tuple[DataPacket, int]]:
-        """Per-session view of one packet (MBR thinning), or None when the
-        whole packet belongs to withheld renditions."""
-        if not session.excluded_streams:
-            return packet, packet.packet_size
-        kept = [
-            p for p in packet.payloads
-            if p.stream_number not in session.excluded_streams
-        ]
-        if not kept:
-            return None
-        thin = DataPacket(
-            packet.sequence, packet.send_time_ms, kept, packet.packet_size
-        )
-        return thin, thin.used()  # thinned: padding stripped
-
     def _transmit(self, session: StreamSession, packet: DataPacket) -> None:
-        entry = self._thin_for(session, packet)
+        entry = _thin(packet, session.excluded_streams)
         if entry is None:
             return
         self._send_train(session, [entry[0]], entry[1])

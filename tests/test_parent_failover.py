@@ -349,6 +349,61 @@ class TestFallFlat:
         assert len(origin.sessions) == 0
 
 
+class TestMigrationRefusal:
+    """A live feed whose re-attach is refused is dropped, never leaked:
+    the leaf unpublishes the point (its viewers reconnect through their
+    stall watchdogs) and holds no reservation. Only e0 carries a viewer,
+    so exactly one feed migrates, whichever leaf is promoted."""
+
+    @staticmethod
+    def fail_over(budget, after_crash=None):
+        net, origin, directory, parents, leaves, monitor, capture = \
+            make_tree(budget=budget, live=True)
+        e0 = leaves[0]
+        session = e0.open_session("live", "viewer", lambda p: None)
+        e0.play(session.session_id)
+        net.simulator.run_until(2.0)
+        parents["r0"].crash()
+        if after_crash is not None:
+            after_crash(origin)
+        net.simulator.run_until(2.0 + DETECTION_BOUND + 0.5)
+        (failover,) = monitor.failovers
+        assert failover["feeds_migrated"] == 0
+        assert failover["feeds_dropped"] == 1
+        assert "live" not in e0.points
+        # the old feed's reservation went back at suspicion time
+        budget.assert_no_leaks()
+
+        monitor.stop()
+        capture.finish()
+        net.simulator.run(max_events=5_000_000)
+        for leaf in leaves:
+            leaf.shutdown()
+        net.simulator.run(max_events=1_000_000)
+        budget.assert_no_leaks()
+        assert len(origin.sessions) == 0
+        return get_counters("edge_cache")
+
+    def test_budget_refused_migration_drops_the_feed(self):
+        # e0's links to either new upstream (the origin if e0 is
+        # promoted, else e1) are budgeted below the feed's bitrate
+        budget = BackboneBudget(
+            capacities={("e0", "origin"): 1_000.0, ("e0", "e1"): 1_000.0}
+        )
+        counters = self.fail_over(budget)
+        assert counters["feed_migration_budget_refused"] == 1
+        assert counters["feed_migration_failed"] == 0
+
+    def test_failed_reattach_drops_the_feed(self):
+        # the broadcast ends at the origin while the region is headless:
+        # the new upstream has nothing to attach the feed to
+        counters = self.fail_over(
+            BackboneBudget(), after_crash=lambda origin: origin.unpublish("live")
+        )
+        assert counters["feed_migration_failed"] == 1
+        assert counters["feed_migration_budget_refused"] == 0
+
+
 class TestBudgetForcedRelease:
     def test_force_release_host_settles_only_that_hosts_links(self):
         budget = BackboneBudget()

@@ -250,6 +250,20 @@ def spanning_packet(packets):
     raise AssertionError("run has no object spanning three packets")
 
 
+def record_states(depacketizer):
+    """Log the receiver's state serial after each packet it takes."""
+    states = []
+    push = depacketizer.push_packet
+
+    def logged(packet):
+        units = push(packet)
+        states.append(depacketizer._serial)
+        return units
+
+    depacketizer.push_packet = logged
+    return states
+
+
 # ---------------------------------------------------------------------------
 # receive plans
 # ---------------------------------------------------------------------------
@@ -289,18 +303,24 @@ def test_a_lone_or_off_chain_receiver_builds_no_plan():
         # alone on the run, the leader only marks packets: the per-payload loop
         for packet, seed_packet in zip(run, twin):
             assert leader.push_packet(packet) == seeds[0].push_packet(seed_packet)
-        assert built == [] and leader._last_plan is None
+        assert built == []
+        assert all(packet._plan is packets_module._REACHED for packet in run)
         # the second arrival builds plans up to its loss, then loops
+        states = []
         for index, (packet, seed_packet) in enumerate(zip(run, twin)):
             if index != lost:
                 assert lossy.push_packet(packet) == seeds[1].push_packet(seed_packet)
+                states.append(lossy._open)
         assert built == [packet.sequence for packet in run[:lost]]
-        assert lossy._last_plan is None and lossy._fragments
+        assert lossy._serial is None and lossy._open  # private past the loss
+        # ... where it updates one state of its own in place, never a copy
+        # per packet: a lossy session pays O(payloads), not O(objects open)
+        assert all(state is lossy._open for state in states[lost:])
         for packet, seed_packet in zip(run, twin):
             follower.push_packet(packet)
             seeds[2].push_packet(seed_packet)
     assert built == [packet.sequence for packet in run]
-    assert follower._last_plan is not None
+    assert follower._serial == 0  # on the shared chain, nothing open
     assert_matches_seed(receivers, seeds)
     assert lossy.loss_report().lost != follower.loss_report().lost
 
@@ -368,6 +388,7 @@ def test_a_plan_rechecks_a_memo_repinned_since_it_was_built():
     }
     receivers = [Depacketizer() for _ in schedules]
     seeds = [SeedDepacketizer() for _ in schedules]
+    states = record_states(receivers[3])
     # one after the other, so each completes X before the next
     for steps, receiver, seed in zip(schedules.values(), receivers, seeds):
         for op, index in steps:
@@ -376,8 +397,11 @@ def test_a_plan_rechecks_a_memo_repinned_since_it_was_built():
                 packet = DataPacket.unpack(packet.pack())
                 seed_packet = DataPacket.unpack(seed_packet.pack())
             assert receiver.push_packet(packet) == seed.push_packet(seed_packet)
-    assert receivers[3]._last_plan is not None  # the follower stayed on
-    assert receivers[4]._last_plan is None  # the looping one never did
+    # the follower stayed on the shared chain, and took X's completion
+    # from a plan: mid-X it held the serial of the plan before it
+    assert len(states) == len(run) and None not in states
+    assert states[copied - 1] == run[copied - 1]._plan.serial != 0
+    assert receivers[4]._serial is None  # the looping one never got back
     assert_matches_seed(receivers, seeds)
 
     def unit_x(receiver):
@@ -400,17 +424,20 @@ def test_a_runs_plans_die_with_it_while_a_receiver_holds_its_last():
     receiver = Depacketizer()
     for packet in run[: spanning_packet(run) + 1]:
         receiver.push_packet(packet)
-    last = receiver._last_plan
-    assert last is not None and last.open  # mid-object: the chain holds state
+    last = packet._plan
+    # mid-object: the receiver holds the state its last plan left
+    assert receiver._open and receiver._open is last.open
+    assert receiver._serial == last.serial
     plans = [
         weakref.ref(packet._plan) for packet in run
         if isinstance(packet._plan, packets_module._ReceivePlan)
     ]
     assert len(plans) > 2
-    del run, packet
+    del run, packet, last
     gc.collect()
-    assert [ref() for ref in plans if ref() is not None] == [last]
-    # ... and the receiver still finishes from the state its plan holds
+    # the receiver keeps the state, never a plan: none survives the run
+    assert [ref() for ref in plans if ref() is not None] == []
+    # ... and the receiver still finishes from the state it holds
     assert receiver.loss_report().lost
 
 
@@ -422,21 +449,28 @@ def test_deepcopy_and_pickle_mid_chain_write_out_the_reference_state():
     for packet, seed_packet in zip(run[:half], twin[:half]):
         receiver.push_packet(packet)
         seed.push_packet(seed_packet)
-    plan = receiver._last_plan
-    assert plan is not None and plan.open and not receiver._fragments
+    plan = run[half - 1]._plan
+    assert plan.open and receiver._open is plan.open
+    assert receiver._serial == plan.serial
 
     clone, seed_clone = copy.deepcopy(receiver), copy.deepcopy(seed)
     restored = pickle.loads(pickle.dumps(receiver))
-    assert receiver._last_plan is plan  # copying left the original on the chain
+    # copying left the original on the chain
+    assert receiver._open is plan.open and receiver._serial == plan.serial
     for other in (clone, restored):
-        assert other._last_plan is None
-        assert other._fragments == seed_clone._fragments
-        assert other._have == seed_clone._have
-        assert other._seen_objects == seed_clone._seen_objects
-        assert other._completed_objects == seed_clone._completed_objects
+        assert other._serial is None
+        buckets = {
+            key: packets_module._bucket(chain)
+            for key, chain, _, _ in other._open.values()
+        }
+        assert buckets == seed_clone._fragments
+        assert {
+            key: have for key, _, have, _ in other._open.values()
+        } == seed_clone._have
+        assert other.loss_report() == seed_clone.loss_report()
         # the copy holds copied fragments, as the seed's copy does
         assert not {
-            id(p) for bucket in other._fragments.values() for p in bucket.values()
+            id(p) for bucket in buckets.values() for p in bucket.values()
         } & {id(p) for packet in run for p in packet.payloads}
     for packet, seed_packet in zip(run[half:], twin[half:]):
         for got in (receiver, clone, restored):
@@ -496,22 +530,27 @@ def test_players_of_one_run_follow_its_plans_and_a_split_twin_leaves_them():
     for player in (peer, delegate):
         player.connect(server.url_of("lecture"))
         player.play()
+    # a plan's serial: the delegate follows plans, mid-object
     net.simulator.wait(
-        lambda: delegate._depacketizer._last_plan is not None
-        and delegate._depacketizer._last_plan.open
+        lambda: delegate._depacketizer._serial
         and delegate.state.name == "PLAYING"
     )
     twin = delegate.split_member("twin")
-    assert delegate._depacketizer._last_plan is not None
-    assert twin._depacketizer._last_plan is None
+    assert delegate._depacketizer._serial
+    assert twin._depacketizer._serial is None
+    states = {
+        player: record_states(player._depacketizer)
+        for player in (delegate, peer)
+    }
     reports = [p.run_until_finished() for p in (delegate, peer, twin)]
 
     assert all(
         isinstance(packet._plan, packets_module._ReceivePlan)
         for packet in asf.packets
     )
-    assert delegate._depacketizer._last_plan is not None
-    assert peer._depacketizer._last_plan is None
+    # the delegate stays on the shared chain, the peer never joins it
+    assert None not in states[delegate] and any(states[delegate])
+    assert states[peer] and not any(states[peer])
     units = [[r.unit for r in report.rendered] for report in reports]
     assert units[0] == units[1] == units[2] and units[0]
     assert all(a is b for a, b in zip(units[0], units[1]))

@@ -52,7 +52,7 @@ def make_asf(file_id="lec", duration=DURATION):
 
 
 def make_tree(*, regions=2, per_region=2, asf=None, budget=None,
-              tracer=None, **tree_kwargs):
+              tracer=None, origin_qos=False, **tree_kwargs):
     """Origin + one parent per region + leaves, viewers wired to leaves."""
     reset_counters("edge_cache")
     net = VirtualNetwork()
@@ -61,7 +61,7 @@ def make_tree(*, regions=2, per_region=2, asf=None, budget=None,
         net.simulator.tracer = tracer
     origin = MediaServer(
         net, "origin", port=8080, pacing_quantum=0.5,
-        trace_label="origin", tracer=tracer,
+        trace_label="origin", tracer=tracer, qos_enabled=origin_qos,
     )
     if asf is not None:
         origin.publish("lecture", asf)
@@ -164,6 +164,44 @@ class TestFillCascade:
         assert counters["fill_budget_refused"] >= 1
         assert budget.rejected >= 1
         budget.assert_no_leaks()
+        assert origin.bytes_served == 0
+        teardown_tree(origin, parents, leaves, budget)
+
+    def test_undescribable_source_is_skipped_for_the_next(self):
+        # the parent's link to the origin is budgeted below the content
+        # bitrate: its own fill is refused, so it answers the leaf's
+        # describe with an error and the leaf moves on to the origin
+        budget = BackboneBudget(capacities={("r0-parent", "origin"): 1_000.0})
+        net, origin, directory, parents, leaves = make_tree(
+            regions=1, asf=make_asf(), budget=budget,
+        )
+        leaves[0].prefetch("lecture")
+        counters = get_counters("edge_cache")
+        assert counters["fill_source_unreachable"] == 1
+        assert counters["fill_budget_refused"] == 1  # the parent's own try
+        assert counters["origin_fills"] == 1
+        assert "lecture" in leaves[0].points
+        assert "lecture" not in parents["r0"].points
+        budget.assert_no_leaks()
+        teardown_tree(origin, parents, leaves, budget)
+
+    def test_refused_open_releases_its_reservation(self):
+        # the origin answers the describe, but its QoS admission refuses
+        # a replica session on a link narrower than the content bitrate
+        budget = BackboneBudget()
+        net, origin, directory, parents, leaves = make_tree(
+            regions=1, asf=make_asf(), budget=budget, origin_qos=True,
+        )
+        parent = parents["r0"]
+        net.connect(origin.host, parent.host, bandwidth=100_000, delay=0.005)
+        with pytest.raises(PublishError):
+            parent.prefetch("lecture")
+        assert get_counters("edge_cache")["fill_source_refused"] == 1
+        # charged before the open, given back when it was refused
+        assert budget.counters["reservations"] == 1
+        assert budget.counters["releases"] == 1
+        budget.assert_no_leaks()
+        assert len(origin.sessions) == 0
         assert origin.bytes_served == 0
         teardown_tree(origin, parents, leaves, budget)
 
