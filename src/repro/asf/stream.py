@@ -211,8 +211,9 @@ class ASFLiveStream:
 
     @property
     def packets(self) -> Sequence[DataPacket]:
-        """Read-only view of everything appended so far."""
-        return tuple(self._packets)
+        """Everything appended so far, in order: the stream's own list,
+        not a copy, so indexing a long feed costs O(1). Never mutate it."""
+        return self._packets
 
     def close(self) -> None:
         self.closed = True

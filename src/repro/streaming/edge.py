@@ -14,8 +14,9 @@ viewers, the way Cycon et al.'s distributed e-learning system scales:
   runs, keyed by :meth:`~repro.asf.stream.ASFFile.fingerprint`, so
   repeat viewers, seek/replay, and a restarted edge never touch the
   origin's data path again (hit/miss counters in the process-global
-  ``edge_cache`` bag). It also keeps a bounded per-point *live history*
-  so late joiners of a broadcast get recent packets instead of nothing.
+  ``edge_cache`` bag). It caches runs only: a broadcast's packets live
+  in the relay's local live stream, whose last ``live_history_seconds``
+  serve late joiners as a catch-up train.
 * :class:`EdgeDirectory` — consistent-hash ring (virtual nodes, seeded
   sha1 so placement is deterministic and independent of
   ``PYTHONHASHSEED``) placing clients on edges, with admission control
@@ -56,9 +57,9 @@ import hashlib
 import itertools
 import math
 from bisect import bisect_left
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from typing import (
-    Any, Callable, Deque, Dict, Iterator, List, Optional, Sequence, Set, Tuple,
+    Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple,
 )
 from urllib.parse import urlparse
 
@@ -92,11 +93,9 @@ class PacketRunCache:
     but never evicts the entry just inserted — a run larger than the
     whole budget still serves its current viewers, it just won't keep
     neighbours around. ``on_evict`` (if set) observes every eviction so
-    a directory's holder registry can stop advertising the run.
-
-    Beside the run cache sits the **live history**: a bounded deque of
-    recently broadcast packets per live point, evicted by send-time
-    horizon rather than LRU, serving late joiners a catch-up burst.
+    a directory's holder registry can stop advertising the run. Live
+    broadcasts are not cached here: their history is the relay's local
+    live stream.
 
     Two optional content-aware layers (see :mod:`repro.catalog`):
 
@@ -137,7 +136,6 @@ class PacketRunCache:
         #: observer of evictions (cache key) — set by EdgeRelay when a
         #: directory with a holder registry is attached
         self.on_evict: Optional[Callable[[str], None]] = None
-        self._live: Dict[str, Deque[DataPacket]] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -224,39 +222,6 @@ class PacketRunCache:
         self.counters.inc(bytes_counter, freed)
         if self.on_evict is not None:
             self.on_evict(key)
-
-    # -- bounded live history -------------------------------------------
-
-    def append_live(
-        self,
-        point: str,
-        packets: Sequence[DataPacket],
-        *,
-        horizon_ms: float,
-        now_ms: float,
-    ) -> None:
-        """Record broadcast packets, dropping everything older than
-        ``horizon_ms`` behind ``now_ms`` — the history is bounded by
-        time, so a day-long lecture holds minutes, not gigabytes."""
-        buf = self._live.get(point)
-        if buf is None:
-            buf = self._live[point] = deque()
-        buf.extend(packets)
-        self.counters.inc("live_history_packets", len(packets))
-        floor = now_ms - horizon_ms
-        while buf and buf[0].send_time_ms < floor:
-            buf.popleft()
-            self.counters.inc("live_history_evicted")
-
-    def live_tail(self, point: str, *, since_ms: float) -> List[DataPacket]:
-        """Recorded broadcast packets at/after ``since_ms``, in order."""
-        buf = self._live.get(point)
-        if not buf:
-            return []
-        return [p for p in buf if p.send_time_ms >= since_ms]
-
-    def drop_live(self, point: str) -> None:
-        self._live.pop(point, None)
 
 
 # ----------------------------------------------------------------------
@@ -670,7 +635,7 @@ class _UpstreamRef:
 
     __slots__ = (
         "url", "host", "session_id", "sink", "channel", "budget_rid",
-        "abandoned",
+        "abandoned", "feed",
     )
 
     def __init__(
@@ -690,6 +655,8 @@ class _UpstreamRef:
         #: the upstream is known dead/unreachable (monitor-settled):
         #: skip the remote close instead of stalling on a silent host
         self.abandoned = False
+        #: live feed id (live.feed/live.feed_end) once a live leg plays
+        self.feed: Optional[str] = None
 
 
 class _FillState:
@@ -751,8 +718,8 @@ class EdgeRelay(MediaServer):
     Broadcast points pass through: the upstream feed — pulled from the
     regional parent when one is configured, so it enters each region
     exactly once — is republished as a local live stream, late joiners
-    get bounded history from the cache, and NAKs for packets the relay
-    itself never received are forwarded upstream.
+    get its last ``live_history_seconds`` as catch-up, and NAKs for
+    packets the relay itself never received are forwarded upstream.
     """
 
     #: edges publish/retire local copies constantly — only the origin's
@@ -833,15 +800,10 @@ class EdgeRelay(MediaServer):
         #: across edge faults
         self._orphan_upstream: List[Tuple[str, int]] = []
         self._releasing: Set[str] = set()
-        #: point -> active live feed id (for live.feed/live.feed_end)
-        self._live_feeds: Dict[str, str] = {}
-        #: point -> sequences already appended to the local live stream.
-        #: The upstream deliver path is not duplicate-free: a feed
-        #: migrated after parent failover receives overlapping catch-up
-        #: history, and the same repair can be forwarded twice — the
-        #: local stream fans out to every viewer, so it must append each
-        #: sequence exactly once
-        self._live_seen: Dict[str, Set[int]] = {}
+        #: live point -> [highest sequence in its local stream (-1 while
+        #: empty), index of the stream's first packet inside
+        #: ``live_history_seconds``] — the stream itself is the record
+        self._live_marks: Dict[str, List[int]] = {}
         self._feed_ids = itertools.count(1)
         #: sequences super()._repair_entry could not serve locally during
         #: the current _handle_nak call — forwarded upstream afterwards
@@ -893,7 +855,13 @@ class EdgeRelay(MediaServer):
         }
         if token is not None:
             fields.update(token.wire())
-        body = self._control_at(url, "open", **fields)
+        try:
+            body = self._control_at(url, "open", **fields)
+        except (HTTPError, PublishError):
+            # a refused open returns the link charge it was made under
+            if budget_rid is not None and self.backbone is not None:
+                self.backbone.release(budget_rid)
+            raise
         return _UpstreamRef(
             url, urlparse(url).hostname, body["session_id"],
             body.get("recovery_sink"), budget_rid,
@@ -921,15 +889,29 @@ class EdgeRelay(MediaServer):
             # frame on a host that cannot answer
             self.cache.counters.inc("dead_upstream_closes_skipped")
             return
+        self._post_close(ref.url, ref.session_id)
+
+    def _post_close(self, url: str, session_id: int) -> None:
+        """Close one upstream replica session. An unreachable upstream
+        keeps the pair on the orphan list for the next retry."""
         try:
             # a non-OK answer means the upstream already dropped the
             # session (crash wiped it) — nothing left to close either way
             self.http_client.post(
-                f"{ref.url}/control/close",
-                body={"session_id": ref.session_id},
+                f"{url}/control/close", body={"session_id": session_id}
             )
         except HTTPError:
-            self._orphan_upstream.append((ref.url, ref.session_id))
+            self._orphan_upstream.append((url, session_id))
+
+    def _reserve(self, url: str, bitrate: float, owner: str) -> Optional[str]:
+        """Charge the tree link to ``url`` for ``bitrate``: the reservation
+        id, ``None`` without a backbone. Raises :class:`BudgetError` when
+        the link cannot take it."""
+        if self.backbone is None:
+            return None
+        return self.backbone.reserve(
+            (self.host, urlparse(url).hostname or url), bitrate, owner=owner
+        )
 
     def _release_budget(self, ref: _UpstreamRef) -> None:
         if ref.budget_rid is not None and self.backbone is not None:
@@ -1279,22 +1261,17 @@ class EdgeRelay(MediaServer):
                 return False
             if fill.done or name in self.points:
                 return name in self.points  # landed during the describe
-        rid: Optional[str] = None
-        if self.backbone is not None:
-            try:
-                rid = self.backbone.reserve(
-                    (self.host, upstream_host or url), bitrate,
-                    owner=f"{self.name}:{name}",
+        try:
+            rid = self._reserve(url, bitrate, f"{self.name}:{name}")
+        except BudgetError:
+            self.cache.counters.inc("fill_budget_refused")
+            if self.tracer is not None:
+                self.tracer.event(
+                    "edge.fill_refused",
+                    edge=self.name, point=name, source=kind,
+                    upstream=upstream_host, reason="budget",
                 )
-            except BudgetError:
-                self.cache.counters.inc("fill_budget_refused")
-                if self.tracer is not None:
-                    self.tracer.event(
-                        "edge.fill_refused",
-                        edge=self.name, point=name, source=kind,
-                        upstream=upstream_host, reason="budget",
-                    )
-                return False
+            return False
         if self.tracer is not None:
             self.tracer.event(
                 "edge.fill_request",
@@ -1309,8 +1286,6 @@ class EdgeRelay(MediaServer):
                 token=token, budget_rid=rid,
             )
         except (HTTPError, PublishError):
-            if rid is not None and self.backbone is not None:
-                self.backbone.release(rid)
             self.cache.counters.inc("fill_source_refused")
             return False
         fill.session_id = ref.session_id
@@ -1476,119 +1451,140 @@ class EdgeRelay(MediaServer):
                 f"relay {self.name}: broadcast attach of {name!r} on "
                 f"behalf of {token.path[0]!r} refused (not a regional parent)"
             )
-        upstream_url = self._current_parent_url() or self.origin_url
         out_token = (
             token.descend(self.name) if token is not None
             else FillToken((self.name,), self.FILL_HOP_LIMIT)
         )
-        upstream_host = urlparse(upstream_url).hostname
-        rid: Optional[str] = None
-        if self.backbone is not None:
-            # a live feed occupies its tree link for as long as it runs;
-            # if the backbone refuses, the attach is refused — honest
-            # admission beats oversubscribed multicast. BudgetError
-            # propagates to the caller (the viewer or child is refused).
-            rid = self.backbone.reserve(
-                (self.host, upstream_host or upstream_url),
-                max(float(header.total_bitrate), 1.0),
-                owner=f"{self.name}:{name}:live",
-            )
-        stream = ASFLiveStream(header)
         try:
-            ref = self._open_upstream(
-                upstream_url, name,
-                functools.partial(self._on_broadcast_packet, name, stream),
-                token=out_token, budget_rid=rid,
+            self._open_live_leg(
+                name, self._current_parent_url() or self.origin_url,
+                ASFLiveStream(header), out_token,
             )
         except (HTTPError, PublishError):
-            if rid is not None and self.backbone is not None:
-                self.backbone.release(rid)
+            if name in self.points:
+                # the play was refused after the point went up: a point
+                # with no feed would hand every later viewer a silent
+                # session, so retire it (which settles the leg) instead
+                self.unpublish(name)
             raise
+
+    def _open_live_leg(
+        self, name: str, url: str, stream: ASFLiveStream, token: FillToken
+    ) -> _UpstreamRef:
+        """Open one live point's upstream leg: the one body behind a
+        first attach and a failover re-attach.
+
+        Charges the tree link, opens and registers the replica session,
+        publishes ``stream`` unless the point already is (a re-attach
+        keeps every viewer's stream), plays, and traces the new feed.
+        :class:`BudgetError` propagates (honest admission beats
+        oversubscribed multicast); a refused open returns the link
+        charge, and a refused play leaves the leg registered for the
+        point's unpublish to settle.
+        """
+        migrated = name in self.points
+        rid = self._reserve(
+            url, max(float(stream.header.total_bitrate), 1.0),
+            f"{self.name}:{name}:live",
+        )
+        ref = self._open_upstream(
+            url, name, functools.partial(self._on_broadcast_packet, name, stream),
+            token=token, budget_rid=rid,
+        )
         self._upstream[name] = ref
-        self.publish(name, stream)
-        self._control_at(upstream_url, "play", session_id=ref.session_id)
-        feed_id = f"{self.name}:{name}#{next(self._feed_ids)}"
-        self._live_feeds[name] = feed_id
+        if not migrated:
+            self.publish(name, stream)
+            self._live_marks[name] = [-1, 0]
+        self._control_at(url, "play", session_id=ref.session_id)
+        ref.feed = f"{self.name}:{name}#{next(self._feed_ids)}"
         if self.tracer is not None:
             self.tracer.event(
                 "live.feed",
-                feed=feed_id,
+                feed=ref.feed,
                 edge=self.name,
                 region=self.region,
                 point=name,
-                upstream=upstream_host,
+                upstream=ref.host,
                 # the one-feed-per-region invariant audits exactly the
                 # feeds that cross the region boundary (origin-fed)
-                enters_region=upstream_url == self.origin_url,
+                enters_region=url == self.origin_url,
+                **({"migrated": True} if migrated else {}),
             )
+        return ref
 
     def _on_broadcast_packet(
         self, name: str, stream: ASFLiveStream, packet: DataPacket
     ) -> None:
-        if stream.closed:
-            return
-        seen = self._live_seen.setdefault(name, set())
-        if packet.sequence in seen:
+        point = self.points.get(name)
+        if point is None or point.content is not stream:
+            return  # a late packet of a torn-down leg
+        # the upstream deliver path is not duplicate-free: a feed
+        # migrated after parent failover receives overlapping catch-up
+        # history, and the same repair can be forwarded twice — the
+        # local stream fans out to every viewer, so it must append each
+        # sequence exactly once
+        index = self._live_index_for(point)
+        if packet.sequence in index:
             self.cache.counters.inc("live_duplicates_dropped")
             return
-        # a sequence jump past everything seen so far marks packets the
+        marks = self._live_marks[name]
+        # a sequence jump past everything in the stream marks packets the
         # upstream never sent us — after a feed migration the successor
         # resumes at its own head, so the crash-to-detection gap shows
         # up here as the first post-attach packet overshooting the
         # contiguous tail.  NAK the hole; repairs cascade up the tree.
-        if seen:
-            tail = max(seen)
-            if packet.sequence > tail + 1:
-                gap = [
-                    s for s in range(tail + 1, packet.sequence)
-                    if s not in seen
-                ]
-                ref = self._upstream.get(name)
-                if gap and ref is not None:
-                    self._nak_upstream(ref, gap)
-                    self.cache.counters.inc("live_gap_naks", len(gap))
-        seen.add(packet.sequence)
+        ref = self._upstream.get(name)
+        if index and packet.sequence > marks[0] + 1 and ref is not None:
+            gap = list(range(marks[0] + 1, packet.sequence))
+            self._nak_upstream(ref, gap)
+            self.cache.counters.inc("live_gap_naks", len(gap))
+        marks[0] = max(marks[0], packet.sequence)
         stream.append([packet])
-        if self.live_history_seconds > 0.0:
-            self.cache.append_live(
-                name, (packet,),
-                horizon_ms=self.live_history_seconds * 1000.0,
-                now_ms=self.simulator.now * 1000.0,
-            )
+        # move the history start past packets sent before the horizon —
+        # a send-time-bounded deque's eviction, so it only moves forward
+        floor = (
+            self.simulator.now * 1000.0 - self.live_history_seconds * 1000.0
+        )
+        packets = stream.packets
+        while marks[1] < len(packets) and packets[marks[1]].send_time_ms < floor:
+            marks[1] += 1
 
-    def _end_live_feed(self, point: str) -> None:
-        feed_id = self._live_feeds.pop(point, None)
-        if feed_id is not None and self.tracer is not None:
+    def _drop_leg(self, point: str) -> Optional[_UpstreamRef]:
+        """Forget ``point``'s upstream leg: its link charge goes back and
+        its live feed, if any, ends. The caller settles the session."""
+        ref = self._upstream.pop(point, None)
+        if ref is None:
+            return None
+        self._release_budget(ref)
+        if ref.feed is not None and self.tracer is not None:
             self.tracer.event(
                 "live.feed_end",
-                feed=feed_id,
+                feed=ref.feed,
                 edge=self.name,
                 region=self.region,
                 point=point,
             )
+        return ref
 
     def _serve_live_history(self, session: StreamSession) -> None:
         """Bounded catch-up for a late joiner on a live point: one train
         of the last ``live_history_seconds`` of already-fanned-out
         packets. Future-scheduled packets are excluded — the ordinary
         fan-out will deliver them exactly once."""
-        if self.live_history_seconds <= 0.0 or self.crashed:
+        marks = self._live_marks.get(session.point)
+        if self.live_history_seconds <= 0.0 or self.crashed or marks is None:
             return
         now_ms = self.simulator.now * 1000.0
         since = now_ms - self.live_history_seconds * 1000.0
-        # strictly-past packets only: a packet whose fan-out lands at
-        # exactly *now* may still be scheduled for this session, and a
-        # missed boundary packet is NAK-recoverable while a duplicate
-        # is not filterable downstream
-        tail = [
-            p for p in self.cache.live_tail(session.point, since_ms=since)
-            if p.send_time_ms < now_ms
-        ]
-        if not tail:
-            return
         packets: List[DataPacket] = []
         wire_size = 0
-        for packet in tail:
+        for packet in self.points[session.point].content.packets[marks[1]:]:
+            # strictly-past packets only: a packet whose fan-out lands at
+            # exactly *now* may still be scheduled for this session, and
+            # a missed boundary packet is NAK-recoverable while a
+            # duplicate is not filterable downstream
+            if not since <= packet.send_time_ms < now_ms:
+                continue
             entry = _thin(packet, session.excluded_streams)
             if entry is not None:
                 packets.append(entry[0])
@@ -1651,30 +1647,17 @@ class EdgeRelay(MediaServer):
             if not nested:
                 self._releasing.discard(name)
         if not nested:
-            self._close_upstream(name)
-            self.cache.drop_live(name)
-            self._live_seen.pop(name, None)
-
-    def _close_upstream(self, point: str) -> None:
-        ref = self._upstream.pop(point, None)
-        if ref is None:
-            return
-        self._release_budget(ref)
-        self._end_live_feed(point)
-        self._close_ref(ref)
+            self._live_marks.pop(name, None)
+            ref = self._drop_leg(name)
+            if ref is not None:
+                self._close_ref(ref)
 
     def _retry_orphans(self) -> None:
         if not self._orphan_upstream:
             return
         pending, self._orphan_upstream = self._orphan_upstream, []
         for url, sid in pending:
-            try:
-                self.http_client.post(
-                    f"{url}/control/close", body={"session_id": sid}
-                )
-            except HTTPError:
-                # that upstream is still unreachable; keep for next try
-                self._orphan_upstream.append((url, sid))
+            self._post_close(url, sid)
 
     def shutdown(self) -> None:
         """Clean teardown for tests: drain clients, retire points, settle
@@ -1871,12 +1854,10 @@ class EdgeRelay(MediaServer):
         for point, ref in list(self._upstream.items()):
             if ref.url != dead_url or point in driving:
                 continue
-            del self._upstream[point]
-            self._release_budget(ref)
+            self._drop_leg(point)
             out["refs_settled"] += 1
-            if point not in self._live_feeds:
+            if ref.feed is None:
                 continue  # register-only replica: the cached copy serves on
-            self._end_live_feed(point)
             migrated = (
                 migrate_to is not None
                 and point in self.points
@@ -1899,61 +1880,31 @@ class EdgeRelay(MediaServer):
         live history covers the detection gap as a catch-up train and
         NAK forwarding repairs the rest.
         """
-        new_url = new_url.rstrip("/")
-        point_obj = self.points.get(point)
-        if point_obj is None or not point_obj.broadcast:
-            return False
-        stream = point_obj.content
-        upstream_host = urlparse(new_url).hostname
-        rid: Optional[str] = None
-        if self.backbone is not None:
-            try:
-                rid = self.backbone.reserve(
-                    (self.host, upstream_host or new_url),
-                    max(float(stream.header.total_bitrate), 1.0),
-                    owner=f"{self.name}:{point}:live",
-                )
-            except BudgetError:
-                self.cache.counters.inc("feed_migration_budget_refused")
-                return False
-        token = FillToken((self.name,), self.FILL_HOP_LIMIT)
         try:
-            ref = self._open_upstream(
-                new_url, point,
-                functools.partial(self._on_broadcast_packet, point, stream),
-                token=token, budget_rid=rid,
+            ref = self._open_live_leg(
+                point, new_url.rstrip("/"), self.points[point].content,
+                FillToken((self.name,), self.FILL_HOP_LIMIT),
             )
-            self._upstream[point] = ref
-            self._control_at(new_url, "play", session_id=ref.session_id)
+        except BudgetError:
+            self.cache.counters.inc("feed_migration_budget_refused")
+            return False
         except (HTTPError, PublishError):
-            if rid is not None and self.backbone is not None:
-                self.backbone.release(rid)
-            self._upstream.pop(point, None)
             self.cache.counters.inc("feed_migration_failed")
             return False
-        feed_id = f"{self.name}:{point}#{next(self._feed_ids)}"
-        self._live_feeds[point] = feed_id
         self.cache.counters.inc("live_feeds_migrated")
-        if self.tracer is not None:
-            self.tracer.event(
-                "live.feed",
-                feed=feed_id,
-                edge=self.name,
-                region=self.region,
-                point=point,
-                upstream=upstream_host,
-                enters_region=new_url == self.origin_url,
-                migrated=True,
-            )
         # gap repair: the catch-up train (served re-entrantly inside the
         # play round-trip above) covers the new upstream's bounded
         # history, but the detection window may be wider — NAK whatever
         # sequence holes remain so the repair cascades up the tree (the
         # new upstream forwards what it lacks itself) and the local
         # stream stays complete for every attached viewer
-        seen = self._live_seen.get(point)
-        if seen:
-            holes = [s for s in range(min(seen), max(seen)) if s not in seen]
+        marks = self._live_marks.get(point)
+        if marks is not None:  # still published after the round trips
+            index = self._live_index_for(self.points[point])
+            holes = [
+                s for s in range(min(index, default=0), marks[0])
+                if s not in index
+            ]
             if holes:
                 self._nak_upstream(ref, holes)
                 self.cache.counters.inc("migration_gap_naks", len(holes))
@@ -1974,11 +1925,9 @@ class EdgeRelay(MediaServer):
         # sessions are now orphans upstream, settled at restart/shutdown
         # (or by the heartbeat monitor); any backbone reservations and
         # live feeds the process held are gone with it
-        for point, ref in list(self._upstream.items()):
-            self._release_budget(ref)
-            self._end_live_feed(point)
+        for point in list(self._upstream):
+            ref = self._drop_leg(point)
             self._orphan_upstream.append((ref.url, ref.session_id))
-        self._upstream.clear()
         # local replicas are process memory; the cache plays the disk, so
         # a restarted edge refills by cache hit instead of origin egress
         for name in list(self.points):
@@ -1987,7 +1936,7 @@ class EdgeRelay(MediaServer):
                 super().unpublish(name)
             finally:
                 self._releasing.discard(name)
-        self._live_seen.clear()
+        self._live_marks.clear()
 
     def restart(self) -> None:
         super().restart()

@@ -755,7 +755,7 @@ class MediaServer:
     ) -> Optional[Tuple[DataPacket, int]]:
         """Cached ``(packet, wire size)`` for one NAKed sequence."""
         if point.broadcast:
-            packet = self._live_packet(point, sequence)
+            packet = self._live_index_for(point).get(sequence)
             if packet is None:
                 return None
             return _thin(packet, session.excluded_streams)
@@ -767,12 +767,10 @@ class MediaServer:
             return None
         return sched.entry(index, session.excluded_streams)
 
-    def _live_packet(
-        self, point: PublishingPoint, sequence: int
-    ) -> Optional[DataPacket]:
-        """Find a broadcast packet by sequence, extending the per-point
-        index over whatever the live stream has accumulated since the
-        last lookup (amortized O(1) per appended packet)."""
+    def _live_index_for(self, point: PublishingPoint) -> Dict[int, DataPacket]:
+        """A broadcast point's sequence -> packet map, first extended over
+        whatever the live stream has accumulated since the last lookup
+        (amortized O(1) per appended packet)."""
         index = self._live_index.setdefault(point.name, {})
         packets = point.content.packets
         scanned = self._live_scanned.get(point.name, 0)
@@ -781,7 +779,7 @@ class MediaServer:
             index[packet.sequence] = packet
             scanned += 1
         self._live_scanned[point.name] = scanned
-        return index.get(sequence)
+        return index
 
     def downshift(self, session_id: int) -> Optional[int]:
         """Shift a session one MBR rendition down (graceful degradation).

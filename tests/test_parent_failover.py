@@ -47,6 +47,7 @@ from repro.streaming import (
     BackboneBudget,
     BudgetError,
     MediaServer,
+    PublishError,
     build_relay_tree,
 )
 from repro.web import VirtualNetwork
@@ -353,7 +354,8 @@ class TestMigrationRefusal:
     """A live feed whose re-attach is refused is dropped, never leaked:
     the leaf unpublishes the point (its viewers reconnect through their
     stall watchdogs) and holds no reservation. Only e0 carries a viewer,
-    so exactly one feed migrates, whichever leaf is promoted."""
+    so exactly one feed migrates, whichever leaf is promoted, and the
+    successor keeps nothing of the refused leg."""
 
     @staticmethod
     def fail_over(budget, after_crash=None):
@@ -365,12 +367,15 @@ class TestMigrationRefusal:
         net.simulator.run_until(2.0)
         parents["r0"].crash()
         if after_crash is not None:
-            after_crash(origin)
+            after_crash(origin, leaves)
         net.simulator.run_until(2.0 + DETECTION_BOUND + 0.5)
         (failover,) = monitor.failovers
         assert failover["feeds_migrated"] == 0
         assert failover["feeds_dropped"] == 1
         assert "live" not in e0.points
+        successor = next(l for l in leaves if l.name == failover["successor"])
+        assert len(successor.sessions) == 0
+        assert "live" not in successor.points
         # the old feed's reservation went back at suspicion time
         budget.assert_no_leaks()
 
@@ -398,7 +403,29 @@ class TestMigrationRefusal:
         # the broadcast ends at the origin while the region is headless:
         # the new upstream has nothing to attach the feed to
         counters = self.fail_over(
-            BackboneBudget(), after_crash=lambda origin: origin.unpublish("live")
+            BackboneBudget(),
+            after_crash=lambda origin, leaves: origin.unpublish("live"),
+        )
+        assert counters["feed_migration_failed"] == 1
+        assert counters["feed_migration_budget_refused"] == 0
+
+    def test_refused_play_settles_the_new_leg(self):
+        # e1, the lighter-loaded leaf, is promoted; it opens e0's replica
+        # session (attaching its own feed at the origin) but refuses the
+        # play, and the settled leg must take all of that down again
+        def refuse_replica_plays(origin, leaves):
+            successor = leaves[1]
+            real_play = successor.play
+
+            def play(session_id, **kwargs):
+                if successor.sessions.get(session_id).replica:
+                    raise PublishError("replica play refused")
+                return real_play(session_id, **kwargs)
+
+            successor.play = play
+
+        counters = self.fail_over(
+            BackboneBudget(), after_crash=refuse_replica_plays
         )
         assert counters["feed_migration_failed"] == 1
         assert counters["feed_migration_budget_refused"] == 0

@@ -306,6 +306,46 @@ class TestLiveMulticast:
         # every relay in the tree ran exactly one feed, all ended
         assert checker.live_feeds_seen == len(leaves) + len(parents)
 
+    def test_refused_first_play_leaves_no_dead_point(self):
+        budget = BackboneBudget()
+        net, origin, directory, parents, leaves = make_tree(
+            regions=1, budget=budget,
+        )
+        capture = LiveCaptureSession(
+            net.simulator, get_profile("isdn-dual"), chunk=0.5
+        )
+        origin.publish("live", capture.stream)
+        leaf, parent = leaves[0], parents["r0"]
+        # the parent refuses the leaf's first replica play, once
+        real_play, refusals = parent.play, []
+
+        def play(session_id, **kwargs):
+            if parent.sessions.get(session_id).replica and not refusals:
+                refusals.append(session_id)
+                raise PublishError("replica play refused")
+            return real_play(session_id, **kwargs)
+
+        parent.play = play
+        with pytest.raises(PublishError):
+            leaf.open_session("live", "viewer", lambda p: None)
+        assert refusals
+        # the half-attached point is gone, and with it the leg: the
+        # parent's replica session is closed and every charge returned
+        assert "live" not in leaf.points
+        assert len(parent.sessions) == 0
+        budget.assert_no_leaks()
+
+        # the next viewer re-attaches instead of joining a silent point
+        sink = []
+        session = leaf.open_session("live", "viewer", sink.append)
+        leaf.play(session.session_id)
+        net.simulator.run_until(net.simulator.now + 3.0)
+        assert sink
+        leaf.close_session(session.session_id)
+        capture.finish()
+        net.simulator.run(max_events=1_000_000)
+        teardown_tree(origin, parents, leaves, budget)
+
     def test_budget_refusal_blocks_live_attach(self):
         budget = BackboneBudget(default_capacity=1_000.0)
         net, origin, directory, parents, leaves = make_tree(budget=budget)
