@@ -18,6 +18,7 @@ profile's bitrate.
 from __future__ import annotations
 
 import itertools
+import struct
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -30,13 +31,20 @@ from .constants import (
     TAG_PACKET,
 )
 from .script_commands import ScriptCommand, pack_command, unpack_command
-from .wire import Reader, pack_u8, pack_u16, pack_u32, pack_u64, write_object
+from .wire import Reader
+
+#: payload header: stream, object number, offset, object size, timestamp,
+#: keyframe flag, data length; the data follows
+_PAYLOAD_HEADER = struct.Struct("<BIIIQBI")
+#: packet header: the object wrapper (tag, length) and the packet fields
+#: (sequence, packet size, send time, payload count, reserved)
+_PACKET_HEADER = struct.Struct("<4sIIIQBH")
 
 #: Fixed per-payload header size on the wire (see Payload.pack).
-PAYLOAD_HEADER_SIZE = 1 + 4 + 4 + 4 + 8 + 1 + 4
+PAYLOAD_HEADER_SIZE = _PAYLOAD_HEADER.size
 #: Fixed per-packet overhead: the 8-byte object wrapper (tag + length)
 #: plus the packet header fields (see DataPacket.pack).
-PACKET_HEADER_SIZE = 8 + 4 + 4 + 8 + 1 + 2
+PACKET_HEADER_SIZE = _PACKET_HEADER.size
 
 
 @dataclass(frozen=True)
@@ -80,27 +88,24 @@ class Payload:
         return self.offset == 0 and len(self.data) == self.object_size
 
     def pack(self) -> bytes:
-        return (
-            pack_u8(self.stream_number)
-            + pack_u32(self.object_number)
-            + pack_u32(self.offset)
-            + pack_u32(self.object_size)
-            + pack_u64(self.timestamp_ms)
-            + pack_u8(1 if self.keyframe else 0)
-            + pack_u32(len(self.data))
-            + self.data
-        )
+        data = self.data
+        return _PAYLOAD_HEADER.pack(
+            self.stream_number,
+            self.object_number,
+            self.offset,
+            self.object_size,
+            self.timestamp_ms,
+            1 if self.keyframe else 0,
+            len(data),
+        ) + data
 
     @classmethod
     def unpack(cls, reader: Reader) -> "Payload":
-        stream = reader.u8()
-        number = reader.u32()
-        offset = reader.u32()
-        size = reader.u32()
-        ts = reader.u64()
-        keyframe = bool(reader.u8())
-        data = reader.blob()
-        return cls(stream, number, offset, size, ts, keyframe, data)
+        stream, number, offset, size, ts, keyframe, length = (
+            _PAYLOAD_HEADER.unpack(reader._take(PAYLOAD_HEADER_SIZE))
+        )
+        data = reader._take(length)
+        return cls(stream, number, offset, size, ts, bool(keyframe), data)
 
     def wire_size(self) -> int:
         return PAYLOAD_HEADER_SIZE + len(self.data)
@@ -145,9 +150,6 @@ class DataPacket:
     def used(self) -> int:
         return PACKET_HEADER_SIZE + sum(p.wire_size() for p in self.payloads)
 
-    def free(self) -> int:
-        return self.packet_size - self.used()
-
     def _state_key(self) -> tuple:
         # payloads are frozen, so their ids pin their contents for as long
         # as the list holds them; header fields are compared by value
@@ -162,35 +164,36 @@ class DataPacket:
         key = self._state_key()
         if self._wire is not None and self._wire_key == key:
             return self._wire
-        body = (
-            pack_u32(self.sequence)
-            + pack_u32(self.packet_size)
-            + pack_u64(self.send_time_ms)
-            + pack_u8(len(self.payloads))
-            + pack_u16(0)  # reserved
+        payloads = self.payloads
+        count = len(payloads)
+        if count > 255:
+            raise ASFError(f"packet overflow: {count} payloads > 255")
+        wires = [payload.pack() for payload in payloads]
+        used = PACKET_HEADER_SIZE + sum(map(len, wires))
+        size = self.packet_size
+        if used > size:
+            raise ASFError(f"packet overflow: {used} > {size}")
+        # the object length counts everything after the 8-byte wrapper
+        head = _PACKET_HEADER.pack(
+            TAG_PACKET, size - 8, self.sequence, size, self.send_time_ms, count, 0
         )
-        # note: the leading TAG+length (8 bytes) is part of PACKET_HEADER_SIZE
-        for payload in self.payloads:
-            body += payload.pack()
-        padding = self.packet_size - (len(body) + 8)
-        if padding < 0:
-            raise ASFError(
-                f"packet overflow: {len(body) + 8} > {self.packet_size}"
-            )
-        wire = write_object(TAG_PACKET, body + b"\x00" * padding)
+        wire = b"".join([head, *wires, bytes(size - used)])
         self._wire = wire
         self._wire_key = key
         return wire
 
     @classmethod
     def unpack_from(cls, reader: Reader) -> "DataPacket":
-        body = reader.expect_object(TAG_PACKET)
-        r = Reader(body)
-        sequence = r.u32()
-        packet_size = r.u32()
-        send_time = r.u64()
-        count = r.u8()
-        r.u16()  # reserved
+        tag, length, sequence, packet_size, send_time, count, _ = (
+            _PACKET_HEADER.unpack(reader._take(PACKET_HEADER_SIZE))
+        )
+        if tag != TAG_PACKET:
+            raise ASFError(f"expected object {TAG_PACKET!r}, found {tag!r}")
+        # the wrapper's length covers the packet fields and the payloads
+        fields_size = PACKET_HEADER_SIZE - 8
+        if length < fields_size:
+            raise ASFError(f"truncated packet: object length {length}")
+        r = Reader(reader._take(length - fields_size))
         payloads = [Payload.unpack(r) for _ in range(count)]
         return cls(sequence, send_time, payloads, packet_size)
 
@@ -324,30 +327,28 @@ class Packetizer:
         for stream_units in streams:
             units.extend(stream_units)
         units.sort(key=lambda u: (u.timestamp_ms, u.stream_number, u.object_number))
+        if not units:
+            return []
 
-        packets: List[DataPacket] = []
-
-        def new_packet() -> DataPacket:
-            seq = len(packets)
-            packet = DataPacket(
-                sequence=seq,
-                send_time_ms=round(seq * self.packet_interval_ms),
-                packet_size=self.packet_size,
-            )
-            packets.append(packet)
-            return packet
-
-        current = new_packet()
+        # one pass: the open packet is its payload list plus the data bytes
+        # its next payload may carry, kept as a running count
+        capacity = self.packet_size - PACKET_HEADER_SIZE - PAYLOAD_HEADER_SIZE
+        payloads: List[Payload] = []
+        contents = [payloads]
+        space = capacity
         for unit in units:
+            data = unit.data
             offset = 0
-            total = len(unit.data)
+            total = len(data)
             while True:
-                space = current.free() - PAYLOAD_HEADER_SIZE
-                if space <= 0:
-                    current = new_packet()
-                    continue
-                fragment = unit.data[offset : offset + space]
-                current.payloads.append(
+                # a packet closes when full, or at 255 payloads: the payload
+                # count is a u8 on the wire
+                if space <= 0 or len(payloads) == 255:
+                    payloads = []
+                    contents.append(payloads)
+                    space = capacity
+                fragment = data[offset : offset + space]
+                payloads.append(
                     Payload(
                         unit.stream_number,
                         unit.object_number,
@@ -359,17 +360,23 @@ class Packetizer:
                     )
                 )
                 offset += len(fragment)
+                space -= len(fragment) + PAYLOAD_HEADER_SIZE
                 if offset >= total:
                     break
-                current = new_packet()
-        filled = [p for p in packets if p.payloads]
-        if self.pacing == "duration" and len(filled) > 1:
-            max_ts = max(
-                payload.timestamp_ms for p in filled for payload in p.payloads
-            )
-            for i, packet in enumerate(filled):
-                packet.send_time_ms = round(i * max_ts / (len(filled) - 1))
-        return filled
+
+        last = len(contents) - 1
+        if self.pacing == "duration" and last:
+            # units are sorted by timestamp: the last one carries the span
+            max_ts = units[-1].timestamp_ms
+            send_times = [round(i * max_ts / last) for i in range(last + 1)]
+        else:
+            interval = self.packet_interval_ms
+            send_times = [round(i * interval) for i in range(last + 1)]
+        size = self.packet_size
+        return [
+            DataPacket(sequence, send_times[sequence], payloads, size)
+            for sequence, payloads in enumerate(contents)
+        ]
 
 
 @dataclass

@@ -99,9 +99,10 @@ class _PointSchedule:
     def index_of_sequence(self, sequence: int) -> Optional[int]:
         """Packet index carrying ``sequence`` (NAK repair lookup).
 
-        Sequences are not dense in stored files (the packetizer drops
-        empty packets), so this keeps a lazily built map rather than
-        assuming ``index == sequence``.
+        The packetizer numbers packets densely, but a packet list that did
+        not come from it (hand-built, or unpacked from a file) may not,
+        so this keeps a lazily built map rather than assuming
+        ``index == sequence``.
         """
         if self._by_sequence is None:
             self._by_sequence = {

@@ -1,0 +1,239 @@
+"""Property: the one-pass packetizer writes what the per-packet one wrote.
+
+The oracle is the write path the one-pass packetizer replaced, copied here
+unchanged: :class:`SeedPacketizer` re-sums the open packet's payloads for
+every fragment, builds each packet with a bitrate send time, rewrites the
+send times in duration pacing and drops empty packets; :func:`seed_pack`
+serializes field by field and concatenates. Both packetizers are fed the
+same generated streams: 1–4 of them on one timeline (equal timestamps
+across streams), zero-length units, units that fill a packet exactly and
+units spanning several packets, at every packet size from the smallest
+the packetizer accepts up to 6 000 bytes, in both pacing modes. Every
+packet must carry the oracle's sequence, send time, size and payloads,
+and pack to the oracle's bytes.
+"""
+
+import random
+from typing import Iterable, List, Sequence
+
+from hypothesis import example, given, settings, strategies as st
+
+from repro.asf.constants import TAG_PACKET
+from repro.asf.packets import (
+    PACKET_HEADER_SIZE,
+    PAYLOAD_HEADER_SIZE,
+    DataPacket,
+    MediaUnit,
+    Packetizer,
+    Payload,
+)
+from repro.asf.wire import pack_u8, pack_u16, pack_u32, pack_u64, write_object
+
+
+# ---------------------------------------------------------------------------
+# the oracle: the write path as it was before the one-pass packetizer
+# ---------------------------------------------------------------------------
+
+
+def _seed_pack_payload(payload: Payload) -> bytes:
+    return (
+        pack_u8(payload.stream_number)
+        + pack_u32(payload.object_number)
+        + pack_u32(payload.offset)
+        + pack_u32(payload.object_size)
+        + pack_u64(payload.timestamp_ms)
+        + pack_u8(1 if payload.keyframe else 0)
+        + pack_u32(len(payload.data))
+        + payload.data
+    )
+
+
+def seed_pack(packet: DataPacket) -> bytes:
+    """``DataPacket.pack`` before one struct per header, without the memo."""
+    body = (
+        pack_u32(packet.sequence)
+        + pack_u32(packet.packet_size)
+        + pack_u64(packet.send_time_ms)
+        + pack_u8(len(packet.payloads))
+        + pack_u16(0)  # reserved
+    )
+    for payload in packet.payloads:
+        body += _seed_pack_payload(payload)
+    padding = packet.packet_size - (len(body) + 8)
+    assert padding >= 0, "the oracle never overflows a packet"
+    return write_object(TAG_PACKET, body + b"\x00" * padding)
+
+
+class SeedPacketizer(Packetizer):
+    """``Packetizer`` before the one-pass loop: same checks and pacing
+    modes, the per-packet ``free()`` walk."""
+
+    def packetize(self, streams: Iterable[Sequence[MediaUnit]]) -> List[DataPacket]:
+        units: List[MediaUnit] = []
+        for stream_units in streams:
+            units.extend(stream_units)
+        units.sort(key=lambda u: (u.timestamp_ms, u.stream_number, u.object_number))
+
+        packets: List[DataPacket] = []
+
+        def new_packet() -> DataPacket:
+            seq = len(packets)
+            packet = DataPacket(
+                sequence=seq,
+                send_time_ms=round(seq * self.packet_interval_ms),
+                packet_size=self.packet_size,
+            )
+            packets.append(packet)
+            return packet
+
+        def free(packet: DataPacket) -> int:
+            return packet.packet_size - packet.used()
+
+        current = new_packet()
+        for unit in units:
+            offset = 0
+            total = len(unit.data)
+            while True:
+                space = free(current) - PAYLOAD_HEADER_SIZE
+                if space <= 0:
+                    current = new_packet()
+                    continue
+                fragment = unit.data[offset : offset + space]
+                current.payloads.append(
+                    Payload(
+                        unit.stream_number,
+                        unit.object_number,
+                        offset,
+                        total,
+                        unit.timestamp_ms,
+                        unit.keyframe,
+                        fragment,
+                    )
+                )
+                offset += len(fragment)
+                if offset >= total:
+                    break
+                current = new_packet()
+        filled = [p for p in packets if p.payloads]
+        if self.pacing == "duration" and len(filled) > 1:
+            max_ts = max(
+                payload.timestamp_ms for p in filled for payload in p.payloads
+            )
+            for i, packet in enumerate(filled):
+                packet.send_time_ms = round(i * max_ts / (len(filled) - 1))
+        return filled
+
+
+# ---------------------------------------------------------------------------
+# generated streams
+# ---------------------------------------------------------------------------
+
+SMALLEST_PACKET = PACKET_HEADER_SIZE + PAYLOAD_HEADER_SIZE + 1
+BITRATES = [8_000, 56_000, 300_000.0, 1_000_000, 3_333.3]
+
+
+def _capacity(packet_size: int) -> int:
+    """Data bytes one payload carries in an otherwise empty packet."""
+    return packet_size - PACKET_HEADER_SIZE - PAYLOAD_HEADER_SIZE
+
+
+@st.composite
+def unit_sizes(draw, packet_size):
+    """Unit sizes in runs that hit the packet geometry: a unit that fills
+    a fresh packet exactly (or k of them), a pair that shares one exactly,
+    zero-length units, small ones and ones spanning several packets."""
+    capacity = _capacity(packet_size)
+    # data bytes two payloads share in an otherwise empty packet
+    shared = max(0, capacity - PAYLOAD_HEADER_SIZE)
+    sizes: List[int] = []
+    for kind in draw(st.lists(
+        st.sampled_from(["zero", "small", "exact", "pair", "large"]),
+        max_size=10,
+    )):
+        if kind == "zero":
+            sizes.append(0)
+        elif kind == "small":
+            sizes.append(draw(st.integers(min_value=1, max_value=max(1, capacity // 3))))
+        elif kind == "exact":
+            sizes.append(capacity * draw(st.integers(min_value=1, max_value=3)))
+        elif kind == "pair":
+            first = draw(st.integers(min_value=0, max_value=shared))
+            sizes += [first, shared - first]
+        else:
+            sizes.append(draw(st.integers(min_value=0, max_value=3 * packet_size)))
+    return sizes
+
+
+@st.composite
+def streams(draw):
+    """``(packet_size, unit lists)``: 1–4 streams on one timeline, object
+    numbers dense per stream, timestamps in 40 ms steps that collide
+    across streams."""
+    packet_size = draw(st.integers(min_value=SMALLEST_PACKET, max_value=6_000))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    unit_lists = []
+    for stream in draw(st.lists(
+        st.integers(min_value=1, max_value=127), min_size=1, max_size=4, unique=True
+    )):
+        units, ts = [], 0
+        for number, size in enumerate(draw(unit_sizes(packet_size))):
+            ts += 40 * draw(st.integers(min_value=0, max_value=2))
+            units.append(
+                MediaUnit(stream, number, ts, rng.random() < 0.3, rng.randbytes(size))
+            )
+        unit_lists.append(units)
+    return packet_size, unit_lists
+
+
+def assert_writes_what_the_seed_writes(packetizer, seed, unit_lists):
+    packets = packetizer.packetize(unit_lists)
+    want = seed.packetize(unit_lists)
+    assert isinstance(packets, list)
+    assert [p.sequence for p in packets] == [p.sequence for p in want]
+    assert [p.send_time_ms for p in packets] == [p.send_time_ms for p in want]
+    for packet, seed_packet in zip(packets, want):
+        assert packet.packet_size == seed_packet.packet_size
+        assert packet.payloads == seed_packet.payloads
+        wire = packet.pack()
+        assert wire == seed_pack(seed_packet)
+        assert DataPacket.unpack(wire) == packet
+    assert len(packets) == len(want)
+    return packets
+
+
+def test_units_that_end_on_a_packet_boundary():
+    # packets filled exactly by one unit (0), a zero-length unit and a unit
+    # (1), the middle fragments of a large unit (2, 3), its tail and a unit
+    # (4), and a pair of units (5); a zero-length unit opens the last one
+    packet_size = 700
+    capacity = _capacity(packet_size)
+    header = PAYLOAD_HEADER_SIZE
+    sizes = [capacity, 0, capacity - header, 2 * capacity + 100,
+             capacity - 100 - header, 300, capacity - 300 - header, 0]
+    units = [MediaUnit(1, i, 40 * i, i == 0, random.Random(i).randbytes(size))
+             for i, size in enumerate(sizes)]
+    for pacing in ("bitrate", "duration"):
+        packets = assert_writes_what_the_seed_writes(
+            Packetizer(packet_size=packet_size, pacing=pacing),
+            SeedPacketizer(packet_size=packet_size, pacing=pacing),
+            [units],
+        )
+        full = [p.sequence for p in packets if p.used() == packet_size]
+        assert full == [0, 1, 2, 3, 4, 5]
+        assert len(packets) == 7
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    drawn=streams(),
+    pacing=st.sampled_from(["bitrate", "duration"]),
+    bitrate=st.sampled_from(BITRATES),
+)
+@example(drawn=(SMALLEST_PACKET, []), pacing="duration", bitrate=300_000.0)
+@example(drawn=(1_450, [[]]), pacing="bitrate", bitrate=300_000.0)
+def test_packets_equal_the_seed_packetizer(drawn, pacing, bitrate):
+    packet_size, unit_lists = drawn
+    options = dict(packet_size=packet_size, bitrate=bitrate, pacing=pacing)
+    assert_writes_what_the_seed_writes(
+        Packetizer(**options), SeedPacketizer(**options), unit_lists
+    )

@@ -144,6 +144,28 @@ class TestPayloadPacket:
         with pytest.raises(ASFError):
             packet.pack()
 
+    def test_payload_count_overflow_rejected(self):
+        # the payload count is one byte on the wire
+        payloads = [Payload(1, i, 0, 1, 0, True, b"x") for i in range(256)]
+        packet = DataPacket(0, 0, payloads, packet_size=16_000)
+        with pytest.raises(ASFError):
+            packet.pack()
+        packet.payloads.pop()
+        assert DataPacket.unpack(packet.pack()) == packet
+
+    def test_truncated_packet_rejected(self):
+        wire = DataPacket(0, 0, [Payload(1, 0, 0, 3, 0, True, b"abc")],
+                          packet_size=200).pack()
+        # cut in the packet header, the payload header, the padding
+        for cut in (10, 40, 199):
+            with pytest.raises(ASFError):
+                DataPacket.unpack(wire[:cut])
+        with pytest.raises(ASFError):
+            DataPacket.unpack(b"PKTX" + wire[4:])
+        # an object length shorter than the packet header fields
+        with pytest.raises(ASFError):
+            DataPacket.unpack(wire[:4] + (5).to_bytes(4, "little") + wire[8:])
+
 
 class TestPacketizer:
     def test_small_units_share_packets(self):
@@ -178,6 +200,17 @@ class TestPacketizer:
     def test_too_small_packet_size_rejected(self):
         with pytest.raises(ASFError):
             Packetizer(packet_size=PAYLOAD_HEADER_SIZE)
+
+    def test_packet_closes_at_255_payloads(self):
+        units = [MediaUnit(1, i, i, True, b"x") for i in range(400)]
+        packets = Packetizer(packet_size=16_000).packetize([units])
+        assert [len(p.payloads) for p in packets] == [255, 145]
+        depacketizer = Depacketizer()
+        for packet in packets:
+            clone = DataPacket.unpack(packet.pack())
+            assert clone == packet
+            depacketizer.push_packet(clone)
+        assert depacketizer.units_for(1) == units
 
     def test_zero_bitrate_rejected(self):
         with pytest.raises(ASFError):
