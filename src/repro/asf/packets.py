@@ -220,6 +220,11 @@ class MediaUnit:
     def timestamp(self) -> float:
         return self.timestamp_ms / 1000.0
 
+    def __deepcopy__(self, memo) -> "MediaUnit":
+        # frozen: a cloned receiver (MediaPlayer.split_member) shares its
+        # units instead of rebuilding every one
+        return self
+
 
 def units_from_encoded(
     stream_number: int, encoded, *, materialize: bool = True

@@ -249,10 +249,11 @@ def generate(spec: WorkloadSpec) -> ArrivalScript:
 class CohortPlan:
     """Viewers collapsed onto one delegate session.
 
-    ``join_time`` is the bucket boundary every member is snapped to —
-    the same quantization the edge tier's ``join_quantum`` applies to
-    real arrivals, so a cohort joins exactly where its members' pacing
-    group would have formed.
+    ``join_time`` is the floor of the ``join_quantum`` bucket, where the
+    delegate starts. Real members arriving later in the bucket would join
+    their edge's pacing group in progress — caught up at once on what it
+    already sent — which starts them no slower, so the delegate's QoE
+    bounds its members' from the pessimistic side.
     """
 
     edge: str

@@ -434,6 +434,12 @@ class PeriodicTask:
             self.simulator.cancel(self._handle)
             self._handle = None
 
+    def after_tick(self, job: Callable[[], None]) -> None:
+        """Run ``job`` (which may block on a round trip) once the tick
+        that asks is done — see :meth:`SharedTicker.after_tick`. A private
+        task holds no one else's clock, so that is now."""
+        job()
+
 
 class _TickerSlot:
     """One callback's registration on a :class:`SharedTicker`."""
@@ -446,6 +452,9 @@ class _TickerSlot:
 
     def stop(self) -> None:
         self.ticker.unregister(self)
+
+    def after_tick(self, job: Callable[[], None]) -> None:
+        self.ticker.after_tick(job)
 
 
 class SharedTicker:
@@ -481,6 +490,8 @@ class SharedTicker:
         self._callbacks: Dict[int, Callable[[], None]] = {}
         self._keys = itertools.count()
         self._handle: Optional[EventHandle] = None
+        #: jobs queued by the callbacks of the fire in progress, else None
+        self._after: Optional[List[Callable[[], None]]] = None
 
     def __len__(self) -> int:
         return len(self._callbacks)
@@ -512,13 +523,31 @@ class SharedTicker:
             when, self._fire, skippable_owner=self if self.skippable else None,
         )
 
+    def after_tick(self, job: Callable[[], None]) -> None:
+        """Run ``job`` after this instant's callbacks, the next tick
+        already scheduled.
+
+        A job may block on a control round trip (a reconnect, a close),
+        and a blocking wait runs the event loop: started inline, it would
+        hold the tick — and so every other registrant's rendering — until
+        the handshake ends. Outside a fire the job runs now.
+        """
+        if self._after is None:
+            job()
+        else:
+            self._after.append(job)
+
     def _fire(self) -> None:
         self._handle = None
+        after = self._after = []
         for callback in list(self._callbacks.values()):
             callback()
+        self._after = None
         self.ticks += 1
         if self._callbacks:
             self._schedule_next()
+        for job in after:
+            job()
 
     def leap_to(self, simulator: Simulator, to: float) -> int:
         """fast_forward protocol — see :meth:`PeriodicTask.leap_to`."""

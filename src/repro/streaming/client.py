@@ -175,7 +175,8 @@ class MediaPlayer:
         self._buffer = JitterBuffer()
         self._clock = PresentationClock()
         self._dispatcher: Optional[ScriptCommandDispatcher] = None
-        #: PeriodicTask or a SharedTicker slot — both expose .stop()
+        #: PeriodicTask or a SharedTicker slot — both expose .stop() and
+        #: .after_tick()
         self._render_task: Optional[Any] = None
         #: play(start > 0) owes one stateful-command catch-up at render start
         self._pending_catchup = False
@@ -546,7 +547,8 @@ class MediaPlayer:
             self._recovery.reset()  # in-flight NAKs are moot
         if self.state is PlayerState.PLAYING:
             self._enter_rebuffer(now)
-        self._attempt_reconnect()
+        # the handshake blocks: it runs once the render tick is done
+        self._render_task.after_tick(self._attempt_reconnect)
 
     def _backoff_jitter(self, attempt: int) -> float:
         """Deterministic u ∈ [0, 1) for this player/stall/attempt.
@@ -563,8 +565,9 @@ class MediaPlayer:
     def _attempt_reconnect(self) -> None:
         """Close whatever is left of the old session, reopen, resume.
 
-        Runs re-entrantly from the render tick (precedent: `_finish`'s
-        close). The HTTP timeout is clamped while the server may be
+        Runs after the render tick that detected the stall (see
+        :meth:`~repro.net.engine.SharedTicker.after_tick`), or from the
+        backoff timer. The HTTP timeout is clamped while the server may be
         unreachable so a dead control plane costs seconds, not the
         default 10s, per attempt.
         """
@@ -873,8 +876,10 @@ class MediaPlayer:
             self._timer_cursor += 1
 
     def _finish(self) -> None:
+        if self.state is PlayerState.FINISHED:
+            return  # one close handshake per playback
         self.state = PlayerState.FINISHED
-        # freeze the playback position: the close handshake below advances
+        # freeze the playback position: the close handshake advances
         # simulated time, and the clock must not drift past the content end
         duration = (
             self.header.file_properties.duration_ms / 1000.0
@@ -892,6 +897,14 @@ class MediaPlayer:
             self._reconnect_timer = None
         if self._recovery is not None:
             self._recovery.reset()  # cancel any armed NAK timer
+        if self._render_task is not None:
+            # the handshake blocks: it runs once the render tick is done
+            self._render_task.after_tick(self._close)
+        else:
+            self._close()
+
+    def _close(self) -> None:
+        """Close handshake of a finished playback, then end its span."""
         for url, orphan in self._orphan_sessions:
             try:
                 self.http.post(
@@ -922,6 +935,8 @@ class MediaPlayer:
         if self.state is not PlayerState.PLAYING:
             raise PlayerError(f"cannot pause from {self.state.value}")
         self._control("pause", session_id=self.session_id)
+        if self.state is PlayerState.FINISHED:
+            return  # playback ended during the round trip: nothing to pause
         self._clock.pause(self.simulator.now)
         self.state = PlayerState.PAUSED
 
@@ -929,6 +944,8 @@ class MediaPlayer:
         if self.state is not PlayerState.PAUSED:
             raise PlayerError(f"cannot resume from {self.state.value}")
         self._control("resume", session_id=self.session_id)
+        if self.state is PlayerState.FINISHED:
+            return  # playback ended during the round trip
         self._clock.resume(self.simulator.now)
         if self._recovery is not None:
             # arrivals legitimately stopped while paused; restart the
@@ -943,8 +960,10 @@ class MediaPlayer:
         now = self.simulator.now
         was_paused = self.state is PlayerState.PAUSED
         self._control("seek", session_id=self.session_id, position=position)
-        if was_paused:
+        if was_paused and self.state is not PlayerState.FINISHED:
             self._control("resume", session_id=self.session_id)
+        if self.state is PlayerState.FINISHED:
+            return  # playback ended during the round trip: nothing to move
         self._seek_transition(now, position)
 
     def _seek_transition(self, now: float, position: float) -> None:

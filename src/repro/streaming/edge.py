@@ -55,7 +55,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import itertools
-import math
 from bisect import bisect_left
 from collections import OrderedDict
 from typing import (
@@ -712,8 +711,9 @@ class EdgeRelay(MediaServer):
     * when the *last* local client leaves, the local point is retired
       and the upstream session closed, so upstream session/QoS lifetime
       matches local demand exactly (two-hop teardown);
-    * ``join_quantum`` > 0 defers each ``play()`` to the next quantum
-      boundary so near-simultaneous viewers land in one pacing group.
+    * ``join_quantum`` is how long a pacing group stays joinable: every
+      ``play()`` starts at once, and a viewer landing in the same quantum
+      as an equal one catches up on its trains and joins its group.
 
     Broadcast points pass through: the upstream feed — pulled from the
     regional parent when one is configured, so it enters each region
@@ -1944,7 +1944,7 @@ class EdgeRelay(MediaServer):
         self._retry_orphans()
 
     # ------------------------------------------------------------------
-    # deferred join (pacing-group aggregation) + live catch-up
+    # live catch-up
     # ------------------------------------------------------------------
 
     def play(
@@ -1955,54 +1955,22 @@ class EdgeRelay(MediaServer):
         burst_factor: Optional[float] = None,
         burst_seconds: Optional[float] = None,
     ) -> None:
-        """Start delivery, deferred to the next ``join_quantum`` boundary.
+        """Start delivery at once — the base class's play, which joins a
+        stored point's viewers inside one ``join_quantum`` in progress.
 
-        Clients arriving within one quantum land on the *same* boundary
-        with the same cursor and — equal links, equal renditions — the
-        same fast-start grant, so they share one pacing group: the
-        edge-side half of request coalescing. With ``join_quantum == 0``
-        behaviour is exactly the base class's.
-        Broadcast joins start immediately; a late joiner additionally
-        receives the bounded live history as a catch-up train.
+        A broadcast joiner additionally receives the bounded live history
+        as a catch-up train.
         """
+        super().play(
+            session_id, start=start, burst_factor=burst_factor,
+            burst_seconds=burst_seconds,
+        )
         session = self.sessions.get(session_id)
-        now = self.simulator.now
-        boundary = now
-        if not session.broadcast and self.join_quantum > 0.0:
-            quantum = self.join_quantum
-            boundary = math.ceil(now / quantum - 1e-9) * quantum
-
-        def begin() -> None:
-            super(EdgeRelay, self).play(
-                session_id, start=start, burst_factor=burst_factor,
-                burst_seconds=burst_seconds,
-            )
-
-        if boundary <= now + 1e-9:
-            begin()
-            if session.broadcast:
-                # replica sessions get catch-up too: that is how a late-
-                # attaching child edge pulls its parent's history down the
-                # tree before the live fan-out takes over
-                self._serve_live_history(session)
-            return
-
-        def deferred() -> None:
-            if self.crashed:
-                return
-            try:
-                pending = self.sessions.get(session_id)
-            except SessionError:
-                return  # closed while waiting for the boundary
-            if pending.state not in (
-                SessionState.CONNECTING,
-                SessionState.PAUSED,
-                SessionState.FINISHED,
-            ):
-                return
-            begin()
-
-        self.simulator.schedule_at(boundary, deferred)
+        if session.broadcast:
+            # replica sessions get catch-up too: that is how a late-
+            # attaching child edge pulls its parent's history down the
+            # tree before the live fan-out takes over
+            self._serve_live_history(session)
 
     # ------------------------------------------------------------------
     # NAK forwarding (broadcast holes the relay itself never received)

@@ -14,9 +14,10 @@ The serving stack's structural invariant is **encode once, serve many**:
 * every on-demand point owns exactly one :class:`_PointSchedule` — the
   packet walk (and any MBR-thinned packet variants) is computed once and
   shared by every session; per-session pacing state shrinks to a cursor;
-* sessions that start at the same instant with the same parameters ride
-  one :class:`_PacingGroup` — one simulator event per packet train paces
-  all of them, instead of one private event chain per client;
+* sessions that start inside one join interval with the same parameters
+  ride one :class:`_PacingGroup` — one simulator event per packet train
+  paces all of them, instead of one private event chain per client; a
+  latecomer is sent the trains it missed at once and joins in progress;
 * broadcast delivery is event-driven: the live stream pushes freshly
   encoded packets to the server, which schedules their fan-out at their
   send times — there is no polling pump;
@@ -35,6 +36,7 @@ resume / seek / close. QoS admission per client link uses
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -147,10 +149,13 @@ class _PointSchedule:
 class _PacingGroup:
     """Sessions walking one point's schedule in lock-step.
 
-    Members joined at the same simulated instant, cursor and burst
-    parameters, so a single event per packet train paces every one of
-    them. A session that pauses/seeks/closes leaves the group, taking a
-    snapshot of the shared cursor as its private ``packet_cursor``.
+    Members started from the same cursor with the same burst parameters
+    inside one join interval (:attr:`MediaServer.join_quantum`), so a
+    single event per packet train paces every one of them; a member that
+    joined after the first train is caught up on the trains it missed.
+    Every fire moves its members' ``packet_cursor`` to the shared cursor,
+    so a session that pauses/seeks/closes leaves the group knowing where
+    its own walk stands.
 
     ``replica`` groups carry edge fills: their trains are bounded by
     *send* time (a 64× fill is a handful of big messages); viewer groups
@@ -281,6 +286,12 @@ class MediaServer:
     # ------------------------------------------------------------------
     # publishing
     # ------------------------------------------------------------------
+
+    #: seconds a pacing group stays joinable: a play of the same point
+    #: from the same cursor under the same grant that lands in the same
+    #: interval of this length joins the group in progress. The origin
+    #: merges only plays of one instant; EdgeRelay takes it as an option
+    join_quantum = 0.0
 
     #: trace point.published/point.retired — True at the origin only:
     #: EdgeRelay overrides this to False, so local replica copies coming
@@ -920,14 +931,18 @@ class MediaServer:
     # ------------------------------------------------------------------
 
     def _join_group(self, session: StreamSession) -> None:
-        """Attach a session to the pacing group walking its point from the
-        same cursor at this instant — creating the group if none exists."""
+        """Attach a session to the pacing group that started walking its
+        point from the same cursor, under the same grant, in this join
+        interval — it joins in progress and is caught up on the trains
+        already sent — or create the group here, now."""
         sched = self._schedules[session.point]
         burst = session._burst_factor
         window = session._burst_window_ms
         now = self.simulator.now
+        quantum = self.join_quantum
+        interval = math.floor(now / quantum) if quantum > 0.0 else now
         key = (
-            session.point, session.packet_cursor, now, burst, window,
+            session.point, session.packet_cursor, interval, burst, window,
             session.replica,
         )
         group = self._groups.get(key)
@@ -941,16 +956,70 @@ class MediaServer:
                 base_ms, burst, window, session.replica,
             )
             self._groups[key] = group
+        elif group.cursor > session.packet_cursor:
+            # like a new group's first train, the catch-up leaves after
+            # this instant's control reply rather than ahead of it
+            self.simulator.schedule_at(
+                now, functools.partial(self._catch_up, session, group)
+            )
         group.members[session.session_id] = session
         session.pacing_group = group
         if group.handle is None:
             self._schedule_group(group)
 
+    def _catch_up(
+        self,
+        session: StreamSession,
+        group: _PacingGroup,
+        stop: Optional[int] = None,
+    ) -> None:
+        """Join in progress: send a member at once what ``group`` walked
+        past before it joined, ``[session.packet_cursor, stop)`` (default:
+        the group's cursor), cut where the group cut it — so every message
+        is one the session would have received walking alone."""
+        if session.pacing_group is not group:
+            return  # left before its catch-up was due
+        sched = self._schedules[group.point]
+        stop = group.cursor if stop is None else stop
+        first = session.packet_cursor
+        while first < stop:
+            end = self._train_end(group, sched.packets, first, stop)
+            batch, wire = sched.train(first, end, session.excluded_streams)
+            if batch:
+                self._send_train(session, batch, wire)
+            first = end
+        session.packet_cursor = first
+
+    def _train_end(
+        self,
+        group: _PacingGroup,
+        packets: List[DataPacket],
+        first: int,
+        stop: int,
+    ) -> int:
+        """End index (at most ``stop``) of ``group``'s train from ``first``.
+
+        A train is one wire message and a link loses a message whole: a
+        viewer's train spans at most one quantum of *media* however fast
+        it leaves, so a burst never coarsens loss past what NAK repair is
+        budgeted for; a replica fill spans a quantum of compressed *send*
+        time — few big messages, which its relay's time-gated NAK rounds
+        rely on.
+        """
+        span_ms = group.effective_offset_ms if group.replica else float
+        start_ms = span_ms(packets[first].send_time_ms)
+        quantum_ms = self.pacing_quantum * 1000.0
+        end = first + 1
+        while end < stop:
+            if span_ms(packets[end].send_time_ms) - start_ms > quantum_ms:
+                break
+            end += 1
+        return end
+
     def _leave_group(self, session: StreamSession) -> None:
         group = session.pacing_group
         if group is None:
             return
-        session.packet_cursor = group.cursor
         session.pacing_group = None
         self._carry_window(session, group.base_ms)
         group.members.pop(session.session_id, None)
@@ -975,30 +1044,15 @@ class MediaServer:
 
     def _fire_group(self, group: _PacingGroup) -> None:
         group.handle = None
-        # once the walk advances, the group is no longer joinable: a later
-        # play() at the original cursor must start its own schedule
-        self._groups.pop(group.key, None)
         sched = self._schedules.get(group.point)
         if sched is None:
+            self._groups.pop(group.key, None)
             return  # point unpublished with a fan-out still in flight
         packets = sched.packets
-        # a train is one wire message and a link loses a message whole:
-        # a viewer's train spans at most one quantum of *media* however
-        # fast it leaves, so a burst never coarsens loss past what NAK
-        # repair is budgeted for; a replica fill spans a quantum of
-        # compressed *send* time — few big messages, which its relay's
-        # time-gated NAK rounds rely on
-        span_ms = group.effective_offset_ms if group.replica else float
         first = group.cursor
-        start_ms = span_ms(packets[first].send_time_ms)
-        quantum_ms = self.pacing_quantum * 1000.0
-        group.cursor += 1
-        while group.cursor < len(packets):
-            at_ms = span_ms(packets[group.cursor].send_time_ms)
-            if at_ms - start_ms > quantum_ms:
-                break
-            group.cursor += 1
-        end = group.cursor
+        end = group.cursor = self._train_end(
+            group, packets, first, len(packets)
+        )
         # one train per rendition selection, shared by its members
         trains: Dict[frozenset, Tuple[List[DataPacket], int]] = {}
         delivered: List[int] = []
@@ -1006,6 +1060,8 @@ class MediaServer:
         for session in list(group.members.values()):
             if session.state is not SessionState.STREAMING:
                 continue
+            if session.packet_cursor < first:
+                self._catch_up(session, group, first)  # not sent yet
             excluded = session.excluded_streams
             train = trains.get(excluded)
             if train is None:

@@ -8,7 +8,7 @@ post-seek position must land where asked.
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.lod import (
     InteractionScript,
@@ -22,6 +22,16 @@ from repro.streaming import MediaPlayer
 from repro.web import VirtualNetwork
 
 DURATION = 30.0
+
+#: seeds whose scripted action lost a race with the end of content: the
+#: render ticks inside its control round trip finished playback first
+END_OF_CONTENT_RACES = (517, 2316, 4850, 5674, 5897, 6278, 9084, 9182, 9751)
+
+
+def with_end_of_content_races(test):
+    for seed in END_OF_CONTENT_RACES:
+        test = example(seed)(test)
+    return test
 
 
 def random_stream_script(seed: int) -> InteractionScript:
@@ -65,6 +75,7 @@ def world():
 
 @settings(deadline=None, max_examples=10)
 @given(st.integers(min_value=0, max_value=10_000))
+@with_end_of_content_races
 def test_random_interactions_complete(seed):
     net, record = world()
     script = random_stream_script(seed)
@@ -76,6 +87,7 @@ def test_random_interactions_complete(seed):
 
 @settings(deadline=None, max_examples=10)
 @given(st.integers(min_value=0, max_value=10_000))
+@with_end_of_content_races
 def test_slides_always_end_on_last(seed):
     net, record = world()
     script = random_stream_script(seed)
@@ -88,6 +100,7 @@ def test_slides_always_end_on_last(seed):
 
 @settings(deadline=None, max_examples=10)
 @given(st.integers(min_value=0, max_value=10_000))
+@with_end_of_content_races
 def test_rendered_positions_within_content(seed):
     net, record = world()
     script = random_stream_script(seed)

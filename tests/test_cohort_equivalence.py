@@ -10,10 +10,15 @@ independent all along.
 Two worlds, same content, same link parameters, same edge tier:
 
 * **baseline** — N real players, all joining within one ``join_quantum``
-  over identical isolated links. The edge defers every ``play`` to the
-  quantum boundary, so the whole wave starts as one pacing group; the
-  shared render ticker puts every player on the same absolute 50 ms
-  grid. Together these make the N clients *exactly* interchangeable.
+  over identical isolated links. Every ``play`` starts at once and the
+  later ones join the first one's pacing group in progress, caught up on
+  the trains they missed. The preroll is long enough that the whole wave
+  has played before the group's first render, and the shared render
+  ticker puts every player on the same absolute 50 ms grid. Together
+  these make the N clients *exactly* interchangeable. One more player
+  joins the group in progress *after* its first render: it receives and
+  renders the same units at the same media positions, and starts no
+  slower than the group did.
 * **cohort** — one delegate with ``multiplicity=N`` joining in the same
   quantum; in the split scenario one member is peeled out with a seek at
   the same instant the baseline member seeks.
@@ -41,9 +46,12 @@ from repro.web import VirtualNetwork
 N = 32
 DURATION = 12.0
 JOIN_AT = 1.0       # after prefetch; well inside the first quantum
-QUANTUM = 8.0       # covers the serialized control-plane time of N joins
+QUANTUM = 8.0       # one merge window: the wave and the late member
+PREROLL = 6.0       # the wave's serialized handshakes (~2.5 s) end before
+                    # the group's first render (t≈5.0)
+LATE_AT = 6.0       # after the group's first render, inside its quantum
 SEEK_MEMBER = 5
-SEEK_AT = 14.0      # mid-playback (start boundary 8.0 + preroll)
+SEEK_AT = 14.0      # mid-playback
 SEEK_TO = 8.0       # content position sought to
 BANDWIDTH = 2_000_000
 DELAY = 0.02
@@ -91,14 +99,16 @@ def make_world(asf, hosts, tracer):
     return net, relay, ticker
 
 
-def run_baseline(asf, *, seek=False):
-    """N independent players, all joining within one quantum."""
+def run_baseline(asf, *, seek=False, late=False):
+    """N independent players, all joining within one quantum — plus,
+    with ``late``, one more that joins the group after its first render
+    (returned last, not among the N)."""
     tracer = Tracer("baseline")
-    hosts = [f"c{i}" for i in range(N)]
+    hosts = [f"c{i}" for i in range(N)] + (["late"] if late else [])
     net, relay, ticker = make_world(asf, hosts, tracer)
     players = [
         MediaPlayer(net, host, user=host, tracer=tracer,
-                    render_ticker=ticker)
+                    render_ticker=ticker, preroll_override=PREROLL)
         for host in hosts
     ]
 
@@ -106,8 +116,10 @@ def run_baseline(asf, *, seek=False):
         player.connect(relay.url_of("lecture"))
         player.play()
 
-    for player in players:
+    for player in players[:N]:
         net.simulator.schedule_at(JOIN_AT, lambda p=player: join(p))
+    if late:
+        net.simulator.schedule_at(LATE_AT, lambda: join(players[N]))
     if seek:
         net.simulator.schedule_at(
             SEEK_AT, lambda: players[SEEK_MEMBER].seek(SEEK_TO)
@@ -124,7 +136,7 @@ def run_cohort(asf, *, seek=False):
     net, relay, ticker = make_world(asf, hosts, tracer)
     delegate = MediaPlayer(
         net, "cohort", user="cohort", tracer=tracer,
-        multiplicity=N, render_ticker=ticker,
+        multiplicity=N, render_ticker=ticker, preroll_override=PREROLL,
     )
     twins = []
 
@@ -162,8 +174,8 @@ def assert_reports_identical(a, b, *, timing=True):
 
     ``timing=False`` drops render wall-times from the comparison — a
     split twin replays its seek from a freshly opened session, whose
-    deferred start shifts *when* the replayed units render but not *what*
-    is delivered or any QoE field.
+    handshake shifts *when* the replayed units render but not *what* is
+    delivered or any QoE field.
     """
     assert a.media_bytes == b.media_bytes
     assert a.startup_latency == b.startup_latency
@@ -189,24 +201,43 @@ def weighted_summary(aggregator):
 
 
 class TestPureCohortEquivalence:
-    """No individuation: 1 delegate x32 == 32 independent clients."""
+    """No individuation: 1 delegate xN == N independent clients."""
 
     @pytest.fixture(scope="class")
     def runs(self):
         asf = make_asf()
-        baseline = run_baseline(asf)
+        tracer, relay, players = run_baseline(asf, late=True)
         cohort = run_cohort(asf)
-        return baseline, cohort
+        return (tracer, relay, players[:N], players[N]), cohort
 
     def test_byte_identical_delivery(self, runs):
-        (_, _, players), (_, _, delegate, _) = runs
+        (_, _, players, _), (_, _, delegate, _) = runs
         reference = delegate.report()
         assert reference.media_bytes > 0
         for player in players:
             assert_reports_identical(player.report(), reference)
 
+    def test_late_member_merges_by_catch_up(self, runs):
+        (_, relay, players, late), (_, _, delegate, _) = runs
+        reference = delegate.report()
+        report = late.report()
+        # it joined the wave's group in progress, after its first render
+        assert late._connect_time == LATE_AT > delegate._first_render
+        assert relay.sessions.total_created == N + 1
+        assert report.media_bytes == reference.media_bytes
+        assert delivered_units(report) == delivered_units(reference)
+        # the same 50 ms grid from a later clock start: equal positions,
+        # up to the float rounding of that start
+        assert [r.position for r in report.rendered] == pytest.approx(
+            [r.position for r in reference.rendered], abs=1e-9
+        )
+        assert report.rebuffer_count == 0
+        # the catch-up leaves at link rate: it starts no slower than the
+        # group's first member did
+        assert report.startup_latency <= reference.startup_latency
+
     def test_qoe_aggregates_identical(self, runs):
-        (_, _, players), (_, _, delegate, _) = runs
+        (_, _, players, _), (_, _, delegate, _) = runs
         baseline_agg = QoEAggregator()
         for player in players:
             baseline_agg.add(
@@ -222,7 +253,7 @@ class TestPureCohortEquivalence:
         assert weighted_summary(baseline_agg) == weighted_summary(cohort_agg)
 
     def test_traces_pass_and_audience_is_recorded(self, runs):
-        (baseline_tracer, _, _), (cohort_tracer, _, _, _) = runs
+        (baseline_tracer, _, _, _), (cohort_tracer, _, _, _) = runs
         TraceChecker(baseline_tracer.records).assert_ok()
         TraceChecker(cohort_tracer.records).assert_ok()
         # the whole audience rode one session, and the trace says so
@@ -234,8 +265,10 @@ class TestPureCohortEquivalence:
         assert opens[0]["attrs"]["multiplicity"] == N
 
     def test_edge_egress_shrinks_by_exactly_n(self, runs):
-        (_, baseline_relay, _), (_, cohort_relay, _, _) = runs
-        assert baseline_relay.bytes_served == N * cohort_relay.bytes_served
+        # the late member is sent exactly one viewer's bytes too: its
+        # catch-up neither repeats nor skips a packet
+        (_, baseline_relay, _, _), (_, cohort_relay, _, _) = runs
+        assert baseline_relay.bytes_served == (N + 1) * cohort_relay.bytes_served
 
 
 class TestSplitSeekEquivalence:
@@ -260,8 +293,9 @@ class TestSplitSeekEquivalence:
     def test_nonseekers_match_the_delegate(self, runs):
         # timing=False: the seeker's replay stream re-merges into the
         # shared pacing group at a different phase in the two worlds
-        # (immediate in-session seek vs quantum-deferred twin restart),
-        # which re-times late trains without changing what is delivered
+        # (immediate in-session seek vs a twin restarted after its open
+        # handshake), which re-times late trains without changing what is
+        # delivered
         (_, _, players), (_, _, delegate, _) = runs
         assert delegate.multiplicity == N - 1
         reference = delegate.report()
@@ -304,3 +338,33 @@ class TestSplitSeekEquivalence:
         splits = cohort_tracer.events("playback.split")
         assert len(splits) == 1
         assert splits[0]["attrs"]["remaining"] == N - 1
+
+
+class TestSplitSharesUnits:
+    """A twin clones the delegate's receive state without rebuilding it:
+    media units are frozen, so both hold the very same objects, while
+    the containers stay private to each player."""
+
+    def test_twin_shares_completed_units_but_not_its_buffer(self):
+        tracer = Tracer("split")
+        net, relay, ticker = make_world(make_asf(), ["cohort", "member"], tracer)
+        delegate = MediaPlayer(
+            net, "cohort", user="cohort", tracer=tracer,
+            multiplicity=2, render_ticker=ticker,
+        )
+        delegate.connect(relay.url_of("lecture"))
+        delegate.play()
+        net.simulator.run_until(QUANTUM + 2.0)  # mid-playback
+        completed = list(delegate._depacketizer.completed)
+        assert completed
+        twin = delegate.split_member("member", user="member")
+        shared = twin._depacketizer.completed[:len(completed)]
+        assert len(shared) == len(completed)
+        assert all(a is b for a, b in zip(shared, completed))
+        # the buffers are separate containers of the shared units
+        before = (len(delegate._buffer), dict(delegate._buffer.horizon_ms))
+        twin._buffer.push(completed[-1])
+        twin._buffer.pop_due(DURATION)
+        assert len(twin._buffer) == 0
+        assert (len(delegate._buffer), delegate._buffer.horizon_ms) == before
+        assert len(delegate._buffer) > 0

@@ -27,6 +27,7 @@ from repro.asf import ASFEncoder, EncoderConfig, slide_commands
 from repro.media import AudioObject, ImageObject, VideoObject, get_profile
 from repro.metrics.counters import get_counters, reset_counters
 from repro.net import FaultInjector, FaultPlan
+from repro.net.engine import SharedTicker
 from repro.obs import TraceChecker, Tracer
 from repro.streaming import (
     MediaPlayer,
@@ -214,3 +215,45 @@ class TestCrashRerouteResume:
             "server_crash", "server_restart",
         ]
         assert tracer.events("fault.server_crash")
+
+
+class TestReconnectHoldsNoSharedTick:
+    def test_one_viewers_reconnect_keeps_anothers_render_cadence(self):
+        # two players on one shared render ticker; the first one's edge
+        # crashes. Its reconnect handshake (close, open, play round trips)
+        # runs after the tick that detected the stall, so the other
+        # player keeps rendering every 50 ms straight through it
+        net, origin, directory, relays = make_tier()
+        home = directory.place("student|lecture")
+        survivor = next(r for r in relays if r.name != home)
+        net.connect(survivor.host, "other", bandwidth=2_000_000, delay=0.02)
+        injector = FaultInjector(net)
+        injector.register_directory(directory)
+        injector.apply(FaultPlan("crash").edge_crash(home, at=6.0))
+        ticker = SharedTicker(net.simulator, MediaPlayer.RENDER_TICK)
+        crashed = MediaPlayer(
+            net, "student", directory=directory, recovery=RecoveryConfig(),
+            render_ticker=ticker,
+        )
+        other = MediaPlayer(net, "other", render_ticker=ticker)
+        ticks = []
+        render_tick = other._render_tick
+
+        def timed_tick():
+            ticks.append(net.simulator.now)
+            render_tick()
+
+        other._render_tick = timed_tick
+        crashed.connect(directory.url_for("student", "lecture"))
+        crashed.play()
+        other.connect(f"http://{survivor.host}:{survivor.port}/lod/lecture")
+        other.play()
+        report = drive(net, crashed, 60.0)
+        drive(net, other, 60.0)
+
+        assert report.recovery.get("reconnects", 0) >= 1
+        assert report.recovery.get("reroutes", 0) >= 1
+        assert report.duration_watched == pytest.approx(DURATION, abs=0.3)
+        assert ticks[0] < 6.0 < ticks[-1]
+        gaps = [b - a for a, b in zip(ticks, ticks[1:])]
+        assert max(gaps) == pytest.approx(MediaPlayer.RENDER_TICK)

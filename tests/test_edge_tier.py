@@ -13,10 +13,13 @@ Covers the tentpole contracts of ``repro.streaming.edge``:
   point *and* the upstream origin session; QoS reservations on both
   hops drain (the satellite audit: an edge crash must not leak its
   origin-side sessions either — they settle at restart/shutdown);
-* **join quantum** — staggered viewers land in one shared pacing group;
+* **join quantum** — staggered viewers start at once and merge into one
+  shared pacing group (join in progress);
 * **passthrough** — broadcast feeds, MBR thinning, and player recovery
   (NAK repair) all behave against a relay exactly as against the origin.
 """
+
+import math
 
 import pytest
 
@@ -323,17 +326,22 @@ class TestJoinQuantum:
         def open_at(i):
             session = edge.open_session("lecture", f"c{i}", sinks[i].append)
             edge.play(session.session_id)
+            # no deferral: the play starts at once, the latecomers by
+            # joining the first one's group in progress
+            assert session.pacing_group is not None
             sessions.append(session)
 
-        base = net.simulator.now
+        # three plays 20 ms apart inside one quantum [base, base + 0.5)
+        base = math.ceil(net.simulator.now / 0.5) * 0.5
         for i in range(3):
             net.simulator.schedule_at(base + 0.02 * (i + 1), lambda i=i: open_at(i))
-        # just past the next quantum boundary every session must ride the
-        # same pacing group (one event chain for all three)
-        net.simulator.run_until(base + 0.62)
+        net.simulator.run_until(base + 0.1)
+        # every session rides the same pacing group (one event chain for
+        # all three), and the group's walk is past its first train
         groups = {id(s.pacing_group) for s in sessions}
         assert len(sessions) == 3
-        assert len(groups) == 1 and None not in {s.pacing_group for s in sessions}
+        assert len(groups) == 1
+        assert sessions[0].pacing_group.cursor > 0
         net.simulator.run(max_events=1_000_000)
         reference = blob_of(origin.points["lecture"].content.packets)
         for sink in sinks:

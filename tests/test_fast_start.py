@@ -261,28 +261,35 @@ class TestEqualClientsShare:
             net, origin, ["edge0"], pacing_quantum=0.5, join_quantum=1.0
         )
         edge.prefetch("lecture")
-        net.simulator.run_until(1.0)  # four handshakes fit before t=2
-        players = []
+        net.simulator.run_until(1.0)  # four plays land before t=2
+        players, groups = [], set()
         for i in range(4):
             net.connect("edge0", f"v{i}", bandwidth=LINK, delay=0.02)
             player = MediaPlayer(net, f"v{i}")
             player.connect(directory.url_for(f"v{i}", "lecture"))
             player.play()
             players.append(player)
-        assert net.simulator.now < 2.0
-        net.simulator.run_until(2.01)
+            # the play started at once: the session already rides a group
+            (session,) = [
+                s for s in edge.sessions.sessions_for_point("lecture")
+                if s.client_host == f"v{i}"
+            ]
+            assert session.pacing_group is not None
+            groups.add(id(session.pacing_group))
+        # staggered viewers still share one group: the later three joined
+        # the first one's in progress
+        assert len(groups) == 1 and net.simulator.now < 2.0
         sessions = edge.sessions.sessions_for_point("lecture")
         viewers = [s for s in sessions if not s.replica]
         assert len(viewers) == 4
-        assert len({id(s.pacing_group) for s in viewers}) == 1
         assert viewers[0]._burst_factor == pytest.approx(
             HEADROOM * LINK / BITRATE
         )
         for player in players:
             report = player.run_until_finished()
             assert report.rebuffer_count == 0
-            # up to one join quantum of waiting, then the burst
-            assert report.startup_latency < 1.0 + PREROLL / 2
+            # no quantum of waiting: the burst (or the catch-up) at once
+            assert report.startup_latency < PREROLL / 2
 
 
 class TestWindowSpentOncePerRebuffer:
