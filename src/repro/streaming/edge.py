@@ -69,7 +69,7 @@ from ..net.transport import DatagramChannel, Message
 from ..web.http import HTTPClient, HTTPError, HTTPRequest, HTTPResponse, VirtualNetwork
 from .backbone import BackboneBudget, BudgetError
 from .recovery import NAK_WIRE_SIZE, NakRequest
-from .server import MediaServer, PublishError, _thin
+from .server import MediaServer, PublishError
 from .session import SessionError, SessionState, StreamSession
 
 
@@ -1523,7 +1523,7 @@ class EdgeRelay(MediaServer):
         # history, and the same repair can be forwarded twice — the
         # local stream fans out to every viewer, so it must append each
         # sequence exactly once
-        index = self._live_index_for(point)
+        index = self._schedules[name].sequence_index()
         if packet.sequence in index:
             self.cache.counters.inc("live_duplicates_dropped")
             return
@@ -1576,16 +1576,17 @@ class EdgeRelay(MediaServer):
             return
         now_ms = self.simulator.now * 1000.0
         since = now_ms - self.live_history_seconds * 1000.0
+        sched = self._schedules[session.point]
         packets: List[DataPacket] = []
         wire_size = 0
-        for packet in self.points[session.point].content.packets[marks[1]:]:
+        for index in range(marks[1], len(sched.packets)):
             # strictly-past packets only: a packet whose fan-out lands at
             # exactly *now* may still be scheduled for this session, and
             # a missed boundary packet is NAK-recoverable while a
             # duplicate is not filterable downstream
-            if not since <= packet.send_time_ms < now_ms:
+            if not since <= sched.packets[index].send_time_ms < now_ms:
                 continue
-            entry = _thin(packet, session.excluded_streams)
+            entry = sched.entry(index, session.excluded_streams)
             if entry is not None:
                 packets.append(entry[0])
                 wire_size += entry[1]
@@ -1743,7 +1744,7 @@ class EdgeRelay(MediaServer):
         # freeze delivery first: leaving the pacing group syncs
         # session.packet_cursor to the group frontier, and nothing may be
         # sent from here while the transfer is in flight
-        self._stop_session_pacing(session)
+        self._leave_group(session)
         target: Optional[str] = None
         for name in directory.spill_order(f"{session.client_host}|{session.point}"):
             if name != self.name and directory.is_available(name):
@@ -1900,7 +1901,7 @@ class EdgeRelay(MediaServer):
         # stream stays complete for every attached viewer
         marks = self._live_marks.get(point)
         if marks is not None:  # still published after the round trips
-            index = self._live_index_for(self.points[point])
+            index = self._schedules[point].sequence_index()
             holes = [
                 s for s in range(min(index, default=0), marks[0])
                 if s not in index

@@ -11,16 +11,18 @@ clients over the simulated network:
 
 The serving stack's structural invariant is **encode once, serve many**:
 
-* every on-demand point owns exactly one :class:`_PointSchedule` — the
-  packet walk (and any MBR-thinned packet variants) is computed once and
-  shared by every session; per-session pacing state shrinks to a cursor;
+* every publishing point, stored or live, owns exactly one
+  :class:`_PointSchedule` — the packet walk, its sequence index and any
+  MBR-thinned packet variants are computed once and shared by every
+  session; per-session pacing state shrinks to a cursor;
 * sessions that start inside one join interval with the same parameters
   ride one :class:`_PacingGroup` — one simulator event per packet train
   paces all of them, instead of one private event chain per client; a
   latecomer is sent the trains it missed at once and joins in progress;
 * broadcast delivery is event-driven: the live stream pushes freshly
   encoded packets to the server, which schedules their fan-out at their
-  send times — there is no polling pump;
+  send times — there is no polling pump — and ships each session the
+  schedule's entry for its rendition selection;
 * **Fast Start is a grant**: whenever a viewer's buffer is empty (play,
   seek, reconnect) the server sends the preroll at whatever the client
   link has to spare — it knows the link and the session's bitrate, the
@@ -79,38 +81,43 @@ def _thin(
 
 
 class _PointSchedule:
-    """The shared packet walk of one on-demand publishing point.
+    """The shared packet walk of one publishing point, stored or live.
 
-    Holds the stored file's packet sequence plus a memo of MBR-thinned
-    packet variants keyed by ``(packet index, excluded streams)`` — a
-    thinned packet is built once and then shipped to every session with
-    the same rendition selection (zero-copy fan-out).
+    Holds the point's packet sequence — a stored file's packets, or the
+    live stream's own growing list — plus a memo of MBR-thinned packet
+    variants keyed by ``(packet index, excluded streams)``: a thinned
+    packet is built once and then shipped to every session with the same
+    rendition selection (zero-copy fan-out), and a NAK repair re-sends
+    that same object.
     """
 
-    def __init__(self, asf: ASFFile) -> None:
-        self.asf = asf
-        self.packets = asf.packets
+    def __init__(self, content: Union[ASFFile, ASFLiveStream]) -> None:
+        self.packets = content.packets
         self._thinned: Dict[
             Tuple[int, frozenset], Optional[Tuple[DataPacket, int]]
         ] = {}
-        self._by_sequence: Optional[Dict[int, int]] = None
+        self._by_sequence: Dict[int, int] = {}
+        self._scanned = 0
 
     def __len__(self) -> int:
         return len(self.packets)
 
-    def index_of_sequence(self, sequence: int) -> Optional[int]:
-        """Packet index carrying ``sequence`` (NAK repair lookup).
+    def sequence_index(self) -> Dict[int, int]:
+        """``sequence -> packet index`` (NAK repair, a relay's duplicate
+        drop and hole list), first extended over the packets appended
+        since the last lookup (amortized O(1) per live packet).
 
         The packetizer numbers packets densely, but a packet list that did
-        not come from it (hand-built, or unpacked from a file) may not,
-        so this keeps a lazily built map rather than assuming
+        not come from it (hand-built, unpacked from a file, a relay's live
+        feed with holes) may not, so this keeps a map rather than assuming
         ``index == sequence``.
         """
-        if self._by_sequence is None:
-            self._by_sequence = {
-                p.sequence: i for i, p in enumerate(self.packets)
-            }
-        return self._by_sequence.get(sequence)
+        packets = self.packets
+        by_sequence = self._by_sequence
+        for index in range(self._scanned, len(packets)):
+            by_sequence[packets[index].sequence] = index
+        self._scanned = len(packets)
+        return by_sequence
 
     def entry(
         self, index: int, excluded: frozenset
@@ -228,10 +235,9 @@ class MediaServer:
     schedule whose send times fall within one window into a single packet
     train — one pacing event and one wire message per session per train.
     ``0.0`` (the default) paces packet-by-packet, exactly like a private
-    walk. ``shared_pacing=False`` disables the shared-schedule fast path
-    entirely and gives every session its own event chain — the seed
-    behaviour, kept as the reference ``tests/test_serving_fast_path.py``
-    checks the fast path's delivered bytes against.
+    walk. Pacing groups are the only pacer: every stored-point session
+    rides one, alone or with the viewers it joined, and a live point's
+    fan-out ships the same schedule entries to every session it feeds.
     """
 
     def __init__(
@@ -242,7 +248,6 @@ class MediaServer:
         port: int = 8080,
         qos_enabled: bool = False,
         pacing_quantum: float = 0.0,
-        shared_pacing: bool = True,
         tracer=None,
         trace_label: str = "",
     ) -> None:
@@ -261,7 +266,6 @@ class MediaServer:
         self.sessions = SessionTable(tracer=tracer, label=trace_label)
         self.qos_enabled = qos_enabled
         self.pacing_quantum = pacing_quantum
-        self.shared_pacing = shared_pacing
         self._qos: Dict[str, QoSManager] = {}
         self._schedules: Dict[str, _PointSchedule] = {}
         self._groups: Dict[tuple, _PacingGroup] = {}
@@ -276,10 +280,6 @@ class MediaServer:
         #: for the edge-tier bench: origin egress vs direct fan-out)
         self.bytes_served = 0
         self.recovery_stats = Counters("server-recovery")
-        #: broadcast NAK repair: per-point sequence -> packet, built
-        #: incrementally over the live stream's accumulated history
-        self._live_index: Dict[str, Dict[int, DataPacket]] = {}
-        self._live_scanned: Dict[str, int] = {}
         self.http = HTTPServer(network, host, port)
         self._register_routes()
 
@@ -309,18 +309,16 @@ class MediaServer:
             raise PublishError(f"publishing point {name!r} already exists")
         point = PublishingPoint(name, content, description)
         self.points[name] = point
+        sched = self._schedules[name] = _PointSchedule(content)
         if point.broadcast:
             # event-driven fan-out: the encoder's append wakes the server,
             # which schedules delivery at each packet's send time — no
             # polling pump, no events while the feed is idle
-            feed = functools.partial(self._on_live_packets, name, content)
+            feed = functools.partial(self._on_live_packets, name, sched)
             content.subscribe(feed)
             self._broadcast_feeds[name] = feed
-            backlog = content.packets
-            if backlog:
-                self._on_live_packets(name, content, backlog)
-        else:
-            self._schedules[name] = _PointSchedule(content)
+            if sched.packets:
+                self._on_live_packets(name, sched, sched.packets)
         if self.tracer is not None and self._trace_point_lifecycle:
             self.tracer.event(
                 "point.published",
@@ -336,9 +334,7 @@ class MediaServer:
         feed = self._broadcast_feeds.pop(name, None)
         if feed is not None:
             point.content.unsubscribe(feed)
-        self._schedules.pop(name, None)
-        self._live_index.pop(name, None)
-        self._live_scanned.pop(name, None)
+        del self._schedules[name]
         del self.points[name]
         if self.tracer is not None and self._trace_point_lifecycle:
             self.tracer.event(
@@ -540,7 +536,7 @@ class MediaServer:
             session.transition(SessionState.STREAMING)
         if point.broadcast:
             return  # broadcast clients receive the live fan-out's packets
-        self._stop_session_pacing(session)
+        self._leave_group(session)
         session.position = start
         session.packet_cursor = self._cursor_for(point.content, start)
         if burst_factor is None:
@@ -551,7 +547,7 @@ class MediaServer:
                 burst_seconds * 1000.0 if burst_seconds is not None
                 else float(point.header.file_properties.preroll_ms)
             )
-        self._start_pacing(session)
+        self._join_group(session)
 
     def adopt_session(
         self,
@@ -595,7 +591,7 @@ class MediaServer:
                 self._grant_fast_start(
                     session, point, "resume", burst_window_ms
                 )
-            self._start_pacing(session)
+            self._join_group(session)
         else:
             session.position = (
                 point.header.file_properties.duration_ms / 1000.0
@@ -610,7 +606,7 @@ class MediaServer:
             # its buffer, so a pause here is trivially satisfied
             return
         session.transition(SessionState.PAUSED)
-        self._stop_session_pacing(session)
+        self._leave_group(session)
 
     def resume(self, session_id: int) -> None:
         session = self.sessions.get(session_id)
@@ -623,7 +619,7 @@ class MediaServer:
                     session, self._point(session.point), "resume",
                     session._burst_window_ms,
                 )
-            self._start_pacing(session)
+            self._join_group(session)
 
     def seek(self, session_id: int, position: float) -> None:
         session = self.sessions.get(session_id)
@@ -631,7 +627,7 @@ class MediaServer:
             raise SessionError("cannot seek a broadcast session")
         point = self._point(session.point)
         was_streaming = session.state is SessionState.STREAMING
-        self._stop_session_pacing(session)
+        self._leave_group(session)
         if session.state is SessionState.FINISHED:
             session.transition(SessionState.STREAMING)
             was_streaming = True
@@ -641,11 +637,11 @@ class MediaServer:
         # now or (seek while paused) when the session resumes
         self._grant_fast_start(session, point, "seek")
         if was_streaming:
-            self._start_pacing(session)
+            self._join_group(session)
 
     def close_session(self, session_id: int) -> None:
         session = self.sessions.get(session_id)
-        self._stop_session_pacing(session)
+        self._leave_group(session)
         self._channels.pop(session_id, None)
         self._release_reservation(session)
         self.sessions.close(session_id)
@@ -690,7 +686,7 @@ class MediaServer:
                 "server.crash", host=self.host, sessions=len(self.sessions)
             )
         for session in self.sessions.all():
-            self._stop_session_pacing(session)
+            self._leave_group(session)
             self._release_reservation(session)
             self.sessions.close(session.session_id)
         self._channels.clear()
@@ -720,11 +716,11 @@ class MediaServer:
     def _handle_nak(self, nak: NakRequest) -> None:
         """Re-send cached packets the client reports missing.
 
-        Repairs reuse the point's shared packet cache (`_PointSchedule`
-        entries for stored files, the live stream's accumulated packets
-        for broadcasts) — a retransmit costs a lookup and a send, never a
-        re-encode. Passive by design: no server-side timers or per-client
-        loss state, so a loss-free run does zero extra work.
+        Repairs reuse the point's :class:`_PointSchedule` entries, stored
+        or live — a retransmit costs a lookup and a send of the very
+        packet the walk shipped, never a re-encode. Passive by design: no
+        server-side timers or per-client loss state, so a loss-free run
+        does zero extra work.
         """
         if self.crashed:
             return
@@ -766,32 +762,11 @@ class MediaServer:
         self, point: PublishingPoint, session: StreamSession, sequence: int
     ) -> Optional[Tuple[DataPacket, int]]:
         """Cached ``(packet, wire size)`` for one NAKed sequence."""
-        if point.broadcast:
-            packet = self._live_index_for(point).get(sequence)
-            if packet is None:
-                return None
-            return _thin(packet, session.excluded_streams)
-        sched = self._schedules.get(point.name)
-        if sched is None:
-            return None
-        index = sched.index_of_sequence(sequence)
+        sched = self._schedules[point.name]
+        index = sched.sequence_index().get(sequence)
         if index is None:
             return None
         return sched.entry(index, session.excluded_streams)
-
-    def _live_index_for(self, point: PublishingPoint) -> Dict[int, DataPacket]:
-        """A broadcast point's sequence -> packet map, first extended over
-        whatever the live stream has accumulated since the last lookup
-        (amortized O(1) per appended packet)."""
-        index = self._live_index.setdefault(point.name, {})
-        packets = point.content.packets
-        scanned = self._live_scanned.get(point.name, 0)
-        while scanned < len(packets):
-            packet = packets[scanned]
-            index[packet.sequence] = packet
-            scanned += 1
-        self._live_scanned[point.name] = scanned
-        return index
 
     def downshift(self, session_id: int) -> Optional[int]:
         """Shift a session one MBR rendition down (graceful degradation).
@@ -855,14 +830,6 @@ class MediaServer:
                 return i
         return len(asf.packets)
 
-    def _stop_session_pacing(self, session: StreamSession) -> None:
-        """Detach a session from whatever is pacing it (group or private)."""
-        if session.pacing_handle is not None:
-            self.simulator.cancel(session.pacing_handle)
-            session.pacing_handle = None
-            self._carry_window(session, session._pace_base)
-        self._leave_group(session)
-
     def _carry_window(self, session: StreamSession, base_ms: int) -> None:
         """A walk anchored at ``base_ms`` stops at the session's cursor:
         leave on the session what it has not yet spent of its fast-start
@@ -878,53 +845,6 @@ class MediaServer:
         if left <= 0.0:
             session._burst_factor, left = 1.0, 0.0
         session._burst_window_ms = left
-
-    def _start_pacing(self, session: StreamSession) -> None:
-        """Anchor pacing at 'now'; packets go out at their relative send times."""
-        if self.shared_pacing:
-            self._join_group(session)
-            return
-        # legacy per-session packet walk (the fast path's test reference):
-        # every session runs its own event chain over the point's packets
-        point = self._point(session.point)
-        asf: ASFFile = point.content
-        session._pace_origin = self.simulator.now
-        if session.packet_cursor < len(asf.packets):
-            session._pace_base = asf.packets[session.packet_cursor].send_time_ms
-        else:
-            session._pace_base = 0
-        self._schedule_next_packet(session)
-
-    def _schedule_next_packet(self, session: StreamSession) -> None:
-        point = self._point(session.point)
-        asf: ASFFile = point.content
-        if session.packet_cursor >= len(asf.packets):
-            if session.state is SessionState.STREAMING:
-                session.transition(SessionState.FINISHED)
-            return
-        packet = asf.packets[session.packet_cursor]
-        offset_ms = packet.send_time_ms - session._pace_base
-        burst = session._burst_factor
-        window = session._burst_window_ms
-        if burst > 1.0:
-            if offset_ms <= window:
-                offset_ms = offset_ms / burst
-            else:
-                offset_ms = window / burst + (offset_ms - window)
-        offset = offset_ms / 1000.0
-
-        def send() -> None:
-            session.pacing_handle = None
-            if session.state is not SessionState.STREAMING:
-                return
-            self._transmit(session, packet)
-            session.packet_cursor += 1
-            self._schedule_next_packet(session)
-
-        at = session._pace_origin + max(0.0, offset)
-        session.pacing_handle = self.simulator.schedule_at(
-            max(at, self.simulator.now), send
-        )
 
     # ------------------------------------------------------------------
     # shared-schedule pacing (encode once, serve many)
@@ -1017,6 +937,7 @@ class MediaServer:
         return end
 
     def _leave_group(self, session: StreamSession) -> None:
+        """Detach a session from its pacing group, if it rides one."""
         group = session.pacing_group
         if group is None:
             return
@@ -1107,10 +1028,11 @@ class MediaServer:
     # ------------------------------------------------------------------
 
     def _on_live_packets(
-        self, name: str, stream: ASFLiveStream, packets: Sequence[DataPacket]
+        self, name: str, sched: _PointSchedule, packets: Sequence[DataPacket]
     ) -> None:
-        """Fresh packets from the live encoder: schedule each fan-out at
-        its send time (immediately for overdue packets) in one batch."""
+        """Fresh packets from the live encoder — the tail of the schedule's
+        list: schedule each fan-out at its send time (immediately for
+        overdue packets) in one batch."""
         if self.crashed:
             # the process is down; the encoder's history still accumulates
             # in the live stream, so post-restart NAKs can repair the hole
@@ -1119,22 +1041,25 @@ class MediaServer:
         self.simulator.schedule_batch(
             (
                 max(0.0, packet.send_time_ms / 1000.0 - now),
-                functools.partial(self._fan_out_live, name, stream, packet),
+                functools.partial(self._fan_out_live, name, sched, index),
             )
-            for packet in packets
+            for index, packet in enumerate(
+                packets, len(sched.packets) - len(packets)
+            )
         )
 
     def _fan_out_live(
-        self, name: str, stream: ASFLiveStream, packet: DataPacket
+        self, name: str, sched: _PointSchedule, index: int
     ) -> None:
         if self.crashed:
             return  # fan-out event scheduled before the crash landed
-        point = self.points.get(name)
-        if point is None or point.content is not stream:
+        if self._schedules.get(name) is not sched:
             return  # unpublished (or republished) while the event was in flight
         for session in self.sessions.sessions_for_point(name):
             if session.state is SessionState.STREAMING:
-                self._transmit(session, packet)
+                entry = sched.entry(index, session.excluded_streams)
+                if entry is not None:
+                    self._send_train(session, [entry[0]], entry[1])
 
     # ------------------------------------------------------------------
     # the wire
@@ -1186,12 +1111,6 @@ class MediaServer:
         session.packets_sent += len(packets)
         session.bytes_sent += wire_size
         self.bytes_served += wire_size
-
-    def _transmit(self, session: StreamSession, packet: DataPacket) -> None:
-        entry = _thin(packet, session.excluded_streams)
-        if entry is None:
-            return
-        self._send_train(session, [entry[0]], entry[1])
 
     # ------------------------------------------------------------------
     # HTTP control plane

@@ -58,17 +58,12 @@ class StreamSession:
     reservation: Optional[Reservation] = None
     packets_sent: int = 0
     bytes_sent: int = 0
-    pacing_handle: Optional[object] = None
     #: fast start: packets due within the window go out ``_burst_factor``×
     #: faster (1.0 = real-time pacing). The server grants both; leaving a
     #: pacing walk writes the window's *unspent remainder* back here, so a
     #: resume or hand-off continues the burst instead of restarting it
     _burst_factor: float = 1.0
     _burst_window_ms: float = 0.0
-    #: per-session pacing anchor: wall instant and send time of the first
-    #: packet of the current walk (``shared_pacing=False`` servers only)
-    _pace_origin: float = 0.0
-    _pace_base: int = 0
     #: shared-schedule pacing group this session currently rides (server-owned)
     pacing_group: Optional[object] = None
     #: stream numbers withheld from this client (MBR renditions not chosen)

@@ -4,7 +4,8 @@ Every stored ``.asf`` — single-rate, multi-bitrate, LOD grid variant — is
 built by :func:`repro.asf.encoder.assemble_asf`. The fingerprints below
 were computed at the commit *before* the three hand-written copies were
 folded into it; the AST walks keep the copies (and the relay's private
-copy of the region topology) from growing back.
+copy of the region topology, and the server's second schedule and pacer)
+from growing back.
 """
 
 import ast
@@ -160,3 +161,25 @@ class TestOneBodyPerJob:
 
         for package in ("streaming", "control"):
             assert _sites(reads_parent_url, SRC / package) == set()
+
+    def test_one_schedule_per_point(self):
+        # stored and live points alike: publish builds the one schedule
+        assert _sites(_calls("_PointSchedule")) == {
+            "streaming/server.py:publish"
+        }
+
+    def test_no_second_sequence_index_or_pacer(self):
+        gone = {
+            "shared_pacing", "pacing_handle", "_pace_origin", "_pace_base",
+            "_live_index", "_live_scanned", "_live_index_for",
+            "_schedule_next_packet", "_transmit",
+        }
+
+        def names_a_gone_thing(node):
+            # a variable, attribute, argument, keyword or definition
+            return any(
+                getattr(node, field, None) in gone
+                for field in ("id", "attr", "arg", "name")
+            )
+
+        assert _sites(names_a_gone_thing, SRC / "streaming") == set()

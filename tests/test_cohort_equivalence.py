@@ -83,8 +83,7 @@ def make_world(asf, hosts, tracer):
     net = VirtualNetwork()
     tracer.bind_clock(net.simulator)
     origin = MediaServer(
-        net, "origin", port=8080,
-        shared_pacing=True, pacing_quantum=0.5, tracer=tracer,
+        net, "origin", port=8080, pacing_quantum=0.5, tracer=tracer,
     )
     origin.publish("lecture", asf)
     _, relays = build_edge_tier(

@@ -4,18 +4,92 @@ Covers the shared-schedule pacing groups (sessions started together ride
 one event chain), their pause/seek/close detachment semantics, the
 event-driven broadcast fan-out (an idle live point schedules nothing),
 and — the load-bearing property — that the fast path delivers packets
-byte-identical to the legacy per-session walk.
+byte-identical to the seed's per-session walk, kept here as
+:class:`SeedPacedServer`.
 """
 
 import pytest
 
 from repro.asf import ASFEncoder, EncoderConfig, slide_commands
 from repro.asf.header import StreamProperties
+from repro.asf.packets import MediaUnit
 from repro.media import AudioObject, ImageObject, VideoObject, get_profile
 from repro.streaming import MediaServer, PublishError, SessionState
+from repro.streaming.recovery import NakRequest
+from repro.streaming.server import _thin
 from repro.web import VirtualNetwork
 
 PROFILE = get_profile("dsl-256k")
+
+
+class SeedPacedServer(MediaServer):
+    """The seed's pacer: every session walks the point's packets on its
+    own event chain, one event and one thinned copy per packet.
+
+    The reference the shared pacing groups are checked against — same
+    wire bytes, far fewer events. Its anchors and pending events live
+    here, keyed by session id, not on the sessions.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._pacing_handles = {}
+        #: session id -> (wall instant, send time of the walk's first packet)
+        self._anchors = {}
+
+    def _join_group(self, session):
+        asf = self._point(session.point).content
+        if session.packet_cursor < len(asf.packets):
+            base = asf.packets[session.packet_cursor].send_time_ms
+        else:
+            base = 0
+        self._anchors[session.session_id] = (self.simulator.now, base)
+        self._schedule_next_packet(session)
+
+    def _leave_group(self, session):
+        handle = self._pacing_handles.pop(session.session_id, None)
+        if handle is not None:
+            self.simulator.cancel(handle)
+            self._carry_window(session, self._anchors[session.session_id][1])
+        super()._leave_group(session)
+
+    def _schedule_next_packet(self, session):
+        point = self._point(session.point)
+        asf = point.content
+        if session.packet_cursor >= len(asf.packets):
+            if session.state is SessionState.STREAMING:
+                session.transition(SessionState.FINISHED)
+            return
+        packet = asf.packets[session.packet_cursor]
+        origin, base = self._anchors[session.session_id]
+        offset_ms = packet.send_time_ms - base
+        burst = session._burst_factor
+        window = session._burst_window_ms
+        if burst > 1.0:
+            if offset_ms <= window:
+                offset_ms = offset_ms / burst
+            else:
+                offset_ms = window / burst + (offset_ms - window)
+        offset = offset_ms / 1000.0
+
+        def send():
+            self._pacing_handles.pop(session.session_id, None)
+            if session.state is not SessionState.STREAMING:
+                return
+            self._transmit(session, packet)
+            session.packet_cursor += 1
+            self._schedule_next_packet(session)
+
+        at = origin + max(0.0, offset)
+        self._pacing_handles[session.session_id] = self.simulator.schedule_at(
+            max(at, self.simulator.now), send
+        )
+
+    def _transmit(self, session, packet):
+        entry = _thin(packet, session.excluded_streams)
+        if entry is None:
+            return
+        self._send_train(session, [entry[0]], entry[1])
 
 
 def make_asf(duration=20.0, slides=2):
@@ -36,11 +110,11 @@ def make_asf(duration=20.0, slides=2):
     )
 
 
-def make_server(asf, clients, **server_kwargs):
+def make_server(asf, clients, server_class=MediaServer, **server_kwargs):
     net = VirtualNetwork()
     for name in clients:
         net.connect("server", name, bandwidth=2_000_000, delay=0.02)
-    server = MediaServer(net, "server", port=8080, **server_kwargs)
+    server = server_class(net, "server", port=8080, **server_kwargs)
     server.publish("lecture", asf)
     return net, server
 
@@ -86,13 +160,17 @@ class TestPacingGroups:
 
         def legacy_events_for(count):
             net, server = make_server(
-                asf, [f"c{i}" for i in range(count)], shared_pacing=False
+                asf, [f"c{i}" for i in range(count)], SeedPacedServer
             )
             for i in range(count):
                 open_and_play(server, f"c{i}", [])
             net.simulator.run()
             return net.simulator.events_processed
 
+        # the seed walk's own counts, pinned so the reference cannot drift
+        assert legacy_events_for(1) == 1_398
+        assert legacy_events_for(8) == 11_184
+        assert legacy_events_for(32) == 44_736
         one, eight = events_for(1), events_for(8)
         # link events scale with viewers; pacing events must not — so the
         # shared walk stays far below the legacy per-session event chains
@@ -188,8 +266,8 @@ class TestByteIdentity:
                 for name, packets in sinks.items()
             }
 
-        legacy = delivered(shared_pacing=False)
-        fast = delivered(shared_pacing=True, pacing_quantum=quantum)
+        legacy = delivered(server_class=SeedPacedServer)
+        fast = delivered(pacing_quantum=quantum)
         assert fast == legacy
 
     def test_fast_path_matches_legacy_with_burst(self):
@@ -204,10 +282,7 @@ class TestByteIdentity:
             net.simulator.run()
             return [(p.sequence, p.pack()) for p in got]
 
-        assert (
-            delivered(shared_pacing=True)
-            == delivered(shared_pacing=False)
-        )
+        assert delivered() == delivered(server_class=SeedPacedServer)
 
 
 class TestEventDrivenBroadcast:
@@ -264,3 +339,67 @@ class TestEventDrivenBroadcast:
         net.simulator.run_until(5.0)
         assert len(got) == seen
         capture.finish()
+
+
+class TestLiveSchedule:
+    """A live MBR point thins through its schedule like a stored one."""
+
+    def make_live_mbr(self):
+        net = VirtualNetwork()
+        for host in ("v1", "v2"):
+            net.connect("server", host, bandwidth=200_000, delay=0.02)
+        server = MediaServer(net, "server", port=8080)
+        encoder = ASFEncoder(EncoderConfig(profile=get_profile("isdn-dual")))
+        live = encoder.start_live(
+            file_id="live-mbr",
+            streams=[
+                StreamProperties(1, "audio", bitrate=32_000),
+                StreamProperties(
+                    2, "video", bitrate=64_000, extra={"mbr_group": "video"}
+                ),
+                StreamProperties(
+                    3, "video", bitrate=500_000, extra={"mbr_group": "video"}
+                ),
+            ],
+        )
+        server.publish("live", live.stream)
+        sinks = {host: [] for host in ("v1", "v2")}
+        sessions = {}
+        for host, sink in sinks.items():
+            sessions[host] = server.open_session("live", host, sink.append)
+            server.play(sessions[host].session_id)
+        live.capture([
+            MediaUnit(stream, t, t * 200, True, bytes([stream]) * 300)
+            for t in range(10) for stream in (1, 2, 3)
+        ])
+        net.simulator.run()
+        return net, server, live.stream, sessions, sinks
+
+    def test_same_selection_shares_one_thinned_packet(self):
+        net, server, stream, sessions, sinks = self.make_live_mbr()
+        excluded = frozenset({3})  # 200 kb/s links fit the 64 kb/s video
+        assert all(s.excluded_streams == excluded for s in sessions.values())
+        reference = [
+            entry for entry in (_thin(p, excluded) for p in stream.packets)
+            if entry is not None
+        ]
+        # thinning really cut packets, not just withheld whole ones
+        carried = [{x.stream_number for x in p.payloads} for p in stream.packets]
+        assert any(3 in streams and len(streams) > 1 for streams in carried)
+        got1, got2 = sinks["v1"], sinks["v2"]
+        assert [p.pack() for p in got1] == [p.pack() for p, _ in reference]
+        assert sessions["v1"].bytes_sent == sum(size for _, size in reference)
+        assert len(got1) == len(got2)
+        assert all(a is b for a, b in zip(got1, got2))
+
+    def test_nak_repair_resends_the_fanned_out_packet(self):
+        net, server, stream, sessions, sinks = self.make_live_mbr()
+        got = sinks["v1"]
+        lost = got[len(got) // 2]
+        delivered = len(got)
+        server._handle_nak(
+            NakRequest(sessions["v1"].session_id, (lost.sequence,))
+        )
+        net.simulator.run()
+        assert len(got) == delivered + 1
+        assert got[-1] is lost

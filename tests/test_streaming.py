@@ -104,7 +104,6 @@ class TestSessionTable:
         assert session.state is SessionState.CONNECTING
         # pacing state is declared, not grown by the first play()
         assert (session._burst_factor, session._burst_window_ms) == (1.0, 0.0)
-        assert (session._pace_origin, session._pace_base) == (0.0, 0)
         session.transition(SessionState.STREAMING)
         session.transition(SessionState.PAUSED)
         session.transition(SessionState.STREAMING)
