@@ -51,9 +51,9 @@ PACKET_HEADER_SIZE = _PACKET_HEADER.size
 class Payload:
     """A fragment of one media object inside a packet.
 
-    ``_shared`` is the reassembly memo, the twin of ``DataPacket._wire``:
-    on an offset-0 fragment, ``(the object's other fragments in offset
-    order, the MediaUnit they reassemble to)``. Receivers fill it
+    ``_shared`` is the reassembly memo: on an offset-0 fragment, ``(the
+    object's other fragments in offset order, the MediaUnit they
+    reassemble to)``. Receivers fill it
     (:func:`_reassemble`), the :class:`Packetizer` never does; it is not
     on the wire, not compared, not hashed, not pickled, and dies with the
     packet run that holds the fragments.
@@ -87,8 +87,8 @@ class Payload:
     def is_complete_object(self) -> bool:
         return self.offset == 0 and len(self.data) == self.object_size
 
-    def pack(self) -> bytes:
-        data = self.data
+    def _head(self) -> bytes:
+        """The payload header struct; the fragment's ``data`` follows it."""
         return _PAYLOAD_HEADER.pack(
             self.stream_number,
             self.object_number,
@@ -96,8 +96,11 @@ class Payload:
             self.object_size,
             self.timestamp_ms,
             1 if self.keyframe else 0,
-            len(data),
-        ) + data
+            len(self.data),
+        )
+
+    def pack(self) -> bytes:
+        return self._head() + self.data
 
     @classmethod
     def unpack(cls, reader: Reader) -> "Payload":
@@ -115,28 +118,23 @@ class Payload:
 class DataPacket:
     """One fixed-size packet: sequence number, send time, payloads.
 
-    :meth:`pack` memoizes the wire image: payloads are frozen, so once the
-    header fields and payload list settle (after packetization / live
-    rebasing) the serialized form never changes — the server can ship the
-    same ``bytes`` object to any number of clients without re-packing.
+    The wire image is written per call and never kept: :meth:`wire_parts`
+    returns the packet header, each payload's header and its own ``data``
+    object, then the padding, so the only copy of a fragment a sender
+    holds is the payload's. Servers hand these packet objects to their
+    sinks and charge ``packet_size`` per send; only a file image, a save
+    or a fingerprint writes bytes.
 
-    ``_plan`` is the receive memo, the twin of ``_wire``: a mark once one
-    receiver reached the packet, then the :class:`_ReceivePlan` the next
-    receiver on the shared chain built for it. Like ``Payload._shared`` it
-    is not on the wire, not compared, not pickled, and dies with the
-    packet run.
+    ``_plan`` is the receive memo: a mark once one receiver reached the
+    packet, then the :class:`_ReceivePlan` the next receiver on the shared
+    chain built for it. Like ``Payload._shared`` it is not on the wire,
+    not compared, not pickled, and dies with the packet run.
     """
 
     sequence: int
     send_time_ms: int
     payloads: List[Payload] = field(default_factory=list)
     packet_size: int = DEFAULT_PACKET_SIZE
-    _wire: Optional[bytes] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _wire_key: Optional[tuple] = field(
-        default=None, init=False, repr=False, compare=False
-    )
     _plan: object = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -150,37 +148,30 @@ class DataPacket:
     def used(self) -> int:
         return PACKET_HEADER_SIZE + sum(p.wire_size() for p in self.payloads)
 
-    def _state_key(self) -> tuple:
-        # payloads are frozen, so their ids pin their contents for as long
-        # as the list holds them; header fields are compared by value
-        return (
-            self.sequence,
-            self.send_time_ms,
-            self.packet_size,
-            tuple(map(id, self.payloads)),
-        )
-
-    def pack(self) -> bytes:
-        key = self._state_key()
-        if self._wire is not None and self._wire_key == key:
-            return self._wire
+    def wire_parts(self) -> List[bytes]:
+        """The wire image in order, exactly ``packet_size`` bytes in all:
+        the packet header, each payload's header and ``data``, padding."""
         payloads = self.payloads
         count = len(payloads)
         if count > 255:
             raise ASFError(f"packet overflow: {count} payloads > 255")
-        wires = [payload.pack() for payload in payloads]
-        used = PACKET_HEADER_SIZE + sum(map(len, wires))
         size = self.packet_size
+        # the object length counts everything after the 8-byte wrapper
+        parts = [_PACKET_HEADER.pack(
+            TAG_PACKET, size - 8, self.sequence, size, self.send_time_ms, count, 0
+        )]
+        used = PACKET_HEADER_SIZE + PAYLOAD_HEADER_SIZE * count
+        for payload in payloads:
+            data = payload.data
+            used += len(data)
+            parts += (payload._head(), data)
         if used > size:
             raise ASFError(f"packet overflow: {used} > {size}")
-        # the object length counts everything after the 8-byte wrapper
-        head = _PACKET_HEADER.pack(
-            TAG_PACKET, size - 8, self.sequence, size, self.send_time_ms, count, 0
-        )
-        wire = b"".join([head, *wires, bytes(size - used)])
-        self._wire = wire
-        self._wire_key = key
-        return wire
+        parts.append(bytes(size - used))
+        return parts
+
+    def pack(self) -> bytes:
+        return b"".join(self.wire_parts())
 
     @classmethod
     def unpack_from(cls, reader: Reader) -> "DataPacket":

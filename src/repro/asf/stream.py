@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Iterator, List, Optional, Sequence
 
 from .constants import ASFError, FLAG_BROADCAST, FLAG_SEEKABLE, TAG_DATA
@@ -31,12 +32,6 @@ class ASFFile:
     header: HeaderObject
     packets: List[DataPacket] = field(default_factory=list)
     index: Optional[SimpleIndex] = None
-    _packed_view: Optional[List[bytes]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _packed_view_key: Optional[tuple] = field(
-        default=None, init=False, repr=False, compare=False
-    )
     _fingerprint: Optional[str] = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -73,36 +68,31 @@ class ASFFile:
         return [p for p in self.packets if p.sequence >= start]
 
     def packed_packets(self) -> List[bytes]:
-        """Wire image of every packet, serialized once and reused.
+        """Wire image of every packet, one ``bytes`` per packet.
 
-        The encode-once/serve-many fast path: a server (or a save/replicate
-        step) ships these cached ``bytes`` objects instead of re-packing per
-        client per send. Treat the returned list as read-only — it is shared
-        across callers and invalidated only when :attr:`packets` changes.
+        Written per call and never kept: every byte is a fresh copy of
+        the fragments, so callers that need only sizes should use
+        :meth:`data_size` (every packet is ``packet_size`` on the wire).
         """
-        key = tuple(map(id, self.packets))
-        if self._packed_view is not None and self._packed_view_key == key:
-            return self._packed_view
-        view = [p.pack() for p in self.packets]
-        self._packed_view = view
-        self._packed_view_key = key
-        return view
+        return [p.pack() for p in self.packets]
+
+    def _packet_parts(self) -> Iterator[bytes]:
+        return chain.from_iterable(map(DataPacket.wire_parts, self.packets))
 
     def fingerprint(self) -> str:
         """Content address of this file's wire image (header + packets).
 
         Stable across processes (sha1 over packed bytes, not object ids),
         so an edge cache keyed by fingerprint recognizes a re-encoded or
-        re-transferred copy of the same content. Memoized with the same
-        packets-identity key as :meth:`packed_packets`.
+        re-transferred copy of the same content. The hex digest is
+        memoized until the identity of any packet in :attr:`packets`
+        changes; the bytes it hashes are not kept.
         """
         key = tuple(map(id, self.packets))
         if self._fingerprint is not None and self._fingerprint_key == key:
             return self._fingerprint
-        digest = hashlib.sha1(self.header.pack())
-        for blob in self.packed_packets():
-            digest.update(blob)
-        self._fingerprint = digest.hexdigest()
+        image = b"".join(chain((self.header.pack(),), self._packet_parts()))
+        self._fingerprint = hashlib.sha1(image).hexdigest()
         self._fingerprint_key = key
         return self._fingerprint
 
@@ -117,21 +107,20 @@ class ASFFile:
     # binary round trip
     # ------------------------------------------------------------------
 
-    def pack(self) -> bytes:
-        # one join builds the image: header, the data object's tag, length
-        # and packet count, every packet's memoized wire, the index — no
-        # intermediate copy of the (multi-megabyte) packet run
-        wires = [p.pack() for p in self.packets]
-        parts = [
+    def _image(self) -> Iterator[bytes]:
+        # header, the data object's tag, length and packet count, every
+        # packet's parts, the index: each fragment appears once, as itself
+        head = (
             self.header.pack(),
             TAG_DATA,
-            pack_u32(4 + sum(map(len, wires))),
-            pack_u32(len(wires)),
-            *wires,
-        ]
-        if self.index is not None:
-            parts.append(self.index.pack())
-        return b"".join(parts)
+            pack_u32(4 + self.data_size()),
+            pack_u32(len(self.packets)),
+        )
+        tail = () if self.index is None else (self.index.pack(),)
+        return chain(head, self._packet_parts(), tail)
+
+    def pack(self) -> bytes:
+        return b"".join(self._image())
 
     @classmethod
     def unpack(cls, data: bytes) -> "ASFFile":
@@ -152,10 +141,10 @@ class ASFFile:
         return cls(header=header, packets=packets, index=index)
 
     def save(self, path: str) -> int:
-        blob = self.pack()
+        """Stream the file image to ``path``; returns the bytes written."""
         with open(path, "wb") as fh:
-            fh.write(blob)
-        return len(blob)
+            fh.writelines(self._image())
+            return fh.tell()
 
     @classmethod
     def load(cls, path: str) -> "ASFFile":

@@ -127,8 +127,7 @@ class CatalogIndex:
             profile=meta.get("profile", ""),
             duration=asf.duration,
             cache_key=asf.fingerprint(),
-            size_bytes=len(header.pack())
-            + sum(len(blob) for blob in asf.packed_packets()),
+            size_bytes=len(header.pack()) + asf.data_size(),
             bitrate=header.total_bitrate,
             slides=slides,
         )

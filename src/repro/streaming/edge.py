@@ -87,8 +87,9 @@ class PacketRunCache:
 
     Entries are whole :class:`~repro.asf.stream.ASFFile` replicas keyed
     by content fingerprint; the charged size is the packed wire image
-    (what the run costs to hold), computed from the file's memoized
-    :meth:`~repro.asf.stream.ASFFile.packed_packets`. Eviction is LRU
+    (what the run costs to hold): the header plus
+    :meth:`~repro.asf.stream.ASFFile.data_size`, since every packet is
+    exactly ``packet_size`` on the wire. Eviction is LRU
     but never evicts the entry just inserted — a run larger than the
     whole budget still serves its current viewers, it just won't keep
     neighbours around. ``on_evict`` (if set) observes every eviction so
@@ -178,9 +179,7 @@ class PacketRunCache:
             self._entries.move_to_end(key)
             self._stored_at[key] = self._now()
             return True
-        size = len(asf.header.pack()) + sum(
-            len(blob) for blob in asf.packed_packets()
-        )
+        size = len(asf.header.pack()) + asf.data_size()
         if (
             self.admission is not None
             and self._entries

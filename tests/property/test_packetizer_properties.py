@@ -11,14 +11,24 @@ units spanning several packets, at every packet size from the smallest
 the packetizer accepts up to 6 000 bytes, in both pacing modes. Every
 packet must carry the oracle's sequence, send time, size and payloads,
 and pack to the oracle's bytes.
+
+A second oracle is the memoizing writer that wire parts replaced:
+:func:`memo_pack_file` joins each payload's header and data, then each
+packet's payloads, then the file's packets — three copies of every byte.
+On the same generated streams, :meth:`DataPacket.pack`,
+:meth:`ASFFile.pack` and :meth:`ASFFile.fingerprint` must equal it.
 """
 
+import hashlib
 import random
-from typing import Iterable, List, Sequence
+import struct
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from hypothesis import example, given, settings, strategies as st
 
-from repro.asf.constants import TAG_PACKET
+from repro.asf.constants import TAG_DATA, TAG_PACKET
+from repro.asf.header import FileProperties, HeaderObject, StreamProperties
+from repro.asf.indexer import SimpleIndex
 from repro.asf.packets import (
     PACKET_HEADER_SIZE,
     PAYLOAD_HEADER_SIZE,
@@ -27,6 +37,7 @@ from repro.asf.packets import (
     Packetizer,
     Payload,
 )
+from repro.asf.stream import ASFFile
 from repro.asf.wire import pack_u8, pack_u16, pack_u32, pack_u64, write_object
 
 
@@ -122,6 +133,52 @@ class SeedPacketizer(Packetizer):
             for i, packet in enumerate(filled):
                 packet.send_time_ms = round(i * max_ts / (len(filled) - 1))
         return filled
+
+
+# ---------------------------------------------------------------------------
+# the second oracle: the writer before wire parts, without its memos
+# ---------------------------------------------------------------------------
+
+_MEMO_PAYLOAD_HEADER = struct.Struct("<BIIIQBI")
+_MEMO_PACKET_HEADER = struct.Struct("<4sIIIQBH")
+
+
+def memo_pack_packet(packet: DataPacket) -> bytes:
+    """``DataPacket.pack`` with the wire memo: ``header + data`` per
+    payload, then one join per packet."""
+    wires = [
+        _MEMO_PAYLOAD_HEADER.pack(
+            p.stream_number, p.object_number, p.offset, p.object_size,
+            p.timestamp_ms, 1 if p.keyframe else 0, len(p.data),
+        ) + p.data
+        for p in packet.payloads
+    ]
+    used = PACKET_HEADER_SIZE + sum(map(len, wires))
+    size = packet.packet_size
+    head = _MEMO_PACKET_HEADER.pack(
+        TAG_PACKET, size - 8, packet.sequence, size, packet.send_time_ms,
+        len(wires), 0,
+    )
+    return b"".join([head, *wires, bytes(size - used)])
+
+
+def memo_pack_file(asf: ASFFile) -> Tuple[bytes, str]:
+    """``(ASFFile.pack(), ASFFile.fingerprint())`` of the memoizing
+    writer: every packet's joined wire, then one join for the file."""
+    wires = [memo_pack_packet(p) for p in asf.packets]
+    parts = [
+        asf.header.pack(),
+        TAG_DATA,
+        struct.pack("<I", 4 + sum(map(len, wires))),
+        struct.pack("<I", len(wires)),
+        *wires,
+    ]
+    if asf.index is not None:
+        parts.append(asf.index.pack())
+    digest = hashlib.sha1(asf.header.pack())
+    for wire in wires:
+        digest.update(wire)
+    return b"".join(parts), digest.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -237,3 +294,35 @@ def test_packets_equal_the_seed_packetizer(drawn, pacing, bitrate):
     assert_writes_what_the_seed_writes(
         Packetizer(**options), SeedPacketizer(**options), unit_lists
     )
+
+
+def _file_of(packets: List[DataPacket], unit_lists, packet_size: int,
+             indexed: bool) -> ASFFile:
+    numbers = sorted({u.stream_number for units in unit_lists for u in units})
+    header = HeaderObject(
+        FileProperties("wire", packet_size=max(64, packet_size)),
+        streams=[StreamProperties(n, "video") for n in numbers],
+    )
+    index: Optional[SimpleIndex] = None
+    if indexed:
+        index = SimpleIndex.build(packets, interval_ms=200)
+    return ASFFile(header=header, packets=packets, index=index)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    drawn=streams(),
+    pacing=st.sampled_from(["bitrate", "duration"]),
+    indexed=st.booleans(),
+)
+@example(drawn=(SMALLEST_PACKET, []), pacing="bitrate", indexed=True)
+def test_wire_parts_write_what_the_memoizing_writer_wrote(drawn, pacing, indexed):
+    packet_size, unit_lists = drawn
+    packets = Packetizer(packet_size=packet_size, pacing=pacing).packetize(unit_lists)
+    asf = _file_of(packets, unit_lists, packet_size, indexed)
+    for packet in packets:
+        assert packet.pack() == memo_pack_packet(packet)
+    image, fingerprint = memo_pack_file(asf)
+    assert asf.pack() == image
+    assert asf.fingerprint() == fingerprint
+    assert ASFFile.unpack(image).fingerprint() == fingerprint

@@ -78,6 +78,15 @@ class TestEncodeFile:
         clone = ASFFile.load(path)
         assert clone.packet_count == asf.packet_count
 
+    def test_save_streams_the_packed_image(self, tmp_path):
+        asf = encode_lecture()
+        asf.ensure_index()
+        path = tmp_path / "lecture.asf"
+        written = asf.save(str(path))
+        assert written == path.stat().st_size == len(asf.pack())
+        assert path.read_bytes() == asf.pack()
+        assert ASFFile.load(str(path)).fingerprint() == asf.fingerprint()
+
     def test_packets_from_midpoint_skips_early_data(self):
         asf = encode_lecture()
         tail = asf.packets_from(5.0)

@@ -30,7 +30,7 @@ def make_asf(file_id="lec", duration=4.0):
 
 
 def packed_size(asf):
-    return len(asf.header.pack()) + sum(len(b) for b in asf.packed_packets())
+    return len(asf.header.pack()) + asf.data_size()
 
 
 @pytest.mark.parametrize("seed", SEEDS)

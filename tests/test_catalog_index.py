@@ -91,9 +91,7 @@ class TestCatalogBuild:
         catalog = CatalogIndex()
         entry = catalog.add_variant("lec", asf)
         assert entry.cache_key == asf.fingerprint()
-        assert entry.size_bytes == len(asf.header.pack()) + sum(
-            len(b) for b in asf.packed_packets()
-        )
+        assert entry.size_bytes == len(asf.header.pack()) + asf.data_size()
 
     def test_reindex_replaces_entry_and_bumps_cache_key(self):
         catalog = CatalogIndex()

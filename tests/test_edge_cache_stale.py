@@ -47,7 +47,7 @@ def make_asf(file_id="lec"):
 
 
 def packed_size(asf):
-    return len(asf.header.pack()) + sum(len(b) for b in asf.packed_packets())
+    return len(asf.header.pack()) + asf.data_size()
 
 
 def make_tier(lectures, *, viewers=("student",), **tier_kwargs):

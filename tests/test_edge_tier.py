@@ -239,9 +239,7 @@ class TestPacketRunCache:
     def test_lru_eviction_respects_byte_budget(self):
         first = make_asf("lec-a")
         second = make_asf("lec-b")
-        size = len(first.header.pack()) + sum(
-            len(b) for b in first.packed_packets()
-        )
+        size = len(first.header.pack()) + first.data_size()
         reset_counters("edge_cache")
         cache = PacketRunCache(max_bytes=int(size * 1.5))
         cache.store(first.fingerprint(), first)

@@ -1,10 +1,13 @@
-"""EncodeCache and packed-bytes memoization — the encode-once layer.
+"""EncodeCache and the write path — the encode-once layer.
 
 A re-encode of identical sources must be a cache hit returning the same
 :class:`ASFFile`; any knob that changes the output bytes must miss; and
-:meth:`DataPacket.pack` must hand back the identical ``bytes`` object
-until the packet is mutated.
+:meth:`DataPacket.pack` writes the wire image per call, so it reflects
+every mutation and no packet or file keeps a copy of it.
 """
+
+import gc
+import tracemalloc
 
 import pytest
 
@@ -16,6 +19,7 @@ from repro.asf import (
     Payload,
 )
 from repro.asf.drm import LicenseServer
+from repro.lod import Lecture, LODPublisher
 from repro.media import get_profile
 from repro.media.objects import AudioObject, ImageObject, VideoObject
 
@@ -286,15 +290,18 @@ class TestCountersRegistry:
 
 
 class TestPackMemo:
+    """``pack()`` keeps no memo: every call writes the current state."""
+
     def packet(self):
         payload = Payload(1, 0, 0, 6, 0, True, b"abcdef")
         return DataPacket(0, 0, [payload], packet_size=200)
 
-    def test_pack_returns_same_object(self):
+    def test_pack_equals_a_fresh_pack(self):
         packet = self.packet()
         first = packet.pack()
-        second = packet.pack()
-        assert second is first
+        assert packet.pack() == first == self.packet().pack()
+        assert b"".join(packet.wire_parts()) == first
+        assert len(first) == packet.packet_size
 
     def test_memo_matches_fresh_pack(self):
         packet = self.packet()
@@ -326,13 +333,71 @@ class TestPackMemo:
         ).pack()
         assert after == reference
 
-    def test_asffile_packed_packets_shared_view(self):
+    def test_asffile_packed_packets_equal_fresh_packs(self):
         cache = EncodeCache()
         video, audio, images = sources()
         asf = make_encoder(cache).encode_file(
             file_id="L", video=video, audio=audio, images=images
         )
         view = asf.packed_packets()
-        assert view is asf.packed_packets()  # memoized list
-        assert view == [p.pack() for p in asf.packets]
-        assert all(v is p.pack() for v, p in zip(view, asf.packets))
+        assert view == asf.packed_packets()
+        assert view == [
+            DataPacket(
+                p.sequence, p.send_time_ms, list(p.payloads), p.packet_size
+            ).pack()
+            for p in asf.packets
+        ]
+
+    def test_data_size_is_the_packed_run_size(self):
+        # the edge cache and the catalog charge header + data_size()
+        video, audio, images = sources()
+        asf = make_encoder(EncodeCache()).encode_file(
+            file_id="L", video=video, audio=audio, images=images
+        )
+        packed = len(asf.header.pack()) + sum(len(b) for b in asf.packed_packets())
+        assert packed == len(asf.header.pack()) + asf.data_size()
+
+
+class TestWireImageRetention:
+    """Packing and fingerprinting a grid leaves no wire image behind."""
+
+    def grid(self):
+        lecture = Lecture.from_slide_durations(
+            "retention",
+            "Prof",
+            [6, 4, 5, 3],
+            importances=[0, 1, 0, 1],
+            slide_width=160,
+            slide_height=120,
+        )
+        renditions = [get_profile("modem-56k"), get_profile("dsl-256k")]
+        result = LODPublisher(renditions=renditions).publish(lecture, "p")
+        assert len(result.variants) == 4  # two levels x two renditions
+        return [variant.asf for variant in result.variants.values()]
+
+    def test_packing_holds_no_second_copy(self):
+        files = self.grid()
+        total = sum(asf.data_size() for asf in files)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for asf in files:
+                assert len(asf.pack()) > asf.data_size()
+                assert len(asf.fingerprint()) == 40
+                for packet in asf.packets:
+                    packet.pack()
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < 0.10 * total
+        for asf in files:
+            for obj in (asf, *asf.packets):
+                kept = [
+                    name
+                    for name, value in vars(obj).items()
+                    if isinstance(value, bytes)
+                    and len(value) == asf.packets[0].packet_size
+                ]
+                assert kept == [], type(obj).__name__

@@ -48,7 +48,7 @@ def edited_lecture():
 
 
 def packed(asf):
-    return len(asf.header.pack()) + sum(len(b) for b in asf.packed_packets())
+    return len(asf.header.pack()) + asf.data_size()
 
 
 def build_world(edges=3):
