@@ -23,8 +23,8 @@ Subpackages
     The media server (publishing points, unicast/broadcast pacing) and the
     jitter-buffered player.
 :mod:`repro.control`
-    Supervision plane: heartbeat failure detection, graceful drains with
-    warm session hand-off, and the latent-edge autoscaler.
+    Supervision plane: heartbeat failure detection and region-parent
+    failover; graceful drains with warm session hand-off live on the relay.
 :mod:`repro.load`
     Million-viewer workload generation and the cohort load harness.
 :mod:`repro.obs`

@@ -3,29 +3,24 @@
 The serving tier (``repro.streaming.edge``) knows how to *react* to
 membership changes — ``EdgeDirectory`` admission skips down edges, the
 player re-routes — but until this package nothing in the system
-*detected* failure or *drove* capacity. ``repro.control`` closes that
-loop in three layers:
+*detected* failure. ``repro.control`` closes that loop in two layers:
 
 * :class:`HeartbeatMonitor` — edges emit sim-clock heartbeat datagrams;
-  a deterministic missed-beat suspicion mechanism (per-edge adaptive
-  intervals) drives ``EdgeDirectory.mark_down``/``mark_up`` organically
-  and settles the upstream sessions a crashed edge orphaned.
+  a deterministic missed-beat suspicion mechanism (one beat interval,
+  a tolerance learned per edge from benign gaps) drives
+  ``EdgeDirectory.mark_down``/``mark_up`` organically and settles the
+  upstream sessions a crashed edge orphaned.
 * :meth:`EdgeRelay.drain` (in ``repro.streaming.edge``) — graceful
   decommission with warm session hand-off, traced as ``drain.begin`` /
   ``session.handoff`` / ``drain.end`` for :class:`TraceChecker` audit.
-* :class:`Autoscaler` + :class:`LatentEdge` — buildbot-latent-worker
-  style elastic capacity: substantiate latent edges under load,
-  gracefully drain surplus ones, with hysteresis and cooldown so flash
-  crowds don't thrash the consistent-hash ring.
+
+Capacity is placed by hand, as the paper's media server and relays
+were: nothing here adds or removes edges.
 """
 
 from .heartbeat import HEARTBEAT_WIRE_SIZE, HeartbeatMonitor
-from .autoscaler import Autoscaler, CapacityPolicy, LatentEdge
 
 __all__ = [
     "HEARTBEAT_WIRE_SIZE",
     "HeartbeatMonitor",
-    "Autoscaler",
-    "CapacityPolicy",
-    "LatentEdge",
 ]

@@ -11,12 +11,12 @@ Suspicion is a sweep over last-heard times: an edge silent for more than
 ``miss_threshold`` expected intervals is marked down in the
 :class:`~repro.streaming.edge.EdgeDirectory` — the only caller of
 ``mark_down``/``mark_up`` in the system; tests never need to touch them
-again. Intervals are **per-edge adaptive**: each edge can declare its
-own beacon interval, and the monitor additionally learns the largest
-benign inter-beat gap it has observed (a lossy beacon path that drops
-every other beat teaches the monitor a wider tolerance instead of a
-false suspicion). Suspicion periods never feed the learner, so a long
-outage does not permanently deafen detection.
+again. Every edge beats at the monitor's one interval, and the
+tolerance is **learned per edge**: the monitor keeps the largest benign
+inter-beat gap it has observed (a lossy beacon path that drops every
+other beat teaches the monitor a wider tolerance instead of a false
+suspicion). Suspicion periods never feed the learner, so a long outage
+does not permanently deafen detection.
 
 A suspected edge that beats again rejoins cleanly (``mark_up``); its
 in-flight fills and viewer sessions were never touched. A suspected edge
@@ -29,12 +29,12 @@ runs in **both directions**: the crashed relay's own upstream orphans
 the dead host (what others held there — in-flight fills abort and
 re-plan, live feeds migrate or drop).
 
-Crashed **regional parents** additionally trigger region failover
-(``parent_failover=True``): the directory elects the healthiest
-same-region leaf as acting parent (:meth:`EdgeDirectory.promote_parent`)
-— or falls the region flat to origin-only when no leaf qualifies — and
-every surviving leaf re-attaches its live feeds to the new upstream with
-bounded catch-up from live history, the viewer-facing stream untouched.
+Crashed **regional parents** additionally trigger region failover: the
+directory elects the healthiest same-region leaf as acting parent
+(:meth:`EdgeDirectory.promote_parent`) — or falls the region flat to
+origin-only when no leaf qualifies — and every surviving leaf re-attaches
+its live feeds to the new upstream with bounded catch-up from live
+history, the viewer-facing stream untouched.
 Any backbone reservation still charged on the dead parent's links is
 force-released as a final safety net, so ``assert_no_leaks`` holds the
 moment suspicion fires. The whole sequence is traced
@@ -70,7 +70,6 @@ class _WatchState:
     __slots__ = (
         "name",
         "relay",
-        "interval",
         "expected",
         "last_beat",
         "suspected",
@@ -82,10 +81,8 @@ class _WatchState:
     def __init__(self, name, relay, interval, armed_at):
         self.name = name
         self.relay = relay
-        #: declared beacon interval for this edge
-        self.interval = interval
-        #: adaptive expected gap: starts at the declared interval, only
-        #: ever widened by observed benign gaps
+        #: adaptive expected gap: starts at the beat interval, only ever
+        #: widened by observed benign gaps
         self.expected = interval
         #: arming counts as a beat — a freshly watched edge gets a full
         #: grace window before it can be suspected
@@ -102,22 +99,22 @@ class HeartbeatMonitor:
     ``watch_directory()`` arms a beacon on every relay the directory
     knows; ``start()`` arms the suspicion sweep. Beacon send phases are
     staggered deterministically per edge so a fleet of edges never
-    synchronizes its beats onto one simulator instant.
+    synchronizes its beats onto one simulator instant. The sweep runs
+    at the beat interval.
     """
+
+    #: the dedicated edge → controller link laid for beacons
+    BEACON_BANDWIDTH = 1_000_000.0
+    BEACON_DELAY = 0.005
 
     def __init__(
         self,
         network,
         directory,
         *,
-        host: str = "controller",
         interval: float = 0.5,
         miss_threshold: int = 3,
-        sweep_interval: Optional[float] = None,
         seed: int = 0,
-        beacon_bandwidth: float = 1_000_000.0,
-        beacon_delay: float = 0.005,
-        parent_failover: bool = True,
         tracer=None,
     ) -> None:
         if interval <= 0:
@@ -127,14 +124,10 @@ class HeartbeatMonitor:
         self.network = network
         self.simulator = network.simulator
         self.directory = directory
-        self.host = network.add_host(host)
+        self.host = network.add_host("controller")
         self.interval = interval
         self.miss_threshold = miss_threshold
-        self.sweep_interval = sweep_interval if sweep_interval is not None else interval
         self.seed = seed
-        self.beacon_bandwidth = beacon_bandwidth
-        self.beacon_delay = beacon_delay
-        self.parent_failover = parent_failover
         self.tracer = tracer
         self.counters = Counters("control-monitor")
         #: (time, edge, silence) per suspicion — detection-latency data
@@ -146,24 +139,16 @@ class HeartbeatMonitor:
         self._sweep_task: Optional[PeriodicTask] = None
         #: (origin_url, session_id) closes that failed and await retry
         self._settle_retry: List[tuple] = []
-        self._http = HTTPClient(network, host)
+        self._http = HTTPClient(network, self.host)
 
     # ------------------------------------------------------------------
     # arming
 
-    def watch(self, relay, *, interval: Optional[float] = None) -> None:
-        """Arm a heartbeat beacon on ``relay``'s host.
-
-        ``interval`` overrides the monitor default for this edge — the
-        per-edge half of the adaptive-interval contract (the other half
-        is learned from observed gaps).
-        """
+    def watch(self, relay) -> None:
+        """Arm a heartbeat beacon on ``relay``'s host."""
         name = relay.name
         if name in self._watched:
             return
-        beat_interval = interval if interval is not None else self.interval
-        if beat_interval <= 0:
-            raise ValueError("beacon interval must be > 0")
         # dedicated control link, created only if the pair is not wired
         # yet — connect() would *replace* an existing link and silently
         # shed any fault state scripted onto it
@@ -171,21 +156,21 @@ class HeartbeatMonitor:
             self.network.connect(
                 relay.host,
                 self.host,
-                bandwidth=self.beacon_bandwidth,
-                delay=self.beacon_delay,
+                bandwidth=self.BEACON_BANDWIDTH,
+                delay=self.BEACON_DELAY,
             )
-        state = _WatchState(name, relay, beat_interval, self.simulator.now)
+        state = _WatchState(name, relay, self.interval, self.simulator.now)
         state.channel = DatagramChannel(
             self.network.link(relay.host, self.host), self._on_beat
         )
         # deterministic per-edge phase stagger in [0, interval)
         digest = hashlib.sha1(f"{self.seed}:{name}".encode()).hexdigest()
-        phase = (int(digest[:8], 16) / float(1 << 32)) * beat_interval
+        phase = (int(digest[:8], 16) / float(1 << 32)) * self.interval
         # NOT skippable: a quiet-window fast_forward that leapt beacons
         # would present the next sweep with a silent, healthy edge
         state.beacon = PeriodicTask(
             self.simulator,
-            beat_interval,
+            self.interval,
             lambda s=state: self._beat(s),
             start_delay=phase,
             skippable=False,
@@ -198,21 +183,15 @@ class HeartbeatMonitor:
             if relay is not None:
                 self.watch(relay)
 
-    def unwatch(self, name: str) -> None:
-        """Stop the beacon and forget the edge (e.g. scaled away)."""
-        state = self._watched.pop(name, None)
-        if state is not None and state.beacon is not None:
-            state.beacon.stop()
-
     def start(self) -> None:
         """Arm the suspicion sweep (idempotent)."""
         if self._sweep_task is None:
             # NOT skippable, same reasoning as the beacons
             self._sweep_task = PeriodicTask(
                 self.simulator,
-                self.sweep_interval,
+                self.interval,
                 self._sweep,
-                start_delay=self.sweep_interval,
+                start_delay=self.interval,
                 skippable=False,
             )
 
@@ -256,8 +235,9 @@ class HeartbeatMonitor:
             try:
                 self.directory.mark_up(name)
             except PlacementError:
-                # removed from the directory while suspected (scaled
-                # away, or a failed-over parent): the beat is just noise
+                # removed from the directory while suspected (a watched
+                # parent taken out with remove_edge, or failed over):
+                # the beat is just noise
                 pass
             self.counters.inc("rejoins")
             if self.tracer is not None:
@@ -267,7 +247,7 @@ class HeartbeatMonitor:
     # suspicion sweep
 
     def _threshold(self, state: _WatchState) -> float:
-        return self.miss_threshold * max(state.expected, state.interval)
+        return self.miss_threshold * state.expected
 
     def _sweep(self) -> None:
         now = self.simulator.now
@@ -289,7 +269,7 @@ class HeartbeatMonitor:
         try:
             self.directory.mark_down(state.name)
         except PlacementError:
-            pass  # already removed from the directory
+            pass  # taken out with remove_edge while still watched
         self.counters.inc("suspicions")
         self.suspicions.append(
             {"time": now, "edge": state.name, "silence": silence}
@@ -311,7 +291,7 @@ class HeartbeatMonitor:
         # rejoins comes back demoted — the slot already has a successor.
         if state.relay is not None and state.relay.crashed:
             self._settle_orphans(state.relay)
-        if self.parent_failover and state.relay is not None:
+        if state.relay is not None:
             if state.relay.is_parent:
                 self._fail_over_parent(state)
             elif state.relay.crashed:

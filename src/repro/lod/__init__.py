@@ -39,7 +39,7 @@ from .publisher import (
     PublishFormError,
     WebPublishingManager,
 )
-from .catalog import CatalogError, Course, CourseCatalog, StudentProgress
+from .course import CatalogError, Course, CourseCatalog, StudentProgress
 from .shared import SharedEvent, SharedViewing
 from .recorder import (
     CameraSource,

@@ -276,6 +276,9 @@ class FillToken:
 # consistent-hash directory
 # ----------------------------------------------------------------------
 
+#: ring points per placeable edge
+VNODES = 64
+
 
 class _EdgeEntry:
     __slots__ = (
@@ -319,7 +322,7 @@ class _EdgeEntry:
 class EdgeDirectory:
     """Consistent-hash placement of clients onto edge relays.
 
-    Each edge owns ``vnodes`` points on a 64-bit sha1 ring (salted by
+    Each edge owns :data:`VNODES` points on a 64-bit sha1 ring (salted by
     ``seed``); a client key walks clockwise from its own hash and takes
     the first *available* edge — not down, not crashed, under capacity.
     The ring gives the two properties the tier needs: deterministic
@@ -341,13 +344,9 @@ class EdgeDirectory:
     def __init__(
         self,
         *,
-        vnodes: int = 64,
         seed: int = 0,
         origin_url: Optional[str] = None,
     ) -> None:
-        if vnodes <= 0:
-            raise PlacementError("vnodes must be positive")
-        self.vnodes = vnodes
         self.seed = seed
         self.origin_url = origin_url.rstrip("/") if origin_url else None
         self._edges: Dict[str, _EdgeEntry] = {}
@@ -383,29 +382,21 @@ class EdgeDirectory:
         region: Optional[str] = None,
     ) -> None:
         self._register("edge", name, relay, url, capacity, region=region)
-        for v in range(self.vnodes):
+        for v in range(VNODES):
             self._ring.append((self._hash(f"{name}#{v}"), name))
         self._ring.sort()
         self._ring_edges += 1
 
-    def add_parent(
-        self,
-        region: str,
-        *,
-        relay: Optional["EdgeRelay"] = None,
-        url: Optional[str] = None,
-        name: Optional[str] = None,
-        capacity: Optional[int] = None,
-    ) -> str:
-        """Register ``region``'s parent relay. Parents are directory
-        citizens — watched by heartbeats, targeted by fault plans, valid
-        fill sources — but never placed on the ring: clients land on
-        leaves, parents absorb fan-in."""
-        name = name or f"parent-{region}"
+    def add_parent(self, region: str, *, relay: "EdgeRelay") -> str:
+        """Register ``region``'s parent relay as ``parent-<region>``.
+        Parents are directory citizens — watched by heartbeats, targeted
+        by fault plans, valid fill sources — but never placed on the
+        ring: clients land on leaves, parents absorb fan-in."""
+        name = f"parent-{region}"
         if region in self._parents:
             raise PlacementError(f"region {region!r} already has a parent")
         self._register(
-            "parent", name, relay, url, capacity, region=region, placeable=False
+            "parent", name, relay, None, None, region=region, placeable=False
         )
         self._parents[region] = name
         return name
@@ -437,25 +428,9 @@ class EdgeDirectory:
         regional parents — for fault-injector and heartbeat registration."""
         return {name: entry.relay for name, entry in self._edges.items()}
 
-    def edges(self) -> List[str]:
-        """Placeable (leaf) edges only — what admission and the
-        autoscaler's per-edge load signals iterate."""
-        return sorted(
-            name for name, entry in self._edges.items() if entry.placeable
-        )
-
     def edge_url(self, name: str) -> str:
         """Base control/playback URL of one edge."""
         return self._entry(name).url
-
-    def edge_load(self, name: str) -> int:
-        """Modeled viewers on one edge (``multiplicity``-weighted for
-        relays, ``set_load`` for url-only entries) — the autoscaler's
-        per-edge load signal."""
-        entry = self._entry(name)
-        if entry.relay is not None:
-            return entry.relay.sessions.modeled_viewers()
-        return entry.manual_load
 
     def is_available(self, name: str) -> bool:
         """Whether the edge currently admits clients (not down, not
@@ -476,7 +451,8 @@ class EdgeDirectory:
 
     def elect_parent(self, region: str) -> Optional[str]:
         """Pick the healthiest same-region leaf to promote when the
-        region's parent dies: lightest modeled load, name as the
+        region's parent dies: fewest open sessions (a cohort delegate
+        counts once, whatever its multiplicity), name as the
         deterministic tiebreak. Returns ``None`` when no leaf qualifies
         — the region then falls flat to origin-only."""
         candidates = [
@@ -2061,9 +2037,7 @@ def _build_tier(
     regions: Dict[Optional[str], Sequence[str]],
     *,
     attach_directory: bool,
-    capacity: Optional[int],
     cache_bytes: int,
-    vnodes: int,
     seed: int,
     origin_fallback: bool,
     join_quantum: float,
@@ -2078,8 +2052,7 @@ def _build_tier(
     """
     origin_url = f"http://{origin.host}:{origin.port}"
     directory = EdgeDirectory(
-        vnodes=vnodes, seed=seed,
-        origin_url=origin_url if origin_fallback else None,
+        seed=seed, origin_url=origin_url if origin_fallback else None,
     )
     parents: Dict[str, EdgeRelay] = {}
     leaves: List[EdgeRelay] = []
@@ -2116,16 +2089,14 @@ def _build_tier(
                 is_parent=True,
             )
             parents[region] = parent
-            directory.add_parent(region, relay=parent, name=parent.name)
+            directory.add_parent(region, relay=parent)
         for host in regions[region]:
             connect(origin.host, host)
             if parent_host is not None:
                 connect(parent_host, host)
             relay = relay_on(host, join_quantum=join_quantum, region=region)
             leaves.append(relay)
-            directory.add_edge(
-                relay.name, relay=relay, capacity=capacity, region=region
-            )
+            directory.add_edge(relay.name, relay=relay, region=region)
     if attach_directory:
         for relay in all_relays:
             relay.attach_directory(directory)
@@ -2142,9 +2113,7 @@ def build_edge_tier(
     origin: MediaServer,
     edge_hosts: Sequence[str],
     *,
-    capacity: Optional[int] = None,
     cache_bytes: int = 64 * 1024 * 1024,
-    vnodes: int = 64,
     seed: int = 0,
     port: int = 8080,
     qos_enabled: bool = False,
@@ -2173,7 +2142,7 @@ def build_edge_tier(
     directory, _, relays = _build_tier(
         network, origin, {None: edge_hosts},
         attach_directory=sibling_fills,
-        capacity=capacity, cache_bytes=cache_bytes, vnodes=vnodes, seed=seed,
+        cache_bytes=cache_bytes, seed=seed,
         origin_fallback=origin_fallback, join_quantum=join_quantum,
         port=port, qos_enabled=qos_enabled, pacing_quantum=pacing_quantum,
         fill_burst=fill_burst, backbone=backbone_budget,
@@ -2187,9 +2156,7 @@ def build_relay_tree(
     origin: MediaServer,
     regions: Dict[str, Sequence[str]],
     *,
-    capacity: Optional[int] = None,
     cache_bytes: int = 64 * 1024 * 1024,
-    vnodes: int = 64,
     seed: int = 0,
     port: int = 8080,
     qos_enabled: bool = False,
@@ -2216,7 +2183,7 @@ def build_relay_tree(
     return _build_tier(
         network, origin, regions,
         attach_directory=True,
-        capacity=capacity, cache_bytes=cache_bytes, vnodes=vnodes, seed=seed,
+        cache_bytes=cache_bytes, seed=seed,
         origin_fallback=origin_fallback, join_quantum=join_quantum,
         port=port, qos_enabled=qos_enabled, pacing_quantum=pacing_quantum,
         fill_burst=fill_burst, backbone=backbone_budget,

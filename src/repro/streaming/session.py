@@ -79,8 +79,8 @@ class StreamSession:
     #: packet run (an edge thins per *its own* clients, not per itself)
     replica: bool = False
     #: modeled viewers behind this session. 1 for a real client; a load
-    #: cohort's delegate session carries the cohort size, so capacity
-    #: accounting can report modeled audience without per-viewer sessions.
+    #: cohort's delegate session carries the cohort size, so traces and
+    #: hand-offs can report modeled audience without per-viewer sessions.
     #: Delivery and QoS stay 1× — one carrier stream feeds the cohort.
     multiplicity: int = 1
     #: client-side relocation callback for warm hand-off: a draining edge
@@ -170,10 +170,6 @@ class SessionTable:
                 attrs["replica"] = True
             self.tracer.event("session.open", **attrs)
         return session
-
-    def modeled_viewers(self) -> int:
-        """Σ multiplicity over registered sessions (modeled audience)."""
-        return sum(s.multiplicity for s in self._sessions.values())
 
     def _track_state(self, session: StreamSession) -> None:
         if session.active:

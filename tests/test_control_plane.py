@@ -1,4 +1,4 @@
-"""The supervision plane: heartbeat detection and the autoscaler.
+"""The supervision plane: heartbeat detection.
 
 The contract under test is *organic* failure handling: nothing here ever
 calls ``EdgeDirectory.mark_down``/``mark_up`` — edges are marked down
@@ -14,9 +14,10 @@ the simulated network, and marked up because they beat again.
   instead of a false suspicion (the adaptive half of the detector);
 * an edge crashing mid-backbone-fill leaves an orphaned replica session
   on the origin; the monitor settles it at suspicion time — no restart
-  or shutdown required (the suspicion/fill interaction fix);
-* the autoscaler substantiates latent edges under sustained load and
-  drains them again when the audience leaves, with hysteresis.
+  or shutdown required (the suspicion/fill interaction fix).
+
+Capacity is not elastic: edges are added and drained by hand (the
+drain-then-remove path lives in ``test_edge_drain.py``).
 """
 
 import os
@@ -24,7 +25,7 @@ import os
 import pytest
 
 from repro.asf import ASFEncoder, EncoderConfig, slide_commands
-from repro.control import Autoscaler, CapacityPolicy, HeartbeatMonitor, LatentEdge
+from repro.control import HeartbeatMonitor
 from repro.media import AudioObject, ImageObject, VideoObject, get_profile
 from repro.metrics.counters import reset_counters
 from repro.net import FaultInjector, FaultPlan
@@ -35,7 +36,6 @@ from repro.streaming import (
     RecoveryConfig,
     build_edge_tier,
 )
-from repro.streaming.edge import EdgeRelay, PacketRunCache
 from repro.web import VirtualNetwork
 
 CHAOS_SEED = int(os.environ.get("CHAOS_SEED", "0"))
@@ -202,168 +202,3 @@ class TestSuspicionSettlesOrphanedFills:
         assert len(origin.sessions) == 0
         origin.assert_no_qos_leaks()
         monitor.stop()
-
-
-class TestAutoscaler:
-    def _latent(self, net, origin, name, client_host="student"):
-        def factory(edge_name):
-            net.connect("origin", edge_name,
-                        bandwidth=50_000_000, delay=0.005)
-            net.connect(edge_name, client_host,
-                        bandwidth=2_000_000, delay=0.02)
-            return EdgeRelay(
-                net, edge_name,
-                origin_url="http://origin:8080",
-                cache=PacketRunCache(),
-                pacing_quantum=0.5,
-            )
-
-        return LatentEdge(name, factory)
-
-    def test_scale_up_then_down_with_hysteresis(self):
-        net, origin, directory, relays = make_tier(edges=1)
-        monitor = make_monitor(net, directory)
-        policy = CapacityPolicy(
-            high_load=4.0, low_load=1.0, sustain=2, cooldown=2.0, min_edges=1
-        )
-        scaler = Autoscaler(
-            net.simulator, directory,
-            latent=[self._latent(net, origin, "edge-x")],
-            policy=policy, interval=0.5, monitor=monitor,
-        )
-        scaler.start()
-
-        # a 10-viewer cohort lands on the lone edge: sustained high load
-        player = MediaPlayer(net, "student", multiplicity=10)
-        player.connect(directory.url_for("student", "lecture"))
-        player.play()
-        net.simulator.run_until(4.0)
-
-        assert scaler.counters["scale_ups"] == 1
-        assert scaler.active_latent == ["edge-x"]
-        assert "edge-x" in directory.edges()
-        assert "edge-x" in monitor.watched()
-        # hysteresis: the streak reset + cooldown mean exactly one action
-        assert scaler.counters.get("scale_downs", 0) == 0
-
-        # the audience leaves; sustained low load drains the latent edge
-        player.stop()
-        net.simulator.run_until(12.0)
-        assert scaler.counters["scale_downs"] == 1
-        assert scaler.active_latent == []
-        assert "edge-x" not in directory.edges()
-        assert "edge-x" not in monitor.watched()
-        # scale-down unwound only the autoscaler's own action: the base
-        # edge (min_edges floor) was never drained
-        assert "edge0" in directory.edges()
-        assert not relays[0].draining
-
-        scaler.stop()
-        monitor.stop()
-        for relay in relays:
-            relay.shutdown()
-        net.simulator.run()
-        assert len(origin.sessions) == 0
-
-    def test_scale_down_never_breaches_min_edges(self):
-        net, origin, directory, relays = make_tier(edges=1)
-        policy = CapacityPolicy(
-            high_load=4.0, low_load=1.0, sustain=1, cooldown=0.5, min_edges=1
-        )
-        scaler = Autoscaler(net.simulator, directory, policy=policy,
-                            interval=0.5)
-        scaler.start()
-        net.simulator.run_until(5.0)
-        # dead-quiet tier, low streak every sample — but nothing to drain
-        assert scaler.counters.get("scale_downs", 0) == 0
-        assert directory.edges() == ["edge0"] or "edge0" in directory.edges()
-        scaler.stop()
-
-
-class TestRicherCapacitySignals:
-    """PR 8 signals: QoE-percentile dict probes and bytes_served trends
-    feed the same hysteresis machinery as raw viewer counts."""
-
-    def _latent(self, net, name):
-        def factory(edge_name):
-            net.connect("origin", edge_name,
-                        bandwidth=50_000_000, delay=0.005)
-            net.connect(edge_name, "student",
-                        bandwidth=2_000_000, delay=0.02)
-            return EdgeRelay(
-                net, edge_name,
-                origin_url="http://origin:8080",
-                cache=PacketRunCache(),
-                pacing_quantum=0.5,
-            )
-
-        return LatentEdge(name, factory)
-
-    def test_rebuffer_p95_probe_scales_up_with_hysteresis(self):
-        net, origin, directory, relays = make_tier(edges=1)
-        probe = {"value": {"startup_p95": 0.1, "rebuffer_p95": 0.2}}
-        policy = CapacityPolicy(
-            high_load=1000.0, low_load=0.5, sustain=2, cooldown=2.0,
-            min_edges=1, max_rebuffer_p95=0.05,
-        )
-        scaler = Autoscaler(
-            net.simulator, directory,
-            latent=[self._latent(net, "edge-x")],
-            policy=policy, interval=0.5,
-            qoe_probe=lambda: probe["value"],
-        )
-        scaler.start()
-        # one bad sample is not enough: sustain=2 holds the action
-        net.simulator.run_until(0.9)
-        assert scaler.counters.get("scale_ups", 0) == 0
-        net.simulator.run_until(2.0)
-        assert scaler.counters["scale_ups"] == 1
-        assert scaler.active_latent == ["edge-x"]
-        # viewer load never looked high — the QoE percentile did it
-        assert all(s["per_edge"] < policy.high_load for s in scaler.samples)
-
-        # QoE recovers: the dead-quiet tier drains the latent edge after
-        # cooldown, and only the latent edge
-        probe["value"] = {"startup_p95": 0.01, "rebuffer_p95": 0.0}
-        net.simulator.run_until(8.0)
-        assert scaler.counters["scale_downs"] == 1
-        assert scaler.active_latent == []
-        assert "edge-x" not in directory.edges()
-        assert "edge0" in directory.edges()
-        scaler.stop()
-
-    def test_bytes_rate_trend_scales_up_when_viewer_counts_look_calm(self):
-        net, origin, directory, relays = make_tier(edges=1)
-        policy = CapacityPolicy(
-            high_load=1000.0, low_load=0.5, sustain=2, cooldown=60.0,
-            min_edges=1, high_bytes_rate=1.0,
-        )
-        scaler = Autoscaler(
-            net.simulator, directory,
-            latent=[self._latent(net, "edge-x")],
-            policy=policy, interval=0.5,
-        )
-        scaler.start()
-
-        player = MediaPlayer(net, "student", multiplicity=10)
-        player.connect(directory.url_for("student", "lecture"))
-        player.play()
-        net.simulator.run_until(4.0)
-
-        # a first sighting primes the baseline instead of counting the
-        # edge's lifetime bytes as one giant delta
-        assert scaler.samples[0]["bytes_delta"] == 0
-        assert relays[0].bytes_served > 0
-        # ten modeled viewers never crossed high_load=1000; the byte
-        # trend is what tripped the guard
-        assert scaler.counters["scale_ups"] == 1
-        assert all(s["per_edge"] < policy.high_load for s in scaler.samples)
-        assert any(s["bytes_rate"] > policy.high_bytes_rate
-                   for s in scaler.samples)
-
-        player.stop()
-        scaler.stop()
-        for relay in relays:
-            relay.shutdown()
-        net.simulator.run()
-        assert len(origin.sessions) == 0

@@ -21,8 +21,8 @@ EDGES = [f"edge{i}" for i in range(8)]
 KEYS = [f"client{i}|lecture" for i in range(400)]
 
 
-def build(names=EDGES, *, seed=7, vnodes=64, capacity=None, origin_url=None):
-    directory = EdgeDirectory(vnodes=vnodes, seed=seed, origin_url=origin_url)
+def build(names=EDGES, *, seed=7, capacity=None, origin_url=None):
+    directory = EdgeDirectory(seed=seed, origin_url=origin_url)
     for name in names:
         directory.add_edge(
             name, url=f"http://{name}:8080", capacity=capacity

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.lod import Lecture, MediaStore, WebPublishingManager
-from repro.lod.catalog import (
+from repro.lod.course import (
     CatalogError,
     Course,
     CourseCatalog,

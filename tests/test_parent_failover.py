@@ -520,6 +520,29 @@ class TestDownstreamSettlement:
         assert len(origin.sessions) == 0
 
 
+class TestElection:
+    def test_successor_is_the_leaf_with_fewest_open_sessions(self):
+        """Election counts open sessions, not modeled viewers: a cohort
+        delegate standing for 50 viewers weighs one session, so its leaf
+        beats a leaf holding two single viewers (and the name tiebreak,
+        which alone would pick e0)."""
+        net, origin, directory, parents, leaves, _, _ = make_tree(
+            monitor=False
+        )
+        e0, e1 = leaves
+        for _ in range(2):
+            e0.open_session("lecture", "viewer", lambda packet: None)
+        e1.open_session(
+            "lecture", "viewer", lambda packet: None, multiplicity=50
+        )
+        assert directory.elect_parent("r0") == "e1"
+
+        for relay in (*leaves, parents["r0"]):
+            relay.shutdown()
+        net.simulator.run(max_events=1_000_000)
+        assert len(origin.sessions) == 0
+
+
 class TestDownParentAdmission:
     def test_down_parent_is_no_fill_source_and_no_upstream(self):
         net, origin, directory, parents, leaves, _, _ = make_tree(
