@@ -78,6 +78,13 @@ class EncodeCache:
     already-built :class:`~repro.asf.stream.ASFFile` instead of re-running
     the codec models and packetizer. Both :meth:`ASFEncoder.encode_file`
     and :meth:`ASFEncoder.encode_file_mbr` (rendition-aware key) consult it.
+    The same scope holds grid cells' packet runs for
+    :class:`~repro.lod.publisher.LODPublisher` under keys tagged ``"run"``
+    (everything the packets read, not the point name or title): a hit's
+    file lends its packets and index to a new header
+    (:meth:`~repro.asf.stream.ASFFile.with_header`), so a clean republish
+    or a publish under another name shares the cell's fragments.
+    ``max_entries`` bounds files and runs together.
 
     **Segment-level** entries (:meth:`lookup_segment` / :meth:`store_segment`)
     are content-addressed :class:`~repro.media.codecs.EncodedStream`
@@ -181,6 +188,62 @@ class EncodeCache:
         self._segments.clear()
 
 
+def file_header(
+    file_id: str,
+    duration: float,
+    streams: List[StreamProperties],
+    command_list: List[ScriptCommand],
+    *,
+    packet_size: int,
+    preroll_ms: int,
+    metadata: Dict[str, str],
+    drm: Optional[DRMInfo] = None,
+) -> HeaderObject:
+    """The header step of :func:`assemble_asf`: the stream table (the
+    command stream appended when there are commands), file properties,
+    metadata and the (sorted) script commands."""
+    if command_list:
+        streams.append(
+            StreamProperties(
+                SCRIPT_STREAM_NUMBER, STREAM_TYPE_COMMAND, codec="script", name="commands"
+            )
+        )
+    return HeaderObject(
+        file_properties=FileProperties(
+            file_id=file_id,
+            duration_ms=round(duration * 1000),
+            packet_size=packet_size,
+            preroll_ms=preroll_ms,
+            flags=FLAG_DRM_PROTECTED if drm is not None else 0,
+        ),
+        streams=streams,
+        metadata=metadata,
+        script_commands=command_list,
+        drm=drm,
+    )
+
+
+def packetize_file(header: HeaderObject, unit_lists: List[List[MediaUnit]]) -> ASFFile:
+    """The packet-run step of :func:`assemble_asf`: the units and the
+    header's script commands packetized on the duration-paced send
+    schedule, then indexed.
+
+    The packets read the header's packet size, total bitrate, stream
+    numbers and commands, never its file id or metadata: a file whose
+    header differs only there can share the run (:meth:`ASFFile.with_header`).
+    """
+    if header.script_commands:
+        unit_lists = [*unit_lists, units_from_commands(header.script_commands)]
+    packetizer = Packetizer(
+        packet_size=header.file_properties.packet_size,
+        bitrate=max(header.total_bitrate, 1.0),
+        pacing="duration",
+    )
+    asf = ASFFile(header=header, packets=packetizer.packetize(unit_lists))
+    asf.ensure_index()
+    return asf
+
+
 def assemble_asf(
     file_id: str,
     duration: float,
@@ -196,37 +259,21 @@ def assemble_asf(
     """Build a stored, indexed .asf file from numbered streams and units.
 
     The one tail every stored file goes through: the (sorted) script
-    commands become the command stream, the header is written, and the
-    units are packetized on the duration-paced send schedule.
+    commands become the command stream, the header is written
+    (:func:`file_header`), and the units are packetized on the
+    duration-paced send schedule (:func:`packetize_file`).
     """
-    if command_list:
-        streams.append(
-            StreamProperties(
-                SCRIPT_STREAM_NUMBER, STREAM_TYPE_COMMAND, codec="script", name="commands"
-            )
-        )
-        unit_lists.append(units_from_commands(command_list))
-    header = HeaderObject(
-        file_properties=FileProperties(
-            file_id=file_id,
-            duration_ms=round(duration * 1000),
-            packet_size=packet_size,
-            preroll_ms=preroll_ms,
-            flags=FLAG_DRM_PROTECTED if drm is not None else 0,
-        ),
-        streams=streams,
+    header = file_header(
+        file_id,
+        duration,
+        streams,
+        command_list,
+        packet_size=packet_size,
+        preroll_ms=preroll_ms,
         metadata=metadata,
-        script_commands=command_list,
         drm=drm,
     )
-    packetizer = Packetizer(
-        packet_size=packet_size,
-        bitrate=max(header.total_bitrate, 1.0),
-        pacing="duration",
-    )
-    asf = ASFFile(header=header, packets=packetizer.packetize(unit_lists))
-    asf.ensure_index()
-    return asf
+    return packetize_file(header, unit_lists)
 
 
 class ASFEncoder:

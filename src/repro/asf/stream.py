@@ -62,6 +62,18 @@ class ASFFile:
             self.header.file_properties.flags |= FLAG_SEEKABLE
         return self.index
 
+    def with_header(self, header: HeaderObject) -> "ASFFile":
+        """A new file of ``header`` over this file's packet run.
+
+        The new file gets a list of its own holding the same packet
+        objects and this file's index (``header`` is marked seekable to
+        match). Only for a header that differs from this one in what the
+        packets never read: file id, title, author.
+        """
+        if self.index is not None:
+            header.file_properties.flags |= FLAG_SEEKABLE
+        return ASFFile(header=header, packets=list(self.packets), index=self.index)
+
     def packets_from(self, seconds: float) -> List[DataPacket]:
         """Packets to deliver for playback starting at ``seconds``."""
         start = self.ensure_index().seek(seconds)

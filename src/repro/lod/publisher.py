@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..asf.constants import STREAM_TYPE_AUDIO, STREAM_TYPE_IMAGE, STREAM_TYPE_VIDEO
 from ..asf.drm import LicenseServer
-from ..asf.encoder import EncodeCache, assemble_asf
+from ..asf.encoder import EncodeCache, file_header, packetize_file
 from ..asf.farm import JOB_AUDIO, JOB_IMAGE, JOB_VIDEO, EncodeFarm, EncodeJob, adopt_farm
 from ..asf.header import StreamProperties
 from ..asf.packets import MediaUnit, concat_unit_lists, units_from_encoded
@@ -34,7 +34,7 @@ from ..contenttree.serialize import tree_from_json
 from ..media.codecs import ImageCodec
 from ..media.objects import ImageObject, VideoObject
 from ..media.profiles import PROFILE_BY_NAME, BandwidthProfile, get_profile
-from ..streaming.server import MediaServer
+from ..streaming.server import MediaServer, PublishError
 from ..web.http import HTTPClient, HTTPError, HTTPRequest, HTTPResponse, form_decode
 from .lecture import Lecture, LectureError, LectureSegment
 from .orchestrator import OrchestrationResult, Orchestrator
@@ -335,6 +335,7 @@ class LODPublishResult:
 class _VariantPlan:
     """Index bookkeeping tying one grid cell to its slots in the job batch."""
 
+    name: str
     level: int
     profile: BandwidthProfile
     segments: List[LectureSegment]
@@ -364,7 +365,19 @@ class LODPublisher:
     slide only encodes that slide's delta. Assembly (timeline rebasing,
     stream numbering, script commands, packetization) happens in the
     caller after the batch returns, in a fixed order — parallel farms
-    produce **byte-identical** variants to ``workers=0``.
+    produce **byte-identical** variants to ``workers=0``. With a cache,
+    packetization is content-addressed too: each cell's packet run is
+    stored under everything its packets read (encode fingerprints,
+    segment names and durations, level, profile, stream names, packet
+    size, preroll) but not the point name or title, so a clean republish,
+    a publish under another name or a single level after the full grid
+    wraps a fresh header around the packets an earlier publish built.
+    Every variant keeps its own :class:`~repro.asf.stream.ASFFile` and
+    header; only an edited cell packetizes again.
+
+    A publish without ``replace`` that would collide with a published
+    point raises :class:`~repro.streaming.server.PublishError` before
+    anything is encoded or published.
 
     ``media_server=None`` skips publication and just builds the variants —
     handy for benchmarks and tests.
@@ -423,7 +436,9 @@ class LODPublisher:
         ``levels`` defaults to every non-trivial tree level (1..highest);
         level 0 is the bare root and has no segments to encode.
         ``replace=True`` unpublishes colliding points first — the
-        "republish after editing" workflow.
+        "republish after editing" workflow; without it, any colliding
+        point raises :class:`~repro.streaming.server.PublishError` with
+        nothing encoded or published.
         """
         tree = lecture.content_tree()
         abstractor = Abstractor(tree)
@@ -448,49 +463,57 @@ class LODPublisher:
                 raise LectureError(f"level {q} selects no lecture segments")
             chosen_by_level[q] = chosen
 
+        plans = [
+            _VariantPlan(f"{point}-l{q}-{profile.name}", q, profile, chosen_by_level[q])
+            for q in level_list
+            for profile in self.renditions
+        ]
+        if self.media_server is not None and not replace:
+            for plan in plans:
+                if plan.name in self.media_server.points:
+                    raise PublishError(
+                        f"publishing point {plan.name!r} already exists"
+                    )
+
         # One batch for the whole grid, in a fixed deterministic order:
         # (level asc, profile asc) × (videos, audios, images in lecture
         # order). Within-batch dedup collapses shared segments across
         # levels; results arrive in this same order regardless of workers.
         jobs: List[EncodeJob] = []
-        plans: List[_VariantPlan] = []
-        for q in level_list:
-            for profile in self.renditions:
-                plan = _VariantPlan(q, profile, chosen_by_level[q])
+        for plan in plans:
+            for seg in plan.segments:
+                clip = lecture.video.cut(seg.start, seg.duration)
+                plan.video_idx.append(len(jobs))
+                jobs.append(
+                    EncodeJob(
+                        JOB_VIDEO,
+                        clip,
+                        profile=plan.profile,
+                        with_data=self.with_data,
+                    )
+                )
+            if lecture.audio is not None:
                 for seg in plan.segments:
-                    clip = lecture.video.cut(seg.start, seg.duration)
-                    plan.video_idx.append(len(jobs))
+                    track = lecture.audio.cut(seg.start, seg.duration)
+                    plan.audio_idx.append(len(jobs))
                     jobs.append(
                         EncodeJob(
-                            JOB_VIDEO,
-                            clip,
-                            profile=profile,
+                            JOB_AUDIO,
+                            track,
+                            profile=plan.profile,
                             with_data=self.with_data,
                         )
                     )
-                if lecture.audio is not None:
-                    for seg in plan.segments:
-                        track = lecture.audio.cut(seg.start, seg.duration)
-                        plan.audio_idx.append(len(jobs))
-                        jobs.append(
-                            EncodeJob(
-                                JOB_AUDIO,
-                                track,
-                                profile=profile,
-                                with_data=self.with_data,
-                            )
-                        )
-                for seg in plan.segments:
-                    plan.image_idx.append(len(jobs))
-                    jobs.append(
-                        EncodeJob(
-                            JOB_IMAGE,
-                            seg.slide,
-                            with_data=self.with_data,
-                            image_codec=self._image_codec,
-                        )
+            for seg in plan.segments:
+                plan.image_idx.append(len(jobs))
+                jobs.append(
+                    EncodeJob(
+                        JOB_IMAGE,
+                        seg.slide,
+                        with_data=self.with_data,
+                        image_codec=self._image_codec,
                     )
-                plans.append(plan)
+                )
 
         span = None
         if self.tracer is not None:
@@ -509,8 +532,8 @@ class LODPublisher:
         variants: Dict[Tuple[int, str], PublishedVariant] = {}
         invalidations_pushed = 0
         for plan in plans:
-            name = f"{point}-l{plan.level}-{plan.profile.name}"
-            asf = self._assemble_variant(lecture, name, plan, results)
+            asf = self._assemble_variant(lecture, plan, jobs, results)
+            name = plan.name
             url = ""
             if self.media_server is not None:
                 replaced_key: Optional[str] = None
@@ -607,15 +630,18 @@ class LODPublisher:
     def _assemble_variant(
         self,
         lecture: Lecture,
-        file_id: str,
         plan: _VariantPlan,
+        jobs: Sequence[EncodeJob],
         results: Sequence,
     ) -> ASFFile:
         """Merge one grid cell's encoded segments into a standalone ASF.
 
         Deterministic given the (already-merged) farm results: stream
         numbers, object renumbering and packetization all happen here,
-        downstream of any parallelism.
+        downstream of any parallelism. With a cache, the cell's packet
+        run is memoized under :meth:`_run_key`: a hit wraps this publish's
+        header around the run an earlier publish built (unit lists,
+        packetizer and index skipped).
         """
         starts: List[float] = []
         clock = 0.0
@@ -626,22 +652,19 @@ class LODPublisher:
         offsets_ms = [round(t * 1000) for t in starts]
         span = max(duration, 1e-9)
 
-        streams: List[StreamProperties] = []
-        unit_lists: List[List[MediaUnit]] = []
-        number = 1
-
         video_encs = [results[i] for i in plan.video_idx]
-        video_units = concat_unit_lists(
-            [units_from_encoded(number, enc) for enc in video_encs], offsets_ms
-        )
+        audio_encs = [results[i] for i in plan.audio_idx]
+        image_encs = [results[i] for i in plan.image_idx]
+        video_name = f"{lecture.video.name}@{plan.profile.name}"
+        audio_name = lecture.audio.name if lecture.audio is not None else None
         scaled = plan.profile.configure_video(lecture.video)
-        streams.append(
+        streams = [
             StreamProperties(
-                number,
+                1,
                 STREAM_TYPE_VIDEO,
                 codec=plan.profile.video_codec,
                 bitrate=sum(e.total_size for e in video_encs) * 8 / span,
-                name=f"{lecture.video.name}@{plan.profile.name}",
+                name=video_name,
                 extra={
                     "width": str(scaled.width),
                     "height": str(scaled.height),
@@ -651,60 +674,40 @@ class LODPublisher:
                     "profile": plan.profile.name,
                 },
             )
-        )
-        unit_lists.append(video_units)
-        number += 1
-
-        if lecture.audio is not None:
-            audio_encs = [results[i] for i in plan.audio_idx]
-            audio_units = concat_unit_lists(
-                [units_from_encoded(number, enc) for enc in audio_encs],
-                offsets_ms,
-            )
+        ]
+        if audio_name is not None:
             streams.append(
                 StreamProperties(
-                    number,
+                    2,
                     STREAM_TYPE_AUDIO,
                     codec=plan.profile.audio_codec,
                     bitrate=sum(e.total_size for e in audio_encs) * 8 / span,
-                    name=lecture.audio.name,
+                    name=audio_name,
                     extra={"quality": f"{audio_encs[0].quality:.4f}"},
                 )
             )
-            unit_lists.append(audio_units)
-            number += 1
-
-        slide_units: List[MediaUnit] = []
-        slide_bytes = 0
-        for object_number, (idx, offset) in enumerate(
-            zip(plan.image_idx, offsets_ms)
-        ):
-            data = units_from_encoded(number, results[idx])[0].data
-            slide_units.append(
-                MediaUnit(number, object_number, offset, True, data)
-            )
-            slide_bytes += len(data)
+        slide_number = len(streams) + 1
         streams.append(
             StreamProperties(
-                number,
+                slide_number,
                 STREAM_TYPE_IMAGE,
                 codec=self._image_codec.name,
-                bitrate=slide_bytes * 8 / span,
+                # a slide is one unit carrying its encoded size in bytes
+                # (units_from_encoded pads a payload-less run with zeros)
+                bitrate=sum(e.total_size for e in image_encs) * 8 / span,
                 name="slides",
             )
         )
-        unit_lists.append(slide_units)
 
         commands = [ScriptCommand(0, TYPE_TREE_LEVEL, str(plan.level))]
         commands.extend(
             ScriptCommand(offset, TYPE_SLIDE, seg.name)
             for seg, offset in zip(plan.segments, offsets_ms)
         )
-        return assemble_asf(
-            file_id,
+        header = file_header(
+            plan.name,
             duration,
             streams,
-            unit_lists,
             sorted(commands),
             packet_size=self.packet_size,
             preroll_ms=self.preroll_ms,
@@ -715,4 +718,66 @@ class LODPublisher:
                 "profile": plan.profile.name,
                 "segments": str(len(plan.segments)),
             },
+        )
+        key: Optional[tuple] = None
+        if self.cache is not None:
+            key = self._run_key(plan, jobs, video_name, audio_name)
+            cached = self.cache.lookup(key)
+            if cached is not None:
+                return cached.with_header(header)
+
+        unit_lists = [
+            concat_unit_lists(
+                [units_from_encoded(1, enc) for enc in video_encs], offsets_ms
+            )
+        ]
+        if audio_name is not None:
+            unit_lists.append(
+                concat_unit_lists(
+                    [units_from_encoded(2, enc) for enc in audio_encs], offsets_ms
+                )
+            )
+        unit_lists.append(
+            [
+                MediaUnit(
+                    slide_number,
+                    object_number,
+                    offset,
+                    True,
+                    units_from_encoded(slide_number, enc)[0].data,
+                )
+                for object_number, (enc, offset) in enumerate(
+                    zip(image_encs, offsets_ms)
+                )
+            ]
+        )
+        asf = packetize_file(header, unit_lists)
+        if key is not None:
+            self.cache.store(key, asf)
+        return asf
+
+    def _run_key(
+        self,
+        plan: _VariantPlan,
+        jobs: Sequence[EncodeJob],
+        video_name: str,
+        audio_name: Optional[str],
+    ) -> tuple:
+        """Everything a grid cell's packets and stream table read, tagged
+        ``"run"``: the cell's encode fingerprints in plan order, the
+        segments' names and durations, level, profile, stream names,
+        packet size and preroll. The point name and the title and author
+        metadata are header-only and left out, so a clean republish and a
+        publish under another name share the run."""
+        slots = plan.video_idx + plan.audio_idx + plan.image_idx
+        return (
+            "run",
+            tuple(jobs[i].fingerprint() for i in slots),
+            tuple((seg.name, seg.duration) for seg in plan.segments),
+            plan.level,
+            plan.profile.name,
+            video_name,
+            audio_name,
+            self.packet_size,
+            self.preroll_ms,
         )

@@ -1,7 +1,8 @@
 """One stored-file assembler: byte identity, cache-key stability, one site.
 
 Every stored ``.asf`` — single-rate, multi-bitrate, LOD grid variant — is
-built by :func:`repro.asf.encoder.assemble_asf`. The fingerprints below
+built by the two steps of :func:`repro.asf.encoder.assemble_asf`
+(``file_header``, ``packetize_file``). The fingerprints below
 were computed at the commit *before* the three hand-written copies were
 folded into it; the AST walks keep the copies (and the relay's private
 copy of the region topology, the server's second schedule and pacer, and
@@ -136,14 +137,14 @@ def _calls(name, **keywords):
 class TestOneBodyPerJob:
     def test_one_duration_paced_packetizer_site(self):
         assert _sites(_calls("Packetizer", pacing="duration")) == {
-            "asf/encoder.py:assemble_asf"
+            "asf/encoder.py:packetize_file"
         }
 
     def test_one_stored_file_header_site(self):
         # start_live writes the (broadcast) header of a live stream; every
-        # stored file's header comes from the assembler
+        # stored file's header comes from the assembler's header step
         assert _sites(_calls("HeaderObject")) == {
-            "asf/encoder.py:assemble_asf", "asf/encoder.py:start_live",
+            "asf/encoder.py:file_header", "asf/encoder.py:start_live",
         }
 
     def test_one_drain_loop_in_the_engine(self):

@@ -264,6 +264,41 @@ class TestSegmentScope:
         assert cache.evictions == 1
 
 
+class TestPacketRunScope:
+    """Grid cells' packet runs live in the file scope under ``"run"`` keys."""
+
+    def lecture(self):
+        return Lecture.from_slide_durations(
+            "runs", "Prof", [3, 2, 2, 1], importances=[0, 1, 2, 3],
+            slide_width=160, slide_height=120,
+        )
+
+    def test_runs_past_max_entries_evict_the_oldest(self):
+        from repro.metrics import Counters
+
+        counters = Counters()
+        cache = EncodeCache(max_entries=3, counters=counters)
+        renditions = [get_profile("modem-56k"), get_profile("dsl-256k")]
+        publisher = LODPublisher(renditions=renditions, cache=cache)
+        first = publisher.publish(self.lecture(), "p")
+        # 4 levels x 2 renditions: 8 distinct runs through 3 slots
+        assert len(first.variants) == 8
+        assert len(cache) == 3
+        assert cache.evictions == counters.get("file_evictions") == 5
+        assert all(key[0] == "run" for key in cache._entries)
+
+        # the newest cells still hit; the oldest were evicted and rebuild
+        # into new packets, byte-identical
+        for level, shared in ((4, True), (1, False)):
+            again = publisher.publish(self.lecture(), "p", levels=[level])
+            for profile in again.profiles:
+                old = first.variant(level, profile).asf
+                new = again.variant(level, profile).asf
+                assert (new.packets[0] is old.packets[0]) is shared, (level, profile)
+                assert new.pack() == old.pack()
+                assert new.fingerprint() == old.fingerprint()
+
+
 class TestCountersRegistry:
     def test_cache_publishes_to_registry_bag(self):
         from repro.metrics import get_counters

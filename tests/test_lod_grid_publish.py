@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.asf import TYPE_SLIDE, TYPE_TREE_LEVEL, EncodeCache, EncodeFarm
+from repro.asf import TYPE_SLIDE, TYPE_TREE_LEVEL, EncodeCache, EncodeFarm, Packetizer
 from repro.lod import Lecture, LectureError, LODPublisher
 from repro.lod.lecture import LectureSegment
 from repro.media import get_profile
 from repro.media.objects import ImageObject
-from repro.streaming import MediaServer
+from repro.streaming import MediaServer, PublishError
 from repro.web import VirtualNetwork
 
 RENDITIONS = [get_profile("modem-56k"), get_profile("dsl-256k")]
@@ -144,6 +144,104 @@ class TestGridReuse:
         assert shallow.encodes_performed == 0
 
 
+def four_level_lecture():
+    return Lecture.from_slide_durations(
+        "four-levels",
+        "Prof",
+        [3, 2, 2, 1, 2, 1, 1, 2],
+        importances=[0, 1, 2, 3] * 2,
+        slide_width=160,
+        slide_height=120,
+    )
+
+
+GRID_RENDITIONS = RENDITIONS + [get_profile("lan-1m")]
+
+
+def count_packetize(monkeypatch):
+    calls = []
+    original = Packetizer.packetize
+
+    def counted(self, unit_lists):
+        calls.append(len(unit_lists))
+        return original(self, unit_lists)
+
+    monkeypatch.setattr(Packetizer, "packetize", counted)
+    return calls
+
+
+class TestPacketRunReuse:
+    """A grid cell's packet run is built once per content, not per publish."""
+
+    def test_clean_republish_shares_every_packet(self, monkeypatch):
+        cache = EncodeCache()
+        publisher = LODPublisher(renditions=GRID_RENDITIONS, cache=cache)
+        first = publisher.publish(four_level_lecture(), "p")
+        assert len(first.variants) == 12  # 4 levels x 3 renditions
+        assert (cache.hits, cache.misses, len(cache)) == (0, 12, 12)
+        calls = count_packetize(monkeypatch)
+        again = publisher.publish(four_level_lecture(), "p")
+        assert calls == []
+        assert (cache.hits, cache.misses) == (12, 12)
+        for key, variant in first.variants.items():
+            old, new = variant.asf, again.variants[key].asf
+            assert new is not old
+            assert new.header is not old.header
+            assert new.packets is not old.packets
+            assert all(a is b for a, b in zip(new.packets, old.packets))
+            assert len(new.packets) == len(old.packets)
+            assert new.index is old.index
+            assert new.pack() == old.pack()
+            assert new.fingerprint() == old.fingerprint()
+
+    def test_publish_under_another_name_shares_packets(self):
+        publisher = LODPublisher(renditions=RENDITIONS, cache=EncodeCache())
+        first = publisher.publish(lecture(), "p")
+        other = publisher.publish(lecture(), "q")
+        for key, variant in first.variants.items():
+            old, new = variant.asf, other.variants[key].asf
+            assert all(a is b for a, b in zip(new.packets, old.packets))
+            assert new.header.file_properties.file_id == other.variants[key].point
+            assert old.header.file_properties.file_id == variant.point
+            assert new.fingerprint() != old.fingerprint()
+
+    def test_level_after_the_full_grid_is_a_hit(self, monkeypatch):
+        cache = EncodeCache()
+        publisher = LODPublisher(renditions=RENDITIONS, cache=cache)
+        full = publisher.publish(lecture(), "p")
+        calls = count_packetize(monkeypatch)
+        hits = cache.hits
+        one = publisher.publish(lecture(), "p", levels=[2])
+        assert calls == []
+        assert cache.hits == hits + len(RENDITIONS)
+        for profile in one.profiles:
+            new = one.variant(2, profile).asf.packets
+            old = full.variant(2, profile).asf.packets
+            assert len(new) == len(old)
+            assert all(a is b for a, b in zip(new, old))
+
+    def test_publisher_without_a_cache_shares_nothing(self, monkeypatch):
+        publisher = LODPublisher(renditions=RENDITIONS)
+        first = publisher.publish(lecture(), "p")
+        calls = count_packetize(monkeypatch)
+        again = publisher.publish(lecture(), "p")
+        assert len(calls) == len(first.variants)
+        for key, variant in first.variants.items():
+            new = again.variants[key].asf
+            assert not any(a is b for a, b in zip(new.packets, variant.asf.packets))
+            assert new.pack() == variant.asf.pack()
+
+    def test_edited_cells_rebuild_and_the_rest_share(self):
+        publisher = LODPublisher(renditions=RENDITIONS, cache=EncodeCache())
+        first = publisher.publish(lecture(), "p")
+        # slide 2 (importance 2) is only in level 3
+        edited = publisher.publish(edit_slide(lecture(), 2, "slide2-fixed"), "p")
+        for (level, profile), variant in first.variants.items():
+            old, new = variant.asf.packets, edited.variant(level, profile).asf.packets
+            shared = [a is b for a, b in zip(new, old)]
+            assert all(shared) if level < 3 else not any(shared)
+
+
 class TestGridServing:
     def make_server(self):
         net = VirtualNetwork()
@@ -172,3 +270,14 @@ class TestGridServing:
         assert len(server.points) == 6
         point = server.points["course-l2-dsl-256k"]
         assert point.content is result.variant(2, "dsl-256k").asf
+
+    def test_colliding_publish_publishes_nothing(self):
+        server = self.make_server()
+        publisher = LODPublisher(server, renditions=RENDITIONS)
+        publisher.publish(lecture(), "g", levels=[2])
+        before = dict(server.points)
+        with pytest.raises(PublishError, match="g-l2-modem-56k"):
+            publisher.publish(lecture(), "g")
+        # the cells before the first colliding one did not go up either
+        assert server.points == before
+        assert "g-l1-dsl-256k" not in server.points

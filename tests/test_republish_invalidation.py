@@ -14,6 +14,7 @@ import os
 
 import pytest
 
+from repro.asf import EncodeCache
 from repro.catalog import CatalogIndex
 from repro.lod import Lecture, LODPublisher
 from repro.media import get_profile
@@ -51,7 +52,7 @@ def packed(asf):
     return len(asf.header.pack()) + asf.data_size()
 
 
-def build_world(edges=3):
+def build_world(edges=3, cache=None):
     reset_counters("edge_cache")
     net = VirtualNetwork()
     origin = MediaServer(net, "origin", port=8080, pacing_quantum=0.5)
@@ -61,7 +62,7 @@ def build_world(edges=3):
     )
     catalog = CatalogIndex()
     publisher = LODPublisher(
-        origin, renditions=[PROFILE],
+        origin, renditions=[PROFILE], cache=cache,
         edge_directory=directory, catalog=catalog,
     )
     return net, origin, directory, relays, publisher, catalog
@@ -103,6 +104,30 @@ class TestInvalidationPush:
         result = publisher.publish(lecture(), "qt", levels=[1], replace=True)
         assert result.invalidations_pushed == 0
         assert POINT in relays[0].points
+
+    def test_republish_from_a_cache_pushes_only_edits(self):
+        """A clean republish shares the old run's packets under a fresh
+        header and pushes nothing; an edit still reaches every holder."""
+        net, origin, directory, relays, publisher, catalog = build_world(
+            cache=EncodeCache()
+        )
+        publisher.publish(lecture(), "qt", levels=[1])
+        first = origin.points[POINT].content
+        for relay in relays:
+            relay.prefetch(POINT)
+
+        clean = publisher.publish(lecture(), "qt", levels=[1], replace=True)
+        again = origin.points[POINT].content
+        assert again is not first
+        assert all(a is b for a, b in zip(again.packets, first.packets))
+        assert clean.invalidations_pushed == 0
+        assert all(POINT in relay.points for relay in relays)
+
+        edited = publisher.publish(
+            edited_lecture(), "qt", levels=[1], replace=True,
+        )
+        assert edited.invalidations_pushed == len(relays)
+        assert not any(POINT in relay.points for relay in relays)
 
     def test_fresh_edge_is_left_alone(self):
         """An edge already holding the *new* generation keeps it."""
