@@ -18,12 +18,10 @@ from .farm import (
     JOB_AUDIO,
     JOB_IMAGE,
     JOB_VIDEO,
-    START_METHOD,
     EncodeFarm,
     EncodeJob,
     FarmError,
     run_encode_job,
-    run_job_with_deltas,
 )
 from .header import FileProperties, HeaderObject, StreamProperties
 from .indexer import IndexEntry, SimpleIndex, add_script_commands
@@ -61,13 +59,12 @@ __all__ = [
     "HeaderObject", "IndexEntry", "JOB_AUDIO", "JOB_IMAGE", "JOB_VIDEO",
     "License", "LicenseServer",
     "LiveEncoderSession", "LossReport", "MediaUnit", "Packetizer", "Payload",
-    "SCRIPT_STREAM_NUMBER", "START_METHOD", "STATEFUL_TYPES",
+    "SCRIPT_STREAM_NUMBER", "STATEFUL_TYPES",
     "STREAM_TYPE_AUDIO",
     "STREAM_TYPE_COMMAND", "STREAM_TYPE_IMAGE", "STREAM_TYPE_VIDEO",
     "ScriptCommand", "ScriptCommandDispatcher", "SimpleIndex",
     "StreamProperties", "TYPE_ANNOTATION", "TYPE_CAPTION", "TYPE_FILENAME",
     "TYPE_SLIDE", "TYPE_TREE_LEVEL", "TYPE_URL", "add_script_commands",
-    "command_from_unit", "concat_unit_lists", "run_encode_job",
-    "run_job_with_deltas", "scramble",
+    "command_from_unit", "concat_unit_lists", "run_encode_job", "scramble",
     "slide_commands", "units_from_commands", "units_from_encoded",
 ]

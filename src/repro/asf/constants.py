@@ -22,6 +22,9 @@ TAG_INDEX = b"SIDX"
 #: Default on-the-wire packet size in bytes (ASF default ballpark).
 DEFAULT_PACKET_SIZE = 1_450
 
+#: Default preroll in milliseconds: media a client buffers before playing.
+DEFAULT_PREROLL_MS = 3_000
+
 #: Stream number reserved for the script-command stream.
 SCRIPT_STREAM_NUMBER = 127
 

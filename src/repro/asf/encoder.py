@@ -24,10 +24,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..media.codecs import EncodedStream, ImageCodec
 from ..media.objects import AudioObject, ImageObject, VideoObject
 from ..media.profiles import BandwidthProfile
-from ..metrics.counters import Counters, get_counters
+from ..metrics.counters import get_counters
 from .constants import (
     ASFError,
     DEFAULT_PACKET_SIZE,
+    DEFAULT_PREROLL_MS,
     FLAG_BROADCAST,
     FLAG_DRM_PROTECTED,
     SCRIPT_STREAM_NUMBER,
@@ -37,14 +38,7 @@ from .constants import (
     STREAM_TYPE_VIDEO,
 )
 from .drm import DRMInfo, LicenseServer, scramble
-from .farm import (
-    JOB_AUDIO,
-    JOB_IMAGE,
-    JOB_VIDEO,
-    EncodeFarm,
-    EncodeJob,
-    adopt_farm,
-)
+from .farm import JOB_AUDIO, JOB_IMAGE, JOB_VIDEO, EncodeFarm, EncodeJob
 from .header import FileProperties, HeaderObject, StreamProperties
 from .packets import (
     MediaUnit,
@@ -62,7 +56,7 @@ class EncoderConfig:
 
     profile: BandwidthProfile
     packet_size: int = DEFAULT_PACKET_SIZE
-    preroll_ms: int = 3_000
+    preroll_ms: int = DEFAULT_PREROLL_MS
     with_data: bool = False  # carry real synthetic payload bytes
     metadata: Dict[str, str] = field(default_factory=dict)
 
@@ -84,7 +78,7 @@ class EncodeCache:
     file lends its packets and index to a new header
     (:meth:`~repro.asf.stream.ASFFile.with_header`), so a clean republish
     or a publish under another name shares the cell's fragments.
-    ``max_entries`` bounds files and runs together.
+    :attr:`MAX_ENTRIES` bounds files and runs together.
 
     **Segment-level** entries (:meth:`lookup_segment` / :meth:`store_segment`)
     are content-addressed :class:`~repro.media.codecs.EncodedStream`
@@ -92,6 +86,7 @@ class EncodeCache:
     fingerprint, profile, codec + keyframe parameters, payload mode. They
     make republishing a lecture after editing one slide segment, or
     publishing abstraction level k after level k+1, encode only the delta.
+    :attr:`MAX_SEGMENT_ENTRIES` bounds them.
 
     Entries are shared objects — callers must treat cached content as
     immutable published media (the serving stack already does). DRM
@@ -105,20 +100,15 @@ class EncodeCache:
     dashboards, alongside the per-instance attributes.
     """
 
-    def __init__(
-        self,
-        max_entries: int = 32,
-        *,
-        max_segment_entries: int = 512,
-        counters: Optional[Counters] = None,
-    ) -> None:
-        if max_entries <= 0 or max_segment_entries <= 0:
-            raise ASFError("cache needs at least one entry")
-        self.max_entries = max_entries
-        self.max_segment_entries = max_segment_entries
+    #: LRU bound on file-scope entries (files and packet runs)
+    MAX_ENTRIES = 32
+    #: LRU bound on segment-scope entries
+    MAX_SEGMENT_ENTRIES = 512
+
+    def __init__(self) -> None:
         self._entries: "OrderedDict[tuple, ASFFile]" = OrderedDict()
         self._segments: "OrderedDict[tuple, EncodedStream]" = OrderedDict()
-        self.counters = counters if counters is not None else get_counters("encode_cache")
+        self.counters = get_counters("encode_cache")
         self.hits = 0
         self.misses = 0
         self.segment_hits = 0
@@ -153,7 +143,7 @@ class EncodeCache:
     def store(self, key: tuple, asf: ASFFile) -> ASFFile:
         self._entries[key] = asf
         self._entries.move_to_end(key)
-        while len(self._entries) > self.max_entries:
+        while len(self._entries) > self.MAX_ENTRIES:
             self._entries.popitem(last=False)
             self.evictions += 1
             self.counters.inc("file_evictions")
@@ -177,7 +167,7 @@ class EncodeCache:
     def store_segment(self, key: tuple, stream: EncodedStream) -> EncodedStream:
         self._segments[key] = stream
         self._segments.move_to_end(key)
-        while len(self._segments) > self.max_segment_entries:
+        while len(self._segments) > self.MAX_SEGMENT_ENTRIES:
             self._segments.popitem(last=False)
             self.evictions += 1
             self.counters.inc("segment_evictions")
@@ -279,14 +269,10 @@ def assemble_asf(
 class ASFEncoder:
     """Builds ASF content from media sources under a bandwidth profile.
 
-    Every codec run goes through an :class:`~repro.asf.farm.EncodeFarm`:
-    the default is a private serial farm (``workers=0`` — no
-    multiprocessing machinery at all), and passing a parallel ``farm``
-    spreads independent encodes (MBR renditions, slide images) across
-    worker processes with byte-identical output — the farm merges worker
-    results in rank order and stream numbering/packetization happen here,
-    downstream of the merge. A farm given without its own cache adopts
-    this encoder's ``cache`` so segment-level reuse stays on.
+    Every codec run goes through the encoder's own
+    :class:`~repro.asf.farm.EncodeFarm`, which shares ``cache`` so
+    segment-level reuse stays on; stream numbering and packetization
+    happen here, after the batch returns.
     """
 
     def __init__(
@@ -294,13 +280,12 @@ class ASFEncoder:
         config: EncoderConfig,
         *,
         cache: Optional[EncodeCache] = None,
-        farm: Optional[EncodeFarm] = None,
         tracer=None,
     ) -> None:
         self.config = config
         self.cache = cache
         self.tracer = tracer  # optional repro.obs.Tracer
-        self.farm = adopt_farm(farm, cache, tracer)
+        self.farm = EncodeFarm(cache=cache, tracer=tracer)
         self._next_stream = itertools.count(1)
         self._image_codec = ImageCodec()
 
@@ -360,7 +345,7 @@ class ASFEncoder:
         ``encoded`` must match the job submission order: one entry per
         video profile in ``profiles``, then audio (at the first profile),
         then one per image. Stream numbers are assigned here, in that
-        fixed order — identical for serial and parallel encodes.
+        fixed order.
         """
         streams: List[StreamProperties] = []
         unit_lists: List[List[MediaUnit]] = []
@@ -510,8 +495,7 @@ class ASFEncoder:
 
         Non-DRM output is memoized in the attached :class:`EncodeCache`
         under a rendition-aware key; per-rendition video encodes are
-        independent farm jobs, so a parallel farm encodes the whole ladder
-        concurrently with byte-identical results.
+        independent farm jobs in one batch.
         """
         if not renditions:
             raise ASFError("MBR encoding needs at least one rendition")

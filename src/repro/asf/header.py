@@ -15,6 +15,8 @@ from typing import Dict, List, Optional
 
 from .constants import (
     ASFError,
+    DEFAULT_PACKET_SIZE,
+    DEFAULT_PREROLL_MS,
     FLAG_BROADCAST,
     FLAG_DRM_PROTECTED,
     FLAG_SEEKABLE,
@@ -39,8 +41,8 @@ class FileProperties:
 
     file_id: str
     duration_ms: int = 0
-    packet_size: int = 1_450
-    preroll_ms: int = 3_000
+    packet_size: int = DEFAULT_PACKET_SIZE
+    preroll_ms: int = DEFAULT_PREROLL_MS
     flags: int = 0
 
     def __post_init__(self) -> None:

@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..asf.drm import LicenseServer
-from ..asf.encoder import ASFEncoder, EncodeCache, EncoderConfig
-from ..asf.farm import EncodeFarm
+from ..asf.encoder import ASFEncoder, EncoderConfig
 from ..asf.script_commands import TYPE_SLIDE, ScriptCommand
 from ..asf.stream import ASFFile
 from ..contenttree.serialize import tree_to_json
@@ -58,24 +57,12 @@ class Orchestrator:
         profile: BandwidthProfile,
         *,
         license_server: Optional[LicenseServer] = None,
-        packet_size: int = 1_450,
-        preroll_ms: int = 3_000,
-        with_data: bool = False,
-        encode_cache: Optional[EncodeCache] = None,
-        farm: Optional[EncodeFarm] = None,
         tracer=None,
     ) -> None:
         self.profile = profile
         self.license_server = license_server
-        self.encode_cache = encode_cache
-        self.farm = farm
         self.tracer = tracer  # optional repro.obs.Tracer
-        self.config = EncoderConfig(
-            profile=profile,
-            packet_size=packet_size,
-            preroll_ms=preroll_ms,
-            with_data=with_data,
-        )
+        self.config = EncoderConfig(profile=profile)
 
     # ------------------------------------------------------------------
 
@@ -112,12 +99,7 @@ class Orchestrator:
             "author": lecture.author,
             "segments": str(len(lecture.segments)),
         }
-        encoder = ASFEncoder(
-            self.config,
-            cache=self.encode_cache,
-            farm=self.farm,
-            tracer=self.tracer,
-        )
+        encoder = ASFEncoder(self.config, tracer=self.tracer)
         asf = encoder.encode_file(
             file_id=file_id or lecture.title,
             video=lecture.video,

@@ -21,10 +21,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..asf.constants import STREAM_TYPE_AUDIO, STREAM_TYPE_IMAGE, STREAM_TYPE_VIDEO
+from ..asf.constants import (
+    DEFAULT_PACKET_SIZE,
+    DEFAULT_PREROLL_MS,
+    STREAM_TYPE_AUDIO,
+    STREAM_TYPE_IMAGE,
+    STREAM_TYPE_VIDEO,
+)
 from ..asf.drm import LicenseServer
 from ..asf.encoder import EncodeCache, file_header, packetize_file
-from ..asf.farm import JOB_AUDIO, JOB_IMAGE, JOB_VIDEO, EncodeFarm, EncodeJob, adopt_farm
+from ..asf.farm import JOB_AUDIO, JOB_IMAGE, JOB_VIDEO, EncodeFarm, EncodeJob
 from ..asf.header import StreamProperties
 from ..asf.packets import MediaUnit, concat_unit_lists, units_from_encoded
 from ..asf.script_commands import TYPE_SLIDE, TYPE_TREE_LEVEL, ScriptCommand
@@ -121,6 +127,8 @@ class WebPublishingManager:
     """The Fig. 5 form backend on a media server."""
 
     REQUIRED_FIELDS = ("video_path", "slide_dir", "point")
+    #: the profile a form without one publishes at
+    DEFAULT_PROFILE = "dsl-256k"
 
     def __init__(
         self,
@@ -128,22 +136,11 @@ class WebPublishingManager:
         store: MediaStore,
         *,
         license_server: Optional[LicenseServer] = None,
-        default_profile: str = "dsl-256k",
-        encode_cache: Optional[EncodeCache] = None,
-        farm: Optional[EncodeFarm] = None,
-        edge_directory=None,
         tracer=None,
     ) -> None:
         self.media_server = media_server
         self.store = store
         self.license_server = license_server
-        self.default_profile = default_profile
-        self.encode_cache = encode_cache
-        self.farm = farm
-        #: optional repro.streaming.edge.EdgeDirectory: when the serving
-        #: tier is distributed, playback_url() hands each student their
-        #: placed edge instead of the origin URL
-        self.edge_directory = edge_directory
         self.tracer = tracer  # optional repro.obs.Tracer
         self.published: Dict[str, PublishedLecture] = {}
         media_server.http.route("POST", "/publish", self._handle_publish_form)
@@ -166,20 +163,18 @@ class WebPublishingManager:
         protect: bool = False,
     ) -> PublishedLecture:
         """Validate, orchestrate, publish; returns the playback record."""
-        profile_name = profile or self.default_profile
+        profile_name = profile or self.DEFAULT_PROFILE
         if profile_name not in PROFILE_BY_NAME:
             raise PublishFormError(
                 f"unknown profile {profile_name!r}; choose from "
                 f"{sorted(PROFILE_BY_NAME)}"
             )
-        if point in self.published:
+        if point in self.published or point in self.media_server.points:
             raise PublishFormError(f"publishing point {point!r} already in use")
         lecture = self.store.lookup_lecture(video_path, slide_dir)
         orchestrator = Orchestrator(
             get_profile(profile_name),
             license_server=self.license_server if protect else None,
-            encode_cache=self.encode_cache,
-            farm=self.farm,
             tracer=self.tracer,
         )
         result = orchestrator.orchestrate(lecture, file_id=point)
@@ -192,19 +187,6 @@ class WebPublishingManager:
         )
         self.published[point] = record
         return record
-
-    def playback_url(self, client_host: str, point: str) -> str:
-        """The URL one student should stream from.
-
-        With an edge directory this is the client's consistent-hash
-        placement (origin fallback included when the directory has one);
-        without, it is the origin URL the record already carries.
-        """
-        if point not in self.published:
-            raise PublishFormError(f"nothing published at {point!r}")
-        if self.edge_directory is not None:
-            return self.edge_directory.url_for(client_host, point)
-        return self.media_server.url_of(point)
 
     def content_tree_of(self, point: str):
         if point not in self.published:
@@ -363,15 +345,14 @@ class LODPublisher:
     encodes; an attached :class:`~repro.asf.encoder.EncodeCache` extends
     the same reuse across publishes, so republishing after editing one
     slide only encodes that slide's delta. Assembly (timeline rebasing,
-    stream numbering, script commands, packetization) happens in the
-    caller after the batch returns, in a fixed order — parallel farms
-    produce **byte-identical** variants to ``workers=0``. With a cache,
-    packetization is content-addressed too: each cell's packet run is
-    stored under everything its packets read (encode fingerprints,
-    segment names and durations, level, profile, stream names, packet
-    size, preroll) but not the point name or title, so a clean republish,
-    a publish under another name or a single level after the full grid
-    wraps a fresh header around the packets an earlier publish built.
+    stream numbering, script commands, packetization) happens after the
+    batch returns, in a fixed order. With a cache, packetization is
+    content-addressed too: each cell's packet run is stored under
+    everything its packets read (encode fingerprints, segment names and
+    durations, level, profile, stream names) but not the point name or
+    title, so a clean republish, a publish under another name or a single
+    level after the full grid wraps a fresh header around the packets an
+    earlier publish built.
     Every variant keeps its own :class:`~repro.asf.stream.ASFFile` and
     header; only an edited cell packetizes again.
 
@@ -388,11 +369,7 @@ class LODPublisher:
         media_server: Optional[MediaServer] = None,
         *,
         renditions: Sequence[BandwidthProfile],
-        farm: Optional[EncodeFarm] = None,
         cache: Optional[EncodeCache] = None,
-        packet_size: int = 1_450,
-        preroll_ms: int = 3_000,
-        with_data: bool = False,
         edge_directory=None,
         catalog=None,
         tracer=None,
@@ -406,11 +383,8 @@ class LODPublisher:
         self.media_server = media_server
         self.renditions = sorted(renditions, key=lambda p: p.total_bitrate)
         self.tracer = tracer  # optional repro.obs.Tracer
-        self.farm = adopt_farm(farm, cache, tracer)
-        self.cache = cache if cache is not None else self.farm.cache
-        self.packet_size = packet_size
-        self.preroll_ms = preroll_ms
-        self.with_data = with_data
+        self.cache = cache
+        self.farm = EncodeFarm(cache=cache, tracer=tracer)
         #: :class:`~repro.streaming.edge.EdgeDirectory` — when attached,
         #: a ``replace=True`` publish pushes an eager ``invalidate`` to
         #: every edge the holder registry lists for a changed point, so
@@ -478,41 +452,22 @@ class LODPublisher:
         # One batch for the whole grid, in a fixed deterministic order:
         # (level asc, profile asc) × (videos, audios, images in lecture
         # order). Within-batch dedup collapses shared segments across
-        # levels; results arrive in this same order regardless of workers.
+        # levels; results arrive in this same order.
         jobs: List[EncodeJob] = []
         for plan in plans:
             for seg in plan.segments:
                 clip = lecture.video.cut(seg.start, seg.duration)
                 plan.video_idx.append(len(jobs))
-                jobs.append(
-                    EncodeJob(
-                        JOB_VIDEO,
-                        clip,
-                        profile=plan.profile,
-                        with_data=self.with_data,
-                    )
-                )
+                jobs.append(EncodeJob(JOB_VIDEO, clip, profile=plan.profile))
             if lecture.audio is not None:
                 for seg in plan.segments:
                     track = lecture.audio.cut(seg.start, seg.duration)
                     plan.audio_idx.append(len(jobs))
-                    jobs.append(
-                        EncodeJob(
-                            JOB_AUDIO,
-                            track,
-                            profile=plan.profile,
-                            with_data=self.with_data,
-                        )
-                    )
+                    jobs.append(EncodeJob(JOB_AUDIO, track, profile=plan.profile))
             for seg in plan.segments:
                 plan.image_idx.append(len(jobs))
                 jobs.append(
-                    EncodeJob(
-                        JOB_IMAGE,
-                        seg.slide,
-                        with_data=self.with_data,
-                        image_codec=self._image_codec,
-                    )
+                    EncodeJob(JOB_IMAGE, seg.slide, image_codec=self._image_codec)
                 )
 
         span = None
@@ -636,9 +591,9 @@ class LODPublisher:
     ) -> ASFFile:
         """Merge one grid cell's encoded segments into a standalone ASF.
 
-        Deterministic given the (already-merged) farm results: stream
-        numbers, object renumbering and packetization all happen here,
-        downstream of any parallelism. With a cache, the cell's packet
+        Deterministic given the farm results: stream numbers, object
+        renumbering and packetization all happen here. With a cache, the
+        cell's packet
         run is memoized under :meth:`_run_key`: a hit wraps this publish's
         header around the run an earlier publish built (unit lists,
         packetizer and index skipped).
@@ -709,8 +664,8 @@ class LODPublisher:
             duration,
             streams,
             sorted(commands),
-            packet_size=self.packet_size,
-            preroll_ms=self.preroll_ms,
+            packet_size=DEFAULT_PACKET_SIZE,
+            preroll_ms=DEFAULT_PREROLL_MS,
             metadata={
                 "title": lecture.title,
                 "author": lecture.author,
@@ -765,10 +720,10 @@ class LODPublisher:
     ) -> tuple:
         """Everything a grid cell's packets and stream table read, tagged
         ``"run"``: the cell's encode fingerprints in plan order, the
-        segments' names and durations, level, profile, stream names,
-        packet size and preroll. The point name and the title and author
-        metadata are header-only and left out, so a clean republish and a
-        publish under another name share the run."""
+        segments' names and durations, level, profile and stream names.
+        The point name and the title and author metadata are header-only
+        and left out, so a clean republish and a publish under another
+        name share the run."""
         slots = plan.video_idx + plan.audio_idx + plan.image_idx
         return (
             "run",
@@ -778,6 +733,4 @@ class LODPublisher:
             plan.profile.name,
             video_name,
             audio_name,
-            self.packet_size,
-            self.preroll_ms,
         )

@@ -1,13 +1,11 @@
 """Metrics: sample statistics and per-experiment collectors."""
 
-from .collector import MetricsCollector, Sample
+from .collector import MetricsCollector
 from .counters import (
     Counters,
     counters_snapshot,
     get_counters,
-    merge_snapshot,
     reset_counters,
-    snapshot_delta,
 )
 from .histogram import Histogram
 from .stats import (
@@ -24,7 +22,6 @@ __all__ = [
     "Counters",
     "Histogram",
     "MetricsCollector",
-    "Sample",
     "StatsError",
     "Summary",
     "counters_snapshot",
@@ -32,9 +29,7 @@ __all__ = [
     "get_counters",
     "jain_index",
     "mean",
-    "merge_snapshot",
     "percentile",
     "reset_counters",
-    "snapshot_delta",
     "stdev",
 ]

@@ -8,17 +8,9 @@ shape of every paper bench in ``benchmarks/``.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .stats import StatsError, Summary, format_table
-
-
-@dataclass(frozen=True)
-class Sample:
-    series: str
-    x: float
-    y: float
 
 
 class MetricsCollector:

@@ -97,37 +97,3 @@ def reset_counters(name: Optional[str] = None) -> None:
     elif name in _REGISTRY:
         _REGISTRY[name].clear()
 
-
-def snapshot_delta(
-    before: Dict[str, Dict[str, int]], after: Dict[str, Dict[str, int]]
-) -> Dict[str, Dict[str, int]]:
-    """Per-key increments between two :func:`counters_snapshot` calls.
-
-    Bags and keys absent from ``before`` count from zero; zero deltas are
-    omitted, so the result is exactly "what was incremented in between".
-    Counters are monotonic, which is what makes this subtraction sound.
-    """
-    deltas: Dict[str, Dict[str, int]] = {}
-    for bag_name, counts in after.items():
-        base = before.get(bag_name, {})
-        changed = {
-            key: value - base.get(key, 0)
-            for key, value in counts.items()
-            if value != base.get(key, 0)
-        }
-        if changed:
-            deltas[bag_name] = changed
-    return deltas
-
-
-def merge_snapshot(deltas: Dict[str, Dict[str, int]]) -> None:
-    """Fold :func:`snapshot_delta` output into this process's registry.
-
-    This is how increments made inside ``spawn`` pool workers (which have
-    their own process-global registry) reach the parent: each job returns
-    its delta alongside its result and the parent merges it here.
-    """
-    for bag_name, counts in deltas.items():
-        bag = get_counters(bag_name)
-        for key, amount in counts.items():
-            bag.inc(key, amount)

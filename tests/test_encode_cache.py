@@ -9,8 +9,6 @@ every mutation and no packet or file keeps a copy of it.
 import gc
 import tracemalloc
 
-import pytest
-
 from repro.asf import (
     ASFEncoder,
     DataPacket,
@@ -113,8 +111,9 @@ class TestEncodeCache:
         assert len(cache) == 0
         assert (cache.hits, cache.misses) == (0, 0)
 
-    def test_lru_eviction(self):
-        cache = EncodeCache(max_entries=2)
+    def test_lru_eviction(self, monkeypatch):
+        monkeypatch.setattr(EncodeCache, "MAX_ENTRIES", 2)
+        cache = EncodeCache()
         video, _, _ = sources()
         for name in ("A", "B", "C"):
             make_encoder(cache).encode_file(file_id=name, video=video)
@@ -134,12 +133,6 @@ class TestEncodeCache:
         assert len(cache) == 0
         make_encoder(cache).encode_file(file_id="L", video=video)
         assert cache.misses == 2
-
-    def test_invalid_capacity_rejected(self):
-        from repro.asf import ASFError
-
-        with pytest.raises(ASFError):
-            EncodeCache(max_entries=0)
 
     def test_uncached_encoder_unaffected(self):
         video, _, _ = sources()
@@ -256,8 +249,9 @@ class TestSegmentScope:
         assert cache.segment_hits == 1
         assert cache.bytes_saved > 0
 
-    def test_segment_lru_eviction(self):
-        cache = EncodeCache(max_segment_entries=1)
+    def test_segment_lru_eviction(self, monkeypatch):
+        monkeypatch.setattr(EncodeCache, "MAX_SEGMENT_ENTRIES", 1)
+        cache = EncodeCache()
         video, audio, _ = sources()
         make_encoder(cache).encode_file(file_id="L", video=video, audio=audio)
         assert cache.segment_count == 1
@@ -273,18 +267,20 @@ class TestPacketRunScope:
             slide_width=160, slide_height=120,
         )
 
-    def test_runs_past_max_entries_evict_the_oldest(self):
-        from repro.metrics import Counters
+    def test_runs_past_max_entries_evict_the_oldest(self, monkeypatch):
+        from repro.metrics import get_counters
 
-        counters = Counters()
-        cache = EncodeCache(max_entries=3, counters=counters)
+        monkeypatch.setattr(EncodeCache, "MAX_ENTRIES", 3)
+        bag = get_counters("encode_cache")
+        evicted_before = bag.get("file_evictions")
+        cache = EncodeCache()
         renditions = [get_profile("modem-56k"), get_profile("dsl-256k")]
         publisher = LODPublisher(renditions=renditions, cache=cache)
         first = publisher.publish(self.lecture(), "p")
         # 4 levels x 2 renditions: 8 distinct runs through 3 slots
         assert len(first.variants) == 8
         assert len(cache) == 3
-        assert cache.evictions == counters.get("file_evictions") == 5
+        assert cache.evictions == bag.get("file_evictions") - evicted_before == 5
         assert all(key[0] == "run" for key in cache._entries)
 
         # the newest cells still hit; the oldest were evicted and rebuild
@@ -312,16 +308,6 @@ class TestCountersRegistry:
         make_encoder(cache).encode_file(file_id="L", video=video)
         assert bag.get("file_hits") == before_hits + 1
         assert bag.get("segment_misses") == before_seg + 1
-
-    def test_private_counters_bag_honoured(self):
-        from repro.metrics import Counters
-
-        private = Counters()
-        cache = EncodeCache(counters=private)
-        video, _, _ = sources()
-        make_encoder(cache).encode_file(file_id="L", video=video)
-        assert private.get("file_misses") == 1
-        assert private.get("segment_misses") == 1
 
 
 class TestPackMemo:

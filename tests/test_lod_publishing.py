@@ -15,6 +15,7 @@ from repro.lod import (
     verify_orchestration,
 )
 from repro.media import ImageObject, VideoObject, get_profile
+from repro.metrics import get_counters
 from repro.streaming import MediaPlayer, MediaServer
 from repro.web import HTTPClient, VirtualNetwork, form_encode
 
@@ -194,6 +195,21 @@ class TestWebPublishingManager:
             body={"video_path": "/bad", "slide_dir": "/slides/", "point": "z"},
         )
         assert response.status == 400
+
+    def test_point_taken_on_the_server_400_before_encoding(self, world):
+        net, server, _, manager, lec = world
+        server.publish("taken", Orchestrator(PROFILE).orchestrate(lec).asf)
+        encodes = get_counters("encode_farm")
+        before = encodes.get("encodes")
+        with pytest.raises(PublishFormError):
+            manager.publish(video_path="/v/lec.mpg", slide_dir="/slides/", point="taken")
+        response = HTTPClient(net, "teacher").post(
+            "http://server:8080/publish",
+            body={"video_path": "/v/lec.mpg", "slide_dir": "/slides/", "point": "taken"},
+        )
+        assert response.status == 400 and "already in use" in response.body
+        assert encodes.get("encodes") == before
+        assert manager.published == {}
 
     def test_published_lecture_is_watchable(self, world):
         net, _, _, manager, _ = world

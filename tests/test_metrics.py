@@ -11,9 +11,7 @@ from repro.metrics import (
     get_counters,
     jain_index,
     mean,
-    merge_snapshot,
     percentile,
-    snapshot_delta,
     stdev,
 )
 
@@ -122,36 +120,3 @@ class TestCollector:
         for i in range(10):
             c.record("s", i, float(i))
         assert c.summary("s").n == 10
-
-
-class TestSnapshotDelta:
-    def test_delta_counts_increments_only(self):
-        before = {"farm": {"jobs": 3, "encodes": 2}}
-        after = {"farm": {"jobs": 5, "encodes": 2}, "cache": {"hits": 1}}
-        assert snapshot_delta(before, after) == {
-            "farm": {"jobs": 2},
-            "cache": {"hits": 1},
-        }
-
-    def test_identical_snapshots_yield_empty_delta(self):
-        snap = {"farm": {"jobs": 3}}
-        assert snapshot_delta(snap, snap) == {}
-
-    def test_merge_snapshot_folds_into_registry(self):
-        bag = get_counters("snapshot_delta_test")
-        base = bag.get("k")
-        merge_snapshot({"snapshot_delta_test": {"k": 4}})
-        assert bag.get("k") == base + 4
-
-    def test_round_trip_from_a_foreign_registry(self):
-        # simulate a worker: increments recorded against a fresh registry
-        worker = Counters("worker_farm")
-        before = {"worker_farm": worker.as_dict()}
-        worker.inc("codec_runs")
-        worker.inc("encoded_bytes", 512)
-        delta = snapshot_delta(before, {"worker_farm": worker.as_dict()})
-        parent = get_counters("worker_farm")
-        runs = parent.get("codec_runs")
-        merge_snapshot(delta)
-        assert parent.get("codec_runs") == runs + 1
-        assert parent.get("encoded_bytes") >= 512

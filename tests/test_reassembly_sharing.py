@@ -11,7 +11,6 @@ share, and the memo is invisible to bytes, equality and hashing.
 import pickle
 
 from repro.asf import ASFEncoder, EncoderConfig, LicenseServer, slide_commands
-from repro.asf.farm import EncodeFarm
 from repro.asf.packets import DataPacket, Depacketizer
 from repro.media import AudioObject, ImageObject, VideoObject, get_profile
 from repro.streaming import MediaPlayer, MediaServer
@@ -23,8 +22,8 @@ DURATION = 6.0
 STUDENTS = [f"student{i}" for i in range(10)]
 
 
-def make_asf(slides=("s0", "s1"), license_server=None, farm=None):
-    encoder = ASFEncoder(EncoderConfig(profile=PROFILE), farm=farm)
+def make_asf(slides=("s0", "s1"), license_server=None):
+    encoder = ASFEncoder(EncoderConfig(profile=PROFILE))
     per_slide = DURATION / len(slides)
     return encoder.encode_file(
         file_id="lec",
@@ -208,12 +207,14 @@ def test_memo_is_invisible_to_bytes_equality_hash_and_pickle():
 
 
 def test_farm_results_cross_the_process_boundary_with_the_memo_empty():
-    with EncodeFarm(workers=2) as farm:
-        asf = make_asf(farm=farm)
-        assert farm.pool_started
+    shared = make_asf()
+    net, server = make_world(shared, ["student0"])
+    watch_all(net, server, [MediaPlayer(net, "student0")])
+    assert memos(shared)
+    asf = pickle.loads(pickle.dumps(shared))
     assert not memos(asf)
     assert asf.fingerprint() == make_asf().fingerprint()
-    # ... and what was built from them shares like any other run
+    # ... and the copy shares like any other run
     a, b = Depacketizer(), Depacketizer()
     for packet in asf.packets:
         a.push_packet(packet)
