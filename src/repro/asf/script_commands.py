@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..media.clock import media_ms
 from .constants import ASFError
 from .wire import Reader, pack_str, pack_u32, pack_u64
 
@@ -111,24 +112,34 @@ class ScriptCommandDispatcher:
     def pending(self) -> int:
         return len(self.commands) - self._cursor
 
-    def advance_to(self, seconds: float) -> List[ScriptCommand]:
-        """Fire everything due by ``seconds``; returns what fired."""
-        due_ms = round(seconds * 1000)
+    def advance_to(self, seconds: float) -> Sequence[ScriptCommand]:
+        """Fire everything due by ``seconds``; returns what fired.
+
+        ``seconds`` rounds to media milliseconds the way the jitter buffer
+        rounds the playhead (:func:`~repro.media.clock.media_ms`), so a
+        command fires in the tick that renders a unit with its timestamp.
+        """
+        return self.advance_to_ms(media_ms(seconds))
+
+    def advance_to_ms(self, due_ms: int) -> Sequence[ScriptCommand]:
+        """:meth:`advance_to` for a playhead already in media ms."""
+        commands = self.commands
+        cursor = self._cursor
+        if cursor >= len(commands) or commands[cursor].timestamp_ms > due_ms:
+            return ()
         fired_now: List[ScriptCommand] = []
-        while (
-            self._cursor < len(self.commands)
-            and self.commands[self._cursor].timestamp_ms <= due_ms
-        ):
-            command = self.commands[self._cursor]
+        while cursor < len(commands) and commands[cursor].timestamp_ms <= due_ms:
+            command = commands[cursor]
             self.handler(command)
             self.fired.append(command)
             fired_now.append(command)
-            self._cursor += 1
+            cursor += 1
+            self._cursor = cursor
         return fired_now
 
     def seek(self, seconds: float) -> List[ScriptCommand]:
         """Jump the clock; replay the latest stateful command per type."""
-        target_ms = round(seconds * 1000)
+        target_ms = media_ms(seconds)
         latest: Dict[str, ScriptCommand] = {}
         for command in self.commands:
             if command.timestamp_ms > target_ms:

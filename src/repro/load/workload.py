@@ -23,6 +23,7 @@ import bisect
 import math
 import random
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 
@@ -136,17 +137,18 @@ class ArrivalScript:
     def horizon(self) -> float:
         """Latest instant any scripted playback can still be running."""
         latest = 0.0
-        by_name = {lec.name: lec for lec in self.spec.lectures}
-        for arrival in self.arrivals:
-            lecture = by_name[arrival.lecture]
-            end = arrival.join_time + (lecture.duration - arrival.start_position)
-            if arrival.seek is not None:
+        durations = {lec.name: lec.duration for lec in self.spec.lectures}
+        for _, lecture, join, start, leave_time, seek, _ in self.arrivals:
+            duration = durations[lecture]
+            end = join + (duration - start)
+            if seek is not None:
                 # seeking backwards can extend the watch past the natural end
-                seek_at, seek_to = arrival.seek
-                end = max(end, seek_at + (lecture.duration - seek_to))
-            if arrival.leave_time is not None:
-                end = min(end, arrival.leave_time)
-            latest = max(latest, end)
+                seek_at, seek_to = seek
+                end = max(end, seek_at + (duration - seek_to))
+            if leave_time is not None:
+                end = min(end, leave_time)
+            if end > latest:
+                latest = end
         return latest
 
     def by_lecture(self) -> Dict[str, List[ViewerArrival]]:
@@ -186,62 +188,56 @@ def _diurnal_sample(rng: random.Random, lo: float, hi: float, period: float) -> 
 def generate(spec: WorkloadSpec) -> ArrivalScript:
     """Deterministically expand a spec into per-viewer arrivals."""
     rng = random.Random(spec.seed)
+    # the loop runs once per viewer: it reads spec fields, RNG methods and
+    # lectures (one tuple each) from locals, in the same draw order
+    draw = rng.random
+    uniform = rng.uniform
+    flash_fraction = spec.flash_fraction
+    flash_width = spec.flash_width
+    churn_rate = spec.churn_rate
+    seek_rate = spec.seek_rate
+    diurnal_period = spec.diurnal_period
     cumulative = _zipf_cumulative(len(spec.lectures), spec.zipf_s)
+    catalog = [
+        (lec.name, lec.duration, lec.start_time, lec.end_time, lec.live)
+        for lec in spec.lectures
+    ]
+    pick = bisect.bisect_left
     arrivals: List[ViewerArrival] = []
     for i in range(spec.viewers):
-        lecture = spec.lectures[bisect.bisect_left(cumulative, rng.random())]
-        flash = rng.random() < spec.flash_fraction
-        if flash or lecture.live:
+        name, duration, start, end, live = catalog[pick(cumulative, draw())]
+        flash = draw() < flash_fraction
+        if flash or live:
             # the scheduled burst: front-loaded within flash_width. Live
             # simulcasts have no on-demand tail — stragglers still join
             # during the broadcast window
-            if lecture.live and not flash:
-                join = rng.uniform(lecture.start_time, lecture.end_time)
-            elif spec.flash_width > 0:
-                join = lecture.start_time + min(
-                    rng.expovariate(3.0 / spec.flash_width), spec.flash_width
+            if live and not flash:
+                join = uniform(start, end)
+            elif flash_width > 0:
+                join = start + min(
+                    rng.expovariate(3.0 / flash_width), flash_width
                 )
             else:
-                join = lecture.start_time
+                join = start
+        # background on-demand arrivals over the catalog day
+        elif diurnal_period > 0:
+            join = _diurnal_sample(rng, start, end, diurnal_period)
         else:
-            # background on-demand arrivals over the catalog day
-            lo = lecture.start_time
-            hi = lecture.end_time
-            if spec.diurnal_period > 0:
-                join = _diurnal_sample(rng, lo, hi, spec.diurnal_period)
-            else:
-                join = rng.uniform(lo, hi)
-        if lecture.live:
-            start_position = min(
-                max(0.0, join - lecture.start_time), lecture.duration
-            )
-        else:
-            start_position = 0.0
-        remaining = lecture.duration - start_position
+            join = uniform(start, end)
+        start_position = min(max(0.0, join - start), duration) if live else 0.0
+        remaining = duration - start_position
         leave_time: Optional[float] = None
         seek: Optional[Tuple[float, float]] = None
-        if rng.random() < spec.churn_rate:
-            leave_time = join + rng.uniform(0.25, 0.9) * remaining
-        elif (
-            not lecture.live
-            and spec.seek_rate > 0
-            and rng.random() < spec.seek_rate
-        ):
-            seek_at = join + rng.uniform(0.3, 0.6) * remaining
-            seek_to = rng.uniform(0.5, 0.95) * lecture.duration
-            seek = (seek_at, seek_to)
-        arrivals.append(
-            ViewerArrival(
-                viewer=f"v{i}",
-                lecture=lecture.name,
-                join_time=join,
-                start_position=start_position,
-                leave_time=leave_time,
-                seek=seek,
-                live=lecture.live,
-            )
-        )
-    arrivals.sort(key=lambda a: (a.join_time, a.viewer))
+        if draw() < churn_rate:
+            leave_time = join + uniform(0.25, 0.9) * remaining
+        elif not live and seek_rate > 0 and draw() < seek_rate:
+            seek_at = join + uniform(0.3, 0.6) * remaining
+            seek = (seek_at, uniform(0.5, 0.95) * duration)
+        arrivals.append(ViewerArrival(
+            f"v{i}", name, join, start_position, leave_time, seek, live
+        ))
+    # by (join_time, viewer)
+    arrivals.sort(key=itemgetter(2, 0))
     return ArrivalScript(spec=spec, arrivals=arrivals)
 
 
@@ -290,22 +286,22 @@ def plan_cohorts(
     if quantum <= 0:
         raise WorkloadError("join_quantum must be > 0")
     plans: Dict[tuple, CohortPlan] = {}
+    find = plans.get
+    floor = math.floor
     for arrival in script.arrivals:
+        _, lecture, join_time, start_position, _, _, live = arrival
         edge = place(arrival)
-        bucket = math.floor(arrival.join_time / quantum + 1e-9)
-        position_bucket = (
-            math.floor(arrival.start_position / quantum + 1e-9)
-            if arrival.live else 0
-        )
-        key = (edge, arrival.lecture, bucket, position_bucket)
-        plan = plans.get(key)
+        bucket = floor(join_time / quantum + 1e-9)
+        position_bucket = floor(start_position / quantum + 1e-9) if live else 0
+        key = (edge, lecture, bucket, position_bucket)
+        plan = find(key)
         if plan is None:
             plan = CohortPlan(
                 edge=edge,
-                lecture=arrival.lecture,
+                lecture=lecture,
                 join_time=bucket * quantum,
                 start_position=position_bucket * quantum,
-                live=arrival.live,
+                live=live,
             )
             plans[key] = plan
         plan.members.append(arrival)

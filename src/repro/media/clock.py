@@ -3,17 +3,37 @@
 The renderer and the script-command dispatcher both need "what is the
 presentation time now?" under pause/resume and speed changes; the encoder
 needs millisecond *send times* for packets. :class:`PresentationClock`
-answers the first, :class:`TimestampGenerator` the second.
+answers the first, :class:`TimestampGenerator` the second, and
+:func:`media_ms` is the one rounding of a float position to the integer
+milliseconds every media unit and script command is stamped with.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 
 class ClockError(Exception):
     """Clock misuse (e.g. pausing a paused clock)."""
+
+
+def media_ms(seconds: float) -> int:
+    """A float position in seconds as integer media milliseconds.
+
+    Rounds half-up with a one-nanosecond tolerance so that positions that
+    *mean* a .5 ms boundary land on it regardless of float representation.
+    ``round()`` is wrong here twice over: banker's rounding makes ``.5``
+    boundaries parity-dependent (``round(12.5) == 12`` but
+    ``round(13.5) == 14``), and seek/replay rebasing can leave the product
+    a few ulps *below* the boundary (``12.4999999999999998``), which any
+    plain rounding would push to the previous millisecond — skipping a
+    unit stamped exactly on the boundary. The jitter buffer, the render
+    tick and the script-command dispatcher all round through here, so a
+    unit and a command with one timestamp come due in the same tick.
+    """
+    return math.floor(seconds * 1000.0 + 0.5 + 1e-9)
 
 
 class PresentationClock:

@@ -2,35 +2,25 @@
 
 Received media units wait here until the render clock reaches their
 timestamp. The buffer answers the two questions the player's control loop
-asks every tick: *what is due now* (:meth:`JitterBuffer.pop_due`) and *how
-much runway is left* (:meth:`JitterBuffer.depth`) — runway depleting to
-zero while the stream is still open is a rebuffer event.
+asks every tick: *what is due now* (:meth:`JitterBuffer.pop_due_ms`) and
+*how much runway is left* (:meth:`JitterBuffer.runway_ms`) — runway
+depleting to zero while the stream is still open is a rebuffer event.
+
+Both work in integer media milliseconds: the player rounds its playhead
+once per tick with :func:`~repro.media.clock.media_ms` and asks both
+questions with the same number, so a unit counted as runway is exactly one
+not yet due. :meth:`pop_due` and :meth:`depth` are the same questions in
+float seconds.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..asf.packets import MediaUnit
-
-
-def media_ms(seconds: float) -> int:
-    """A float position in seconds as integer media milliseconds.
-
-    Rounds half-up with a one-nanosecond tolerance so that positions that
-    *mean* a .5 ms boundary land on it regardless of float representation.
-    ``round()`` is wrong here twice over: banker's rounding makes ``.5``
-    boundaries parity-dependent (``round(12.5) == 12`` but
-    ``round(13.5) == 14``), and seek/replay rebasing can leave the product
-    a few ulps *below* the boundary (``12.4999999999999998``), which any
-    plain rounding would push to the previous millisecond — skipping a
-    unit stamped exactly on the boundary.
-    """
-    return math.floor(seconds * 1000.0 + 0.5 + 1e-9)
+from ..media.clock import media_ms
 
 
 class JitterBuffer:
@@ -45,9 +35,11 @@ class JitterBuffer:
         self.popped = 0
 
     def push(self, unit: MediaUnit) -> None:
-        heapq.heappush(self._heap, (unit.timestamp_ms, next(self._seq), unit))
-        horizon = self.horizon_ms.get(unit.stream_number, -1)
-        self.horizon_ms[unit.stream_number] = max(horizon, unit.timestamp_ms)
+        timestamp = unit.timestamp_ms
+        heapq.heappush(self._heap, (timestamp, next(self._seq), unit))
+        stream = unit.stream_number
+        if timestamp > self.horizon_ms.get(stream, -1):
+            self.horizon_ms[stream] = timestamp
         self.pushed += 1
 
     def __len__(self) -> int:
@@ -56,31 +48,43 @@ class JitterBuffer:
     def peek_timestamp(self) -> Optional[float]:
         return self._heap[0][0] / 1000.0 if self._heap else None
 
-    def pop_due(self, position: float) -> List[MediaUnit]:
-        """All units with timestamp ≤ ``position`` seconds, in order."""
-        due_ms = media_ms(position)
-        out: List[MediaUnit] = []
-        while self._heap and self._heap[0][0] <= due_ms:
-            out.append(heapq.heappop(self._heap)[2])
-            self.popped += 1
+    def pop_due_ms(self, due_ms: int) -> List[MediaUnit]:
+        """All units stamped ≤ ``due_ms``, in timestamp order."""
+        heap = self._heap
+        if not heap or heap[0][0] > due_ms:
+            return []
+        pop = heapq.heappop
+        out = [pop(heap)[2]]
+        while heap and heap[0][0] <= due_ms:
+            out.append(pop(heap)[2])
+        self.popped += len(out)
         return out
 
-    def depth(self, position: float, streams: Optional[List[int]] = None) -> float:
-        """Seconds of runway past ``position``: min over ``streams`` of
-        (horizon − position). Streams never seen give zero runway."""
-        relevant = streams if streams is not None else list(self.horizon_ms)
-        if not relevant:
-            return 0.0
-        pos_ms = media_ms(position)
-        depths = []
-        for stream in relevant:
-            horizon = self.horizon_ms.get(stream)
+    def runway_ms(self, pos_ms: int, streams: Iterable[int]) -> Optional[int]:
+        """Milliseconds from ``pos_ms`` to the lowest horizon of ``streams``
+        (negative once the playhead passed it); ``None`` when ``streams``
+        is empty or one of them has not been seen yet."""
+        horizons = self.horizon_ms
+        lowest = None
+        for stream in streams:
+            horizon = horizons.get(stream)
             if horizon is None:
-                return 0.0
-            # integer-ms subtraction keeps depth consistent with pop_due:
-            # a unit counted as runway here is exactly one not yet due there
-            depths.append((horizon - pos_ms) / 1000.0)
-        return max(0.0, min(depths))
+                return None
+            if lowest is None or horizon < lowest:
+                lowest = horizon
+        return None if lowest is None else lowest - pos_ms
+
+    def pop_due(self, position: float) -> List[MediaUnit]:
+        """All units with timestamp ≤ ``position`` seconds, in order."""
+        return self.pop_due_ms(media_ms(position))
+
+    def depth(self, position: float, streams: Optional[List[int]] = None) -> float:
+        """Seconds of runway past ``position`` over ``streams`` (default:
+        every stream seen); zero when one was never seen."""
+        runway = self.runway_ms(
+            media_ms(position), self.horizon_ms if streams is None else streams
+        )
+        return 0.0 if runway is None else max(0.0, runway / 1000.0)
 
     def clear(self) -> None:
         """Drop everything (seek discontinuity)."""

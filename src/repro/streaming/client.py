@@ -28,12 +28,12 @@ from dataclasses import dataclass, field
 from typing import Any, Collection, Dict, List, Optional, Set, Tuple
 from urllib.parse import urlparse
 
-from ..asf.constants import SCRIPT_STREAM_NUMBER
+from ..asf.constants import DEFAULT_PREROLL_MS, SCRIPT_STREAM_NUMBER
 from ..asf.drm import DRMError, License, LicenseServer, scramble
 from ..asf.header import HeaderObject
 from ..asf.packets import DataPacket, Depacketizer, MediaUnit, command_from_unit
 from ..asf.script_commands import ScriptCommand, ScriptCommandDispatcher
-from ..media.clock import PresentationClock
+from ..media.clock import PresentationClock, media_ms
 from ..metrics.counters import Counters
 from ..net.engine import EventHandle, PeriodicTask, Simulator
 from ..net.transport import DatagramChannel, Message
@@ -114,6 +114,10 @@ class PlaybackReport:
         return [c for c in self.commands if c.command.type == "SLIDE"]
 
 
+#: states in which a render tick does nothing
+_NOT_RENDERING = (PlayerState.PAUSED, PlayerState.FINISHED, PlayerState.IDLE)
+
+
 class MediaPlayer:
     """A streaming client on one host of the virtual network."""
 
@@ -166,6 +170,8 @@ class MediaPlayer:
 
         self.state = PlayerState.IDLE
         self.header: Optional[HeaderObject] = None
+        #: the header's content duration in seconds (0: none, e.g. live)
+        self._duration = 0.0
         self.session_id: Optional[int] = None
         self._server_url: Optional[str] = None
         self._point: Optional[str] = None
@@ -235,7 +241,7 @@ class MediaPlayer:
         if self.preroll_override is not None:
             return self.preroll_override
         if self.header is None:
-            return 3.0
+            return DEFAULT_PREROLL_MS / 1000.0
         return self.header.file_properties.preroll_ms / 1000.0
 
     @property
@@ -260,6 +266,7 @@ class MediaPlayer:
             raise PlayerError(f"describe failed: {response.status} {response.body}")
         body = response.body
         self.header = body["header"]
+        self._duration = self.header.file_properties.duration_ms / 1000.0
         self._point = body["point"]
         self._broadcast = bool(body.get("broadcast"))
         base = url.rsplit("/lod/", 1)[0]
@@ -432,12 +439,9 @@ class MediaPlayer:
         playhead without re-downloading delivered content.
         """
         base = self.position if self._clock.started else self._start_position
-        if self._media_streams:
-            horizons = [
-                self._buffer.horizon_ms.get(s, -1) for s in self._media_streams
-            ]
-            if all(h >= 0 for h in horizons):
-                base = max(base, min(horizons) / 1000.0)
+        frontier = self._buffer.runway_ms(0, self._media_streams)
+        if frontier is not None:
+            base = max(base, frontier / 1000.0)
         return base
 
     def _resolve_placement(self) -> None:
@@ -667,27 +671,34 @@ class MediaPlayer:
     def _on_packet(self, packet: DataPacket) -> None:
         if self._recovery is not None:
             self._recovery.note_arrival(packet.sequence)
-        for unit in self._depacketizer.push_packet(packet):
-            if unit.stream_number in self._pending_streams:
+        units = self._depacketizer.push_packet(packet)
+        if not units:
+            return
+        pending = self._pending_streams
+        license = self._license
+        push = self._buffer.push
+        for unit in units:
+            stream = unit.stream_number
+            if stream in pending:
                 # first data of a downshifted rendition: it now counts
                 # toward buffer depth
-                self._pending_streams.discard(unit.stream_number)
-                self._media_streams.append(unit.stream_number)
-            if unit.stream_number == SCRIPT_STREAM_NUMBER:
+                pending.discard(stream)
+                self._media_streams.append(stream)
+            if stream == SCRIPT_STREAM_NUMBER:
                 # stored files dispatch from the header command table; only
                 # live broadcasts (no table up front) fire inline commands
                 if self._broadcast:
                     self._on_live_command(unit)
                 continue
-            if self._license is not None:
+            if license is not None:
                 unit = MediaUnit(
-                    unit.stream_number,
+                    stream,
                     unit.object_number,
                     unit.timestamp_ms,
                     unit.keyframe,
-                    scramble(unit.data, self._license.key),
+                    scramble(unit.data, license.key),
                 )
-            self._buffer.push(unit)
+            push(unit)
 
     def _on_live_command(self, unit: MediaUnit) -> None:
         """Live streams carry commands inline: fire immediately."""
@@ -727,7 +738,7 @@ class MediaPlayer:
     # ------------------------------------------------------------------
 
     def _render_tick(self) -> None:
-        if self.state in (PlayerState.PAUSED, PlayerState.FINISHED, PlayerState.IDLE):
+        if self.state in _NOT_RENDERING:
             return
         now = self.simulator.now
         # stall watchdog, piggybacked on the tick the player already runs:
@@ -743,9 +754,10 @@ class MediaPlayer:
         ):
             self._begin_reconnect(now)
             return
-        position = self.position
+        clock = self._clock
+        position = clock.media_time(now)
         if self.state is PlayerState.BUFFERING:
-            anchor = position if self._clock.started else self._start_position
+            anchor = position if clock.started else self._start_position
             if (
                 self._buffer.depth(anchor, self._media_streams) >= self.preroll
                 or self._end_of_content()
@@ -753,28 +765,38 @@ class MediaPlayer:
             ):
                 self._start_playing(now)
             return
-        # PLAYING
-        due = self._buffer.pop_due(position)
-        for unit in due:
-            self.rendered.append(RenderedUnit(now, position, unit))
-            if self.tracer is not None:
-                self.tracer.event(
-                    "render.unit",
-                    span=self._playback_span,
-                    client=self.user,
-                    stream=unit.stream_number,
-                    ts=unit.timestamp_ms,
-                )
-        if self.sync_mode == "script" and self._dispatcher is not None:
-            self._dispatcher.advance_to(position)
-        elif self.sync_mode == "timer":
+        # PLAYING: the playhead rounds to media ms once, and every question
+        # this tick asks (what is due, how much runway is left) uses it
+        pos_ms = media_ms(position)
+        due = self._buffer.pop_due_ms(pos_ms)
+        if due:
+            rendered = self.rendered
+            tracer = self.tracer
+            for unit in due:
+                rendered.append(RenderedUnit(now, position, unit))
+                if tracer is not None:
+                    tracer.event(
+                        "render.unit",
+                        span=self._playback_span,
+                        client=self.user,
+                        stream=unit.stream_number,
+                        ts=unit.timestamp_ms,
+                    )
+        if self.sync_mode == "script":
+            if self._dispatcher is not None:
+                self._dispatcher.advance_to_ms(pos_ms)
+        else:
             self._fire_timer_commands(now)
-        duration = self.header.file_properties.duration_ms / 1000.0
+        duration = self._duration
         if duration and position >= duration:
             self._finish()
             return
-        depth = self._buffer.depth(position, self._media_streams)
-        if depth <= self.UNDERRUN_MARGIN and not self._end_of_content():
+        # depth() <= UNDERRUN_MARGIN in integer ms: the margin is positive,
+        # so depth's clamp at zero cannot change the answer
+        runway = self._buffer.runway_ms(pos_ms, self._media_streams)
+        if (
+            runway is None or runway / 1000.0 <= self.UNDERRUN_MARGIN
+        ) and not self._end_of_content():
             self._enter_rebuffer(now)
 
     #: tolerance for "everything up to the end is already buffered" — the
@@ -785,15 +807,13 @@ class MediaPlayer:
         """True when the tail of the stream is fully buffered/consumed."""
         if self._stream_ended:
             return True
-        duration = (
-            self.header.file_properties.duration_ms / 1000.0 if self.header else 0.0
-        )
+        duration = self._duration
         if not duration or not self._media_streams:
             return False
-        horizons = [
-            self._buffer.horizon_ms.get(s, -1) / 1000.0 for s in self._media_streams
-        ]
-        return min(horizons) >= duration - self.END_TOLERANCE
+        lowest = self._buffer.runway_ms(0, self._media_streams)
+        if lowest is None:
+            lowest = -1  # a stream that delivered nothing yet
+        return lowest / 1000.0 >= duration - self.END_TOLERANCE
 
     def _start_playing(self, now: float) -> None:
         if self._stall_started is not None:
@@ -881,11 +901,7 @@ class MediaPlayer:
         self.state = PlayerState.FINISHED
         # freeze the playback position: the close handshake advances
         # simulated time, and the clock must not drift past the content end
-        duration = (
-            self.header.file_properties.duration_ms / 1000.0
-            if self.header is not None
-            else 0.0
-        )
+        duration = self._duration
         final = min(self.position, duration) if duration else self.position
         self._clock.seek(self.simulator.now, final)
         if not self._clock.paused and self._clock.started:
@@ -1038,7 +1054,7 @@ class MediaPlayer:
         if self._broadcast and seek_to is not None:
             raise PlayerError("cannot seek a broadcast member")
         now = self.simulator.now
-        twin = MediaPlayer(
+        twin = type(self)(
             self.network,
             host,
             user=user or host,
@@ -1055,6 +1071,7 @@ class MediaPlayer:
         )
         # shared context (immutable or server-owned)
         twin.header = self.header
+        twin._duration = self._duration
         twin._point = self._point
         twin._broadcast = self._broadcast
         twin._server_url = self._server_url

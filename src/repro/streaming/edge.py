@@ -545,8 +545,9 @@ class EdgeDirectory:
     # -- placement ------------------------------------------------------
 
     def _hash(self, value: str) -> int:
-        digest = hashlib.sha1(f"{self.seed}:{value}".encode()).hexdigest()
-        return int(digest[:16], 16)
+        """The top 64 bits of ``sha1("<seed>:<value>")``."""
+        digest = hashlib.sha1(f"{self.seed}:{value}".encode()).digest()
+        return int.from_bytes(digest[:8], "big")
 
     def _ring_walk(self, key: str) -> Iterator[str]:
         """Each edge on the ring once, clockwise from ``key``'s hash."""
@@ -571,6 +572,14 @@ class EdgeDirectory:
 
     def place(self, key: str) -> str:
         """Edge name admitting ``key``; raises :class:`PlacementError`."""
+        ring = self._ring
+        if ring:
+            # the primary ring entry admits almost every key: try it
+            # before setting up the walk, which starts with it again
+            start = bisect_left(ring, (self._hash(key),))
+            name = ring[start % len(ring)][1]
+            if self._edges[name].available():
+                return name
         for name in self._ring_walk(key):
             if self._edges[name].available():
                 return name

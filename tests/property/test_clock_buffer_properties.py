@@ -165,3 +165,57 @@ def test_depth_is_min_over_requested_streams(seed):
     position = 1.0
     expected = max(0.0, min(h - position for h in horizons.values()))
     assert buffer.depth(position, streams) == __import__("pytest").approx(expected)
+
+
+# ----------------------------------------------------------------------
+# jitter buffer: the integer-ms API and the float-seconds API agree
+# ----------------------------------------------------------------------
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    rounds=st.lists(
+        st.tuples(
+            # units pushed this round: (stream, timestamp ms)
+            st.lists(
+                st.tuples(st.integers(1, 3), st.integers(0, 3_000)), max_size=8
+            ),
+            # playhead advance in half milliseconds: odd values land on .5
+            st.integers(0, 400),
+        ),
+        min_size=1,
+        max_size=25,
+    ),
+    streams=st.lists(st.integers(1, 4), max_size=3, unique=True),
+)
+def test_ms_api_matches_float_api(rounds, streams):
+    by_ms, by_seconds = JitterBuffer(), JitterBuffer()
+    pending = []  # the model: (timestamp, push order, unit)
+    horizons = {}
+    pushed = 0
+    half_ms = 0
+    for pushes, advance in rounds:
+        for stream, ts in pushes:
+            unit = MediaUnit(stream, pushed, ts, True, b"x")
+            by_ms.push(unit)
+            by_seconds.push(unit)
+            pending.append((ts, pushed, unit))
+            pushed += 1
+            horizons[stream] = max(horizons.get(stream, -1), ts)
+        half_ms += advance
+        position = half_ms / 2000.0
+        due_ms = (half_ms + 1) // 2  # the position's milliseconds, half-up
+        due = sorted(entry for entry in pending if entry[0] <= due_ms)
+        pending = [entry for entry in pending if entry[0] > due_ms]
+        expected = [unit for _, _, unit in due]
+        assert by_ms.pop_due_ms(due_ms) == expected
+        assert by_seconds.pop_due(position) == expected
+        # runway: min horizon over the streams, None once one is unseen
+        if streams and all(s in horizons for s in streams):
+            runway = min(horizons[s] for s in streams) - due_ms
+            depth = max(0.0, min((horizons[s] - due_ms) / 1000.0 for s in streams))
+        else:
+            runway, depth = None, 0.0
+        assert by_ms.runway_ms(due_ms, streams) == runway
+        assert by_seconds.depth(position, streams) == depth
+    assert by_ms.popped == by_seconds.popped == pushed - len(pending)

@@ -1,7 +1,7 @@
 """Unit tests for repro.obs: Tracer, TraceChecker, Histogram, QoE.
 
-Also covers the integer-millisecond boundary fix in the jitter buffer
-(``media_ms``), since the trace checker's render-monotonicity invariant
+Also covers the integer-millisecond boundary fix in the jitter buffer and
+the script-command dispatcher (``media_ms``), since the trace checker's render-monotonicity invariant
 leans on the same timestamp discipline.
 """
 
@@ -10,6 +10,7 @@ import json
 import pytest
 
 from repro.asf.packets import MediaUnit
+from repro.asf.script_commands import ScriptCommand, ScriptCommandDispatcher
 from repro.metrics import Histogram
 from repro.obs import (
     QoEAggregator,
@@ -457,3 +458,26 @@ class TestMediaMsBoundary:
         # the unit is counted as due, so it must not also count as runway
         assert buffer.depth(position, [1]) == 0.0
         assert len(buffer.pop_due(position)) == 1
+
+    def test_command_and_unit_with_one_timestamp_come_due_together(self):
+        # 12.5 ms: banker's round() says 12, the buffer's media_ms 13 — a
+        # slide command stamped with its unit's 13 ms must fire with it
+        position = 0.0125
+        command = ScriptCommand(13, "SLIDE", "s1")
+        buffer = JitterBuffer()
+        buffer.push(MediaUnit(1, 0, 13, True, b"x"))
+        assert len(buffer.pop_due(position)) == 1
+        fired = []
+        assert ScriptCommandDispatcher([command], fired.append).advance_to(
+            position
+        ) == [command]
+        assert ScriptCommandDispatcher([command], fired.append).seek(
+            position
+        ) == [command]
+        assert fired == [command, command]
+        # stamped one ms later, neither is due yet
+        buffer.push(MediaUnit(1, 1, 14, True, b"x"))
+        assert buffer.pop_due(position) == []
+        assert not ScriptCommandDispatcher(
+            [ScriptCommand(14, "SLIDE", "s2")], fired.append
+        ).advance_to(position)
