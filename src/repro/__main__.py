@@ -4,6 +4,9 @@ Runs the publish → watch loop on a simulated campus network, prints the
 synchronized slide changes, the content-tree summary levels, and the
 Petri-net verification result. Meant as the very first thing a new user
 runs after installing.
+
+``python -m repro nets check`` proves the system's own Petri nets
+(:mod:`repro.core.netcheck`) and exits non-zero if any property fails.
 """
 
 from __future__ import annotations
@@ -12,20 +15,31 @@ import sys
 
 from . import __version__
 from .contenttree import Abstractor
+from .core import netcheck
 from .core.scheduler import PresentationTimeline
 from .core.visualize import timeline_to_ascii
-from .lod import Lecture, MediaStore, WebPublishingManager
+from .lod import MediaStore, WebPublishingManager, demo_lecture
 from .streaming import MediaPlayer, MediaServer
 from .web import VirtualNetwork
 
 
+USAGE = "usage: python -m repro [nets check]"
+
+
 def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else list(argv)
+    if args == ["nets", "check"]:
+        return netcheck.run()
+    if args:
+        print(USAGE, file=sys.stderr)
+        return 2
+    return demo()
+
+
+def demo() -> int:
     print(f"repro {__version__} — Lecture-on-Demand reproduction demo\n")
 
-    lecture = Lecture.from_slide_durations(
-        "Demo Lecture", "Prof. Deng", [8.0, 12.0, 6.0, 10.0],
-        importances=[0, 1, 0, 1],
-    )
+    lecture = demo_lecture()
     print(f"lecture: {lecture.title!r}, {lecture.duration:g}s, "
           f"{len(lecture.segments)} slides\n")
 

@@ -3,7 +3,7 @@
 Public surface of :mod:`repro.core`:
 
 * base nets and analysis — :class:`PetriNet`, :class:`Marking`,
-  :func:`reachability_graph`, :func:`p_invariants`, …
+  :func:`reachability_graph`, :func:`is_safe`, :func:`is_p_invariant`
 * timed semantics — :class:`TimedPetriNet`, :class:`TimedExecution`
 * interval algebra — :class:`TemporalRelation`, :class:`Interval`
 * OCPN / XOCPN compilers — :func:`compile_spec`, :func:`compile_xocpn`
@@ -11,34 +11,20 @@ Public surface of :mod:`repro.core`:
   :class:`InteractivePlayer`, :class:`FloorControl`,
   :class:`DistributedCoordinator`
 * prioritized baseline — :class:`PrioritizedPetriNet`
-* scheduling — :class:`PresentationTimeline`, :func:`qos_metrics`
-* builders/visualization — :class:`NetBuilder`, :class:`PresentationBuilder`,
-  :func:`net_to_dot`
+* scheduling — :class:`PresentationTimeline`, :func:`timeline_to_ascii`
+
+``python -m repro nets check`` (:mod:`repro.core.netcheck`) runs the
+analysis on the nets the system itself fires or compiles.
 """
 
 from .analysis import (
-    CoverabilityGraph,
     ReachabilityGraph,
     StateSpaceLimitExceeded,
     bound,
-    conserved_token_count,
-    coverability_graph,
-    find_deadlocks,
-    is_bounded,
-    is_deadlock_free,
-    is_live,
-    is_free_choice,
     is_p_invariant,
-    is_reachable,
-    is_reversible,
     is_safe,
-    p_invariants,
     reachability_graph,
-    reachability_graph_to_dot,
-    shortest_firing_sequence,
-    t_invariants,
 )
-from .builder import NetBuilder, PresentationBuilder
 from .extended import (
     CONTROL_TRANSITIONS,
     DistributedCoordinator,
@@ -62,12 +48,9 @@ from .ocpn import (
     SpecError,
     compile_spec,
     parallel,
-    relabel,
-    repeat,
     sequence,
     spec_duration,
     spec_intervals,
-    spec_leaves,
     verify_schedule,
 )
 from .petri import (
@@ -81,34 +64,10 @@ from .petri import (
     Transition,
     UnknownNodeError,
 )
-from .pnml import (
-    PNMLError,
-    net_from_pnml,
-    net_to_pnml,
-    timed_net_from_pnml,
-    timed_net_to_pnml,
-)
-from .prioritized import PrioritizedPetriNet, PrioritizedScheduler, preemption_order
-from .structural import (
-    StructuralError,
-    commoner_check,
-    is_siphon,
-    is_trap,
-    marked_traps_in,
-    maximal_siphon_within,
-    maximal_trap_within,
-    minimal_siphons,
-    unmarked_siphons,
-)
-from .scheduler import (
-    PresentationTimeline,
-    QoSMetrics,
-    TimelineEntry,
-    qos_metrics,
-    timeline_for,
-)
+from .prioritized import PrioritizedPetriNet
+from .scheduler import PresentationTimeline, TimelineEntry
 from .timed import TimedEvent, TimedExecution, TimedPetriNet
-from .visualize import net_to_dot, timed_net_to_dot, timeline_to_ascii, timeline_to_svg
+from .visualize import timeline_to_ascii
 from .xocpn import (
     Channel,
     CompiledXOCPN,
@@ -124,19 +83,16 @@ __all__ = [
     "Arc", "DuplicateNodeError", "Marking", "NotEnabledError", "PetriNet",
     "PetriNetError", "Place", "Transition", "UnknownNodeError",
     # analysis
-    "CoverabilityGraph", "ReachabilityGraph", "StateSpaceLimitExceeded",
-    "bound", "conserved_token_count", "coverability_graph", "find_deadlocks",
-    "is_bounded", "is_deadlock_free", "is_free_choice", "is_live", "is_p_invariant", "is_reachable",
-    "is_reversible", "is_safe", "p_invariants", "reachability_graph",
-    "reachability_graph_to_dot", "shortest_firing_sequence", "t_invariants",
+    "ReachabilityGraph", "StateSpaceLimitExceeded", "bound", "is_p_invariant",
+    "is_safe", "reachability_graph",
     # timed
     "TimedEvent", "TimedExecution", "TimedPetriNet",
     # intervals
     "Interval", "TemporalRelation", "relation_between", "schedule_pair",
     # ocpn
     "CompiledOCPN", "Composite", "MediaLeaf", "OCPNCompiler", "Spec",
-    "SpecError", "compile_spec", "parallel", "relabel", "repeat", "sequence", "spec_duration",
-    "spec_intervals", "spec_leaves", "verify_schedule",
+    "SpecError", "compile_spec", "parallel", "sequence", "spec_duration",
+    "spec_intervals", "verify_schedule",
     # xocpn
     "Channel", "CompiledXOCPN", "QoSRequirement", "StallReport",
     "XOCPNCompiler", "compile_xocpn", "measure_stalls",
@@ -145,18 +101,7 @@ __all__ = [
     "FloorControl", "Interaction", "InteractivePlayer", "PlayerEvent",
     "Segment", "SiteLink", "build_control_net", "build_floor_net",
     # prioritized
-    "PrioritizedPetriNet", "PrioritizedScheduler", "preemption_order",
-    # pnml
-    "PNMLError", "net_from_pnml", "net_to_pnml", "timed_net_from_pnml",
-    "timed_net_to_pnml",
-    # structural
-    "StructuralError", "commoner_check", "is_siphon", "is_trap",
-    "marked_traps_in", "maximal_siphon_within", "maximal_trap_within",
-    "minimal_siphons", "unmarked_siphons",
-    # scheduler
-    "PresentationTimeline", "QoSMetrics", "TimelineEntry", "qos_metrics",
-    "timeline_for",
-    # builder / visualize
-    "NetBuilder", "PresentationBuilder", "net_to_dot", "timed_net_to_dot",
-    "timeline_to_ascii", "timeline_to_svg",
+    "PrioritizedPetriNet",
+    # scheduler / visualize
+    "PresentationTimeline", "TimelineEntry", "timeline_to_ascii",
 ]

@@ -1,17 +1,15 @@
-"""Behavioural and structural analysis of Petri nets.
+"""Explicit-state analysis of Petri nets.
 
-Implements the classical decision procedures from Murata's survey that the
-paper leans on when it claims Petri nets give the model "both practice and
-theory":
+The classical decision procedures from Murata's survey that the paper
+leans on when it claims Petri nets give the model "both practice and
+theory", in the one shape the system runs (``python -m repro nets check``,
+:mod:`repro.core.netcheck`):
 
-* :func:`reachability_graph` — explicit-state exploration with a state cap.
-* :func:`coverability_graph` — Karp–Miller tree with ω-acceleration, usable
-  on unbounded nets.
-* :func:`is_bounded`, :func:`is_safe` — token-count limits.
-* :func:`find_deadlocks`, :func:`is_deadlock_free` — dead markings.
-* :func:`is_live` — L4-liveness over the (finite) reachability graph.
-* :func:`p_invariants`, :func:`t_invariants` — integer kernel of the
-  incidence matrix via Fraction-based Gaussian elimination.
+* :func:`reachability_graph` — exhaustive exploration with a state cap;
+  its dead markings, fired transitions and token bound are read off the
+  one graph.
+* :func:`bound`, :func:`is_safe` — token-count limits.
+* :func:`is_p_invariant` — ``yᵀC = 0`` for a declared weight vector.
 
 All functions take the net's *initial marking* as the starting point unless
 an explicit marking is supplied.
@@ -20,13 +18,9 @@ an explicit marking is supplied.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .petri import Marking, PetriNet, PetriNetError
-
-#: Sentinel token count meaning "unbounded" in coverability markings.
-OMEGA = -1
 
 
 class StateSpaceLimitExceeded(PetriNetError):
@@ -63,6 +57,10 @@ class ReachabilityGraph:
         sources = {src for src, _, _ in self.edges}
         return [m for m in self.markings if m not in sources]
 
+    def bound(self) -> int:
+        """The most tokens any place holds in any reachable marking."""
+        return max((n for m in self.markings for n in m.values()), default=0)
+
     def __len__(self) -> int:
         return len(self.markings)
 
@@ -73,11 +71,11 @@ def reachability_graph(
     initial: Optional[Marking] = None,
     max_states: int = 100_000,
 ) -> ReachabilityGraph:
-    """Breadth-first construction of the reachability graph.
+    """Exhaustive construction of the reachability graph.
 
     Raises :class:`StateSpaceLimitExceeded` if more than ``max_states``
-    distinct markings are found (the net may be unbounded — use
-    :func:`coverability_graph` instead).
+    distinct markings are found (the net may be unbounded, or its
+    interleavings too many to enumerate).
     """
     start = net.initial_marking if initial is None else initial
     graph = ReachabilityGraph(initial=start)
@@ -98,136 +96,9 @@ def reachability_graph(
     return graph
 
 
-# ----------------------------------------------------------------------
-# coverability (Karp-Miller)
-# ----------------------------------------------------------------------
-
-
-def _omega_marking(counts: Dict[str, int]) -> Tuple[Tuple[str, int], ...]:
-    return tuple(sorted((p, n) for p, n in counts.items() if n != 0))
-
-
-@dataclass
-class CoverabilityGraph:
-    """Karp–Miller coverability graph over ω-extended markings.
-
-    Each node is a tuple of ``(place, count)`` pairs where ``count`` may be
-    :data:`OMEGA` to denote "arbitrarily many".
-    """
-
-    initial: Tuple[Tuple[str, int], ...]
-    nodes: Set[Tuple[Tuple[str, int], ...]] = field(default_factory=set)
-    edges: List[Tuple[tuple, str, tuple]] = field(default_factory=list)
-
-    def has_omega(self) -> bool:
-        return any(n == OMEGA for node in self.nodes for _, n in node)
-
-    def unbounded_places(self) -> Set[str]:
-        return {p for node in self.nodes for p, n in node if n == OMEGA}
-
-
-def coverability_graph(
-    net: PetriNet, *, initial: Optional[Marking] = None, max_nodes: int = 50_000
-) -> CoverabilityGraph:
-    """Build the Karp–Miller coverability graph.
-
-    Inhibitor-arc nets are rejected: coverability is undecidable for them.
-    """
-    if net.has_inhibitors():
-        raise PetriNetError("coverability analysis does not support inhibitor arcs")
-
-    start_marking = net.initial_marking if initial is None else initial
-    start = _omega_marking(dict(start_marking.items()))
-    graph = CoverabilityGraph(initial=start)
-    graph.nodes.add(start)
-    # ancestry paths for the acceleration step
-    paths: Dict[tuple, List[tuple]] = {start: []}
-    frontier = [start]
-
-    def enabled_in(node: tuple) -> List[str]:
-        counts = dict(node)
-        result = []
-        for t in (tr.name for tr in net.transitions):
-            ok = True
-            for place, weight in net.inputs(t).items():
-                n = counts.get(place, 0)
-                if n != OMEGA and n < weight:
-                    ok = False
-                    break
-            if ok:
-                result.append(t)
-        return result
-
-    def fire_in(node: tuple, t: str) -> tuple:
-        counts = dict(node)
-        for place, weight in net.inputs(t).items():
-            if counts.get(place, 0) != OMEGA:
-                counts[place] = counts.get(place, 0) - weight
-        for place, weight in net.outputs(t).items():
-            if counts.get(place, 0) != OMEGA:
-                counts[place] = counts.get(place, 0) + weight
-        return _omega_marking(counts)
-
-    def covers_strictly(big: tuple, small: tuple) -> bool:
-        b, s = dict(big), dict(small)
-        places = set(b) | set(s)
-        ge_all, gt_some = True, False
-        for p in places:
-            nb, ns = b.get(p, 0), s.get(p, 0)
-            if nb == OMEGA:
-                if ns != OMEGA:
-                    gt_some = True
-                continue
-            if ns == OMEGA or nb < ns:
-                ge_all = False
-                break
-            if nb > ns:
-                gt_some = True
-        return ge_all and gt_some
-
-    while frontier:
-        node = frontier.pop()
-        for t in enabled_in(node):
-            nxt = fire_in(node, t)
-            # acceleration: any strictly-covered ancestor pumps to omega
-            accelerated = dict(nxt)
-            for ancestor in paths[node] + [node]:
-                if covers_strictly(nxt, ancestor):
-                    anc = dict(ancestor)
-                    for p, n in list(accelerated.items()):
-                        if n != OMEGA and n > anc.get(p, 0):
-                            accelerated[p] = OMEGA
-            nxt = _omega_marking(accelerated)
-            graph.edges.append((node, t, nxt))
-            if nxt not in graph.nodes:
-                graph.nodes.add(nxt)
-                if len(graph.nodes) > max_nodes:
-                    raise StateSpaceLimitExceeded(
-                        f"more than {max_nodes} coverability nodes"
-                    )
-                paths[nxt] = paths[node] + [node]
-                frontier.append(nxt)
-    return graph
-
-
-# ----------------------------------------------------------------------
-# boundedness / safety / liveness / deadlock
-# ----------------------------------------------------------------------
-
-
-def is_bounded(net: PetriNet, *, max_nodes: int = 50_000) -> bool:
-    """True if no place can accumulate unboundedly many tokens."""
-    graph = coverability_graph(net, max_nodes=max_nodes)
-    return not graph.has_omega()
-
-
 def bound(net: PetriNet, *, max_states: int = 100_000) -> int:
     """The k such that the net is k-bounded (max tokens in any place)."""
-    graph = reachability_graph(net, max_states=max_states)
-    return max(
-        (n for m in graph.markings for n in m.values()),
-        default=0,
-    )
+    return reachability_graph(net, max_states=max_states).bound()
 
 
 def is_safe(net: PetriNet, *, max_states: int = 100_000) -> bool:
@@ -239,295 +110,13 @@ def is_safe(net: PetriNet, *, max_states: int = 100_000) -> bool:
     return bound(net, max_states=max_states) <= 1
 
 
-def find_deadlocks(
-    net: PetriNet,
-    *,
-    accepting: Optional[Sequence[Marking]] = None,
-    max_states: int = 100_000,
-) -> List[Marking]:
-    """Reachable markings with no enabled transition.
-
-    ``accepting`` markings (e.g. "presentation finished") are excluded —
-    terminating nets legitimately end in them.
-    """
-    graph = reachability_graph(net, max_states=max_states)
-    dead = graph.dead_markings()
-    if accepting:
-        dead = [m for m in dead if m not in set(accepting)]
-    return dead
-
-
-def is_deadlock_free(
-    net: PetriNet,
-    *,
-    accepting: Optional[Sequence[Marking]] = None,
-    max_states: int = 100_000,
-) -> bool:
-    return not find_deadlocks(net, accepting=accepting, max_states=max_states)
-
-
-def is_live(net: PetriNet, *, max_states: int = 100_000) -> bool:
-    """L4-liveness: from every reachable marking, every transition can
-    eventually fire again.
-
-    Decided over the explicit reachability graph: for each transition t,
-    every reachable marking must be able to reach some marking enabling t.
-    """
-    graph = reachability_graph(net, max_states=max_states)
-    markings = list(graph.markings)
-    succ: Dict[Marking, List[Marking]] = {m: [] for m in markings}
-    for src, _, dst in graph.edges:
-        succ[src].append(dst)
-
-    transition_names = [t.name for t in net.transitions]
-    enabling: Dict[str, Set[Marking]] = {
-        t: {m for m in markings if net.is_enabled(t, m)} for t in transition_names
-    }
-    for t in transition_names:
-        if not enabling[t]:
-            return False  # dead transition
-        # backward closure of "can reach a marking enabling t"
-        can = set(enabling[t])
-        changed = True
-        while changed:
-            changed = False
-            for m in markings:
-                if m not in can and any(s in can for s in succ[m]):
-                    can.add(m)
-                    changed = True
-        if len(can) != len(markings):
-            return False
-    return True
-
-
-def is_reversible(net: PetriNet, *, max_states: int = 100_000) -> bool:
-    """True if the initial marking is reachable from every reachable marking."""
-    graph = reachability_graph(net, max_states=max_states)
-    markings = list(graph.markings)
-    succ: Dict[Marking, List[Marking]] = {m: [] for m in markings}
-    for src, _, dst in graph.edges:
-        succ[src].append(dst)
-    target = graph.initial
-    can = {target}
-    changed = True
-    while changed:
-        changed = False
-        for m in markings:
-            if m not in can and any(s in can for s in succ[m]):
-                can.add(m)
-                changed = True
-    return len(can) == len(markings)
-
-
-def is_reachable(
-    net: PetriNet, goal: Marking, *, max_states: int = 100_000
-) -> bool:
-    """Explicit-state test that ``goal`` is reachable from the initial marking."""
-    graph = reachability_graph(net, max_states=max_states)
-    return goal in graph.markings
-
-
-def shortest_firing_sequence(
-    net: PetriNet, goal: Marking, *, max_states: int = 100_000
-) -> Optional[List[str]]:
-    """A shortest transition sequence from the initial marking to ``goal``.
-
-    Breadth-first over markings; ``None`` when unreachable. The witness is
-    invaluable when a test asserts reachability and fails — it shows *how*
-    the net gets somewhere (or that it cannot).
-    """
-    start = net.initial_marking
-    if start == goal:
-        return []
-    parents: Dict[Marking, Tuple[Marking, str]] = {}
-    visited = {start}
-    frontier = [start]
-    while frontier:
-        next_frontier: List[Marking] = []
-        for marking in frontier:
-            for t in net.enabled(marking):
-                nxt = marking.with_delta(net.fire_delta(t))
-                if nxt in visited:
-                    continue
-                visited.add(nxt)
-                if len(visited) > max_states:
-                    raise StateSpaceLimitExceeded(
-                        f"more than {max_states} markings explored"
-                    )
-                parents[nxt] = (marking, t)
-                if nxt == goal:
-                    path: List[str] = []
-                    cursor = nxt
-                    while cursor != start:
-                        cursor, fired = parents[cursor]
-                        path.append(fired)
-                    return list(reversed(path))
-                next_frontier.append(nxt)
-        frontier = next_frontier
-    return None
-
-
-def is_free_choice(net: PetriNet) -> bool:
-    """True for (extended) free-choice nets: any two transitions sharing an
-    input place have *identical* presets.
-
-    Free choice is the hypothesis of Commoner's theorem — when
-    :func:`repro.core.structural.commoner_check` passes **and** the net is
-    free-choice, deadlock-freedom is a theorem, not just evidence.
-    Inhibitor arcs break the free-choice property by definition.
-    """
-    if net.has_inhibitors():
-        return False
-    presets: Dict[str, frozenset] = {
-        t.name: frozenset(net.inputs(t.name)) for t in net.transitions
-    }
-    sharers: Dict[str, List[str]] = {}
-    for t, pre in presets.items():
-        for place in pre:
-            sharers.setdefault(place, []).append(t)
-    for place, transitions in sharers.items():
-        first = presets[transitions[0]]
-        if any(presets[t] != first for t in transitions[1:]):
-            return False
-    return True
-
-
-def reachability_graph_to_dot(graph: ReachabilityGraph) -> str:
-    """Graphviz rendering of a reachability graph.
-
-    Markings are node labels (``p1:1 p2:2``); the initial marking is drawn
-    with a double border; dead markings are shaded.
-    """
-    def label(marking: Marking) -> str:
-        inner = " ".join(f"{p}:{n}" for p, n in sorted(marking.items()))
-        return inner or "(empty)"
-
-    ids = {m: f"m{i}" for i, m in enumerate(sorted(graph.markings, key=label))}
-    dead = set(graph.dead_markings())
-    lines = ["digraph reachability {", "  rankdir=LR;"]
-    for marking, node_id in ids.items():
-        attrs = [f'label="{label(marking)}"']
-        if marking == graph.initial:
-            attrs.append("peripheries=2")
-        if marking in dead:
-            attrs.append('style=filled, fillcolor="#dddddd"')
-        lines.append(f"  {node_id} [{', '.join(attrs)}];")
-    for src, t, dst in graph.edges:
-        lines.append(f'  {ids[src]} -> {ids[dst]} [label="{t}"];')
-    lines.append("}")
-    return "\n".join(lines)
-
-
-# ----------------------------------------------------------------------
-# invariants (integer kernel via rational Gaussian elimination)
-# ----------------------------------------------------------------------
-
-
-def _nullspace_basis(matrix: List[List[Fraction]]) -> List[List[Fraction]]:
-    """Basis of the right null space of ``matrix`` (rows x cols)."""
-    if not matrix:
-        return []
-    rows = [row[:] for row in matrix]
-    n_cols = len(rows[0])
-    pivot_cols: List[int] = []
-    r = 0
-    for c in range(n_cols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    free_cols = [c for c in range(n_cols) if c not in pivot_cols]
-    basis = []
-    for fc in free_cols:
-        vec = [Fraction(0)] * n_cols
-        vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivot_cols):
-            vec[pc] = -rows[i][fc]
-        basis.append(vec)
-    return basis
-
-
-def _integerize(vec: List[Fraction]) -> List[int]:
-    from math import gcd
-
-    denom = 1
-    for x in vec:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-    # normalize sign: first non-zero positive
-    for x in ints:
-        if x != 0:
-            if x < 0:
-                ints = [-v for v in ints]
-            break
-    return ints
-
-
-def p_invariants(net: PetriNet) -> List[Dict[str, int]]:
-    """Place invariants: integer vectors y with yᵀC = 0.
-
-    A P-invariant is a weighted set of places whose total token count is
-    conserved by every firing — e.g. the "floor token" in the floor-control
-    net is conserved, which is exactly the mutual-exclusion argument.
-    """
-    place_names, _, C = net.incidence_matrix()
-    if not place_names:
-        return []
-    # yT C = 0  <=>  C^T y = 0; rows of C^T are columns of C
-    n_t = len(C[0]) if C else 0
-    ct = [[Fraction(C[i][j]) for i in range(len(place_names))] for j in range(n_t)]
-    if not ct:  # no transitions: every unit vector is an invariant
-        return [{p: 1} for p in place_names]
-    basis = _nullspace_basis(ct)
-    result = []
-    for vec in basis:
-        ints = _integerize(vec)
-        result.append({p: w for p, w in zip(place_names, ints) if w})
-    return result
-
-
-def t_invariants(net: PetriNet) -> List[Dict[str, int]]:
-    """Transition invariants: integer vectors x with Cx = 0.
-
-    A T-invariant is a firing-count vector returning the net to its starting
-    marking — e.g. one full play/pause/resume cycle in the interaction net.
-    """
-    place_names, transition_names, C = net.incidence_matrix()
-    if not transition_names:
-        return []
-    rows = [[Fraction(x) for x in row] for row in C]
-    if not rows:
-        return [{t: 1} for t in transition_names]
-    basis = _nullspace_basis(rows)
-    result = []
-    for vec in basis:
-        ints = _integerize(vec)
-        result.append({t: w for t, w in zip(transition_names, ints) if w})
-    return result
-
-
 def is_p_invariant(net: PetriNet, weights: Dict[str, int]) -> bool:
     """Check yᵀC = 0 for an explicit weight vector ``weights``.
 
-    :func:`p_invariants` returns *a* basis of the invariant space; a
-    particular invariant of interest (e.g. mutual exclusion:
-    ``floor + Σ holding_u``) may be a combination of basis vectors, so
-    verify it directly with this predicate.
+    A P-invariant is a weighted set of places whose total token count no
+    firing changes — e.g. mutual exclusion in the floor-control net is
+    ``floor + Σ holding_u = 1``. The invariants a net must keep are
+    declared (:mod:`repro.core.netcheck`) and verified with this predicate.
     """
     place_names, transition_names, C = net.incidence_matrix()
     index = {p: i for i, p in enumerate(place_names)}
@@ -538,8 +127,3 @@ def is_p_invariant(net: PetriNet, weights: Dict[str, int]) -> bool:
         if sum(w * C[index[p]][j] for p, w in weights.items()) != 0:
             return False
     return True
-
-
-def conserved_token_count(net: PetriNet, invariant: Dict[str, int]) -> int:
-    """Weighted token total of ``invariant`` under the initial marking."""
-    return sum(w * net.initial_marking[p] for p, w in invariant.items())

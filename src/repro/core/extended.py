@@ -83,8 +83,10 @@ def build_control_net() -> PetriNet:
 
     Skip and speed-change are self-loops on ``playing`` (they mutate the
     schedule, not the control state); ``stop`` is reachable from both
-    ``playing`` and ``paused`` (via resume). One token circulates — a
-    P-invariant, so the player is always in exactly one state.
+    ``playing`` and ``paused`` (via resume). One token circulates — the
+    P-invariant ``idle + playing + paused + stopped = 1``, so the player is
+    always in exactly one state; ``python -m repro nets check`` proves it
+    and that ``stopped`` is the only dead marking.
     """
     net = PetriNet("control")
     net.add_place("idle", tokens=1)
@@ -346,8 +348,8 @@ def build_floor_net(users: Sequence[str]) -> PetriNet:
     Places per user ``u``: ``idle_u``, ``waiting_u``, ``holding_u``.
     Shared place ``floor`` holds the single floor token. Mutual exclusion
     (at most one ``holding_*`` marked) follows from the P-invariant
-    ``floor + Σ holding_u = 1``, checked in the tests via
-    :func:`repro.core.analysis.p_invariants`.
+    ``floor + Σ holding_u = 1``, which ``python -m repro nets check``
+    proves with :func:`repro.core.analysis.is_p_invariant` for 2–4 users.
     """
     if not users:
         raise ValueError("floor net needs at least one user")
@@ -469,7 +471,8 @@ class FloorControl:
         for when, action, user in self.log:
             if action == "grant":
                 grant_time[user] = when
-            elif action == "release" and user in grant_time:
+            elif action in ("release", "drop") and user in grant_time:
+                # dropping the holder ends its tenure like a release
                 held[user] += when - grant_time.pop(user)
         current = self.holder
         if current is not None and current in grant_time:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from .intervals import Interval, TemporalRelation, schedule_pair
 from .petri import PetriNet, PetriNetError
@@ -99,44 +99,6 @@ def parallel(*specs: Spec) -> Spec:
     return result
 
 
-def relabel(spec: Spec, suffix: str) -> Spec:
-    """A copy of ``spec`` with every leaf renamed ``<name>__<suffix>``.
-
-    Leaf names must be unique across a compiled net; relabeling makes a
-    sub-presentation reusable in several positions (templates, repeats).
-    """
-    if not suffix:
-        raise SpecError("relabel needs a non-empty suffix")
-    if isinstance(spec, MediaLeaf):
-        return MediaLeaf(f"{spec.name}__{suffix}", spec.duration)
-    return Composite(
-        spec.relation,
-        relabel(spec.left, suffix),
-        relabel(spec.right, suffix),
-        spec.delay,
-    )
-
-
-def repeat(spec: Spec, times: int, *, gap: float = 0.0) -> Spec:
-    """Play ``spec`` ``times`` times back to back (optionally gapped).
-
-    The repetitions are unrolled with relabeled leaves (``__r0``,
-    ``__r1``, …), keeping the compiled net acyclic and safe — the standard
-    OCPN treatment of loops in pre-orchestrated presentations.
-    """
-    if times < 1:
-        raise SpecError("repeat needs times >= 1")
-    if gap < 0:
-        raise SpecError("gap must be >= 0")
-    copies = [relabel(spec, f"r{i}") for i in range(times)]
-    if gap == 0:
-        return sequence(*copies)
-    result = copies[-1]
-    for copy in reversed(copies[:-1]):
-        result = Composite(TemporalRelation.BEFORE, copy, result, delay=gap)
-    return result
-
-
 def spec_duration(spec: Spec) -> float:
     """Total duration of a specification (validates delay consistency)."""
     if isinstance(spec, MediaLeaf):
@@ -144,12 +106,6 @@ def spec_duration(spec: Spec) -> float:
     da, db = spec_duration(spec.left), spec_duration(spec.right)
     a, b = schedule_pair(spec.relation, da, db, delay=spec.delay)
     return max(a.end, b.end) - min(a.start, b.start)
-
-
-def spec_leaves(spec: Spec) -> List[MediaLeaf]:
-    if isinstance(spec, MediaLeaf):
-        return [spec]
-    return spec_leaves(spec.left) + spec_leaves(spec.right)
 
 
 def spec_intervals(spec: Spec, *, origin: float = 0.0) -> Dict[str, Interval]:

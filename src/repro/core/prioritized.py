@@ -8,16 +8,17 @@ transitions. The paper's extended model instead uses a separate control
 subnet; bench S1 compares the two under interactive workloads.
 
 :class:`PrioritizedPetriNet` refines the enabling rule of
-:class:`~repro.core.petri.PetriNet`; :class:`PrioritizedScheduler` runs a
-timed net under the prioritized rule.
+:class:`~repro.core.petri.PetriNet`; a
+:class:`~repro.core.timed.TimedPetriNet` over it fires under the
+prioritized rule, because the timed execution picks the first entry of
+``net.enabled()``.
 """
 
 from __future__ import annotations
 
-from typing import List, Mapping, Optional
+from typing import List, Optional
 
 from .petri import Marking, PetriNet
-from .timed import TimedExecution, TimedPetriNet
 
 
 class PrioritizedPetriNet(PetriNet):
@@ -39,37 +40,3 @@ class PrioritizedPetriNet(PetriNet):
 
     def priority_enabled(self, transition: str, marking: Optional[Marking] = None) -> bool:
         return transition in self.enabled(marking)
-
-
-def preemption_order(net: PrioritizedPetriNet, marking: Optional[Marking] = None) -> List[str]:
-    """All structurally enabled transitions, highest priority first.
-
-    Useful for audit displays: shows what *would* fire and what is being
-    preempted under the current marking.
-    """
-    base = [t for t in (tr.name for tr in net.transitions) if net.is_enabled(t, marking)]
-    return sorted(base, key=lambda t: -net.transition(t).priority)
-
-
-class PrioritizedScheduler:
-    """Timed execution where each step fires the highest-priority choice.
-
-    Wraps :class:`~repro.core.timed.TimedExecution` with a chooser that
-    respects priorities — the firing-selection policy of [13].
-    """
-
-    def __init__(self, timed_net: TimedPetriNet) -> None:
-        if not isinstance(timed_net.net, PrioritizedPetriNet):
-            raise TypeError("PrioritizedScheduler requires a PrioritizedPetriNet")
-        self.timed_net = timed_net
-
-    def run(self, **kwargs) -> TimedExecution:
-        """Execute to quiescence.
-
-        :class:`~repro.core.timed.TimedExecution` already picks the first
-        entry of ``net.enabled()``; because :class:`PrioritizedPetriNet`
-        restricts that list to maximal-priority transitions, the combination
-        realizes the prioritized firing rule with no further machinery.
-        """
-        self.timed_net.net.reset()
-        return self.timed_net.execute(**kwargs)

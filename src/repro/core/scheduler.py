@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .intervals import Interval
-from .ocpn import CompiledOCPN, spec_intervals
+from .ocpn import CompiledOCPN
 from .timed import TimedExecution
 
 
@@ -116,40 +116,3 @@ class PresentationTimeline:
     def max_drift(self, reference: "PresentationTimeline") -> float:
         drifts = self.drift_against(reference)
         return max(drifts.values(), default=0.0)
-
-
-def timeline_for(compiled: CompiledOCPN) -> PresentationTimeline:
-    """The *nominal* timeline straight from the interval algebra (no net run)."""
-    return PresentationTimeline.from_schedule(spec_intervals(compiled.spec))
-
-
-@dataclass
-class QoSMetrics:
-    """Quality metrics of a measured timeline vs. its specification."""
-
-    max_sync_error: float
-    mean_sync_error: float
-    missing_objects: int
-    makespan_measured: float
-    makespan_nominal: float
-
-    @property
-    def makespan_inflation(self) -> float:
-        if self.makespan_nominal == 0:
-            return 0.0
-        return self.makespan_measured / self.makespan_nominal - 1.0
-
-
-def qos_metrics(
-    measured: PresentationTimeline, nominal: PresentationTimeline
-) -> QoSMetrics:
-    drifts = measured.drift_against(nominal)
-    finite = [d for d in drifts.values() if d != float("inf")]
-    missing = sum(1 for d in drifts.values() if d == float("inf"))
-    return QoSMetrics(
-        max_sync_error=max(finite, default=0.0),
-        mean_sync_error=(sum(finite) / len(finite)) if finite else 0.0,
-        missing_objects=missing,
-        makespan_measured=measured.duration,
-        makespan_nominal=nominal.duration,
-    )

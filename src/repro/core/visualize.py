@@ -1,139 +1,13 @@
-"""Graphviz (DOT) export for Petri nets and timelines.
+"""Text rendering of presentation timelines.
 
-Pure string generation — no Graphviz dependency; the output renders with
-``dot -Tpng`` where available and is also asserted against in tests (the
-export is a stable, inspectable artifact of a compiled net).
+Pure string generation: :func:`timeline_to_ascii` draws the playout
+schedule a compiled net produces as a Gantt chart (the ``python -m repro``
+demo prints one).
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
-
-from .petri import PetriNet
 from .scheduler import PresentationTimeline
-from .timed import TimedPetriNet
-
-
-def _quote(name: str) -> str:
-    escaped = name.replace('"', '\\"')
-    return f'"{escaped}"'
-
-
-def net_to_dot(
-    net: PetriNet,
-    *,
-    durations: Optional[Mapping[str, float]] = None,
-    show_marking: bool = True,
-) -> str:
-    """Render a Petri net as a DOT digraph.
-
-    Places are circles (doubled text with token count when marked),
-    transitions are boxes, inhibitor arcs get ``odot`` arrowheads, and
-    place durations (when supplied) annotate the label — the conventional
-    timed-net drawing style.
-    """
-    lines = [f"digraph {_quote(net.name)} {{", "  rankdir=LR;"]
-    for place in net.places:
-        label = place.name
-        if durations and durations.get(place.name):
-            label += f"\\nτ={durations[place.name]:g}"
-        tokens = net.marking[place.name]
-        if show_marking and tokens:
-            label += f"\\n● x{tokens}" if tokens > 1 else "\\n●"
-        lines.append(f"  {_quote(place.name)} [shape=circle, label={_quote(label)}];")
-    for transition in net.transitions:
-        label = transition.name
-        if transition.priority:
-            label += f"\\nprio={transition.priority}"
-        lines.append(
-            f"  {_quote(transition.name)} [shape=box, height=0.2, label={_quote(label)}];"
-        )
-    for transition in net.transitions:
-        name = transition.name
-        for place, weight in net.inputs(name).items():
-            attrs = f' [label="{weight}"]' if weight > 1 else ""
-            lines.append(f"  {_quote(place)} -> {_quote(name)}{attrs};")
-        for place, weight in net.outputs(name).items():
-            attrs = f' [label="{weight}"]' if weight > 1 else ""
-            lines.append(f"  {_quote(name)} -> {_quote(place)}{attrs};")
-        for place, weight in net.inhibitors(name).items():
-            label = f', label="{weight}"' if weight > 1 else ""
-            lines.append(
-                f"  {_quote(place)} -> {_quote(name)} [arrowhead=odot{label}];"
-            )
-    lines.append("}")
-    return "\n".join(lines)
-
-
-def timed_net_to_dot(timed: TimedPetriNet) -> str:
-    return net_to_dot(timed.net, durations=timed.durations)
-
-
-def timeline_to_svg(
-    timeline: PresentationTimeline,
-    *,
-    width: int = 640,
-    row_height: int = 22,
-    label_width: int = 140,
-) -> str:
-    """Render a presentation timeline as a standalone SVG Gantt chart.
-
-    Pure string generation (no dependencies); one row per media object,
-    one rectangle per playout interval, with a second-axis ruler. Used by
-    the publishing examples to emit an inspectable artifact of the
-    schedule the Petri net produced.
-    """
-    names = timeline.media_names()
-    total = timeline.duration or 1.0
-    chart_width = width - label_width
-    height = row_height * (len(names) + 1) + 10
-
-    def x_of(t: float) -> float:
-        return label_width + t / total * chart_width
-
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" font-family="monospace" font-size="11">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-    ]
-    palette = ["#4878a8", "#a85448", "#58a868", "#a89048", "#7858a8", "#48a0a8"]
-    for row, name in enumerate(names):
-        y = 5 + row * row_height
-        parts.append(
-            f'<text x="4" y="{y + row_height * 0.7:.1f}">{name}</text>'
-        )
-        color = palette[row % len(palette)]
-        for entry in timeline.entries:
-            if entry.media != name:
-                continue
-            x0, x1 = x_of(entry.start), x_of(entry.end)
-            parts.append(
-                f'<rect x="{x0:.1f}" y="{y:.1f}" '
-                f'width="{max(x1 - x0, 1.0):.1f}" '
-                f'height="{row_height - 6}" fill="{color}" rx="2">'
-                f"<title>{name}: {entry.start:g}s – {entry.end:g}s</title>"
-                f"</rect>"
-            )
-    # time ruler
-    ruler_y = 5 + len(names) * row_height + 12
-    parts.append(
-        f'<line x1="{label_width}" y1="{ruler_y}" x2="{width}" '
-        f'y2="{ruler_y}" stroke="#888"/>'
-    )
-    step = max(1.0, round(total / 8))
-    t = 0.0
-    while t <= total + 1e-9:
-        x = x_of(min(t, total))
-        parts.append(
-            f'<line x1="{x:.1f}" y1="{ruler_y - 3}" x2="{x:.1f}" '
-            f'y2="{ruler_y + 3}" stroke="#888"/>'
-        )
-        parts.append(
-            f'<text x="{x - 8:.1f}" y="{ruler_y - 6}" fill="#555">{t:g}</text>'
-        )
-        t += step
-    parts.append("</svg>")
-    return "\n".join(parts)
 
 
 def timeline_to_ascii(timeline: PresentationTimeline, *, width: int = 60) -> str:

@@ -38,7 +38,6 @@ from .ocpn import (
     Spec,
     SpecError,
     spec_intervals,
-    spec_leaves,
 )
 
 

@@ -13,7 +13,6 @@ from .harness import (
     LoadConfig,
     LoadResult,
     encode_lecture,
-    lecture_catalog,
     peak_rss_bytes,
     run_workload,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "WorkloadSpec",
     "encode_lecture",
     "generate",
-    "lecture_catalog",
     "peak_rss_bytes",
     "plan_cohorts",
     "run_workload",

@@ -38,7 +38,6 @@ from ..web.http import VirtualNetwork
 from .cohort import CohortViewer
 from .workload import (
     ArrivalScript,
-    LectureSpec,
     ViewerArrival,
     WorkloadSpec,
     generate,
@@ -62,27 +61,6 @@ def peak_rss_bytes() -> int:
     """Peak resident set size of this process, in bytes (Linux ru_maxrss
     is reported in KiB)."""
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
-
-
-def lecture_catalog(
-    count: int,
-    duration: float,
-    *,
-    stagger: float = 0.0,
-    live_fraction: float = 0.0,
-) -> Tuple[LectureSpec, ...]:
-    """A simple catalog: ``count`` lectures, start times ``stagger``
-    apart, the first ``live_fraction`` of them marked live simulcasts."""
-    live_count = int(round(count * live_fraction))
-    return tuple(
-        LectureSpec(
-            name=f"lec{i}",
-            duration=duration,
-            start_time=i * stagger,
-            live=i < live_count,
-        )
-        for i in range(count)
-    )
 
 
 def encode_lecture(

@@ -17,6 +17,7 @@ from .lecture import (
     LectureError,
     LectureSegment,
     TimedAnnotation,
+    demo_lecture,
 )
 from .orchestrator import (
     OrchestrationError,
@@ -59,6 +60,6 @@ __all__ = [
     "PublishFormError", "PublishedLecture", "PublishedVariant",
     "ScriptedAction", "SharedEvent", "SharedViewing",
     "StreamRunResult", "StudentProgress", "SyncAudit", "TimedAnnotation",
-    "WebPublishingManager", "apply_to_model", "apply_to_stream",
+    "WebPublishingManager", "apply_to_model", "apply_to_stream", "demo_lecture",
     "random_script", "replay_all_levels", "verify_orchestration",
 ]

@@ -243,3 +243,12 @@ class Lecture:
             [(s.name, s.duration, s.importance) for s in self.segments],
             root_name=self.title,
         )
+
+
+def demo_lecture() -> Lecture:
+    """The four-slide lecture ``python -m repro`` publishes and replays,
+    and whose nets ``python -m repro nets check`` proves."""
+    return Lecture.from_slide_durations(
+        "Demo Lecture", "Prof. Deng", [8.0, 12.0, 6.0, 10.0],
+        importances=[0, 1, 0, 1],
+    )

@@ -1,6 +1,6 @@
 """Media model: synthetic objects, simulated codecs, bandwidth profiles."""
 
-from .clock import ClockError, PresentationClock, TimestampGenerator
+from .clock import ClockError, PresentationClock
 from .codecs import (
     CODEC_REGISTRY,
     Codec,
@@ -18,7 +18,6 @@ from .objects import (
     MediaError,
     MediaObject,
     MediaType,
-    TextObject,
     VideoObject,
 )
 from .profiles import (
@@ -26,7 +25,6 @@ from .profiles import (
     STANDARD_PROFILES,
     BandwidthProfile,
     get_profile,
-    rendition_ladder,
     select_profile,
 )
 
@@ -35,6 +33,5 @@ __all__ = [
     "ClockError", "Codec", "CodecError", "EncodedStream", "EncodedUnit",
     "Frame", "ImageCodec", "ImageObject", "MediaError", "MediaObject",
     "MediaType", "PROFILE_BY_NAME", "PresentationClock", "STANDARD_PROFILES",
-    "TextObject", "TimestampGenerator", "VideoObject", "get_codec",
-    "get_profile", "rendition_ladder", "select_profile",
+    "VideoObject", "get_codec", "get_profile", "select_profile",
 ]

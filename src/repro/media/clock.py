@@ -1,17 +1,15 @@
 """Presentation clocks: mapping wall time to media time.
 
 The renderer and the script-command dispatcher both need "what is the
-presentation time now?" under pause/resume and speed changes; the encoder
-needs millisecond *send times* for packets. :class:`PresentationClock`
-answers the first, :class:`TimestampGenerator` the second, and
-:func:`media_ms` is the one rounding of a float position to the integer
-milliseconds every media unit and script command is stamped with.
+presentation time now?" under pause/resume and speed changes:
+:class:`PresentationClock` answers it, and :func:`media_ms` is the one
+rounding of a float position to the integer milliseconds every media unit
+and script command is stamped with.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 
@@ -108,34 +106,3 @@ class PresentationClock:
         if not self.started or self._paused:
             raise ClockError("clock is not running")
         return wall_now + (media_time - self.media_time(wall_now)) / self._rate
-
-
-@dataclass
-class TimestampGenerator:
-    """Millisecond presentation timestamps for packetization.
-
-    ASF timestamps are 32-bit milliseconds with a configurable preroll (the
-    player buffers ``preroll_ms`` before rendering). The generator converts
-    float seconds to the wire representation and back, asserting
-    monotonicity the way the real indexer does.
-    """
-
-    preroll_ms: int = 3_000
-    _last: int = -1
-
-    def to_wire(self, seconds: float) -> int:
-        if seconds < 0:
-            raise ClockError("timestamps must be >= 0")
-        ms = round(seconds * 1000) + self.preroll_ms
-        if ms < self._last:
-            raise ClockError(
-                f"non-monotonic timestamp: {ms}ms after {self._last}ms"
-            )
-        self._last = ms
-        return ms
-
-    def from_wire(self, ms: int) -> float:
-        return max(0, ms - self.preroll_ms) / 1000.0
-
-    def reset(self) -> None:
-        self._last = -1

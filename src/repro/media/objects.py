@@ -224,20 +224,6 @@ class ImageObject(MediaObject):
 
 
 @dataclass(frozen=True)
-class TextObject(MediaObject):
-    """A text caption/subtitle shown for ``duration``."""
-
-    text: str = ""
-
-    @property
-    def media_type(self) -> MediaType:
-        return MediaType.TEXT
-
-    def raw_size(self) -> int:
-        return len(self.text.encode("utf-8"))
-
-
-@dataclass(frozen=True)
 class AnnotationObject(MediaObject):
     """A teacher's annotation/comment anchored to a slide region."""
 

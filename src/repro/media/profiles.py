@@ -15,7 +15,7 @@ profile fitting a link capacity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from .codecs import Codec, CodecError, EncodedStream, get_codec
 from .objects import AudioObject, MediaError, VideoObject
@@ -91,19 +91,6 @@ def get_profile(name: str) -> BandwidthProfile:
         raise MediaError(
             f"unknown profile {name!r}; available: {sorted(PROFILE_BY_NAME)}"
         ) from None
-
-
-def rendition_ladder(names: Sequence[str]) -> List[BandwidthProfile]:
-    """Named profiles as a multi-bitrate rendition list, lowest rate first.
-
-    The canonical input to :meth:`repro.asf.encoder.ASFEncoder.encode_file_mbr`
-    and :class:`repro.lod.publisher.LODPublisher` — profiles are frozen
-    (hashable, picklable) dataclasses, so a ladder doubles as part of an
-    encode-farm job fingerprint.
-    """
-    if not names:
-        raise MediaError("a rendition ladder needs at least one profile name")
-    return sorted((get_profile(n) for n in names), key=lambda p: p.total_bitrate)
 
 
 def select_profile(

@@ -2,13 +2,12 @@
 
 from .engine import EventHandle, PeriodicTask, SimulationError, Simulator
 from .faults import FaultAction, FaultInjector, FaultPlan
-from .link import DuplexLink, GilbertElliott, Link, LinkStats
+from .link import GilbertElliott, Link, LinkStats
 from .qos import QoSError, QoSManager, QoSSpec, Reservation
 from .transport import DatagramChannel, Message, ReliableChannel
 
 __all__ = [
     "DatagramChannel",
-    "DuplexLink",
     "EventHandle",
     "FaultAction",
     "FaultInjector",

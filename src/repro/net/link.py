@@ -237,19 +237,3 @@ class Link:
 
         self.simulator.schedule_at(arrival, delivered)
         return True
-
-
-@dataclass
-class DuplexLink:
-    """A symmetric pair of links (client↔server convenience)."""
-
-    forward: Link
-    backward: Link
-
-    @classmethod
-    def create(cls, simulator: Simulator, *, seed: int = 0, name: str = "duplex",
-               **kwargs) -> "DuplexLink":
-        return cls(
-            forward=Link(simulator, seed=seed, name=f"{name}-fwd", **kwargs),
-            backward=Link(simulator, seed=seed + 1, name=f"{name}-bwd", **kwargs),
-        )

@@ -23,7 +23,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from urllib.parse import parse_qsl, urlencode, urlparse
 
 from ..net.engine import SimulationError, Simulator
-from ..net.link import DuplexLink, Link
+from ..net.link import Link
 from ..net.transport import Message, ReliableChannel
 
 

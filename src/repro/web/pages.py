@@ -79,17 +79,3 @@ def render_catalog(
         '<p><a href="/publish">publish another lecture</a></p>'
     )
     return _page(title, body)
-
-
-def render_publish_result(result: Dict[str, object]) -> str:
-    """Confirmation page after a successful POST /publish."""
-    rows = "".join(
-        f"<tr><th>{_escape(key)}</th><td>{_escape(value)}</td></tr>"
-        for key, value in result.items()
-    )
-    body = (
-        f"<table>{rows}</table>"
-        f"<p><a href=\"{_escape(result.get('url', '/'))}\">replay the "
-        'representation</a> · <a href="/">catalog</a></p>'
-    )
-    return _page("Published", body)

@@ -5,33 +5,18 @@ import pytest
 from repro.core.analysis import (
     StateSpaceLimitExceeded,
     bound,
-    conserved_token_count,
-    coverability_graph,
-    find_deadlocks,
-    is_bounded,
-    is_deadlock_free,
-    is_live,
-    is_reachable,
-    is_reversible,
+    is_p_invariant,
     is_safe,
-    p_invariants,
     reachability_graph,
-    t_invariants,
 )
-from repro.core.builder import NetBuilder
 from repro.core.petri import Marking, PetriNet, PetriNetError
+from tests.helpers import net_from
 
 
 def cycle_net():
     """p1 -t1-> p2 -t2-> p1: a live, safe, reversible loop."""
-    return (
-        NetBuilder("cycle")
-        .place("p1", tokens=1)
-        .place("p2")
-        .transitions("t1", "t2")
-        .chain("p1", "t1", "p2")
-        .chain("p2", "t2", "p1")
-        .build()
+    return net_from(
+        "cycle", {"p1": 1, "p2": 0}, ["t1", "t2"], ("p1", "t1", "p2", "t2", "p1")
     )
 
 
@@ -49,14 +34,7 @@ def producer_net():
 
 def terminating_net():
     """p1 -t-> p2, then nothing: deadlocks in p2."""
-    return (
-        NetBuilder("term")
-        .place("p1", tokens=1)
-        .place("p2")
-        .transition("t")
-        .chain("p1", "t", "p2")
-        .build()
-    )
+    return net_from("term", {"p1": 1, "p2": 0}, ["t"], ("p1", "t", "p2"))
 
 
 class TestReachability:
@@ -79,9 +57,9 @@ class TestReachability:
         assert succ == [("t1", Marking({"p2": 1}))]
 
     def test_is_reachable(self):
-        net = terminating_net()
-        assert is_reachable(net, Marking({"p2": 1}))
-        assert not is_reachable(net, Marking({"p1": 1, "p2": 1}))
+        markings = reachability_graph(terminating_net()).markings
+        assert Marking({"p2": 1}) in markings
+        assert Marking({"p1": 1, "p2": 1}) not in markings
 
     def test_explicit_initial_marking(self):
         net = cycle_net()
@@ -89,45 +67,15 @@ class TestReachability:
         assert graph.initial == Marking({"p2": 1})
 
 
-class TestCoverability:
-    def test_bounded_net_no_omega(self):
-        graph = coverability_graph(cycle_net())
-        assert not graph.has_omega()
-
-    def test_unbounded_place_detected(self):
-        graph = coverability_graph(producer_net())
-        assert graph.unbounded_places() == {"buf"}
-
-    def test_inhibitor_nets_rejected(self):
-        net = PetriNet()
-        net.add_place("p", tokens=1)
-        net.add_place("q")
-        net.add_transition("t")
-        net.add_arc("p", "t")
-        net.add_arc("t", "q")
-        net.add_arc("q", "t", inhibitor=True)
-        with pytest.raises(PetriNetError):
-            coverability_graph(net)
-
-
 class TestBoundedness:
     def test_cycle_is_safe(self):
         assert is_safe(cycle_net())
         assert bound(cycle_net()) == 1
 
-    def test_producer_unbounded(self):
-        assert not is_bounded(producer_net())
-
     def test_two_bounded(self):
-        net = (
-            NetBuilder()
-            .place("p", tokens=2)
-            .place("q")
-            .transition("t")
-            .chain("p", "t", "q")
-            .build()
-        )
+        net = net_from("two", {"p": 2, "q": 0}, ["t"], ("p", "t", "q"))
         assert bound(net) == 2
+        assert reachability_graph(net).bound() == 2
         assert not is_safe(net)
 
     def test_empty_net_bound_zero(self):
@@ -137,22 +85,17 @@ class TestBoundedness:
 
 
 class TestLivenessDeadlock:
-    def test_cycle_is_live(self):
-        assert is_live(cycle_net())
-
-    def test_terminating_net_not_live(self):
-        assert not is_live(terminating_net())
-
     def test_terminating_net_deadlocks(self):
-        dead = find_deadlocks(terminating_net())
+        dead = reachability_graph(terminating_net()).dead_markings()
         assert dead == [Marking({"p2": 1})]
 
     def test_accepting_marking_not_a_deadlock(self):
-        accepting = [Marking({"p2": 1})]
-        assert is_deadlock_free(terminating_net(), accepting=accepting)
+        # a terminating net may end only in its declared final markings
+        dead = reachability_graph(terminating_net()).dead_markings()
+        assert set(dead) <= {Marking({"p2": 1})}
 
     def test_cycle_deadlock_free(self):
-        assert is_deadlock_free(cycle_net())
+        assert reachability_graph(cycle_net()).dead_markings() == []
 
     def test_dead_transition_makes_not_live(self):
         net = cycle_net()
@@ -160,32 +103,22 @@ class TestLivenessDeadlock:
         net.add_transition("t_dead")
         net.add_arc("never", "t_dead")
         net.add_arc("t_dead", "p1")
-        assert not is_live(net)
-
-    def test_reversible_cycle(self):
-        assert is_reversible(cycle_net())
-
-    def test_terminating_not_reversible(self):
-        assert not is_reversible(terminating_net())
+        assert "t_dead" not in reachability_graph(net).transitions_fired()
 
 
 class TestInvariants:
     def test_cycle_p_invariant_conserves_one_token(self):
         net = cycle_net()
-        invs = p_invariants(net)
-        assert len(invs) == 1
-        assert invs[0] == {"p1": 1, "p2": 1}
-        assert conserved_token_count(net, invs[0]) == 1
-
-    def test_cycle_t_invariant_is_full_loop(self):
-        invs = t_invariants(cycle_net())
-        assert invs == [{"t1": 1, "t2": 1}]
+        assert is_p_invariant(net, {"p1": 1, "p2": 1})
+        assert not is_p_invariant(net, {"p1": 1})
+        assert net.initial_marking["p1"] + net.initial_marking["p2"] == 1
 
     def test_producer_has_no_p_invariant_on_buf(self):
-        invs = p_invariants(producer_net())
+        net = producer_net()
         # only the run-place self-loop is conserved
-        assert all("buf" not in inv for inv in invs)
-        assert {"run": 1} in invs
+        assert is_p_invariant(net, {"run": 1})
+        assert not is_p_invariant(net, {"buf": 1})
+        assert not is_p_invariant(net, {"run": 1, "buf": 1})
 
     def test_weighted_invariant(self):
         # t consumes 2 from a, produces 1 into b => invariant a + 2b
@@ -195,13 +128,13 @@ class TestInvariants:
         net.add_transition("t")
         net.add_arc("a", "t", weight=2)
         net.add_arc("t", "b")
-        invs = p_invariants(net)
-        assert {"a": 1, "b": 2} in invs
+        assert is_p_invariant(net, {"a": 1, "b": 2})
+        assert not is_p_invariant(net, {"a": 1, "b": 1})
 
     def test_invariant_holds_along_run(self):
         net = cycle_net()
-        inv = p_invariants(net)[0]
-        start = conserved_token_count(net, inv)
+        inv = {"p1": 1, "p2": 1}
+        start = sum(w * net.marking[p] for p, w in inv.items())
         net.fire("t1")
         weighted = sum(w * net.marking[p] for p, w in inv.items())
         assert weighted == start
@@ -209,7 +142,8 @@ class TestInvariants:
     def test_no_transitions_every_place_invariant(self):
         net = PetriNet()
         net.add_place("x", tokens=1)
-        assert p_invariants(net) == [{"x": 1}]
+        assert is_p_invariant(net, {"x": 1})
 
-    def test_t_invariants_empty_for_terminating(self):
-        assert t_invariants(terminating_net()) == []
+    def test_unknown_place_rejected(self):
+        with pytest.raises(PetriNetError):
+            is_p_invariant(cycle_net(), {"nowhere": 1})

@@ -1,113 +1,8 @@
-"""Unit tests for NetBuilder and DOT/ASCII visualization."""
+"""Unit tests for the ASCII timeline rendering (repro.core.visualize)."""
 
-import pytest
-
-from repro.core.builder import NetBuilder
 from repro.core.intervals import Interval
-from repro.core.ocpn import MediaLeaf, compile_spec, sequence
-from repro.core.petri import PetriNetError
 from repro.core.scheduler import PresentationTimeline, TimelineEntry
-from repro.core.visualize import net_to_dot, timed_net_to_dot, timeline_to_ascii
-
-
-class TestNetBuilder:
-    def test_chain(self):
-        net = (
-            NetBuilder()
-            .place("p", tokens=1)
-            .places("q", "r")
-            .transitions("t1", "t2")
-            .chain("p", "t1", "q", "t2", "r")
-            .build()
-        )
-        assert net.run() == ["t1", "t2"]
-
-    def test_marking_override(self):
-        net = (
-            NetBuilder()
-            .places("a", "b")
-            .transition("t")
-            .chain("a", "t", "b")
-            .marking(a=3)
-            .build()
-        )
-        assert net.marking["a"] == 3
-
-    def test_build_validates(self):
-        builder = NetBuilder().place("p").transition("lonely")
-        with pytest.raises(PetriNetError):
-            builder.build()
-
-    def test_weighted_and_inhibitor_arcs(self):
-        net = (
-            NetBuilder()
-            .place("p", tokens=2)
-            .place("stop", tokens=1)
-            .place("q")
-            .transition("t")
-            .arc("p", "t", weight=2)
-            .arc("t", "q")
-            .arc("stop", "t", inhibitor=True)
-            .build()
-        )
-        assert not net.is_enabled("t")
-
-
-class TestDotExport:
-    def test_contains_all_nodes_and_arcs(self):
-        net = (
-            NetBuilder("demo")
-            .place("p", tokens=1)
-            .place("q")
-            .transition("t")
-            .chain("p", "t", "q")
-            .build()
-        )
-        dot = net_to_dot(net)
-        assert dot.startswith('digraph "demo"')
-        assert '"p" [shape=circle' in dot
-        assert '"t" [shape=box' in dot
-        assert '"p" -> "t";' in dot
-        assert '"t" -> "q";' in dot
-
-    def test_marking_rendered(self):
-        net = NetBuilder().place("p", tokens=2).transition("t").arc("p", "t").build()
-        assert "● x2" in net_to_dot(net)
-
-    def test_weights_labelled(self):
-        net = (
-            NetBuilder()
-            .place("p", tokens=2)
-            .place("q")
-            .transition("t")
-            .arc("p", "t", weight=2)
-            .arc("t", "q")
-            .build()
-        )
-        assert 'label="2"' in net_to_dot(net)
-
-    def test_inhibitor_arrowhead(self):
-        net = (
-            NetBuilder()
-            .place("p", tokens=1)
-            .place("i")
-            .place("q")
-            .transition("t")
-            .arc("p", "t")
-            .arc("t", "q")
-            .arc("i", "t", inhibitor=True)
-            .build()
-        )
-        assert "arrowhead=odot" in net_to_dot(net)
-
-    def test_durations_annotated(self):
-        compiled = compile_spec(sequence(MediaLeaf("a", 2.5), MediaLeaf("b", 3)))
-        dot = timed_net_to_dot(compiled.timed_net)
-        assert "τ=2.5" in dot
-
-    def test_quote_escaping(self):
-        net = NetBuilder('x"y').place("p", tokens=1).transition("t").arc("p", "t").build()
-        assert '\\"' in net_to_dot(net)
+from repro.core.visualize import timeline_to_ascii
 
 
 class TestAsciiTimeline:

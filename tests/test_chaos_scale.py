@@ -21,10 +21,11 @@ through the load harness's supervision wiring:
 
 import os
 
-from repro.load import LoadConfig, WorkloadSpec, lecture_catalog, run_workload
+from repro.load import LoadConfig, WorkloadSpec, run_workload
 from repro.net import FaultPlan
 from repro.obs import TraceChecker, Tracer
 from repro.streaming import RecoveryConfig
+from tests.helpers import lecture_catalog
 
 CHAOS_SEED = int(os.environ.get("CHAOS_SEED", "0"))
 VIEWERS = int(os.environ.get("CHAOS_SCALE_VIEWERS", "100000"))

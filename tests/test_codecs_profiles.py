@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.media.clock import ClockError, PresentationClock, TimestampGenerator
+from repro.media.clock import ClockError, PresentationClock
 from repro.media.codecs import (
     CODEC_REGISTRY,
     Codec,
@@ -212,29 +212,3 @@ class TestPresentationClock:
         clock.pause(1.0)
         with pytest.raises(ClockError):
             clock.wall_time_of(2.0, 5.0)
-
-
-class TestTimestampGenerator:
-    def test_preroll_offset(self):
-        gen = TimestampGenerator(preroll_ms=3000)
-        assert gen.to_wire(0.0) == 3000
-        assert gen.from_wire(3000) == 0.0
-
-    def test_monotonicity_enforced(self):
-        gen = TimestampGenerator()
-        gen.to_wire(5.0)
-        with pytest.raises(ClockError):
-            gen.to_wire(4.0)
-
-    def test_reset(self):
-        gen = TimestampGenerator()
-        gen.to_wire(5.0)
-        gen.reset()
-        assert gen.to_wire(1.0) == 4000
-
-    def test_negative_rejected(self):
-        with pytest.raises(ClockError):
-            TimestampGenerator().to_wire(-1.0)
-
-    def test_from_wire_clamps(self):
-        assert TimestampGenerator(preroll_ms=3000).from_wire(1000) == 0.0

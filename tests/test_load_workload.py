@@ -9,10 +9,10 @@ from repro.load import (
     WorkloadError,
     WorkloadSpec,
     generate,
-    lecture_catalog,
     plan_cohorts,
     run_workload,
 )
+from tests.helpers import lecture_catalog
 
 
 def catalog(**kwargs):

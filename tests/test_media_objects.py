@@ -8,7 +8,6 @@ from repro.media.objects import (
     ImageObject,
     MediaError,
     MediaType,
-    TextObject,
     VideoObject,
     _pseudo_bytes,
 )
@@ -100,9 +99,6 @@ class TestImageTextAnnotation:
     def test_image_validation(self):
         with pytest.raises(MediaError):
             ImageObject("s", 5, width=-1)
-
-    def test_text_size(self):
-        assert TextObject("t", 3, text="héllo").raw_size() == 6
 
     def test_annotation_region_validation(self):
         with pytest.raises(MediaError):

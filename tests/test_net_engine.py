@@ -3,7 +3,7 @@
 import pytest
 
 from repro.net.engine import PeriodicTask, SimulationError, Simulator
-from repro.net.link import DuplexLink, Link
+from repro.net.link import Link
 
 
 class TestSimulator:
@@ -315,9 +315,3 @@ class TestLink:
         link = Link(sim)
         with pytest.raises(SimulationError):
             link.transmit(0, lambda: None)
-
-    def test_duplex_create(self):
-        sim = Simulator()
-        duplex = DuplexLink.create(sim, bandwidth=1e6, delay=0.01)
-        assert duplex.forward.name.endswith("fwd")
-        assert duplex.backward.name.endswith("bwd")

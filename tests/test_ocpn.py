@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.analysis import is_deadlock_free, is_safe
+from repro.core.analysis import is_safe, reachability_graph
 from repro.core.intervals import TemporalRelation as R
 from repro.core.ocpn import (
     Composite,
@@ -13,7 +13,6 @@ from repro.core.ocpn import (
     sequence,
     spec_duration,
     spec_intervals,
-    spec_leaves,
     verify_schedule,
 )
 
@@ -45,7 +44,8 @@ class TestSpecAST:
 
     def test_spec_leaves(self):
         spec = sequence(MediaLeaf("a", 1), parallel(MediaLeaf("b", 2), MediaLeaf("c", 2)))
-        assert [l.name for l in spec_leaves(spec)] == ["a", "b", "c"]
+        # the reference schedule lists every leaf, left to right
+        assert list(spec_intervals(spec)) == ["a", "b", "c"]
 
     def test_duplicate_leaves_detected_in_intervals(self):
         spec = sequence(MediaLeaf("a", 1), MediaLeaf("a", 2))
@@ -118,8 +118,6 @@ class TestCompiler:
         compiled.execute()
         net = compiled.timed_net.net
         # final untimed firing run leaves exactly one token in P_done
-        from repro.core.analysis import reachability_graph
-
         graph = reachability_graph(net)
         finals = [m for m in graph.dead_markings()]
         assert len(finals) == 1 and finals[0]["P_done"] == 1
@@ -159,9 +157,7 @@ class TestCompiler:
     def test_deadlock_free_until_done(self):
         compiled = compile_spec(sequence(MediaLeaf("a", 1), MediaLeaf("b", 2)))
         net = compiled.timed_net.net
-        from repro.core.analysis import find_deadlocks
-
-        dead = find_deadlocks(net)
+        dead = reachability_graph(net).dead_markings()
         # the only dead marking is the accepting "done" marking
         assert len(dead) == 1 and dead[0]["P_done"] == 1
 

@@ -37,7 +37,7 @@ import pytest
 
 from repro.asf import ASFEncoder, EncoderConfig, slide_commands
 from repro.control import HeartbeatMonitor
-from repro.load import LoadConfig, WorkloadSpec, lecture_catalog, run_workload
+from repro.load import LoadConfig, WorkloadSpec, run_workload
 from repro.lod import LiveCaptureSession
 from repro.media import AudioObject, ImageObject, VideoObject, get_profile
 from repro.metrics.counters import get_counters, reset_counters
@@ -51,6 +51,7 @@ from repro.streaming import (
     build_relay_tree,
 )
 from repro.web import VirtualNetwork
+from tests.helpers import lecture_catalog
 
 CHAOS_SEED = int(os.environ.get("CHAOS_SEED", "0"))
 VIEWERS = int(os.environ.get("CHAOS_SCALE_VIEWERS", "100000"))

@@ -1,12 +1,6 @@
 """Unit tests for the prioritized Petri net baseline (repro.core.prioritized)."""
 
-import pytest
-
-from repro.core.prioritized import (
-    PrioritizedPetriNet,
-    PrioritizedScheduler,
-    preemption_order,
-)
+from repro.core.prioritized import PrioritizedPetriNet
 from repro.core.timed import TimedPetriNet
 
 
@@ -60,10 +54,6 @@ class TestPrioritizedEnabling:
         fired = net.run()
         assert fired == ["t_interact"]
 
-    def test_preemption_order(self):
-        net = contention_net()
-        assert preemption_order(net) == ["t_interact", "t_play"]
-
     def test_mask_lifts_when_high_priority_consumed(self):
         # separate tokens: after interaction fires, playback proceeds
         net = PrioritizedPetriNet()
@@ -83,27 +73,9 @@ class TestPrioritizedEnabling:
 
 
 class TestPrioritizedScheduler:
-    def test_requires_prioritized_net(self):
-        from repro.core.petri import PetriNet
-
-        plain = PetriNet()
-        plain.add_place("p", tokens=1)
-        plain.add_transition("t")
-        plain.add_arc("p", "t")
-        with pytest.raises(TypeError):
-            PrioritizedScheduler(TimedPetriNet(plain))
-
     def test_timed_run_fires_high_priority_first(self):
+        # the timed execution fires the first priority-enabled transition
         net = contention_net()
-        timed = TimedPetriNet(net, {"interacted": 1.0})
-        execution = PrioritizedScheduler(timed).run()
+        execution = TimedPetriNet(net, {"interacted": 1.0}).execute()
         assert execution.firing_times("t_interact") == [0.0]
         assert execution.firing_times("t_play") == []
-
-    def test_run_resets_net(self):
-        net = contention_net()
-        timed = TimedPetriNet(net)
-        sched = PrioritizedScheduler(timed)
-        first = sched.run()
-        second = sched.run()
-        assert first.firings == second.firings == 1

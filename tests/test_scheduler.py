@@ -1,15 +1,10 @@
-"""Unit tests for presentation timelines and QoS metrics (repro.core.scheduler)."""
+"""Unit tests for presentation timelines (repro.core.scheduler)."""
 
 import pytest
 
 from repro.core.intervals import Interval
-from repro.core.ocpn import MediaLeaf, compile_spec, parallel, sequence
-from repro.core.scheduler import (
-    PresentationTimeline,
-    TimelineEntry,
-    qos_metrics,
-    timeline_for,
-)
+from repro.core.ocpn import MediaLeaf, compile_spec, parallel, sequence, spec_intervals
+from repro.core.scheduler import PresentationTimeline, TimelineEntry
 
 
 def sample_timeline():
@@ -68,7 +63,7 @@ class TestTimeline:
         )
         compiled = compile_spec(spec)
         measured = PresentationTimeline.from_execution(compiled)
-        nominal = timeline_for(compiled)
+        nominal = PresentationTimeline.from_schedule(spec_intervals(compiled.spec))
         assert measured.max_drift(nominal) == pytest.approx(0.0)
 
 
@@ -97,40 +92,3 @@ class TestDrift:
     def test_max_drift(self):
         partial = PresentationTimeline([TimelineEntry("video", Interval(0, 10))])
         assert partial.max_drift(sample_timeline()) == float("inf")
-
-
-class TestQoSMetrics:
-    def test_perfect_playback(self):
-        t = sample_timeline()
-        m = qos_metrics(t, sample_timeline())
-        assert m.max_sync_error == 0
-        assert m.missing_objects == 0
-        assert m.makespan_inflation == pytest.approx(0.0)
-
-    def test_inflation(self):
-        slow = PresentationTimeline(
-            [
-                TimelineEntry("video", Interval(0, 12)),
-                TimelineEntry("slide1", Interval(0, 5)),
-                TimelineEntry("slide2", Interval(5, 10)),
-            ]
-        )
-        m = qos_metrics(slow, sample_timeline())
-        assert m.makespan_inflation == pytest.approx(0.2)
-        assert m.max_sync_error == pytest.approx(2.0)
-
-    def test_missing_counted_not_averaged(self):
-        partial = PresentationTimeline(
-            [
-                TimelineEntry("video", Interval(0, 10)),
-                TimelineEntry("slide1", Interval(0.1, 5)),
-            ]
-        )
-        m = qos_metrics(partial, sample_timeline())
-        assert m.missing_objects == 1
-        assert m.mean_sync_error == pytest.approx(0.05)
-
-    def test_zero_nominal_makespan(self):
-        empty = PresentationTimeline()
-        m = qos_metrics(empty, empty)
-        assert m.makespan_inflation == 0.0

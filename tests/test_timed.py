@@ -2,38 +2,25 @@
 
 import pytest
 
-from repro.core.builder import NetBuilder
 from repro.core.petri import PetriNet, PetriNetError
 from repro.core.timed import TimedEvent, TimedExecution, TimedPetriNet
+from tests.helpers import net_from
 
 
 def chain_net():
     """start -t1-> a(2s) -t2-> b(3s) -t3-> done."""
-    net = (
-        NetBuilder("chain")
-        .place("start", tokens=1)
-        .places("a", "b", "done")
-        .transitions("t1", "t2", "t3")
-        .chain("start", "t1", "a", "t2", "b", "t3", "done")
-        .build()
+    net = net_from(
+        "chain", {"start": 1, "a": 0, "b": 0, "done": 0}, ["t1", "t2", "t3"],
+        ("start", "t1", "a", "t2", "b", "t3", "done"),
     )
     return TimedPetriNet(net, {"a": 2.0, "b": 3.0})
 
 
 def fork_net():
     """One transition starts a(2s) and b(5s); join waits for both."""
-    net = (
-        NetBuilder("fork")
-        .place("start", tokens=1)
-        .places("a", "b", "done")
-        .transitions("t_split", "t_join")
-        .chain("start", "t_split")
-        .arc("t_split", "a")
-        .arc("t_split", "b")
-        .arc("a", "t_join")
-        .arc("b", "t_join")
-        .arc("t_join", "done")
-        .build()
+    net = net_from(
+        "fork", {"start": 1, "a": 0, "b": 0, "done": 0}, ["t_split", "t_join"],
+        ("start", "t_split", "a", "t_join", "done"), ("t_split", "b", "t_join"),
     )
     return TimedPetriNet(net, {"a": 2.0, "b": 5.0})
 
@@ -107,13 +94,8 @@ class TestExecution:
 
     def test_max_firings_cap(self):
         # a live loop would run forever without the cap
-        net = (
-            NetBuilder("loop")
-            .place("p", tokens=1)
-            .place("q")
-            .transitions("t1", "t2")
-            .chain("p", "t1", "q", "t2", "p")
-            .build()
+        net = net_from(
+            "loop", {"p": 1, "q": 0}, ["t1", "t2"], ("p", "t1", "q", "t2", "p")
         )
         ex = TimedPetriNet(net, {"p": 1.0, "q": 1.0}).execute(max_firings=10)
         assert ex.firings == 10

@@ -26,12 +26,13 @@ wedge:
 import os
 
 from repro.asf import ASFEncoder, EncoderConfig, slide_commands
-from repro.load import LoadConfig, WorkloadSpec, lecture_catalog, run_workload
+from repro.load import LoadConfig, WorkloadSpec, run_workload
 from repro.media import AudioObject, ImageObject, VideoObject, get_profile
 from repro.metrics.counters import get_counters, reset_counters
 from repro.obs import TraceChecker, Tracer
 from repro.streaming import BackboneBudget, MediaServer, build_relay_tree
 from repro.web import VirtualNetwork
+from tests.helpers import lecture_catalog
 
 CHAOS_SEED = int(os.environ.get("CHAOS_SEED", "0"))
 VIEWERS = int(os.environ.get("CHAOS_SCALE_VIEWERS", "100000"))

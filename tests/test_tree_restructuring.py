@@ -1,12 +1,8 @@
-"""Unit tests for content-tree restructuring (move/promote/demote) and the
-SVG timeline export."""
+"""Unit tests for content-tree restructuring (move/promote/demote)."""
 
 import pytest
 
 from repro.contenttree import ContentTree, ContentTreeError, build_example_tree
-from repro.core.intervals import Interval
-from repro.core.scheduler import PresentationTimeline, TimelineEntry
-from repro.core.visualize import timeline_to_svg
 
 
 class TestMove:
@@ -87,44 +83,3 @@ class TestPromoteDemote:
         tree.demote("S3")  # back under S1 (its preceding sibling), appended
         assert tree.node("S3").parent.name == "S1"
         assert tree.level_values() == build_example_tree().level_values()
-
-
-class TestSvgExport:
-    def timeline(self):
-        return PresentationTimeline(
-            [
-                TimelineEntry("video", Interval(0, 30)),
-                TimelineEntry("slide1", Interval(0, 15)),
-                TimelineEntry("slide2", Interval(15, 30)),
-            ]
-        )
-
-    def test_valid_svg_document(self):
-        svg = timeline_to_svg(self.timeline())
-        assert svg.startswith("<svg ")
-        assert svg.endswith("</svg>")
-        assert svg.count("<rect") >= 4  # background + 3 bars
-
-    def test_one_row_per_media(self):
-        svg = timeline_to_svg(self.timeline())
-        for name in ("video", "slide1", "slide2"):
-            assert f">{name}</text>" in svg
-
-    def test_tooltips_carry_intervals(self):
-        svg = timeline_to_svg(self.timeline())
-        assert "<title>video: 0s – 30s</title>" in svg
-
-    def test_ruler_spans_duration(self):
-        svg = timeline_to_svg(self.timeline())
-        assert ">0</text>" in svg
-        assert ">28</text>" in svg or ">30</text>" in svg
-
-    def test_empty_timeline_renders(self):
-        svg = timeline_to_svg(PresentationTimeline())
-        assert svg.startswith("<svg ") and svg.endswith("</svg>")
-
-    def test_parses_as_xml(self):
-        import xml.etree.ElementTree as ET
-
-        root = ET.fromstring(timeline_to_svg(self.timeline()))
-        assert root.tag.endswith("svg")

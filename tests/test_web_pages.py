@@ -5,11 +5,7 @@ import pytest
 from repro.lod import Lecture, MediaStore, WebPublishingManager
 from repro.streaming import MediaServer
 from repro.web import HTTPClient, VirtualNetwork, form_encode
-from repro.web.pages import (
-    render_catalog,
-    render_publish_form,
-    render_publish_result,
-)
+from repro.web.pages import render_catalog, render_publish_form
 
 
 class TestRenderers:
@@ -37,11 +33,6 @@ class TestRenderers:
         assert "Lecture &lt;1&gt;" in page
         assert 'href="http://server:8080/lod/p1"' in page
         assert 'href="/publish"' in page
-
-    def test_result_page_links_replay(self):
-        page = render_publish_result({"url": "http://s/lod/x", "point": "x"})
-        assert 'href="http://s/lod/x"' in page
-        assert "replay the representation" in page
 
 
 @pytest.fixture
