@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import struct
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -597,13 +598,21 @@ class Depacketizer:
     objects, suppression of completed objects, a deep-copied or unpickled
     twin — runs the loop on the receiver's own copy of its state, updated
     in place until no object is open.
+
+    The duplicate filter keeps O(gaps), not O(packets): the sequences seen
+    since the last replay are sorted half-open runs ``[lo, hi)``. Every
+    arrival above the highest seen (an in-order packet) extends the last
+    run or opens one after a gap with no lookup; only a retransmit, a
+    repair, a reorder or a replay bisects.
     """
 
     def __init__(
         self, *, on_gap: Optional[Callable[[List[int]], None]] = None
     ) -> None:
         self.completed: List[MediaUnit] = []
-        self._seen_sequences: set = set()
+        #: sequences seen since the last replay, as run bounds
+        #: ``[lo0, hi0, lo1, hi1, ...]``; the last run ends past the highest
+        self._runs: List[int] = []
         self._max_sequence: Optional[int] = None
         self.suppressed_duplicates = 0
         self.on_gap = on_gap
@@ -614,6 +623,13 @@ class Depacketizer:
         self._serial: Optional[int] = 0
         #: keys of completed objects, during a ``suppress_completed`` replay
         self._skip: Optional[set] = None
+        #: delivery windows (:meth:`loss_report`): per closed window its
+        #: ``{stream: (lo, hi)}``; the open one began at ``completed[_window]``
+        self._windows: List[Dict[int, Tuple[int, int]]] = []
+        self._window = 0
+        #: objects open when the open window began that no arrival in it
+        #: has touched: they belong to the windows before
+        self._stale: Optional[set] = None
 
     def __getstate__(self) -> dict:
         # a copy owns copies of its fragments; a serial names nothing there
@@ -630,11 +646,17 @@ class Depacketizer:
         already reassembled — used when resuming after a server crash,
         where the replay overlaps content the client has already rendered
         and must not surface twice.
+
+        Either form opens a delivery window (:meth:`loss_report`); a
+        player starting mid-file calls it before its first packet.
         """
+        self._windows.append(self._extent(closing=True))
+        self._window = len(self.completed)
         if self._serial:
             # stale open objects would seed plans no other receiver shares
             self._open, self._serial = _own(self._open), None
-        self._seen_sequences.clear()
+        self._stale = set(self._open) or None
+        self._runs.clear()
         self._max_sequence = None
         self._skip = (
             {(unit.stream_number, unit.object_number) for unit in self.completed}
@@ -649,25 +671,18 @@ class Depacketizer:
         or duplicated datagram) is dropped whole — re-pushing it must not
         produce its units twice."""
         sequence = packet.sequence
-        seen_sequences = self._seen_sequences
-        if sequence in seen_sequences:
-            return []
-        seen_sequences.add(sequence)
         highest = self._max_sequence
         if highest is None or sequence > highest:
-            if (
-                self.on_gap is not None
-                and highest is not None
-                and sequence > highest + 1
-            ):
-                missing = [
-                    seq
-                    for seq in range(highest + 1, sequence)
-                    if seq not in seen_sequences
-                ]
-                if missing:
-                    self.on_gap(missing)
+            if highest is not None and sequence == highest + 1:
+                self._runs[-1] = sequence + 1
+            else:
+                # nothing above the highest was seen: the gap is all missing
+                if highest is not None and self.on_gap is not None:
+                    self.on_gap(list(range(highest + 1, sequence)))
+                self._runs += (sequence, sequence + 1)
             self._max_sequence = sequence
+        elif not self._mark(sequence):
+            return []
         serial = self._serial
         plan = packet._plan
         if plan is None:
@@ -694,11 +709,72 @@ class Depacketizer:
         if serial is not None:
             # leaving the chain: the plan's state is copied, not written
             entries = self._open = _own(entries)
+        elif self._stale:
+            # stale objects are open, so their receiver is off the chain
+            self._touch(packet)
         finished, _, suppressed = _receive(packet, entries, self._skip)
         self._serial = None if entries else 0
         self.suppressed_duplicates += suppressed
         self.completed.extend(finished)
         return finished
+
+    def _mark(self, sequence: int) -> bool:
+        """Add ``sequence``, at or below the highest seen, to the runs;
+        False if a run already holds it."""
+        runs = self._runs
+        i = bisect_right(runs, sequence)
+        if i & 1:
+            return False
+        # runs[i] is the next run's lo: the last run ends past the highest
+        after = runs[i] == sequence + 1
+        if i and runs[i - 1] == sequence:
+            if after:
+                del runs[i - 1 : i + 1]
+            else:
+                runs[i - 1] = sequence + 1
+        elif after:
+            runs[i] = sequence
+        else:
+            runs[i:i] = (sequence, sequence + 1)
+        return True
+
+    def _touch(self, packet: DataPacket) -> None:
+        """Stale objects ``packet`` carries a payload of arrived in the open
+        window too; a suppressed payload arrives nowhere."""
+        stale, skip = self._stale, self._skip
+        for payload in packet.payloads:
+            key = (payload.stream_number, payload.object_number)
+            if skip is None or key not in skip:
+                stale.discard(key)
+
+    def _extent(self, *, closing: bool = False) -> Dict[int, Tuple[int, int]]:
+        """The open window's ``{stream: (lo, hi)}``.
+
+        It starts at object 0 if it is the first, else at the lowest object
+        completed in it: a server resumes at a packet boundary, so the
+        first packets may carry the tail of an object the viewer never
+        asked for. It ends at the highest object completed in it or, until
+        a replay ``closing`` it cuts delivery mid-object, at the highest an
+        arrival in it left open.
+        """
+        first = not self._windows
+        numbers: Dict[int, List[int]] = {}
+        for unit in itertools.islice(self.completed, self._window, None):
+            numbers.setdefault(unit.stream_number, []).append(unit.object_number)
+        extent = {
+            stream: (0 if first else min(done), max(done))
+            for stream, done in numbers.items()
+        }
+        if closing:
+            return extent
+        stale = self._stale or ()
+        for key in self._open if self._serial is None else _own(self._open):
+            stream, number = key
+            if key in stale or not (first or stream in extent):
+                continue
+            lo, hi = extent.get(stream, (0, number))
+            extent[stream] = (lo, max(hi, number))
+        return extent
 
     def units_for(self, stream_number: int) -> List[MediaUnit]:
         return [
@@ -706,22 +782,24 @@ class Depacketizer:
         ]
 
     def loss_report(self) -> LossReport:
-        """Lost = seen-or-implied object numbers never completed.
+        """Lost = object numbers inside a delivery window never completed.
 
-        Object numbers are dense per stream, so gaps below the highest
-        seen number — completed or still open — are losses even if no
-        fragment arrived at all.
+        Object numbers are dense per stream, so gaps in a window are
+        losses even if no fragment arrived at all. The first window starts
+        at object 0; each :meth:`expect_replay` (a seek, a mid-file start,
+        a resume) closes one and opens the next (:meth:`_extent`), so
+        content the viewer never asked for is not lost.
         """
         done: Dict[int, set] = {}
         for unit in self.completed:
             done.setdefault(unit.stream_number, set()).add(unit.object_number)
-        highest = {stream: max(numbers) for stream, numbers in done.items()}
-        opened = self._open if self._serial is None else _own(self._open)
-        for stream, number in opened:
-            highest[stream] = max(highest.get(stream, -1), number)
+        expected: Dict[int, set] = {}
+        for extent in (*self._windows, self._extent()):
+            for stream, (lo, hi) in extent.items():
+                expected.setdefault(stream, set()).update(range(lo, hi + 1))
         report = LossReport()
-        for stream, top in highest.items():
+        for stream, numbers in expected.items():
             finished = done.get(stream, set())
             report.delivered[stream] = len(finished)
-            report.lost[stream] = sorted(set(range(top + 1)) - finished)
+            report.lost[stream] = sorted(numbers - finished)
         return report

@@ -14,6 +14,7 @@ index, as produced by the live encoder.
 from __future__ import annotations
 
 import hashlib
+import struct
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Callable, Iterator, List, Optional, Sequence
@@ -35,7 +36,7 @@ class ASFFile:
     _fingerprint: Optional[str] = field(
         default=None, init=False, repr=False, compare=False
     )
-    _fingerprint_key: Optional[tuple] = field(
+    _fingerprint_key: Optional[bytes] = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -98,9 +99,12 @@ class ASFFile:
         so an edge cache keyed by fingerprint recognizes a re-encoded or
         re-transferred copy of the same content. The hex digest is
         memoized until the identity of any packet in :attr:`packets`
-        changes; the bytes it hashes are not kept.
+        changes; the bytes it hashes are not kept, and the packet ids it
+        compares are packed 8 bytes each (an ``array`` would load a module
+        that costs more resident memory than a small file's ids).
         """
-        key = tuple(map(id, self.packets))
+        packets = self.packets
+        key = struct.pack(f"{len(packets)}Q", *map(id, packets))
         if self._fingerprint is not None and self._fingerprint_key == key:
             return self._fingerprint
         image = b"".join(chain((self.header.pack(),), self._packet_parts()))

@@ -116,7 +116,11 @@ class Link:
         self.queue_limit = queue_limit
         self.name = name
         self.up = True
-        self.rng = random.Random(seed)
+        self._seed = seed
+        #: built on the first read of :attr:`rng`; until then a loss-free
+        #: link counts the draws it owes instead of making them
+        self._rng: Optional[random.Random] = None
+        self._draws = 0
         self.stats = LinkStats()
         # optional repro.obs.Tracer: link-state events only (per-packet
         # drops are summarized in stats — tracing them would dominate the
@@ -125,6 +129,19 @@ class Link:
         self._busy_until = 0.0
         self._queued = 0
         self._burst_bad = False
+
+    @property
+    def rng(self) -> random.Random:
+        """The link's seeded generator, built on first use. It first makes
+        the draws the link only counted, so every draw from it is the one a
+        generator built with the link would make."""
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = random.Random(self._seed)
+            for _ in range(self._draws):
+                rng.random()
+            self._draws = 0
+        return rng
 
     def serialization_time(self, size_bytes: int) -> float:
         return size_bytes * 8 / self.bandwidth
@@ -170,6 +187,10 @@ class Link:
         """Sample the active loss process for one packet."""
         model = self.burst_loss
         if model is None:
+            if self._rng is None and not self.loss_rate:
+                # random() < 0 never holds: owe the draw, do not make it
+                self._draws += 1
+                return False
             return self.rng.random() < self.loss_rate
         rate = model.loss_bad if self._burst_bad else model.loss_good
         lost = self.rng.random() < rate

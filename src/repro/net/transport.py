@@ -14,6 +14,7 @@ timing reflects real packet sizes without serializing everything twice.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -115,12 +116,17 @@ class ReliableChannel:
         self.rto_max = rto_max
         self.jitter = jitter
         self.header_size = header_size
-        self.rng = random.Random(seed)
+        self._seed = seed
         self._next_seq = itertools.count()
         self._unacked: Dict[int, _Pending] = {}
         self._recv_buffer: Dict[int, Message] = {}
         self._next_deliver = 0
         self.retransmissions = 0
+
+    @functools.cached_property
+    def rng(self) -> random.Random:
+        """The retry-jitter generator, built by the first retry."""
+        return random.Random(self._seed)
 
     # -- sender side ----------------------------------------------------
 

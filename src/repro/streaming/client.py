@@ -331,6 +331,9 @@ class MediaPlayer:
             self._playback_span = self.tracer.begin(
                 "playback", client=self.user, point=self._point
             )
+        if start > 0:
+            # loss counts from the first object delivered, not from 0
+            self._depacketizer.expect_replay()
         self._open_and_play(start)
         self.state = PlayerState.BUFFERING
         self._start_position = start

@@ -14,6 +14,7 @@ import ast
 from pathlib import Path
 
 from repro.asf import ASFEncoder, EncodeCache, EncoderConfig, slide_commands
+from repro.asf.packets import DataPacket
 from repro.load import harness
 from repro.lod import Lecture, LODPublisher
 from repro.media import AudioObject, ImageObject, VideoObject, get_profile
@@ -60,6 +61,19 @@ class TestGoldenFingerprints:
         assert result.variant(3, "dsl-256k").asf.fingerprint() == (
             "393ff08591f632f17422759824cd43a6c895ba7f"
         )
+
+
+    def test_memo_holds_while_every_packet_object_stays(self):
+        asf = harness.encode_lecture("lec0", 12.0)
+        digest = asf.fingerprint()
+        # the memo key is the packet ids packed 8 bytes each, not a tuple
+        assert isinstance(asf._fingerprint_key, bytes)
+        assert len(asf._fingerprint_key) == 8 * len(asf.packets)
+        asf._fingerprint = "memo"
+        assert asf.fingerprint() == "memo"  # same list, same objects: a hit
+        # an equal packet that is another object forces a recompute
+        asf.packets[3] = DataPacket.unpack(asf.packets[3].pack())
+        assert asf.fingerprint() == digest
 
 
 class TestCacheKeysUnchanged:

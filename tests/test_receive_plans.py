@@ -7,7 +7,8 @@ units without touching a payload. On the sending side an unthinned train
 is a slice of the run.
 
 The oracle is the per-payload depacketizer the plans replaced, copied
-here unchanged (:class:`SeedDepacketizer`) and fed an identical but
+here (:class:`SeedDepacketizer`; since then only its loss report changed,
+to count per delivery window) and fed an identical but
 separate packet run: every receiver must emit what it emits — equal
 units, identical by ``is`` wherever it shares them, the same loss report,
 suppressed duplicates and gap callbacks.
@@ -81,7 +82,10 @@ class SeedDepacketizer:
         self._fragments: Dict[Tuple[int, int], Dict[int, Payload]] = {}
         self._have: Dict[Tuple[int, int], int] = {}
         self.completed: List[MediaUnit] = []
-        self._seen_objects: Dict[int, set] = {}
+        #: per delivery window, the object numbers seen in it per stream
+        self._seen_objects: List[Dict[int, set]] = [{}]
+        #: ... and those completed in it
+        self._window_done: List[Dict[int, set]] = [{}]
         self._completed_objects: Dict[int, set] = {}
         self._seen_sequences: set = set()
         self._max_sequence: Optional[int] = None
@@ -93,6 +97,8 @@ class SeedDepacketizer:
         self._seen_sequences.clear()
         self._max_sequence = None
         self._suppress_completed = suppress_completed
+        self._seen_objects.append({})
+        self._window_done.append({})
 
     def push_packet(self, packet: DataPacket) -> List[MediaUnit]:
         if packet.sequence in self._seen_sequences:
@@ -115,7 +121,7 @@ class SeedDepacketizer:
         for payload in packet.payloads:
             if payload.stream_number != stream:
                 stream = payload.stream_number
-                seen = self._seen_objects.setdefault(stream, set())
+                seen = self._seen_objects[-1].setdefault(stream, set())
                 done = self._completed_objects.setdefault(stream, set())
             key = (stream, payload.object_number)
             if self._suppress_completed and payload.object_number in done:
@@ -138,6 +144,9 @@ class SeedDepacketizer:
                 finished.append(unit)
                 self.completed.append(unit)
                 done.add(payload.object_number)
+                self._window_done[-1].setdefault(stream, set()).add(
+                    payload.object_number
+                )
                 continue
             bucket = fragments.setdefault(key, {})
             old = bucket.get(payload.offset)
@@ -151,20 +160,34 @@ class SeedDepacketizer:
                 finished.append(unit)
                 self.completed.append(unit)
                 done.add(payload.object_number)
+                self._window_done[-1].setdefault(stream, set()).add(
+                    payload.object_number
+                )
                 del fragments[key]
                 del self._have[key]
         return finished
 
     def loss_report(self) -> LossReport:
+        # a window spans from object 0 (the first) or its lowest completed
+        # object to its highest completed one, or its highest seen while
+        # no replay has closed it
+        expected: Dict[int, set] = {}
+        last = len(self._seen_objects) - 1
+        for index, (seen, done) in enumerate(
+            zip(self._seen_objects, self._window_done)
+        ):
+            for stream, numbers in seen.items():
+                completed = done.get(stream, set())
+                top = numbers if index == last else completed
+                if not top or (index and not completed):
+                    continue
+                low = min(completed) if index else 0
+                expected.setdefault(stream, set()).update(range(low, max(top) + 1))
         report = LossReport()
-        streams = set(self._seen_objects) | set(self._completed_objects)
-        for stream in streams:
+        for stream, numbers in expected.items():
             done = self._completed_objects.get(stream, set())
-            seen = self._seen_objects.get(stream, set())
-            highest = max(seen | done, default=-1)
-            expected = set(range(highest + 1))
             report.delivered[stream] = len(done)
-            report.lost[stream] = sorted(expected - done)
+            report.lost[stream] = sorted(numbers - done)
         return report
 
 

@@ -265,6 +265,28 @@ class TestPlayback:
         positions = [r.position for r in report.rendered]
         assert min(positions) >= 9.0  # nothing from the first slide segment
 
+    def test_clean_mid_start_reports_no_loss(self):
+        # the content before the start was never asked for, so not lost
+        net, server = make_world()
+        player = MediaPlayer(net, "student")
+        player.connect(server.url_of("lecture1"))
+        player.play(start=10.0)
+        report = player.run_until_finished()
+        assert report.loss_rates and set(report.loss_rates.values()) == {0.0}
+
+    def test_clean_seek_reports_no_loss(self):
+        # neither the skipped span nor the objects a seek cut mid-way
+        net, server = make_world()
+        player = MediaPlayer(net, "student")
+        player.connect(server.url_of("lecture1"))
+        player.play()
+        net.simulator.wait(
+            lambda: player.state is PlayerState.PLAYING and player.position >= 5.0
+        )
+        player.seek(15.0)
+        report = player.run_until_finished()
+        assert report.loss_rates and set(report.loss_rates.values()) == {0.0}
+
     def test_double_connect_rejected(self):
         net, server = make_world()
         player = MediaPlayer(net, "student")
