@@ -19,6 +19,8 @@ Subpackages
     Discrete-event network simulator: links, transport, QoS admission.
 :mod:`repro.web`
     Minimal HTTP substrate over the simulator.
+:mod:`repro.catalog`
+    Catalog search, cache admission and scheduled prefetch at the edge.
 :mod:`repro.streaming`
     The media server (publishing points, unicast/broadcast pacing) and the
     jitter-buffered player.
@@ -55,17 +57,12 @@ Quick start
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "asf",
-    "contenttree",
-    "control",
-    "core",
-    "load",
-    "lod",
-    "media",
-    "metrics",
-    "net",
-    "obs",
-    "streaming",
-    "web",
-]
+from ._exports import lazy_exports
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    name: (name,)
+    for name in (
+        "asf", "catalog", "contenttree", "control", "core", "load", "lod", "media",
+        "metrics", "net", "obs", "streaming", "web",
+    )
+})

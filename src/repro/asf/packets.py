@@ -630,6 +630,8 @@ class Depacketizer:
         #: objects open when the open window began that no arrival in it
         #: has touched: they belong to the windows before
         self._stale: Optional[set] = None
+        #: streams the source began mid-window (:meth:`expect_stream`)
+        self._late: Tuple[int, ...] = ()
 
     def __getstate__(self) -> dict:
         # a copy owns copies of its fragments; a serial names nothing there
@@ -663,6 +665,15 @@ class Depacketizer:
             if suppress_completed
             else None
         )
+
+    def expect_stream(self, stream_number: int) -> None:
+        """The source will begin ``stream_number`` mid-window (a downshift's
+        lighter rendition): in the first window that stream counts from
+        the lowest object that arrives, not from object 0, so content
+        nobody asked for is not lost. Later windows count that way for
+        every stream already."""
+        if stream_number not in self._late:
+            self._late = (*self._late, stream_number)
 
     def push_packet(self, packet: DataPacket) -> List[MediaUnit]:
         """Feed one packet; returns units completed by it (in order).
@@ -750,19 +761,21 @@ class Depacketizer:
     def _extent(self, *, closing: bool = False) -> Dict[int, Tuple[int, int]]:
         """The open window's ``{stream: (lo, hi)}``.
 
-        It starts at object 0 if it is the first, else at the lowest object
-        completed in it: a server resumes at a packet boundary, so the
-        first packets may carry the tail of an object the viewer never
-        asked for. It ends at the highest object completed in it or, until
-        a replay ``closing`` it cuts delivery mid-object, at the highest an
-        arrival in it left open.
+        It starts at object 0 if it is the first (unless the stream began
+        in it, :meth:`expect_stream`), else at the lowest object completed
+        in it: a server resumes at a packet boundary, so the first packets
+        may carry the tail of an object the viewer never asked for. It
+        ends at the highest object completed in it or, until a replay
+        ``closing`` it cuts delivery mid-object, at the highest an arrival
+        in it left open.
         """
         first = not self._windows
+        late = self._late
         numbers: Dict[int, List[int]] = {}
         for unit in itertools.islice(self.completed, self._window, None):
             numbers.setdefault(unit.stream_number, []).append(unit.object_number)
         extent = {
-            stream: (0 if first else min(done), max(done))
+            stream: (0 if first and stream not in late else min(done), max(done))
             for stream, done in numbers.items()
         }
         if closing:
@@ -772,7 +785,7 @@ class Depacketizer:
             stream, number = key
             if key in stale or not (first or stream in extent):
                 continue
-            lo, hi = extent.get(stream, (0, number))
+            lo, hi = extent.get(stream, (number if stream in late else 0, number))
             extent[stream] = (lo, max(hi, number))
         return extent
 
@@ -786,9 +799,10 @@ class Depacketizer:
 
         Object numbers are dense per stream, so gaps in a window are
         losses even if no fragment arrived at all. The first window starts
-        at object 0; each :meth:`expect_replay` (a seek, a mid-file start,
-        a resume) closes one and opens the next (:meth:`_extent`), so
-        content the viewer never asked for is not lost.
+        at object 0, except on a stream begun in it (:meth:`expect_stream`);
+        each :meth:`expect_replay` (a seek, a mid-file start, a resume)
+        closes one and opens the next (:meth:`_extent`), so content the
+        viewer never asked for is not lost.
         """
         done: Dict[int, set] = {}
         for unit in self.completed:

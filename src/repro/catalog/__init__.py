@@ -24,20 +24,10 @@ lecture-capture/navigation system points):
   :class:`~repro.obs.checker.TraceChecker` to audit.
 """
 
-from .admission import CountMinSketch, Doorkeeper, TinyLFUAdmission
-from .index import CatalogIndex, LectureEntry, SearchHit, SlideRef, tokenize
-from .prefetch import PrefetchConfig, PrefetchItem, PrefetchPlanner
+from .._exports import lazy_exports
 
-__all__ = [
-    "CatalogIndex",
-    "CountMinSketch",
-    "Doorkeeper",
-    "LectureEntry",
-    "PrefetchConfig",
-    "PrefetchItem",
-    "PrefetchPlanner",
-    "SearchHit",
-    "SlideRef",
-    "TinyLFUAdmission",
-    "tokenize",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "admission": ("CountMinSketch", "Doorkeeper", "TinyLFUAdmission"),
+    "index": ("CatalogIndex", "LectureEntry", "SearchHit", "SlideRef", "tokenize"),
+    "prefetch": ("PrefetchConfig", "PrefetchItem", "PrefetchPlanner"),
+})

@@ -18,9 +18,8 @@ Capacity is placed by hand, as the paper's media server and relays
 were: nothing here adds or removes edges.
 """
 
-from .heartbeat import HEARTBEAT_WIRE_SIZE, HeartbeatMonitor
+from .._exports import lazy_exports
 
-__all__ = [
-    "HEARTBEAT_WIRE_SIZE",
-    "HeartbeatMonitor",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "heartbeat": ("HEARTBEAT_WIRE_SIZE", "HeartbeatMonitor"),
+})

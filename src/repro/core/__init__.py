@@ -17,91 +17,34 @@ Public surface of :mod:`repro.core`:
 analysis on the nets the system itself fires or compiles.
 """
 
-from .analysis import (
-    ReachabilityGraph,
-    StateSpaceLimitExceeded,
-    bound,
-    is_p_invariant,
-    is_safe,
-    reachability_graph,
-)
-from .extended import (
-    CONTROL_TRANSITIONS,
-    DistributedCoordinator,
-    ExtendedPresentation,
-    FloorControl,
-    Interaction,
-    InteractivePlayer,
-    PlayerEvent,
-    Segment,
-    SiteLink,
-    build_control_net,
-    build_floor_net,
-)
-from .intervals import Interval, TemporalRelation, relation_between, schedule_pair
-from .ocpn import (
-    CompiledOCPN,
-    Composite,
-    MediaLeaf,
-    OCPNCompiler,
-    Spec,
-    SpecError,
-    compile_spec,
-    parallel,
-    sequence,
-    spec_duration,
-    spec_intervals,
-    verify_schedule,
-)
-from .petri import (
-    Arc,
-    DuplicateNodeError,
-    Marking,
-    NotEnabledError,
-    PetriNet,
-    PetriNetError,
-    Place,
-    Transition,
-    UnknownNodeError,
-)
-from .prioritized import PrioritizedPetriNet
-from .scheduler import PresentationTimeline, TimelineEntry
-from .timed import TimedEvent, TimedExecution, TimedPetriNet
-from .visualize import timeline_to_ascii
-from .xocpn import (
-    Channel,
-    CompiledXOCPN,
-    QoSRequirement,
-    StallReport,
-    XOCPNCompiler,
-    compile_xocpn,
-    measure_stalls,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    # petri
-    "Arc", "DuplicateNodeError", "Marking", "NotEnabledError", "PetriNet",
-    "PetriNetError", "Place", "Transition", "UnknownNodeError",
-    # analysis
-    "ReachabilityGraph", "StateSpaceLimitExceeded", "bound", "is_p_invariant",
-    "is_safe", "reachability_graph",
-    # timed
-    "TimedEvent", "TimedExecution", "TimedPetriNet",
-    # intervals
-    "Interval", "TemporalRelation", "relation_between", "schedule_pair",
-    # ocpn
-    "CompiledOCPN", "Composite", "MediaLeaf", "OCPNCompiler", "Spec",
-    "SpecError", "compile_spec", "parallel", "sequence", "spec_duration",
-    "spec_intervals", "verify_schedule",
-    # xocpn
-    "Channel", "CompiledXOCPN", "QoSRequirement", "StallReport",
-    "XOCPNCompiler", "compile_xocpn", "measure_stalls",
-    # extended
-    "CONTROL_TRANSITIONS", "DistributedCoordinator", "ExtendedPresentation",
-    "FloorControl", "Interaction", "InteractivePlayer", "PlayerEvent",
-    "Segment", "SiteLink", "build_control_net", "build_floor_net",
-    # prioritized
-    "PrioritizedPetriNet",
-    # scheduler / visualize
-    "PresentationTimeline", "TimelineEntry", "timeline_to_ascii",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "analysis": (
+        "ReachabilityGraph", "StateSpaceLimitExceeded", "bound", "is_p_invariant",
+        "is_safe", "reachability_graph",
+    ),
+    "extended": (
+        "CONTROL_TRANSITIONS", "DistributedCoordinator", "ExtendedPresentation",
+        "FloorControl", "Interaction", "InteractivePlayer", "PlayerEvent",
+        "Segment", "SiteLink", "build_control_net", "build_floor_net",
+    ),
+    "intervals": ("Interval", "TemporalRelation", "relation_between", "schedule_pair"),
+    "ocpn": (
+        "CompiledOCPN", "Composite", "MediaLeaf", "OCPNCompiler", "Spec",
+        "SpecError", "compile_spec", "parallel", "sequence", "spec_duration",
+        "spec_intervals", "verify_schedule",
+    ),
+    "petri": (
+        "Arc", "DuplicateNodeError", "Marking", "NotEnabledError", "PetriNet",
+        "PetriNetError", "Place", "Transition", "UnknownNodeError",
+    ),
+    "prioritized": ("PrioritizedPetriNet",),
+    "scheduler": ("PresentationTimeline", "TimelineEntry"),
+    "timed": ("TimedEvent", "TimedExecution", "TimedPetriNet"),
+    "visualize": ("timeline_to_ascii",),
+    "xocpn": (
+        "Channel", "CompiledXOCPN", "QoSRequirement", "StallReport",
+        "XOCPNCompiler", "compile_xocpn", "measure_stalls",
+    ),
+})

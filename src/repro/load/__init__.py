@@ -8,39 +8,15 @@ the N-viewers-one-session aggregation with lazy de-aggregation, and
 measurements ``bench/run.py`` reports.
 """
 
-from .cohort import CohortError, CohortViewer
-from .harness import (
-    LoadConfig,
-    LoadResult,
-    encode_lecture,
-    peak_rss_bytes,
-    run_workload,
-)
-from .workload import (
-    ArrivalScript,
-    CohortPlan,
-    LectureSpec,
-    ViewerArrival,
-    WorkloadError,
-    WorkloadSpec,
-    generate,
-    plan_cohorts,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "ArrivalScript",
-    "CohortError",
-    "CohortPlan",
-    "CohortViewer",
-    "LectureSpec",
-    "LoadConfig",
-    "LoadResult",
-    "ViewerArrival",
-    "WorkloadError",
-    "WorkloadSpec",
-    "encode_lecture",
-    "generate",
-    "peak_rss_bytes",
-    "plan_cohorts",
-    "run_workload",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "cohort": ("CohortError", "CohortViewer"),
+    "harness": (
+        "LoadConfig", "LoadResult", "encode_lecture", "peak_rss_bytes", "run_workload",
+    ),
+    "workload": (
+        "ArrivalScript", "CohortPlan", "LectureSpec", "ViewerArrival",
+        "WorkloadError", "WorkloadSpec", "generate", "plan_cohorts",
+    ),
+})

@@ -23,6 +23,7 @@ skippable: active playback is always simulated faithfully.
 from __future__ import annotations
 
 import resource
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, Union
@@ -58,9 +59,10 @@ MAX_EVENTS = 50_000_000
 
 
 def peak_rss_bytes() -> int:
-    """Peak resident set size of this process, in bytes (Linux ru_maxrss
-    is reported in KiB)."""
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+    """Peak resident set size of this process, in bytes (``ru_maxrss`` is
+    in bytes on macOS, in KiB on Linux and the other Unixes)."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak if sys.platform == "darwin" else peak * 1024
 
 
 def encode_lecture(

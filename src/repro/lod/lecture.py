@@ -19,10 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..contenttree import ContentTree, tree_from_segments
-from ..core.extended import ExtendedPresentation, Segment
-from ..core.ocpn import Composite, MediaLeaf, Spec, parallel
-from ..core.intervals import TemporalRelation
 from ..asf.script_commands import (
     ScriptCommand,
     TYPE_ANNOTATION,
@@ -215,6 +211,12 @@ class Lecture:
         are DURING the segment at their offsets — a direct transcription of
         the paper's synchronization semantics.
         """
+        # the Petri-net layer loads here, when a lecture is compiled to a
+        # net (authoring, verification), never for publish or replay
+        from ..core.extended import ExtendedPresentation, Segment
+        from ..core.intervals import TemporalRelation
+        from ..core.ocpn import Composite, MediaLeaf, Spec, parallel
+
         net_segments: List[Segment] = []
         for segment in self.segments:
             parts: List[Spec] = [
@@ -239,6 +241,8 @@ class Lecture:
 
     def content_tree(self) -> ContentTree:
         """Multiple-level content tree keyed by segment importance."""
+        from ..contenttree.abstractor import tree_from_segments
+
         return tree_from_segments(
             [(s.name, s.duration, s.importance) for s in self.segments],
             root_name=self.title,

@@ -1,27 +1,11 @@
 """Discrete-event network simulator: engine, links, transport, QoS."""
 
-from .engine import EventHandle, PeriodicTask, SimulationError, Simulator
-from .faults import FaultAction, FaultInjector, FaultPlan
-from .link import GilbertElliott, Link, LinkStats
-from .qos import QoSError, QoSManager, QoSSpec, Reservation
-from .transport import DatagramChannel, Message, ReliableChannel
+from .._exports import lazy_exports
 
-__all__ = [
-    "DatagramChannel",
-    "EventHandle",
-    "FaultAction",
-    "FaultInjector",
-    "FaultPlan",
-    "GilbertElliott",
-    "Link",
-    "LinkStats",
-    "Message",
-    "PeriodicTask",
-    "QoSError",
-    "QoSManager",
-    "QoSSpec",
-    "ReliableChannel",
-    "Reservation",
-    "SimulationError",
-    "Simulator",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "engine": ("EventHandle", "PeriodicTask", "SimulationError", "Simulator"),
+    "faults": ("FaultAction", "FaultInjector", "FaultPlan"),
+    "link": ("GilbertElliott", "Link", "LinkStats"),
+    "qos": ("QoSError", "QoSManager", "QoSSpec", "Reservation"),
+    "transport": ("DatagramChannel", "Message", "ReliableChannel"),
+})

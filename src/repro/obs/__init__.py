@@ -7,16 +7,10 @@ trace for cross-layer lifecycle invariants and :class:`QoEAggregator`
 summarize per-session quality of experience.
 """
 
-from .checker import TraceChecker, TraceViolation
-from .qoe import QoEAggregator, SessionQoE
-from .trace import TraceError, Tracer, load_jsonl
+from .._exports import lazy_exports
 
-__all__ = [
-    "QoEAggregator",
-    "SessionQoE",
-    "TraceChecker",
-    "TraceError",
-    "TraceViolation",
-    "Tracer",
-    "load_jsonl",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "checker": ("TraceChecker", "TraceViolation"),
+    "qoe": ("QoEAggregator", "SessionQoE"),
+    "trace": ("TraceError", "Tracer", "load_jsonl"),
+})

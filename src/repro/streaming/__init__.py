@@ -1,53 +1,19 @@
 """Streaming: media server, edge-relay tier, sessions, jitter-buffered player."""
 
-from .backbone import BackboneBudget, BudgetError
-from .buffer import JitterBuffer
-from .client import (
-    FiredCommand,
-    MediaPlayer,
-    PlaybackReport,
-    PlayerError,
-    PlayerState,
-    RenderedUnit,
-)
-from .edge import (
-    EdgeDirectory,
-    EdgeRelay,
-    FillToken,
-    PacketRunCache,
-    PlacementError,
-    build_edge_tier,
-    build_relay_tree,
-)
-from .recovery import NakRequest, RecoveryClient, RecoveryConfig
-from .server import MediaServer, PublishError, PublishingPoint
-from .session import SessionError, SessionState, SessionTable, StreamSession
+from .._exports import lazy_exports
 
-__all__ = [
-    "BackboneBudget",
-    "BudgetError",
-    "EdgeDirectory",
-    "EdgeRelay",
-    "FillToken",
-    "FiredCommand",
-    "JitterBuffer",
-    "MediaPlayer",
-    "MediaServer",
-    "NakRequest",
-    "PacketRunCache",
-    "PlacementError",
-    "PlaybackReport",
-    "PlayerError",
-    "PlayerState",
-    "PublishError",
-    "PublishingPoint",
-    "RecoveryClient",
-    "RecoveryConfig",
-    "RenderedUnit",
-    "SessionError",
-    "SessionState",
-    "SessionTable",
-    "StreamSession",
-    "build_edge_tier",
-    "build_relay_tree",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "backbone": ("BackboneBudget", "BudgetError"),
+    "buffer": ("JitterBuffer",),
+    "client": (
+        "FiredCommand", "MediaPlayer", "PlaybackReport", "PlayerError",
+        "PlayerState", "RenderedUnit",
+    ),
+    "edge": (
+        "EdgeDirectory", "EdgeRelay", "FillToken", "PacketRunCache",
+        "PlacementError", "build_edge_tier", "build_relay_tree",
+    ),
+    "recovery": ("NakRequest", "RecoveryClient", "RecoveryConfig"),
+    "server": ("MediaServer", "PublishError", "PublishingPoint"),
+    "session": ("SessionError", "SessionState", "SessionTable", "StreamSession"),
+})

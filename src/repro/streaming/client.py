@@ -38,6 +38,7 @@ from ..metrics.counters import Counters
 from ..net.engine import EventHandle, PeriodicTask, Simulator
 from ..net.transport import DatagramChannel, Message
 from ..web.http import HTTPClient, HTTPError, VirtualNetwork
+from .buffer import JitterBuffer
 from .recovery import NAK_WIRE_SIZE, NakRequest, RecoveryClient, RecoveryConfig
 
 
@@ -143,7 +144,6 @@ class MediaPlayer:
             raise PlayerError(f"unknown sync mode {sync_mode!r}")
         if multiplicity < 1:
             raise PlayerError(f"multiplicity must be >= 1, got {multiplicity}")
-        from .buffer import JitterBuffer
 
         self.network = network
         self.simulator: Simulator = network.simulator
@@ -654,8 +654,12 @@ class MediaPlayer:
         self.selected_video = new_video
         if old_video is not None and old_video in self._media_streams:
             self._media_streams.remove(old_video)
-        if new_video is not None and new_video not in self._media_streams:
-            self._pending_streams.add(new_video)
+        if new_video is not None:
+            # the lighter rendition starts mid-file: what it skipped is
+            # not lost
+            self._depacketizer.expect_stream(new_video)
+            if new_video not in self._media_streams:
+                self._pending_streams.add(new_video)
         self.downshift_log.append((self.position, new_video))
         if self.tracer is not None:
             self.tracer.event(

@@ -1,23 +1,10 @@
 """Web substrate: minimal HTTP over the simulated network."""
 
-from .http import (
-    HTTPClient,
-    HTTPError,
-    HTTPRequest,
-    HTTPResponse,
-    HTTPServer,
-    VirtualNetwork,
-    form_decode,
-    form_encode,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "HTTPClient",
-    "HTTPError",
-    "HTTPRequest",
-    "HTTPResponse",
-    "HTTPServer",
-    "VirtualNetwork",
-    "form_decode",
-    "form_encode",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "http": (
+        "HTTPClient", "HTTPError", "HTTPRequest", "HTTPResponse", "HTTPServer",
+        "VirtualNetwork", "form_decode", "form_encode",
+    ),
+})

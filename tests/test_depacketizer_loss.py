@@ -143,6 +143,23 @@ class TestLossReports:
         assert report.delivered[1] == 2
         assert report.loss_rate(1) == pytest.approx(0.5)
 
+    def test_stream_begun_mid_window_counts_from_its_first_object(self):
+        """A downshift's rendition starts mid-file: the objects before its
+        first are not lost, a hole after it still is."""
+        depacketizer = Depacketizer()
+        for sequence, (stream, number) in enumerate(
+            [(1, 0), (1, 1), (2, 40), (2, 42)]
+        ):
+            if stream == 2 and number == 40:
+                depacketizer.expect_stream(2)
+            payload = Payload(stream, number, 0, 4, 0, True, b"abcd")
+            depacketizer.push_packet(
+                DataPacket(sequence, 0, [payload], packet_size=600)
+            )
+        report = depacketizer.loss_report()
+        assert report.lost == {1: [], 2: [41]}
+        assert report.loss_rate(2) == pytest.approx(1 / 3)
+
 
 @settings(max_examples=40, deadline=None)
 @given(

@@ -1,5 +1,9 @@
 """Workload generator, cohort planner, and load-harness smoke tests."""
 
+import resource
+import sys
+from types import SimpleNamespace
+
 import pytest
 
 from repro.load import (
@@ -9,6 +13,7 @@ from repro.load import (
     WorkloadError,
     WorkloadSpec,
     generate,
+    peak_rss_bytes,
     plan_cohorts,
     run_workload,
 )
@@ -243,6 +248,19 @@ class TestHarness:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             run_workload(self.spec(), mode="hybrid")
+
+    @pytest.mark.parametrize(
+        "platform, expected", [("linux", 2048 * 1024), ("darwin", 2048)]
+    )
+    def test_peak_rss_is_bytes_on_every_platform(
+        self, monkeypatch, platform, expected
+    ):
+        # ru_maxrss is KiB on Linux, already bytes on macOS
+        monkeypatch.setattr(sys, "platform", platform)
+        monkeypatch.setattr(
+            resource, "getrusage", lambda who: SimpleNamespace(ru_maxrss=2048)
+        )
+        assert peak_rss_bytes() == expected
 
 
 class TestCohortViewerLifecycle:

@@ -325,6 +325,22 @@ class TestGracefulDegradation:
         assert degraded.rebuffer_count < stubborn.rebuffer_count
         assert degraded.duration_watched >= stubborn.duration_watched
 
+    def test_downshift_on_a_clean_link_loses_nothing_on_the_new_stream(self):
+        # the lighter rendition starts mid-file; the objects it skipped
+        # were never asked for, so they are not lost
+        net = VirtualNetwork()
+        net.connect("server", "student", bandwidth=2_000_000, delay=0.02)
+        server = MediaServer(net, "server", port=8080)
+        server.publish("mbr", mbr_asf())
+        player = MediaPlayer(net, "student")
+        player.connect(server.url_of("mbr"))
+        player.play()
+        net.simulator.run_until(8.0)
+        assert player._request_downshift()
+        report = player.run_until_finished(timeout=200.0)
+        (_, new_video), = report.downshifts
+        assert report.loss_rates[new_video] == 0.0
+
 
 class TestQoSTeardownPaths:
     def test_crash_and_failed_handshake_release_reservations(self):
