@@ -597,7 +597,9 @@ class Depacketizer:
     O(units). Any other arrival — a loss, a reorder, a replay over open
     objects, suppression of completed objects, a deep-copied or unpickled
     twin — runs the loop on the receiver's own copy of its state, updated
-    in place until no object is open.
+    in place until no object is open. A wire message's packets arrive as
+    one train (:meth:`push_train`), and the plans of its in-order run are
+    followed in one loop.
 
     The duplicate filter keeps O(gaps), not O(packets): the sequences seen
     since the last replay are sorted half-open runs ``[lo, hi)``. Every
@@ -676,11 +678,65 @@ class Depacketizer:
             self._late = (*self._late, stream_number)
 
     def push_packet(self, packet: DataPacket) -> List[MediaUnit]:
-        """Feed one packet; returns units completed by it (in order).
+        """Feed one packet; returns units completed by it (in order). The
+        one-packet form of :meth:`push_train`."""
+        return self.push_train((packet,))
+
+    def push_train(self, packets: Sequence[DataPacket]) -> List[MediaUnit]:
+        """Feed the packets of one wire message, in sequence order; returns
+        the units they complete, in order.
 
         A packet whose sequence number was already delivered (a retransmit
         or duplicated datagram) is dropped whole — re-pushing it must not
-        produce its units twice."""
+        produce its units twice.
+
+        The common arrival — the next sequence, whose plan was built from
+        this receiver's state — is followed here with no per-packet call:
+        the last sequence run grows, the plan's state is adopted and its
+        completions collected. Every other arrival takes :meth:`_arrive`.
+        """
+        finished: List[MediaUnit] = []
+        highest = self._max_sequence
+        # a suppress_completed replay never follows a plan
+        serial = self._serial if self._skip is None else None
+        followed = None  # the last plan followed, not yet written back
+        for packet in packets:
+            plan = packet._plan
+            if (
+                packet.sequence - 1 == highest
+                and plan is not None
+                and plan is not _REACHED
+                and plan.prev == serial
+            ):
+                highest += 1
+                serial = plan.serial
+                followed = plan
+                for head, memo, chain in plan.done:
+                    finished.append(
+                        memo[1] if head._shared is memo else _retake(head, chain)
+                    )
+                continue
+            if followed is not None:
+                self._follow(followed, highest)
+                followed = None
+            finished += self._arrive(packet)
+            highest = self._max_sequence
+            serial = self._serial if self._skip is None else None
+        if followed is not None:
+            self._follow(followed, highest)
+        self.completed += finished
+        return finished
+
+    def _follow(self, plan: _ReceivePlan, highest: int) -> None:
+        """Write back a run of plans followed up to sequence ``highest``:
+        each extended the last sequence run by one, ``plan`` is the last."""
+        self._runs[-1] = highest + 1
+        self._max_sequence = highest
+        self._open, self._serial = plan.open, plan.serial
+
+    def _arrive(self, packet: DataPacket) -> List[MediaUnit]:
+        """One arrival off the inline path: a first arrival, a plan build,
+        a loss, a reorder, a duplicate, a replay or an off-chain receiver."""
         sequence = packet.sequence
         highest = self._max_sequence
         if highest is None or sequence > highest:
@@ -710,12 +766,10 @@ class Depacketizer:
                 plan = packet._plan = _ReceivePlan(packet, serial, self._open)
             if plan is not _REACHED and plan.prev == serial:
                 self._open, self._serial = plan.open, plan.serial
-                finished = [
+                return [
                     memo[1] if head._shared is memo else _retake(head, chain)
                     for head, memo, chain in plan.done
                 ]
-                self.completed.extend(finished)
-                return finished
         entries = self._open
         if serial is not None:
             # leaving the chain: the plan's state is copied, not written
@@ -726,7 +780,6 @@ class Depacketizer:
         finished, _, suppressed = _receive(packet, entries, self._skip)
         self._serial = None if entries else 0
         self.suppressed_duplicates += suppressed
-        self.completed.extend(finished)
         return finished
 
     def _mark(self, sequence: int) -> bool:

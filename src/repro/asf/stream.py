@@ -14,10 +14,10 @@ index, as produced by the live encoder.
 from __future__ import annotations
 
 import hashlib
-import struct
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Callable, Iterator, List, Optional, Sequence
+from operator import is_
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from .constants import ASFError, FLAG_BROADCAST, FLAG_SEEKABLE, TAG_DATA
 from .header import HeaderObject
@@ -36,8 +36,8 @@ class ASFFile:
     _fingerprint: Optional[str] = field(
         default=None, init=False, repr=False, compare=False
     )
-    _fingerprint_key: Optional[bytes] = field(
-        default=None, init=False, repr=False, compare=False
+    _fingerprint_key: Tuple[DataPacket, ...] = field(
+        default=(), init=False, repr=False, compare=False
     )
 
     @property
@@ -99,17 +99,21 @@ class ASFFile:
         so an edge cache keyed by fingerprint recognizes a re-encoded or
         re-transferred copy of the same content. The hex digest is
         memoized until the identity of any packet in :attr:`packets`
-        changes; the bytes it hashes are not kept, and the packet ids it
-        compares are packed 8 bytes each (an ``array`` would load a module
-        that costs more resident memory than a small file's ids).
+        changes; the bytes it hashes are not kept. The memo holds the
+        packet objects it names, one reference each, so a packet freed
+        and replaced by a new one at its address cannot match it.
         """
         packets = self.packets
-        key = struct.pack(f"{len(packets)}Q", *map(id, packets))
-        if self._fingerprint is not None and self._fingerprint_key == key:
+        key = self._fingerprint_key
+        if (
+            self._fingerprint is not None
+            and len(key) == len(packets)
+            and all(map(is_, key, packets))
+        ):
             return self._fingerprint
         image = b"".join(chain((self.header.pack(),), self._packet_parts()))
         self._fingerprint = hashlib.sha1(image).hexdigest()
-        self._fingerprint_key = key
+        self._fingerprint_key = tuple(packets)
         return self._fingerprint
 
     def units(self) -> List[MediaUnit]:

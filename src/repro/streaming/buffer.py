@@ -15,48 +15,74 @@ float seconds.
 
 from __future__ import annotations
 
-import heapq
-import itertools
-from typing import Dict, Iterable, List, Optional, Tuple
+from bisect import bisect_right
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..asf.packets import MediaUnit
 from ..media.clock import media_ms
 
 
 class JitterBuffer:
-    """Timestamp-ordered buffer of media units across streams."""
+    """Timestamp-ordered buffer of media units across streams.
+
+    The units wait in one sorted run: ``_times[i]`` is the timestamp of
+    ``_units[i]``, and everything before ``_head`` was popped. Units arrive
+    nearly in timestamp order, so one is appended unless it is late, and a
+    late one is inserted after every buffered unit of its timestamp: equal
+    timestamps pop in arrival order. A pop is one bisect and one slice;
+    the popped prefix is cut off once it passes half the run.
+    """
 
     def __init__(self) -> None:
-        self._heap: List[Tuple[int, int, MediaUnit]] = []
-        self._seq = itertools.count()
+        self._times: List[int] = []
+        self._units: List[MediaUnit] = []
+        self._head = 0
         #: highest buffered-or-consumed timestamp per stream (ms)
         self.horizon_ms: Dict[int, int] = {}
         self.pushed = 0
         self.popped = 0
 
     def push(self, unit: MediaUnit) -> None:
-        timestamp = unit.timestamp_ms
-        heapq.heappush(self._heap, (timestamp, next(self._seq), unit))
-        stream = unit.stream_number
-        if timestamp > self.horizon_ms.get(stream, -1):
-            self.horizon_ms[stream] = timestamp
-        self.pushed += 1
+        self.extend((unit,))
+
+    def extend(self, units: Sequence[MediaUnit]) -> None:
+        """Buffer ``units``, in arrival order."""
+        times, held = self._times, self._units
+        horizons = self.horizon_ms
+        for unit in units:
+            timestamp = unit.timestamp_ms
+            if not times or timestamp >= times[-1]:
+                times.append(timestamp)
+                held.append(unit)
+            else:
+                # the live run is sorted from _head on: a unit later than
+                # every live one lands at the end, past the popped prefix
+                i = bisect_right(times, timestamp, self._head)
+                times.insert(i, timestamp)
+                held.insert(i, unit)
+            stream = unit.stream_number
+            if timestamp > horizons.get(stream, -1):
+                horizons[stream] = timestamp
+        self.pushed += len(units)
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return len(self._times) - self._head
 
     def peek_timestamp(self) -> Optional[float]:
-        return self._heap[0][0] / 1000.0 if self._heap else None
+        times, head = self._times, self._head
+        return times[head] / 1000.0 if head < len(times) else None
 
     def pop_due_ms(self, due_ms: int) -> List[MediaUnit]:
         """All units stamped ≤ ``due_ms``, in timestamp order."""
-        heap = self._heap
-        if not heap or heap[0][0] > due_ms:
+        times, head = self._times, self._head
+        if head == len(times) or times[head] > due_ms:
             return []
-        pop = heapq.heappop
-        out = [pop(heap)[2]]
-        while heap and heap[0][0] <= due_ms:
-            out.append(pop(heap)[2])
+        end = bisect_right(times, due_ms, head)
+        out = self._units[head:end]
+        if end > len(times) >> 1:
+            del times[:end], self._units[:end]
+            end = 0
+        self._head = end
         self.popped += len(out)
         return out
 
@@ -88,5 +114,7 @@ class JitterBuffer:
 
     def clear(self) -> None:
         """Drop everything (seek discontinuity)."""
-        self._heap.clear()
+        self._times.clear()
+        self._units.clear()
+        self._head = 0
         self.horizon_ms.clear()

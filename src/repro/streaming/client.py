@@ -355,7 +355,7 @@ class MediaPlayer:
         repair of whatever the feed sent meanwhile.
         """
         self._control(
-            "open", point=self._point, deliver=self._on_packet,
+            "open", point=self._point, deliver=self._on_train,
             multiplicity=self.multiplicity, relocate=self._on_relocate,
         )
         if announce and self.tracer is not None:
@@ -675,15 +675,16 @@ class MediaPlayer:
     # data path
     # ------------------------------------------------------------------
 
-    def _on_packet(self, packet: DataPacket) -> None:
+    def _on_train(self, packets: List[DataPacket]) -> None:
+        """One wire message: its packets, in sequence order."""
         if self._recovery is not None:
-            self._recovery.note_arrival(packet.sequence)
-        units = self._depacketizer.push_packet(packet)
+            self._recovery.note_train(packets)
+        units = self._depacketizer.push_train(packets)
         if not units:
             return
         pending = self._pending_streams
         license = self._license
-        push = self._buffer.push
+        media = []
         for unit in units:
             stream = unit.stream_number
             if stream in pending:
@@ -705,7 +706,8 @@ class MediaPlayer:
                     unit.keyframe,
                     scramble(unit.data, license.key),
                 )
-            push(unit)
+            media.append(unit)
+        self._buffer.extend(media)
 
     def _on_live_command(self, unit: MediaUnit) -> None:
         """Live streams carry commands inline: fire immediately."""

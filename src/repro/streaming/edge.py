@@ -829,7 +829,7 @@ class EdgeRelay(MediaServer):
         self,
         url: str,
         name: str,
-        deliver: Callable[[DataPacket], None],
+        deliver: Callable[[List[DataPacket]], None],
         *,
         token: Optional[FillToken] = None,
         budget_rid: Optional[str] = None,
@@ -1148,7 +1148,7 @@ class EdgeRelay(MediaServer):
                 self.directory.record_fill(self.name, name)
             try:
                 ref = self._open_upstream(
-                    self.origin_url, name, self._drop_packet
+                    self.origin_url, name, self._drop_train
                 )
             except (HTTPError, PublishError):
                 # origin unreachable/down but the content is local: serve
@@ -1266,7 +1266,7 @@ class EdgeRelay(MediaServer):
         fill.attempt_failed = False
         try:
             ref = self._open_upstream(
-                url, name, functools.partial(self._on_fill_packet, fill),
+                url, name, functools.partial(self._on_fill_train, fill),
                 token=token, budget_rid=rid,
             )
         except (HTTPError, PublishError):
@@ -1313,14 +1313,16 @@ class EdgeRelay(MediaServer):
         return False
 
     @staticmethod
-    def _drop_packet(_packet: DataPacket) -> None:
+    def _drop_train(_packets: List[DataPacket]) -> None:
         """Deliver sink of a register-only (cache hit) replica session."""
 
-    def _on_fill_packet(self, fill: _FillState, packet: DataPacket) -> None:
+    def _on_fill_train(self, fill: _FillState, packets: List[DataPacket]) -> None:
         if fill.done or fill.exhausted or fill.attempt_failed:
             return
-        fill.got[packet.sequence] = packet
-        if len(fill.got) == len(fill.sequences):
+        got = fill.got
+        for packet in packets:
+            got[packet.sequence] = packet
+        if len(got) == len(fill.sequences):
             # completion must happen *here*, in the deliver callback: a
             # nested waiter's _ride_fill (re-entrant simulator stepping)
             # can only proceed once the point is actually published
@@ -1472,7 +1474,7 @@ class EdgeRelay(MediaServer):
             f"{self.name}:{name}:live",
         )
         ref = self._open_upstream(
-            url, name, functools.partial(self._on_broadcast_packet, name, stream),
+            url, name, functools.partial(self._on_broadcast_train, name, stream),
             token=token, budget_rid=rid,
         )
         self._upstream[name] = ref
@@ -1496,41 +1498,43 @@ class EdgeRelay(MediaServer):
             )
         return ref
 
-    def _on_broadcast_packet(
-        self, name: str, stream: ASFLiveStream, packet: DataPacket
+    def _on_broadcast_train(
+        self, name: str, stream: ASFLiveStream, packets: List[DataPacket]
     ) -> None:
         point = self.points.get(name)
         if point is None or point.content is not stream:
-            return  # a late packet of a torn-down leg
-        # the upstream deliver path is not duplicate-free: a feed
-        # migrated after parent failover receives overlapping catch-up
-        # history, and the same repair can be forwarded twice — the
-        # local stream fans out to every viewer, so it must append each
-        # sequence exactly once
-        index = self._schedules[name].sequence_index()
-        if packet.sequence in index:
-            self.cache.counters.inc("live_duplicates_dropped")
-            return
+            return  # a late train of a torn-down leg
         marks = self._live_marks[name]
-        # a sequence jump past everything in the stream marks packets the
-        # upstream never sent us — after a feed migration the successor
-        # resumes at its own head, so the crash-to-detection gap shows
-        # up here as the first post-attach packet overshooting the
-        # contiguous tail.  NAK the hole; repairs cascade up the tree.
         ref = self._upstream.get(name)
-        if index and packet.sequence > marks[0] + 1 and ref is not None:
-            gap = list(range(marks[0] + 1, packet.sequence))
-            self._nak_upstream(ref, gap)
-            self.cache.counters.inc("live_gap_naks", len(gap))
-        marks[0] = max(marks[0], packet.sequence)
-        stream.append([packet])
+        for packet in packets:
+            # the upstream deliver path is not duplicate-free: a feed
+            # migrated after parent failover receives overlapping catch-up
+            # history, and the same repair can be forwarded twice — the
+            # local stream fans out to every viewer, so it must append each
+            # sequence exactly once
+            index = self._schedules[name].sequence_index()
+            if packet.sequence in index:
+                self.cache.counters.inc("live_duplicates_dropped")
+                continue
+            # a sequence jump past everything in the stream marks packets
+            # the upstream never sent us — after a feed migration the
+            # successor resumes at its own head, so the crash-to-detection
+            # gap shows up here as the first post-attach packet
+            # overshooting the contiguous tail.  NAK the hole; repairs
+            # cascade up the tree.
+            if index and packet.sequence > marks[0] + 1 and ref is not None:
+                gap = list(range(marks[0] + 1, packet.sequence))
+                self._nak_upstream(ref, gap)
+                self.cache.counters.inc("live_gap_naks", len(gap))
+            marks[0] = max(marks[0], packet.sequence)
+            stream.append([packet])
         # move the history start past packets sent before the horizon —
         # a send-time-bounded deque's eviction, so it only moves forward
         floor = (
             self.simulator.now * 1000.0 - self.live_history_seconds * 1000.0
         )
-        packets = stream.packets
-        while marks[1] < len(packets) and packets[marks[1]].send_time_ms < floor:
+        history = stream.packets
+        while marks[1] < len(history) and history[marks[1]].send_time_ms < floor:
             marks[1] += 1
 
     def _drop_leg(self, point: str) -> Optional[_UpstreamRef]:
@@ -1588,7 +1592,7 @@ class EdgeRelay(MediaServer):
         self,
         name: str,
         client_host: str,
-        deliver: Callable[[DataPacket], None],
+        deliver: Callable[[List[DataPacket]], None],
         *,
         replica: bool = False,
         multiplicity: int = 1,

@@ -25,8 +25,9 @@ the asking. :class:`RecoveryClient` sits beside the player's depacketizer:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..asf.packets import DataPacket
 from ..net.engine import EventHandle, SimulationError, Simulator
 from ..metrics.counters import Counters
 
@@ -116,13 +117,33 @@ class RecoveryClient:
 
     # -- arrivals -------------------------------------------------------
 
-    def note_arrival(self, sequence: Optional[int] = None) -> None:
-        """Any media packet arrived; ``sequence`` repairs a pending gap."""
+    def note_arrival(self) -> None:
+        """Media arrived, or its session moved: restart the arrival clock."""
         self.last_arrival = self.simulator.now
-        if sequence is not None and self._pending.pop(sequence, None) is not None:
-            self.counters.inc("repairs_received")
-            if not self._pending:
-                self._cancel_timer()
+
+    def note_train(self, packets: Sequence[DataPacket]) -> None:
+        """One wire message arrived; each of its sequences repairs a
+        pending gap, if one is pending.
+
+        The player notes a train before its depacketizer walks it, and
+        that is what noting each packet before pushing it did: a train's
+        sequences ascend, and a gap its walk reveals lies below the packet
+        that reveals it, so it holds none of the train's later sequences.
+        Nor does a gap pending before the train lie above one the walk
+        reveals — a gap is recorded below the highest sequence seen, and
+        the replays that forget that sequence also :meth:`reset` — so the
+        NAK timer is cancelled, or kept, exactly as packet by packet.
+        """
+        self.last_arrival = self.simulator.now
+        pending = self._pending
+        if not pending:
+            return
+        for packet in packets:
+            if pending.pop(packet.sequence, None) is not None:
+                self.counters.inc("repairs_received")
+                if not pending:
+                    self._cancel_timer()
+                    return
 
     def observe_gaps(self, sequences: List[int]) -> None:
         """The depacketizer skipped these sequences; start chasing them."""

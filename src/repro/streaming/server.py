@@ -370,7 +370,7 @@ class MediaServer:
         self,
         name: str,
         client_host: str,
-        deliver: Callable[[DataPacket], None],
+        deliver: Callable[[List[DataPacket]], None],
         *,
         replica: bool = False,
         multiplicity: int = 1,
@@ -553,7 +553,7 @@ class MediaServer:
         self,
         name: str,
         client_host: str,
-        deliver: Callable[[DataPacket], None],
+        deliver: Callable[[List[DataPacket]], None],
         *,
         cursor: int = 0,
         multiplicity: int = 1,
@@ -1077,12 +1077,7 @@ class MediaServer:
 
     @staticmethod
     def _deliver_message(session: StreamSession, message: Message) -> None:
-        payload = message.payload
-        if isinstance(payload, list):  # a packet train: deliver in order
-            for packet in payload:
-                session.deliver(packet)
-        else:
-            session.deliver(payload)
+        session.deliver(message.payload)  # the train, received as one
 
     def _send_train(
         self,
@@ -1106,8 +1101,7 @@ class MediaServer:
                 first_seq=packets[0].sequence,
                 last_seq=packets[-1].sequence,
             )
-        payload = packets[0] if len(packets) == 1 else packets
-        self._channel_for(session).send(Message(payload, wire_size))
+        self._channel_for(session).send(Message(packets, wire_size))
         session.packets_sent += len(packets)
         session.bytes_sent += wire_size
         self.bytes_served += wire_size

@@ -51,7 +51,7 @@ class StreamSession:
     point: str
     client_host: str
     broadcast: bool
-    deliver: Callable[[DataPacket], None]
+    deliver: Callable[[List[DataPacket]], None]
     state: SessionState = SessionState.CONNECTING
     position: float = 0.0  # media seconds already dispatched (on-demand)
     packet_cursor: int = 0
@@ -136,7 +136,7 @@ class SessionTable:
         self,
         point: str,
         client_host: str,
-        deliver: Callable[[DataPacket], None],
+        deliver: Callable[[List[DataPacket]], None],
         *,
         broadcast: bool,
         replica: bool = False,

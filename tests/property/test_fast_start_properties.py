@@ -45,7 +45,7 @@ def deliver(conditions, **play_kwargs):
     server = MediaServer(net, "server", pacing_quantum=quantum, tracer=tracer)
     server.publish("p", ASF)
     receiver = Depacketizer()
-    session = server.open_session("p", "viewer", receiver.push_packet)
+    session = server.open_session("p", "viewer", receiver.push_train)
     server.play(session.session_id, start=start, **play_kwargs)
     factor = session._burst_factor
     # the seek lands on a delivery frontier, not a wall instant: both runs

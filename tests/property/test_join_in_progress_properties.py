@@ -101,7 +101,7 @@ def run_world(asf, viewers, loss):
         links.append(link)
 
     def play(host):
-        session = edge.open_session("lecture", host, received[host].append)
+        session = edge.open_session("lecture", host, received[host].extend)
         edge.play(session.session_id)
         joined[host] = (
             session.pacing_group,

@@ -174,7 +174,7 @@ def test_the_local_stream_keeps_the_seen_set_rules(history_seconds, steps):
     def deliver(index):
         packet = pool[index]
         seed.receive(packet, leg.now_ms)
-        leg.upstream_deliver()(packet)
+        leg.upstream_deliver()([packet])
 
     for op, k, dt in steps:
         leg.net.simulator.run_until(leg.net.simulator.now + dt)
@@ -213,16 +213,16 @@ def test_a_late_packet_of_a_torn_down_leg_leaves_no_trace():
     viewer, _ = leg.join()
     first, late = leg.pool[0], leg.pool[1]
     old_deliver = leg.upstream_deliver()
-    old_deliver(first)
+    old_deliver([first])
     old_stream = leg.relay.points["live"].content
     # the last viewer leaves: the point and its upstream leg go
     leg.relay.close_session(viewer)
     assert "live" not in leg.relay.points
     # a packet the old leg still had in flight lands afterwards
-    old_deliver(late)
+    old_deliver([late])
     assert [p.sequence for p in old_stream.packets] == [first.sequence]
     # a re-attached point takes that sequence as new, not as a duplicate
     leg.join()
-    leg.upstream_deliver()(late)
+    leg.upstream_deliver()([late])
     assert leg.stream_sequences() == [late.sequence]
     assert leg.duplicates_dropped() == 0

@@ -11,10 +11,12 @@ growing back.
 """
 
 import ast
+import copy
 from pathlib import Path
 
 from repro.asf import ASFEncoder, EncodeCache, EncoderConfig, slide_commands
 from repro.asf.packets import DataPacket
+from repro.asf.stream import ASFFile
 from repro.load import harness
 from repro.lod import Lecture, LODPublisher
 from repro.media import AudioObject, ImageObject, VideoObject, get_profile
@@ -66,14 +68,35 @@ class TestGoldenFingerprints:
     def test_memo_holds_while_every_packet_object_stays(self):
         asf = harness.encode_lecture("lec0", 12.0)
         digest = asf.fingerprint()
-        # the memo key is the packet ids packed 8 bytes each, not a tuple
-        assert isinstance(asf._fingerprint_key, bytes)
-        assert len(asf._fingerprint_key) == 8 * len(asf.packets)
+        # the memo key is the packet objects themselves, one reference each
+        assert isinstance(asf._fingerprint_key, tuple)
+        assert len(asf._fingerprint_key) == len(asf.packets)
+        assert all(a is b for a, b in zip(asf._fingerprint_key, asf.packets))
         asf._fingerprint = "memo"
         assert asf.fingerprint() == "memo"  # same list, same objects: a hit
         # an equal packet that is another object forces a recompute
         asf.packets[3] = DataPacket.unpack(asf.packets[3].pack())
         assert asf.fingerprint() == digest
+
+    def test_a_new_packet_at_a_freed_packets_address_is_not_a_hit(self):
+        asf = harness.encode_lecture("x", 2.0)
+        asf.fingerprint()
+        old = asf.packets[0]
+        replacement = copy.copy(old)
+        replacement.send_time_ms += 1
+        address = id(old)
+        asf.packets[0] = None
+        del old
+        # new packets take freed blocks first: keep allocating until one
+        # sits at the old packet's address, or give up while it is held
+        candidates = []
+        for _ in range(64):
+            candidates.append(copy.copy(replacement))
+            if id(candidates[-1]) == address:
+                break
+        asf.packets[0] = candidates[-1]
+        fresh = ASFFile(header=asf.header, packets=list(asf.packets))
+        assert asf.fingerprint() == fresh.fingerprint()
 
 
 class TestCacheKeysUnchanged:

@@ -92,7 +92,7 @@ class TestCoalescing:
         net, origin, _, (edge,) = make_world()
         sinks = [[] for _ in range(3)]
         sessions = [
-            edge.open_session("lecture", f"c{i}", sinks[i].append)
+            edge.open_session("lecture", f"c{i}", sinks[i].extend)
             for i in range(3)
         ]
         for s in sessions:
@@ -109,7 +109,7 @@ class TestCoalescing:
         opened = []
 
         def open_one(i):
-            session = edge.open_session("lecture", f"c{i}", sinks[i].append)
+            session = edge.open_session("lecture", f"c{i}", sinks[i].extend)
             edge.play(session.session_id)
             opened.append(session.session_id)
 
@@ -135,13 +135,13 @@ class TestCoalescing:
                              pacing_quantum=0.5)
         direct.publish("lecture", asf)
         direct_sink = []
-        session = direct.open_session("lecture", "c0", direct_sink.append)
+        session = direct.open_session("lecture", "c0", direct_sink.extend)
         direct.play(session.session_id)
         direct_net.simulator.run(max_events=1_000_000)
 
         net, origin, _, (edge,) = make_world(asf)
         relay_sink = []
-        session = edge.open_session("lecture", "c0", relay_sink.append)
+        session = edge.open_session("lecture", "c0", relay_sink.extend)
         edge.play(session.session_id)
         net.simulator.run(max_events=1_000_000)
         assert blob_of(relay_sink) == blob_of(direct_sink)
@@ -151,7 +151,7 @@ class TestPacketRunCache:
     def test_refill_is_a_cache_hit_with_zero_origin_egress(self):
         net, origin, _, (edge,) = make_world()
         sink = []
-        session = edge.open_session("lecture", "c0", sink.append)
+        session = edge.open_session("lecture", "c0", sink.extend)
         edge.play(session.session_id)
         net.simulator.run(max_events=1_000_000)
         edge.close_session(session.session_id)
@@ -161,7 +161,7 @@ class TestPacketRunCache:
         assert counters["misses"] == 1 and counters["fills"] == 1
 
         sink2 = []
-        session = edge.open_session("lecture", "c1", sink2.append)
+        session = edge.open_session("lecture", "c1", sink2.extend)
         edge.play(session.session_id)
         net.simulator.run(max_events=1_000_000)
         assert counters["hits"] == 1
@@ -183,7 +183,7 @@ class TestPacketRunCache:
 
                 def opener(name):
                     server = server_for(name)
-                    session = server.open_session("lecture", name, [].append)
+                    session = server.open_session("lecture", name, [].extend)
                     server.play(session.session_id)
                     sessions.append((server, session.session_id))
 
@@ -226,7 +226,7 @@ class TestPacketRunCache:
     def test_seek_replay_served_from_local_buffer(self):
         net, origin, _, (edge,) = make_world()
         sink = []
-        session = edge.open_session("lecture", "c0", sink.append)
+        session = edge.open_session("lecture", "c0", sink.extend)
         edge.play(session.session_id)
         net.simulator.run(max_events=1_000_000)
         after_fill = origin.bytes_served
@@ -265,7 +265,7 @@ class TestTwoHopTeardown:
         net, origin, _, (edge,) = make_world(qos_enabled=True)
         sinks = [[] for _ in range(2)]
         sessions = [
-            edge.open_session("lecture", f"c{i}", sinks[i].append)
+            edge.open_session("lecture", f"c{i}", sinks[i].extend)
             for i in range(2)
         ]
         assert len(origin.sessions) == 1
@@ -284,7 +284,7 @@ class TestTwoHopTeardown:
     def test_edge_crash_orphans_settle_at_restart(self):
         net, origin, _, (edge,) = make_world(qos_enabled=True)
         sink = []
-        session = edge.open_session("lecture", "c0", sink.append)
+        session = edge.open_session("lecture", "c0", sink.extend)
         edge.play(session.session_id)
         net.simulator.run_until(net.simulator.now + 1.0)
         edge.crash()
@@ -304,7 +304,7 @@ class TestTwoHopTeardown:
     def test_shutdown_sweeps_everything(self):
         net, origin, _, (edge,) = make_world(qos_enabled=True)
         for i in range(2):
-            s = edge.open_session("lecture", f"c{i}", [].append)
+            s = edge.open_session("lecture", f"c{i}", [].extend)
             edge.play(s.session_id)
         net.simulator.run_until(net.simulator.now + 0.5)
         edge.shutdown()
@@ -322,7 +322,7 @@ class TestJoinQuantum:
         sessions = []
 
         def open_at(i):
-            session = edge.open_session("lecture", f"c{i}", sinks[i].append)
+            session = edge.open_session("lecture", f"c{i}", sinks[i].extend)
             edge.play(session.session_id)
             # no deferral: the play starts at once, the latecomers by
             # joining the first one's group in progress
@@ -349,7 +349,7 @@ class TestJoinQuantum:
         net, origin, _, (edge,) = make_world(join_quantum=0.0)
         edge.prefetch("lecture")
         sink = []
-        session = edge.open_session("lecture", "c0", sink.append)
+        session = edge.open_session("lecture", "c0", sink.extend)
         edge.play(session.session_id)
         assert session.pacing_group is not None  # no deferral
 
@@ -416,7 +416,7 @@ class TestPassthrough:
         directory, (edge,) = build_edge_tier(net, origin, ["edge0"])
         net.connect("edge0", "viewer", bandwidth=2_000_000, delay=0.02)
         sink = []
-        session = edge.open_session("live", "viewer", sink.append)
+        session = edge.open_session("live", "viewer", sink.extend)
         edge.play(session.session_id)
         net.simulator.run_until(6.0)
         capture.finish()

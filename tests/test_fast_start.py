@@ -83,7 +83,7 @@ def make_server(asf=ASF, *, clients=("c0",), bandwidth=LINK, tracer=None,
 
 
 def play(server, client="c0", sink=None, **kwargs):
-    deliver = sink.append if sink is not None else (lambda packet: None)
+    deliver = sink.extend if sink is not None else (lambda packets: None)
     session = server.open_session("lecture", client, deliver)
     server.play(session.session_id, **kwargs)
     return session

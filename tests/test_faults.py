@@ -23,6 +23,7 @@ from repro.net import (
     SimulationError,
     Simulator,
 )
+from repro.asf.packets import DataPacket
 from repro.metrics import Counters
 from repro.streaming import RecoveryClient, RecoveryConfig, SessionTable
 from repro.web import VirtualNetwork
@@ -448,7 +449,7 @@ class TestRecoveryClient:
         client, sent, _ = self._client(sim)
         client.observe_gaps([3])
         sim.run_until(0.05)
-        client.note_arrival(3)  # the repair landed
+        client.note_train([DataPacket(3, 0)])  # the repair landed
         assert client.pending_repairs == 0
         assert client.counters["repairs_received"] == 1
         events_before = sim.events_processed

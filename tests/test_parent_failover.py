@@ -140,7 +140,9 @@ class TestLiveFeedMigration:
             sink = []
             sessions[leaf.name] = leaf.open_session(
                 "live", "viewer",
-                lambda p, sink=sink: sink.append((net.simulator.now, p)),
+                lambda packets, sink=sink: sink.extend(
+                    (net.simulator.now, p) for p in packets
+                ),
             )
             leaf.play(sessions[leaf.name].session_id)
             sinks[leaf.name] = sink
@@ -295,7 +297,7 @@ class TestFallFlat:
         for leaf in leaves:
             sink = []
             sessions[leaf.name] = leaf.open_session(
-                "live", "viewer", sink.append
+                "live", "viewer", sink.extend
             )
             leaf.play(sessions[leaf.name].session_id)
             sinks[leaf.name] = sink

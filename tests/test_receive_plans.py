@@ -274,16 +274,16 @@ def spanning_packet(packets):
 
 
 def record_states(depacketizer):
-    """Log the receiver's state serial after each packet it takes."""
+    """Log the receiver's state serial after each train it takes."""
     states = []
-    push = depacketizer.push_packet
+    push = depacketizer.push_train
 
-    def logged(packet):
-        units = push(packet)
+    def logged(packets):
+        units = push(packets)
         states.append(depacketizer._serial)
         return units
 
-    depacketizer.push_packet = logged
+    depacketizer.push_train = logged
     return states
 
 

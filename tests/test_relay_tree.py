@@ -127,7 +127,7 @@ class TestFillCascade:
         sinks = []
         for leaf in leaves:
             sink = []
-            session = leaf.open_session("lecture", "viewer", sink.append)
+            session = leaf.open_session("lecture", "viewer", sink.extend)
             leaf.play(session.session_id, burst_factor=8.0)
             sinks.append(sink)
         net.simulator.run(max_events=5_000_000)
@@ -271,7 +271,7 @@ class TestLiveMulticast:
         sessions = {}
         for leaf in leaves[:3]:
             sink = []
-            sessions[leaf.name] = leaf.open_session("live", "viewer", sink.append)
+            sessions[leaf.name] = leaf.open_session("live", "viewer", sink.extend)
             leaf.play(sessions[leaf.name].session_id)
             sinks[leaf.name] = sink
         net.simulator.run_until(4.0)
@@ -280,7 +280,7 @@ class TestLiveMulticast:
         # up at the parent, whose live history backfills the first 4s
         late = leaves[3]
         sink = []
-        sessions[late.name] = late.open_session("live", "viewer", sink.append)
+        sessions[late.name] = late.open_session("live", "viewer", sink.extend)
         late.play(sessions[late.name].session_id)
         sinks[late.name] = sink
         net.simulator.run_until(6.0)
@@ -337,7 +337,7 @@ class TestLiveMulticast:
 
         # the next viewer re-attaches instead of joining a silent point
         sink = []
-        session = leaf.open_session("live", "viewer", sink.append)
+        session = leaf.open_session("live", "viewer", sink.extend)
         leaf.play(session.session_id)
         net.simulator.run_until(net.simulator.now + 3.0)
         assert sink

@@ -1,12 +1,14 @@
 """The player's render path against the seed's: same playback, same trace.
 
-The per-unit path — receive, jitter buffer, render tick — rounds the
-playhead to integer media milliseconds once per tick and asks the jitter
-buffer both of its questions (what is due, how much runway is left) with
-that one number; the content duration is read once at connect.
-:class:`SeedRenderPlayer` keeps the seed's bodies: a float-seconds buffer
-that rounds on every call (:class:`SeedJitterBuffer`), a per-tick walk of
-the header, and hand-rolled horizon minimums. Every scenario below plays
+The per-unit path — receive, jitter buffer, render tick — takes a wire
+message's packets as one train into a sorted run, rounds the playhead to
+integer media milliseconds once per tick and asks the jitter buffer both
+of its questions (what is due, how much runway is left) with that one
+number; the content duration is read once at connect.
+:class:`SeedRenderPlayer` keeps the seed's bodies: a train received packet
+by packet into a heap buffer asked in float seconds, rounding on every
+call (:class:`SeedJitterBuffer`), a per-tick walk of the header, and
+hand-rolled horizon minimums. Every scenario below plays
 once with each player; the reports must be equal and the tracer records
 identical — every ``render.unit`` at the same wall time and position,
 every command at the same playhead, every rebuffer and downshift — with
@@ -14,6 +16,7 @@ the same number of simulator events, so no render tick was skipped.
 """
 
 import heapq
+import itertools
 import os
 
 import pytest
@@ -29,7 +32,6 @@ from repro.net import FaultInjector, FaultPlan, GilbertElliott
 from repro.net.engine import SharedTicker
 from repro.obs import Tracer
 from repro.streaming import MediaPlayer, MediaServer, PlayerState, RecoveryConfig
-from repro.streaming.buffer import JitterBuffer
 from repro.streaming.client import RenderedUnit
 from repro.web import VirtualNetwork
 
@@ -39,14 +41,29 @@ DURATION = 12.0
 SLIDES = 4
 
 
-class SeedJitterBuffer(JitterBuffer):
-    """The seed's buffer questions, in float seconds."""
+class SeedJitterBuffer:
+    """The seed's buffer: a ``(timestamp, arrival, unit)`` heap, asked its
+    questions in float seconds."""
+
+    def __init__(self):
+        self._heap = []
+        self._seq = itertools.count()
+        self.horizon_ms = {}
+        self.pushed = 0
+        self.popped = 0
 
     def push(self, unit):
         heapq.heappush(self._heap, (unit.timestamp_ms, next(self._seq), unit))
         horizon = self.horizon_ms.get(unit.stream_number, -1)
         self.horizon_ms[unit.stream_number] = max(horizon, unit.timestamp_ms)
         self.pushed += 1
+
+    def __len__(self):
+        return len(self._heap)
+
+    def clear(self):
+        self._heap.clear()
+        self.horizon_ms.clear()
 
     def pop_due(self, position):
         due_ms = media_ms(position)
@@ -77,9 +94,14 @@ class SeedRenderPlayer(MediaPlayer):
         super().__init__(*args, **kwargs)
         self._buffer = SeedJitterBuffer()
 
+    def _on_train(self, packets):
+        # the seed received a train packet by packet
+        for packet in packets:
+            self._on_packet(packet)
+
     def _on_packet(self, packet):
         if self._recovery is not None:
-            self._recovery.note_arrival(packet.sequence)
+            self._recovery.note_train((packet,))  # the seed's note_arrival
         for unit in self._depacketizer.push_packet(packet):
             if unit.stream_number in self._pending_streams:
                 self._pending_streams.discard(unit.stream_number)

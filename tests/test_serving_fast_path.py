@@ -120,7 +120,7 @@ def make_server(asf, clients, server_class=MediaServer, **server_kwargs):
 
 
 def open_and_play(server, client, sink):
-    session = server.open_session("lecture", client, sink.append)
+    session = server.open_session("lecture", client, sink.extend)
     server.play(session.session_id)
     return session
 
@@ -276,7 +276,7 @@ class TestByteIdentity:
         def delivered(**kwargs):
             net, server = make_server(asf, ["c1"], **kwargs)
             got = []
-            session = server.open_session("lecture", "c1", got.append)
+            session = server.open_session("lecture", "c1", got.extend)
             server.play(session.session_id, burst_factor=3.0,
                         burst_seconds=2.0)
             net.simulator.run()
@@ -317,7 +317,7 @@ class TestEventDrivenBroadcast:
         net, server, capture = self.make_live_server()
         server.publish("live", capture.stream)
         got = []
-        session = server.open_session("live", "viewer", got.append)
+        session = server.open_session("live", "viewer", got.extend)
         server.play(session.session_id)
         net.simulator.run_until(3.0)
         mid = len(got)
@@ -330,7 +330,7 @@ class TestEventDrivenBroadcast:
         net, server, capture = self.make_live_server()
         server.publish("live", capture.stream)
         got = []
-        session = server.open_session("live", "viewer", got.append)
+        session = server.open_session("live", "viewer", got.extend)
         server.play(session.session_id)
         net.simulator.run_until(2.0)
         server.unpublish("live")
@@ -366,7 +366,7 @@ class TestLiveSchedule:
         sinks = {host: [] for host in ("v1", "v2")}
         sessions = {}
         for host, sink in sinks.items():
-            sessions[host] = server.open_session("live", host, sink.append)
+            sessions[host] = server.open_session("live", host, sink.extend)
             server.play(sessions[host].session_id)
         live.capture([
             MediaUnit(stream, t, t * 200, True, bytes([stream]) * 300)
