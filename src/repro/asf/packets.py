@@ -683,8 +683,9 @@ class Depacketizer:
         return self.push_train((packet,))
 
     def push_train(self, packets: Sequence[DataPacket]) -> List[MediaUnit]:
-        """Feed the packets of one wire message, in sequence order; returns
-        the units they complete, in order.
+        """Feed the packets of one wire message, in the order sent (a
+        paced train ascends; a relay's catch-up history may hold a repair
+        after later sequences); returns the units they complete, in order.
 
         A packet whose sequence number was already delivered (a retransmit
         or duplicated datagram) is dropped whole — re-pushing it must not

@@ -676,10 +676,13 @@ class MediaPlayer:
     # ------------------------------------------------------------------
 
     def _on_train(self, packets: List[DataPacket]) -> None:
-        """One wire message: its packets, in sequence order."""
-        if self._recovery is not None:
-            self._recovery.note_train(packets)
-        units = self._depacketizer.push_train(packets)
+        """One wire message: its packets, as sent."""
+        if self._recovery is None:
+            units = self._depacketizer.push_train(packets)
+        else:
+            units = self._recovery.take_train(
+                packets, self._depacketizer.push_train
+            )
         if not units:
             return
         pending = self._pending_streams

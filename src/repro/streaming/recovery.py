@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..asf.packets import DataPacket
+from ..asf.packets import DataPacket, MediaUnit
 from ..net.engine import EventHandle, SimulationError, Simulator
 from ..metrics.counters import Counters
 
@@ -121,19 +121,46 @@ class RecoveryClient:
         """Media arrived, or its session moved: restart the arrival clock."""
         self.last_arrival = self.simulator.now
 
-    def note_train(self, packets: Sequence[DataPacket]) -> None:
-        """One wire message arrived; each of its sequences repairs a
-        pending gap, if one is pending.
+    def take_train(
+        self,
+        packets: Sequence[DataPacket],
+        push_train: Callable[[Sequence[DataPacket]], List[MediaUnit]],
+    ) -> List[MediaUnit]:
+        """One wire message arrived: note it, walk it with ``push_train``
+        (the depacketizer's) and return the units it completes.
 
-        The player notes a train before its depacketizer walks it, and
-        that is what noting each packet before pushing it did: a train's
-        sequences ascend, and a gap its walk reveals lies below the packet
-        that reveals it, so it holds none of the train's later sequences.
-        Nor does a gap pending before the train lie above one the walk
-        reveals — a gap is recorded below the highest sequence seen, and
-        the replays that forget that sequence also :meth:`reset` — so the
-        NAK timer is cancelled, or kept, exactly as packet by packet.
+        A train whose sequences ascend is noted whole before the walk, and
+        that is what noting each packet before pushing it does: a gap the
+        walk reveals lies below the packet that reveals it, so it holds
+        none of the train's later sequences. Nor does a gap pending before
+        the train lie above one the walk reveals — a gap is recorded below
+        the highest sequence seen, and the replays that forget that
+        sequence also :meth:`reset` — so the NAK timer is cancelled, or
+        kept, exactly as packet by packet.
+
+        Any other train is noted and walked packet by packet. A relay's
+        live catch-up history keeps a NAK repair where it arrived, after
+        later sequences, so the gap a later sequence reveals may be filled
+        by a packet further down the same train.
         """
+        last = -1
+        for packet in packets:
+            if packet.sequence < last:
+                break
+            last = packet.sequence
+        else:
+            self.note_train(packets)
+            return push_train(packets)
+        units: List[MediaUnit] = []
+        for packet in packets:
+            self.note_train((packet,))
+            units += push_train((packet,))
+        return units
+
+    def note_train(self, packets: Sequence[DataPacket]) -> None:
+        """Packets arrived; each of their sequences repairs a pending gap,
+        if one is pending. :meth:`take_train` says when a whole train may
+        be noted before it is walked."""
         self.last_arrival = self.simulator.now
         pending = self._pending
         if not pending:

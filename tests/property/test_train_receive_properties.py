@@ -1,7 +1,7 @@
 """Property: a train received as one is the train received packet by packet.
 
-A wire message carries a train, the packets of one message in sequence
-order, and every receiver takes it whole. Three receive layers take a
+A wire message carries a train, the packets of one message in the order
+sent, and every receiver takes it whole. Three receive layers take a
 train in one call, and each is checked here against packet-by-packet
 receipt over generated arrivals:
 
@@ -21,13 +21,17 @@ receipt over generated arrivals:
 * ``JitterBuffer``, a sorted run, against the seed's
   ``(timestamp, arrival, unit)`` heap, copied here, under interleaved
   pushes, extends, pops, clears, late units and equal timestamps.
-* ``RecoveryClient.note_train`` before the depacketizer walks a train,
+* ``RecoveryClient.take_train``, which notes a train and walks it,
   against the seed's per-packet ``note_arrival(sequence)`` before each
-  push. Both end every train with the same repairs received, the same
-  pending gaps and attempts, the same NAKs and the same NAK timer.
+  push. Both end every train with the same units, repairs received,
+  pending gaps and attempts, NAKs and NAK timer.
 
-One fixed case stays beside them: a suppressing replay follows no plan,
-also in a train that begins after one the replay already took.
+Trains ascend, as a server paces them, or not, as a relay's live
+catch-up history ships a repair behind later sequences.
+
+Two fixed cases stay beside them: a suppressing replay follows no plan,
+also in a train that begins after one the replay already took; and a
+catch-up train's repair behind later sequences leaves no gap pending.
 """
 
 import copy
@@ -50,13 +54,15 @@ OPS = ["keep"] * 8 + [
 ]
 
 
-def schedule_from(ops, lags, cuts):
+def schedule_from(ops, lags, cuts, ascending=True):
     """Arrival steps for one receiver, trains cut at ``cuts`` lengths.
 
     ``("train", [(private copy?, packet index), ...])`` is one wire
-    message, in sequence order; ``("replay" | "suppress" | "split",
-    None)`` happen between messages. A ``repair`` arrives ``lag`` packets
-    later (or at the end)."""
+    message, in sequence order unless not ``ascending``: a relay's live
+    catch-up history keeps a repair where it arrived, after later
+    sequences. ``("replay" | "suppress" | "split", None)`` happen between
+    messages. A ``repair`` arrives ``lag`` packets later (or at the
+    end)."""
     arrivals, late = [], []
     for index, (op, lag) in enumerate(zip(ops, lags)):
         if op == "repair":
@@ -76,8 +82,10 @@ def schedule_from(ops, lags, cuts):
     steps, train, sizes = [], [], itertools.cycle(cuts)
     size = next(sizes)
     for kind, index in arrivals:
-        # a train ascends: an arrival at or below the last starts the next
-        if index is None or len(train) == size or (train and index <= train[-1][1]):
+        # an ascending train: an arrival at or below the last starts the next
+        if index is None or len(train) == size or (
+            ascending and train and index <= train[-1][1]
+        ):
             if train:
                 steps.append(("train", train))
             train, size = [], next(sizes)
@@ -165,6 +173,7 @@ def test_a_train_yields_what_its_packets_yield_one_by_one(
         st.lists(st.sampled_from(OPS), min_size=n, max_size=n),
         st.lists(st.integers(min_value=1, max_value=6), min_size=n, max_size=n),
         st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=4),
+        st.booleans(),
     ).map(lambda drawn: schedule_from(*drawn))
     schedules = data.draw(st.lists(one_schedule, min_size=1, max_size=4))
     receivers = [
@@ -368,8 +377,10 @@ def test_noting_a_train_is_noting_each_packet(sizes, data):
     cuts = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=3))
     gaps = data.draw(st.lists(st.sampled_from([0.0, 0.02, 0.05, 0.15]), min_size=1))
     runway = data.draw(st.sampled_from([0.0, 10.0]))
+    ascending = data.draw(st.booleans())
     by_train, by_packet = Noted(runway), Noted(runway)
-    for step, (op, train) in enumerate(schedule_from(ops, lags, cuts)):
+    steps = schedule_from(ops, lags, cuts, ascending)
+    for step, (op, train) in enumerate(steps):
         dt = gaps[step % len(gaps)]
         for side in (by_train, by_packet):
             side.sim.run_until(side.sim.now + dt)
@@ -380,12 +391,15 @@ def test_noting_a_train_is_noting_each_packet(sizes, data):
                 side.recovery.reset()
             continue
         message = [trains_run[index] for _, index in train]
-        by_train.recovery.note_train(message)
-        by_train.depacketizer.push_train(message)
+        got = by_train.recovery.take_train(
+            message, by_train.depacketizer.push_train
+        )
+        want = []
         for _, index in train:
             packet = packets_run[index]
             seed_note_arrival(by_packet.recovery, packet.sequence)
-            by_packet.depacketizer.push_packet(packet)
+            want += by_packet.depacketizer.push_packet(packet)
+        assert got == want
         assert by_train.state() == by_packet.state()
     for side in (by_train, by_packet):
         side.sim.run_until(side.sim.now + 2.0)
@@ -411,3 +425,26 @@ def test_a_suppressing_replay_follows_no_plan_across_trains():
         want = [u for p in runs[1][lo:hi] for u in seed.push_packet(p)]
         assert got.push_train(runs[0][lo:hi]) == want
     assert_matches_seed([got], [seed])
+
+
+def test_a_repair_behind_later_sequences_in_a_catch_up_train_is_no_gap():
+    # a relay's live catch-up history: 8 and 9 were NAK-repaired, so they
+    # sit behind 10 and 11 in the relay's stream and in the train it ships
+    runs = [make_run([900] * 8, 600) for _ in range(2)]
+    order = [*range(8), 10, 11, 8, 9, 12]
+    by_train, by_packet = Noted(10.0), Noted(10.0)
+    got = by_train.recovery.take_train(
+        [runs[0][i] for i in order], by_train.depacketizer.push_train
+    )
+    want = []
+    for i in order:
+        seed_note_arrival(by_packet.recovery, runs[1][i].sequence)
+        want += by_packet.depacketizer.push_packet(runs[1][i])
+    assert got == want
+    assert by_train.state() == by_packet.state()
+    counters = by_train.recovery.counters.as_dict()
+    assert counters["gaps_observed"] == counters["repairs_received"] == 2
+    for side in (by_train, by_packet):
+        side.sim.run_until(2.0)
+    assert by_train.state() == by_packet.state()
+    assert not by_train.recovery._pending and not by_train.naks

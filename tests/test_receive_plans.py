@@ -274,15 +274,39 @@ def spanning_packet(packets):
 
 
 def record_states(depacketizer):
-    """Log the receiver's state serial after each train it takes."""
-    states = []
-    push = depacketizer.push_train
+    """Log the receiver's state serial after each packet it takes.
 
-    def logged(packets):
-        units = push(packets)
-        states.append(depacketizer._serial)
+    ``push_train`` follows a train's in-order plans inline, adopting each
+    plan's serial, and sends every other packet through ``_arrive``. So
+    the state a packet leaves is the serial after its ``_arrive`` call or,
+    for a packet followed inline, its plan's serial. The last packet's
+    state is checked against the receiver's serial once the train is
+    taken, so a one-packet train logs the receiver's own state."""
+    states, arrived = [], []
+    push, arrive = depacketizer.push_train, depacketizer._arrive
+
+    def logged_arrive(packet):
+        units = arrive(packet)
+        arrived.append((packet, depacketizer._serial))
         return units
 
+    def logged(packets):
+        arrived.clear()
+        units = push(packets)
+        arrivals = iter(arrived)
+        arrival = next(arrivals, None)
+        for packet in packets:
+            if arrival is not None and arrival[0] is packet:
+                states.append(arrival[1])
+                arrival = next(arrivals, None)
+            else:
+                states.append(packet._plan.serial)
+        assert arrival is None
+        if packets:
+            assert states[-1] == depacketizer._serial
+        return units
+
+    depacketizer._arrive = logged_arrive
     depacketizer.push_train = logged
     return states
 
