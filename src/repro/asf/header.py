@@ -11,7 +11,7 @@ one stream-properties object per stream, a free-form metadata dictionary
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .constants import (
     ASFError,
@@ -137,13 +137,29 @@ class StreamProperties:
 
 @dataclass
 class HeaderObject:
-    """The complete ASF header."""
+    """The complete ASF header.
+
+    ``_fingerprint_memo`` is the digest of the last file image taken over
+    this header (see :meth:`repro.asf.stream.ASFFile.fingerprint`): the
+    header image and packet objects it covered, and the sha1. Like
+    ``DataPacket._plan`` it is not on the wire, not compared, not pickled,
+    and dies with the header.
+    """
 
     file_properties: FileProperties
     streams: List[StreamProperties] = field(default_factory=list)
     metadata: Dict[str, str] = field(default_factory=dict)
     script_commands: List[ScriptCommand] = field(default_factory=list)
     drm: Optional[DRMInfo] = None
+    _fingerprint_memo: Optional[Tuple[bytes, Tuple[object, ...], str]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def __getstate__(self) -> dict:
+        # a copy is a header over other packet objects: it starts without
+        state = dict(self.__dict__)
+        state.pop("_fingerprint_memo", None)
+        return state
 
     def __post_init__(self) -> None:
         numbers = [s.stream_number for s in self.streams]

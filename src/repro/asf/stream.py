@@ -17,7 +17,7 @@ import hashlib
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import is_
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence
 
 from .constants import ASFError, FLAG_BROADCAST, FLAG_SEEKABLE, TAG_DATA
 from .header import HeaderObject
@@ -33,12 +33,6 @@ class ASFFile:
     header: HeaderObject
     packets: List[DataPacket] = field(default_factory=list)
     index: Optional[SimpleIndex] = None
-    _fingerprint: Optional[str] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _fingerprint_key: Tuple[DataPacket, ...] = field(
-        default=(), init=False, repr=False, compare=False
-    )
 
     @property
     def duration(self) -> float:
@@ -97,24 +91,34 @@ class ASFFile:
 
         Stable across processes (sha1 over packed bytes, not object ids),
         so an edge cache keyed by fingerprint recognizes a re-encoded or
-        re-transferred copy of the same content. The hex digest is
-        memoized until the identity of any packet in :attr:`packets`
-        changes; the bytes it hashes are not kept. The memo holds the
-        packet objects it names, one reference each, so a packet freed
-        and replaced by a new one at its address cannot match it.
+        re-transferred copy of the same content. The digest follows the
+        run, not the file: it is memoized on the header, beside the header
+        image and the packet objects it covered (one reference each, so a
+        packet freed and replaced by a new one at its address cannot
+        match). Any file over that header reuses it while the header packs
+        to the same image and its packets are those very objects — a
+        relay's fill assembles the origin's packets under the origin's
+        header, so its integrity check hashes nothing. Any other packet
+        object, or a header changed since, hashes the whole image again;
+        the bytes hashed are not kept.
         """
+        header = self.header
+        image = header.pack()
         packets = self.packets
-        key = self._fingerprint_key
-        if (
-            self._fingerprint is not None
-            and len(key) == len(packets)
-            and all(map(is_, key, packets))
-        ):
-            return self._fingerprint
-        image = b"".join(chain((self.header.pack(),), self._packet_parts()))
-        self._fingerprint = hashlib.sha1(image).hexdigest()
-        self._fingerprint_key = tuple(packets)
-        return self._fingerprint
+        memo = header._fingerprint_memo
+        if memo is not None:
+            memo_image, run, digest = memo
+            if (
+                memo_image == image
+                and len(run) == len(packets)
+                and all(map(is_, run, packets))
+            ):
+                return digest
+        digest = hashlib.sha1(
+            b"".join(chain((image,), self._packet_parts()))
+        ).hexdigest()
+        header._fingerprint_memo = (image, tuple(packets), digest)
+        return digest
 
     def units(self) -> List[MediaUnit]:
         """Reassemble every media unit (lossless local read)."""

@@ -178,22 +178,19 @@ class Simulator:
             self.cancelled_drained += 1
         return self._queue[0][0] if self._queue else None
 
-    def _discard_bookkeeping(self, seq: int) -> None:
-        """Drop a popped live event's registry entries."""
-        self._pending_seqs.discard(seq)
-        if self._skippable_seqs:
-            self._skippable_seqs.discard(seq)
-            self._skippable_owners.pop(seq, None)
-
     def step(self) -> bool:
         """Execute the next event; False when the queue is empty."""
-        while self._queue:
-            time, _, seq, callback = heapq.heappop(self._queue)
+        queue = self._queue
+        while queue:
+            time, _, seq, callback = heapq.heappop(queue)
             if seq in self._cancelled:
                 self._cancelled.discard(seq)
                 self.cancelled_drained += 1
                 continue
-            self._discard_bookkeeping(seq)
+            self._pending_seqs.discard(seq)
+            if self._skippable_seqs:
+                self._skippable_seqs.discard(seq)
+                self._skippable_owners.pop(seq, None)
             self.now = time
             callback()
             self.events_processed += 1
@@ -212,10 +209,17 @@ class Simulator:
         (an HTTP round-trip inside a fill inside a join) and the outer
         predicate is simply re-evaluated when the inner wait returns.
         Returns ``done()``.
+
+        The head is read in place and popped once, by ``step``:
+        :meth:`peek_time` runs only to drop cancelled heads, so a live
+        event costs one heap pop and no ``peek_time`` call.
         """
+        queue = self._queue
+        cancelled = self._cancelled
         while not done():
-            nxt = self.peek_time()
-            if nxt is None or nxt > deadline:
+            if queue and queue[0][2] in cancelled:
+                self.peek_time()
+            if not queue or queue[0][0] > deadline:
                 return False
             self.step()
         return True
@@ -295,11 +299,15 @@ class Simulator:
         """
         if to < self.now:
             raise SimulationError("cannot run backwards")
+        queue = self._queue
+        cancelled = self._cancelled
         leapt = 0
         processed = 0
         while True:
-            nxt = self.peek_time()
-            if nxt is None or nxt > to:
+            # the head is read in place, as in wait: one pop per event
+            if queue and queue[0][2] in cancelled:
+                self.peek_time()
+            if not queue or queue[0][0] > to:
                 break
             if len(self._pending_seqs) == len(self._skippable_seqs):
                 # quiet window: only periodic ticks remain — leap

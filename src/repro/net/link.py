@@ -203,6 +203,13 @@ class Link:
     def queue_depth(self) -> int:
         return self._queued
 
+    @property
+    def landing_horizon(self) -> float:
+        """Latest instant the last message this link accepted can land:
+        its serialization end plus the longest propagation. Past it the
+        wire carries nothing it has taken so far."""
+        return self._busy_until + self.delay + self.jitter
+
     def transmit(
         self,
         size_bytes: int,

@@ -1370,13 +1370,18 @@ class EdgeRelay(MediaServer):
         ``attempt_failed``); a *rider* — a concurrent request for a point
         someone else is filling — waits out the whole source plan (``done``
         or ``exhausted``) and never mutates the fill. Both send the NAK
-        rounds: lost fill packets are re-requested whenever the wire goes
-        quiet for ``FILL_NAK_INTERVAL`` (the upstream repairs from its
-        shared packet cache even after the burst — FINISHED sessions still
-        answer NAKs), and inside a nested frame the driver sits below the
-        rider on the stack and cannot act until the rider returns. A local
-        crash, ``deadline`` or a dry event queue just ends the wait; the
-        caller reads the outcome off ``fill``.
+        rounds, and a round goes out only on a quiet wire: once
+        ``FILL_NAK_INTERVAL`` has passed both since the round began and
+        since the inbound link (upstream → this relay) landed the last
+        message it accepted (:attr:`Link.landing_horizon`, read again
+        whenever the round comes due). So a whole-file train still in
+        flight is never re-requested, while a paced fill, whose wire idles
+        between trains, still pulls what is missing (the upstream repairs
+        from its shared packet cache even after the burst — FINISHED
+        sessions still answer NAKs). Inside a nested frame the driver sits
+        below the rider on the stack and cannot act until the rider
+        returns. A local crash, ``deadline`` or a dry event queue just
+        ends the wait; the caller reads the outcome off ``fill``.
         """
         simulator = self.simulator
 
@@ -1390,20 +1395,37 @@ class EdgeRelay(MediaServer):
 
         rounds = 0
         while True:
-            next_nak = simulator.now + self.FILL_NAK_INTERVAL
-            simulator.wait(
-                lambda: settled() or simulator.now >= next_nak,
-                deadline=next_nak,
-            )
-            if settled():
-                return
+            began = simulator.now
+            due = self._fill_nak_due(fill, began)
+            while True:
+                simulator.wait(
+                    lambda: settled() or simulator.now >= due, deadline=due
+                )
+                if settled():
+                    return
+                # a wait that stops short of ``due`` ran every event before
+                # it: unless the wire took more meanwhile, it is quiet
+                later = self._fill_nak_due(fill, began)
+                if later <= due:
+                    break
+                due = later
             missing = fill.missing()
             if not missing or rounds >= self.FILL_NAK_ROUNDS:
                 break
-            # quiet until the round was due: re-request what is missing
             self._nak_upstream(self._upstream.get(fill.point), missing)
             rounds += 1
         simulator.wait(settled, deadline=deadline)
+
+    def _fill_nak_due(self, fill: _FillState, began: float) -> float:
+        """When a NAK round begun at ``began`` is due: ``FILL_NAK_INTERVAL``
+        after both ``began`` and the landing horizon of the link the
+        fill's current upstream sends on."""
+        quiet = began
+        ref = self._upstream.get(fill.point)
+        if ref is not None and ref.host is not None:
+            link = self.network.link(ref.host, self.host)
+            quiet = max(quiet, link.landing_horizon)
+        return quiet + self.FILL_NAK_INTERVAL
 
     def _ride_fill(self, fill: _FillState, name: str) -> None:
         """Wait on someone else's in-flight fill. The deadline is generous

@@ -923,8 +923,8 @@ class MediaServer:
         viewer's train spans at most one quantum of *media* however fast
         it leaves, so a burst never coarsens loss past what NAK repair is
         budgeted for; a replica fill spans a quantum of compressed *send*
-        time — few big messages, which its relay's time-gated NAK rounds
-        rely on.
+        time — few big messages, one arrival each, which its relay's NAK
+        rounds wait out before they re-request anything.
         """
         span_ms = group.effective_offset_ms if group.replica else float
         start_ms = span_ms(packets[first].send_time_ms)

@@ -15,6 +15,7 @@ import copy
 from pathlib import Path
 
 from repro.asf import ASFEncoder, EncodeCache, EncoderConfig, slide_commands
+from repro.asf.constants import FLAG_SEEKABLE
 from repro.asf.packets import DataPacket
 from repro.asf.stream import ASFFile
 from repro.load import harness
@@ -69,10 +70,12 @@ class TestGoldenFingerprints:
         asf = harness.encode_lecture("lec0", 12.0)
         digest = asf.fingerprint()
         # the memo key is the packet objects themselves, one reference each
-        assert isinstance(asf._fingerprint_key, tuple)
-        assert len(asf._fingerprint_key) == len(asf.packets)
-        assert all(a is b for a, b in zip(asf._fingerprint_key, asf.packets))
-        asf._fingerprint = "memo"
+        image, run, memo = asf.header._fingerprint_memo
+        assert memo == digest and image == asf.header.pack()
+        assert isinstance(run, tuple)
+        assert len(run) == len(asf.packets)
+        assert all(a is b for a, b in zip(run, asf.packets))
+        asf.header._fingerprint_memo = (image, run, "memo")
         assert asf.fingerprint() == "memo"  # same list, same objects: a hit
         # an equal packet that is another object forces a recompute
         asf.packets[3] = DataPacket.unpack(asf.packets[3].pack())
@@ -97,6 +100,54 @@ class TestGoldenFingerprints:
         asf.packets[0] = candidates[-1]
         fresh = ASFFile(header=asf.header, packets=list(asf.packets))
         assert asf.fingerprint() == fresh.fingerprint()
+
+    # the digest follows the run: a relay's fill assembles the origin's
+    # packet objects under the origin's header in a new ASFFile
+
+    def count_hashed_packets(self, monkeypatch):
+        hashed = []
+        wire_parts = DataPacket.wire_parts
+
+        def counted(packet):
+            hashed.append(packet)
+            return wire_parts(packet)
+
+        monkeypatch.setattr(DataPacket, "wire_parts", counted)
+        return hashed
+
+    def test_a_second_file_over_the_same_run_hashes_nothing(self, monkeypatch):
+        asf = harness.encode_lecture("lec0", 4.0)
+        digest = asf.fingerprint()
+        hashed = self.count_hashed_packets(monkeypatch)
+        relayed = ASFFile(header=asf.header, packets=list(asf.packets))
+        assert relayed.fingerprint() == digest
+        assert hashed == []
+
+    def test_another_packet_object_hashes_the_run_again(self, monkeypatch):
+        asf = harness.encode_lecture("lec0", 4.0)
+        digest = asf.fingerprint()
+        packets = list(asf.packets)
+        packets[5] = DataPacket.unpack(packets[5].pack())  # equal, not it
+        hashed = self.count_hashed_packets(monkeypatch)
+        assert ASFFile(header=asf.header, packets=packets).fingerprint() == digest
+        assert len(hashed) == len(packets)
+        altered = copy.copy(packets[5])
+        altered.send_time_ms += 1
+        packets[5] = altered
+        assert ASFFile(header=asf.header, packets=packets).fingerprint() != digest
+        assert len(hashed) == 2 * len(packets)
+
+    def test_a_changed_header_hashes_the_run_again(self, monkeypatch):
+        asf = harness.encode_lecture("lec0", 4.0)
+        digest = asf.fingerprint()
+        hashed = self.count_hashed_packets(monkeypatch)
+        asf.header.file_properties.flags ^= FLAG_SEEKABLE
+        relayed = ASFFile(header=asf.header, packets=list(asf.packets))
+        assert relayed.fingerprint() != digest
+        assert len(hashed) == len(asf.packets)
+        # the new digest now follows the run in turn, for both files
+        assert asf.fingerprint() == relayed.fingerprint()
+        assert len(hashed) == len(asf.packets)
 
 
 class TestCacheKeysUnchanged:

@@ -6,6 +6,9 @@ same scripted-fault style as test_recovery.py:
 * a lossy backbone must not poison the packet-run cache — the fill
   repairs itself with upstream NAK rounds and the fingerprint check
   guarantees what got cached is byte-identical to the origin's run;
+* a NAK round waits for a quiet backbone, so a whole-file train still in
+  flight is never requested twice, and a train altered in transit is
+  turned away by the fingerprint gate;
 * :meth:`FaultPlan.edge_crash` plus
   :meth:`FaultInjector.register_directory` give edge relays the same
   scripted crash/restart treatment origin servers already had;
@@ -19,6 +22,7 @@ same scripted-fault style as test_recovery.py:
 for seeds 0, 1, 2.
 """
 
+import dataclasses
 import os
 
 import pytest
@@ -33,9 +37,11 @@ from repro.streaming import (
     MediaPlayer,
     MediaServer,
     PlayerState,
+    PublishError,
     RecoveryConfig,
     build_edge_tier,
 )
+from repro.streaming.edge import EdgeRelay
 from repro.web import VirtualNetwork
 
 CHAOS_SEED = int(os.environ.get("CHAOS_SEED", "0"))
@@ -102,8 +108,9 @@ class TestLossyBackboneFill:
 
         edge0.prefetch("lecture")
         counters = get_counters("edge_cache")
-        # the burst lost packets; time-gated upstream NAK rounds repaired
-        # the holes before the fill was allowed to complete
+        # the trains lost packets; upstream NAK rounds, each sent once the
+        # backbone had gone quiet, repaired the holes before the fill was
+        # allowed to complete
         assert edge0.recovery_stats["upstream_naks"] >= 1
         assert counters["fills"] == 1
         assert counters.get("fill_integrity_failures", 0) == 0
@@ -125,6 +132,107 @@ class TestLossyBackboneFill:
         assert report.duration_watched == pytest.approx(DURATION, abs=0.3)
         fired = [c.command.parameter for c in report.slide_changes()]
         assert fired == [f"s{i}" for i in range(SLIDES)]
+
+
+def slow_backbone_tier():
+    """One edge behind a 10 Mb/s backbone: the 64x fill of the 0.70 MB
+    lecture is one whole-file train that spends 0.56 s on the wire, more
+    than two NAK intervals."""
+    net, origin, directory, (edge0,) = make_tier(edges=1)
+    backbone = net.link("origin", "edge0")
+    backbone.set_bandwidth(10_000_000)
+    return net, origin, edge0, backbone
+
+
+class TestQuietWireFill:
+    def test_a_train_in_flight_is_not_requested_again(self):
+        net, origin, edge0, _ = slow_backbone_tier()
+        edge0.prefetch("lecture")
+        run = origin.points["lecture"].content
+        assert get_counters("edge_cache")["fills"] == 1
+        assert edge0.recovery_stats["upstream_naks"] == 0
+        assert origin.recovery_stats["repairs_sent"] == 0
+        # the origin sent the run once: 483 packets of 1 450 B
+        assert origin.bytes_served == run.data_size() == 700_350
+        # and the fill landed with the train: it leaves at 0.026 s, spends
+        # 0.560 s serializing and 5 ms propagating
+        assert net.simulator.now == pytest.approx(0.5914, abs=1e-4)
+
+    def test_a_lossy_backbone_gets_each_lost_packet_once(self, monkeypatch):
+        # the whole-file train is lost outright, so the run comes over as
+        # NAK repair batches that take longer than a NAK interval to land
+        # (and lose more of themselves to the backbone's i.i.d. loss)
+        net, origin, edge0, backbone = slow_backbone_tier()
+        backbone.rng.seed(1000 + CHAOS_SEED)
+        backbone.set_loss(loss_rate=0.35)
+        send_train = origin._send_train
+        lost = []
+
+        def first_train_lost(session, packets, wire_size, traced=True):
+            if lost:
+                send_train(session, packets, wire_size, traced)
+            else:
+                lost.extend(packets)
+
+        monkeypatch.setattr(origin, "_send_train", first_train_lost)
+        arrivals = []
+        on_fill_train = EdgeRelay._on_fill_train
+
+        def counted(self, fill, packets):
+            arrivals.extend(p.sequence for p in packets)
+            on_fill_train(self, fill, packets)
+
+        monkeypatch.setattr(EdgeRelay, "_on_fill_train", counted)
+        edge0.prefetch("lecture")
+        run = origin.points["lecture"].content
+        assert len(lost) == len(run.packets)
+        assert get_counters("edge_cache")["fills"] == 1
+        assert edge0.cache.lookup(run.fingerprint()) is not None
+        assert edge0.recovery_stats["upstream_naks"] >= 1
+        # no round asked for a packet still on the wire: every packet
+        # reached the relay exactly once
+        assert sorted(arrivals) == [p.sequence for p in run.packets]
+
+
+def one_byte_off(packet):
+    """An equal-sized copy of ``packet`` whose first payload byte differs."""
+    first = packet.payloads[0]
+    data = bytes([first.data[0] ^ 0xFF]) + first.data[1:]
+    return dataclasses.replace(
+        packet,
+        payloads=[dataclasses.replace(first, data=data), *packet.payloads[1:]],
+    )
+
+
+class TestFillIntegrityGate:
+    def test_a_packet_altered_in_transit_fails_the_fill(self, monkeypatch):
+        net, origin, directory, (edge0,) = make_tier(edges=1)
+        run = origin.points["lecture"].content
+        key = run.fingerprint()
+        send_train = origin._send_train
+        swapped = []
+
+        def tampered(session, packets, wire_size, traced=True):
+            if not swapped:
+                packets = list(packets)
+                original = packets[len(packets) // 2]
+                packets[len(packets) // 2] = one_byte_off(original)
+                swapped.append(original)
+            send_train(session, packets, wire_size, traced)
+
+        monkeypatch.setattr(origin, "_send_train", tampered)
+        with pytest.raises(PublishError, match="no upstream source delivered"):
+            edge0.prefetch("lecture")
+        assert len(swapped) == 1
+        wire = swapped[0].pack()
+        altered = one_byte_off(swapped[0]).pack()
+        assert len(wire) == len(altered)
+        assert sum(a != b for a, b in zip(wire, altered)) == 1
+        counters = get_counters("edge_cache")
+        assert counters["fill_integrity_failures"] == 1
+        assert counters.get("fills", 0) == 0
+        assert edge0.cache.lookup(key) is None
+        assert "lecture" not in edge0.points
 
 
 class TestEdgeFaultParity:
