@@ -65,6 +65,7 @@ from urllib.parse import urlparse
 from ..asf.packets import DataPacket
 from ..asf.stream import ASFFile, ASFLiveStream
 from ..metrics.counters import Counters, get_counters
+from ..net.link import Link
 from ..net.transport import DatagramChannel, Message
 from ..web.http import HTTPClient, HTTPError, HTTPRequest, HTTPResponse, VirtualNetwork
 from .backbone import BackboneBudget, BudgetError
@@ -1374,11 +1375,14 @@ class EdgeRelay(MediaServer):
         ``FILL_NAK_INTERVAL`` has passed both since the round began and
         since the inbound link (upstream → this relay) landed the last
         message it accepted (:attr:`Link.landing_horizon`, read again
-        whenever the round comes due). So a whole-file train still in
-        flight is never re-requested, while a paced fill, whose wire idles
-        between trains, still pulls what is missing (the upstream repairs
-        from its shared packet cache even after the burst — FINISHED
-        sessions still answer NAKs). Inside a nested frame the driver sits
+        whenever the round comes due), capped at the horizon when the round
+        began plus the wire time of the fill's own missing packets. So a
+        whole-file train still in flight is never re-requested, while
+        traffic the link takes later — a live feed from the same upstream,
+        or a paced fill's own trains — delays a round by at most the fill's
+        own bytes and cannot starve it; a paced fill still pulls what is
+        missing (the upstream repairs from its shared packet cache even
+        after the burst — FINISHED sessions still answer NAKs). Inside a nested frame the driver sits
         below the rider on the stack and cannot act until the rider
         returns. A local crash, ``deadline`` or a dry event queue just
         ends the wait; the caller reads the outcome off ``fill``.
@@ -1393,10 +1397,21 @@ class EdgeRelay(MediaServer):
                 or simulator.now >= deadline
             )
 
+        packet_size = fill.header.file_properties.packet_size
         rounds = 0
         while True:
             began = simulator.now
-            due = self._fill_nak_due(fill, began)
+            ref = self._upstream.get(fill.point)
+            link = None
+            limit = began
+            if ref is not None and ref.host is not None:
+                link = self.network.link(ref.host, self.host)
+                # what the link has taken by now, plus room for the fill's
+                # own missing packets: later traffic cannot hold the round
+                limit = max(began, link.landing_horizon) + (
+                    link.serialization_time(len(fill.missing()) * packet_size)
+                )
+            due = self._fill_nak_due(link, began, limit)
             while True:
                 simulator.wait(
                     lambda: settled() or simulator.now >= due, deadline=due
@@ -1405,7 +1420,7 @@ class EdgeRelay(MediaServer):
                     return
                 # a wait that stops short of ``due`` ran every event before
                 # it: unless the wire took more meanwhile, it is quiet
-                later = self._fill_nak_due(fill, began)
+                later = self._fill_nak_due(link, began, limit)
                 if later <= due:
                     break
                 due = later
@@ -1416,15 +1431,15 @@ class EdgeRelay(MediaServer):
             rounds += 1
         simulator.wait(settled, deadline=deadline)
 
-    def _fill_nak_due(self, fill: _FillState, began: float) -> float:
+    def _fill_nak_due(
+        self, link: Optional[Link], began: float, limit: float
+    ) -> float:
         """When a NAK round begun at ``began`` is due: ``FILL_NAK_INTERVAL``
-        after both ``began`` and the landing horizon of the link the
-        fill's current upstream sends on."""
+        after both ``began`` and the inbound link's landing horizon, the
+        latter capped at ``limit``."""
         quiet = began
-        ref = self._upstream.get(fill.point)
-        if ref is not None and ref.host is not None:
-            link = self.network.link(ref.host, self.host)
-            quiet = max(quiet, link.landing_horizon)
+        if link is not None:
+            quiet = max(quiet, min(link.landing_horizon, limit))
         return quiet + self.FILL_NAK_INTERVAL
 
     def _ride_fill(self, fill: _FillState, name: str) -> None:

@@ -7,8 +7,9 @@ same scripted-fault style as test_recovery.py:
   repairs itself with upstream NAK rounds and the fingerprint check
   guarantees what got cached is byte-identical to the origin's run;
 * a NAK round waits for a quiet backbone, so a whole-file train still in
-  flight is never requested twice, and a train altered in transit is
-  turned away by the fingerprint gate;
+  flight is never requested twice, yet a backbone kept busy by other
+  traffic delays a round by no more than the fill's own missing bytes,
+  and a train altered in transit is turned away by the fingerprint gate;
 * :meth:`FaultPlan.edge_crash` plus
   :meth:`FaultInjector.register_directory` give edge relays the same
   scripted crash/restart treatment origin servers already had;
@@ -28,6 +29,7 @@ import os
 import pytest
 
 from repro.asf import ASFEncoder, EncoderConfig, slide_commands
+from repro.lod import LiveCaptureSession
 from repro.media import AudioObject, ImageObject, VideoObject, get_profile
 from repro.metrics.counters import get_counters, reset_counters
 from repro.net import FaultInjector, FaultPlan
@@ -67,21 +69,22 @@ def make_asf():
     )
 
 
-def make_tier(*, edges=2, tracer=None, seed=0, **tier_kwargs):
-    """Origin + N edges + one student wired to every edge."""
+def make_tier(*, edges=2, tracer=None, seed=0, quantum=0.5, **tier_kwargs):
+    """Origin + N edges + one student wired to every edge; every server
+    paces on ``quantum``."""
     reset_counters("edge_cache")
     net = VirtualNetwork()
     if tracer is not None:
         tracer.bind_clock(net.simulator)
         net.simulator.tracer = tracer
     origin = MediaServer(
-        net, "origin", port=8080, pacing_quantum=0.5,
+        net, "origin", port=8080, pacing_quantum=quantum,
         trace_label="origin", tracer=tracer,
     )
     origin.publish("lecture", make_asf())
     directory, relays = build_edge_tier(
         net, origin, [f"edge{i}" for i in range(edges)],
-        pacing_quantum=0.5, seed=seed, tracer=tracer, **tier_kwargs,
+        pacing_quantum=quantum, seed=seed, tracer=tracer, **tier_kwargs,
     )
     for relay in relays:
         net.connect(relay.host, "student", bandwidth=2_000_000, delay=0.02)
@@ -192,6 +195,55 @@ class TestQuietWireFill:
         # no round asked for a packet still on the wire: every packet
         # reached the relay exactly once
         assert sorted(arrivals) == [p.sequence for p in run.packets]
+
+
+class TestBusyWireFill:
+    """A backbone that never goes quiet must not hold a NAK round back
+    past the time the fill's own missing packets need on it."""
+
+    def test_a_live_feed_on_the_backbone_does_not_starve_the_rounds(self):
+        # unpaced (quantum 0) live feed from the same upstream: a packet
+        # every ~0.1 s keeps the backbone busy for the whole fill
+        net, origin, _, (edge0,) = make_tier(edges=1, quantum=0.0)
+        capture = LiveCaptureSession(
+            net.simulator, get_profile("isdn-dual"), chunk=0.1
+        )
+        origin.publish("live", capture.stream)
+        viewer = edge0.open_session("live", "viewer", lambda packets: None)
+        edge0.play(viewer.session_id)
+        net.simulator.run_until(2.0)
+        backbone = net.link("origin", "edge0")
+        backbone.rng.seed(1000 + CHAOS_SEED)
+        backbone.set_loss(loss_rate=0.05)
+        began = net.simulator.now
+
+        edge0.prefetch("lecture")
+        run = origin.points["lecture"].content
+        counters = get_counters("edge_cache")
+        assert counters["fills"] == 1
+        assert counters.get("fill_integrity_failures", 0) == 0
+        assert edge0.cache.lookup(run.fingerprint()) is not None
+        assert origin.recovery_stats["repairs_sent"] >= 1
+        # repaired within a few NAK intervals, not at FILL_TIMEOUT
+        assert net.simulator.now - began < 4 * EdgeRelay.FILL_NAK_INTERVAL
+        capture.finish()
+
+    def test_an_unpaced_paced_fill_still_pulls_what_is_missing(self):
+        # fill_burst=2 at quantum 0 sends the run as one-packet trains for
+        # 10 s; the first round pulls the rest instead of waiting them out
+        net, origin, _, (edge0,) = make_tier(
+            edges=1, quantum=0.0, fill_burst=2.0
+        )
+        backbone = net.link("origin", "edge0")
+        backbone.rng.seed(1000 + CHAOS_SEED)
+        backbone.set_loss(loss_rate=0.05)
+
+        edge0.prefetch("lecture")
+        run = origin.points["lecture"].content
+        assert get_counters("edge_cache")["fills"] == 1
+        assert edge0.cache.lookup(run.fingerprint()) is not None
+        assert edge0.recovery_stats["upstream_naks"] >= 1
+        assert net.simulator.now < 4 * EdgeRelay.FILL_NAK_INTERVAL
 
 
 def one_byte_off(packet):
