@@ -104,7 +104,7 @@ class LoadConfig:
     #: passthrough) instead of pre-encoded VOD files
     live_capture: bool = False
     #: optional :class:`~repro.streaming.BackboneBudget` charged by every
-    #: tree fill and live feed
+    #: relay fill and live feed, on the flat tier and the tree alike
     backbone_budget: Any = None
     profile: str = "dsl-256k"
     #: > 0 arms a skippable presence beacon per cohort at this interval
@@ -306,6 +306,7 @@ def run_workload(
                 net, origin, [f"edge{i}" for i in range(cfg.edges)],
                 pacing_quantum=PACING_QUANTUM,
                 join_quantum=spec.join_quantum,
+                backbone_budget=cfg.backbone_budget,
                 tracer=cfg.tracer,
             )
         tier = ServingTier(

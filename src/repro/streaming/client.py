@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import copy
 import enum
-import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Collection, Dict, List, Optional, Set, Tuple
 from urllib.parse import urlparse
@@ -216,9 +215,6 @@ class MediaPlayer:
         self._reconnecting = False
         self._reconnect_attempts = 0
         self._reconnect_timer: Optional[EventHandle] = None
-        #: identity of the session whose stall started the current
-        #: reconnect loop — the deterministic seed for backoff jitter
-        self._stall_session_id: Optional[int] = None
         #: old (server url, session id) pairs whose close was swallowed by
         #: a partition — that server still thinks they stream (and holds
         #: their QoS channels), so every later attempt retries the close
@@ -539,7 +535,6 @@ class MediaPlayer:
 
     def _begin_reconnect(self, now: float) -> None:
         """The watchdog fired: delivery stalled (crash or partition)."""
-        self._stall_session_id = self.session_id
         self.recovery_stats.inc("stalls_detected")
         if self.tracer is not None:
             self.tracer.event(
@@ -556,18 +551,6 @@ class MediaPlayer:
             self._enter_rebuffer(now)
         # the handshake blocks: it runs once the render tick is done
         self._render_task.after_tick(self._attempt_reconnect)
-
-    def _backoff_jitter(self, attempt: int) -> float:
-        """Deterministic u ∈ [0, 1) for this player/stall/attempt.
-
-        Seeded from the *stalled* session's identity rather than the
-        wall clock or a shared RNG: two chaos runs with the same seed
-        replay byte-identical backoff timelines, yet distinct players
-        (and distinct stalls of one player) de-synchronize.
-        """
-        key = f"{self.user}|{self._stall_session_id}|{attempt}".encode()
-        digest = hashlib.sha1(key).hexdigest()[:8]
-        return int(digest, 16) / float(1 << 32)
 
     def _attempt_reconnect(self) -> None:
         """Close whatever is left of the old session, reopen, resume.
@@ -607,10 +590,6 @@ class MediaPlayer:
                 * (2 ** (self._reconnect_attempts - 1)),
                 self.recovery_config.reconnect_backoff_max,
             )
-            jitter = self.recovery_config.reconnect_jitter
-            if jitter > 0.0:
-                u = self._backoff_jitter(self._reconnect_attempts)
-                delay *= 1.0 + jitter * (u - 0.5)
             self._reconnect_timer = self.simulator.schedule(
                 delay, self._attempt_reconnect
             )

@@ -336,20 +336,10 @@ class EdgeDirectory:
     the **holder registry** — which edges hold (or are currently
     filling) which publishing points — consulted by
     :meth:`fill_sources` when a sibling misses.
-
-    ``origin_url`` is the optional last resort: when every edge refuses,
-    :meth:`url_for` falls back to serving straight from the origin
-    instead of raising :class:`PlacementError`.
     """
 
-    def __init__(
-        self,
-        *,
-        seed: int = 0,
-        origin_url: Optional[str] = None,
-    ) -> None:
+    def __init__(self, *, seed: int = 0) -> None:
         self.seed = seed
-        self.origin_url = origin_url.rstrip("/") if origin_url else None
         self._edges: Dict[str, _EdgeEntry] = {}
         self._ring: List[Tuple[int, str]] = []  # (hash, edge name), sorted
         self._ring_edges = 0  # distinct names on the ring
@@ -593,16 +583,9 @@ class EdgeDirectory:
         """Playback URL for one client/point pair.
 
         Keys combine client and point so one client's lectures spread
-        over the ring while the placement stays deterministic; when no
-        edge admits and ``origin_url`` is set, the client is sent
-        straight to the origin.
+        over the ring while the placement stays deterministic.
         """
-        try:
-            name = self.place(f"{client_host}|{point}")
-        except PlacementError:
-            if self.origin_url is not None:
-                return f"{self.origin_url}/lod/{point}"
-            raise
+        name = self.place(f"{client_host}|{point}")
         return f"{self._edges[name].url}/lod/{point}"
 
 
@@ -717,6 +700,9 @@ class EdgeRelay(MediaServer):
     FILL_TIMEOUT = 30.0
     FILL_NAK_INTERVAL = 0.25
     FILL_NAK_ROUNDS = 8
+    #: a fill's grant: the whole run bursts across the backbone as one
+    #: whole-file train instead of pacing out in real time
+    FILL_BURST = 64.0
     #: hop budget minted into a viewer-triggered :class:`FillToken`
     FILL_HOP_LIMIT = 3
 
@@ -732,7 +718,6 @@ class EdgeRelay(MediaServer):
         qos_enabled: bool = False,
         pacing_quantum: float = 0.0,
         join_quantum: float = 0.0,
-        fill_burst: float = 64.0,
         region: Optional[str] = None,
         is_parent: bool = False,
         backbone: Optional[BackboneBudget] = None,
@@ -754,7 +739,6 @@ class EdgeRelay(MediaServer):
         self.cache = cache if cache is not None else PacketRunCache()
         self.cache.clock = lambda: self.simulator.now
         self.join_quantum = join_quantum
-        self.fill_burst = fill_burst
         self.region = region
         self.is_parent = is_parent
         self.backbone = backbone
@@ -1276,12 +1260,10 @@ class EdgeRelay(MediaServer):
         fill.session_id = ref.session_id
         self._upstream[name] = ref
         try:
-            # whole-file fast start: burst the entire run across the
-            # backbone instead of pacing it out in real time
             self._control_at(
                 url, "play",
                 session_id=ref.session_id,
-                burst_factor=self.fill_burst,
+                burst_factor=self.FILL_BURST,
                 burst_seconds=(
                     fill.header.file_properties.duration_ms / 1000.0 + 1.0
                 ),
@@ -1378,14 +1360,14 @@ class EdgeRelay(MediaServer):
         whenever the round comes due), capped at the horizon when the round
         began plus the wire time of the fill's own missing packets. So a
         whole-file train still in flight is never re-requested, while
-        traffic the link takes later — a live feed from the same upstream,
-        or a paced fill's own trains — delays a round by at most the fill's
-        own bytes and cannot starve it; a paced fill still pulls what is
-        missing (the upstream repairs from its shared packet cache even
-        after the burst — FINISHED sessions still answer NAKs). Inside a nested frame the driver sits
-        below the rider on the stack and cannot act until the rider
-        returns. A local crash, ``deadline`` or a dry event queue just
-        ends the wait; the caller reads the outcome off ``fill``.
+        traffic the link takes later — a live feed from the same upstream —
+        delays a round by at most the fill's own bytes and cannot starve
+        it. The upstream repairs from its shared packet cache even after
+        the burst: FINISHED sessions still answer NAKs. Inside a nested
+        frame the driver sits below the rider on the stack and cannot act
+        until the rider returns. A local crash, ``deadline`` or a dry event
+        queue just ends the wait; the caller reads the outcome off
+        ``fill``.
         """
         simulator = self.simulator
 
@@ -2086,24 +2068,26 @@ def _build_tier(
     origin: MediaServer,
     regions: Dict[Optional[str], Sequence[str]],
     *,
-    attach_directory: bool,
     cache_bytes: int,
     seed: int,
-    origin_fallback: bool,
+    port: int,
+    qos_enabled: bool,
+    pacing_quantum: float,
     join_quantum: float,
-    **relay_options: Any,
+    backbone_budget: Optional[BackboneBudget],
+    live_history_seconds: float,
+    tracer,
 ) -> Tuple[EdgeDirectory, Dict[str, EdgeRelay], List[EdgeRelay]]:
     """The one tier builder: links, relays, populated directory.
 
     ``regions`` maps a region to its leaf hosts. A named region gets a
-    parent relay its leaves hang under; the ``None`` region has none —
-    its leaves know only the origin, which is the whole flat tier.
-    ``relay_options`` go to every :class:`EdgeRelay` verbatim.
+    parent relay its leaves hang under, and its relays consult the
+    directory for sibling and parent fills. The ``None`` region has
+    neither — its leaves know only the origin, which is the whole flat
+    tier.
     """
     origin_url = f"http://{origin.host}:{origin.port}"
-    directory = EdgeDirectory(
-        seed=seed, origin_url=origin_url if origin_fallback else None,
-    )
+    directory = EdgeDirectory(seed=seed)
     parents: Dict[str, EdgeRelay] = {}
     leaves: List[EdgeRelay] = []
     all_relays: List[EdgeRelay] = []
@@ -2118,14 +2102,26 @@ def _build_tier(
             a, b, bandwidth=BACKBONE_BANDWIDTH, delay=BACKBONE_DELAY
         )
 
-    def relay_on(host: str, **role: Any) -> EdgeRelay:
+    def relay_on(
+        host: str,
+        region: Optional[str],
+        *,
+        name: Optional[str] = None,
+        is_parent: bool = False,
+        join_quantum: float = 0.0,
+    ) -> EdgeRelay:
         # one cache per relay (separate machines, separate disks)
         relay = EdgeRelay(
             network, host,
-            origin_url=origin_url,
+            origin_url=origin_url, name=name,
             cache=PacketRunCache(max_bytes=cache_bytes),
-            **relay_options, **role,
+            port=port, qos_enabled=qos_enabled,
+            pacing_quantum=pacing_quantum, join_quantum=join_quantum,
+            region=region, is_parent=is_parent, backbone=backbone_budget,
+            live_history_seconds=live_history_seconds, tracer=tracer,
         )
+        if region is not None:
+            relay.attach_directory(directory)
         all_relays.append(relay)
         return relay
 
@@ -2135,8 +2131,7 @@ def _build_tier(
             parent_host = f"{region}-parent"
             connect(origin.host, parent_host)
             parent = relay_on(
-                parent_host, name=f"parent-{region}", region=region,
-                is_parent=True,
+                parent_host, region, name=f"parent-{region}", is_parent=True,
             )
             parents[region] = parent
             directory.add_parent(region, relay=parent)
@@ -2144,12 +2139,9 @@ def _build_tier(
             connect(origin.host, host)
             if parent_host is not None:
                 connect(parent_host, host)
-            relay = relay_on(host, join_quantum=join_quantum, region=region)
+            relay = relay_on(host, region, join_quantum=join_quantum)
             leaves.append(relay)
             directory.add_edge(relay.name, relay=relay, region=region)
-    if attach_directory:
-        for relay in all_relays:
-            relay.attach_directory(directory)
     # peer mesh: sibling fills and the drain protocol's adopt round-trip
     # run edge-to-edge (never transiting the origin)
     for i, a in enumerate(all_relays):
@@ -2169,34 +2161,26 @@ def build_edge_tier(
     qos_enabled: bool = False,
     pacing_quantum: float = 0.0,
     join_quantum: float = 0.0,
-    fill_burst: float = 64.0,
-    origin_fallback: bool = False,
-    sibling_fills: bool = False,
     backbone_budget: Optional[BackboneBudget] = None,
-    live_history_seconds: float = 0.0,
     tracer=None,
 ) -> Tuple[EdgeDirectory, List[EdgeRelay]]:
     """Origin + N edges: backbone links, relays, populated directory.
 
     Each edge gets its own backbone link to the origin and its own
-    :class:`PacketRunCache` (separate machines, separate disks). The
-    returned directory places clients; hand it to players (re-route on
-    reconnect) and to :meth:`FaultInjector.register_directory
-    <repro.net.faults.FaultInjector.register_directory>` (chaos).
-
-    ``sibling_fills=True`` attaches the directory to every relay so
-    cache misses fill from sibling edges before the origin; the default
-    keeps PR 5's flat origin-only behaviour. For regional parents and
-    live multicast use :func:`build_relay_tree`.
+    :class:`PacketRunCache` (separate machines, separate disks), fills
+    from the origin alone and keeps no live history. The returned
+    directory places clients; hand it to players (re-route on reconnect)
+    and to :meth:`FaultInjector.register_directory
+    <repro.net.faults.FaultInjector.register_directory>` (chaos). For
+    sibling fills, regional parents and live multicast use
+    :func:`build_relay_tree`.
     """
     directory, _, relays = _build_tier(
         network, origin, {None: edge_hosts},
-        attach_directory=sibling_fills,
-        cache_bytes=cache_bytes, seed=seed,
-        origin_fallback=origin_fallback, join_quantum=join_quantum,
-        port=port, qos_enabled=qos_enabled, pacing_quantum=pacing_quantum,
-        fill_burst=fill_burst, backbone=backbone_budget,
-        live_history_seconds=live_history_seconds, tracer=tracer,
+        cache_bytes=cache_bytes, seed=seed, port=port,
+        qos_enabled=qos_enabled, pacing_quantum=pacing_quantum,
+        join_quantum=join_quantum, backbone_budget=backbone_budget,
+        live_history_seconds=0.0, tracer=tracer,
     )
     return directory, relays
 
@@ -2212,10 +2196,8 @@ def build_relay_tree(
     qos_enabled: bool = False,
     pacing_quantum: float = 0.0,
     join_quantum: float = 0.0,
-    fill_burst: float = 64.0,
     live_history_seconds: float = 30.0,
     backbone_budget: Optional[BackboneBudget] = None,
-    origin_fallback: bool = False,
     tracer=None,
 ) -> Tuple[EdgeDirectory, Dict[str, EdgeRelay], List[EdgeRelay]]:
     """Origin + regional parents + leaf edges: the multi-level tree.
@@ -2232,10 +2214,8 @@ def build_relay_tree(
     """
     return _build_tier(
         network, origin, regions,
-        attach_directory=True,
-        cache_bytes=cache_bytes, seed=seed,
-        origin_fallback=origin_fallback, join_quantum=join_quantum,
-        port=port, qos_enabled=qos_enabled, pacing_quantum=pacing_quantum,
-        fill_burst=fill_burst, backbone=backbone_budget,
+        cache_bytes=cache_bytes, seed=seed, port=port,
+        qos_enabled=qos_enabled, pacing_quantum=pacing_quantum,
+        join_quantum=join_quantum, backbone_budget=backbone_budget,
         live_history_seconds=live_history_seconds, tracer=tracer,
     )

@@ -25,10 +25,10 @@ the asking. :class:`RecoveryClient` sits beside the player's depacketizer:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, ClassVar, Dict, List, Optional, Sequence, Tuple
 
 from ..asf.packets import DataPacket, MediaUnit
-from ..net.engine import EventHandle, SimulationError, Simulator
+from ..net.engine import EventHandle, Simulator
 from ..metrics.counters import Counters
 
 #: wire size of one NAK datagram (session id + a handful of sequences)
@@ -45,37 +45,30 @@ class NakRequest:
 
 @dataclass(frozen=True)
 class RecoveryConfig:
-    """Tunables for the client-side recovery state machine."""
+    """The client-side recovery state machine's constants.
 
-    nak_delay: float = 0.04  # gap detection -> first NAK (reorder grace)
-    nak_timeout: float = 0.25  # retry spacing while a repair is pending
-    nak_budget: int = 4  # attempts per missing sequence
-    min_runway: float = 0.25  # buffered seconds required to keep asking
-    downshift_after: int = 6  # abandoned repairs within cooldown window
-    downshift_cooldown: float = 4.0  # seconds between downshift requests
-    watchdog_timeout: float = 1.5  # silence before declaring a stall
-    reconnect_backoff: float = 0.25  # first reconnect retry delay
-    reconnect_backoff_max: float = 2.0
-    max_reconnects: int = 10
-    #: fractional backoff spread in [0, 1]: each retry delay is scaled by
-    #: 1 + jitter·(u − ½) with u derived per-player from a sha1 of the
-    #: stalled session's identity — fully deterministic (two runs with the
-    #: same seed replay the same timeline) yet de-synchronized across
-    #: players so a mass stall doesn't reconnect as a thundering herd.
-    #: 0 (the default) reproduces the un-jittered schedule exactly.
-    reconnect_jitter: float = 0.0
+    Each has the one value every caller runs with, so an instance only
+    says "recovery on"; a test that needs a tight NAK budget or a short
+    watchdog patches the class attribute.
+    """
 
-    def __post_init__(self) -> None:
-        if self.nak_delay < 0 or self.nak_timeout <= 0:
-            raise SimulationError("nak timings must be positive")
-        if self.nak_budget < 0:
-            raise SimulationError("nak_budget must be >= 0")
-        if self.watchdog_timeout <= 0:
-            raise SimulationError("watchdog_timeout must be positive")
-        if self.reconnect_backoff <= 0 or self.max_reconnects < 1:
-            raise SimulationError("reconnect settings must be positive")
-        if not 0.0 <= self.reconnect_jitter <= 1.0:
-            raise SimulationError("reconnect_jitter must be in [0, 1]")
+    #: gap detection -> first NAK (reorder grace)
+    nak_delay: ClassVar[float] = 0.04
+    #: retry spacing while a repair is pending
+    nak_timeout: ClassVar[float] = 0.25
+    nak_budget: ClassVar[int] = 4  # attempts per missing sequence
+    #: buffered seconds required to keep asking
+    min_runway: ClassVar[float] = 0.25
+    #: abandoned repairs within the cooldown window that ask a downshift
+    downshift_after: ClassVar[int] = 6
+    #: seconds between downshift requests
+    downshift_cooldown: ClassVar[float] = 4.0
+    #: silence before declaring a stall
+    watchdog_timeout: ClassVar[float] = 1.5
+    #: first reconnect retry delay, doubled per attempt up to the max
+    reconnect_backoff: ClassVar[float] = 0.25
+    reconnect_backoff_max: ClassVar[float] = 2.0
+    max_reconnects: ClassVar[int] = 10
 
 
 class RecoveryClient:

@@ -23,7 +23,8 @@ from repro.asf import ASFLiveStream
 from repro.lod import LiveCaptureSession
 from repro.media import get_profile
 from repro.metrics.counters import get_counters, reset_counters
-from repro.streaming import MediaServer, build_edge_tier
+from repro.streaming import EdgeRelay, MediaServer
+from repro.streaming.edge import BACKBONE_BANDWIDTH, BACKBONE_DELAY
 from repro.web import VirtualNetwork
 
 
@@ -104,8 +105,12 @@ class LiveLeg:
         self.net = VirtualNetwork()
         self.origin = MediaServer(self.net, "origin")
         self.origin.publish("live", ASFLiveStream(header))
-        _, (self.relay,) = build_edge_tier(
-            self.net, self.origin, ["edge"],
+        self.net.connect(
+            "origin", "edge",
+            bandwidth=BACKBONE_BANDWIDTH, delay=BACKBONE_DELAY,
+        )
+        self.relay = EdgeRelay(
+            self.net, "edge", origin_url="http://origin:8080",
             live_history_seconds=history_seconds,
         )
         self.net.connect("edge", "viewer", bandwidth=2_000_000, delay=0.02)

@@ -38,6 +38,7 @@ import copy
 import heapq
 import itertools
 import sys
+from unittest.mock import patch
 
 from hypothesis import given, settings, strategies as st
 
@@ -335,15 +336,22 @@ def seed_note_arrival(client, sequence):
             client._cancel_timer()
 
 
+def tight_naks():
+    """Two NAK attempts 0.1 s apart: the budget a :class:`Noted` runs on,
+    patched over :class:`RecoveryConfig`'s constants for one test body."""
+    return patch.multiple(RecoveryConfig, nak_timeout=0.1, nak_budget=2)
+
+
 class Noted:
-    """A receiver with a NAK loop, as the player wires one."""
+    """A receiver with a NAK loop, as the player wires one (inside
+    :func:`tight_naks`)."""
 
     def __init__(self, runway):
         self.sim = Simulator()
         self.naks = []
         self.recovery = RecoveryClient(
             self.sim,
-            RecoveryConfig(nak_delay=0.04, nak_timeout=0.1, nak_budget=2),
+            RecoveryConfig(),
             send_nak=self.naks.append,
             runway=lambda: runway,
             on_downshift=lambda: False,
@@ -367,43 +375,44 @@ class Noted:
     data=st.data(),
 )
 def test_noting_a_train_is_noting_each_packet(sizes, data):
-    trains_run, packets_run = make_run(sizes, 600), make_run(sizes, 600)
-    n = len(trains_run)
-    ops = data.draw(st.lists(
-        st.sampled_from(["keep"] * 5 + ["drop", "dup", "swap", "repair", "replay"]),
-        min_size=n, max_size=n,
-    ))
-    lags = data.draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
-    cuts = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=3))
-    gaps = data.draw(st.lists(st.sampled_from([0.0, 0.02, 0.05, 0.15]), min_size=1))
-    runway = data.draw(st.sampled_from([0.0, 10.0]))
-    ascending = data.draw(st.booleans())
-    by_train, by_packet = Noted(runway), Noted(runway)
-    steps = schedule_from(ops, lags, cuts, ascending)
-    for step, (op, train) in enumerate(steps):
-        dt = gaps[step % len(gaps)]
-        for side in (by_train, by_packet):
-            side.sim.run_until(side.sim.now + dt)
-        if op == "replay":
-            # what a seek does: forget the sequences, then the gaps
+    with tight_naks():
+        trains_run, packets_run = make_run(sizes, 600), make_run(sizes, 600)
+        n = len(trains_run)
+        ops = data.draw(st.lists(
+            st.sampled_from(["keep"] * 5 + ["drop", "dup", "swap", "repair", "replay"]),
+            min_size=n, max_size=n,
+        ))
+        lags = data.draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+        cuts = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=3))
+        gaps = data.draw(st.lists(st.sampled_from([0.0, 0.02, 0.05, 0.15]), min_size=1))
+        runway = data.draw(st.sampled_from([0.0, 10.0]))
+        ascending = data.draw(st.booleans())
+        by_train, by_packet = Noted(runway), Noted(runway)
+        steps = schedule_from(ops, lags, cuts, ascending)
+        for step, (op, train) in enumerate(steps):
+            dt = gaps[step % len(gaps)]
             for side in (by_train, by_packet):
-                side.depacketizer.expect_replay()
-                side.recovery.reset()
-            continue
-        message = [trains_run[index] for _, index in train]
-        got = by_train.recovery.take_train(
-            message, by_train.depacketizer.push_train
-        )
-        want = []
-        for _, index in train:
-            packet = packets_run[index]
-            seed_note_arrival(by_packet.recovery, packet.sequence)
-            want += by_packet.depacketizer.push_packet(packet)
-        assert got == want
+                side.sim.run_until(side.sim.now + dt)
+            if op == "replay":
+                # what a seek does: forget the sequences, then the gaps
+                for side in (by_train, by_packet):
+                    side.depacketizer.expect_replay()
+                    side.recovery.reset()
+                continue
+            message = [trains_run[index] for _, index in train]
+            got = by_train.recovery.take_train(
+                message, by_train.depacketizer.push_train
+            )
+            want = []
+            for _, index in train:
+                packet = packets_run[index]
+                seed_note_arrival(by_packet.recovery, packet.sequence)
+                want += by_packet.depacketizer.push_packet(packet)
+            assert got == want
+            assert by_train.state() == by_packet.state()
+        for side in (by_train, by_packet):
+            side.sim.run_until(side.sim.now + 2.0)
         assert by_train.state() == by_packet.state()
-    for side in (by_train, by_packet):
-        side.sim.run_until(side.sim.now + 2.0)
-    assert by_train.state() == by_packet.state()
 
 
 def test_a_suppressing_replay_follows_no_plan_across_trains():
@@ -428,23 +437,25 @@ def test_a_suppressing_replay_follows_no_plan_across_trains():
 
 
 def test_a_repair_behind_later_sequences_in_a_catch_up_train_is_no_gap():
-    # a relay's live catch-up history: 8 and 9 were NAK-repaired, so they
-    # sit behind 10 and 11 in the relay's stream and in the train it ships
-    runs = [make_run([900] * 8, 600) for _ in range(2)]
-    order = [*range(8), 10, 11, 8, 9, 12]
-    by_train, by_packet = Noted(10.0), Noted(10.0)
-    got = by_train.recovery.take_train(
-        [runs[0][i] for i in order], by_train.depacketizer.push_train
-    )
-    want = []
-    for i in order:
-        seed_note_arrival(by_packet.recovery, runs[1][i].sequence)
-        want += by_packet.depacketizer.push_packet(runs[1][i])
-    assert got == want
-    assert by_train.state() == by_packet.state()
-    counters = by_train.recovery.counters.as_dict()
-    assert counters["gaps_observed"] == counters["repairs_received"] == 2
-    for side in (by_train, by_packet):
-        side.sim.run_until(2.0)
-    assert by_train.state() == by_packet.state()
-    assert not by_train.recovery._pending and not by_train.naks
+    with tight_naks():
+        # a relay's live catch-up history: 8 and 9 were NAK-repaired, so
+        # they sit behind 10 and 11 in the relay's stream and in the train
+        # it ships
+        runs = [make_run([900] * 8, 600) for _ in range(2)]
+        order = [*range(8), 10, 11, 8, 9, 12]
+        by_train, by_packet = Noted(10.0), Noted(10.0)
+        got = by_train.recovery.take_train(
+            [runs[0][i] for i in order], by_train.depacketizer.push_train
+        )
+        want = []
+        for i in order:
+            seed_note_arrival(by_packet.recovery, runs[1][i].sequence)
+            want += by_packet.depacketizer.push_packet(runs[1][i])
+        assert got == want
+        assert by_train.state() == by_packet.state()
+        counters = by_train.recovery.counters.as_dict()
+        assert counters["gaps_observed"] == counters["repairs_received"] == 2
+        for side in (by_train, by_packet):
+            side.sim.run_until(2.0)
+        assert by_train.state() == by_packet.state()
+        assert not by_train.recovery._pending and not by_train.naks

@@ -64,7 +64,7 @@ def make_asf():
     )
 
 
-def make_tier(*, edges=2, tracer=None, seed=0, **tier_kwargs):
+def make_tier(*, edges=2, tracer=None, seed=0):
     reset_counters("edge_cache")
     net = VirtualNetwork()
     if tracer is not None:
@@ -77,7 +77,7 @@ def make_tier(*, edges=2, tracer=None, seed=0, **tier_kwargs):
     origin.publish("lecture", make_asf())
     directory, relays = build_edge_tier(
         net, origin, [f"edge{i}" for i in range(edges)],
-        pacing_quantum=0.5, seed=seed, tracer=tracer, **tier_kwargs,
+        pacing_quantum=0.5, seed=seed, tracer=tracer,
     )
     for relay in relays:
         net.connect(relay.host, "student", bandwidth=2_000_000, delay=0.02)
@@ -183,15 +183,24 @@ class TestHeartbeatDetection:
 
 class TestSuspicionSettlesOrphanedFills:
     def test_crash_mid_fill_settles_origin_replica_via_monitor(self):
-        # fill_burst=2 stretches the backbone fill over many small trains
-        # so a scheduled crash reliably lands mid-fill
-        net, origin, directory, (edge0, edge1) = make_tier(fill_burst=2.0)
+        # a 1 Mb/s backbone keeps the whole-file train on the wire for
+        # seconds, so a scheduled crash reliably lands mid-fill
+        net, origin, directory, (edge0, edge1) = make_tier()
+        net.link("origin", "edge0").set_bandwidth(1_000_000)
         monitor = make_monitor(net, directory)
-        net.simulator.schedule_at(0.2, edge0.crash)
+        mid_fill = []
+
+        def crash():
+            fill = edge0._fills.get("lecture")
+            mid_fill.append(fill is not None and not fill.done)
+            edge0.crash()
+
+        net.simulator.schedule_at(0.2, crash)
         from repro.streaming import PublishError
 
         with pytest.raises(PublishError):
             edge0.prefetch("lecture")
+        assert mid_fill == [True]
         # the fill aborted; the origin-side replica session is orphaned
         assert len(origin.sessions) == 1
 

@@ -69,7 +69,7 @@ def make_asf():
     )
 
 
-def make_tier(*, edges=2, tracer=None, seed=0, quantum=0.5, **tier_kwargs):
+def make_tier(*, edges=2, tracer=None, seed=0, quantum=0.5):
     """Origin + N edges + one student wired to every edge; every server
     paces on ``quantum``."""
     reset_counters("edge_cache")
@@ -84,7 +84,7 @@ def make_tier(*, edges=2, tracer=None, seed=0, quantum=0.5, **tier_kwargs):
     origin.publish("lecture", make_asf())
     directory, relays = build_edge_tier(
         net, origin, [f"edge{i}" for i in range(edges)],
-        pacing_quantum=quantum, seed=seed, tracer=tracer, **tier_kwargs,
+        pacing_quantum=quantum, seed=seed, tracer=tracer,
     )
     for relay in relays:
         net.connect(relay.host, "student", bandwidth=2_000_000, delay=0.02)
@@ -101,10 +101,10 @@ def drive(net, player, horizon):
 
 class TestLossyBackboneFill:
     def test_fill_repairs_itself_and_never_caches_a_hole(self):
-        # fill_burst=2 paces the replica fill out as ~20 small trains so
-        # i.i.d. loss is certain to eat some of them (one giant burst
+        # at quantum 0 the origin sends the fill as one-packet trains, so
+        # i.i.d. loss is certain to eat some of them (one whole-file
         # train would survive most seeds untouched)
-        net, origin, directory, (edge0,) = make_tier(edges=1, fill_burst=2.0)
+        net, origin, directory, (edge0,) = make_tier(edges=1, quantum=0.0)
         backbone = net.link("origin", "edge0")
         backbone.rng.seed(1000 + CHAOS_SEED)
         backbone.set_loss(loss_rate=0.35)
@@ -227,23 +227,6 @@ class TestBusyWireFill:
         # repaired within a few NAK intervals, not at FILL_TIMEOUT
         assert net.simulator.now - began < 4 * EdgeRelay.FILL_NAK_INTERVAL
         capture.finish()
-
-    def test_an_unpaced_paced_fill_still_pulls_what_is_missing(self):
-        # fill_burst=2 at quantum 0 sends the run as one-packet trains for
-        # 10 s; the first round pulls the rest instead of waiting them out
-        net, origin, _, (edge0,) = make_tier(
-            edges=1, quantum=0.0, fill_burst=2.0
-        )
-        backbone = net.link("origin", "edge0")
-        backbone.rng.seed(1000 + CHAOS_SEED)
-        backbone.set_loss(loss_rate=0.05)
-
-        edge0.prefetch("lecture")
-        run = origin.points["lecture"].content
-        assert get_counters("edge_cache")["fills"] == 1
-        assert edge0.cache.lookup(run.fingerprint()) is not None
-        assert edge0.recovery_stats["upstream_naks"] >= 1
-        assert net.simulator.now < 4 * EdgeRelay.FILL_NAK_INTERVAL
 
 
 def one_byte_off(packet):

@@ -32,6 +32,7 @@ from repro.streaming import (
     PlayerState,
     RecoveryConfig,
     build_edge_tier,
+    build_relay_tree,
 )
 
 from repro.web import VirtualNetwork
@@ -60,7 +61,10 @@ def make_asf():
 
 
 def make_tier(*, edges=2, tracer=None, seed=0, hosts=("student",),
-              **tier_kwargs):
+              tree=False, qos_enabled=False):
+    """Origin and ``edges`` relays, each linked to every viewer host. A
+    ``tree`` puts the relays in one region, so a miss fills from a
+    sibling before the region's parent."""
     reset_counters("edge_cache")
     net = VirtualNetwork()
     if tracer is not None:
@@ -71,10 +75,19 @@ def make_tier(*, edges=2, tracer=None, seed=0, hosts=("student",),
         trace_label="origin", tracer=tracer,
     )
     origin.publish("lecture", make_asf())
-    directory, relays = build_edge_tier(
-        net, origin, [f"edge{i}" for i in range(edges)],
-        pacing_quantum=0.5, seed=seed, tracer=tracer, **tier_kwargs,
-    )
+    names = [f"edge{i}" for i in range(edges)]
+    if tree:
+        directory, _, relays = build_relay_tree(
+            net, origin, {"r0": names},
+            pacing_quantum=0.5, qos_enabled=qos_enabled, seed=seed,
+            tracer=tracer,
+        )
+    else:
+        directory, relays = build_edge_tier(
+            net, origin, names,
+            pacing_quantum=0.5, qos_enabled=qos_enabled, seed=seed,
+            tracer=tracer,
+        )
     for relay in relays:
         for host in hosts:
             net.connect(relay.host, host, bandwidth=2_000_000, delay=0.02)
@@ -266,16 +279,18 @@ class TestWarmHandoff:
 class TestDrainFallback:
     def test_no_successor_falls_back_to_crash_path(self):
         tracer = Tracer("drain-fallback")
-        net, origin, directory, relays = make_tier(
-            tracer=tracer, origin_fallback=True
-        )
+        net, origin, directory, relays = make_tier(tracer=tracer)
         home = directory.place("student|lecture")
         home_relay = next(r for r in relays if r.name == home)
         other = next(r for r in relays if r.name != home)
-        # the only possible successor dies before the drain
-        FaultInjector(net).register_server(other.name, other)
+        # the only possible successor dies before the drain and restarts
+        # after it, in time to take the reconnect
         injector = FaultInjector(net, {other.name: other})
-        injector.apply(FaultPlan("kill-successor").edge_crash(other.name, at=4.0))
+        injector.apply(
+            FaultPlan("kill-successor").edge_crash(
+                other.name, at=4.0, restart_at=10.0
+            )
+        )
 
         player = start_player(net, directory, tracer)
         stats = {}
@@ -290,7 +305,7 @@ class TestDrainFallback:
         assert report.recovery.get("stalls_detected", 0) >= 1
         assert report.recovery.get("reconnects", 0) >= 1
         # the reconnect paid the crash price but playback still completed
-        # end to end (placed onto the origin, the last resort)
+        # end to end (placed onto the restarted successor)
         assert report.rebuffer_count >= 1
         assert report.duration_watched == pytest.approx(DURATION, abs=0.3)
         keys = [
@@ -306,10 +321,17 @@ class TestDrainFallback:
 
     def test_successor_dying_mid_transfer_falls_back(self):
         tracer = Tracer("drain-midfail")
-        net, origin, directory, relays = make_tier(
-            edges=1, tracer=tracer, origin_fallback=True
+        net, origin, directory, relays = make_tier(tracer=tracer)
+        home = directory.place("student|lecture")
+        home_relay = next(r for r in relays if r.name == home)
+        other = next(r for r in relays if r.name != home)
+        # the real successor is down across the drain and restarts in
+        # time to take the reconnect
+        FaultInjector(net, {other.name: other}).apply(
+            FaultPlan("down-successor").edge_crash(
+                other.name, at=4.0, restart_at=10.0
+            )
         )
-        (edge0,) = relays
         player = start_player(net, directory, tracer)
         # a phantom successor: registered in the ring, but nothing
         # answers at its address — the adopt POST itself fails, which is
@@ -319,9 +341,9 @@ class TestDrainFallback:
         stats = {}
 
         def drain_and_remove():
-            stats.update(edge0.drain(directory))
+            stats.update(home_relay.drain(directory))
             # the phantom leaves the ring so the client's reconnect
-            # resolves to the origin fallback, not the dead address
+            # resolves to the restarted successor, not the dead address
             directory.remove_edge("ghost")
 
         net.simulator.schedule_at(8.0, drain_and_remove)
@@ -345,9 +367,7 @@ class TestDrainUpstreamHandoff:
         successor's adopt-triggered fill finds it as a warm sibling and
         the origin never pays a second data egress for the hand-off."""
         tracer = Tracer("drain-upstream")
-        net, origin, directory, relays = make_tier(
-            tracer=tracer, sibling_fills=True
-        )
+        net, origin, directory, relays = make_tier(tracer=tracer, tree=True)
         home = directory.place("student|lecture")
         home_relay = next(r for r in relays if r.name == home)
         survivor = next(r for r in relays if r.name != home)
@@ -381,9 +401,7 @@ class TestDrainThenRemove:
         then take it out of the directory. It stops being a fill source
         and a placement target, and nothing it held leaks at the origin."""
         tracer = Tracer("drain-remove")
-        net, origin, directory, relays = make_tier(
-            tracer=tracer, sibling_fills=True
-        )
+        net, origin, directory, relays = make_tier(tracer=tracer, tree=True)
         home = directory.place("student|lecture")
         home_url = directory.edge_url(home)
         home_relay = next(r for r in relays if r.name == home)

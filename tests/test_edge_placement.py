@@ -9,8 +9,7 @@ tier relies on:
   property): removing one of E edges reassigns roughly 1/E of keys, and
   no key moves between two edges that both stayed;
 * admission control skips full/down edges in deterministic spill order;
-* exhausted rings raise :class:`PlacementError` unless an origin
-  fallback URL was configured.
+* exhausted rings raise :class:`PlacementError`.
 """
 
 import pytest
@@ -21,8 +20,8 @@ EDGES = [f"edge{i}" for i in range(8)]
 KEYS = [f"client{i}|lecture" for i in range(400)]
 
 
-def build(names=EDGES, *, seed=7, capacity=None, origin_url=None):
-    directory = EdgeDirectory(seed=seed, origin_url=origin_url)
+def build(names=EDGES, *, seed=7, capacity=None):
+    directory = EdgeDirectory(seed=seed)
     for name in names:
         directory.add_edge(
             name, url=f"http://{name}:8080", capacity=capacity
@@ -119,16 +118,8 @@ class TestAdmission:
         directory.mark_down("edge1")
         with pytest.raises(PlacementError):
             directory.place(KEYS[0])
-
-    def test_origin_fallback_when_every_edge_refuses(self):
-        directory = build(
-            ["edge0"], origin_url="http://origin:8080"
-        )
-        directory.mark_down("edge0")
-        assert (
+        with pytest.raises(PlacementError):
             directory.url_for("client0", "lecture")
-            == "http://origin:8080/lod/lecture"
-        )
 
     def test_duplicate_registration_rejected(self):
         directory = build(["edge0"])

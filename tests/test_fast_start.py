@@ -390,14 +390,9 @@ class TestWindowSpentOncePerRebuffer:
 
 
 class TestFillsUntouched:
-    @pytest.mark.parametrize(
-        "fill_burst, trains", [(64.0, 1), (2.0, 4)]
-    )
-    def test_replica_fill_bytes_and_trains_are_the_parents(
-        self, fill_burst, trains
-    ):
-        """Pinned at the parent commit (PR 16): a fill stays a few big
-        send-time-bounded trains at its caller's ``fill_burst``."""
+    def test_replica_fill_bytes_and_trains_are_the_parents(self):
+        """Pinned at the parent commit (PR 16): a 64x fill stays one big
+        send-time-bounded train."""
         tracer = Tracer("fill")
         net = VirtualNetwork()
         tracer.bind_clock(net.simulator)
@@ -406,10 +401,8 @@ class TestFillsUntouched:
             trace_label="origin",
         )
         origin.publish("lecture", ASF)
-        _, (edge,) = build_edge_tier(
-            net, origin, ["edge0"], pacing_quantum=0.5, fill_burst=fill_burst
-        )
+        _, (edge,) = build_edge_tier(net, origin, ["edge0"], pacing_quantum=0.5)
         edge.prefetch("lecture")
         assert origin.bytes_served == 274_050
-        assert len(tracer.events("packet.train")) == trains
+        assert len(tracer.events("packet.train")) == 1
         assert not tracer.events("faststart.grant")

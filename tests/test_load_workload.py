@@ -17,6 +17,8 @@ from repro.load import (
     plan_cohorts,
     run_workload,
 )
+from repro.obs import Tracer
+from repro.streaming import BackboneBudget
 from tests.helpers import lecture_catalog
 
 
@@ -244,6 +246,23 @@ class TestHarness:
             # beacon-quiet windows were leapt, not ticked through
             assert row.sessions * 20 <= row.viewers
             assert row.events_leapt > 0
+
+    def test_flat_tier_charges_the_backbone_budget(self):
+        tracer = Tracer("flat-budget")
+        budget = BackboneBudget(tracer=tracer)
+        run_workload(
+            self.spec(), mode="cohort",
+            config=LoadConfig(
+                edges=2, backbone_budget=budget, tracer=tracer,
+                teardown=True,
+            ),
+        )
+        # every prefetch fill reserved its origin->edge link, and the
+        # reservation was given back
+        links = {r["attrs"]["link"] for r in tracer.events("backbone.reserve")}
+        assert links == {"edge0<->origin", "edge1<->origin"}
+        assert budget.counters["reservations"] == budget.counters["releases"]
+        budget.assert_no_leaks()
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):

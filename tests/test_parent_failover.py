@@ -77,8 +77,7 @@ def make_asf(file_id="lec", duration=DURATION):
 
 
 def make_tree(
-    *, seed=CHAOS_SEED, tracer=None, budget=None, fill_burst=64.0,
-    live=False, monitor=True,
+    *, seed=CHAOS_SEED, tracer=None, budget=None, live=False, monitor=True,
 ):
     """One region, two leaves, a parent, optionally a live capture and
     an armed heartbeat monitor — the smallest failover-capable tree."""
@@ -101,7 +100,7 @@ def make_tree(
         origin.publish("lecture", make_asf())
     directory, parents, leaves = build_relay_tree(
         net, origin, {"r0": ["e0", "e1"]},
-        pacing_quantum=0.5, seed=seed, fill_burst=fill_burst,
+        pacing_quantum=0.5, seed=seed,
         backbone_budget=budget, tracer=tracer,
     )
     for leaf in leaves:
@@ -235,10 +234,11 @@ class TestFillReplanOnParentLoss:
         # the parent goes **silent** — a partition black-holes both the
         # data path and the beacons, the fill stalls mid-transfer, and
         # only the suspicion sweep can abort it before the 30 s fill
-        # timeout.  fill_burst=2 stretches the burst so the partition
-        # reliably lands mid-transfer.
+        # timeout.  A 200 kb/s parent->e1 link keeps the whole-file train
+        # on the wire for seconds, so the partition reliably lands
+        # mid-transfer.
         net, origin, directory, parents, leaves, monitor, _ = make_tree(
-            budget=budget, fill_burst=2.0,
+            budget=budget,
         )
         parent = parents["r0"]
         e0, e1 = leaves
@@ -249,15 +249,29 @@ class TestFillReplanOnParentLoss:
         e0.unpublish("lecture")
         directory.forget_fill("e0", "lecture")
 
+        net.link(parent.host, e1.host).set_bandwidth(200_000)
         injector = FaultInjector(net)
         plan = FaultPlan("silent-parent")
         # mid-burst: the open/play round-trips are done, packets flowing
-        plan.link_down(e1.host, parent.host, at=net.simulator.now + 0.15)
-        plan.link_down(parent.host, monitor.host, at=net.simulator.now + 0.15)
+        cut = net.simulator.now + 0.15
+        plan.link_down(e1.host, parent.host, at=cut)
+        plan.link_down(parent.host, monitor.host, at=cut)
         injector.apply(plan)
+        mid_fill = []
+
+        def in_flight():
+            fill = e1._fills.get("lecture")
+            source = e1._upstream.get("lecture")
+            mid_fill.append(
+                fill is not None and not fill.done
+                and source is not None and source.host == parent.host
+            )
+
+        net.simulator.schedule_at(cut, in_flight)
         start = net.simulator.now
         e1.prefetch("lecture")
         elapsed = net.simulator.now - start
+        assert mid_fill == [True]
 
         # the fill landed byte-identical despite the stalled first try
         assert "lecture" in e1.points

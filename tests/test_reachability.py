@@ -1,4 +1,4 @@
-"""Only what runs: every public name and write-path option has a caller.
+"""Only what runs: every public name and guarded option has a caller.
 
 A public class or module-level function in any package under
 ``src/repro`` (every directory with an ``__init__.py``, so a package
@@ -9,9 +9,12 @@ inside the name's own definition does not count, and neither does an
 fixpoint, so a name reached only from inside other unreached names is
 unreached too.
 
-The same rule holds for the options of the write path's constructors:
-every ``__init__`` parameter must be passed, by position or keyword, by
-some non-test call.
+The same rule holds for the options of the guarded constructors, on the
+write path and the serving tier: every ``__init__`` parameter, function
+parameter or dataclass field must be set, by position or keyword, by
+some non-test call — and a call that only forwards a same-named
+parameter of the function it sits in counts only once that parameter is
+set.
 """
 
 import ast
@@ -43,7 +46,8 @@ EXEMPT = {
         "`trace explain` reads traces through it",
 }
 
-#: write-path constructor -> its module under ``src/repro``
+#: guarded constructor (a class or a module-level function) -> its
+#: module under ``src/repro``
 CONSTRUCTORS = {
     "EncodeFarm": "asf/farm.py",
     "EncodeCache": "asf/encoder.py",
@@ -51,18 +55,37 @@ CONSTRUCTORS = {
     "LODPublisher": "lod/publisher.py",
     "Orchestrator": "lod/orchestrator.py",
     "WebPublishingManager": "lod/publisher.py",
+    "EdgeRelay": "streaming/edge.py",
+    "EdgeDirectory": "streaming/edge.py",
+    "PacketRunCache": "streaming/edge.py",
+    "build_edge_tier": "streaming/edge.py",
+    "build_relay_tree": "streaming/edge.py",
+    "RecoveryConfig": "streaming/recovery.py",
 }
 
-#: ``Class.param`` (or a bare parameter name, for every class) -> why it
-#: may stay without a non-test caller
+#: ``Constructor.param`` (or a bare parameter name, for every
+#: constructor) -> why it may stay without a non-test caller
 OPTION_EXEMPT = {
-    "tracer": "observability: every write-path stage records spans when given one",
+    "tracer": "observability: every stage and relay records spans when given one",
     "ASFEncoder.cache": "ROADMAP 3(b): the cache-pressure workload's republish",
     "LODPublisher.edge_directory":
         "ROADMAP 3(b): the cache-pressure workload's mid-run republish",
     "LODPublisher.catalog":
         "ROADMAP 3(b): the cache-pressure workload's mid-run republish",
     "WebPublishingManager.license_server": "the form's protect path",
+    "port": "a deployment setting: the port a relay listens on",
+    "seed": "the placement ring's salt: a deployment setting, like a port",
+    "cache_bytes":
+        "ROADMAP 3(a): the cache-pressure workload sizes the edge cache "
+        "below the catalog",
+    "PacketRunCache.admission": "ROADMAP 3(b): admission earns a workload or leaves",
+    "PacketRunCache.ttl_seconds": "ROADMAP 3(b): TTL earns a workload or leaves",
+    "PacketRunCache.counters":
+        "ROADMAP 3(b): the admission and TTL tests read a private counter "
+        "bag; it is decided with them",
+    "qos_enabled":
+        "the per-session QoS reservation MediaServer offers; ROADMAP 15 "
+        "has a workload turn it on at the edge or it leaves the tier",
 }
 
 DEFS = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
@@ -121,49 +144,152 @@ def unreached():
     )
 
 
-def constructor_params():
-    """``{class: [parameter, ...]}`` of each constructor's ``__init__``,
-    positional ones first, ``self`` left out."""
+def _is_classvar(annotation):
+    if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+        return annotation.value.startswith(("ClassVar", "typing.ClassVar"))
+    if isinstance(annotation, ast.Subscript):
+        annotation = annotation.value
+    return getattr(annotation, "id", getattr(annotation, "attr", None)) == "ClassVar"
+
+
+def signature(node):
+    """A def's settable parameters, positional ones first: a function's
+    arguments, a class's ``__init__`` arguments without ``self``, or a
+    class's annotated fields (a dataclass's) without its ``ClassVar``
+    constants."""
+    if isinstance(node, ast.ClassDef):
+        for item in node.body:
+            if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                return signature(item)[1:]
+        return [
+            item.target.id for item in node.body
+            if isinstance(item, ast.AnnAssign)
+            and isinstance(item.target, ast.Name)
+            and not _is_classvar(item.annotation)
+        ]
+    args = node.args
+    return [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+
+
+def constructor_params(sources=None):
+    """``{constructor: [parameter, ...]}`` (see :func:`signature`);
+    ``sources`` maps a constructor to its module's text."""
+    if sources is None:
+        texts = {m: (SRC / m).read_text() for m in set(CONSTRUCTORS.values())}
+        sources = {name: texts[m] for name, m in CONSTRUCTORS.items()}
     params = {}
-    for cls, module in CONSTRUCTORS.items():
-        for node in ast.parse((SRC / module).read_text()).body:
-            if isinstance(node, ast.ClassDef) and node.name == cls:
-                init = next(
-                    f for f in node.body
-                    if isinstance(f, ast.FunctionDef) and f.name == "__init__"
-                )
-                args = init.args
-                params[cls] = [
-                    a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
-                ][1:]
+    for name, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, DEFS) and node.name == name:
+                params[name] = signature(node)
     return params
 
 
-def unset_options():
-    """``Class.param`` for every constructor parameter no non-test call
-    passes and no exemption covers."""
-    params = constructor_params()
-    passed = set()
-    for root in CALLERS:
-        for path in sorted(root.rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if not isinstance(node, ast.Call):
-                    continue
-                func = node.func
-                cls = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if cls not in params:
-                    continue
-                positional = [a for a in node.args if not isinstance(a, ast.Starred)]
-                passed.update((cls, name) for name in params[cls][: len(positional)])
-                passed.update((cls, kw.arg) for kw in node.keywords if kw.arg)
-    return sorted(
-        f"{cls}.{name}"
-        for cls, names in params.items()
+def caller_sources():
+    return [
+        path.read_text()
+        for root in CALLERS for path in sorted(root.rglob("*.py"))
+    ]
+
+
+def _calls(tree):
+    """``(call, scope)`` for every call in ``tree``; ``scope`` lists the
+    enclosing functions as ``(key, parameters)``, innermost last. A
+    class's ``__init__`` is keyed by the class, any other def by its own
+    name, and a method's parameters leave out ``self``."""
+    found = []
+
+    def visit(node, scope, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, scope, child.name)
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                params = signature(child)
+                key = child.name
+                if owner is not None and params[:1] in (["self"], ["cls"]):
+                    params = params[1:]
+                if owner is not None and key == "__init__":
+                    key = owner
+                visit(child, scope + ((key, params),), None)
+                continue
+            if isinstance(child, ast.Call):
+                found.append((child, scope))
+            visit(child, scope, None)
+
+    visit(tree, (), None)
+    return found
+
+
+def unset_options(params=None, sources=None, exempt=None):
+    """``Constructor.param`` for every parameter no non-test call sets
+    and no exemption covers.
+
+    A call sets each parameter it passes, by position or keyword, except
+    that an argument which only forwards a same-named parameter of a
+    function it sits in (``k=k``) sets it only once that outer parameter
+    is set: a fixpoint over every def in the callers. A ``*args`` or
+    ``**kwargs`` splat sets nothing. An exempt parameter counts as set,
+    so what it forwards does too.
+    """
+    params = constructor_params() if params is None else params
+    sources = caller_sources() if sources is None else sources
+    exempt = OPTION_EXEMPT if exempt is None else exempt
+    calls = [found for source in sources for found in _calls(ast.parse(source))]
+    signatures = {name: [names] for name, names in params.items()}
+    for _, scope in calls:
+        for key, names in scope:
+            signatures.setdefault(key, []).append(names)
+    done = {
+        (key, name)
+        for key, lists in signatures.items()
+        for names in lists
         for name in names
-        if (cls, name) not in passed
-        and name not in OPTION_EXEMPT
-        and f"{cls}.{name}" not in OPTION_EXEMPT
+        if name in exempt or f"{key}.{name}" in exempt
+    }
+    rules = set()
+    for call, scope in calls:
+        func = call.func
+        callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        positional = []
+        for arg in call.args:
+            if isinstance(arg, ast.Starred):
+                break
+            positional.append(arg)
+        passed = [(kw.arg, kw.value) for kw in call.keywords if kw.arg]
+        for names in signatures.get(callee, ()):
+            passed += zip(names, positional)
+        for name, value in passed:
+            needs = None
+            if isinstance(value, ast.Name) and value.id == name:
+                needs = next(
+                    ((key, name) for key, names in reversed(scope) if name in names),
+                    None,
+                )
+            rules.add(((callee, name), needs))
+    while True:
+        grown = {
+            fact for fact, needs in rules
+            if fact not in done and (needs is None or needs in done)
+        }
+        if not grown:
+            break
+        done |= grown
+    return sorted(
+        f"{name}.{param}"
+        for name, names in params.items()
+        for param in names
+        if (name, param) not in done
     )
+
+
+def stale_exemptions(params=None, exempt=None):
+    """Exemptions that name no live parameter of a guarded constructor."""
+    params = constructor_params() if params is None else params
+    exempt = OPTION_EXEMPT if exempt is None else exempt
+    live = {name for names in params.values() for name in names}
+    live |= {f"{cls}.{name}" for cls, names in params.items() for name in names}
+    return sorted(set(exempt) - live)
 
 
 class TestReachability:
@@ -180,7 +306,58 @@ class TestReachability:
         assert not unset, "no non-test caller passes: " + ", ".join(unset)
 
     def test_option_exemptions_name_live_parameters(self):
-        params = constructor_params()
-        live = {name for names in params.values() for name in names}
-        live |= {f"{cls}.{name}" for cls, names in params.items() for name in names}
-        assert set(OPTION_EXEMPT) <= live
+        stale = stale_exemptions()
+        assert not stale, "exempt but no such parameter: " + ", ".join(stale)
+
+
+WIDGET = """
+class Widget:
+    def __init__(self, network, *, k=0, tracer=None):
+        self.k = k
+"""
+
+
+class TestOptionGuard:
+    """The option rule on synthetic modules."""
+
+    def guard(self, constructor, *callers, exempt=()):
+        params = constructor_params(dict.fromkeys(("Widget", "Config"), constructor))
+        return unset_options(
+            params, [constructor, *callers], dict.fromkeys(exempt, "")
+        )
+
+    def test_a_forwarded_keyword_counts_only_once_the_outer_one_is_set(self):
+        build = (
+            "def build(network, *, k=0):\n"
+            "    def relay_on(host):\n"
+            "        return Widget(host, k=k)\n"
+            "    return relay_on(network)\n"
+        )
+        assert self.guard(WIDGET, build, "build(None)", exempt=["tracer"]) == [
+            "Widget.k"
+        ]
+        assert self.guard(WIDGET, build, "build(None, k=1)", exempt=["tracer"]) == []
+
+    def test_a_forwarded_exempt_parameter_counts(self):
+        build = (
+            "def build(network, *, tracer=None):\n"
+            "    Widget(network, k=1, tracer=tracer)\n"
+        )
+        assert self.guard(WIDGET, build, "build(None)") == ["Widget.tracer"]
+        assert self.guard(WIDGET, build, "build(None)", exempt=["build.tracer"]) == []
+
+    def test_a_new_dataclass_field_is_flagged(self):
+        config = (
+            "@dataclass(frozen=True)\n"
+            "class Config:\n"
+            "    fixed: ClassVar[int] = 1\n"
+            "    knob: float = 0.5\n"
+        )
+        assert self.guard(config, "Config()") == ["Config.knob"]
+        assert self.guard(config, "Config(knob=1.0)") == []
+
+    def test_a_stale_exemption_is_reported(self):
+        params = constructor_params({"Widget": WIDGET})
+        assert stale_exemptions(params, {"k": "", "Widget.gone": ""}) == [
+            "Widget.gone"
+        ]

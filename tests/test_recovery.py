@@ -252,13 +252,13 @@ class TestCrashResume:
         # the second's
         server.assert_no_qos_leaks()
 
-    def test_give_up_after_bounded_reconnect_attempts(self):
+    def test_give_up_after_bounded_reconnect_attempts(self, monkeypatch):
         net, server = make_world()
         FaultInjector(net, servers={"media": server}).apply(
             FaultPlan("fatal").server_crash("media", at=6.0)  # no restart
         )
-        config = RecoveryConfig(max_reconnects=3)
-        player = MediaPlayer(net, "student", recovery=config)
+        monkeypatch.setattr(RecoveryConfig, "max_reconnects", 3)
+        player = MediaPlayer(net, "student", recovery=RecoveryConfig())
         player.connect(server.url_of("lecture"))
         player.play()
         report = drive(net, player, 60.0)

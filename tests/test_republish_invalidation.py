@@ -58,8 +58,12 @@ def build_world(edges=3, cache=None):
     origin = MediaServer(net, "origin", port=8080, pacing_quantum=0.5)
     directory, relays = build_edge_tier(
         net, origin, [f"edge{i}" for i in range(edges)],
-        pacing_quantum=0.5, sibling_fills=True,
+        pacing_quantum=0.5,
     )
+    # flat edges that fill from each other: the holder registry without
+    # a region parent that would hold (and be invalidated) too
+    for relay in relays:
+        relay.attach_directory(directory)
     catalog = CatalogIndex()
     publisher = LODPublisher(
         origin, renditions=[PROFILE], cache=cache,

@@ -30,7 +30,9 @@ from repro.load import LoadConfig, WorkloadSpec, run_workload
 from repro.media import AudioObject, ImageObject, VideoObject, get_profile
 from repro.metrics.counters import get_counters, reset_counters
 from repro.obs import TraceChecker, Tracer
-from repro.streaming import BackboneBudget, MediaServer, build_relay_tree
+from repro.streaming import (
+    BackboneBudget, MediaServer, SessionState, build_relay_tree,
+)
 from repro.web import VirtualNetwork
 from tests.helpers import lecture_catalog
 
@@ -50,7 +52,7 @@ def make_asf(file_id="lec", duration=DURATION):
     )
 
 
-def make_tree(*, tracer=None, budget=None, fill_burst=64.0):
+def make_tree(*, tracer=None, budget=None):
     """One region, two leaves — the smallest tree with a sibling."""
     reset_counters("edge_cache")
     net = VirtualNetwork()
@@ -64,7 +66,7 @@ def make_tree(*, tracer=None, budget=None, fill_burst=64.0):
     origin.publish("lecture", make_asf())
     directory, parents, leaves = build_relay_tree(
         net, origin, {"r0": ["e0", "e1"]},
-        pacing_quantum=0.5, seed=CHAOS_SEED, fill_burst=fill_burst,
+        pacing_quantum=0.5, seed=CHAOS_SEED,
         backbone_budget=budget, tracer=tracer,
     )
     for leaf in leaves:
@@ -83,17 +85,30 @@ def reference_blob(origin):
 class TestSiblingCrashMidFill:
     def test_fill_falls_through_to_parent_when_sibling_dies(self):
         budget = BackboneBudget()
-        # fill_burst=2 stretches the sibling burst over seconds of sim
-        # time so the scripted crash lands squarely mid-transfer
-        net, origin, directory, parents, leaves = make_tree(
-            budget=budget, fill_burst=2.0,
-        )
+        net, origin, directory, parents, leaves = make_tree(budget=budget)
         e0, e1 = leaves
         e0.prefetch("lecture")
         warm_origin_sessions = origin.sessions.total_created
 
-        net.simulator.schedule(0.2, e0.crash)
+        # a sent run is one whole-file train that lands even if its
+        # sender dies, so the crash must come between the fill's open and
+        # play at the sibling: a 20 kb/s sibling link stretches those
+        # round trips past it
+        net.link("e0", "e1").set_bandwidth(20_000)
+        mid_fill = []
+
+        def crash():
+            # e1 is filling, and e0 holds its replica session unplayed
+            mid_fill.append(
+                "lecture" in e1._fills
+                and [s.state for s in e0.sessions.all()]
+                == [SessionState.CONNECTING]
+            )
+            e0.crash()
+
+        net.simulator.schedule(0.2, crash)
         e1.prefetch("lecture")
+        assert mid_fill == [True]
 
         counters = get_counters("edge_cache")
         # the sibling attempt was charged and failed; the parent (still
