@@ -106,7 +106,7 @@ def run_chaos():
 
 
 class TestReconnectDeterminism:
-    def test_same_seed_replays_identical_traces(self):
+    def test_same_seed_replays_identical_traces_when_an_edge_crashes(self):
         trace_a, delays_a, reports = run_chaos()
         trace_b, delays_b, _ = run_chaos()
         assert delays_a == delays_b
@@ -120,3 +120,17 @@ class TestReconnectDeterminism:
             assert report.duration_watched == pytest.approx(
                 DURATION, abs=0.5
             )
+
+    def test_zero_jitter_reproduces_unjittered_schedule(self):
+        # reconnects carry no jitter: a stall is answered by one attempt
+        # right after the render tick that saw it, and the rerouted
+        # viewer gets back on that attempt, with no backoff retry
+        _, delays, reports = run_chaos()
+        for report in reports:
+            stalls = report.recovery.get("stalls_detected", 0)
+            assert report.recovery.get("reconnect_attempts", 0) == stalls
+            assert report.recovery.get("reconnects", 0) == stalls
+        stalled = sum(
+            r.recovery.get("stalls_detected", 0) for r in reports
+        )
+        assert sum(len(v) for v in delays.values()) == stalled >= 1
