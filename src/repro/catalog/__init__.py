@@ -16,12 +16,6 @@ lecture-capture/navigation system points):
   one-hit wonders, and admit-on-compare against the LRU victim. A
   one-shot sequential scan of the whole catalog no longer evicts the
   hot set.
-* :class:`PrefetchPlanner` — scheduled cache warming: catalog start
-  times + Zipf popularity decide which runs to pull to which region
-  parents (optionally leaves) ahead of lecture start, through the
-  ordinary fill cascade (so every warmed byte is budget-charged and
-  fingerprint-verified), under an explicit byte budget traced for the
-  :class:`~repro.obs.checker.TraceChecker` to audit.
 """
 
 from .._exports import lazy_exports
@@ -29,5 +23,4 @@ from .._exports import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
     "admission": ("CountMinSketch", "Doorkeeper", "TinyLFUAdmission"),
     "index": ("CatalogIndex", "LectureEntry", "SearchHit", "SlideRef", "tokenize"),
-    "prefetch": ("PrefetchConfig", "PrefetchItem", "PrefetchPlanner"),
 })

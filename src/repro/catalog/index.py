@@ -15,7 +15,6 @@ to packet sequences. :class:`CatalogIndex` folds those into
 
 The index also records each variant's content address
 (:meth:`~repro.asf.stream.ASFFile.fingerprint`) and packed wire size —
-exactly what the prefetch planner needs to warm caches honestly and
 what republish invalidation needs to name stale runs.
 """
 

@@ -2,7 +2,7 @@
 cohorts, and the driver that executes either against the serving tier.
 
 See :mod:`repro.load.workload` for the catalog-driven generator (Zipf
-popularity, flash crowds, diurnal churn), :mod:`repro.load.cohort` for
+popularity, flash crowds, churn), :mod:`repro.load.cohort` for
 the N-viewers-one-session aggregation with lazy de-aggregation, and
 :mod:`repro.load.harness` for the real/cohort execution modes and the
 measurements ``bench/run.py`` reports.

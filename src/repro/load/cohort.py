@@ -48,12 +48,10 @@ class CohortViewer:
         url: str,
         *,
         size: int,
-        user: str = "",
         tracer=None,
         render_ticker=None,
         recovery=None,
         directory=None,
-        preroll_override: Optional[float] = None,
         heartbeat_interval: float = 0.0,
     ) -> None:
         if size < 1:
@@ -65,11 +63,10 @@ class CohortViewer:
         self.delegate = MediaPlayer(
             network,
             host,
-            user=user or host,
+            user=host,
             tracer=tracer,
             recovery=recovery,
             directory=directory,
-            preroll_override=preroll_override,
             multiplicity=size,
             render_ticker=render_ticker,
         )

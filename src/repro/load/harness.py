@@ -26,13 +26,13 @@ import resource
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, ClassVar, Dict, List, Optional, Tuple, Union
 
 from ..asf import ASFEncoder, EncoderConfig, slide_commands
 from ..media import AudioObject, ImageObject, VideoObject, get_profile
 from ..net.engine import SharedTicker
 from ..obs.qoe import QoEAggregator, SessionQoE
-from ..streaming import MediaServer, PublishError, SessionError, build_edge_tier
+from ..streaming import MediaServer, PublishError, build_edge_tier
 from ..streaming.client import MediaPlayer, PlayerError, PlayerState
 from ..web.http import HTTPError
 from ..web.http import VirtualNetwork
@@ -70,14 +70,14 @@ def encode_lecture(
     duration: float,
     *,
     profile: str = "dsl-256k",
-    slides: int = 2,
-    fps: int = 10,
 ):
-    """Encode one synthetic lecture ASF (video + audio + slide flips)."""
-    per_slide = duration / max(slides, 1)
+    """Encode one synthetic lecture ASF (video + audio + two slide
+    flips)."""
+    slides = 2
+    per_slide = duration / slides
     return ASFEncoder(EncoderConfig(profile=get_profile(profile))).encode_file(
         file_id=name,
-        video=VideoObject("talk", duration, width=320, height=240, fps=fps),
+        video=VideoObject("talk", duration, width=320, height=240, fps=10),
         audio=AudioObject("voice", duration),
         images=[
             (ImageObject(f"s{i}", per_slide, width=320, height=240),
@@ -111,18 +111,13 @@ class LoadConfig:
     heartbeat_interval: float = 0.0
     client_bandwidth: float = 2_000_000.0
     client_delay: float = 0.02
-    #: cache warming before viewers arrive. Three shapes:
-    #: ``True`` (legacy) — naively pre-fill *every* edge with *every*
-    #: lecture during setup; ``False`` — cold start; a
-    #: :class:`~repro.catalog.PrefetchConfig` — scheduled warming: a
-    #: :class:`~repro.catalog.PrefetchPlanner` turns the catalog's
-    #: lecture start times + Zipf popularity into per-(lecture, relay)
-    #: warm actions on the run's own timeline, traced and audited
-    prefetch: Any = True
-    #: prefix for generated client host names — lets two runs share one
-    #: :class:`ServingTier` (warm wave-2 measurements) without host
-    #: collisions
-    client_prefix: str = ""
+    #: cache warming before viewers arrive: ``True`` pre-fills *every*
+    #: edge with *every* stored lecture during setup; ``False`` is a
+    #: cold start
+    prefetch: bool = True
+    #: prefix of the generated client host names (one value: a run owns
+    #: its whole network)
+    client_prefix: ClassVar[str] = ""
     tracer: Any = None
     #: :class:`~repro.streaming.recovery.RecoveryConfig` for every player
     #: (None: stalls are terminal, the pre-chaos behaviour). With a config
@@ -141,29 +136,6 @@ class LoadConfig:
     #: shut surviving relays down after the run (settles replica sessions
     #: so post-run audits can demand an empty origin session table)
     teardown: bool = False
-
-
-@dataclass
-class ServingTier:
-    """A built origin + relay tier, reusable across harness runs.
-
-    ``run_workload(..., keep_tier=True)`` returns one on the result;
-    passing it back via ``tier=`` replays a second wave against the
-    *same* warm caches instead of rebuilding cold — the warm-vs-cold
-    comparison the predictive-cache bench is made of. Use
-    ``LoadConfig.client_prefix`` on the second run so generated client
-    hosts don't collide with the first wave's.
-    """
-
-    net: Any
-    origin: Any
-    directory: Any
-    parents: Dict[str, Any]
-    relays: List[Any]
-    captures: Dict[str, Any]
-    #: :class:`~repro.catalog.CatalogIndex` over the published lectures
-    #: (built when planner prefetch is configured; else None)
-    catalog: Any = None
 
 
 @dataclass
@@ -187,8 +159,6 @@ class LoadResult:
     #: supervision-plane facts when a monitor/fault plan ran: monitor
     #: counters, suspicion timeline, applied fault log
     control: Dict[str, Any] = field(default_factory=dict)
-    #: the built tier, populated when ``keep_tier=True`` (not serialized)
-    tier: Any = None
 
     @property
     def events_per_sec(self) -> float:
@@ -226,15 +196,8 @@ def run_workload(
     *,
     mode: str = "cohort",
     config: Optional[LoadConfig] = None,
-    tier: Optional[ServingTier] = None,
-    keep_tier: bool = False,
 ) -> LoadResult:
-    """Build the serving tier, execute the script, measure everything.
-
-    ``tier`` reuses an already-built :class:`ServingTier` (publishing,
-    topology and — crucially — cache state carry over); ``keep_tier``
-    returns the tier on ``result.tier`` for a later run to reuse.
-    """
+    """Build the serving tier, execute the script, measure everything."""
     if isinstance(script, WorkloadSpec):
         script = generate(script)
     if mode not in ("real", "cohort"):
@@ -242,95 +205,59 @@ def run_workload(
     cfg = config or LoadConfig()
     spec = script.spec
 
-    # the prefetch knob is polymorphic: bool keeps the legacy behaviours
-    # (True: naive warm-everything at setup; False: cold), anything else
-    # is PrefetchConfig-shaped and engages the scheduled planner
-    planner_cfg = None
-    naive_prefetch = False
-    if isinstance(cfg.prefetch, bool):
-        naive_prefetch = cfg.prefetch
-    elif cfg.prefetch is not None:
-        planner_cfg = cfg.prefetch
+    net = VirtualNetwork()
+    sim = net.simulator
+    if cfg.tracer is not None:
+        cfg.tracer.bind_clock(sim)
+    origin = MediaServer(
+        net, "origin", port=8080,
+        pacing_quantum=PACING_QUANTUM,
+        tracer=cfg.tracer, trace_label="origin",
+    )
+    captures: Dict[str, Any] = {}
+    for lecture in spec.lectures:
+        if cfg.live_capture and lecture.live:
+            from ..lod import LiveCaptureSession
 
-    if tier is None:
-        net = VirtualNetwork()
-        sim = net.simulator
-        if cfg.tracer is not None:
-            cfg.tracer.bind_clock(sim)
-        origin = MediaServer(
-            net, "origin", port=8080,
-            pacing_quantum=PACING_QUANTUM,
-            tracer=cfg.tracer, trace_label="origin",
-        )
-        captures: Dict[str, Any] = {}
-        catalog = None
-        if planner_cfg is not None:
-            from ..catalog import CatalogIndex
-
-            catalog = CatalogIndex()
-        for lecture in spec.lectures:
-            if cfg.live_capture and lecture.live:
-                from ..lod import LiveCaptureSession
-
-                capture = LiveCaptureSession(
-                    sim, get_profile(cfg.profile), chunk=0.5
-                )
-                captures[lecture.name] = capture
-                origin.publish(lecture.name, capture.stream)
-            else:
-                asf = encode_lecture(
-                    lecture.name, lecture.duration, profile=cfg.profile
-                )
-                origin.publish(lecture.name, asf)
-                if catalog is not None:
-                    catalog.add_variant(lecture.name, asf)
-        parents: Dict[str, Any] = {}
-        if cfg.regions > 0:
-            from ..streaming import build_relay_tree
-
-            region_map: Dict[str, List[str]] = {
-                f"r{i}": [] for i in range(cfg.regions)
-            }
-            for i in range(cfg.edges):
-                region_map[f"r{i % cfg.regions}"].append(f"edge{i}")
-            directory, parents, relays = build_relay_tree(
-                net, origin, region_map,
-                pacing_quantum=PACING_QUANTUM,
-                join_quantum=spec.join_quantum,
-                backbone_budget=cfg.backbone_budget,
-                live_history_seconds=LIVE_HISTORY_SECONDS,
-                tracer=cfg.tracer,
+            capture = LiveCaptureSession(
+                sim, get_profile(cfg.profile), chunk=0.5
             )
+            captures[lecture.name] = capture
+            origin.publish(lecture.name, capture.stream)
         else:
-            directory, relays = build_edge_tier(
-                net, origin, [f"edge{i}" for i in range(cfg.edges)],
-                pacing_quantum=PACING_QUANTUM,
-                join_quantum=spec.join_quantum,
-                backbone_budget=cfg.backbone_budget,
-                tracer=cfg.tracer,
+            origin.publish(
+                lecture.name,
+                encode_lecture(
+                    lecture.name, lecture.duration, profile=cfg.profile
+                ),
             )
-        tier = ServingTier(
-            net=net, origin=origin, directory=directory,
-            parents=parents, relays=list(relays), captures=captures,
-            catalog=catalog,
+    parents: Dict[str, Any] = {}
+    if cfg.regions > 0:
+        from ..streaming import build_relay_tree
+
+        region_map: Dict[str, List[str]] = {
+            f"r{i}": [] for i in range(cfg.regions)
+        }
+        for i in range(cfg.edges):
+            region_map[f"r{i % cfg.regions}"].append(f"edge{i}")
+        directory, parents, relays = build_relay_tree(
+            net, origin, region_map,
+            pacing_quantum=PACING_QUANTUM,
+            join_quantum=spec.join_quantum,
+            backbone_budget=cfg.backbone_budget,
+            live_history_seconds=LIVE_HISTORY_SECONDS,
+            tracer=cfg.tracer,
         )
     else:
-        net = tier.net
-        sim = net.simulator
-        if cfg.tracer is not None:
-            cfg.tracer.bind_clock(sim)
-        origin = tier.origin
-        directory = tier.directory
-        parents = tier.parents
-        relays = tier.relays
-        captures = tier.captures
+        directory, relays = build_edge_tier(
+            net, origin, [f"edge{i}" for i in range(cfg.edges)],
+            pacing_quantum=PACING_QUANTUM,
+            join_quantum=spec.join_quantum,
+            backbone_budget=cfg.backbone_budget,
+            tracer=cfg.tracer,
+        )
     relay_by_name = {r.name: r for r in relays}
-    # tree mode keeps parents out of the leaf list; prefetch targets them
-    for p in parents.values():
-        relay_by_name.setdefault(p.name, p)
-    origin_sessions_before = origin.sessions.total_created
-    origin_bytes_before = origin.bytes_served
-    if naive_prefetch:
+    if cfg.prefetch:
         for relay in relays:
             for lecture in spec.lectures:
                 if lecture.name in captures:
@@ -369,87 +296,13 @@ def run_workload(
         return directory.place(f"{arrival.viewer}|{arrival.lecture}")
 
     # every render loop in the run shares one ticker: one simulator event
-    # per 50 ms instant no matter how many players are live. NOT skippable
-    # — active playback is never leapt over.
+    # per 50 ms instant no matter how many players are live. A ticker is
+    # never skippable — active playback is never leapt over.
     render_ticker = SharedTicker(sim, MediaPlayer.RENDER_TICK)
 
     # (time, seq, fn) — seq keeps the sort stable and deterministic
     actions: List[Tuple[float, int, Any]] = []
     seq = iter(range(1 << 30))
-
-    # -- scheduled prefetch: plan warms onto the same action timeline --
-    prefetch_stats: Dict[str, Any] = {}
-    if planner_cfg is not None and planner_cfg.enabled:
-        from ..catalog import PrefetchPlanner
-
-        planner = PrefetchPlanner(planner_cfg, catalog=tier.catalog)
-        if cfg.regions > 0:
-            parent_names = sorted(p.name for p in parents.values())
-            leaf_names = sorted(
-                r.name for r in relays if not r.is_parent
-            )
-        else:
-            # a flat tier has no hierarchy to warm through: the edges
-            # themselves are the warm targets
-            parent_names = sorted(r.name for r in relays)
-            leaf_names = []
-        items = planner.plan(
-            spec.lectures, parents=parent_names, leaves=leaf_names,
-        )
-        run_id = f"{cfg.client_prefix or ''}prefetch"
-        prefetch_stats = {
-            "run": run_id,
-            "items": len(items),
-            "planned_bytes": planner.planned_bytes(items),
-            "budget_skipped": planner.budget_skipped,
-            "ok": 0,
-            "failed": 0,
-            "warmed_bytes": 0,
-            "origin_egress_bytes": 0,
-        }
-        if cfg.tracer is not None:
-            cfg.tracer.event(
-                "prefetch.plan",
-                run=run_id, items=len(items),
-                planned_bytes=prefetch_stats["planned_bytes"],
-                budget_bytes=planner_cfg.byte_budget,
-            )
-
-        def _warm(item) -> None:
-            relay = relay_by_name.get(item.target)
-            span = None
-            if cfg.tracer is not None:
-                span = cfg.tracer.begin(
-                    "prefetch",
-                    run=run_id, edge=item.target, point=item.point,
-                    expect_key=item.expect_key, rank=item.rank,
-                )
-            egress_before = origin.bytes_served
-            ok = False
-            landed = ""
-            if relay is not None and not relay.crashed:
-                try:
-                    relay.prefetch(item.point)
-                except (PublishError, SessionError, HTTPError):
-                    pass  # a failed warm is a cold-start, not a run abort
-                else:
-                    landed = relay._cache_keys.get(item.point, "")
-                    ok = bool(landed) and (
-                        not item.expect_key or landed == item.expect_key
-                    )
-            warmed = item.size_bytes if ok else 0
-            prefetch_stats["ok" if ok else "failed"] += 1
-            prefetch_stats["warmed_bytes"] += warmed
-            prefetch_stats["origin_egress_bytes"] += (
-                origin.bytes_served - egress_before
-            )
-            if span is not None:
-                cfg.tracer.end(
-                    span, ok=ok, bytes=warmed, cache_key=landed,
-                )
-
-        for item in items:
-            actions.append((item.at, next(seq), lambda it=item: _warm(it)))
 
     cohorts: List[CohortViewer] = []
     players: List[MediaPlayer] = []
@@ -602,7 +455,7 @@ def run_workload(
     # is pending, so beacon-only windows are leapt, never ticked.
     # ------------------------------------------------------------------
     actions.sort(key=lambda a: (a[0], a[1]))
-    # a reused ServingTier's simulator carries the previous wave's totals
+    # the drive's own counts: setup (prefetch fills) ran on this simulator
     events_before = sim.events_processed
     leapt_before = sim.events_leapt
     drained_before = sim.cancelled_drained
@@ -654,16 +507,11 @@ def run_workload(
         )
 
     control_facts: Dict[str, Any] = {
-        # per-run deltas, so a reused ServingTier's second wave reports
-        # its own origin cost, not the accumulated total
         "origin": {
-            "sessions_created":
-                origin.sessions.total_created - origin_sessions_before,
-            "bytes_served": origin.bytes_served - origin_bytes_before,
+            "sessions_created": origin.sessions.total_created,
+            "bytes_served": origin.bytes_served,
         }
     }
-    if prefetch_stats:
-        control_facts["prefetch"] = prefetch_stats
     if monitor is not None:
         control_facts["monitor"] = monitor.counters.as_dict()
         control_facts["suspicions"] = list(monitor.suspicions)
@@ -700,5 +548,4 @@ def run_workload(
         peak_rss=peak_rss_bytes(),
         qoe=aggregator.summary(),
         control=control_facts,
-        tier=tier if keep_tier else None,
     )

@@ -4,7 +4,7 @@ The paper's system served campus lectures; the workloads that stress a
 distributed serving tier have well-known shape (Kannan & Andres; the
 VCoIP e-learning measurements): **Zipf-skewed** popularity across the
 lecture catalog, **flash crowds** at scheduled start times, background
-arrivals modulated by a **diurnal** cycle, and early-leave **churn**.
+arrivals spread over each lecture's window, and early-leave **churn**.
 :func:`generate` turns a :class:`WorkloadSpec` into a deterministic
 :class:`ArrivalScript` — the same seed always yields the same viewers,
 lectures, join/leave/seek times — consumable by both the real-client
@@ -97,9 +97,6 @@ class WorkloadSpec:
     churn_rate: float = 0.0
     #: fraction of (on-demand, staying) viewers that seek once mid-watch
     seek_rate: float = 0.0
-    #: > 0: background (non-flash) arrivals are weighted by a sinusoidal
-    #: day curve of this period instead of landing uniformly
-    diurnal_period: float = 0.0
     #: arrival quantization for cohort planning (see plan_cohorts)
     join_quantum: float = 0.5
 
@@ -170,21 +167,6 @@ def _zipf_cumulative(n: int, s: float) -> List[float]:
     return cumulative
 
 
-def _diurnal_sample(rng: random.Random, lo: float, hi: float, period: float) -> float:
-    """Arrival time in [lo, hi] weighted by a sinusoidal day curve.
-
-    Rejection sampling with a bounded number of rounds keeps generation
-    deterministic and O(1) amortized; after the bound, the last candidate
-    is accepted (a slight flattening, never a hang).
-    """
-    for _ in range(16):
-        t = rng.uniform(lo, hi)
-        w = 0.5 * (1.0 + math.sin(2.0 * math.pi * (t % period) / period))
-        if rng.random() <= w:
-            return t
-    return t
-
-
 def generate(spec: WorkloadSpec) -> ArrivalScript:
     """Deterministically expand a spec into per-viewer arrivals."""
     rng = random.Random(spec.seed)
@@ -196,7 +178,6 @@ def generate(spec: WorkloadSpec) -> ArrivalScript:
     flash_width = spec.flash_width
     churn_rate = spec.churn_rate
     seek_rate = spec.seek_rate
-    diurnal_period = spec.diurnal_period
     cumulative = _zipf_cumulative(len(spec.lectures), spec.zipf_s)
     catalog = [
         (lec.name, lec.duration, lec.start_time, lec.end_time, lec.live)
@@ -206,24 +187,16 @@ def generate(spec: WorkloadSpec) -> ArrivalScript:
     arrivals: List[ViewerArrival] = []
     for i in range(spec.viewers):
         name, duration, start, end, live = catalog[pick(cumulative, draw())]
-        flash = draw() < flash_fraction
-        if flash or live:
-            # the scheduled burst: front-loaded within flash_width. Live
+        if draw() >= flash_fraction:
+            # background arrivals over the lecture's window. Live
             # simulcasts have no on-demand tail — stragglers still join
             # during the broadcast window
-            if live and not flash:
-                join = uniform(start, end)
-            elif flash_width > 0:
-                join = start + min(
-                    rng.expovariate(3.0 / flash_width), flash_width
-                )
-            else:
-                join = start
-        # background on-demand arrivals over the catalog day
-        elif diurnal_period > 0:
-            join = _diurnal_sample(rng, start, end, diurnal_period)
-        else:
             join = uniform(start, end)
+        elif flash_width > 0:
+            # the scheduled burst: front-loaded within flash_width
+            join = start + min(rng.expovariate(3.0 / flash_width), flash_width)
+        else:
+            join = start
         start_position = min(max(0.0, join - start), duration) if live else 0.0
         remaining = duration - start_position
         leave_time: Optional[float] = None

@@ -477,24 +477,18 @@ class SharedTicker:
     lets their deliveries coalesce into shared pacing groups upstream.
 
     The ticker only occupies the event queue while it has registrants;
-    late registrants join at the next grid instant.
+    late registrants join at the next grid instant. It is never
+    skippable: what rides it (render loops) is active playback, which a
+    quiet-window :meth:`Simulator.fast_forward` must not leap.
     """
 
-    def __init__(
-        self,
-        simulator: Simulator,
-        interval: float,
-        *,
-        skippable: bool = False,
-    ) -> None:
+    def __init__(self, simulator: Simulator, interval: float) -> None:
         if interval <= 0:
             raise SimulationError("interval must be positive")
         self.simulator = simulator
         self.interval = interval
-        self.skippable = skippable
         self.epoch = simulator.now
         self.ticks = 0
-        self.next_time = self.epoch
         self._callbacks: Dict[int, Callable[[], None]] = {}
         self._keys = itertools.count()
         self._handle: Optional[EventHandle] = None
@@ -526,10 +520,7 @@ class SharedTicker:
         when = self.epoch + self.ticks * self.interval
         if when < now:
             when = now
-        self.next_time = when
-        self._handle = self.simulator.schedule_at(
-            when, self._fire, skippable_owner=self if self.skippable else None,
-        )
+        self._handle = self.simulator.schedule_at(when, self._fire)
 
     def after_tick(self, job: Callable[[], None]) -> None:
         """Run ``job`` after this instant's callbacks, the next tick
@@ -556,15 +547,3 @@ class SharedTicker:
             self._schedule_next()
         for job in after:
             job()
-
-    def leap_to(self, simulator: Simulator, to: float) -> int:
-        """fast_forward protocol — see :meth:`PeriodicTask.leap_to`."""
-        if not self._callbacks or self.next_time > to:
-            return 0
-        if self._handle is not None:
-            simulator.cancel(self._handle)
-            self._handle = None
-        start = self.ticks
-        self.ticks = max(start, _first_tick_after(self.epoch, self.interval, to))
-        self._schedule_next()
-        return max(0, self.ticks - start)

@@ -2,8 +2,7 @@
 
 XOCPN "set[s] up channels according to the required QoS of the data"
 (paper §1). :class:`QoSManager` performs admission control over a link's
-capacity: a reservation names a bandwidth (plus optional latency/loss
-requirements the link must structurally satisfy); admitted reservations
+capacity: a reservation names a bandwidth; admitted reservations
 subtract from available capacity until released. The streaming server uses
 this to decide whether a new client at a given profile can be admitted or
 must be offered a lower profile.
@@ -12,10 +11,9 @@ must be offered a lower profile.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List
 
-from .engine import SimulationError
 from .link import Link
 
 
@@ -28,16 +26,10 @@ class QoSSpec:
     """What a media stream needs from the network."""
 
     bandwidth: float  # bits/second
-    max_latency: Optional[float] = None  # seconds, propagation bound
-    max_loss: Optional[float] = None  # fraction
 
     def __post_init__(self) -> None:
         if self.bandwidth <= 0:
             raise QoSError("bandwidth must be positive")
-        if self.max_latency is not None and self.max_latency <= 0:
-            raise QoSError("max_latency must be positive")
-        if self.max_loss is not None and not 0 <= self.max_loss < 1:
-            raise QoSError("max_loss must be in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -89,13 +81,7 @@ class QoSManager:
         return self.capacity - self.reserved
 
     def can_admit(self, spec: QoSSpec) -> bool:
-        if spec.bandwidth > self.available:
-            return False
-        if spec.max_latency is not None and self.link.delay > spec.max_latency:
-            return False
-        if spec.max_loss is not None and self.link.loss_rate > spec.max_loss:
-            return False
-        return True
+        return spec.bandwidth <= self.available
 
     def reserve(self, spec: QoSSpec, *, owner: str = "") -> Reservation:
         """Admit or raise :class:`QoSError` explaining the failure."""
@@ -104,18 +90,6 @@ class QoSManager:
             raise QoSError(
                 f"insufficient bandwidth: need {spec.bandwidth:g}, "
                 f"available {self.available:g}"
-            )
-        if spec.max_latency is not None and self.link.delay > spec.max_latency:
-            self.rejected += 1
-            raise QoSError(
-                f"link delay {self.link.delay:g}s exceeds required "
-                f"{spec.max_latency:g}s"
-            )
-        if spec.max_loss is not None and self.link.loss_rate > spec.max_loss:
-            self.rejected += 1
-            raise QoSError(
-                f"link loss {self.link.loss_rate:g} exceeds required "
-                f"{spec.max_loss:g}"
             )
         reservation = Reservation(next(self._ids), spec, owner)
         self._reservations[reservation.reservation_id] = reservation

@@ -17,8 +17,8 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Dict
 
 from .engine import SimulationError, Simulator
 from .link import Link
@@ -39,22 +39,19 @@ class Message:
 class DatagramChannel:
     """Unreliable, unordered delivery straight over one link."""
 
+    HEADER_SIZE = 28  # IP+UDP
+
     def __init__(
-        self,
-        link: Link,
-        on_receive: Callable[[Message], None],
-        *,
-        header_size: int = 28,  # IP+UDP
+        self, link: Link, on_receive: Callable[[Message], None]
     ) -> None:
         self.link = link
         self.on_receive = on_receive
-        self.header_size = header_size
         self.sent = 0
 
     def send(self, message: Message) -> None:
         self.sent += 1
         self.link.transmit(
-            message.size + self.header_size,
+            message.size + self.HEADER_SIZE,
             lambda: self.on_receive(message),
         )
 
@@ -71,15 +68,23 @@ class ReliableChannel:
     """Stop-and-wait-window ARQ with cumulative in-order delivery.
 
     Simple but complete: sequence numbers, a retransmission timer per
-    message with exponential backoff (×``backoff`` per retry, jittered,
-    capped at ``rto_max`` so partition-era retries don't hammer the link
+    message with exponential backoff (×``BACKOFF`` per retry, jittered,
+    capped at ``RTO_MAX`` so partition-era retries don't hammer the link
     in lock-step), duplicate suppression, and in-order handoff to the
     receiver. Suitable for the control plane (a handful of small
-    messages), not bulk media. ``max_attempts`` exhaustion calls
-    ``on_fail``.
+    messages), not bulk media. A message still unacked after
+    ``MAX_ATTEMPTS`` sends is given up on; the caller's own deadline
+    (:meth:`HTTPClient.fetch <repro.web.http.HTTPClient.fetch>`) reports it.
     """
 
     ACK_SIZE = 40
+    HEADER_SIZE = 40  # IP+TCP-ish
+    RTO = 0.25
+    MAX_ATTEMPTS = 8
+    BACKOFF = 2.0
+    RTO_MAX = 4.0
+    JITTER = 0.1  # fraction of the rto, uniform ±
+    SEED = 0
 
     def __init__(
         self,
@@ -87,36 +92,11 @@ class ReliableChannel:
         out_link: Link,
         ack_link: Link,
         on_receive: Callable[[Message], None],
-        *,
-        rto: float = 0.25,
-        max_attempts: int = 8,
-        backoff: float = 2.0,
-        rto_max: float = 4.0,
-        jitter: float = 0.1,  # fraction of rto, uniform ±
-        seed: int = 0,
-        header_size: int = 40,  # IP+TCP-ish
-        on_fail: Optional[Callable[[Message], None]] = None,
     ) -> None:
-        if rto <= 0:
-            raise SimulationError("rto must be positive")
-        if backoff < 1:
-            raise SimulationError("backoff must be >= 1")
-        if rto_max < rto:
-            raise SimulationError("rto_max must be >= rto")
-        if not 0 <= jitter < 1:
-            raise SimulationError("jitter must be in [0, 1)")
         self.simulator = simulator
         self.out_link = out_link
         self.ack_link = ack_link
         self.on_receive = on_receive
-        self.on_fail = on_fail
-        self.rto = rto
-        self.max_attempts = max_attempts
-        self.backoff = backoff
-        self.rto_max = rto_max
-        self.jitter = jitter
-        self.header_size = header_size
-        self._seed = seed
         self._next_seq = itertools.count()
         self._unacked: Dict[int, _Pending] = {}
         self._recv_buffer: Dict[int, Message] = {}
@@ -126,13 +106,13 @@ class ReliableChannel:
     @functools.cached_property
     def rng(self) -> random.Random:
         """The retry-jitter generator, built by the first retry."""
-        return random.Random(self._seed)
+        return random.Random(self.SEED)
 
     # -- sender side ----------------------------------------------------
 
     def send(self, message: Message) -> int:
         seq = next(self._next_seq)
-        pending = _Pending(seq, message, rto=self.rto)
+        pending = _Pending(seq, message, rto=self.RTO)
         self._unacked[seq] = pending
         self._transmit(pending)
         return seq
@@ -141,26 +121,24 @@ class ReliableChannel:
         pending.attempts += 1
         seq = pending.seq
         self.out_link.transmit(
-            pending.message.size + self.header_size,
+            pending.message.size + self.HEADER_SIZE,
             lambda: self._arrive(seq, pending.message),
         )
         timeout = pending.rto
         # jitter desynchronizes *retries* only — first attempts keep the
         # deterministic base RTO, so loss-free timelines are unchanged
-        if pending.attempts > 1 and self.jitter > 0:
-            timeout *= 1 + self.rng.uniform(-self.jitter, self.jitter)
+        if pending.attempts > 1:
+            timeout *= 1 + self.rng.uniform(-self.JITTER, self.JITTER)
         self.simulator.schedule(timeout, lambda: self._timeout(seq))
 
     def _timeout(self, seq: int) -> None:
         pending = self._unacked.get(seq)
         if pending is None:
             return  # acked
-        if pending.attempts >= self.max_attempts:
+        if pending.attempts >= self.MAX_ATTEMPTS:
             del self._unacked[seq]
-            if self.on_fail is not None:
-                self.on_fail(pending.message)
             return
-        pending.rto = min(pending.rto * self.backoff, self.rto_max)
+        pending.rto = min(pending.rto * self.BACKOFF, self.RTO_MAX)
         self.retransmissions += 1
         self._transmit(pending)
 

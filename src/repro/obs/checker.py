@@ -48,14 +48,6 @@ simulator cannot enforce locally:
 * **point lifecycle** — ``point.published`` / ``point.retired`` (traced
   at the origin only) pair up: no double-publish without a retire in
   between, no retire of an unpublished point;
-* **prefetch honesty** — every ``prefetch`` span (opened by the warming
-  executor per planned item) closes exactly once under a declared
-  ``prefetch.plan`` run; a successful warm's landed ``cache_key`` must
-  equal the plan's ``expect_key`` (warmed bytes are byte-identical to
-  the origin's run — the same fingerprint the fill path verified); the
-  run's accumulated warmed bytes never exceed its declared
-  ``budget_bytes``; and nothing prefetches a point after its
-  ``point.retired`` (no warming torn-down content);
 * **fast start is granted once** — every ``faststart.grant`` names an
   open viewer session of a stored point (never a replica fill, never a
   broadcast); a factor above 1 keeps ``factor × bitrate`` within the
@@ -108,8 +100,6 @@ class TraceChecker:
         self.feeds_migrated = 0
         self.points_published = 0
         self.points_retired = 0
-        self.prefetch_spans = 0
-        self.prefetch_bytes = 0
         self.grants_seen = 0
         self._checked = False
 
@@ -145,11 +135,6 @@ class TraceChecker:
         flat_regions: set = set()
         # authoritative (origin) point lifecycle
         live_points: set = set()
-        retired_points: set = set()
-        # prefetch run id -> (declared budget bytes or None, warmed bytes)
-        prefetch_runs: Dict[Any, List[Any]] = {}
-        # open prefetch span id -> (t, run, edge, point, expect_key)
-        open_prefetches: Dict[Any, Tuple[float, Any, Any, Any, str]] = {}
         # sessions that may never be granted fast start (replica, broadcast)
         ungrantable: set = set()
         # session -> window (ms) of its latest fast-start grant
@@ -524,7 +509,6 @@ class TraceChecker:
                         f"in between (t={t:.3f})"
                     )
                 live_points.add(point)
-                retired_points.discard(point)
 
             elif name == "point.retired":
                 point = attrs.get("point")
@@ -535,71 +519,6 @@ class TraceChecker:
                         f"{point!r} (t={t:.3f})"
                     )
                 live_points.discard(point)
-                retired_points.add(point)
-
-            elif name == "prefetch.plan":
-                run = attrs.get("run")
-                if run in prefetch_runs:
-                    self._fail(
-                        f"prefetch.plan declares run {run!r} twice "
-                        f"(t={t:.3f})"
-                    )
-                budget = attrs.get("budget_bytes")
-                prefetch_runs[run] = [
-                    float(budget) if budget is not None else None, 0
-                ]
-
-            elif name == "prefetch":
-                if record.get("kind") == "begin":
-                    span = record.get("span")
-                    run = attrs.get("run")
-                    point = attrs.get("point")
-                    self.prefetch_spans += 1
-                    if run not in prefetch_runs:
-                        self._fail(
-                            f"prefetch of {point!r} under undeclared run "
-                            f"{run!r} (t={t:.3f})"
-                        )
-                    if point in retired_points:
-                        self._fail(
-                            f"prefetch of {point!r} by "
-                            f"{attrs.get('edge')!r} after the point was "
-                            f"retired (t={t:.3f})"
-                        )
-                    open_prefetches[span] = (
-                        t, run, attrs.get("edge"), point,
-                        str(attrs.get("expect_key") or ""),
-                    )
-                elif record.get("kind") == "end":
-                    span = record.get("span")
-                    entry = open_prefetches.pop(span, None)
-                    if entry is None:
-                        self._fail(
-                            f"prefetch span {span!r} ended without a "
-                            f"matching begin (t={t:.3f})"
-                        )
-                        continue
-                    _bt, run, edge, point, expect_key = entry
-                    warmed = int(attrs.get("bytes", 0) or 0)
-                    landed = str(attrs.get("cache_key") or "")
-                    ok = bool(attrs.get("ok"))
-                    if ok and expect_key and landed != expect_key:
-                        self._fail(
-                            f"prefetch of {point!r} to {edge!r} landed "
-                            f"cache key {landed!r} but the catalog "
-                            f"expected {expect_key!r} (t={t:.3f}) — "
-                            f"warmed bytes are not the origin's"
-                        )
-                    state = prefetch_runs.get(run)
-                    if state is not None:
-                        self.prefetch_bytes += warmed
-                        state[1] += warmed
-                        if state[0] is not None and state[1] > state[0] + 1e-9:
-                            self._fail(
-                                f"prefetch run {run!r} warmed {state[1]:g} "
-                                f"bytes, exceeding its declared budget of "
-                                f"{state[0]:g} (t={t:.3f})"
-                            )
 
         for sid, (granted_at, window) in sorted(carried_in.items(), key=str):
             self._fail(
@@ -640,13 +559,6 @@ class TraceChecker:
                 f"failover of region {region!r} (dead host {dead_host!r}) "
                 f"started at t={started_at:.3f} never ended"
             )
-        for span, (started_at, run, edge, point, _key) in sorted(
-            open_prefetches.items(), key=str
-        ):
-            self._fail(
-                f"prefetch of {point!r} to {edge!r} (run {run!r}) begun "
-                f"at t={started_at:.3f} never ended"
-            )
         return self.violations
 
     # ------------------------------------------------------------------
@@ -677,8 +589,6 @@ class TraceChecker:
             "feeds_migrated": self.feeds_migrated,
             "points_published": self.points_published,
             "points_retired": self.points_retired,
-            "prefetch_spans": self.prefetch_spans,
-            "prefetch_bytes": self.prefetch_bytes,
             "grants_seen": self.grants_seen,
             "violations": len(self.violations),
         }

@@ -715,7 +715,6 @@ class EdgeRelay(MediaServer):
         name: Optional[str] = None,
         cache: Optional[PacketRunCache] = None,
         port: int = 8080,
-        qos_enabled: bool = False,
         pacing_quantum: float = 0.0,
         join_quantum: float = 0.0,
         region: Optional[str] = None,
@@ -729,8 +728,7 @@ class EdgeRelay(MediaServer):
         self.name = name or host
         super().__init__(
             network, host,
-            port=port, qos_enabled=qos_enabled,
-            pacing_quantum=pacing_quantum,
+            port=port, pacing_quantum=pacing_quantum,
             tracer=tracer, trace_label=self.name,
         )
         self.origin_url = origin_url.rstrip("/")
@@ -1365,9 +1363,11 @@ class EdgeRelay(MediaServer):
         it. The upstream repairs from its shared packet cache even after
         the burst: FINISHED sessions still answer NAKs. Inside a nested
         frame the driver sits below the rider on the stack and cannot act
-        until the rider returns. A local crash, ``deadline`` or a dry event
-        queue just ends the wait; the caller reads the outcome off
-        ``fill``.
+        until the rider returns. A local crash or a dry event queue just
+        ends the wait; the caller reads the outcome off ``fill``.
+        ``deadline`` is read when a round comes due and by the final wait,
+        never inside a round: a train already on the wire gets its own
+        wire time plus one ``FILL_NAK_INTERVAL`` to land, even past it.
         """
         simulator = self.simulator
 
@@ -1376,7 +1376,6 @@ class EdgeRelay(MediaServer):
                 fill.done
                 or (fill.exhausted if rider else fill.attempt_failed)
                 or self.crashed
-                or simulator.now >= deadline
             )
 
         packet_size = fill.header.file_properties.packet_size
@@ -1407,7 +1406,10 @@ class EdgeRelay(MediaServer):
                     break
                 due = later
             missing = fill.missing()
-            if not missing or rounds >= self.FILL_NAK_ROUNDS:
+            if (
+                not missing or rounds >= self.FILL_NAK_ROUNDS
+                or simulator.now >= deadline
+            ):
                 break
             self._nak_upstream(self._upstream.get(fill.point), missing)
             rounds += 1
@@ -2071,7 +2073,6 @@ def _build_tier(
     cache_bytes: int,
     seed: int,
     port: int,
-    qos_enabled: bool,
     pacing_quantum: float,
     join_quantum: float,
     backbone_budget: Optional[BackboneBudget],
@@ -2115,7 +2116,7 @@ def _build_tier(
             network, host,
             origin_url=origin_url, name=name,
             cache=PacketRunCache(max_bytes=cache_bytes),
-            port=port, qos_enabled=qos_enabled,
+            port=port,
             pacing_quantum=pacing_quantum, join_quantum=join_quantum,
             region=region, is_parent=is_parent, backbone=backbone_budget,
             live_history_seconds=live_history_seconds, tracer=tracer,
@@ -2158,7 +2159,6 @@ def build_edge_tier(
     cache_bytes: int = 64 * 1024 * 1024,
     seed: int = 0,
     port: int = 8080,
-    qos_enabled: bool = False,
     pacing_quantum: float = 0.0,
     join_quantum: float = 0.0,
     backbone_budget: Optional[BackboneBudget] = None,
@@ -2178,7 +2178,7 @@ def build_edge_tier(
     directory, _, relays = _build_tier(
         network, origin, {None: edge_hosts},
         cache_bytes=cache_bytes, seed=seed, port=port,
-        qos_enabled=qos_enabled, pacing_quantum=pacing_quantum,
+        pacing_quantum=pacing_quantum,
         join_quantum=join_quantum, backbone_budget=backbone_budget,
         live_history_seconds=0.0, tracer=tracer,
     )
@@ -2193,7 +2193,6 @@ def build_relay_tree(
     cache_bytes: int = 64 * 1024 * 1024,
     seed: int = 0,
     port: int = 8080,
-    qos_enabled: bool = False,
     pacing_quantum: float = 0.0,
     join_quantum: float = 0.0,
     live_history_seconds: float = 30.0,
@@ -2215,7 +2214,7 @@ def build_relay_tree(
     return _build_tier(
         network, origin, regions,
         cache_bytes=cache_bytes, seed=seed, port=port,
-        qos_enabled=qos_enabled, pacing_quantum=pacing_quantum,
+        pacing_quantum=pacing_quantum,
         join_quantum=join_quantum, backbone_budget=backbone_budget,
         live_history_seconds=live_history_seconds, tracer=tracer,
     )

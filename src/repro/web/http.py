@@ -23,7 +23,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from urllib.parse import parse_qsl, urlencode, urlparse
 
 from ..net.engine import SimulationError, Simulator
-from ..net.link import Link
+from ..net.link import GilbertElliott, Link
 from ..net.transport import Message, ReliableChannel
 
 
@@ -79,8 +79,8 @@ Handler = Callable[[HTTPRequest], HTTPResponse]
 class VirtualNetwork:
     """Named hosts, lazily created duplex links, and a port table."""
 
-    def __init__(self, simulator: Optional[Simulator] = None) -> None:
-        self.simulator = simulator or Simulator()
+    def __init__(self) -> None:
+        self.simulator = Simulator()
         self._hosts: set = set()
         self._links: Dict[Tuple[str, str], Link] = {}
         self._default_link_params: Dict[str, Any] = dict(
@@ -93,18 +93,49 @@ class VirtualNetwork:
         self._hosts.add(name)
         return name
 
-    def set_default_link(self, **params: Any) -> None:
-        self._default_link_params = params
+    def set_default_link(
+        self,
+        *,
+        bandwidth: float = 1_000_000.0,
+        delay: float = 0.02,
+        jitter: float = 0.0,
+        loss_rate: float = 0.0,
+        burst_loss: Optional[GilbertElliott] = None,
+        queue_limit: int = 64,
+    ) -> None:
+        """The :class:`Link` shape of every path not :meth:`connect`-ed."""
+        self._default_link_params = dict(
+            bandwidth=bandwidth, delay=delay, jitter=jitter,
+            loss_rate=loss_rate, burst_loss=burst_loss,
+            queue_limit=queue_limit,
+        )
 
-    def connect(self, a: str, b: str, **params: Any) -> None:
-        """Configure both directions of the a↔b path."""
+    def connect(
+        self,
+        a: str,
+        b: str,
+        *,
+        bandwidth: float = 1_000_000.0,
+        delay: float = 0.02,
+        jitter: float = 0.0,
+        loss_rate: float = 0.0,
+        burst_loss: Optional[GilbertElliott] = None,
+        queue_limit: int = 64,
+    ) -> None:
+        """Configure both directions of the a↔b path (:class:`Link`'s
+        parameters, one shape each way)."""
         for src, dst in ((a, b), (b, a)):
             self._hosts.add(src)
             self._links[(src, dst)] = Link(
                 self.simulator,
+                bandwidth=bandwidth,
+                delay=delay,
+                jitter=jitter,
+                loss_rate=loss_rate,
+                burst_loss=burst_loss,
+                queue_limit=queue_limit,
                 seed=next(self._seed),
                 name=f"{src}->{dst}",
-                **params,
             )
 
     def link(self, src: str, dst: str) -> Link:
@@ -167,10 +198,14 @@ class HTTPServer:
 class HTTPClient:
     """Issues requests from one host; ``fetch`` is simulation-blocking."""
 
-    def __init__(self, network: VirtualNetwork, host: str, *, timeout: float = 10.0) -> None:
+    #: seconds ``fetch`` waits for a response; a reconnecting player
+    #: clamps its own client's :attr:`timeout` while it retries
+    TIMEOUT = 10.0
+
+    def __init__(self, network: VirtualNetwork, host: str) -> None:
         self.network = network
         self.host = network.add_host(host)
-        self.timeout = timeout
+        self.timeout = self.TIMEOUT
 
     def fetch(
         self,

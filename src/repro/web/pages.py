@@ -14,7 +14,7 @@ five-field form needs.
 from __future__ import annotations
 
 import html
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Sequence
 
 
 def _escape(text: object) -> str:
@@ -33,19 +33,13 @@ def _page(title: str, body: str) -> str:
     )
 
 
-def render_publish_form(
-    profiles: Sequence[str], *, action: str = "/publish",
-    error: Optional[str] = None,
-) -> str:
+def render_publish_form(profiles: Sequence[str]) -> str:
     """The Fig. 5(a) form: video path, slide directory, point, profile."""
     options = "".join(
         f'<option value="{_escape(p)}">{_escape(p)}</option>' for p in profiles
     )
-    error_html = (
-        f'<p class="error" style="color:#a00">{_escape(error)}</p>' if error else ""
-    )
-    body = f"""{error_html}
-<form method="POST" action="{_escape(action)}">
+    body = f"""
+<form method="POST" action="/publish">
   <label>Video file path (MPEG4):
     <input name="video_path" size="40" placeholder="/videos/lecture.mpg"></label>
   <label>Directory of presented slides:
@@ -60,9 +54,7 @@ def render_publish_form(
     return _page("Web Publishing Manager", body)
 
 
-def render_catalog(
-    entries: Iterable[Dict[str, object]], *, title: str = "Published Lectures"
-) -> str:
+def render_catalog(entries: Iterable[Dict[str, object]]) -> str:
     """The replay page: one row per published lecture with its URL."""
     rows = "".join(
         "<tr>"
@@ -78,4 +70,4 @@ def render_catalog(
         f"<th>link</th></tr>{rows}</table>"
         '<p><a href="/publish">publish another lecture</a></p>'
     )
-    return _page(title, body)
+    return _page("Published Lectures", body)

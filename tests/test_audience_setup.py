@@ -27,7 +27,7 @@ def catalog(count, duration, stagger, first, live=()):
 
 
 #: the shapes of the benchmark's cohort workloads, at a tenth of their
-#: audience, plus live lectures and a diurnal day for the other branches
+#: audience, plus live lectures for the other branches
 SPECS = {
     "flash_vod_warm": dict(
         viewers=5_000, lectures=catalog(2, 20.0, 2.0, 5.0), zipf_s=1.1,
@@ -38,10 +38,10 @@ SPECS = {
         viewers=2_000, lectures=catalog(2, 14.0, 2.0, 5.0), zipf_s=1.1,
         join_quantum=0.5, flash_fraction=0.7, flash_width=2.0,
     ),
-    "live_diurnal": dict(
+    "live": dict(
         viewers=1_000, lectures=catalog(3, 30.0, 10.0, 1.0, live=(1,)),
         zipf_s=0.8, join_quantum=0.25, flash_fraction=0.4, flash_width=0.0,
-        churn_rate=0.1, seek_rate=0.3, diurnal_period=40.0,
+        churn_rate=0.1, seek_rate=0.3,
     ),
 }
 
@@ -53,12 +53,12 @@ DIGESTS = {
     ("edge_crash_recovery", 0): "ab3db09598e9b546e6c69f021366d0b76eee207c",
     ("edge_crash_recovery", 1): "40c370c98b8ad141f2f1fae144c7b68a1206ee5d",
     ("edge_crash_recovery", 2): "ba9a8475887c7a0551ed177e40c6ad889a528a1f",
-    ("live_diurnal", 0): "fc09e399e7d8c7ce34694511f97035e3eff2fd54",
-    ("live_diurnal", 1): "5aab5806cc2e9eb127da98f5d47e3a149226c70b",
-    ("live_diurnal", 2): "210b382a7f99f561a0b0e4ab0f7981538b0cade4",
+    ("live", 0): "3ce422bbea689773e8f072a6a1673b01f1cc44d7",
+    ("live", 1): "0599ed10b79e1915f2da326ddca987aee5964453",
+    ("live", 2): "6eb263e1db08dff76ece0dc61a6ba4aa8d0699b8",
 }
 
-EDGES = {"flash_vod_warm": 2, "edge_crash_recovery": 4, "live_diurnal": 3}
+EDGES = {"flash_vod_warm": 2, "edge_crash_recovery": 4, "live": 3}
 
 
 def directory(edges, seed=0):

@@ -65,17 +65,17 @@ def mbr_asf():
     )
 
 
-def make_world(asf=None, *, edges=1, clients=3, qos_enabled=False, **relay_kwargs):
+def make_world(asf=None, *, edges=1, clients=3, origin_qos=False, **relay_kwargs):
     reset_counters("edge_cache")
     net = VirtualNetwork()
     origin = MediaServer(
-        net, "origin", port=8080, pacing_quantum=0.5, qos_enabled=qos_enabled,
+        net, "origin", port=8080, pacing_quantum=0.5, qos_enabled=origin_qos,
         trace_label="origin",
     )
     origin.publish("lecture", asf if asf is not None else make_asf())
     directory, relays = build_edge_tier(
         net, origin, [f"edge{i}" for i in range(edges)],
-        pacing_quantum=0.5, qos_enabled=qos_enabled, **relay_kwargs,
+        pacing_quantum=0.5, **relay_kwargs,
     )
     for relay in relays:
         for c in range(clients):
@@ -262,7 +262,7 @@ class TestPacketRunCache:
 
 class TestTwoHopTeardown:
     def test_last_client_out_closes_the_upstream_session(self):
-        net, origin, _, (edge,) = make_world(qos_enabled=True)
+        net, origin, _, (edge,) = make_world(origin_qos=True)
         sinks = [[] for _ in range(2)]
         sessions = [
             edge.open_session("lecture", f"c{i}", sinks[i].extend)
@@ -282,7 +282,7 @@ class TestTwoHopTeardown:
         edge.sessions.assert_consistent()
 
     def test_edge_crash_orphans_settle_at_restart(self):
-        net, origin, _, (edge,) = make_world(qos_enabled=True)
+        net, origin, _, (edge,) = make_world(origin_qos=True)
         sink = []
         session = edge.open_session("lecture", "c0", sink.extend)
         edge.play(session.session_id)
@@ -302,7 +302,7 @@ class TestTwoHopTeardown:
         edge.sessions.assert_consistent()
 
     def test_shutdown_sweeps_everything(self):
-        net, origin, _, (edge,) = make_world(qos_enabled=True)
+        net, origin, _, (edge,) = make_world(origin_qos=True)
         for i in range(2):
             s = edge.open_session("lecture", f"c{i}", [].extend)
             edge.play(s.session_id)

@@ -210,7 +210,7 @@ class TestFastForward:
     def test_non_skippable_ticker_is_never_leapt(self):
         sim = Simulator()
         renders = []
-        ticker = SharedTicker(sim, 0.05)  # skippable defaults to False
+        ticker = SharedTicker(sim, 0.05)  # a ticker is never skippable
         ticker.register(lambda: renders.append(sim.now))
         sim.fast_forward(1.0)
         # every render tick executed for real — active playback is
@@ -266,16 +266,3 @@ class TestSharedTicker:
         ticker.register(lambda: times.append(sim.now))
         sim.run_until(0.31)
         assert times == [4 * 0.05, 5 * 0.05, 6 * 0.05]
-
-    def test_skippable_ticker_leaps_with_full_accounting(self):
-        sim = Simulator()
-        fired = []
-        ticker = SharedTicker(sim, 0.5, skippable=True)
-        ticker.register(lambda: fired.append(sim.now))
-        sim.run_until(1.0)
-        leapt = sim.fast_forward(10.0)
-        assert fired == [0.0, 0.5, 1.0]
-        assert leapt == 18  # 1.5 .. 10.0
-        sim.run_until(11.0)
-        # post-leap fires resume on the grid: 10.5 then 11.0
-        assert fired[-2:] == [21 * 0.5, 22 * 0.5]

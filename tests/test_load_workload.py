@@ -311,8 +311,7 @@ class TestCohortViewerLifecycle:
 
 
 class TestPlannerPrefetch:
-    """``LoadConfig.prefetch`` as a :class:`PrefetchConfig`: scheduled
-    warming on the run's own timeline, tier reuse for warm second waves."""
+    """``LoadConfig.prefetch`` is a bool: ``False`` is a cold start."""
 
     def spec(self):
         return WorkloadSpec(
@@ -321,78 +320,15 @@ class TestPlannerPrefetch:
             lectures=lecture_catalog(3, 8.0, stagger=4.0),
         )
 
-    def config(self, **kw):
-        from repro.catalog import PrefetchConfig
-
-        kw.setdefault("prefetch", PrefetchConfig(lead_time=2.0))
-        return LoadConfig(edges=4, regions=2, teardown=True, **kw)
-
-    def test_planner_warms_parents_and_reports_stats(self):
-        result = run_workload(
-            self.spec(), mode="cohort", config=self.config(),
-        )
-        stats = result.control["prefetch"]
-        # 3 VOD lectures × 2 region parents, all landed
-        assert stats["items"] == 6
-        assert stats["ok"] == 6 and stats["failed"] == 0
-        assert stats["warmed_bytes"] == stats["planned_bytes"] > 0
-        # the cold fill moved out of the viewer window: the origin served
-        # nothing but the warms (0 in-window bytes vs 21.6 MB cold in the
-        # retired cache-predict bench, PR 10)
-        origin_bytes = result.control["origin"]["bytes_served"]
-        assert origin_bytes - stats["origin_egress_bytes"] == 0
-        assert result.tier is None  # not kept unless asked
-
-    def test_planner_run_passes_trace_audit(self):
-        from repro.obs import TraceChecker, Tracer
-
-        tracer = Tracer()
-        run_workload(
-            self.spec(), mode="cohort", config=self.config(tracer=tracer),
-        )
-        checker = TraceChecker(tracer.records)
-        checker.assert_ok()
-        assert checker.prefetch_spans == 6
-        assert checker.prefetch_bytes > 0
-
-    def test_tier_reuse_makes_second_wave_origin_free(self):
-        # heartbeats give both waves beacon windows to leap and cancelled
-        # ticks to drain, so the simulator counters below are non-zero
-        wave1 = run_workload(
-            self.spec(), mode="cohort",
-            config=self.config(heartbeat_interval=1.0), keep_tier=True,
-        )
-        assert wave1.tier is not None
-        assert wave1.control["origin"]["bytes_served"] > 0
-        sim = wave1.tier.net.simulator
-        leapt_before, drained_before = sim.events_leapt, sim.cancelled_drained
-        assert wave1.events_leapt > 0 and wave1.cancelled_drained > 0
-        wave2 = run_workload(
-            self.spec(), mode="cohort",
-            config=self.config(client_prefix="w2-", heartbeat_interval=1.0),
-            tier=wave1.tier,
-        )
-        # every LoadResult counter is this wave's own share, not the kept
-        # simulator's lifetime total
-        assert wave2.events_leapt == sim.events_leapt - leapt_before
-        assert wave2.cancelled_drained == sim.cancelled_drained - drained_before
-        # every warm is a local cache hit: zero origin media egress
-        assert wave2.control["prefetch"]["ok"] == 6
-        assert wave2.control["prefetch"]["origin_egress_bytes"] == 0
-        assert wave2.control["origin"]["bytes_served"] == 0
-
     def test_prefetch_false_still_means_cold_start(self):
         result = run_workload(
             self.spec(), mode="cohort",
             config=LoadConfig(edges=2, prefetch=False),
         )
         assert "prefetch" not in result.control
-
-    def test_disabled_planner_schedules_nothing(self):
-        from repro.catalog import PrefetchConfig
-
-        result = run_workload(
-            self.spec(), mode="cohort",
-            config=self.config(prefetch=PrefetchConfig(enabled=False)),
+        # the edge fills land inside the viewers' startup, not in setup
+        warm = run_workload(
+            self.spec(), mode="cohort", config=LoadConfig(edges=2),
         )
-        assert "prefetch" not in result.control
+        startup = "startup_delay"
+        assert result.qoe[startup]["mean"] > warm.qoe[startup]["mean"]

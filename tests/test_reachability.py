@@ -9,12 +9,14 @@ inside the name's own definition does not count, and neither does an
 fixpoint, so a name reached only from inside other unreached names is
 unreached too.
 
-The same rule holds for the options of the guarded constructors, on the
-write path and the serving tier: every ``__init__`` parameter, function
-parameter or dataclass field must be set, by position or keyword, by
-some non-test call — and a call that only forwards a same-named
-parameter of the function it sits in counts only once that parameter is
-set.
+The same rule holds for the options of the guarded constructors: every
+public class, dataclass and module-level function of the serving
+packages (``GUARDED``) and the write path's ``CONSTRUCTORS``. Each
+``__init__`` parameter, function parameter or dataclass field must be
+set, by position or keyword, by some non-test call — and a call that
+only forwards a same-named parameter of the function it sits in counts
+only once that parameter is set. A record type (``RECORDS``) holds data
+a run fills in, not options, and is declared once instead.
 """
 
 import ast
@@ -29,6 +31,9 @@ CALLERS = (SRC, ROOT / "bench", ROOT / "examples", ROOT / "benchmarks")
 EXEMPT = {
     "TinyLFUAdmission":
         "ROADMAP 3(b): earns a cache-pressure workload or leaves",
+    "CatalogIndex":
+        "ROADMAP 13(a): the level_navigation workload jumps through "
+        "seek_to_slide",
     "pack_u8":
         "the reference writer the packetizer property test checks the "
         "struct headers against",
@@ -46,7 +51,11 @@ EXEMPT = {
         "`trace explain` reads traces through it",
 }
 
-#: guarded constructor (a class or a module-level function) -> its
+#: packages whose every public class and module-level function is a
+#: guarded constructor
+GUARDED = ("catalog", "control", "load", "net", "streaming", "web")
+
+#: guarded constructors outside ``GUARDED`` (the write path) -> their
 #: module under ``src/repro``
 CONSTRUCTORS = {
     "EncodeFarm": "asf/farm.py",
@@ -55,13 +64,22 @@ CONSTRUCTORS = {
     "LODPublisher": "lod/publisher.py",
     "Orchestrator": "lod/orchestrator.py",
     "WebPublishingManager": "lod/publisher.py",
-    "EdgeRelay": "streaming/edge.py",
-    "EdgeDirectory": "streaming/edge.py",
-    "PacketRunCache": "streaming/edge.py",
-    "build_edge_tier": "streaming/edge.py",
-    "build_relay_tree": "streaming/edge.py",
-    "RecoveryConfig": "streaming/recovery.py",
 }
+
+#: record type -> what it records: its fields are filled in by the code
+#: that makes one, so they are data, not options
+RECORDS = {
+    "StreamSession": "a server's per-session state, written as it serves",
+    "LinkStats": "a link's delivery and drop counters",
+    "CohortPlan": "one cohort of plan_cohorts' output",
+    "HTTPRequest": "one request as HTTPClient.fetch puts it on the wire",
+}
+
+_TINY_LFU = "ROADMAP 3(b): admission earns a cache-pressure workload or leaves"
+_IMPAIRED_LINKS = (
+    "ROADMAP 16(c): the lossy variant impairs backbone and last-mile links"
+)
+_LIVE_TREE = "ROADMAP 2(a): the live_lecture_tree workload sets it"
 
 #: ``Constructor.param`` (or a bare parameter name, for every
 #: constructor) -> why it may stay without a non-test caller
@@ -73,8 +91,21 @@ OPTION_EXEMPT = {
     "LODPublisher.catalog":
         "ROADMAP 3(b): the cache-pressure workload's mid-run republish",
     "WebPublishingManager.license_server": "the form's protect path",
-    "port": "a deployment setting: the port a relay listens on",
-    "seed": "the placement ring's salt: a deployment setting, like a port",
+    **dict.fromkeys(
+        ("EdgeRelay.port", "build_edge_tier.port", "build_relay_tree.port"),
+        "a deployment setting: the port a relay listens on",
+    ),
+    **dict.fromkeys(
+        ("EdgeDirectory.seed", "build_edge_tier.seed", "build_relay_tree.seed"),
+        "the placement ring's salt: a deployment setting",
+    ),
+    "HeartbeatMonitor.seed":
+        "the beacon phase salt: a deployment setting, like the ring's; the "
+        "chaos suite varies it with CHAOS_SEED",
+    "WorkloadSpec.seed":
+        "the audience seed: bench/workloads.py's builders forward --seed, "
+        "and bench/child.py calls them through its BUILDERS table, which "
+        "the guard does not resolve",
     "cache_bytes":
         "ROADMAP 3(a): the cache-pressure workload sizes the edge cache "
         "below the catalog",
@@ -83,9 +114,36 @@ OPTION_EXEMPT = {
     "PacketRunCache.counters":
         "ROADMAP 3(b): the admission and TTL tests read a private counter "
         "bag; it is decided with them",
-    "qos_enabled":
-        "the per-session QoS reservation MediaServer offers; ROADMAP 15 "
-        "has a workload turn it on at the edge or it leaves the tier",
+    "MediaServer.qos_enabled":
+        "the origin's per-session QoS reservation (XOCPN channel setup, "
+        "paper §1): the admission and teardown tests audit it",
+    **dict.fromkeys(
+        (
+            "TinyLFUAdmission.width", "TinyLFUAdmission.depth",
+            "TinyLFUAdmission.doorkeeper_bits",
+            "TinyLFUAdmission.sample_period", "TinyLFUAdmission.counters",
+            "TinyLFUAdmission.seed", "CountMinSketch.width",
+            "CountMinSketch.depth", "CountMinSketch.seed",
+            "Doorkeeper.hashes", "Doorkeeper.seed",
+        ),
+        _TINY_LFU,
+    ),
+    **dict.fromkeys(
+        (
+            "GilbertElliott.loss_bad", "GilbertElliott.loss_good",
+            "GilbertElliott.p_enter", "GilbertElliott.p_exit",
+            "Link.loss_rate", "Link.burst_loss", "Link.jitter",
+        ),
+        _IMPAIRED_LINKS,
+    ),
+    **dict.fromkeys(
+        (
+            "BackboneBudget.capacities", "BackboneBudget.default_capacity",
+            "BackboneBudget.symmetric", "LoadConfig.backbone_budget",
+            "LoadConfig.live_capture", "LectureSpec.live",
+        ),
+        _LIVE_TREE,
+    ),
 }
 
 DEFS = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
@@ -171,14 +229,30 @@ def signature(node):
     return [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
 
 
-def constructor_params(sources=None):
-    """``{constructor: [parameter, ...]}`` (see :func:`signature`);
-    ``sources`` maps a constructor to its module's text."""
+def guarded_modules():
+    """``{constructor: "pkg/file.py"}``: every public def of the
+    ``GUARDED`` packages, plus ``CONSTRUCTORS``."""
+    modules = {
+        name: module for name, module in public_names().items()
+        if module.split("/")[0] in GUARDED
+    }
+    modules.update(CONSTRUCTORS)
+    return modules
+
+
+def constructor_params(sources=None, records=None):
+    """``{constructor: [parameter, ...]}`` (see :func:`signature`) for
+    every guarded constructor but the records; ``sources`` maps a
+    constructor to its module's text."""
     if sources is None:
-        texts = {m: (SRC / m).read_text() for m in set(CONSTRUCTORS.values())}
-        sources = {name: texts[m] for name, m in CONSTRUCTORS.items()}
+        modules = guarded_modules()
+        texts = {m: (SRC / m).read_text() for m in set(modules.values())}
+        sources = {name: texts[m] for name, m in modules.items()}
+    records = RECORDS if records is None else records
     params = {}
     for name, source in sources.items():
+        if name in records:
+            continue
         for node in ast.parse(source).body:
             if isinstance(node, DEFS) and node.name == name:
                 params[name] = signature(node)
@@ -301,13 +375,16 @@ class TestReachability:
         # an exemption outlives its reason once the name is gone
         assert set(EXEMPT) <= set(public_names())
 
-    def test_every_write_path_option_has_a_non_test_caller(self):
+    def test_every_guarded_option_has_a_non_test_caller(self):
         unset = unset_options()
         assert not unset, "no non-test caller passes: " + ", ".join(unset)
 
     def test_option_exemptions_name_live_parameters(self):
         stale = stale_exemptions()
         assert not stale, "exempt but no such parameter: " + ", ".join(stale)
+
+    def test_records_name_guarded_classes(self):
+        assert set(RECORDS) <= set(guarded_modules())
 
 
 WIDGET = """
@@ -320,8 +397,11 @@ class Widget:
 class TestOptionGuard:
     """The option rule on synthetic modules."""
 
-    def guard(self, constructor, *callers, exempt=()):
-        params = constructor_params(dict.fromkeys(("Widget", "Config"), constructor))
+    def guard(self, constructor, *callers, exempt=(), records=()):
+        params = constructor_params(
+            dict.fromkeys(("Widget", "Config"), constructor),
+            dict.fromkeys(records, ""),
+        )
         return unset_options(
             params, [constructor, *callers], dict.fromkeys(exempt, "")
         )
@@ -361,3 +441,39 @@ class TestOptionGuard:
         assert stale_exemptions(params, {"k": "", "Widget.gone": ""}) == [
             "Widget.gone"
         ]
+
+    def test_a_declared_record_exempts_its_own_fields_only(self):
+        both = WIDGET + (
+            "@dataclass\n"
+            "class Config:\n"
+            "    knob: float = 0.5\n"
+        )
+        assert self.guard(both, "Widget(None)", exempt=["tracer"]) == [
+            "Config.knob", "Widget.k",
+        ]
+        assert self.guard(
+            both, "Widget(None)", exempt=["tracer"], records=["Config"]
+        ) == ["Widget.k"]
+
+    def test_a_splat_sets_nothing(self):
+        build = (
+            "def build(network, **params):\n"
+            "    Widget(network, **params)\n"
+        )
+        assert self.guard(
+            WIDGET, build, "build(None, k=1)", exempt=["tracer"]
+        ) == ["Widget.k"]
+
+    def test_a_new_option_in_a_walked_package_is_flagged(self):
+        modules = guarded_modules()
+        assert modules["Link"] == "net/link.py"
+        texts = {m: (SRC / m).read_text() for m in set(modules.values())}
+        texts["net/link.py"] = texts["net/link.py"].replace(
+            "        queue_limit: int = 64,",
+            "        queue_limit: int = 64,\n        test_only: int = 0,",
+        )
+        params = constructor_params(
+            {name: texts[m] for name, m in modules.items()}
+        )
+        assert "test_only" in params["Link"]
+        assert unset_options(params) == ["Link.test_only"]

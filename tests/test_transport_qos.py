@@ -36,7 +36,7 @@ class TestDatagramChannel:
     def test_header_overhead_on_wire(self):
         sim = Simulator()
         link = Link(sim, bandwidth=1e6, delay=0.0)
-        channel = DatagramChannel(link, lambda m: None, header_size=28)
+        channel = DatagramChannel(link, lambda m: None)  # IP+UDP: 28 bytes
         channel.send(Message("x", 100))
         sim.run()
         assert link.stats.bytes_delivered == 128
@@ -47,14 +47,15 @@ class TestDatagramChannel:
 
 
 class TestReliableChannel:
-    def make(self, sim, *, loss=0.0, seed=0, max_attempts=8, on_fail=None):
+    @pytest.fixture(autouse=True)
+    def tight_rto(self, monkeypatch):
+        monkeypatch.setattr(ReliableChannel, "RTO", 0.1)
+
+    def make(self, sim, *, loss=0.0, seed=0):
         received = []
         out = Link(sim, bandwidth=1e6, delay=0.01, loss_rate=loss, seed=seed)
         ack = Link(sim, bandwidth=1e6, delay=0.01)
-        channel = ReliableChannel(
-            sim, out, ack, received.append, rto=0.1,
-            max_attempts=max_attempts, on_fail=on_fail,
-        )
+        channel = ReliableChannel(sim, out, ack, received.append)
         return channel, received
 
     def test_in_order_delivery(self):
@@ -75,44 +76,34 @@ class TestReliableChannel:
         assert [m.payload for m in received] == list(range(10))
         assert channel.retransmissions > 0
 
-    def test_no_duplicate_delivery(self):
+    def test_no_duplicate_delivery(self, monkeypatch):
         # lossy ack path forces retransmits; receiver must dedupe
+        monkeypatch.setattr(ReliableChannel, "RTO", 0.05)
         sim = Simulator()
         received = []
         out = Link(sim, bandwidth=1e6, delay=0.01)
         ack = Link(sim, bandwidth=1e6, delay=0.01, loss_rate=0.6, seed=4)
-        channel = ReliableChannel(sim, out, ack, received.append, rto=0.05)
+        channel = ReliableChannel(sim, out, ack, received.append)
         channel.send(Message("once", 100))
         sim.run()
         assert [m.payload for m in received] == ["once"]
 
-    def test_gives_up_after_max_attempts(self):
+    def test_gives_up_after_max_attempts(self, monkeypatch):
+        monkeypatch.setattr(ReliableChannel, "MAX_ATTEMPTS", 3)
         sim = Simulator()
-        failed = []
-        channel, received = self.make(
-            sim, loss=0.9999, seed=2, max_attempts=3, on_fail=failed.append
-        )
+        channel, received = self.make(sim, loss=0.9999, seed=2)
         channel.send(Message("doomed", 100))
         sim.run()
         assert received == []
-        assert [m.payload for m in failed] == ["doomed"]
+        # three sends, then the message is dropped from the window
+        assert channel.out_link.stats.sent == 3
         assert channel.in_flight == 0
-
-    def test_invalid_rto(self):
-        sim = Simulator()
-        out, ack = loss_free_pair(sim)
-        with pytest.raises(SimulationError):
-            ReliableChannel(sim, out, ack, lambda m: None, rto=0)
 
 
 class TestQoS:
     def test_spec_validation(self):
         with pytest.raises(QoSError):
             QoSSpec(bandwidth=0)
-        with pytest.raises(QoSError):
-            QoSSpec(bandwidth=1, max_latency=0)
-        with pytest.raises(QoSError):
-            QoSSpec(bandwidth=1, max_loss=1.0)
 
     def test_admission_within_capacity(self):
         sim = Simulator()
@@ -129,19 +120,6 @@ class TestQoS:
         with pytest.raises(QoSError):
             manager.reserve(QoSSpec(bandwidth=200_000))
         assert manager.rejected == 1
-
-    def test_latency_requirement(self):
-        sim = Simulator()
-        manager = QoSManager(Link(sim, bandwidth=1e6, delay=0.2))
-        assert not manager.can_admit(QoSSpec(bandwidth=1000, max_latency=0.1))
-        with pytest.raises(QoSError):
-            manager.reserve(QoSSpec(bandwidth=1000, max_latency=0.1))
-
-    def test_loss_requirement(self):
-        sim = Simulator()
-        manager = QoSManager(Link(sim, bandwidth=1e6, loss_rate=0.1))
-        with pytest.raises(QoSError):
-            manager.reserve(QoSSpec(bandwidth=1000, max_loss=0.01))
 
     def test_double_release_rejected(self):
         sim = Simulator()

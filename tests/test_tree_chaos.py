@@ -126,6 +126,34 @@ class TestSiblingCrashMidFill:
         net.simulator.run(max_events=1_000_000)
 
 
+class TestSlowSiblingFill:
+    def test_a_train_longer_than_the_fill_timeout_is_kept(self):
+        net, origin, directory, parents, leaves = make_tree()
+        e0, e1 = leaves
+        e0.prefetch("lecture")
+        reset_counters("edge_cache")
+
+        # the sibling's whole-file train needs ~44 s of serialization,
+        # past FILL_TIMEOUT: a train on the wire gets its own wire time
+        # (plus one NAK interval) to land, so the attempt is not cut
+        # at the deadline and the run is not re-filled from the parent
+        net.link("e0", "e1").set_bandwidth(50_000)
+        began = net.simulator.now
+        e1.prefetch("lecture")
+        elapsed = net.simulator.now - began
+        assert elapsed > e1.FILL_TIMEOUT
+
+        counters = get_counters("edge_cache")
+        assert counters["sibling_fills"] == 1
+        assert counters["parent_fills"] == 0
+        assert blob_of(e1.points["lecture"].content.packets) == \
+            reference_blob(origin)
+
+        for relay in (e0, e1, parents["r0"]):
+            relay.shutdown()
+        net.simulator.run(max_events=1_000_000)
+
+
 class TestStaleSiblingRejected:
     def test_republished_run_rejects_stale_holders_before_media_moves(self):
         tracer = Tracer("stale-tree")

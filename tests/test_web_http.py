@@ -97,21 +97,23 @@ class TestNetworkPlumbing:
         client.get("http://server:8080/hello")
         assert net.simulator.now > before
 
-    def test_timeout_on_black_hole(self, net):
+    def test_timeout_on_black_hole(self, net, monkeypatch):
         # 100% loss both ways: reliable channel keeps retrying, fetch times out
         net.connect("c2", "server", bandwidth=1e6, delay=0.01, loss_rate=0.999)
         HTTPServer(net, "server", 7100).route(
             "GET", "/", lambda r: HTTPResponse(200)
         )
-        client = HTTPClient(net, "c2", timeout=2.0)
+        monkeypatch.setattr(HTTPClient, "TIMEOUT", 2.0)
+        client = HTTPClient(net, "c2")
         with pytest.raises(HTTPError):
             client.get("http://server:7100/")
 
-    def test_lossy_link_still_succeeds(self, net):
+    def test_lossy_link_still_succeeds(self, net, monkeypatch):
         net.connect("c3", "server", bandwidth=1e6, delay=0.01, loss_rate=0.3)
         srv = HTTPServer(net, "server", 7200)
         srv.route("GET", "/", lambda r: HTTPResponse(200, body="made it"))
-        client = HTTPClient(net, "c3", timeout=30.0)
+        monkeypatch.setattr(HTTPClient, "TIMEOUT", 30.0)
+        client = HTTPClient(net, "c3")
         assert client.get("http://server:7200/").body == "made it"
 
     def test_default_link_created_lazily(self):
@@ -129,7 +131,7 @@ class TestNetworkPlumbing:
 class TestErrorPaths:
     """Timeout/error-path coverage: late responses must stay harmless."""
 
-    def test_timeout_delivers_late_response_exactly_once(self, net):
+    def test_timeout_delivers_late_response_exactly_once(self, net, monkeypatch):
         # the link is slow enough that the response lands after the
         # client's deadline: fetch raises, but the in-flight exchange is
         # still on the simulator and must complete exactly once, harmlessly
@@ -137,19 +139,21 @@ class TestErrorPaths:
         srv = HTTPServer(net, "server", 7300)
         served = []
         srv.route("GET", "/", lambda r: served.append(1) or HTTPResponse(200))
-        client = HTTPClient(net, "slowpoke", timeout=2.0)
+        monkeypatch.setattr(HTTPClient, "TIMEOUT", 2.0)
+        client = HTTPClient(net, "slowpoke")
         with pytest.raises(HTTPError, match="timeout"):
             client.get("http://server:7300/")
         net.simulator.run()  # drain the abandoned exchange
         assert served == [1]
         assert srv.requests_served == 1
 
-    def test_timed_out_client_can_retry_on_a_healed_link(self, net):
+    def test_timed_out_client_can_retry_on_a_healed_link(self, net, monkeypatch):
         net.connect("retrier", "server", bandwidth=1e6, delay=0.01,
                     loss_rate=0.999)
         srv = HTTPServer(net, "server", 7400)
         srv.route("GET", "/", lambda r: HTTPResponse(200, body="ok"))
-        client = HTTPClient(net, "retrier", timeout=1.0)
+        monkeypatch.setattr(HTTPClient, "TIMEOUT", 1.0)
+        client = HTTPClient(net, "retrier")
         with pytest.raises(HTTPError):
             client.get("http://server:7400/")
         net.link("retrier", "server").set_loss(loss_rate=0.0)

@@ -16,10 +16,6 @@ class TestRenderers:
         assert '<option value="dsl-256k">' in page
         assert page.startswith("<!DOCTYPE html>")
 
-    def test_form_error_banner(self):
-        page = render_publish_form([], error="missing video path")
-        assert "missing video path" in page
-
     def test_form_escapes_html(self):
         page = render_publish_form(['<script>"x"'])
         assert "<script>" not in page.split("<style>")[1]
