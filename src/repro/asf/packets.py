@@ -47,6 +47,36 @@ PAYLOAD_HEADER_SIZE = _PAYLOAD_HEADER.size
 #: plus the packet header fields (see DataPacket.pack).
 PACKET_HEADER_SIZE = _PACKET_HEADER.size
 
+#: length -> the one all-zero ``bytes`` object of that length (DESIGN.md
+#: §9): a declared-size unit's data, its fragments, the unit a receiver
+#: reassembles from them, and packet padding all hold the same block
+_ZERO_BLOCKS: Dict[int, bytes] = {}
+#: The longest block the table keeps. The table is never emptied, so it
+#: holds the sum of the distinct lengths asked for; fragment and padding
+#: lengths stay under the packet size, unit lengths only under the codecs.
+#: A declared size over 1 MiB, far above any standard profile's unit, is
+#: zeros of its own (cut and joined like real bytes) rather than a block
+#: pinned for the life of the process.
+ZERO_BLOCK_MAX = 1 << 20
+
+
+def zero_block(size: int) -> bytes:
+    """``size`` zero bytes: the same object on every call, up to
+    :data:`ZERO_BLOCK_MAX`."""
+    block = _ZERO_BLOCKS.get(size)
+    if block is None:
+        block = bytes(size)
+        if size <= ZERO_BLOCK_MAX:
+            _ZERO_BLOCKS[size] = block
+    return block
+
+
+def _is_zero_block(data: bytes) -> bool:
+    """``data`` is the table's block for its length: one identity test,
+    no byte read. Bytes that merely equal a block (unpacked from a wire
+    image, descrambled, ``with_data=True``) are not."""
+    return data is _ZERO_BLOCKS.get(len(data))
+
 
 @dataclass(frozen=True)
 class Payload:
@@ -168,7 +198,7 @@ class DataPacket:
             parts += (payload._head(), data)
         if used > size:
             raise ASFError(f"packet overflow: {used} > {size}")
-        parts.append(bytes(size - used))
+        parts.append(zero_block(size - used))
         return parts
 
     def pack(self) -> bytes:
@@ -218,24 +248,24 @@ class MediaUnit:
         return self
 
 
-def units_from_encoded(
-    stream_number: int, encoded, *, materialize: bool = True
-) -> List[MediaUnit]:
+def units_from_encoded(stream_number: int, encoded) -> List[MediaUnit]:
     """Adapt an :class:`~repro.media.codecs.EncodedStream` to media units.
 
     Units whose codec run skipped payload generation (``data=b""`` but a
-    declared size) are *materialized* as zero bytes so wire sizes stay
-    honest.
+    declared size) are *materialized* as the :func:`zero_block` of that
+    size, so wire sizes stay honest and every such unit of one size holds
+    the same bytes.
     """
-    units = []
-    for u in encoded.units:
-        data = u.data
-        if not data and materialize:
-            data = b"\x00" * u.size
-        units.append(
-            MediaUnit(stream_number, u.index, round(u.timestamp * 1000), u.keyframe, data)
+    return [
+        MediaUnit(
+            stream_number,
+            u.index,
+            round(u.timestamp * 1000),
+            u.keyframe,
+            u.data or zero_block(u.size),
         )
-    return units
+        for u in encoded.units
+    ]
 
 
 def concat_unit_lists(
@@ -337,6 +367,8 @@ class Packetizer:
             data = unit.data
             offset = 0
             total = len(data)
+            # a block-backed unit is cut into blocks: no byte is sliced
+            zeros = _is_zero_block(data)
             while True:
                 # a packet closes when full, or at 255 payloads: the payload
                 # count is a u8 on the wire
@@ -344,7 +376,10 @@ class Packetizer:
                     payloads = []
                     contents.append(payloads)
                     space = capacity
-                fragment = data[offset : offset + space]
+                if zeros:
+                    fragment = zero_block(min(space, total - offset))
+                else:
+                    fragment = data[offset : offset + space]
                 payloads.append(
                     Payload(
                         unit.stream_number,
@@ -401,7 +436,9 @@ def _reassemble(bucket: Dict[int, Payload], last: Payload) -> MediaUnit:
     objects — checked by identity, every fragment — takes that unit
     instead of joining a private copy. Anything else (packets unpacked
     from bytes, a bucket mixing two generations of a run, overlapping
-    fragments) falls through to the join, the one reference path.
+    fragments) falls through to the join, the one reference path. A join
+    whose every part is a :func:`zero_block` joins nothing: it is the
+    block of the joined length, cut to the object size as the join is.
     """
     head = bucket.get(0)
     memo = head._shared if head is not None else None
@@ -412,13 +449,18 @@ def _reassemble(bucket: Dict[int, Payload], last: Payload) -> MediaUnit:
         ):
             return unit
     parts = [bucket[offset] for offset in sorted(bucket)]
-    data = b"".join(part.data for part in parts)
+    if all(_is_zero_block(part.data) for part in parts):
+        data = zero_block(
+            min(sum(len(part.data) for part in parts), last.object_size)
+        )
+    else:
+        data = b"".join(part.data for part in parts)[: last.object_size]
     unit = MediaUnit(
         last.stream_number,
         last.object_number,
         last.timestamp_ms,
         last.keyframe,
-        data[: last.object_size],
+        data,
     )
     if (
         parts[0] is head

@@ -79,36 +79,20 @@ Handler = Callable[[HTTPRequest], HTTPResponse]
 class VirtualNetwork:
     """Named hosts, lazily created duplex links, and a port table."""
 
+    #: the :class:`Link` shape of every path not :meth:`connect`-ed
+    DEFAULT_BANDWIDTH = 10_000_000.0
+    DEFAULT_DELAY = 0.01
+
     def __init__(self) -> None:
         self.simulator = Simulator()
         self._hosts: set = set()
         self._links: Dict[Tuple[str, str], Link] = {}
-        self._default_link_params: Dict[str, Any] = dict(
-            bandwidth=10_000_000.0, delay=0.01
-        )
         self._ports: Dict[Tuple[str, int], "HTTPServer"] = {}
         self._seed = itertools.count(1000)
 
     def add_host(self, name: str) -> str:
         self._hosts.add(name)
         return name
-
-    def set_default_link(
-        self,
-        *,
-        bandwidth: float = 1_000_000.0,
-        delay: float = 0.02,
-        jitter: float = 0.0,
-        loss_rate: float = 0.0,
-        burst_loss: Optional[GilbertElliott] = None,
-        queue_limit: int = 64,
-    ) -> None:
-        """The :class:`Link` shape of every path not :meth:`connect`-ed."""
-        self._default_link_params = dict(
-            bandwidth=bandwidth, delay=delay, jitter=jitter,
-            loss_rate=loss_rate, burst_loss=burst_loss,
-            queue_limit=queue_limit,
-        )
 
     def connect(
         self,
@@ -148,7 +132,8 @@ class VirtualNetwork:
                 self.simulator,
                 seed=next(self._seed),
                 name=f"{src}->{dst}",
-                **self._default_link_params,
+                bandwidth=self.DEFAULT_BANDWIDTH,
+                delay=self.DEFAULT_DELAY,
             )
         return self._links[key]
 

@@ -197,8 +197,9 @@ def test_the_local_stream_keeps_the_seen_set_rules(history_seconds, steps):
             seed.migrate()
             cursor = max(0, cursor - k)
         elif op == "back":
+            # a jump may have run the cursor past the pool's end
             if cursor:
-                deliver(max(0, cursor - 1 - k))
+                deliver(max(0, min(cursor, len(pool)) - 1 - k))
         else:
             if op == "jump":
                 cursor += k

@@ -8,9 +8,12 @@ serializes field by field and concatenates. Both packetizers are fed the
 same generated streams: 1–4 of them on one timeline (equal timestamps
 across streams), zero-length units, units that fill a packet exactly and
 units spanning several packets, at every packet size from the smallest
-the packetizer accepts up to 6 000 bytes, in both pacing modes. Every
-packet must carry the oracle's sequence, send time, size and payloads,
-and pack to the oracle's bytes.
+the packetizer accepts up to 6 000 bytes, in both pacing modes, with
+random data, the zero block of the unit's length (a declared-size unit,
+which the packetizer cuts into blocks without slicing) or zeros that only
+equal it. Every packet must carry the oracle's sequence, send time, size
+and payloads, and pack to the oracle's bytes, and every fragment of a
+block-backed unit must be the block of its length.
 
 A second oracle is the memoizing writer that wire parts replaced:
 :func:`memo_pack_file` joins each payload's header and data, then each
@@ -36,6 +39,7 @@ from repro.asf.packets import (
     MediaUnit,
     Packetizer,
     Payload,
+    zero_block,
 )
 from repro.asf.stream import ASFFile
 from repro.asf.wire import pack_u8, pack_u16, pack_u32, pack_u64, write_object
@@ -221,11 +225,24 @@ def unit_sizes(draw, packet_size):
     return sizes
 
 
+#: what a generated unit's data is: random bytes, the zero block of its
+#: length (a declared-size unit), or zeros of its own that only equal it
+DATA_KINDS = ("random", "block", "zeros")
+
+
+def _data(kind: str, size: int, rng: random.Random) -> bytes:
+    if kind == "block":
+        return zero_block(size)
+    if kind == "zeros":
+        return bytes(bytearray(size))
+    return rng.randbytes(size)
+
+
 @st.composite
 def streams(draw):
     """``(packet_size, unit lists)``: 1–4 streams on one timeline, object
     numbers dense per stream, timestamps in 40 ms steps that collide
-    across streams."""
+    across streams; each unit's data is one of :data:`DATA_KINDS`."""
     packet_size = draw(st.integers(min_value=SMALLEST_PACKET, max_value=6_000))
     rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
     unit_lists = []
@@ -235,11 +252,29 @@ def streams(draw):
         units, ts = [], 0
         for number, size in enumerate(draw(unit_sizes(packet_size))):
             ts += 40 * draw(st.integers(min_value=0, max_value=2))
+            kind = draw(st.sampled_from(DATA_KINDS))
             units.append(
-                MediaUnit(stream, number, ts, rng.random() < 0.3, rng.randbytes(size))
+                MediaUnit(stream, number, ts, rng.random() < 0.3, _data(kind, size, rng))
             )
         unit_lists.append(units)
     return packet_size, unit_lists
+
+
+def assert_blocks_cut_into_blocks(packets, unit_lists):
+    """Every fragment of a block-backed unit is the zero block of its
+    length; no fragment of any other unit is (an empty one aside, and a
+    one-byte one, which the interpreter may intern)."""
+    blocks = {
+        (u.stream_number, u.object_number): u.data is zero_block(u.size)
+        for units in unit_lists for u in units
+    }
+    for packet in packets:
+        for payload in packet.payloads:
+            data = payload.data
+            if blocks[payload.stream_number, payload.object_number]:
+                assert data is zero_block(len(data))
+            elif len(data) > 1:
+                assert data is not zero_block(len(data))
 
 
 def assert_writes_what_the_seed_writes(packetizer, seed, unit_lists):
@@ -255,6 +290,7 @@ def assert_writes_what_the_seed_writes(packetizer, seed, unit_lists):
         assert wire == seed_pack(seed_packet)
         assert DataPacket.unpack(wire) == packet
     assert len(packets) == len(want)
+    assert_blocks_cut_into_blocks(packets, unit_lists)
     return packets
 
 
@@ -319,6 +355,7 @@ def _file_of(packets: List[DataPacket], unit_lists, packet_size: int,
 def test_wire_parts_write_what_the_memoizing_writer_wrote(drawn, pacing, indexed):
     packet_size, unit_lists = drawn
     packets = Packetizer(packet_size=packet_size, pacing=pacing).packetize(unit_lists)
+    assert_blocks_cut_into_blocks(packets, unit_lists)
     asf = _file_of(packets, unit_lists, packet_size, indexed)
     for packet in packets:
         assert packet.pack() == memo_pack_packet(packet)

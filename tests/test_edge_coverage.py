@@ -101,13 +101,6 @@ class TestServerApiCorners:
 
 
 class TestNetworkDefaults:
-    def test_set_default_link_applies_to_lazy_links(self):
-        net = VirtualNetwork()
-        net.set_default_link(bandwidth=5_000.0, delay=0.5)
-        link = net.link("a", "b")
-        assert link.bandwidth == 5_000.0
-        assert link.delay == 0.5
-
     def test_links_are_directional(self):
         net = VirtualNetwork()
         assert net.link("a", "b") is not net.link("b", "a")

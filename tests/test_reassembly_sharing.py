@@ -2,8 +2,10 @@
 
 Receivers of one in-process packet run share the reassembled
 :class:`MediaUnit` objects (the memo on the offset-0 fragment,
-``Payload._shared``). These tests gate the *count* behind the memory
-claim where RSS itself cannot be gated, and the isolation rules: a
+``Payload._shared``), and every declared-size unit of one length shares
+one zero block (``asf.packets.zero_block``). These tests gate the
+*count* behind the memory claim where RSS itself cannot be gated, and
+the isolation rules: a
 republished run, a DRM session and a copy that crossed a pickle never
 share, and the memo is invisible to bytes, equality and hashing.
 """
@@ -11,7 +13,8 @@ share, and the memo is invisible to bytes, equality and hashing.
 import pickle
 
 from repro.asf import ASFEncoder, EncoderConfig, LicenseServer, slide_commands
-from repro.asf.packets import DataPacket, Depacketizer
+from repro.asf.constants import SCRIPT_STREAM_NUMBER
+from repro.asf.packets import DataPacket, Depacketizer, zero_block
 from repro.media import AudioObject, ImageObject, VideoObject, get_profile
 from repro.streaming import MediaPlayer, MediaServer
 from repro.web import VirtualNetwork
@@ -96,8 +99,18 @@ def test_ten_players_hold_one_copy_of_every_unit():
     one = numbers(reports[0])
     assert len(one) == len(set(one)) > 0
     assert all(numbers(report) == one for report in reports)
+    units = {id(r.unit) for report in reports for r in report.rendered}
+    assert len(units) == len(one)
     held = {id(r.unit.data) for report in reports for r in report.rendered}
-    assert len(held) == len(one)
+    assert len(held) <= len(one)
+    # every declared-size unit (all but the script commands: the encoder
+    # generated no payload bytes) holds the zero block of its length
+    declared = [
+        r.unit for r in reports[0].rendered
+        if r.unit.stream_number != SCRIPT_STREAM_NUMBER
+    ]
+    assert declared and not EncoderConfig(profile=PROFILE).with_data
+    assert all(unit.data is zero_block(unit.size) for unit in declared)
     # and they are the right bytes
     expected = reference_units(asf)
     for rendered in reports[0].rendered:
