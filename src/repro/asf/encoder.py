@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import itertools
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..media.codecs import EncodedStream, ImageCodec
 from ..media.objects import AudioObject, ImageObject, VideoObject
@@ -55,10 +55,10 @@ class EncoderConfig:
     """Knobs of an encoding session."""
 
     profile: BandwidthProfile
-    packet_size: int = DEFAULT_PACKET_SIZE
-    preroll_ms: int = DEFAULT_PREROLL_MS
     with_data: bool = False  # carry real synthetic payload bytes
-    metadata: Dict[str, str] = field(default_factory=dict)
+    packet_size: ClassVar[int] = DEFAULT_PACKET_SIZE
+    preroll_ms: ClassVar[int] = DEFAULT_PREROLL_MS
+    metadata: ClassVar[Mapping[str, str]] = {}
 
 
 class EncodeCache:
@@ -117,12 +117,8 @@ class EncodeCache:
         self.bytes_saved = 0
 
     def __len__(self) -> int:
-        """Number of file-level entries (segment entries: :attr:`segment_count`)."""
+        """Number of file-level entries."""
         return len(self._entries)
-
-    @property
-    def segment_count(self) -> int:
-        return len(self._segments)
 
     # -- file scope ----------------------------------------------------
 

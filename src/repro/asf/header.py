@@ -19,7 +19,6 @@ from .constants import (
     DEFAULT_PREROLL_MS,
     FLAG_BROADCAST,
     FLAG_DRM_PROTECTED,
-    FLAG_SEEKABLE,
     MAX_STREAM_NUMBER,
     MIN_STREAM_NUMBER,
     STREAM_TYPES,
@@ -54,10 +53,6 @@ class FileProperties:
     @property
     def is_broadcast(self) -> bool:
         return bool(self.flags & FLAG_BROADCAST)
-
-    @property
-    def is_seekable(self) -> bool:
-        return bool(self.flags & FLAG_SEEKABLE)
 
     @property
     def is_protected(self) -> bool:
@@ -235,6 +230,3 @@ class HeaderObject:
         if file_properties is None:
             raise ASFError("header missing file-properties object")
         return cls(file_properties, streams, metadata, commands, drm)
-
-    def packed_size(self) -> int:
-        return len(self.pack())

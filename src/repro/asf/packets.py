@@ -625,7 +625,7 @@ def _retake(head: Payload, chain: _Chain) -> MediaUnit:
 class Depacketizer:
     """Reassembles media units from (possibly lossy) packet arrivals.
 
-    ``on_gap`` (optional) fires when an arriving sequence number implies
+    ``on_gap`` (None until a receiver assigns it) fires when an arriving sequence number implies
     earlier packets were skipped, with the sorted list of missing
     sequences — the hook the client's NAK loop
     (:mod:`repro.streaming.recovery`) hangs off.
@@ -650,16 +650,14 @@ class Depacketizer:
     repair, a reorder or a replay bisects.
     """
 
-    def __init__(
-        self, *, on_gap: Optional[Callable[[List[int]], None]] = None
-    ) -> None:
+    def __init__(self) -> None:
         self.completed: List[MediaUnit] = []
         #: sequences seen since the last replay, as run bounds
         #: ``[lo0, hi0, lo1, hi1, ...]``; the last run ends past the highest
         self._runs: List[int] = []
         self._max_sequence: Optional[int] = None
         self.suppressed_duplicates = 0
-        self.on_gap = on_gap
+        self.on_gap: Optional[Callable[[List[int]], None]] = None
         #: objects in flight: the ``open`` of the plan that left them, named
         #: by ``_serial`` (0 when nothing is open); or, while ``_serial`` is
         #: None, a dict this receiver owns (:func:`_own`)
@@ -884,11 +882,6 @@ class Depacketizer:
             lo, hi = extent.get(stream, (number if stream in late else 0, number))
             extent[stream] = (lo, max(hi, number))
         return extent
-
-    def units_for(self, stream_number: int) -> List[MediaUnit]:
-        return [
-            u for u in self.completed if u.stream_number == stream_number
-        ]
 
     def loss_report(self) -> LossReport:
         """Lost = object numbers inside a delivery window never completed.

@@ -92,8 +92,8 @@ def unpack_command_table(payload: bytes) -> List[ScriptCommand]:
 class ScriptCommandDispatcher:
     """Fires script commands as presentation time advances.
 
-    ``advance_to(t)`` fires, in order, every unfired command with
-    timestamp ≤ t. ``seek(t)`` re-synchronizes: for each *stateful* type
+    ``advance_to_ms(t)`` fires, in order, every unfired command with
+    timestamp ≤ t ms. ``seek(t)`` re-synchronizes: for each *stateful* type
     the latest command at or before ``t`` fires once (so the current slide
     appears), earlier ones are skipped, and later ones are re-armed.
     """
@@ -112,17 +112,11 @@ class ScriptCommandDispatcher:
     def pending(self) -> int:
         return len(self.commands) - self._cursor
 
-    def advance_to(self, seconds: float) -> Sequence[ScriptCommand]:
-        """Fire everything due by ``seconds``; returns what fired.
-
-        ``seconds`` rounds to media milliseconds the way the jitter buffer
-        rounds the playhead (:func:`~repro.media.clock.media_ms`), so a
-        command fires in the tick that renders a unit with its timestamp.
-        """
-        return self.advance_to_ms(media_ms(seconds))
-
     def advance_to_ms(self, due_ms: int) -> Sequence[ScriptCommand]:
-        """:meth:`advance_to` for a playhead already in media ms."""
+        """Fire everything due by the playhead ``due_ms`` (rounded from
+        seconds by :func:`~repro.media.clock.media_ms`, as the jitter
+        buffer rounds it, so a command fires in the tick that renders a
+        unit with its timestamp); returns what fired."""
         commands = self.commands
         cursor = self._cursor
         if cursor >= len(commands) or commands[cursor].timestamp_ms > due_ms:

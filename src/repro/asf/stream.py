@@ -69,11 +69,6 @@ class ASFFile:
             header.file_properties.flags |= FLAG_SEEKABLE
         return ASFFile(header=header, packets=list(self.packets), index=self.index)
 
-    def packets_from(self, seconds: float) -> List[DataPacket]:
-        """Packets to deliver for playback starting at ``seconds``."""
-        start = self.ensure_index().seek(seconds)
-        return [p for p in self.packets if p.sequence >= start]
-
     def packed_packets(self) -> List[bytes]:
         """Wire image of every packet, one ``bytes`` per packet.
 
@@ -164,12 +159,6 @@ class ASFFile:
             index = SimpleIndex.unpack_from(reader)
         return cls(header=header, packets=packets, index=index)
 
-    def save(self, path: str) -> int:
-        """Stream the file image to ``path``; returns the bytes written."""
-        with open(path, "wb") as fh:
-            fh.writelines(self._image())
-            return fh.tell()
-
     @classmethod
     def load(cls, path: str) -> "ASFFile":
         with open(path, "rb") as fh:
@@ -179,13 +168,9 @@ class ASFFile:
 class ASFLiveStream:
     """A broadcast ASF stream: header first, then an unbounded packet feed.
 
-    Two consumption styles:
-
-    * **event-driven** (the server's fast path) — :meth:`subscribe` a
-      callback; every :meth:`append` pushes the new packets to all
-      subscribers immediately, no polling;
-    * **pull** — :meth:`packets_due` drains packets whose send time has
-      arrived (kept for replay tooling and tests).
+    Consumers :meth:`subscribe` a callback; every :meth:`append` pushes the
+    new packets to all subscribers immediately, no polling, and
+    :attr:`packets` holds the feed so far for a late joiner.
     """
 
     def __init__(self, header: HeaderObject) -> None:
@@ -193,7 +178,6 @@ class ASFLiveStream:
             raise ASFError("live stream requires the broadcast flag")
         self.header = header
         self._packets: List[DataPacket] = []
-        self._cursor = 0
         self.closed = False
         self._subscribers: List[Callable[[Sequence[DataPacket]], None]] = []
 
@@ -219,10 +203,6 @@ class ASFLiveStream:
             self._subscribers.remove(callback)
 
     @property
-    def subscriber_count(self) -> int:
-        return len(self._subscribers)
-
-    @property
     def packets(self) -> Sequence[DataPacket]:
         """Everything appended so far, in order: the stream's own list,
         not a copy, so indexing a long feed costs O(1). Never mutate it."""
@@ -234,19 +214,3 @@ class ASFLiveStream:
     @property
     def available(self) -> int:
         return len(self._packets)
-
-    def packets_due(self, now_seconds: float) -> List[DataPacket]:
-        """Packets whose send time has arrived and not yet been delivered."""
-        due_ms = round(now_seconds * 1000)
-        out: List[DataPacket] = []
-        while (
-            self._cursor < len(self._packets)
-            and self._packets[self._cursor].send_time_ms <= due_ms
-        ):
-            out.append(self._packets[self._cursor])
-            self._cursor += 1
-        return out
-
-    def rewind(self) -> None:
-        """Reset the delivery cursor (a new client joining a stored feed)."""
-        self._cursor = 0

@@ -62,9 +62,6 @@ class Reader:
         self.pos += n
         return chunk
 
-    def u8(self) -> int:
-        return struct.unpack("<B", self._take(1))[0]
-
     def u16(self) -> int:
         return struct.unpack("<H", self._take(2))[0]
 
@@ -77,10 +74,6 @@ class Reader:
     def string(self) -> str:
         length = self.u16()
         return self._take(length).decode("utf-8")
-
-    def blob(self) -> bytes:
-        length = self.u32()
-        return self._take(length)
 
     def read_object(self) -> Tuple[bytes, bytes]:
         """Read one ``tag + length + payload`` object."""

@@ -46,8 +46,8 @@ class SlideRef:
     slide: str
     timestamp_ms: int
     #: first packet sequence of the run that renders this slide's
-    #: position (resolved through the ASF simple index — the same value
-    #: :meth:`ASFFile.packets_from` would start from)
+    #: position (resolved through the ASF simple index, as a seek
+    #: resolves it)
     packet_sequence: int
 
     @property

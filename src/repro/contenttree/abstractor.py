@@ -127,9 +127,12 @@ def linear_truncation(
     return tuple(kept), used
 
 
+#: the playout time of the root a flat lecture's tree hangs under, s
+ROOT_VALUE = 0.0
+
+
 def tree_from_segments(
-    segments: Sequence[Tuple[str, float, int]], *, root_name: str = "overview",
-    root_value: float = 0.0,
+    segments: Sequence[Tuple[str, float, int]], *, root_name: str = "overview"
 ) -> ContentTree:
     """Build a content tree from ``(name, duration, importance)`` triples.
 
@@ -140,7 +143,7 @@ def tree_from_segments(
     the lecture's narrative structure.
     """
     tree = ContentTree()
-    tree.initialize(root_name, root_value)
+    tree.initialize(root_name, ROOT_VALUE)
     last_at_level: dict = {0: root_name}
     for name, duration, importance in segments:
         if importance < 0:

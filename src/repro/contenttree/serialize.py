@@ -32,8 +32,8 @@ def tree_to_dict(tree: ContentTree) -> Dict[str, Any]:
     }
 
 
-def tree_to_json(tree: ContentTree, *, indent: Optional[int] = None) -> str:
-    return json.dumps(tree_to_dict(tree), indent=indent, sort_keys=True)
+def tree_to_json(tree: ContentTree) -> str:
+    return json.dumps(tree_to_dict(tree), sort_keys=True)
 
 
 def _attach_from_dict(tree: ContentTree, parent: Optional[str], data: Dict[str, Any]) -> None:

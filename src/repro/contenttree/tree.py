@@ -186,18 +186,6 @@ class ContentTree:
         parent_node.children.append(node)
         return node
 
-    def detach(self, name: str) -> ContentNode:
-        """Remove the subtree rooted at ``name`` and return it."""
-        node = self.node(name)
-        for descendant in node.subtree():
-            del self._by_name[descendant.name]
-        if node.parent is None:
-            self.root = None
-        else:
-            node.parent.children.remove(node)
-            node.parent = None
-        return node
-
     def insert(
         self,
         name: str,
@@ -309,7 +297,7 @@ class ContentTree:
 
     def promote(self, name: str) -> ContentNode:
         """Move a node one level shallower: it becomes its parent's next
-        sibling (subtree moves with it). The inverse of :meth:`demote`."""
+        sibling (subtree moves with it)."""
         node = self.node(name)
         if node.parent is None or node.parent.parent is None:
             raise ContentTreeError(
@@ -319,20 +307,6 @@ class ContentTree:
         grandparent = parent.parent
         index = grandparent.children.index(parent)
         return self.move(name, parent=grandparent.name, position=index + 1)
-
-    def demote(self, name: str) -> ContentNode:
-        """Move a node one level deeper: it becomes the last child of its
-        immediately preceding sibling."""
-        node = self.node(name)
-        if node.parent is None:
-            raise ContentTreeError("cannot demote the root")
-        siblings = node.parent.children
-        index = siblings.index(node)
-        if index == 0:
-            raise ContentTreeError(
-                f"cannot demote {name!r}: it has no preceding sibling"
-            )
-        return self.move(name, parent=siblings[index - 1].name)
 
     # ------------------------------------------------------------------
     # pretty-printing

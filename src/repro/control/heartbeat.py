@@ -235,9 +235,8 @@ class HeartbeatMonitor:
             try:
                 self.directory.mark_up(name)
             except PlacementError:
-                # removed from the directory while suspected (a watched
-                # parent taken out with remove_edge, or failed over):
-                # the beat is just noise
+                # watched but not in the directory: the beat is just
+                # noise
                 pass
             self.counters.inc("rejoins")
             if self.tracer is not None:
@@ -269,7 +268,7 @@ class HeartbeatMonitor:
         try:
             self.directory.mark_down(state.name)
         except PlacementError:
-            pass  # taken out with remove_edge while still watched
+            pass  # watched but not in the directory
         self.counters.inc("suspicions")
         self.suspicions.append(
             {"time": now, "edge": state.name, "silence": silence}

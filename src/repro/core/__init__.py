@@ -21,7 +21,7 @@ from .._exports import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
     "analysis": (
-        "ReachabilityGraph", "StateSpaceLimitExceeded", "bound", "is_p_invariant",
+        "ReachabilityGraph", "StateSpaceLimitExceeded", "is_p_invariant",
         "is_safe", "reachability_graph",
     ),
     "extended": (

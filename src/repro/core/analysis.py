@@ -8,19 +8,22 @@ theory", in the one shape the system runs (``python -m repro nets check``,
 * :func:`reachability_graph` — exhaustive exploration with a state cap;
   its dead markings, fired transitions and token bound are read off the
   one graph.
-* :func:`bound`, :func:`is_safe` — token-count limits.
+* :func:`is_safe` — at most one token per place.
 * :func:`is_p_invariant` — ``yᵀC = 0`` for a declared weight vector.
 
-All functions take the net's *initial marking* as the starting point unless
-an explicit marking is supplied.
+Exploration starts from the net's *initial marking* and stops past
+:data:`MAX_STATES` distinct markings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from .petri import Marking, PetriNet, PetriNetError
+
+#: the most distinct markings :func:`reachability_graph` explores
+MAX_STATES = 100_000
 
 
 class StateSpaceLimitExceeded(PetriNetError):
@@ -45,9 +48,6 @@ class ReachabilityGraph:
     markings: Set[Marking] = field(default_factory=set)
     edges: List[Tuple[Marking, str, Marking]] = field(default_factory=list)
 
-    def successors(self, marking: Marking) -> List[Tuple[str, Marking]]:
-        return [(t, dst) for src, t, dst in self.edges if src == marking]
-
     def transitions_fired(self) -> Set[str]:
         """Every transition that fires somewhere in the graph."""
         return {t for _, t, _ in self.edges}
@@ -65,19 +65,14 @@ class ReachabilityGraph:
         return len(self.markings)
 
 
-def reachability_graph(
-    net: PetriNet,
-    *,
-    initial: Optional[Marking] = None,
-    max_states: int = 100_000,
-) -> ReachabilityGraph:
+def reachability_graph(net: PetriNet) -> ReachabilityGraph:
     """Exhaustive construction of the reachability graph.
 
-    Raises :class:`StateSpaceLimitExceeded` if more than ``max_states``
-    distinct markings are found (the net may be unbounded, or its
-    interleavings too many to enumerate).
+    Raises :class:`StateSpaceLimitExceeded` if more than
+    :data:`MAX_STATES` distinct markings are found (the net may be
+    unbounded, or its interleavings too many to enumerate).
     """
-    start = net.initial_marking if initial is None else initial
+    start = net.initial_marking
     graph = ReachabilityGraph(initial=start)
     graph.markings.add(start)
     frontier = [start]
@@ -88,26 +83,21 @@ def reachability_graph(
             graph.edges.append((marking, t, nxt))
             if nxt not in graph.markings:
                 graph.markings.add(nxt)
-                if len(graph.markings) > max_states:
+                if len(graph.markings) > MAX_STATES:
                     raise StateSpaceLimitExceeded(
-                        f"more than {max_states} reachable markings"
+                        f"more than {MAX_STATES} reachable markings"
                     )
                 frontier.append(nxt)
     return graph
 
 
-def bound(net: PetriNet, *, max_states: int = 100_000) -> int:
-    """The k such that the net is k-bounded (max tokens in any place)."""
-    return reachability_graph(net, max_states=max_states).bound()
-
-
-def is_safe(net: PetriNet, *, max_states: int = 100_000) -> bool:
+def is_safe(net: PetriNet) -> bool:
     """True if every place holds at most one token in every reachable marking.
 
     OCPNs are safe by construction; this is a key sanity check for the
     compiled multimedia nets.
     """
-    return bound(net, max_states=max_states) <= 1
+    return reachability_graph(net).bound() <= 1
 
 
 def is_p_invariant(net: PetriNet, weights: Dict[str, int]) -> bool:

@@ -168,14 +168,6 @@ class ExtendedPresentation:
     def segment_start(self, index: int) -> float:
         return self.boundaries[index]
 
-    def active_leaves(self, position: float) -> List[str]:
-        """Media leaves whose interval covers ``position`` (render set)."""
-        return sorted(
-            name
-            for name, interval in self.schedule.items()
-            if interval.start <= position < interval.end
-        )
-
     def verify(self) -> None:
         """Check the compiled net reproduces the interval-algebra schedule."""
         from .ocpn import verify_schedule
@@ -236,11 +228,6 @@ class InteractivePlayer:
         return self.presentation.segment_index_at(
             min(self.position, self.presentation.duration - 1e-9)
         )
-
-    def active_media(self) -> List[str]:
-        if self.state != "playing":
-            return []
-        return self.presentation.active_leaves(min(self.position, self.presentation.duration - 1e-9))
 
     # -- interactions ------------------------------------------------------
 
@@ -332,10 +319,6 @@ class InteractivePlayer:
                         self._note_segment()
             if self.finished:
                 self.position = self.presentation.duration
-
-    def segment_events(self) -> List[PlayerEvent]:
-        return [e for e in self.events if e.kind == "segment"]
-
 
 # ----------------------------------------------------------------------
 # floor control (multi-user axis)
@@ -518,8 +501,8 @@ class DistributedCoordinator:
 
     The master player holds ground truth. Interaction commands are relayed
     to every site with per-link delay; every ``beacon_interval`` seconds the
-    master broadcasts its position and replicas snap to it when their drift
-    exceeds ``drift_threshold``. Setting ``beacon_interval=None`` disables
+    master broadcasts its position and replicas that drifted snap to it.
+    Setting ``beacon_interval=None`` disables
     beacons (the OCPN strawman) — bench S1 compares the two.
     """
 
@@ -529,8 +512,6 @@ class DistributedCoordinator:
         sites: Mapping[str, SiteLink],
         *,
         beacon_interval: Optional[float] = 1.0,
-        drift_threshold: float = 0.05,
-        rng=None,
     ) -> None:
         import random
 
@@ -541,8 +522,7 @@ class DistributedCoordinator:
         }
         self.links = dict(sites)
         self.beacon_interval = beacon_interval
-        self.drift_threshold = drift_threshold
-        self.rng = rng or random.Random(0)
+        self.rng = random.Random(0)
         self._pending: Dict[str, List[_PendingCommand]] = {name: [] for name in sites}
         self._next_beacon = beacon_interval
         self.drift_samples: Dict[str, List[Tuple[float, float]]] = {

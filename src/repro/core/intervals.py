@@ -99,9 +99,6 @@ class Interval:
     def shifted(self, delta: float) -> "Interval":
         return Interval(self.start + delta, self.end + delta)
 
-    def overlaps_with(self, other: "Interval") -> bool:
-        return self.start < other.end and other.start < self.end
-
 
 def relation_between(a: Interval, b: Interval, *, tol: float = 1e-9) -> TemporalRelation:
     """Classify the temporal relation of ``a`` with respect to ``b``."""

@@ -310,11 +310,15 @@ def compile_spec(spec: Spec, *, name: str = "ocpn") -> CompiledOCPN:
     return OCPNCompiler(name).compile(spec)
 
 
-def verify_schedule(compiled: CompiledOCPN, *, tol: float = 1e-6) -> Dict[str, float]:
+#: the most a leaf's played interval may differ from its specified one, s
+SCHEDULE_TOL = 1e-6
+
+
+def verify_schedule(compiled: CompiledOCPN) -> Dict[str, float]:
     """Execute the net and compare against the interval-algebra schedule.
 
     Returns per-leaf absolute start-time error; raises :class:`SpecError`
-    if any error exceeds ``tol``. This is the "theory matches practice"
+    if any error exceeds :data:`SCHEDULE_TOL`. This is the "theory matches practice"
     check the paper attributes to the Petri-net approach.
     """
     reference = spec_intervals(compiled.spec)
@@ -324,7 +328,7 @@ def verify_schedule(compiled: CompiledOCPN, *, tol: float = 1e-6) -> Dict[str, f
         got = measured[leaf]
         err = max(abs(got.start - ref.start), abs(got.end - ref.end))
         errors[leaf] = err
-        if err > tol:
+        if err > SCHEDULE_TOL:
             raise SpecError(
                 f"leaf {leaf!r}: net plays {got}, spec requires {ref} (err={err})"
             )

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 
 class PetriNetError(Exception):
@@ -180,10 +180,6 @@ class Marking(Mapping[str, int]):
         """Total number of tokens across all places."""
         return sum(self._counts.values())
 
-    def covers(self, other: "Marking") -> bool:
-        """True if this marking has at least as many tokens everywhere."""
-        return all(self[p] >= n for p, n in other.items())
-
 
 class PetriNet:
     """A place/transition net with weighted and inhibitor arcs.
@@ -304,12 +300,6 @@ class PetriNet:
         except KeyError:
             raise UnknownNodeError(f"no transition named {name!r}") from None
 
-    def has_place(self, name: str) -> bool:
-        return name in self._places
-
-    def has_transition(self, name: str) -> bool:
-        return name in self._transitions
-
     def inputs(self, transition: str) -> Dict[str, int]:
         """Map of input place name -> arc weight for ``transition``."""
         self.transition(transition)
@@ -319,10 +309,6 @@ class PetriNet:
         """Map of output place name -> arc weight for ``transition``."""
         self.transition(transition)
         return {p: a.weight for p, a in self._outputs[transition].items()}
-
-    def inhibitors(self, transition: str) -> Dict[str, int]:
-        self.transition(transition)
-        return {p: a.weight for p, a in self._inhibitors[transition].items()}
 
     def preset(self, place: str) -> Tuple[str, ...]:
         """Transitions that output into ``place``."""
@@ -400,18 +386,6 @@ class PetriNet:
         self.marking = self.successor(self.marking, transition)
         return self.marking
 
-    def fire_sequence(self, transitions: Iterable[str]) -> Marking:
-        """Fire a sequence of transitions in order; atomic on failure.
-
-        If any firing is not enabled the current marking is left unchanged
-        and :class:`NotEnabledError` is raised.
-        """
-        m = self.marking
-        for t in transitions:
-            m = self.successor(m, t)
-        self.marking = m
-        return m
-
     def run(
         self,
         *,
@@ -453,9 +427,6 @@ class PetriNet:
             for place, arc in self._outputs[t].items():
                 matrix[index[place]][j] += arc.weight
         return place_names, transition_names, matrix
-
-    def has_inhibitors(self) -> bool:
-        return any(self._inhibitors[t] for t in self._transitions)
 
     # ------------------------------------------------------------------
     # structural checks

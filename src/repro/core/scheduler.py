@@ -11,11 +11,9 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 from .intervals import Interval
-from .ocpn import CompiledOCPN
-from .timed import TimedExecution
 
 
 @dataclass(frozen=True)
@@ -51,17 +49,6 @@ class PresentationTimeline:
     def from_schedule(cls, schedule: Mapping[str, Interval]) -> "PresentationTimeline":
         return cls(TimelineEntry(m, i) for m, i in schedule.items())
 
-    @classmethod
-    def from_execution(
-        cls, compiled: CompiledOCPN, execution: Optional[TimedExecution] = None
-    ) -> "PresentationTimeline":
-        run = execution or compiled.execute()
-        entries = []
-        for media, place in compiled.media_places.items():
-            for start, end in run.playout_intervals(place):
-                entries.append(TimelineEntry(media, Interval(start, end)))
-        return cls(entries)
-
     # ------------------------------------------------------------------
 
     def __len__(self) -> int:
@@ -76,15 +63,6 @@ class PresentationTimeline:
 
     def media_names(self) -> List[str]:
         return sorted({e.media for e in self.entries})
-
-    def active_at(self, t: float) -> List[str]:
-        return sorted(e.media for e in self.entries if e.start <= t < e.end)
-
-    def entry_for(self, media: str) -> TimelineEntry:
-        for e in self.entries:
-            if e.media == media:
-                return e
-        raise KeyError(f"no timeline entry for {media!r}")
 
     def edges(self) -> List[Tuple[float, str, str]]:
         """Sorted (time, "start"|"stop", media) edge events."""

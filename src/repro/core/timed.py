@@ -75,15 +75,10 @@ class TimedPetriNet:
         *,
         max_firings: int = 100_000,
         stop_time: Optional[float] = None,
-        rate: float = 1.0,
     ) -> "TimedExecution":
-        """Run to quiescence under earliest-firing semantics.
-
-        ``rate`` scales playback speed (2.0 = double speed — used by the
-        extended net's speed-change interaction). Returns the completed
-        :class:`TimedExecution`.
-        """
-        execution = TimedExecution(self, rate=rate)
+        """Run to quiescence under earliest-firing semantics; returns the
+        completed :class:`TimedExecution`."""
+        execution = TimedExecution(self)
         execution.run(max_firings=max_firings, stop_time=stop_time)
         return execution
 
@@ -96,12 +91,9 @@ class TimedExecution:
     uses to interleave user actions (pause/skip) with net evolution.
     """
 
-    def __init__(self, timed_net: TimedPetriNet, *, rate: float = 1.0) -> None:
-        if rate <= 0:
-            raise ValueError("rate must be positive")
+    def __init__(self, timed_net: TimedPetriNet) -> None:
         self.timed_net = timed_net
         self.net = timed_net.net
-        self.rate = rate
         self.now = 0.0
         self.events: List[TimedEvent] = []
         # (unlock_time, seq, place) heap of locked tokens
@@ -149,7 +141,7 @@ class TimedExecution:
 
     def _admit_token(self, place: str, when: float) -> None:
         """A token enters ``place`` at time ``when`` and locks for tau."""
-        tau = self.timed_net.duration(place) / self.rate
+        tau = self.timed_net.duration(place)
         self.events.append(TimedEvent(when, "enter", place))
         if tau <= 0:
             self._available[place] = self._available.get(place, 0) + 1
@@ -175,18 +167,6 @@ class TimedExecution:
             top = max(self.net.transition(t).priority for t in armed)
             armed = [t for t in armed if self.net.transition(t).priority == top]
         return armed
-
-    @property
-    def available_marking(self) -> Marking:
-        """Unlocked tokens only — what transitions can see right now."""
-        return Marking(self._available)
-
-    @property
-    def pending_unlocks(self) -> int:
-        return len(self._locked)
-
-    def is_quiescent(self) -> bool:
-        return not self._locked and not self._enabled()
 
     # ------------------------------------------------------------------
 
@@ -221,23 +201,6 @@ class TimedExecution:
             for _ in range(weight):
                 self._admit_token(place, self.now)
         return event
-
-    def fire_external(self, transition: str) -> TimedEvent:
-        """Force-fire an interaction transition at the current time.
-
-        Used by the extended net: user actions (pause, skip) are transitions
-        whose tokens come from a control sub-net; they fire when the *user*
-        acts, not at the earliest moment.
-        """
-        self._release_until(self.now)
-        return self._fire(transition)
-
-    def advance_to(self, when: float) -> None:
-        """Move the clock forward, unlocking tokens along the way."""
-        if when < self.now - 1e-12:
-            raise ValueError("time cannot go backwards")
-        self.now = max(self.now, when)
-        self._release_until(self.now)
 
     def run(
         self, *, max_firings: int = 100_000, stop_time: Optional[float] = None
@@ -276,12 +239,3 @@ class TimedExecution:
             elif event.kind == "exit":
                 intervals.append((starts.pop(0), event.time))
         return intervals
-
-    def firing_times(self, transition: str) -> List[float]:
-        return [e.time for e in self.events if e.kind == "fire" and e.name == transition]
-
-    def first_start(self, place: str) -> Optional[float]:
-        for event in self.events:
-            if event.kind == "enter" and event.name == place:
-                return event.time
-        return None

@@ -97,9 +97,8 @@ class XOCPNCompiler(OCPNCompiler):
         requirements: Mapping[str, QoSRequirement],
         *,
         strategy: str = "prefetch",
-        name: str = "xocpn",
     ) -> None:
-        super().__init__(name)
+        super().__init__("xocpn")
         if strategy not in ("prefetch", "lazy"):
             raise SpecError(f"unknown strategy {strategy!r}")
         self.strategy = strategy
@@ -190,9 +189,8 @@ def compile_xocpn(
     requirements: Mapping[str, QoSRequirement],
     *,
     strategy: str = "prefetch",
-    name: str = "xocpn",
 ) -> CompiledXOCPN:
-    return XOCPNCompiler(channels, requirements, strategy=strategy, name=name).compile(spec)
+    return XOCPNCompiler(channels, requirements, strategy=strategy).compile(spec)
 
 
 @dataclass
@@ -208,16 +206,12 @@ class StallReport:
         return sum(self.per_leaf.values())
 
     @property
-    def max_stall(self) -> float:
-        return max(self.per_leaf.values(), default=0.0)
-
-    @property
     def stalled_leaves(self) -> List[str]:
         """Leaves delayed by more than a perceptual threshold (1 ms)."""
         return [name for name, s in self.per_leaf.items() if s > 1e-3]
 
 
-def measure_stalls(compiled: CompiledXOCPN, *, tol: float = 1e-9) -> StallReport:
+def measure_stalls(compiled: CompiledXOCPN) -> StallReport:
     """Execute and report per-leaf start delay vs the QoS-free schedule."""
     reference = spec_intervals(compiled.spec)
     execution = compiled.execute()

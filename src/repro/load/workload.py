@@ -148,12 +148,6 @@ class ArrivalScript:
                 latest = end
         return latest
 
-    def by_lecture(self) -> Dict[str, List[ViewerArrival]]:
-        out: Dict[str, List[ViewerArrival]] = {}
-        for arrival in self.arrivals:
-            out.setdefault(arrival.lecture, []).append(arrival)
-        return out
-
 
 def _zipf_cumulative(n: int, s: float) -> List[float]:
     weights = [1.0 / (rank ** s) for rank in range(1, n + 1)]

@@ -29,18 +29,15 @@ class CatalogError(LectureError):
 
 @dataclass
 class Course:
-    """An ordered list of lectures forming one course."""
+    """An ordered list of lectures forming one course, built by :meth:`add`."""
 
     code: str
     title: str
-    lectures: List[Lecture] = field(default_factory=list)
+    lectures: List[Lecture] = field(default_factory=list, init=False)
 
     def __post_init__(self) -> None:
         if not self.code:
             raise CatalogError("course needs a code")
-        titles = [lecture.title for lecture in self.lectures]
-        if len(set(titles)) != len(titles):
-            raise CatalogError("lecture titles must be unique within a course")
 
     def add(self, lecture: Lecture) -> None:
         if any(l.title == lecture.title for l in self.lectures):
@@ -174,13 +171,6 @@ class StudentProgress:
         entry = self._entry(course_code, lecture_title)
         entry.add_interval(start, report.duration_watched)
         entry.resume_at = report.duration_watched
-
-    def record_interval(
-        self, course_code: str, lecture_title: str, start: float, end: float
-    ) -> None:
-        entry = self._entry(course_code, lecture_title)
-        entry.add_interval(start, end)
-        entry.resume_at = max(entry.resume_at, end)
 
     def resume_position(self, course_code: str, lecture_title: str) -> float:
         """Where the student should resume (0 when finished or unseen)."""

@@ -27,6 +27,7 @@ from ..core.extended import (
     SiteLink,
 )
 from ..core.petri import NotEnabledError
+from ..metrics.stats import jain_index
 
 
 class FloorDenied(Exception):
@@ -46,31 +47,27 @@ class ClassroomEvent:
 class Classroom:
     """A shared lecture session with floor-arbitrated control."""
 
+    teacher = "teacher"
+
     def __init__(
         self,
         presentation: ExtendedPresentation,
         students: Mapping[str, SiteLink],
         *,
-        teacher: str = "teacher",
         beacon_interval: Optional[float] = 1.0,
-        drift_threshold: float = 0.05,
         tracer=None,
     ) -> None:
-        if teacher in students:
+        if self.teacher in students:
             raise ValueError("teacher must not also be a student site")
-        self.teacher = teacher
-        self.users = [teacher, *students]
+        self.users = [self.teacher, *students]
         self.floor = FloorControl(self.users, tracer=tracer)
         self.coordinator = DistributedCoordinator(
-            presentation,
-            students,
-            beacon_interval=beacon_interval,
-            drift_threshold=drift_threshold,
+            presentation, students, beacon_interval=beacon_interval
         )
         self.events: List[ClassroomEvent] = []
         # the teacher starts with the floor (they are presenting)
-        self.floor.request(teacher)
-        self._log(teacher, "request_floor", "granted")
+        self.floor.request(self.teacher)
+        self._log(self.teacher, "request_floor", "granted")
 
     # ------------------------------------------------------------------
 
@@ -143,10 +140,7 @@ class Classroom:
 
     def jain_index(self) -> float:
         """Jain's fairness index over users who requested the floor."""
-        times = [t for t in self.fairness().values() if t > 0]
-        if not times:
-            return 1.0
-        return sum(times) ** 2 / (len(times) * sum(t * t for t in times))
+        return jain_index(self.fairness().values())
 
     def denial_count(self) -> int:
         return sum(1 for e in self.events if e.action == "denied")

@@ -62,18 +62,24 @@ class InteractionScript:
         return self.actions[-1].at if self.actions else 0.0
 
 
+#: a paused student's mean hold before resuming, s
+MEAN_HOLD = 4.0
+#: the wall-time step past the end that :func:`apply_to_model`'s run-out
+#: advances by, s
+RUN_OUT_STEP = 0.05
+
+
 def random_script(
     *,
     duration: float,
     seed: int = 0,
     pause_rate: float = 0.02,
     skip_rate: float = 0.01,
-    mean_hold: float = 4.0,
 ) -> InteractionScript:
     """Seeded plausible-student behaviour over a lecture of ``duration``.
 
     Rates are per second of wall time; a pause is always paired with a
-    resume after an exponential hold.
+    resume after an exponential hold (mean :data:`MEAN_HOLD`).
     """
     rng = random.Random(seed)
     actions: List[ScriptedAction] = []
@@ -86,7 +92,7 @@ def random_script(
         if paused_until is not None and t < paused_until:
             t = paused_until
         if rng.random() < pause_rate / max(pause_rate + skip_rate, 1e-9):
-            hold = rng.expovariate(1.0 / mean_hold)
+            hold = rng.expovariate(1.0 / MEAN_HOLD)
             actions.append(ScriptedAction(round(t, 3), "pause"))
             actions.append(ScriptedAction(round(t + hold, 3), "resume"))
             paused_until = t + hold
@@ -116,13 +122,9 @@ class ModelRunResult:
 
 
 def apply_to_model(
-    presentation: ExtendedPresentation,
-    script: InteractionScript,
-    *,
-    run_out: bool = True,
-    step: float = 0.05,
+    presentation: ExtendedPresentation, script: InteractionScript
 ) -> ModelRunResult:
-    """Run the extended-net player through ``script``.
+    """Run the extended-net player through ``script``, then on to the end.
 
     Illegal actions (e.g. resume while playing) are counted as rejected —
     the control subnet's whole point is that they cannot corrupt state.
@@ -151,14 +153,13 @@ def apply_to_model(
             applied += 1
         except NotEnabledError:
             rejected += 1
-    if run_out:
-        while not player.finished and player.state in ("playing", "paused"):
-            if player.state == "paused":
-                player.resume()
-                applied += 1
-            remaining = presentation.duration - player.position
-            player.advance(remaining / player.rate + step)
-            now += remaining / player.rate + step
+    while not player.finished and player.state in ("playing", "paused"):
+        if player.state == "paused":
+            player.resume()
+            applied += 1
+        remaining = presentation.duration - player.position
+        player.advance(remaining / player.rate + RUN_OUT_STEP)
+        now += remaining / player.rate + RUN_OUT_STEP
     return ModelRunResult(player, applied, rejected, now)
 
 

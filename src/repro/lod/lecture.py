@@ -17,7 +17,7 @@ to express itself in the two formal vocabularies of the system:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..asf.script_commands import (
     ScriptCommand,
@@ -129,12 +129,6 @@ class Lecture:
                 return s
         raise LectureError(f"no segment named {name!r}")
 
-    def segment_at(self, t: float) -> LectureSegment:
-        for s in self.segments:
-            if s.start <= t < s.end:
-                return s
-        return self.segments[-1]
-
     @classmethod
     def from_slide_durations(
         cls,
@@ -200,9 +194,6 @@ class Lecture:
                     )
                 )
         return sorted(commands)
-
-    def slide_schedule(self) -> List[Tuple[str, float]]:
-        return [(s.name, s.start) for s in self.segments]
 
     def to_presentation(self) -> ExtendedPresentation:
         """The extended-net view: one Petri-net segment per slide.

@@ -120,18 +120,21 @@ class Orchestrator:
         )
 
 
+#: how far a SLIDE command may sit from its net start: one wire-timestamp
+#: quantum, s
+ORCHESTRATION_TOL = 1e-3
+
+
 def verify_orchestration(
     lecture: Lecture,
     commands: List[ScriptCommand],
     net_schedule: Dict[str, Tuple[float, float]],
-    *,
-    tol: float = 1e-3,
 ) -> float:
     """Cross-check script commands against the Petri-net playout schedule.
 
     For every SLIDE command, the net's playout interval for the slide's
-    image leaf must start at the command timestamp (within ``tol``, one
-    wire-timestamp quantum). Returns the max absolute error; raises
+    image leaf must start at the command timestamp (within
+    :data:`ORCHESTRATION_TOL`). Returns the max absolute error; raises
     :class:`OrchestrationError` beyond tolerance.
     """
     slide_commands = {
@@ -149,7 +152,7 @@ def verify_orchestration(
         command_time = slide_commands[segment.name]
         error = abs(net_start - command_time)
         worst = max(worst, error)
-        if error > tol:
+        if error > ORCHESTRATION_TOL:
             raise OrchestrationError(
                 f"slide {segment.name!r}: command at {command_time}s but the "
                 f"net plays it at {net_start}s (err {error:g}s)"

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..asf.drm import LicenseServer
 from ..contenttree import Abstractor, ContentTree
 from ..streaming.client import MediaPlayer, PlaybackReport, PlayerState
 from ..web.http import VirtualNetwork
@@ -75,25 +74,15 @@ class LODPlayback:
         host: str,
         lecture: Lecture,
         url: str,
-        *,
-        license_server: Optional[LicenseServer] = None,
-        sync_mode: str = "script",
     ) -> None:
         self.network = network
         self.host = host
         self.lecture = lecture
         self.url = url
-        self.license_server = license_server
-        self.sync_mode = sync_mode
         self._schedule = {s.name: (s.start, s.end) for s in lecture.segments}
 
     def _new_player(self) -> MediaPlayer:
-        return MediaPlayer(
-            self.network,
-            self.host,
-            license_server=self.license_server,
-            sync_mode=self.sync_mode,
-        )
+        return MediaPlayer(self.network, self.host)
 
     # ------------------------------------------------------------------
 

@@ -38,7 +38,6 @@ from ..asf.stream import ASFFile
 from ..contenttree.abstractor import Abstractor
 from ..contenttree.serialize import tree_from_json
 from ..media.codecs import ImageCodec
-from ..media.objects import ImageObject, VideoObject
 from ..media.profiles import PROFILE_BY_NAME, BandwidthProfile, get_profile
 from ..streaming.server import MediaServer, PublishError
 from ..web.http import HTTPClient, HTTPError, HTTPRequest, HTTPResponse, form_decode
@@ -53,64 +52,24 @@ class PublishFormError(LectureError):
 class MediaStore:
     """Named storage standing in for the teacher's disk.
 
-    The Fig. 5 form references media by *path*; the store maps those paths
-    to media objects. ``register_lecture`` is the common case: one video
-    path plus one slide directory.
+    The Fig. 5 form references media by *path*; the store maps a lecture's
+    video path and slide directory to the lecture.
     """
 
     def __init__(self) -> None:
-        self._videos: Dict[str, VideoObject] = {}
-        self._slide_dirs: Dict[str, List[Tuple[ImageObject, float]]] = {}
         self._lectures: Dict[Tuple[str, str], Lecture] = {}
-
-    def register_video(self, path: str, video: VideoObject) -> None:
-        self._videos[path] = video
-
-    def register_slides(
-        self, directory: str, slides: List[Tuple[ImageObject, float]]
-    ) -> None:
-        """``slides`` is (image, show_at_seconds) in presentation order."""
-        self._slide_dirs[directory] = list(slides)
 
     def register_lecture(self, video_path: str, slide_dir: str, lecture: Lecture) -> None:
         """Register a complete lecture under a (video path, slide dir) pair."""
-        self._videos[video_path] = lecture.video
-        self._slide_dirs[slide_dir] = [(s.slide, s.start) for s in lecture.segments]
         self._lectures[(video_path, slide_dir)] = lecture
 
     def lookup_lecture(self, video_path: str, slide_dir: str) -> Lecture:
-        key = (video_path, slide_dir)
-        if key in self._lectures:
-            return self._lectures[key]
-        # assemble a lecture from separately registered parts
-        if video_path not in self._videos:
+        lecture = self._lectures.get((video_path, slide_dir))
+        if lecture is not None:
+            return lecture
+        if all(video != video_path for video, _ in self._lectures):
             raise PublishFormError(f"video path not found: {video_path!r}")
-        if slide_dir not in self._slide_dirs:
-            raise PublishFormError(f"slide directory not found: {slide_dir!r}")
-        video = self._videos[video_path]
-        slides = self._slide_dirs[slide_dir]
-        if not slides:
-            raise PublishFormError(f"slide directory {slide_dir!r} is empty")
-        segments = []
-        ordered = sorted(slides, key=lambda pair: pair[1])
-        for i, (image, start) in enumerate(ordered):
-            end = (
-                ordered[i + 1][1] if i + 1 < len(ordered) else video.duration
-            )
-            segments.append(
-                LectureSegment(
-                    name=image.name,
-                    slide=image,
-                    start=start,
-                    duration=end - start,
-                )
-            )
-        return Lecture(
-            title=video.name,
-            author="unknown",
-            video=video,
-            segments=segments,
-        )
+        raise PublishFormError(f"slide directory not found: {slide_dir!r}")
 
 
 @dataclass

@@ -11,7 +11,6 @@ broadcast (paper §2.5: "broadcast their encoded content in real time").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from ..asf.encoder import ASFEncoder, EncoderConfig, LiveEncoderSession
@@ -30,14 +29,13 @@ from ..net.engine import PeriodicTask, Simulator
 from .lecture import Lecture, LectureError, LectureSegment, TimedAnnotation
 
 
-@dataclass(frozen=True)
 class CameraSource:
     """A camera: fixed resolution and frame rate."""
 
-    width: int = 320
-    height: int = 240
-    fps: float = 15.0
-    seed: str = "camera"
+    width = 320
+    height = 240
+    fps = 15.0
+    seed = "camera"
 
     def captured_video(self, name: str, duration: float) -> VideoObject:
         return VideoObject(
@@ -46,13 +44,12 @@ class CameraSource:
         )
 
 
-@dataclass(frozen=True)
 class MicrophoneSource:
     """A microphone: fixed sample format."""
 
-    sample_rate: int = 22_050
-    channels: int = 1
-    seed: str = "microphone"
+    sample_rate = 22_050
+    channels = 1
+    seed = "microphone"
 
     def captured_audio(self, name: str, duration: float) -> AudioObject:
         return AudioObject(
@@ -68,22 +65,20 @@ class LectureRecorder:
     times, then :meth:`finish` to get the :class:`Lecture`.
     """
 
+    slide_width = 1024
+    slide_height = 768
+
     def __init__(
         self,
         title: str,
         author: str,
         *,
-        camera: Optional[CameraSource] = None,
         microphone: Optional[MicrophoneSource] = None,
-        slide_width: int = 1024,
-        slide_height: int = 768,
     ) -> None:
         self.title = title
         self.author = author
-        self.camera = camera or CameraSource()
+        self.camera = CameraSource()
         self.microphone = microphone
-        self.slide_width = slide_width
-        self.slide_height = slide_height
         self._marks: List[Tuple[float, str, int]] = []  # (time, slide name, importance)
         self._annotations: List[Tuple[float, AnnotationObject]] = []
         self._finished = False
@@ -107,16 +102,12 @@ class LectureRecorder:
         return slide_name
 
     def annotate(
-        self, at: float, text: str, *, duration: float = 5.0,
-        region: Tuple[float, float, float, float] = (0.1, 0.1, 0.9, 0.9),
+        self, at: float, text: str, *, duration: float = 5.0
     ) -> AnnotationObject:
         """The teacher writes an annotation at ``at`` seconds."""
         self._check_recording()
         annotation = AnnotationObject(
-            f"note{len(self._annotations)}",
-            duration,
-            text=text,
-            region=region,
+            f"note{len(self._annotations)}", duration, text=text
         )
         self._annotations.append((at, annotation))
         return annotation
@@ -181,20 +172,19 @@ class LiveCaptureSession:
 
     VIDEO_STREAM = 1
     AUDIO_STREAM = 2
+    FILE_ID = "live-lecture"
 
     def __init__(
         self,
         simulator: Simulator,
         profile: BandwidthProfile,
         *,
-        file_id: str = "live-lecture",
-        camera: Optional[CameraSource] = None,
         microphone: Optional[MicrophoneSource] = None,
         chunk: float = 0.5,
     ) -> None:
         self.simulator = simulator
         self.profile = profile
-        self.camera = camera or CameraSource()
+        self.camera = CameraSource()
         self.microphone = microphone
         self.chunk = chunk
         streams = [
@@ -212,7 +202,7 @@ class LiveCaptureSession:
             )
         encoder = ASFEncoder(EncoderConfig(profile=profile))
         self.session: LiveEncoderSession = encoder.start_live(
-            file_id=file_id, streams=streams
+            file_id=self.FILE_ID, streams=streams
         )
         self._origin = simulator.now
         self._video_index = 0

@@ -40,7 +40,6 @@ class SharedViewing:
         users: Sequence[str],
         *,
         moderator: Optional[str] = None,
-        license_server=None,
     ) -> None:
         if not users:
             raise ValueError("shared viewing needs at least one user")
@@ -52,8 +51,7 @@ class SharedViewing:
             raise ValueError("moderator must be one of the users")
         self.floor = FloorControl(self.users)
         self.players: Dict[str, MediaPlayer] = {
-            user: MediaPlayer(network, user, license_server=license_server)
-            for user in self.users
+            user: MediaPlayer(network, user) for user in self.users
         }
         self.events: List[SharedEvent] = []
         self.floor.request(self.moderator)

@@ -39,13 +39,10 @@ class PresentationClock:
 
     All methods take the current wall time; the clock never reads a real
     OS clock, so simulations are deterministic. Supports pause/resume and
-    rate changes; :meth:`media_time` is the presentation position.
+    seeks; :meth:`media_time` is the presentation position.
     """
 
-    def __init__(self, *, rate: float = 1.0) -> None:
-        if rate <= 0:
-            raise ClockError("rate must be positive")
-        self._rate = rate
+    def __init__(self) -> None:
         self._anchor_wall: Optional[float] = None  # None = not started
         self._anchor_media = 0.0
         self._paused = False
@@ -57,10 +54,6 @@ class PresentationClock:
     @property
     def paused(self) -> bool:
         return self._paused
-
-    @property
-    def rate(self) -> float:
-        return self._rate
 
     def start(self, wall_time: float, *, media_time: float = 0.0) -> None:
         if self.started:
@@ -74,7 +67,7 @@ class PresentationClock:
             return self._anchor_media
         if self._paused:
             return self._anchor_media
-        return self._anchor_media + (wall_time - self._anchor_wall) * self._rate
+        return self._anchor_media + (wall_time - self._anchor_wall)
 
     def pause(self, wall_time: float) -> None:
         if not self.started or self._paused:
@@ -88,21 +81,8 @@ class PresentationClock:
         self._anchor_wall = wall_time
         self._paused = False
 
-    def set_rate(self, wall_time: float, rate: float) -> None:
-        if rate <= 0:
-            raise ClockError("rate must be positive")
-        self._anchor_media = self.media_time(wall_time)
-        self._anchor_wall = wall_time
-        self._rate = rate
-
     def seek(self, wall_time: float, media_time: float) -> None:
         if media_time < 0:
             raise ClockError("media time must be >= 0")
         self._anchor_media = media_time
         self._anchor_wall = wall_time
-
-    def wall_time_of(self, wall_now: float, media_time: float) -> float:
-        """Wall time at which ``media_time`` will be reached (running clock)."""
-        if not self.started or self._paused:
-            raise ClockError("clock is not running")
-        return wall_now + (media_time - self.media_time(wall_now)) / self._rate

@@ -73,9 +73,6 @@ class EncodedStream:
         raw = self.media.raw_size()
         return raw / self.total_size if self.total_size else float("inf")
 
-    def keyframe_timestamps(self) -> List[float]:
-        return [u.timestamp for u in self.units if u.keyframe]
-
 
 @dataclass(frozen=True)
 class Codec:
@@ -206,13 +203,12 @@ class Codec:
         return 1.0 - math.exp(-12.0 * bpp * self.efficiency)
 
 
-@dataclass(frozen=True)
 class ImageCodec:
     """Still-image compressor for slides (JPEG-like fixed-ratio model)."""
 
-    name: str = "slidejpeg"
-    compression_ratio: float = 20.0
-    quality: float = 0.9
+    name = "slidejpeg"
+    compression_ratio = 20.0
+    quality = 0.9
 
     def fingerprint(self) -> tuple:
         """Hashable identity of the compressor (see :meth:`Codec.fingerprint`)."""

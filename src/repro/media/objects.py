@@ -14,7 +14,7 @@ import enum
 import hashlib
 import struct
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional
 
 
 class MediaType(enum.Enum):
@@ -225,23 +225,14 @@ class ImageObject(MediaObject):
 
 @dataclass(frozen=True)
 class AnnotationObject(MediaObject):
-    """A teacher's annotation/comment anchored to a slide region."""
+    """A teacher's annotation/comment on the current slide."""
 
     text: str = ""
-    slide: str = ""
-    region: Tuple[float, float, float, float] = (0.0, 0.0, 1.0, 1.0)
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        x0, y0, x1, y1 = self.region
-        if not (0 <= x0 < x1 <= 1 and 0 <= y0 < y1 <= 1):
-            raise MediaError(
-                f"{self.name!r}: region must be normalized (x0<x1, y0<y1 in [0,1])"
-            )
 
     @property
     def media_type(self) -> MediaType:
         return MediaType.ANNOTATION
 
     def raw_size(self) -> int:
-        return len(self.text.encode("utf-8")) + 4 * 8  # text + region floats
+        # text + the four floats of the slide region it is drawn over
+        return len(self.text.encode("utf-8")) + 4 * 8

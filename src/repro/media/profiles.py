@@ -15,7 +15,7 @@ profile fitting a link capacity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from .codecs import Codec, CodecError, EncodedStream, get_codec
 from .objects import AudioObject, MediaError, VideoObject
@@ -93,11 +93,12 @@ def get_profile(name: str) -> BandwidthProfile:
         ) from None
 
 
-def select_profile(
-    link_bitrate: float, *, headroom: float = 0.9,
-    profiles: Optional[List[BandwidthProfile]] = None,
-) -> BandwidthProfile:
-    """Highest-rate profile fitting ``link_bitrate`` with ``headroom``.
+#: the share of a link :func:`select_profile` fills
+HEADROOM = 0.9
+
+
+def select_profile(link_bitrate: float) -> BandwidthProfile:
+    """Highest standard profile fitting ``link_bitrate`` with :data:`HEADROOM`.
 
     Mirrors the configuration window's guidance: pick the profile matching
     the audience's connection, leaving margin for protocol overhead. Falls
@@ -106,6 +107,6 @@ def select_profile(
     """
     if link_bitrate <= 0:
         raise MediaError("link_bitrate must be positive")
-    ladder = sorted(profiles or STANDARD_PROFILES, key=lambda p: p.total_bitrate)
-    usable = [p for p in ladder if p.total_bitrate <= link_bitrate * headroom]
+    ladder = sorted(STANDARD_PROFILES, key=lambda p: p.total_bitrate)
+    usable = [p for p in ladder if p.total_bitrate <= link_bitrate * HEADROOM]
     return usable[-1] if usable else ladder[0]

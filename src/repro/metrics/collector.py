@@ -57,18 +57,3 @@ class MetricsCollector:
             rows.append(row)
         return format_table(headers, rows, title=self.name)
 
-    def crossover(self, a: str, b: str) -> Optional[float]:
-        """Smallest shared x where series ``a`` stops beating series ``b``.
-
-        Useful for "where does the baseline overtake" statements: returns
-        the first x (in sorted order) at which ``a``'s value exceeds
-        ``b``'s, or None if it never does.
-        """
-        xs = [x for x, _ in self.series(a)]
-        for x in xs:
-            va, vb = self.value_at(a, x), self.value_at(b, x)
-            if va is None or vb is None:
-                continue
-            if va > vb:
-                return x
-        return None

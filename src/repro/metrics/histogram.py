@@ -25,13 +25,11 @@ from .stats import percentile
 class Histogram:
     """Exact-value histogram over floats, with per-value weights."""
 
-    def __init__(self, name: str = "", values: Iterable[float] = ()) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
         self._values: List[float] = []
         self._counts: List[int] = []
         self._total_count = 0
-        for value in values:
-            self.record(value)
 
     def record(self, value: float, count: int = 1) -> None:
         """Record ``value`` as if it occurred ``count`` times."""

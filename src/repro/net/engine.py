@@ -335,13 +335,6 @@ class Simulator:
         """Live (scheduled, not yet run or cancelled) event count — O(1)."""
         return len(self._pending_seqs)
 
-    def pending_blockers(self) -> int:
-        """Pending events that are not skippable periodic ticks — O(1).
-
-        Zero means :meth:`fast_forward` can leap the current window.
-        """
-        return len(self._pending_seqs) - len(self._skippable_seqs)
-
 
 def _first_tick_after(epoch: float, interval: float, to: float) -> int:
     """Index of the first grid point ``epoch + n·interval`` strictly after ``to``."""

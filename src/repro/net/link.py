@@ -200,10 +200,6 @@ class Link:
         return lost
 
     @property
-    def queue_depth(self) -> int:
-        return self._queued
-
-    @property
     def landing_horizon(self) -> float:
         """Latest instant the last message this link accepted can land:
         its serialization end plus the longest propagation. Past it the

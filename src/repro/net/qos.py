@@ -80,9 +80,6 @@ class QoSManager:
     def available(self) -> float:
         return self.capacity - self.reserved
 
-    def can_admit(self, spec: QoSSpec) -> bool:
-        return spec.bandwidth <= self.available
-
     def reserve(self, spec: QoSSpec, *, owner: str = "") -> Reservation:
         """Admit or raise :class:`QoSError` explaining the failure."""
         if spec.bandwidth > self.available:
@@ -130,6 +127,3 @@ class QoSManager:
             )
             raise QoSError(f"leaked reservations: {owners}")
 
-    def best_effort_bandwidth(self, demand: float) -> float:
-        """Rate available to an unreserved flow asking for ``demand``."""
-        return max(0.0, min(demand, self.available))

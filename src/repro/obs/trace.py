@@ -34,26 +34,26 @@ class TraceError(Exception):
 class Tracer:
     """An append-only stream of span/event records with one clock.
 
-    ``clock`` is anything exposing a float ``now`` attribute (a
-    :class:`~repro.net.engine.Simulator`) or a zero-argument callable
-    returning seconds; ``None`` stamps every record ``t=0.0`` (ordering
-    still comes from ``seq``). Use :meth:`bind_clock` to attach the
-    simulator once the network exists — records made before binding keep
-    their original timestamps.
+    Records are stamped ``t=0.0`` (ordering still comes from ``seq``)
+    until :meth:`bind_clock` attaches a clock once the network exists —
+    records made before binding keep their original timestamps.
     """
 
-    def __init__(self, name: str = "trace", clock: Any = None) -> None:
+    def __init__(self, name: str = "trace") -> None:
         self.name = name
         self.records: List[Dict[str, Any]] = []
         self._span_ids = itertools.count(1)
         self._seq = itertools.count(1)
         self._open_spans: Dict[int, str] = {}
-        self.bind_clock(clock)
+        self.bind_clock(None)
 
     # ------------------------------------------------------------------
 
     def bind_clock(self, clock: Any) -> None:
-        """Attach the time source for subsequent records."""
+        """Attach the time source for subsequent records: anything
+        exposing a float ``now`` attribute (a
+        :class:`~repro.net.engine.Simulator`), a zero-argument callable
+        returning seconds, or ``None`` for ``t=0.0``."""
         if clock is None:
             self._now: Callable[[], float] = lambda: 0.0
         elif hasattr(clock, "now"):

@@ -93,9 +93,6 @@ class BackboneBudget:
     def available(self, link: Tuple[str, str]) -> float:
         return self.capacity(link) - self.reserved(link)
 
-    def can_admit(self, link: Tuple[str, str], bandwidth: float) -> bool:
-        return bandwidth <= self.available(link)
-
     # ------------------------------------------------------------------
 
     def reserve(

@@ -9,8 +9,7 @@ depleting to zero while the stream is still open is a rebuffer event.
 Both work in integer media milliseconds: the player rounds its playhead
 once per tick with :func:`~repro.media.clock.media_ms` and asks both
 questions with the same number, so a unit counted as runway is exactly one
-not yet due. :meth:`pop_due` and :meth:`depth` are the same questions in
-float seconds.
+not yet due. :meth:`depth` is the same question in float seconds.
 """
 
 from __future__ import annotations
@@ -68,10 +67,6 @@ class JitterBuffer:
     def __len__(self) -> int:
         return len(self._times) - self._head
 
-    def peek_timestamp(self) -> Optional[float]:
-        times, head = self._times, self._head
-        return times[head] / 1000.0 if head < len(times) else None
-
     def pop_due_ms(self, due_ms: int) -> List[MediaUnit]:
         """All units stamped ≤ ``due_ms``, in timestamp order."""
         times, head = self._times, self._head
@@ -99,10 +94,6 @@ class JitterBuffer:
             if lowest is None or horizon < lowest:
                 lowest = horizon
         return None if lowest is None else lowest - pos_ms
-
-    def pop_due(self, position: float) -> List[MediaUnit]:
-        """All units with timestamp ≤ ``position`` seconds, in order."""
-        return self.pop_due_ms(media_ms(position))
 
     def depth(self, position: float, streams: Optional[List[int]] = None) -> float:
         """Seconds of runway past ``position`` over ``streams`` (default:

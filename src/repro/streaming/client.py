@@ -701,29 +701,6 @@ class MediaPlayer:
             FiredCommand(self.simulator.now, self.position, command)
         )
 
-    @property
-    def current_slide(self) -> Optional[str]:
-        """The slide currently on screen (last SLIDE command fired)."""
-        for fired in reversed(self.fired):
-            if fired.command.type == "SLIDE":
-                return fired.command.parameter
-        return None
-
-    def active_annotations(self, *, lifetime: float = 5.0) -> List[str]:
-        """Annotations fired within ``lifetime`` seconds of media time.
-
-        The wire format carries no explicit annotation end, so the overlay
-        applies a display lifetime — matching how the original player
-        showed teacher comments for a few seconds.
-        """
-        position = self.position
-        return [
-            fired.command.parameter
-            for fired in self.fired
-            if fired.command.type == "ANNOTATION"
-            and fired.position <= position <= fired.position + lifetime
-        ]
-
     # ------------------------------------------------------------------
     # render loop
     # ------------------------------------------------------------------

@@ -283,8 +283,7 @@ VNODES = 64
 
 class _EdgeEntry:
     __slots__ = (
-        "name", "url", "relay", "capacity", "down", "manual_load",
-        "region", "placeable",
+        "name", "url", "relay", "capacity", "down", "region", "placeable",
     )
 
     def __init__(
@@ -301,14 +300,11 @@ class _EdgeEntry:
         self.relay = relay
         self.capacity = capacity
         self.down = False
-        self.manual_load = 0
         self.region = region
         self.placeable = placeable
 
     def load(self) -> int:
-        if self.relay is not None:
-            return len(self.relay.sessions)
-        return self.manual_load
+        return len(self.relay.sessions) if self.relay is not None else 0
 
     def available(self) -> bool:
         if self.down:
@@ -392,27 +388,11 @@ class EdgeDirectory:
         self._parents[region] = name
         return name
 
-    def remove_edge(self, name: str) -> None:
-        if name not in self._edges:
-            raise PlacementError(f"no edge {name!r}")
-        if self._edges.pop(name).placeable:
-            self._ring = [(h, n) for h, n in self._ring if n != name]
-            self._ring_edges -= 1
-        for point in list(self._holders):
-            self.forget_fill(name, point)
-        for region, parent in list(self._parents.items()):
-            if parent == name:
-                del self._parents[region]
-
     def mark_down(self, name: str) -> None:
         self._entry(name).down = True
 
     def mark_up(self, name: str) -> None:
         self._entry(name).down = False
-
-    def set_load(self, name: str, load: int) -> None:
-        """Manual load for relay-less (url-only) entries."""
-        self._entry(name).manual_load = load
 
     def relays(self) -> Dict[str, Optional["EdgeRelay"]]:
         """``{name: relay}`` for every registered relay — leaves *and*
@@ -433,10 +413,6 @@ class EdgeDirectory:
 
     def parent_name(self, region: str) -> Optional[str]:
         return self._parents.get(region)
-
-    def parent_url(self, region: str) -> Optional[str]:
-        name = self._parents.get(region)
-        return self._entry(name).url if name is not None else None
 
     # -- parent failover ------------------------------------------------
 

@@ -122,7 +122,7 @@ class SessionTable:
         #: so per-point lookups never scan the whole table
         self._by_point: Dict[str, Dict[int, StreamSession]] = {}
         #: sessions currently STREAMING or PAUSED, kept current by the
-        #: transition observer — active_sessions() never scans the table
+        #: transition observer, so finding them never scans the table
         self._active: Dict[int, StreamSession] = {}
         self._ids = itertools.count(1)
         self.total_created = 0
@@ -202,10 +202,6 @@ class SessionTable:
                 bytes_sent=session.bytes_sent,
             )
         return session
-
-    def active_sessions(self) -> List[StreamSession]:
-        """STREAMING/PAUSED sessions — indexed, not a table scan."""
-        return list(self._active.values())
 
     def all(self) -> List[StreamSession]:
         """Every registered session regardless of state."""

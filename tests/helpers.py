@@ -41,3 +41,16 @@ def net_from(name, tokens, transitions, *chains) -> PetriNet:
             net.add_arc(source, target)
     net.validate()
     return net
+
+
+def firing_times(execution, transition):
+    """When a timed execution fired ``transition``, in order."""
+    return [
+        e.time for e in execution.events
+        if e.kind == "fire" and e.name == transition
+    ]
+
+
+def units_for(depacketizer, stream_number):
+    """The units a depacketizer completed on one stream, in order."""
+    return [u for u in depacketizer.completed if u.stream_number == stream_number]

@@ -22,6 +22,7 @@ from repro.asf.script_commands import (
     unpack_command_table,
 )
 from repro.asf.wire import Reader
+from tests.helpers import units_for
 
 
 def random_units(seed: int):
@@ -54,7 +55,7 @@ def test_packetize_depacketize_lossless(seed, packet_size):
     for units in unit_lists:
         stream = units[0].stream_number
         got = sorted(
-            depacketizer.units_for(stream), key=lambda u: u.object_number
+            units_for(depacketizer, stream), key=lambda u: u.object_number
         )
         assert got == units
 

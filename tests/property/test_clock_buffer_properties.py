@@ -6,7 +6,7 @@ import sys
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.asf.packets import MediaUnit
-from repro.media.clock import ClockError, PresentationClock
+from repro.media.clock import ClockError, PresentationClock, media_ms
 from repro.streaming.buffer import JitterBuffer
 
 
@@ -24,14 +24,12 @@ def apply_ops(seed: int, n_ops: int = 30):
     samples = [(wall, clock.media_time(wall), clock.paused)]
     for _ in range(n_ops):
         wall += rng.uniform(0.01, 2.0)
-        op = rng.choice(["tick", "pause", "resume", "rate", "seek"])
+        op = rng.choice(["tick", "pause", "resume", "seek"])
         try:
             if op == "pause":
                 clock.pause(wall)
             elif op == "resume":
                 clock.resume(wall)
-            elif op == "rate":
-                clock.set_rate(wall, rng.choice([0.5, 1.0, 2.0]))
             elif op == "seek":
                 clock.seek(wall, rng.uniform(0, 100))
         except ClockError:
@@ -74,33 +72,17 @@ def test_media_time_monotone_between_seeks(seed):
     last = clock.media_time(wall)
     for _ in range(30):
         wall += rng.uniform(0.01, 1.0)
-        op = rng.choice(["tick", "pause", "resume", "rate"])
+        op = rng.choice(["tick", "pause", "resume"])
         try:
             if op == "pause":
                 clock.pause(wall)
             elif op == "resume":
                 clock.resume(wall)
-            elif op == "rate":
-                clock.set_rate(wall, rng.choice([0.5, 1.0, 3.0]))
         except ClockError:
             pass
         now = clock.media_time(wall)
         assert now >= last - 1e-9  # no seeks => never goes backwards
         last = now
-
-
-@settings(deadline=None, max_examples=50)
-@given(
-    st.floats(min_value=0.1, max_value=10.0),
-    st.floats(min_value=0.1, max_value=5.0),
-    st.floats(min_value=0.25, max_value=4.0),
-)
-def test_rate_scales_elapsed_media_time(run_for, idle, rate):
-    clock = PresentationClock(rate=rate)
-    clock.start(0.0)
-    assert clock.media_time(run_for) == (
-        __import__("pytest").approx(run_for * rate)
-    )
 
 
 # ----------------------------------------------------------------------
@@ -130,7 +112,7 @@ def test_pop_due_returns_sorted_and_conserves(seed):
     position = 0.0
     while len(buffer):
         position += rng.uniform(0.1, 5.0)
-        popped.extend(buffer.pop_due(position))
+        popped.extend(buffer.pop_due_ms(media_ms(position)))
     timestamps = [u.timestamp_ms for u in popped]
     assert timestamps == sorted(timestamps)
     assert sorted(u.object_number for u in popped) == sorted(
@@ -145,7 +127,7 @@ def test_pop_due_never_returns_future_units(seed):
     for unit in random_units(seed):
         buffer.push(unit)
     position = 7.5
-    for unit in buffer.pop_due(position):
+    for unit in buffer.pop_due_ms(media_ms(position)):
         assert unit.timestamp <= position + 1e-9
     for unit in buffer.pop_due_ms(sys.maxsize):
         assert unit.timestamp > position - 1e-3
@@ -210,7 +192,7 @@ def test_ms_api_matches_float_api(rounds, streams):
         pending = [entry for entry in pending if entry[0] > due_ms]
         expected = [unit for _, _, unit in due]
         assert by_ms.pop_due_ms(due_ms) == expected
-        assert by_seconds.pop_due(position) == expected
+        assert by_seconds.pop_due_ms(media_ms(position)) == expected
         # runway: min horizon over the streams, None once one is unseen
         if streams and all(s in horizons for s in streams):
             runway = min(horizons[s] for s in streams) - due_ms

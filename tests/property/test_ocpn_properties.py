@@ -10,9 +10,11 @@ For randomly generated specification trees over all thirteen relations:
 """
 
 import random
+from unittest.mock import patch
 
 from hypothesis import given, settings, strategies as st
 
+from repro.core import analysis
 from repro.core.analysis import is_safe, reachability_graph
 from repro.core.intervals import TemporalRelation, relation_between
 from repro.core.ocpn import (
@@ -101,7 +103,7 @@ def random_spec(rng: random.Random, depth: int, counter: list):
 def test_compiled_net_matches_interval_algebra(seed, depth):
     spec = random_spec(random.Random(seed), depth, [0])
     compiled = compile_spec(spec)
-    errors = verify_schedule(compiled, tol=1e-6)
+    errors = verify_schedule(compiled)
     assert max(errors.values(), default=0.0) <= 1e-6
 
 
@@ -110,7 +112,8 @@ def test_compiled_net_matches_interval_algebra(seed, depth):
 def test_compiled_net_is_safe(seed, depth):
     spec = random_spec(random.Random(seed), depth, [0])
     compiled = compile_spec(spec)
-    assert is_safe(compiled.timed_net.net, max_states=50_000)
+    with patch.object(analysis, "MAX_STATES", 50_000):
+        assert is_safe(compiled.timed_net.net)
 
 
 @settings(deadline=None, max_examples=40)
@@ -127,7 +130,8 @@ def test_makespan_equals_spec_duration(seed, depth):
 def test_single_token_reaches_done(seed):
     spec = random_spec(random.Random(seed), 2, [0])
     compiled = compile_spec(spec)
-    graph = reachability_graph(compiled.timed_net.net, max_states=50_000)
+    with patch.object(analysis, "MAX_STATES", 50_000):
+        graph = reachability_graph(compiled.timed_net.net)
     finals = graph.dead_markings()
     assert len(finals) == 1
     assert finals[0] == {"P_done": 1}

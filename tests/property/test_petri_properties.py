@@ -12,10 +12,12 @@ Invariants checked on randomly generated nets and firing sequences:
 """
 
 import random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import analysis
 from repro.core.analysis import is_p_invariant, reachability_graph
 from repro.core.petri import Marking, PetriNet
 
@@ -50,13 +52,6 @@ def test_marking_delta_roundtrip(base, delta):
     up = m.with_delta(delta)
     down = up.with_delta({k: -v for k, v in delta.items()})
     assert down == m
-
-
-@given(counts, counts)
-def test_covers_iff_componentwise(a, b):
-    ma, mb = Marking(a), Marking(b)
-    expected = all(ma[p] >= mb[p] for p in set(a) | set(b))
-    assert ma.covers(mb) == expected
 
 
 # ----------------------------------------------------------------------
@@ -141,7 +136,8 @@ def test_p_invariant_checker_matches_every_firing(seed, ws):
 def test_reachability_graph_closed_under_firing(seed):
     net = random_net(seed, n_places=4, n_transitions=3)
     try:
-        graph = reachability_graph(net, max_states=2_000)
+        with patch.object(analysis, "MAX_STATES", 2_000):
+            graph = reachability_graph(net)
     except Exception:
         return  # unbounded net: over the state cap, not this test
     for marking in graph.markings:
@@ -155,7 +151,8 @@ def test_reachability_graph_closed_under_firing(seed):
 def test_graph_edges_are_valid_firings(seed):
     net = random_net(seed, n_places=4, n_transitions=3)
     try:
-        graph = reachability_graph(net, max_states=2_000)
+        with patch.object(analysis, "MAX_STATES", 2_000):
+            graph = reachability_graph(net)
     except Exception:
         return
     for src, t, dst in graph.edges:

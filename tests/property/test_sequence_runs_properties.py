@@ -89,7 +89,8 @@ def test_runs_filter_what_a_set_filters(sizes, packet_size, data):
     ops = data.draw(st.lists(st.sampled_from(OPS), min_size=n, max_size=n))
     lags = data.draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
     gaps = ([], [])
-    receiver = Depacketizer(on_gap=gaps[0].append)
+    receiver = Depacketizer()
+    receiver.on_gap = gaps[0].append
     seed = SeedDepacketizer(on_gap=gaps[1].append)
     for op, index in schedule_from(ops, lags):
         if op in ("replay", "suppress"):

@@ -239,9 +239,6 @@ class SeedJitterBuffer:
     def __len__(self):
         return len(self._heap)
 
-    def peek_timestamp(self):
-        return self._heap[0][0] / 1000.0 if self._heap else None
-
     def pop_due_ms(self, due_ms):
         out = []
         while self._heap and self._heap[0][0] <= due_ms:
@@ -310,7 +307,6 @@ def test_the_sorted_run_answers_what_the_heap_answers(ops):
             buffer.clear()
             seed.clear()
         assert len(buffer) == len(seed)
-        assert buffer.peek_timestamp() == seed.peek_timestamp()
         for streams in ([1], [1, 2], [1, 2, 3], []):
             assert buffer.runway_ms(playhead, streams) == seed.runway_ms(
                 playhead, streams
@@ -319,7 +315,7 @@ def test_the_sorted_run_answers_what_the_heap_answers(ops):
     rest, seed_rest = buffer.pop_due_ms(sys.maxsize), seed.pop_due_ms(sys.maxsize)
     assert len(rest) == len(seed_rest)
     assert all(a is b for a, b in zip(rest, seed_rest))
-    assert len(buffer) == 0 and buffer.peek_timestamp() is None
+    assert len(buffer) == 0
 
 
 # ----------------------------------------------------------------------
@@ -356,7 +352,8 @@ class Noted:
             runway=lambda: runway,
             on_downshift=lambda: False,
         )
-        self.depacketizer = Depacketizer(on_gap=self.recovery.observe_gaps)
+        self.depacketizer = Depacketizer()
+        self.depacketizer.on_gap = self.recovery.observe_gaps
 
     def state(self):
         timer = self.recovery._timer

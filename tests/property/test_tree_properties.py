@@ -25,7 +25,7 @@ def random_tree_ops(seed: int, n_ops: int = 25) -> ContentTree:
     counter = 0
     for _ in range(n_ops):
         names = [n.name for n in tree.nodes()]
-        op = rng.choice(["attach", "attach", "attach", "insert", "delete", "detach"])
+        op = rng.choice(["attach", "attach", "attach", "insert", "delete"])
         counter += 1
         new = f"n{counter}"
         if op == "attach":
@@ -40,10 +40,6 @@ def random_tree_ops(seed: int, n_ops: int = 25) -> ContentTree:
             candidates = [n for n in names if n != "root"]
             if candidates:
                 tree.delete(rng.choice(candidates))
-        elif op == "detach":
-            candidates = [n for n in names if n != "root"]
-            if candidates and len(names) > 2:
-                tree.detach(rng.choice(candidates))
     return tree
 
 

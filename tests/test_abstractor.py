@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.contenttree.abstractor as abstractor
 from repro.contenttree import (
     Abstractor,
     ContentTree,
@@ -175,8 +176,9 @@ class TestTreeFromSegments:
         with pytest.raises(ContentTreeError):
             tree_from_segments([("a", 10, -1)])
 
-    def test_root_value_counts_in_level0(self):
-        tree = tree_from_segments([("a", 10, 0)], root_value=5)
+    def test_root_value_counts_in_level0(self, monkeypatch):
+        monkeypatch.setattr(abstractor, "ROOT_VALUE", 5)
+        tree = tree_from_segments([("a", 10, 0)])
         assert tree.presentation_time(0) == 5
 
 

@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.core import analysis
 from repro.core.analysis import (
     StateSpaceLimitExceeded,
-    bound,
     is_p_invariant,
     is_safe,
     reachability_graph,
@@ -47,14 +47,10 @@ class TestReachability:
         graph = reachability_graph(cycle_net())
         assert Marking({"p1": 1}) in graph.markings
 
-    def test_state_cap_enforced(self):
+    def test_state_cap_enforced(self, monkeypatch):
+        monkeypatch.setattr(analysis, "MAX_STATES", 10)
         with pytest.raises(StateSpaceLimitExceeded):
-            reachability_graph(producer_net(), max_states=10)
-
-    def test_successors(self):
-        graph = reachability_graph(cycle_net())
-        succ = graph.successors(Marking({"p1": 1}))
-        assert succ == [("t1", Marking({"p2": 1}))]
+            reachability_graph(producer_net())
 
     def test_is_reachable(self):
         markings = reachability_graph(terminating_net()).markings
@@ -63,25 +59,25 @@ class TestReachability:
 
     def test_explicit_initial_marking(self):
         net = cycle_net()
-        graph = reachability_graph(net, initial=Marking({"p2": 1}))
+        net.set_marking({"p2": 1})
+        graph = reachability_graph(net)
         assert graph.initial == Marking({"p2": 1})
 
 
 class TestBoundedness:
     def test_cycle_is_safe(self):
         assert is_safe(cycle_net())
-        assert bound(cycle_net()) == 1
+        assert reachability_graph(cycle_net()).bound() == 1
 
     def test_two_bounded(self):
         net = net_from("two", {"p": 2, "q": 0}, ["t"], ("p", "t", "q"))
-        assert bound(net) == 2
         assert reachability_graph(net).bound() == 2
         assert not is_safe(net)
 
     def test_empty_net_bound_zero(self):
         net = PetriNet()
         net.add_place("p")
-        assert bound(net) == 0
+        assert reachability_graph(net).bound() == 0
 
 
 class TestLivenessDeadlock:

@@ -35,9 +35,9 @@ COMMANDS = slide_commands([("s0", 0.0), ("s1", 4.5)])
 SOURCES = dict(video=VIDEO, audio=AUDIO, images=IMAGES, commands=COMMANDS)
 
 
-def encoder(cache=None):
-    config = EncoderConfig(profile=LADDER[0], metadata={"title": "T"})
-    return ASFEncoder(config, cache=cache)
+def encoder(monkeypatch, cache=None):
+    monkeypatch.setattr(EncoderConfig, "metadata", {"title": "T"})
+    return ASFEncoder(EncoderConfig(profile=LADDER[0]), cache=cache)
 
 
 class TestGoldenFingerprints:
@@ -45,8 +45,8 @@ class TestGoldenFingerprints:
         asf = harness.encode_lecture("lec0", 12.0)
         assert asf.fingerprint() == "77961d347d4d97d8fa79713bff43cd1f76b8a855"
 
-    def test_three_rendition_mbr_file(self):
-        asf = encoder().encode_file_mbr(
+    def test_three_rendition_mbr_file(self, monkeypatch):
+        asf = encoder(monkeypatch).encode_file_mbr(
             file_id="mbr0", renditions=LADDER, **SOURCES
         )
         assert asf.fingerprint() == "20b09ab4b8d4e2cd3f547f77acdf7d28b4a28207"
@@ -160,27 +160,27 @@ class TestCacheKeysUnchanged:
             tuple(sorted(cfg.metadata.items())),
         )
 
-    def test_old_single_rate_key_hits(self):
+    def test_old_single_rate_key_hits(self, monkeypatch):
         cache = EncodeCache()
-        enc = encoder(cache)
+        enc = encoder(monkeypatch, cache)
         old_key = (
             "f", VIDEO, AUDIO, tuple(IMAGES), tuple(sorted(COMMANDS)),
             enc.config.profile,
         ) + self.old_tail(enc)
-        stored = encoder().encode_file(file_id="f", **SOURCES)
+        stored = encoder(monkeypatch).encode_file(file_id="f", **SOURCES)
         cache.store(old_key, stored)
         assert enc.encode_file(file_id="f", **SOURCES) is stored
         assert (cache.hits, cache.misses) == (1, 0)
 
-    def test_old_mbr_key_hits(self):
+    def test_old_mbr_key_hits(self, monkeypatch):
         cache = EncodeCache()
-        enc = encoder(cache)
+        enc = encoder(monkeypatch, cache)
         ordered = sorted(LADDER, key=lambda p: p.video_bitrate)
         old_key = (
             "mbr", "f", VIDEO, AUDIO, tuple(IMAGES), tuple(sorted(COMMANDS)),
             tuple(ordered),
         ) + self.old_tail(enc)
-        stored = encoder().encode_file_mbr(
+        stored = encoder(monkeypatch).encode_file_mbr(
             file_id="f", renditions=LADDER, **SOURCES
         )
         cache.store(old_key, stored)

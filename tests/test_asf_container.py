@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.asf.constants import ASFError, FLAG_BROADCAST, SCRIPT_STREAM_NUMBER
+from repro.asf.constants import (
+    ASFError, FLAG_BROADCAST, FLAG_SEEKABLE, SCRIPT_STREAM_NUMBER,
+)
 from repro.asf.header import FileProperties, HeaderObject, StreamProperties
 from repro.asf.indexer import SimpleIndex, add_script_commands
 from repro.asf.packets import (
@@ -18,6 +20,7 @@ from repro.asf.packets import (
 from repro.asf.script_commands import ScriptCommand
 from repro.asf.stream import ASFFile, ASFLiveStream
 from repro.asf.wire import Reader, pack_str, write_object
+from tests.helpers import units_for
 
 
 class TestWire:
@@ -105,7 +108,7 @@ class TestHeader:
 
     def test_flags(self):
         props = FileProperties("f", flags=FLAG_BROADCAST)
-        assert props.is_broadcast and not props.is_seekable
+        assert props.is_broadcast and not props.flags & FLAG_SEEKABLE
 
 
 def make_units(stream=1, count=5, size=100, spacing_ms=100):
@@ -210,7 +213,7 @@ class TestPacketizer:
             clone = DataPacket.unpack(packet.pack())
             assert clone == packet
             depacketizer.push_packet(clone)
-        assert depacketizer.units_for(1) == units
+        assert units_for(depacketizer, 1) == units
 
     def test_zero_bitrate_rejected(self):
         with pytest.raises(ASFError):
@@ -230,13 +233,13 @@ class TestDepacketizer:
     def test_lossless_reassembly(self):
         units = make_units(count=10, size=400)
         depk = self.roundtrip([units])
-        got = depk.units_for(1)
+        got = units_for(depk, 1)
         assert got == units
 
     def test_fragmented_reassembly(self):
         units = [MediaUnit(1, 0, 0, True, bytes(range(256)) * 30)]
         depk = self.roundtrip([units], packet_size=600)
-        assert depk.units_for(1)[0].data == units[0].data
+        assert units_for(depk, 1)[0].data == units[0].data
 
     def test_loss_detection(self):
         # 1380-byte units fill a 1450-byte packet exactly one-to-one
@@ -258,7 +261,7 @@ class TestDepacketizer:
     def test_fragment_loss_kills_whole_object(self):
         units = [MediaUnit(1, 0, 0, True, b"q" * 4000)]
         depk = self.roundtrip([units], drop={1})
-        assert depk.units_for(1) == []
+        assert units_for(depk, 1) == []
         assert depk.loss_report().lost[1] == [0]
 
     def test_loss_rate_empty_stream(self):

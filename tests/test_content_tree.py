@@ -202,19 +202,6 @@ class TestOperations:
         tree.attach("S9", 20, level=2)
         assert tree.node("S9").parent.name == "S4"
 
-    def test_detach_subtree(self):
-        tree = build_example_tree()
-        removed = tree.detach("S1")
-        assert "S1" not in tree and "S2" not in tree and "S3" not in tree
-        assert len(tree) == 2
-        # the detached subtree stays intact
-        assert [n.name for n in removed.subtree()] == ["S1", "S2", "S3"]
-
-    def test_detach_root_empties_tree(self):
-        tree = build_example_tree()
-        tree.detach("S0")
-        assert tree.root is None and len(tree) == 0
-
     def test_second_initialize_rejected(self):
         tree = build_example_tree()
         with pytest.raises(ContentTreeError):

@@ -320,9 +320,9 @@ class TestDrainFallback:
 
         def drain_and_remove():
             stats.update(home_relay.drain(directory))
-            # the phantom leaves the ring so the client's reconnect
+            # the phantom is marked down so the client's reconnect
             # resolves to the restarted successor, not the dead address
-            directory.remove_edge("ghost")
+            directory.mark_down("ghost")
 
         net.simulator.schedule_at(8.0, drain_and_remove)
         report = finish(net, player)
@@ -370,40 +370,4 @@ class TestDrainUpstreamHandoff:
         assert checker.handoffs_seen == 1
         # the draining edge's own origin replica settled once the
         # successor's fill session released it
-        assert len(origin.sessions) == 0
-
-
-class TestDrainThenRemove:
-    def test_removed_holder_leaves_registry_and_placement(self):
-        """Decommission by hand: drain a relay that holds the point,
-        then take it out of the directory. It stops being a fill source
-        and a placement target, and nothing it held leaks at the origin."""
-        tracer = Tracer("drain-remove")
-        net, origin, directory, relays = make_tier(tracer=tracer, tree=True)
-        home = directory.place("student|lecture")
-        home_url = directory.edge_url(home)
-        home_relay = next(r for r in relays if r.name == home)
-
-        player = start_player(net, directory, tracer)
-        net.simulator.run_until(4.0)
-        assert home in directory.holders("lecture")
-        stats = {}
-
-        def decommission():
-            stats.update(home_relay.drain(directory))
-            directory.remove_edge(home)
-
-        net.simulator.schedule_at(8.0, decommission)
-        report = finish(net, player)
-
-        assert stats == {"handoffs": 1, "fallbacks": 0}
-        assert report.rebuffer_count == 0
-        assert home not in directory.holders("lecture")
-        assert directory.holders("lecture")
-        assert not any(
-            directory.url_for(f"client{i}", "lecture").startswith(home_url)
-            for i in range(200)
-        )
-        checker = teardown_audit(origin, relays, tracer)
-        assert checker.handoffs_seen == 1
         assert len(origin.sessions) == 0

@@ -12,6 +12,8 @@ tier relies on:
 * exhausted rings raise :class:`PlacementError`.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.streaming import EdgeDirectory, PlacementError
@@ -27,6 +29,13 @@ def build(names=EDGES, *, seed=7, capacity=None):
             name, url=f"http://{name}:8080", capacity=capacity
         )
     return directory
+
+
+def fill(directory, name, load):
+    """Give a url-only edge ``load`` open sessions."""
+    directory._entry(name).relay = SimpleNamespace(
+        sessions=[None] * load, crashed=False, draining=False
+    )
 
 
 class TestDeterminism:
@@ -60,8 +69,7 @@ class TestRingStability:
     def test_leave_moves_only_the_departed_edges_keys(self):
         full = build()
         before = {k: full.place(k) for k in KEYS}
-        reduced = build()
-        reduced.remove_edge("edge3")
+        reduced = build([name for name in EDGES if name != "edge3"])
         after = {k: reduced.place(k) for k in KEYS}
         for key in KEYS:
             if before[key] != "edge3":
@@ -102,9 +110,9 @@ class TestAdmission:
         directory = build(capacity=2)
         key = KEYS[0]
         order = directory.spill_order(key)
-        directory.set_load(order[0], 2)  # primary full
+        fill(directory, order[0], 2)  # primary full
         assert directory.place(key) == order[1]
-        directory.set_load(order[1], 2)
+        fill(directory, order[1], 2)
         assert directory.place(key) == order[2]
 
     def test_spill_order_lists_every_edge_once(self):

@@ -32,9 +32,8 @@ def sources():
     return video, audio, images
 
 
-def make_encoder(cache, **config_kwargs):
-    config = EncoderConfig(profile=get_profile("isdn-dual"), **config_kwargs)
-    return ASFEncoder(config, cache=cache)
+def make_encoder(cache):
+    return ASFEncoder(EncoderConfig(profile=get_profile("isdn-dual")), cache=cache)
 
 
 class TestEncodeCache:
@@ -72,28 +71,24 @@ class TestEncodeCache:
         assert lan is not isdn
         assert cache.hits == 0
 
-    def test_packet_size_changes_miss(self):
+    def test_packet_size_changes_miss(self, monkeypatch):
         cache = EncodeCache()
         video, _, _ = sources()
-        small = make_encoder(cache, packet_size=800).encode_file(
-            file_id="L", video=video
-        )
-        large = make_encoder(cache, packet_size=2_000).encode_file(
-            file_id="L", video=video
-        )
+        monkeypatch.setattr(EncoderConfig, "packet_size", 800)
+        small = make_encoder(cache).encode_file(file_id="L", video=video)
+        monkeypatch.setattr(EncoderConfig, "packet_size", 2_000)
+        large = make_encoder(cache).encode_file(file_id="L", video=video)
         assert small is not large
         assert small.header.file_properties.packet_size == 800
         assert large.header.file_properties.packet_size == 2_000
 
-    def test_metadata_changes_miss(self):
+    def test_metadata_changes_miss(self, monkeypatch):
         cache = EncodeCache()
         video, _, _ = sources()
-        first = make_encoder(cache, metadata={"title": "x"}).encode_file(
-            file_id="L", video=video
-        )
-        second = make_encoder(cache, metadata={"title": "y"}).encode_file(
-            file_id="L", video=video
-        )
+        monkeypatch.setattr(EncoderConfig, "metadata", {"title": "x"})
+        first = make_encoder(cache).encode_file(file_id="L", video=video)
+        monkeypatch.setattr(EncoderConfig, "metadata", {"title": "y"})
+        second = make_encoder(cache).encode_file(file_id="L", video=video)
         assert first is not second
 
     def test_drm_bypasses_cache(self):
@@ -223,7 +218,7 @@ class TestMBRCache:
         )
         assert protected is not again
         assert len(cache) == 0
-        assert cache.segment_count == 0
+        assert len(cache._segments) == 0
         assert (cache.hits, cache.misses) == (0, 0)
         assert (cache.segment_hits, cache.segment_misses) == (0, 0)
 
@@ -236,7 +231,7 @@ class TestSegmentScope:
             file_id="L", video=video, audio=audio, images=images
         )
         assert len(cache) == 1  # one file entry
-        assert cache.segment_count == 4  # video + audio + two slides
+        assert len(cache._segments) == 4  # video + audio + two slides
         assert cache.segment_misses == 4
 
     def test_segment_reuse_across_file_ids(self):
@@ -254,7 +249,7 @@ class TestSegmentScope:
         cache = EncodeCache()
         video, audio, _ = sources()
         make_encoder(cache).encode_file(file_id="L", video=video, audio=audio)
-        assert cache.segment_count == 1
+        assert len(cache._segments) == 1
         assert cache.evictions == 1
 
 

@@ -91,7 +91,7 @@ class TestReuse:
         farm = EncodeFarm(cache=cache)
         farm.encode_batch([video_job()], use_cache=False)
         farm.encode_batch([video_job()], use_cache=False)
-        assert cache.segment_count == 0
+        assert len(cache._segments) == 0
         assert (cache.segment_hits, cache.segment_misses) == (0, 0)
         assert farm.encodes_performed == 2
 

@@ -49,7 +49,8 @@ class TestControlNet:
 
     def test_stop_absorbing(self):
         net = build_control_net()
-        net.fire_sequence(["t_play", "t_stop"])
+        net.fire("t_play")
+        net.fire("t_stop")
         assert net.enabled() == []
 
 
@@ -81,11 +82,6 @@ class TestExtendedPresentation:
         with pytest.raises(ValueError):
             lecture(10).segment_index_at(-1)
 
-    def test_active_leaves(self):
-        p = lecture(10, 8)
-        assert p.active_leaves(5) == ["img0", "v0"]
-        assert p.active_leaves(12) == ["img1", "v1"]
-
     def test_verify_compiled_schedule(self):
         lecture(10, 8, 12).verify()
 
@@ -94,7 +90,6 @@ class TestInteractivePlayer:
     def test_initial_state_idle(self):
         player = InteractivePlayer(lecture(10, 8))
         assert player.state == "idle"
-        assert player.active_media() == []
 
     def test_play_advances_position(self):
         player = InteractivePlayer(lecture(10, 8))
@@ -193,27 +188,20 @@ class TestInteractivePlayer:
         player = InteractivePlayer(lecture(5, 5, 5))
         player.play()
         player.advance(14)
-        names = [e.detail for e in player.segment_events()]
+        names = [e.detail for e in (e for e in player.events if e.kind == "segment")]
         assert names == ["seg0", "seg1", "seg2"]
 
     def test_segment_events_from_skip(self):
         player = InteractivePlayer(lecture(5, 5, 5))
         player.play()
         player.skip_forward()
-        names = [e.detail for e in player.segment_events()]
+        names = [e.detail for e in (e for e in player.events if e.kind == "segment")]
         assert names == ["seg0", "seg1"]
 
     def test_negative_advance_rejected(self):
         player = InteractivePlayer(lecture(5))
         with pytest.raises(ValueError):
             player.advance(-1)
-
-    def test_active_media_empty_when_paused(self):
-        player = InteractivePlayer(lecture(5))
-        player.play()
-        player.advance(1)
-        player.pause()
-        assert player.active_media() == []
 
     def test_seek(self):
         player = InteractivePlayer(lecture(5, 5))

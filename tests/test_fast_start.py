@@ -206,7 +206,7 @@ class TestBurstFitsTheLink:
             net.simulator.run_until(net.simulator.now + 0.01)
             elapsed = net.simulator.now
             assert link.stats.bytes_delivered * 8 <= bandwidth * elapsed
-            deepest = max(deepest, link.queue_depth)
+            deepest = max(deepest, link._queued)
         # the whole preroll is across well before real time would have
         # sent it, without ever filling the default 64-message queue
         assert got[-1].send_time_ms >= PREROLL * 1000.0

@@ -27,11 +27,6 @@ class TestInterval:
     def test_shifted(self):
         assert Interval(1, 2).shifted(3) == Interval(4, 5)
 
-    def test_overlaps_with(self):
-        assert Interval(0, 2).overlaps_with(Interval(1, 3))
-        assert not Interval(0, 1).overlaps_with(Interval(1, 2))
-
-
 class TestRelationBetween:
     @pytest.mark.parametrize(
         "a, b, expected",

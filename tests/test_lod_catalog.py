@@ -1,5 +1,7 @@
 """Unit tests for courses, catalog search, and student progress."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.lod import Lecture, MediaStore, WebPublishingManager
@@ -47,11 +49,14 @@ class TestCourse:
             course.add(lecture("A"))
 
     def test_total_duration(self):
-        course = Course("C1", "t", [lecture("A"), lecture("B", slides=3)])
+        course = Course("C1", "t")
+        course.add(lecture("A"))
+        course.add(lecture("B", slides=3))
         assert course.total_duration == 50.0
 
     def test_lecture_lookup(self):
-        course = Course("C1", "t", [lecture("A")])
+        course = Course("C1", "t")
+        course.add(lecture("A"))
         assert course.lecture("A").title == "A"
         with pytest.raises(CatalogError):
             course.lecture("Z")
@@ -98,6 +103,11 @@ class TestCourseCatalog:
             catalog.course("XX")
 
 
+def watched(seconds):
+    """A playback report that watched up to ``seconds``."""
+    return SimpleNamespace(duration_watched=seconds)
+
+
 class TestStudentProgress:
     def test_record_session_and_resume(self, catalog_world):
         net, catalog, _ = catalog_world
@@ -115,7 +125,7 @@ class TestStudentProgress:
     def test_partial_watch_resumes_midway(self, catalog_world):
         net, catalog, _ = catalog_world
         progress = StudentProgress("maria", catalog)
-        progress.record_interval("CS401", "Petri Net Basics", 0.0, 12.0)
+        progress.record_session("CS401", "Petri Net Basics", watched(12.0), start=0.0)
         assert progress.resume_position(
             "CS401", "Petri Net Basics"
         ) == pytest.approx(12.0)
@@ -126,9 +136,9 @@ class TestStudentProgress:
     def test_intervals_merge(self, catalog_world):
         net, catalog, _ = catalog_world
         progress = StudentProgress("m", catalog)
-        progress.record_interval("CS401", "Petri Net Basics", 0.0, 5.0)
-        progress.record_interval("CS401", "Petri Net Basics", 3.0, 8.0)
-        progress.record_interval("CS401", "Petri Net Basics", 15.0, 20.0)
+        progress.record_session("CS401", "Petri Net Basics", watched(5.0), start=0.0)
+        progress.record_session("CS401", "Petri Net Basics", watched(8.0), start=3.0)
+        progress.record_session("CS401", "Petri Net Basics", watched(20.0), start=15.0)
         assert progress.lecture_completion(
             "CS401", "Petri Net Basics"
         ) == pytest.approx(13.0 / 20.0)
@@ -136,8 +146,8 @@ class TestStudentProgress:
     def test_rewatching_does_not_double_count(self, catalog_world):
         net, catalog, _ = catalog_world
         progress = StudentProgress("m", catalog)
-        progress.record_interval("CS401", "Petri Net Basics", 0.0, 10.0)
-        progress.record_interval("CS401", "Petri Net Basics", 0.0, 10.0)
+        progress.record_session("CS401", "Petri Net Basics", watched(10.0), start=0.0)
+        progress.record_session("CS401", "Petri Net Basics", watched(10.0), start=0.0)
         assert progress.lecture_completion(
             "CS401", "Petri Net Basics"
         ) == pytest.approx(0.5)
@@ -145,7 +155,7 @@ class TestStudentProgress:
     def test_course_completion_weighted_by_duration(self, catalog_world):
         net, catalog, course = catalog_world
         progress = StudentProgress("m", catalog)
-        progress.record_interval("CS401", "Petri Net Basics", 0.0, 20.0)
+        progress.record_session("CS401", "Petri Net Basics", watched(20.0), start=0.0)
         # 20 of 70 total seconds
         assert progress.course_completion("CS401") == pytest.approx(20 / 70)
 
@@ -153,17 +163,17 @@ class TestStudentProgress:
         net, catalog, _ = catalog_world
         progress = StudentProgress("m", catalog)
         assert progress.next_unfinished("CS401") == "Petri Net Basics"
-        progress.record_interval("CS401", "Petri Net Basics", 0.0, 20.0)
+        progress.record_session("CS401", "Petri Net Basics", watched(20.0), start=0.0)
         assert progress.next_unfinished("CS401") == "OCPN and XOCPN"
-        progress.record_interval("CS401", "OCPN and XOCPN", 0.0, 30.0)
-        progress.record_interval("CS401", "Streaming Protocols", 0.0, 20.0)
+        progress.record_session("CS401", "OCPN and XOCPN", watched(30.0), start=0.0)
+        progress.record_session("CS401", "Streaming Protocols", watched(20.0), start=0.0)
         assert progress.next_unfinished("CS401") is None
 
     def test_unknown_lecture_rejected(self, catalog_world):
         net, catalog, _ = catalog_world
         progress = StudentProgress("m", catalog)
         with pytest.raises(CatalogError):
-            progress.record_interval("CS401", "Nope", 0, 1)
+            progress.record_session("CS401", "Nope", watched(1), start=0)
 
     def test_student_needs_name(self, catalog_world):
         net, catalog, _ = catalog_world

@@ -87,13 +87,6 @@ class TestLectureModel:
                 ],
             )
 
-    def test_segment_at(self):
-        lec = simple_lecture()
-        assert lec.segment_at(0).name == "slide0"
-        assert lec.segment_at(15).name == "slide1"
-        assert lec.segment_at(39.9).name == "slide2"
-        assert lec.segment_at(99).name == "slide2"  # clamped
-
     def test_segment_lookup(self):
         lec = simple_lecture()
         assert lec.segment("slide1").duration == 20.0
@@ -144,12 +137,6 @@ class TestLectureFormalViews:
         assert tree.presentation_time(1) == 20.0
         assert tree.presentation_time(2) == 40.0
 
-    def test_slide_schedule(self):
-        assert simple_lecture().slide_schedule() == [
-            ("slide0", 0.0), ("slide1", 10.0), ("slide2", 30.0)
-        ]
-
-
 class TestRecorder:
     def test_basic_recording(self):
         rec = LectureRecorder("T", "A", microphone=MicrophoneSource())
@@ -166,8 +153,10 @@ class TestRecorder:
         rec.start()
         assert rec.finish(10.0).audio is None
 
-    def test_camera_parameters_flow_through(self):
-        rec = LectureRecorder("T", "A", camera=CameraSource(width=640, height=480, fps=30))
+    def test_camera_parameters_flow_through(self, monkeypatch):
+        for name, value in (("width", 640), ("height", 480), ("fps", 30)):
+            monkeypatch.setattr(CameraSource, name, value)
+        rec = LectureRecorder("T", "A")
         rec.start()
         lec = rec.finish(5.0)
         assert lec.video.width == 640 and lec.video.fps == 30

@@ -14,7 +14,7 @@ from repro.lod import (
     WebPublishingManager,
     verify_orchestration,
 )
-from repro.media import ImageObject, VideoObject, get_profile
+from repro.media import get_profile
 from repro.metrics import get_counters
 from repro.streaming import MediaPlayer, MediaServer
 from repro.web import HTTPClient, VirtualNetwork, form_encode
@@ -105,32 +105,13 @@ class TestMediaStore:
         _, _, store, _, lec = world
         assert store.lookup_lecture("/v/lec.mpg", "/slides/") is lec
 
-    def test_assembles_from_parts(self):
-        store = MediaStore()
-        video = VideoObject("talk", 20.0)
-        store.register_video("/v/x.mpg", video)
-        store.register_slides(
-            "/s/", [(ImageObject("a", 10.0), 0.0), (ImageObject("b", 10.0), 10.0)]
-        )
-        lec = store.lookup_lecture("/v/x.mpg", "/s/")
-        assert [s.name for s in lec.segments] == ["a", "b"]
-        assert lec.segments[1].duration == 10.0
-
     def test_missing_paths(self):
         store = MediaStore()
         with pytest.raises(PublishFormError):
             store.lookup_lecture("/nope", "/s/")
-        store.register_video("/v", VideoObject("v", 10.0))
+        store.register_lecture("/v", "/s/", lecture())
         with pytest.raises(PublishFormError):
             store.lookup_lecture("/v", "/missing")
-
-    def test_empty_slide_dir(self):
-        store = MediaStore()
-        store.register_video("/v", VideoObject("v", 10.0))
-        store.register_slides("/s/", [])
-        with pytest.raises(PublishFormError):
-            store.lookup_lecture("/v", "/s/")
-
 
 class TestWebPublishingManager:
     def test_programmatic_publish(self, world):

@@ -100,14 +100,7 @@ class TestImageTextAnnotation:
         with pytest.raises(MediaError):
             ImageObject("s", 5, width=-1)
 
-    def test_annotation_region_validation(self):
-        with pytest.raises(MediaError):
-            AnnotationObject("n", 2, region=(0.5, 0.0, 0.4, 1.0))
-        with pytest.raises(MediaError):
-            AnnotationObject("n", 2, region=(0.0, 0.0, 1.5, 1.0))
-
     def test_annotation_valid(self):
-        ann = AnnotationObject("n", 2, text="look", slide="s1",
-                               region=(0.1, 0.1, 0.5, 0.3))
+        ann = AnnotationObject("n", 2, text="look")
         assert ann.media_type is MediaType.ANNOTATION
         assert ann.raw_size() == 4 + 32

@@ -102,19 +102,6 @@ class TestCollector:
         table = c.as_table(x_label="load")
         assert "fig" in table and "-" in table
 
-    def test_crossover(self):
-        c = MetricsCollector()
-        for x, (ya, yb) in enumerate([(1, 2), (2, 2), (3, 2)]):
-            c.record("a", x, ya)
-            c.record("b", x, yb)
-        assert c.crossover("a", "b") == 2
-
-    def test_no_crossover(self):
-        c = MetricsCollector()
-        c.record("a", 0, 1)
-        c.record("b", 0, 2)
-        assert c.crossover("a", "b") is None
-
     def test_summary(self):
         c = MetricsCollector()
         for i in range(10):

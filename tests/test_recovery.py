@@ -114,7 +114,8 @@ class TestDepacketizerGapHook:
 
     def test_gap_reported_once_with_missing_sequences(self):
         gaps = []
-        depacketizer = Depacketizer(on_gap=gaps.append)
+        depacketizer = Depacketizer()
+        depacketizer.on_gap = gaps.append
         packets = self._packets()
         depacketizer.push_packet(packets[0])
         depacketizer.push_packet(packets[1])

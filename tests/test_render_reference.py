@@ -170,7 +170,7 @@ class SeedRenderPlayer(MediaPlayer):
                     ts=unit.timestamp_ms,
                 )
         if self.sync_mode == "script" and self._dispatcher is not None:
-            self._dispatcher.advance_to(position)
+            self._dispatcher.advance_to_ms(media_ms(position))
         elif self.sync_mode == "timer":
             self._fire_timer_commands(now)
         duration = self.header.file_properties.duration_ms / 1000.0

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.intervals import Interval
-from repro.core.ocpn import MediaLeaf, compile_spec, parallel, sequence, spec_intervals
 from repro.core.scheduler import PresentationTimeline, TimelineEntry
 
 
@@ -30,19 +29,8 @@ class TestTimeline:
     def test_empty_duration_zero(self):
         assert PresentationTimeline().duration == 0.0
 
-    def test_active_at(self):
-        t = sample_timeline()
-        assert t.active_at(3) == ["slide1", "video"]
-        assert t.active_at(5) == ["slide2", "video"]
-        assert t.active_at(10) == []
-
     def test_media_names(self):
         assert sample_timeline().media_names() == ["slide1", "slide2", "video"]
-
-    def test_entry_for(self):
-        assert sample_timeline().entry_for("video").end == 10
-        with pytest.raises(KeyError):
-            sample_timeline().entry_for("zzz")
 
     def test_edges_stop_before_start_at_same_instant(self):
         edges = sample_timeline().edges()
@@ -55,17 +43,7 @@ class TestTimeline:
 
     def test_from_schedule(self):
         t = PresentationTimeline.from_schedule({"x": Interval(1, 2)})
-        assert len(t) == 1 and t.entry_for("x").start == 1
-
-    def test_from_execution_matches_nominal(self):
-        spec = sequence(
-            parallel(MediaLeaf("v", 10), MediaLeaf("s", 10)), MediaLeaf("tail", 5)
-        )
-        compiled = compile_spec(spec)
-        measured = PresentationTimeline.from_execution(compiled)
-        nominal = PresentationTimeline.from_schedule(spec_intervals(compiled.spec))
-        assert measured.max_drift(nominal) == pytest.approx(0.0)
-
+        assert len(t) == 1 and t.entries[0].start == 1
 
 class TestDrift:
     def test_drift_against_identical_is_zero(self):

