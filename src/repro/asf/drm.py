@@ -12,11 +12,11 @@ keys), which is all the paper's workflow exercises.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Dict
 
 from .constants import ASFError
-from .wire import Reader, pack_str, write_object
+from .wire import Reader, pack_str
 
 
 class DRMError(ASFError):

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from ..media.codecs import EncodedStream, ImageCodec, get_codec
-from ..media.objects import AudioObject, ImageObject, MediaObject, VideoObject
+from ..media.objects import MediaObject
 from ..media.profiles import BandwidthProfile
 from ..metrics.counters import get_counters
 from .constants import ASFError

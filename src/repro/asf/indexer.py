@@ -18,7 +18,7 @@ import bisect
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-from .constants import ASFError, FLAG_SEEKABLE, TAG_INDEX
+from .constants import ASFError, TAG_INDEX
 from .packets import DataPacket
 from .script_commands import ScriptCommand
 from .wire import Reader, pack_u32, pack_u64, write_object

@@ -112,6 +112,12 @@ class ScriptCommandDispatcher:
     def pending(self) -> int:
         return len(self.commands) - self._cursor
 
+    def next_ms(self) -> Optional[int]:
+        """Timestamp of the next unfired command, ``None`` past the last."""
+        if self._cursor < len(self.commands):
+            return self.commands[self._cursor].timestamp_ms
+        return None
+
     def advance_to_ms(self, due_ms: int) -> Sequence[ScriptCommand]:
         """Fire everything due by the playhead ``due_ms`` (rounded from
         seconds by :func:`~repro.media.clock.media_ms`, as the jitter

@@ -19,7 +19,7 @@ from itertools import chain
 from operator import is_
 from typing import Callable, Iterator, List, Optional, Sequence
 
-from .constants import ASFError, FLAG_BROADCAST, FLAG_SEEKABLE, TAG_DATA
+from .constants import ASFError, FLAG_SEEKABLE, TAG_DATA
 from .header import HeaderObject
 from .indexer import SimpleIndex
 from .packets import DataPacket, Depacketizer, MediaUnit

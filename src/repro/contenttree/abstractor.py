@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .tree import ContentNode, ContentTree, ContentTreeError
+from .tree import ContentTree, ContentTreeError
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,7 @@ Figure 3/4 insert/delete examples are reproduced in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence
 
 
 class ContentTreeError(Exception):

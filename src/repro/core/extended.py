@@ -32,13 +32,12 @@ operations target.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .intervals import Interval
 from .ocpn import (
     CompiledOCPN,
-    MediaLeaf,
     Spec,
     SpecError,
     compile_spec,
@@ -46,7 +45,7 @@ from .ocpn import (
     spec_duration,
     spec_intervals,
 )
-from .petri import Marking, NotEnabledError, PetriNet
+from .petri import NotEnabledError, PetriNet
 
 
 # ----------------------------------------------------------------------

@@ -25,7 +25,7 @@ marked) and one sink place ``P_done``; media leaf ``x`` becomes place
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple, Union
 
 from .intervals import Interval, TemporalRelation, schedule_pair

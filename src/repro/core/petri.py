@@ -28,8 +28,8 @@ References
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 
 class PetriNetError(Exception):

@@ -9,8 +9,7 @@ compares against measured playback.
 
 from __future__ import annotations
 
-import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Tuple
 
 from .intervals import Interval

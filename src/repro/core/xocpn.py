@@ -28,9 +28,8 @@ bench A2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Tuple
 
-from .intervals import Interval
 from .ocpn import (
     CompiledOCPN,
     MediaLeaf,

@@ -24,7 +24,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 
 class WorkloadError(Exception):

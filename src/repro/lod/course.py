@@ -16,7 +16,7 @@ top of the publisher:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..streaming.client import PlaybackReport
 from .lecture import Lecture, LectureError

@@ -17,8 +17,8 @@ counterpart of a greyed-out control in the UI.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional
 
 from ..core.extended import (
     DistributedCoordinator,
@@ -26,7 +26,6 @@ from ..core.extended import (
     FloorControl,
     SiteLink,
 )
-from ..core.petri import NotEnabledError
 from ..metrics.stats import jain_index
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional
 
 from ..core.extended import ExtendedPresentation, InteractivePlayer
 from ..core.petri import NotEnabledError

@@ -17,7 +17,7 @@ to express itself in the two formal vocabularies of the system:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..asf.script_commands import (
     ScriptCommand,
@@ -28,7 +28,6 @@ from ..media.objects import (
     AnnotationObject,
     AudioObject,
     ImageObject,
-    MediaError,
     VideoObject,
 )
 

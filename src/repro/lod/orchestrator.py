@@ -17,7 +17,7 @@ the paper's model promises:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..asf.drm import LicenseServer

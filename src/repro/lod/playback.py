@@ -13,14 +13,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..contenttree import Abstractor, ContentTree
 from ..streaming.client import MediaPlayer, PlaybackReport, PlayerState
 from ..web.http import VirtualNetwork
 from .lecture import Lecture, LectureError
-from .orchestrator import Orchestrator
 
 
 @dataclass

@@ -11,13 +11,12 @@ broadcast (paper §2.5: "broadcast their encoded content in real time").
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from ..asf.encoder import ASFEncoder, EncoderConfig, LiveEncoderSession
 from ..asf.header import StreamProperties
 from ..asf.packets import MediaUnit, units_from_encoded
 from ..asf.script_commands import ScriptCommand, TYPE_SLIDE
-from ..media.codecs import get_codec
 from ..media.objects import (
     AnnotationObject,
     AudioObject,

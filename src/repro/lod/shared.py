@@ -11,7 +11,7 @@ carried all the way down to packets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from ..core.extended import FloorControl

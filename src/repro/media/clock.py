@@ -10,7 +10,7 @@ and script command is stamped with.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Sequence
 
 
 class ClockError(Exception):
@@ -32,6 +32,13 @@ def media_ms(seconds: float) -> int:
     unit and a command with one timestamp come due in the same tick.
     """
     return math.floor(seconds * 1000.0 + 0.5 + 1e-9)
+
+
+def media_ms_each(seconds: Iterable[float]) -> List[int]:
+    """:func:`media_ms` of every position, in one pass (the same
+    expression, so the same integers)."""
+    floor = math.floor
+    return [floor(s * 1000.0 + 0.5 + 1e-9) for s in seconds]
 
 
 class PresentationClock:
@@ -68,6 +75,19 @@ class PresentationClock:
         if self._paused:
             return self._anchor_media
         return self._anchor_media + (wall_time - self._anchor_wall)
+
+    def media_times(self, wall_times: Sequence[float]) -> List[float]:
+        """:meth:`media_time` at each of ``wall_times``, in one pass."""
+        if not self.started or self._paused:
+            return [self._anchor_media] * len(wall_times)
+        media, wall = self._anchor_media, self._anchor_wall
+        return [media + (t - wall) for t in wall_times]
+
+    def wall_time(self, media_time: float) -> float:
+        """The wall time at which the running clock reads ``media_time``."""
+        if not self.started or self._paused:
+            raise ClockError("clock not running")
+        return self._anchor_wall + (media_time - self._anchor_media)
 
     def pause(self, wall_time: float) -> None:
         if not self.started or self._paused:

@@ -18,12 +18,11 @@ names the paper uses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List
 
 from .objects import (
     AudioObject,
-    Frame,
     ImageObject,
     MediaError,
     MediaObject,

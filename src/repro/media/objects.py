@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import enum
 import hashlib
-import struct
-from dataclasses import dataclass, field
-from typing import Iterator, List, Optional
+from dataclasses import dataclass
+from typing import Iterator, Optional
 
 
 class MediaType(enum.Enum):

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from .codecs import Codec, CodecError, EncodedStream, get_codec
+from .codecs import EncodedStream, get_codec
 from .objects import AudioObject, MediaError, VideoObject
 
 

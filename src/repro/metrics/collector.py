@@ -8,7 +8,7 @@ shape of every paper bench in ``benchmarks/``.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from .stats import StatsError, Summary, format_table
 

@@ -348,7 +348,7 @@ def _first_tick_after(epoch: float, interval: float, to: float) -> int:
 
 class PeriodicTask:
     """A repeating event: fires every ``interval`` seconds until
-    :meth:`stop` — e.g. a client's render tick or a beacon sender.
+    :meth:`stop` — e.g. a beacon sender or a live capture's chunk clock.
 
     Every tick is scheduled against the task's **epoch**
     (``start + n·interval``), not ``now + interval``: rescheduling off the
@@ -435,27 +435,74 @@ class PeriodicTask:
             self.simulator.cancel(self._handle)
             self._handle = None
 
-    def after_tick(self, job: Callable[[], None]) -> None:
-        """Run ``job`` (which may block on a round trip) once the tick
-        that asks is done — see :meth:`SharedTicker.after_tick`. A private
-        task holds no one else's clock, so that is now."""
-        job()
-
 
 class _TickerSlot:
-    """One callback's registration on a :class:`SharedTicker`."""
+    """One callback's registration on a :class:`SharedTicker`.
 
-    __slots__ = ("ticker", "key")
+    A registrant may :meth:`sleep_until` a sim time: the ticker skips it
+    at every instant before then, and :meth:`missed` tells it afterwards
+    which instants it slept through.
+    """
 
-    def __init__(self, ticker: "SharedTicker", key: int) -> None:
+    __slots__ = ("ticker", "key", "callback", "wake", "since")
+
+    def __init__(
+        self, ticker: "SharedTicker", key: int, callback: Callable[[], None]
+    ) -> None:
         self.ticker = ticker
         self.key = key
+        self.callback = callback
+        #: the ticker skips this slot at every instant before ``wake``
+        self.wake = -math.inf
+        #: number of the first fire :meth:`missed` has not reported yet
+        self.since = 0
 
     def stop(self) -> None:
         self.ticker.unregister(self)
 
     def after_tick(self, job: Callable[[], None]) -> None:
         self.ticker.after_tick(job)
+
+    def sleep_until(self, when: float) -> None:
+        """Skip this slot at every instant before ``when``, from the next
+        fire on; called from the slot's own callback."""
+        self.wake = when
+        self.since = self.ticker.fires
+
+    def wake_up(self) -> None:
+        """Call this slot again at every instant."""
+        self.wake = -math.inf
+
+    def missed(self) -> List[float]:
+        """The instants skipped since :meth:`sleep_until` (or the last
+        call) whose turn for this slot has come, each as the sim time the
+        slot would have been called at; they are not reported again, and
+        an awake slot has none.
+
+        An instant's turn has come once its fire is done, or while it
+        runs, once the fire has walked past this slot's key. A callback
+        that ran the event loop (a blocking round trip) moved the clock
+        for the registrants after it, and so for this one.
+        """
+        if self.wake == -math.inf:
+            return []
+        ticker = self.ticker
+        end = ticker.fires
+        cursor = ticker._cursor
+        if cursor is not None and self.key >= cursor:
+            end -= 1  # the fire in progress has not reached this slot
+        since = self.since
+        if end <= since:
+            return []
+        self.since = end
+        offset = ticker._offset
+        times = ticker._instants[since - offset:end - offset]
+        for fire, key, now in reversed(ticker._shifts):
+            if fire < since:
+                break
+            if fire < end and key < self.key and now > times[fire - since]:
+                times[fire - since] = now
+        return times
 
 
 class SharedTicker:
@@ -469,11 +516,19 @@ class SharedTicker:
     client on the ticker renders on the same grid — which is also what
     lets their deliveries coalesce into shared pacing groups upstream.
 
+    A registrant with nothing to do until some sim time sleeps through
+    its slot (:meth:`_TickerSlot.sleep_until`): the fire skips it, and the
+    ticker records every fire's instant so the sleeper can settle, from
+    :meth:`_TickerSlot.missed`, exactly the instants it slept through.
+
     The ticker only occupies the event queue while it has registrants;
     late registrants join at the next grid instant. It is never
     skippable: what rides it (render loops) is active playback, which a
     quiet-window :meth:`Simulator.fast_forward` must not leap.
     """
+
+    #: recorded instants kept before the ones no sleeper needs are dropped
+    _KEEP = 1024
 
     def __init__(self, simulator: Simulator, interval: float) -> None:
         if interval <= 0:
@@ -482,25 +537,35 @@ class SharedTicker:
         self.interval = interval
         self.epoch = simulator.now
         self.ticks = 0
-        self._callbacks: Dict[int, Callable[[], None]] = {}
+        #: fires begun so far
+        self.fires = 0
+        self._slots: Dict[int, _TickerSlot] = {}
         self._keys = itertools.count()
         self._handle: Optional[EventHandle] = None
         #: jobs queued by the callbacks of the fire in progress, else None
         self._after: Optional[List[Callable[[], None]]] = None
+        #: key of the slot the fire in progress is calling, else None
+        self._cursor: Optional[int] = None
+        #: the instant of every fire from number ``_offset`` on
+        self._instants: List[float] = []
+        self._offset = 0
+        #: ``(fire, key, now)``: during that fire the slot ``key``'s
+        #: callback ran the event loop up to ``now``
+        self._shifts: List[Tuple[int, int, float]] = []
 
     def __len__(self) -> int:
-        return len(self._callbacks)
+        return len(self._slots)
 
     def register(self, callback: Callable[[], None]) -> _TickerSlot:
-        slot = _TickerSlot(self, next(self._keys))
-        self._callbacks[slot.key] = callback
+        slot = _TickerSlot(self, next(self._keys), callback)
+        self._slots[slot.key] = slot
         if self._handle is None:
             self._schedule_next()
         return slot
 
     def unregister(self, slot: _TickerSlot) -> None:
-        self._callbacks.pop(slot.key, None)
-        if not self._callbacks and self._handle is not None:
+        self._slots.pop(slot.key, None)
+        if not self._slots and self._handle is not None:
             self.simulator.cancel(self._handle)
             self._handle = None
 
@@ -529,14 +594,38 @@ class SharedTicker:
         else:
             self._after.append(job)
 
+    def _forget(self) -> None:
+        """Drop the recorded instants every sleeper has been told of."""
+        keep = min(
+            (slot.since for slot in self._slots.values() if slot.wake > -math.inf),
+            default=self.fires,
+        )
+        del self._instants[:keep - self._offset]
+        self._offset = keep
+        self._shifts = [shift for shift in self._shifts if shift[0] >= keep]
+
     def _fire(self) -> None:
         self._handle = None
+        simulator = self.simulator
+        now = simulator.now
+        if len(self._instants) >= self._KEEP:
+            self._forget()
+        fire = self.fires
+        self.fires = fire + 1
+        self._instants.append(now)
         after = self._after = []
-        for callback in list(self._callbacks.values()):
-            callback()
+        for slot in list(self._slots.values()):
+            if slot.wake > now:
+                continue
+            self._cursor = slot.key
+            slot.callback()
+            if simulator.now != now:
+                now = simulator.now
+                self._shifts.append((fire, slot.key, now))
+        self._cursor = None
         self._after = None
         self.ticks += 1
-        if self._callbacks:
+        if self._slots:
             self._schedule_next()
         for job in after:
             job()

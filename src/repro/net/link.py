@@ -17,8 +17,8 @@ Windows Media server and the students' browsers.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 from .engine import SimulationError, Simulator
 

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import copy
 import enum
+import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Any, Collection, Dict, List, Optional, Set, Tuple
 from urllib.parse import urlparse
@@ -32,9 +34,9 @@ from ..asf.drm import DRMError, License, LicenseServer, scramble
 from ..asf.header import HeaderObject
 from ..asf.packets import DataPacket, Depacketizer, MediaUnit, command_from_unit
 from ..asf.script_commands import ScriptCommand, ScriptCommandDispatcher
-from ..media.clock import PresentationClock, media_ms
+from ..media.clock import PresentationClock, media_ms, media_ms_each
 from ..metrics.counters import Counters
-from ..net.engine import EventHandle, PeriodicTask, Simulator
+from ..net.engine import EventHandle, SharedTicker, Simulator
 from ..net.transport import DatagramChannel, Message
 from ..web.http import HTTPClient, HTTPError, VirtualNetwork
 from .buffer import JitterBuffer
@@ -117,6 +119,11 @@ class PlaybackReport:
 #: states in which a render tick does nothing
 _NOT_RENDERING = (PlayerState.PAUSED, PlayerState.FINISHED, PlayerState.IDLE)
 
+#: a sleeping player wakes this many seconds before the first instant at
+#: which its tick could change something: it covers the half millisecond
+#: media_ms rounds by, and float error many orders smaller
+_WAKE_SLACK = 0.002
+
 
 class MediaPlayer:
     """A streaming client on one host of the virtual network."""
@@ -162,8 +169,8 @@ class MediaPlayer:
         #: on the session for audience accounting, delivery stays 1×
         self.multiplicity = multiplicity
         #: optional repro.net.engine.SharedTicker — when set, the render
-        #: loop registers on it instead of running a private PeriodicTask,
-        #: so thousands of players share one simulator event per tick
+        #: loop registers on it, so thousands of players share one
+        #: simulator event per tick; else on a private one of its own
         self._render_ticker = render_ticker
         self.http = HTTPClient(network, host)
 
@@ -180,9 +187,10 @@ class MediaPlayer:
         self._buffer = JitterBuffer()
         self._clock = PresentationClock()
         self._dispatcher: Optional[ScriptCommandDispatcher] = None
-        #: PeriodicTask or a SharedTicker slot — both expose .stop() and
-        #: .after_tick()
+        #: this player's slot on its render ticker
         self._render_task: Optional[Any] = None
+        #: skipped by the ticker until a wake-up instant (see _sleep)
+        self._asleep = False
         #: play(start > 0) owes one stateful-command catch-up at render start
         self._pending_catchup = False
         self._media_streams: List[int] = []
@@ -192,7 +200,7 @@ class MediaPlayer:
         self._timer_origin: Optional[float] = None
 
         # metrics
-        self.rendered: List[RenderedUnit] = []
+        self._rendered: List[RenderedUnit] = []
         self.fired: List[FiredCommand] = []
         self._connect_time: Optional[float] = None
         self._first_render: Optional[float] = None
@@ -244,6 +252,12 @@ class MediaPlayer:
     def position(self) -> float:
         return self._clock.media_time(self.simulator.now)
 
+    @property
+    def rendered(self) -> List[RenderedUnit]:
+        """Every unit rendered so far, in render order."""
+        self._settle()
+        return self._rendered
+
     def connect(self, url: str) -> HeaderObject:
         """DESCRIBE: fetch the header of ``url`` (…/lod/<point>)."""
         if self.state is not PlayerState.IDLE:
@@ -291,6 +305,7 @@ class MediaPlayer:
         (``included``). Always recomputed from the header, so a reconnect
         after a downshift starts clean."""
         assert self.header is not None
+        self._wake()
         self._media_streams = [
             s.stream_number
             for s in self.header.streams
@@ -369,12 +384,10 @@ class MediaPlayer:
         self._control("play", session_id=self.session_id, start=start)
 
     def _start_render_loop(self) -> None:
-        if self._render_ticker is not None:
-            self._render_task = self._render_ticker.register(self._render_tick)
-        else:
-            self._render_task = PeriodicTask(
-                self.simulator, self.RENDER_TICK, self._render_tick
-            )
+        ticker = self._render_ticker
+        if ticker is None:
+            ticker = SharedTicker(self.simulator, self.RENDER_TICK)
+        self._render_task = ticker.register(self._render_tick)
 
     # ------------------------------------------------------------------
     # recovery plumbing (NAKs, watchdog, reconnection, degradation)
@@ -509,6 +522,7 @@ class MediaPlayer:
             # and let the reconnect loop re-resolve placement itself (the
             # drained edge closes the old session either way)
             return
+        self._wake()
         self._server_url = notice["url"]
         self.session_id = notice["session_id"]
         self._recovery_sink = notice.get("recovery_sink")
@@ -628,6 +642,7 @@ class MediaPlayer:
             return False
         if not isinstance(body, dict) or not body.get("ok"):
             return False
+        self._wake()
         old_video = self.selected_video
         new_video = body.get("selected_video")
         self.selected_video = new_video
@@ -672,6 +687,7 @@ class MediaPlayer:
             if stream in pending:
                 # first data of a downshifted rendition: it now counts
                 # toward buffer depth
+                self._wake()
                 pending.discard(stream)
                 self._media_streams.append(stream)
             if stream == SCRIPT_STREAM_NUMBER:
@@ -689,6 +705,18 @@ class MediaPlayer:
                     scramble(unit.data, license.key),
                 )
             media.append(unit)
+        if self._asleep and media:
+            if self.state is PlayerState.BUFFERING:
+                self._wake()  # the next tick may start playback
+            else:
+                # a unit already due renders at no instant slept through
+                # before it arrived: those instants render first. Units
+                # not due yet render at no such instant: no settle
+                playhead = media_ms(self.position)
+                for unit in media:
+                    if unit.timestamp_ms <= playhead:
+                        self._settle()
+                        break
         self._buffer.extend(media)
 
     def _on_live_command(self, unit: MediaUnit) -> None:
@@ -706,6 +734,8 @@ class MediaPlayer:
     # ------------------------------------------------------------------
 
     def _render_tick(self) -> None:
+        if self._asleep:
+            self._wake()  # the wake-up instant came
         if self.state in _NOT_RENDERING:
             return
         now = self.simulator.now
@@ -732,13 +762,17 @@ class MediaPlayer:
                 or (self._stream_ended and len(self._buffer))
             ):
                 self._start_playing(now)
+            elif self.tracer is None:
+                # only an arrival, a control or the watchdog can end the
+                # buffering: an arrival or a control wakes the player
+                self._doze(now, self._watchdog_due(False))
             return
         # PLAYING: the playhead rounds to media ms once, and every question
         # this tick asks (what is due, how much runway is left) uses it
         pos_ms = media_ms(position)
         due = self._buffer.pop_due_ms(pos_ms)
         if due:
-            rendered = self.rendered
+            rendered = self._rendered
             tracer = self.tracer
             for unit in due:
                 rendered.append(RenderedUnit(now, position, unit))
@@ -766,6 +800,95 @@ class MediaPlayer:
             runway is None or runway / 1000.0 <= self.UNDERRUN_MARGIN
         ) and not self._end_of_content():
             self._enter_rebuffer(now)
+        elif self.tracer is None:
+            # a traced player ticks every instant: its render.unit
+            # records are emitted by the tick itself
+            self._sleep(now, pos_ms, runway)
+
+    def _watchdog_due(self, end: bool) -> float:
+        """The first instant the stall watchdog could fire (``inf`` when
+        it cannot: no recovery, the stream ended, or ``end`` — the end of
+        the content is buffered). Counted during a reconnect too, which
+        only wakes the player early."""
+        recovery = self._recovery
+        if recovery is None or self._stream_ended or end:
+            return math.inf
+        timeout = recovery.config.watchdog_timeout
+        return recovery.last_arrival + timeout - _WAKE_SLACK
+
+    def _doze(self, now: float, wake: float) -> None:
+        """Skip this player's ticks before ``wake``, if that skips any."""
+        if wake > now + self.RENDER_TICK:
+            self._render_task.sleep_until(wake)
+            self._asleep = True
+
+    def _sleep(self, now: float, pos_ms: int, runway: Optional[int]) -> None:
+        """Skip the instants before the first one at which a PLAYING tick
+        could do more than render due units.
+
+        That is the earliest of: the finish (position ≥ duration), an
+        underrun (runway ≤ ``UNDERRUN_MARGIN``, unless the content's end
+        is buffered), the next script or timer command, and the stall
+        watchdog (last arrival + its timeout, same exception). Arrivals
+        only move those later; whatever else could move one wakes the
+        player first (:meth:`_wake`). :meth:`_settle` renders what the
+        skipped instants rendered.
+        """
+        end = self._end_of_content()
+        bound = self._duration or math.inf  # media seconds
+        if runway is not None and not end:
+            bound = min(bound, (pos_ms + runway) / 1000.0 - self.UNDERRUN_MARGIN)
+        if self.sync_mode == "script" and self._dispatcher is not None:
+            next_ms = self._dispatcher.next_ms()
+            if next_ms is not None:
+                bound = min(bound, next_ms / 1000.0)
+        wake = self._clock.wall_time(bound - _WAKE_SLACK)
+        cursor = self._timer_cursor
+        if (
+            self.sync_mode == "timer"
+            and self._timer_origin is not None
+            and cursor < len(self._timer_commands)
+        ):
+            wake = min(
+                wake,
+                self._timer_origin
+                + self._timer_commands[cursor].timestamp - _WAKE_SLACK,
+            )
+        self._doze(now, min(wake, self._watchdog_due(end)))
+
+    def _settle(self) -> None:
+        """Render what the instants slept through so far rendered.
+
+        A playing sleeper's clock runs, and nothing but due units could
+        happen at those instants, so each renders the units due at its
+        playhead with its own wall time and position — exactly what its
+        tick would have. The buffer pops in timestamp
+        order, so one pop up to the last playhead takes what the ticks
+        would have popped one after another, and each unit belongs to the
+        first instant whose playhead reaches its timestamp.
+        """
+        if not self._asleep:
+            return
+        times = self._render_task.missed()
+        if not times or self.state is not PlayerState.PLAYING:
+            return  # a buffering player's ticks render nothing
+        positions = self._clock.media_times(times)
+        playheads = media_ms_each(positions)
+        render = self._rendered.append
+        i = 0
+        for unit in self._buffer.pop_due_ms(playheads[-1]):
+            if unit.timestamp_ms > playheads[i]:
+                i = bisect_left(playheads, unit.timestamp_ms, i)
+            render(RenderedUnit(times[i], positions[i], unit))
+
+    def _wake(self) -> None:
+        """Settle, and tick at every instant again: called before anything
+        changes what the player's tick would do (its state, clock, buffer,
+        streams or end of stream)."""
+        if self._asleep:
+            self._settle()
+            self._asleep = False
+            self._render_task.wake_up()
 
     #: tolerance for "everything up to the end is already buffered" — the
     #: last media unit of a stream sits one unit-duration before `duration`
@@ -866,6 +989,7 @@ class MediaPlayer:
     def _finish(self) -> None:
         if self.state is PlayerState.FINISHED:
             return  # one close handshake per playback
+        self._wake()
         self.state = PlayerState.FINISHED
         # freeze the playback position: the close handshake advances
         # simulated time, and the clock must not drift past the content end
@@ -921,6 +1045,7 @@ class MediaPlayer:
         self._control("pause", session_id=self.session_id)
         if self.state is PlayerState.FINISHED:
             return  # playback ended during the round trip: nothing to pause
+        self._wake()
         self._clock.pause(self.simulator.now)
         self.state = PlayerState.PAUSED
 
@@ -952,6 +1077,7 @@ class MediaPlayer:
 
     def _seek_transition(self, now: float, position: float) -> None:
         """Client side of a reposition the server has already accepted."""
+        self._wake()
         if self.tracer is not None:
             # recorded here, not when the request leaves: render ticks keep
             # firing during the control round trip, and the playhead only
@@ -1021,6 +1147,7 @@ class MediaPlayer:
             raise PlayerError("no aggregated members left to split out")
         if self._broadcast and seek_to is not None:
             raise PlayerError("cannot seek a broadcast member")
+        self._wake()
         now = self.simulator.now
         twin = type(self)(
             self.network,
@@ -1066,7 +1193,7 @@ class MediaPlayer:
         twin._timer_commands = sorted(self.header.script_commands)
         twin._timer_cursor = self._timer_cursor
         twin._timer_origin = self._timer_origin
-        twin.rendered = list(self.rendered)
+        twin._rendered = list(self._rendered)
         twin.fired = list(self.fired)
         twin._connect_time = self._connect_time
         twin._first_render = self._first_render
@@ -1125,6 +1252,7 @@ class MediaPlayer:
         return self.run_until_finished()
 
     def report(self) -> PlaybackReport:
+        self._settle()
         loss = self._depacketizer.loss_report()
         startup = (
             (self._first_render - self._connect_time)
@@ -1141,7 +1269,7 @@ class MediaPlayer:
             startup_latency=startup,
             rebuffer_count=self.rebuffer_count,
             rebuffer_time=self.rebuffer_time,
-            rendered=list(self.rendered),
+            rendered=list(self._rendered),
             commands=list(self.fired),
             loss_rates={
                 s: loss.loss_rate(s) for s in loss.delivered
@@ -1154,4 +1282,5 @@ class MediaPlayer:
 
     def mark_stream_ended(self) -> None:
         """Broadcast feeds call this when the live session closes."""
+        self._wake()
         self._stream_ended = True

@@ -31,6 +31,7 @@ import pytest
 from repro.asf import ASFEncoder, EncoderConfig, slide_commands
 from repro.lod import LiveCaptureSession
 from repro.media import AudioObject, ImageObject, VideoObject, get_profile
+from repro.media.clock import media_ms
 from repro.metrics.counters import get_counters, reset_counters
 from repro.net import FaultInjector, FaultPlan
 from repro.net.engine import SharedTicker
@@ -364,8 +365,11 @@ class TestReconnectHoldsNoSharedTick:
     def test_one_viewers_reconnect_keeps_anothers_render_cadence(self):
         # two players on one shared render ticker; the first one's edge
         # crashes. Its reconnect handshake (close, open, play round trips)
-        # runs after the tick that detected the stall, so the other
-        # player keeps rendering every 50 ms straight through it
+        # runs after the tick that detected the stall, so the ticker fires
+        # every 50 ms straight through it and the other player renders
+        # each unit at the first instant its timestamp is due. Both are
+        # read from outcomes: the other player may sleep through instants
+        # and settle them later, so its tick is not called at every one
         net, origin, directory, relays = make_tier()
         home = directory.place("student|lecture")
         survivor = next(r for r in relays if r.name != home)
@@ -374,29 +378,40 @@ class TestReconnectHoldsNoSharedTick:
         injector.register_directory(directory)
         injector.apply(FaultPlan("crash").edge_crash(home, at=6.0))
         ticker = SharedTicker(net.simulator, MediaPlayer.RENDER_TICK)
+        fires = []
+
+        def record_fire():
+            fires.append(net.simulator.now)
+            if other.state is PlayerState.FINISHED:
+                slot.stop()
+
+        slot = ticker.register(record_fire)
         crashed = MediaPlayer(
             net, "student", directory=directory, recovery=RecoveryConfig(),
             render_ticker=ticker,
         )
         other = MediaPlayer(net, "other", render_ticker=ticker)
-        ticks = []
-        render_tick = other._render_tick
-
-        def timed_tick():
-            ticks.append(net.simulator.now)
-            render_tick()
-
-        other._render_tick = timed_tick
         crashed.connect(directory.url_for("student", "lecture"))
         crashed.play()
         other.connect(f"http://{survivor.host}:{survivor.port}/lod/lecture")
         other.play()
         report = drive(net, crashed, 60.0)
-        drive(net, other, 60.0)
+        watched = drive(net, other, 60.0)
 
         assert report.recovery.get("reconnects", 0) >= 1
         assert report.recovery.get("reroutes", 0) >= 1
         assert report.duration_watched == pytest.approx(DURATION, abs=0.3)
-        assert ticks[0] < 6.0 < ticks[-1]
-        gaps = [b - a for a, b in zip(ticks, ticks[1:])]
+        assert fires[0] < 6.0 < fires[-1]
+        gaps = [b - a for a, b in zip(fires, fires[1:])]
         assert max(gaps) == pytest.approx(MediaPlayer.RENDER_TICK)
+        assert watched.rebuffer_count == 0
+        previous = dict(zip(fires[1:], fires))
+        first = watched.rendered[0].wall_time
+        assert any(r.wall_time > 6.0 for r in watched.rendered)
+        for r in watched.rendered:
+            assert r.wall_time in previous
+            assert media_ms(r.position) >= r.unit.timestamp_ms
+            if r.wall_time != first:
+                # not due yet at the instant before
+                before = r.position - (r.wall_time - previous[r.wall_time])
+                assert media_ms(before) < r.unit.timestamp_ms

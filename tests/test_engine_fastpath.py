@@ -267,3 +267,77 @@ class TestSharedTicker:
         ticker.register(lambda: times.append(sim.now))
         sim.run_until(0.31)
         assert times == [4 * 0.05, 5 * 0.05, 6 * 0.05]
+
+
+class TestSleepingSlot:
+    """A slot asleep is skipped, and told which instants it slept through."""
+
+    def test_a_sleeper_is_skipped_until_its_wake_time(self):
+        sim = Simulator()
+        ticker = SharedTicker(sim, 0.05)
+        calls, slept = [], []
+
+        def tick():
+            calls.append(sim.now)
+            if len(calls) == 1:
+                slot.sleep_until(0.2)
+            else:
+                slept.extend(slot.missed())
+                slot.wake_up()
+
+        slot = ticker.register(tick)
+        sim.run_until(0.31)
+        assert calls == pytest.approx([0.0, 0.2, 0.25, 0.3])
+        assert slept == pytest.approx([0.05, 0.1, 0.15])
+        assert ticker.fires == 7
+
+    def test_an_instant_counts_once_the_fire_passed_the_slot(self):
+        # keys 0 and 2 sleep; key 1 asks both, mid-fire, what they missed:
+        # the fire has walked past key 0 but not yet reached key 2
+        sim = Simulator()
+        ticker = SharedTicker(sim, 0.05)
+        asked = {}
+
+        def sleeper(name):
+            def tick():
+                slots[name].sleep_until(1.0)
+            return tick
+
+        def middle():
+            if sim.now > 0.07:
+                asked["early"] = slots["early"].missed()
+                asked["late"] = slots["late"].missed()
+
+        slots = {"early": ticker.register(sleeper("early"))}
+        ticker.register(middle)
+        slots["late"] = ticker.register(sleeper("late"))
+        sim.run_until(0.1)
+        assert asked["early"] == pytest.approx([0.05, 0.1])
+        assert asked["late"] == pytest.approx([0.05])
+
+    def test_a_callback_that_runs_the_loop_moves_later_slots_clocks(self):
+        # the first registrant blocks for 10 ms of sim time inside the
+        # fire at 0.05: the sleeper after it would have ticked at 0.06
+        sim = Simulator()
+        ticker = SharedTicker(sim, 0.05)
+
+        def blocking():
+            if 0.04 < sim.now < 0.06:
+                sim.schedule(0.01, lambda: None)
+                sim.wait(lambda: False, deadline=sim.now + 0.01)
+
+        def sleeper():
+            if sim.now == 0.0:
+                slot.sleep_until(1.0)
+
+        ticker.register(blocking)
+        slot = ticker.register(sleeper)
+        sim.run_until(0.12)
+        assert slot.missed() == pytest.approx([0.06, 0.1])
+
+    def test_recorded_instants_are_kept_only_for_sleepers(self):
+        sim = Simulator()
+        ticker = SharedTicker(sim, 0.05)
+        ticker.register(lambda: None)
+        sim.run_until(0.05 * (SharedTicker._KEEP + 10))
+        assert len(ticker._instants) <= SharedTicker._KEEP

@@ -22,6 +22,10 @@ public class must be named — as an attribute, a name or a string
 constant — by some non-test module, outside its own body.
 
 A name in ``EXEMPT`` exempts its options and methods too.
+
+Definitions are keyed by file and name: two public classes of one name
+in different modules (``Summary``) are each walked by every rule. A use
+is a bare name, so it reaches every definition of that name.
 """
 
 import ast
@@ -56,20 +60,28 @@ EXEMPT = {
         "`trace explain` reads traces through it",
 }
 
-#: record type -> what it records: its fields are filled in by the code
-#: that makes one, so they are data, not options
+#: ``pkg/file.py:Record`` -> what it records: its fields are filled in by
+#: the code that makes one, so they are data, not options
 RECORDS = {
-    "StreamSession": "a server's per-session state, written as it serves",
-    "LinkStats": "a link's delivery and drop counters",
-    "CohortPlan": "one cohort of plan_cohorts' output",
-    "HTTPRequest": "one request as HTTPClient.fetch puts it on the wire",
-    "SessionQoE": "one playback session's QoE facts, filled in as it plays",
-    "Summary": "the statistics Summary.of computes over a sample",
-    "LossReport": "what a depacketizer saw delivered and lost per stream",
-    "SimpleIndex": "a file's time index, built from its packets or parsed back",
-    "DRMInfo": "the header's protection object, parsed back by cls(r.string(), ...)",
-    "ReachabilityGraph": "the markings and edges reachability_graph explores",
-    "PresentationTimeline": "a schedule's playouts, built by from_schedule",
+    "streaming/session.py:StreamSession":
+        "a server's per-session state, written as it serves",
+    "net/link.py:LinkStats": "a link's delivery and drop counters",
+    "load/workload.py:CohortPlan": "one cohort of plan_cohorts' output",
+    "web/http.py:HTTPRequest":
+        "one request as HTTPClient.fetch puts it on the wire",
+    "obs/qoe.py:SessionQoE":
+        "one playback session's QoE facts, filled in as it plays",
+    "metrics/stats.py:Summary": "the statistics Summary.of computes over a sample",
+    "asf/packets.py:LossReport":
+        "what a depacketizer saw delivered and lost per stream",
+    "asf/indexer.py:SimpleIndex":
+        "a file's time index, built from its packets or parsed back",
+    "asf/drm.py:DRMInfo":
+        "the header's protection object, parsed back by cls(r.string(), ...)",
+    "core/analysis.py:ReachabilityGraph":
+        "the markings and edges reachability_graph explores",
+    "core/scheduler.py:PresentationTimeline":
+        "a schedule's playouts, built by from_schedule",
 }
 
 _TINY_LFU = "ROADMAP 3(b): admission earns a cache-pressure workload or leaves"
@@ -187,24 +199,28 @@ DEFS = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def public_names():
-    """``{name: "pkg/file.py"}`` of the checked packages' public defs."""
-    names = {}
+    """``{("pkg/file.py", name)}`` of the checked packages' public defs."""
+    names = set()
     for package in CHECKED:
         for path in sorted((SRC / package).glob("*.py")):
+            module = path.relative_to(SRC).as_posix()
             for node in ast.parse(path.read_text()).body:
                 if isinstance(node, DEFS) and not node.name.startswith("_"):
-                    names[node.name] = path.relative_to(SRC).as_posix()
+                    names.add((module, node.name))
     return names
 
 
 def references(names):
-    """``{name: {owner}}``: for each use of a checked name, the checked
-    top-level definition it sits in, or ``None`` outside any."""
+    """``{name: {owner}}``: for each use of a checked def's name, the
+    checked top-level definition it sits in, as ``(module, name)``, or
+    ``None`` outside any."""
+    bare = {name for _, name in names}
     refs = {}
     for root in CALLERS:
         for path in sorted(root.rglob("*.py")):
+            module = path.relative_to(SRC).as_posix() if root == SRC else None
             for top in ast.parse(path.read_text()).body:
-                owner = top.name if isinstance(top, DEFS) else None
+                owner = (module, top.name) if isinstance(top, DEFS) else None
                 if owner not in names:
                     owner = None
                 for node in ast.walk(top):
@@ -214,7 +230,7 @@ def references(names):
                         used = node.attr
                     else:
                         continue
-                    if used in names:
+                    if used in bare:
                         refs.setdefault(used, set()).add(owner)
     return refs
 
@@ -222,20 +238,21 @@ def references(names):
 def unreached():
     names = public_names()
     refs = references(names)
-    reached = set(EXEMPT)
+    reached = {key for key in names if key[1] in EXEMPT}
     while True:
         grown = {
-            name for name in names
-            if name not in reached and any(
-                owner is None or (owner in reached and owner != name)
-                for owner in refs.get(name, ())
+            key for key in names
+            if key not in reached and any(
+                owner is None or (owner in reached and owner != key)
+                for owner in refs.get(key[1], ())
             )
         }
         if not grown:
             break
         reached |= grown
     return sorted(
-        f"{names[name]}:{name}" for name in names if name not in reached
+        f"{module}:{name}" for module, name in names
+        if (module, name) not in reached
     )
 
 
@@ -284,13 +301,14 @@ def signature(node, classes=None):
 
 
 def constructor_params(sources=None, skip=None):
-    """``{constructor: [parameter, ...]}`` (see :func:`signature`) for
-    every public def but those in ``skip`` (the records and ``EXEMPT``
-    names); ``sources`` maps a def to its module's text."""
+    """``{(module, constructor): [parameter, ...]}`` (see
+    :func:`signature`) for every public def but those in ``skip`` (the
+    records, as ``module:name``, and ``EXEMPT`` names); ``sources`` maps
+    ``(module, def)`` to its module's text."""
     if sources is None:
-        modules = public_names()
-        texts = {m: (SRC / m).read_text() for m in set(modules.values())}
-        sources = {name: texts[m] for name, m in modules.items()}
+        keys = public_names()
+        texts = {m: (SRC / m).read_text() for m, _ in keys}
+        sources = {(m, name): texts[m] for m, name in keys}
     skip = {*RECORDS, *EXEMPT} if skip is None else skip
     trees = {text: ast.parse(text) for text in set(sources.values())}
     classes = {
@@ -298,12 +316,12 @@ def constructor_params(sources=None, skip=None):
         if isinstance(node, ast.ClassDef)
     }
     params = {}
-    for name, source in sources.items():
-        if name in skip:
+    for (module, name), source in sources.items():
+        if name in skip or f"{module}:{name}" in skip:
             continue
         for node in trees[source].body:
             if isinstance(node, DEFS) and node.name == name:
-                params[name] = signature(node, classes)
+                params[module, name] = signature(node, classes)
     return params
 
 
@@ -361,7 +379,9 @@ def unset_options(params=None, sources=None, exempt=None):
     exempt = OPTION_EXEMPT if exempt is None else exempt
     trees = [ast.parse(source) for source in sources]
     calls = [found for tree in trees for found in _calls(tree)]
-    signatures = {name: [names] for name, names in params.items()}
+    signatures = {}
+    for (_, name), names in params.items():
+        signatures.setdefault(name, []).append(names)
     for _, scope in calls:
         for key, names in scope:
             signatures.setdefault(key, []).append(names)
@@ -421,7 +441,7 @@ def unset_options(params=None, sources=None, exempt=None):
         done |= grown
     return sorted(
         f"{name}.{param}"
-        for name, names in params.items()
+        for (_, name), names in params.items()
         for param in names
         if (name, param) not in done
     )
@@ -432,13 +452,15 @@ def stale_exemptions(params=None, exempt=None):
     params = constructor_params() if params is None else params
     exempt = OPTION_EXEMPT if exempt is None else exempt
     live = {name for names in params.values() for name in names}
-    live |= {f"{cls}.{name}" for cls, names in params.items() for name in names}
+    live |= {
+        f"{cls}.{name}" for (_, cls), names in params.items() for name in names
+    }
     return sorted(set(exempt) - live)
 
 
 
 def public_methods(sources=None):
-    """``{"Class.method": "pkg/file.py"}``: every public method,
+    """``{("pkg/file.py", "Class.method")}``: every public method,
     property or classmethod of a public class of the checked packages
     but the ``EXEMPT`` ones; ``sources`` maps a module to its text."""
     if sources is None:
@@ -446,7 +468,7 @@ def public_methods(sources=None):
             path.relative_to(SRC).as_posix(): path.read_text()
             for package in CHECKED for path in sorted((SRC / package).glob("*.py"))
         }
-    methods = {}
+    methods = set()
     for module, source in sources.items():
         for node in ast.parse(source).body:
             if (
@@ -456,7 +478,7 @@ def public_methods(sources=None):
             ):
                 for item in node.body:
                     if isinstance(item, DEFS[1:]) and not item.name.startswith("_"):
-                        methods[f"{node.name}.{item.name}"] = module
+                        methods.add((module, f"{node.name}.{item.name}"))
     return methods
 
 
@@ -499,7 +521,7 @@ def unreached_methods(methods=None, refs=None, exempt=None):
     refs = method_references() if refs is None else refs
     exempt = METHOD_EXEMPT if exempt is None else exempt
     return sorted(
-        f"{module}:{method}" for method, module in methods.items()
+        f"{module}:{method}" for module, method in methods
         if method not in exempt
         and not refs.get(method.split(".")[1], set()) - {method}
     )
@@ -509,7 +531,7 @@ def stale_method_exemptions(methods=None, exempt=None):
     """Method exemptions that name no live public method."""
     methods = public_methods() if methods is None else methods
     exempt = METHOD_EXEMPT if exempt is None else exempt
-    return sorted(set(exempt) - set(methods))
+    return sorted(set(exempt) - {method for _, method in methods})
 
 
 class TestReachability:
@@ -519,7 +541,7 @@ class TestReachability:
 
     def test_exemptions_name_live_definitions(self):
         # an exemption outlives its reason once the name is gone
-        assert set(EXEMPT) <= set(public_names())
+        assert set(EXEMPT) <= {name for _, name in public_names()}
 
     def test_every_guarded_option_has_a_non_test_caller(self):
         unset = unset_options()
@@ -530,7 +552,15 @@ class TestReachability:
         assert not stale, "exempt but no such parameter: " + ", ".join(stale)
 
     def test_records_name_guarded_classes(self):
-        assert set(RECORDS) <= set(public_names())
+        assert set(RECORDS) <= {f"{m}:{name}" for m, name in public_names()}
+
+    def test_each_of_two_same_named_classes_is_walked(self):
+        # both public ``Summary`` classes, not whichever was walked last
+        names = public_names()
+        assert {("contenttree/abstractor.py", "Summary"),
+                ("metrics/stats.py", "Summary")} <= names
+        assert ("contenttree/abstractor.py", "Summary") in constructor_params()
+        assert ("metrics/stats.py", "Summary") not in constructor_params()
 
     def test_every_public_method_is_named_by_a_non_test_module(self):
         missing = unreached_methods()
@@ -556,7 +586,9 @@ class TestOptionGuard:
             node.name for node in ast.parse(constructor).body
             if isinstance(node, DEFS)
         ]
-        params = constructor_params(dict.fromkeys(defs, constructor), records)
+        params = constructor_params(
+            {("w.py", name): constructor for name in defs}, records
+        )
         return unset_options(
             params, [constructor, *callers], dict.fromkeys(exempt, "")
         )
@@ -592,7 +624,7 @@ class TestOptionGuard:
         assert self.guard(config, "Config(knob=1.0)") == []
 
     def test_a_stale_exemption_is_reported(self):
-        params = constructor_params({"Widget": WIDGET})
+        params = constructor_params({("w.py", "Widget"): WIDGET})
         assert stale_exemptions(params, {"k": "", "Widget.gone": ""}) == [
             "Widget.gone"
         ]
@@ -660,7 +692,7 @@ class TestOptionGuard:
     def test_an_exempt_name_exempts_its_parameters(self):
         oracle = "def relation_between(a, b, *, tol=1e-9):\n    return a\n"
         assert "relation_between" in EXEMPT
-        assert constructor_params({"relation_between": oracle}) == {}
+        assert constructor_params({("w.py", "relation_between"): oracle}) == {}
         # and what it forwards counts as set, though nothing calls it
         forward = (
             "def relation_between(k, tracer):\n"
@@ -669,17 +701,15 @@ class TestOptionGuard:
         assert self.guard(WIDGET, forward) == []
 
     def test_a_new_option_in_a_walked_package_is_flagged(self):
-        modules = public_names()
-        assert modules["Link"] == "net/link.py"
-        texts = {m: (SRC / m).read_text() for m in set(modules.values())}
+        keys = public_names()
+        assert ("net/link.py", "Link") in keys
+        texts = {m: (SRC / m).read_text() for m, _ in keys}
         texts["net/link.py"] = texts["net/link.py"].replace(
             "        queue_limit: int = 64,",
             "        queue_limit: int = 64,\n        test_only: int = 0,",
         )
-        params = constructor_params(
-            {name: texts[m] for name, m in modules.items()}
-        )
-        assert "test_only" in params["Link"]
+        params = constructor_params({key: texts[key[0]] for key in keys})
+        assert "test_only" in params["net/link.py", "Link"]
         assert unset_options(params) == ["Link.test_only"]
 
 
@@ -696,7 +726,7 @@ class TestMethodGuard:
 
     def unreached(self, *callers, exempt=()):
         methods = public_methods({"w.py": self.WIDGET})
-        assert list(methods) == ["Widget.ping"]
+        assert methods == {("w.py", "Widget.ping")}
         refs = method_references([self.WIDGET, *callers])
         return unreached_methods(methods, refs, dict.fromkeys(exempt, ""))
 
@@ -727,7 +757,7 @@ class TestMethodGuard:
             1,
         )
         methods = public_methods({"net/link.py": text})
-        assert "Link.test_only_probe" in methods
+        assert ("net/link.py", "Link.test_only_probe") in methods
         assert unreached_methods(methods, exempt={}) == [
             "net/link.py:Link.test_only_probe"
         ]

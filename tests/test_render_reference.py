@@ -13,6 +13,11 @@ once with each player; the reports must be equal and the tracer records
 identical — every ``render.unit`` at the same wall time and position,
 every command at the same playhead, every rebuffer and downshift — with
 the same number of simulator events, so no render tick was skipped.
+
+Every scenario plays a third time with untraced players
+(``tracer=None``), which sleep through the instants at which nothing but
+due units can happen and settle them later: the reports and the event
+count must still equal the seed's.
 """
 
 import heapq
@@ -223,6 +228,14 @@ def make_mbr_asf():
 ASF = {"lecture": make_asf(), "mbr": make_mbr_asf()}
 
 
+class UntracedPlayer(MediaPlayer):
+    """The shipped player, built without a tracer whatever it is handed
+    (so are its split twins): it sleeps between wake-ups."""
+
+    def __init__(self, *args, tracer=None, **kwargs):
+        super().__init__(*args, **kwargs)
+
+
 class World:
     def __init__(self, cls, *, bandwidth=2_000_000, delay=0.02, hosts=("student",)):
         self.cls = cls
@@ -382,6 +395,34 @@ def test_render_path_matches_seed(scenario):
     assert events == seed_events
     assert any(r["name"] == "render.unit" for r in records)
     assert all(report.rendered for report in reports)
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda s: s.__name__)
+def test_untraced_render_path_matches_seed(scenario):
+    reports, _, events = scenario(UntracedPlayer)
+    seed_reports, _, seed_events = scenario(SeedRenderPlayer)
+    assert reports == seed_reports
+    assert events == seed_events
+    assert all(report.rendered for report in reports)
+
+
+def test_an_untraced_player_sleeps_between_wake_ups():
+    """On a steady LAN playback the ticker calls the untraced player at
+    under a tenth of its instants; the settle renders the rest."""
+    calls = []
+
+    class CountingPlayer(UntracedPlayer):
+        def _render_tick(self):
+            calls.append(self.simulator.now)
+            super()._render_tick()
+
+    world = World(CountingPlayer, bandwidth=10_000_000, delay=0.001)
+    player = world.player()
+    (report,), _, _ = world.finish()
+    ticker = player._render_task.ticker
+    assert ticker.fires > 200
+    assert len(calls) < ticker.fires / 10
+    assert len(report.rendered) > len(calls)
 
 
 def test_scenarios_reach_their_paths():
