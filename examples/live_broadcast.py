@@ -66,7 +66,7 @@ def main() -> None:
         report = player.report()
         fired = [(round(c.wall_time, 1), c.command.parameter)
                  for c in report.commands]
-        print(f"{name:<10} rendered {len(report.rendered):>4} units, "
+        print(f"{name:<10} rendered {report.digest.count:>4} units, "
               f"slides seen: {fired}")
     print("\nthe latecomer missed 'title' and 'motivation' — live commands "
           "are not replayed, exactly like the original system")

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import struct
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -534,7 +534,7 @@ _REACHED = object()
 
 
 def _receive(
-    packet: DataPacket, entries: Dict[tuple, _Open], skip: Optional[set]
+    packet: DataPacket, entries: Dict[tuple, _Open], skip: Optional[_DoneKeys]
 ) -> Tuple[List[MediaUnit], tuple, int]:
     """The per-payload loop: what ``packet`` does to a receiver whose
     objects in flight are ``entries``, updated in place (O(1) per in-order
@@ -622,6 +622,58 @@ def _retake(head: Payload, chain: _Chain) -> MediaUnit:
     return _reassemble(_bucket(chain), chain[0])
 
 
+def _cover(runs: List[int], lo: int, hi: int) -> None:
+    """Add ``[lo, hi)`` to sorted, disjoint half-open run bounds
+    ``[lo0, hi0, lo1, hi1, ...]``, merging what it overlaps or touches."""
+    i = bisect_left(runs, lo)
+    j = bisect_right(runs, hi)
+    if i & 1:
+        i -= 1
+        lo = runs[i]
+    if j & 1:
+        hi = runs[j]
+        j += 1
+    runs[i:j] = (lo, hi)
+
+
+def _missing(want: List[int], have: List[int]) -> List[int]:
+    """The numbers inside the runs ``want`` and outside the runs ``have``,
+    ascending: O(runs + numbers returned)."""
+    out: List[int] = []
+    j, end = 0, len(have)
+    for k in range(0, len(want), 2):
+        lo, hi = want[k], want[k + 1]
+        while lo < hi:
+            while j < end and have[j + 1] <= lo:
+                j += 2
+            if j < end and have[j] <= lo:
+                lo = have[j + 1]
+                continue
+            stop = min(hi, have[j]) if j < end else hi
+            out.extend(range(lo, stop))
+            lo = stop
+    return out
+
+
+class _DoneKeys:
+    """The ``(stream, object)`` keys of a depacketizer's completed objects,
+    read from and added to its object runs: what a ``suppress_completed``
+    replay drops (:func:`_receive`)."""
+
+    __slots__ = ("done",)
+
+    def __init__(self, done: Dict[int, List[int]]) -> None:
+        self.done = done
+
+    def __contains__(self, key: Tuple[int, int]) -> bool:
+        runs = self.done.get(key[0])
+        return runs is not None and bool(bisect_right(runs, key[1]) & 1)
+
+    def add(self, key: Tuple[int, int]) -> None:
+        stream, number = key
+        _cover(self.done.setdefault(stream, []), number, number + 1)
+
+
 class Depacketizer:
     """Reassembles media units from (possibly lossy) packet arrivals.
 
@@ -648,10 +700,16 @@ class Depacketizer:
     arrival above the highest seen (an in-order packet) extends the last
     run or opens one after a gap with no lookup; only a retransmit, a
     repair, a reorder or a replay bisects.
+
+    Loss accounting keeps O(streams + gaps) too: no list of the units
+    completed, but per stream the runs of object numbers ever completed,
+    the runs every closed delivery window expected, and the open window's
+    lowest and highest completed object, each updated as a unit completes
+    (:meth:`loss_report`). The units themselves are what :meth:`push_train`
+    returns.
     """
 
     def __init__(self) -> None:
-        self.completed: List[MediaUnit] = []
         #: sequences seen since the last replay, as run bounds
         #: ``[lo0, hi0, lo1, hi1, ...]``; the last run ends past the highest
         self._runs: List[int] = []
@@ -663,12 +721,18 @@ class Depacketizer:
         #: None, a dict this receiver owns (:func:`_own`)
         self._open = ()
         self._serial: Optional[int] = 0
-        #: keys of completed objects, during a ``suppress_completed`` replay
-        self._skip: Optional[set] = None
-        #: delivery windows (:meth:`loss_report`): per closed window its
-        #: ``{stream: (lo, hi)}``; the open one began at ``completed[_window]``
-        self._windows: List[Dict[int, Tuple[int, int]]] = []
-        self._window = 0
+        #: per stream, the object numbers ever completed as run bounds
+        #: ``[lo0, hi0, lo1, hi1, ...]`` (half-open, sorted, disjoint)
+        self._done: Dict[int, List[int]] = {}
+        #: ``_done`` seen as keys, during a ``suppress_completed`` replay
+        self._skip: Optional[_DoneKeys] = None
+        #: delivery windows (:meth:`loss_report`): per stream, the runs of
+        #: object numbers the closed windows expected; and per stream the
+        #: ``[lowest, highest]`` object completed in the open window
+        self._expected: Dict[int, List[int]] = {}
+        self._span: Dict[int, List[int]] = {}
+        #: no replay has closed a window yet
+        self._first = True
         #: objects open when the open window began that no arrival in it
         #: has touched: they belong to the windows before
         self._stale: Optional[set] = None
@@ -694,19 +758,18 @@ class Depacketizer:
         Either form opens a delivery window (:meth:`loss_report`); a
         player starting mid-file calls it before its first packet.
         """
-        self._windows.append(self._extent(closing=True))
-        self._window = len(self.completed)
+        expected = self._expected
+        for stream, (lo, hi) in self._extent(closing=True).items():
+            _cover(expected.setdefault(stream, []), lo, hi + 1)
+        self._span = {}
+        self._first = False
         if self._serial:
             # stale open objects would seed plans no other receiver shares
             self._open, self._serial = _own(self._open), None
         self._stale = set(self._open) or None
         self._runs.clear()
         self._max_sequence = None
-        self._skip = (
-            {(unit.stream_number, unit.object_number) for unit in self.completed}
-            if suppress_completed
-            else None
-        )
+        self._skip = _DoneKeys(self._done) if suppress_completed else None
 
     def expect_stream(self, stream_number: int) -> None:
         """The source will begin ``stream_number`` mid-window (a downshift's
@@ -765,8 +828,30 @@ class Depacketizer:
             serial = self._serial if self._skip is None else None
         if followed is not None:
             self._follow(followed, highest)
-        self.completed += finished
+        if finished:
+            self._fold(finished)
         return finished
+
+    def _fold(self, units: List[MediaUnit]) -> None:
+        """Count completed units into the object runs and the open
+        window's span: an in-order unit extends its stream's last run."""
+        done, span = self._done, self._span
+        for unit in units:
+            stream, number = unit.stream_number, unit.object_number
+            runs = done.get(stream)
+            if runs is None:
+                done[stream] = [number, number + 1]
+            elif runs[-1] == number:
+                runs[-1] = number + 1
+            else:
+                _cover(runs, number, number + 1)
+            bounds = span.get(stream)
+            if bounds is None:
+                span[stream] = [number, number]
+            elif number > bounds[1]:
+                bounds[1] = number
+            elif number < bounds[0]:
+                bounds[0] = number
 
     def _follow(self, plan: _ReceivePlan, highest: int) -> None:
         """Write back a run of plans followed up to sequence ``highest``:
@@ -863,14 +948,11 @@ class Depacketizer:
         ``closing`` it cuts delivery mid-object, at the highest an arrival
         in it left open.
         """
-        first = not self._windows
+        first = self._first
         late = self._late
-        numbers: Dict[int, List[int]] = {}
-        for unit in itertools.islice(self.completed, self._window, None):
-            numbers.setdefault(unit.stream_number, []).append(unit.object_number)
         extent = {
-            stream: (0 if first and stream not in late else min(done), max(done))
-            for stream, done in numbers.items()
+            stream: (0 if first and stream not in late else lo, hi)
+            for stream, (lo, hi) in self._span.items()
         }
         if closing:
             return extent
@@ -893,16 +975,12 @@ class Depacketizer:
         closes one and opens the next (:meth:`_extent`), so content the
         viewer never asked for is not lost.
         """
-        done: Dict[int, set] = {}
-        for unit in self.completed:
-            done.setdefault(unit.stream_number, set()).add(unit.object_number)
-        expected: Dict[int, set] = {}
-        for extent in (*self._windows, self._extent()):
-            for stream, (lo, hi) in extent.items():
-                expected.setdefault(stream, set()).update(range(lo, hi + 1))
+        expected = {stream: list(runs) for stream, runs in self._expected.items()}
+        for stream, (lo, hi) in self._extent().items():
+            _cover(expected.setdefault(stream, []), lo, hi + 1)
         report = LossReport()
-        for stream, numbers in expected.items():
-            finished = done.get(stream, set())
-            report.delivered[stream] = len(finished)
-            report.lost[stream] = sorted(numbers - finished)
+        for stream, want in expected.items():
+            have = self._done.get(stream, [])
+            report.delivered[stream] = sum(have[1::2]) - sum(have[::2])
+            report.lost[stream] = _missing(want, have)
         return report

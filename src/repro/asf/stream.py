@@ -118,9 +118,10 @@ class ASFFile:
     def units(self) -> List[MediaUnit]:
         """Reassemble every media unit (lossless local read)."""
         depacketizer = Depacketizer()
+        units: List[MediaUnit] = []
         for packet in self.packets:
-            depacketizer.push_packet(packet)
-        return list(depacketizer.completed)
+            units += depacketizer.push_packet(packet)
+        return units
 
     # ------------------------------------------------------------------
     # binary round trip

@@ -232,12 +232,7 @@ class HeartbeatMonitor:
         if state.suspected:
             state.suspected = False
             state.suspected_at = None
-            try:
-                self.directory.mark_up(name)
-            except PlacementError:
-                # watched but not in the directory: the beat is just
-                # noise
-                pass
+            self.directory.mark_up(name)
             self.counters.inc("rejoins")
             if self.tracer is not None:
                 self.tracer.event("control.rejoin", edge=name)
@@ -265,10 +260,7 @@ class HeartbeatMonitor:
         now = self.simulator.now
         state.suspected = True
         state.suspected_at = now
-        try:
-            self.directory.mark_down(state.name)
-        except PlacementError:
-            pass  # watched but not in the directory
+        self.directory.mark_down(state.name)
         self.counters.inc("suspicions")
         self.suspicions.append(
             {"time": now, "edge": state.name, "silence": silence}

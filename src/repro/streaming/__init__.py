@@ -7,7 +7,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
     "buffer": ("JitterBuffer",),
     "client": (
         "FiredCommand", "MediaPlayer", "PlaybackReport", "PlayerError",
-        "PlayerState", "RenderedUnit",
+        "PlayerState", "RenderDigest",
     ),
     "edge": (
         "EdgeDirectory", "EdgeRelay", "FillToken", "PacketRunCache",

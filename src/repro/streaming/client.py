@@ -6,10 +6,10 @@ fires script commands (slide changes, annotations) at their timestamps —
 the paper's synchronized video + slides playback (Fig. 7).
 
 Everything measurable about playback lands in a :class:`PlaybackReport`:
-startup latency, rebuffer count/time, per-stream loss, rendered-unit log,
-and per-slide synchronization error (the distance between the media
-position when the slide actually changed and the timestamp the orchestrator
-asked for).
+startup latency, rebuffer count/time, per-stream loss, a fixed-size digest
+of what rendered (:class:`RenderDigest`), and per-slide synchronization
+error (the distance between the media position when the slide actually
+changed and the timestamp the orchestrator asked for).
 
 Two synchronization modes exist for the ablation benches:
 
@@ -56,17 +56,62 @@ class PlayerState(enum.Enum):
     FINISHED = "finished"
 
 
-@dataclass
-class RenderedUnit:
-    """One media unit handed to the renderer."""
+class RenderDigest:
+    """What a player rendered, folded to a fixed size.
 
-    # by hand, not slots=True (Python 3.10+): the rendered log is the
-    # largest thing each viewer retains
-    __slots__ = ("wall_time", "position", "unit")
+    ``count`` units, the ``first`` and ``last`` as ``(wall time, media
+    timestamp ms)``, and ``value``: a running hash over every unit's
+    ``(wall time, position, stream, object, timestamp)`` in render order.
+    Two playbacks that render the same units at the same instants and
+    positions have equal digests. The hash folds tuples of ints and floats
+    only, so it is the same in every run of one interpreter whatever
+    ``PYTHONHASHSEED`` is; it may differ between Python versions, so
+    digests are compared between runs, never against a stored value. A
+    traced player's ``render.unit`` records are the full log.
+    """
 
-    wall_time: float
-    position: float
-    unit: MediaUnit
+    __slots__ = ("count", "first", "last", "value")
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.first: Optional[Tuple[float, int]] = None
+        self.last: Optional[Tuple[float, int]] = None
+        self.value = 0
+
+    def add(self, wall_time: float, position: float, unit: MediaUnit) -> None:
+        """Fold one unit rendered at ``wall_time`` with the playhead at
+        ``position``."""
+        ts = unit.timestamp_ms
+        self.last = (wall_time, ts)
+        if not self.count:
+            self.first = self.last
+        self.count += 1
+        self.value = hash((
+            self.value, wall_time, position,
+            unit.stream_number, unit.object_number, ts,
+        ))
+
+    def copy(self) -> "RenderDigest":
+        other = type(self).__new__(type(self))
+        other.count, other.first = self.count, self.first
+        other.last, other.value = self.last, self.value
+        return other
+
+    def _key(self) -> tuple:
+        return (self.count, self.first, self.last, self.value)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RenderDigest):
+            return NotImplemented
+        return self._key() == other._key()
+
+    __hash__ = None  # mutable
+
+    def __repr__(self) -> str:
+        return (
+            f"RenderDigest(count={self.count}, first={self.first}, "
+            f"last={self.last}, value={self.value})"
+        )
 
 
 @dataclass
@@ -91,7 +136,7 @@ class PlaybackReport:
     startup_latency: float
     rebuffer_count: int
     rebuffer_time: float
-    rendered: List[RenderedUnit]
+    digest: RenderDigest
     commands: List[FiredCommand]
     loss_rates: Dict[int, float]
     duration_watched: float
@@ -200,7 +245,9 @@ class MediaPlayer:
         self._timer_origin: Optional[float] = None
 
         # metrics
-        self._rendered: List[RenderedUnit] = []
+        self._digest = RenderDigest()
+        #: media-stream bytes reassembled so far (PlaybackReport.media_bytes)
+        self._media_bytes = 0
         self.fired: List[FiredCommand] = []
         self._connect_time: Optional[float] = None
         self._first_render: Optional[float] = None
@@ -223,6 +270,10 @@ class MediaPlayer:
         self._reconnecting = False
         self._reconnect_attempts = 0
         self._reconnect_timer: Optional[EventHandle] = None
+        #: sessions opened so far: a reconnect opens one (see _overtaken)
+        self._opens = 0
+        #: a user control's round trip is in progress (see _issue)
+        self._in_control = False
         #: old (server url, session id) pairs whose close was swallowed by
         #: a partition — that server still thinks they stream (and holds
         #: their QoS channels), so every later attempt retries the close
@@ -251,12 +302,6 @@ class MediaPlayer:
     @property
     def position(self) -> float:
         return self._clock.media_time(self.simulator.now)
-
-    @property
-    def rendered(self) -> List[RenderedUnit]:
-        """Every unit rendered so far, in render order."""
-        self._settle()
-        return self._rendered
 
     def connect(self, url: str) -> HeaderObject:
         """DESCRIBE: fetch the header of ``url`` (…/lod/<point>)."""
@@ -319,6 +364,7 @@ class MediaPlayer:
         if not response.ok:
             raise PlayerError(f"{action} failed: {response.status} {response.body}")
         if action == "open":
+            self._opens += 1
             self.session_id = response.body["session_id"]
             self._recovery_sink = response.body.get("recovery_sink")
             included = response.body.get("streams")
@@ -682,6 +728,7 @@ class MediaPlayer:
         pending = self._pending_streams
         license = self._license
         media = []
+        media_bytes = self._media_bytes
         for unit in units:
             stream = unit.stream_number
             if stream in pending:
@@ -696,6 +743,7 @@ class MediaPlayer:
                 if self._broadcast:
                     self._on_live_command(unit)
                 continue
+            media_bytes += unit.size
             if license is not None:
                 unit = MediaUnit(
                     stream,
@@ -705,19 +753,25 @@ class MediaPlayer:
                     scramble(unit.data, license.key),
                 )
             media.append(unit)
-        if self._asleep and media:
-            if self.state is PlayerState.BUFFERING:
-                self._wake()  # the next tick may start playback
-            else:
-                # a unit already due renders at no instant slept through
-                # before it arrived: those instants render first. Units
-                # not due yet render at no such instant: no settle
-                playhead = media_ms(self.position)
-                for unit in media:
-                    if unit.timestamp_ms <= playhead:
-                        self._settle()
-                        break
-        self._buffer.extend(media)
+        self._media_bytes = media_bytes
+        if not (self._asleep and media):
+            self._buffer.extend(media)
+        elif self.state is PlayerState.BUFFERING:
+            # a buffering player's anchor stands still: whether its next
+            # tick starts playback is known now, and only then is it woken
+            self._buffer.extend(media)
+            if self._ready(self._clock.media_time(self.simulator.now)):
+                self._wake()
+        else:
+            # a unit already due renders at no instant slept through
+            # before it arrived: those instants render first. Units not
+            # due yet render at no such instant: no settle
+            playhead = media_ms(self.position)
+            for unit in media:
+                if unit.timestamp_ms <= playhead:
+                    self._settle()
+                    break
+            self._buffer.extend(media)
 
     def _on_live_command(self, unit: MediaUnit) -> None:
         """Live streams carry commands inline: fire immediately."""
@@ -752,19 +806,14 @@ class MediaPlayer:
         ):
             self._begin_reconnect(now)
             return
-        clock = self._clock
-        position = clock.media_time(now)
+        position = self._clock.media_time(now)
         if self.state is PlayerState.BUFFERING:
-            anchor = position if clock.started else self._start_position
-            if (
-                self._buffer.depth(anchor, self._media_streams) >= self.preroll
-                or self._end_of_content()
-                or (self._stream_ended and len(self._buffer))
-            ):
+            if self._ready(position):
                 self._start_playing(now)
             elif self.tracer is None:
                 # only an arrival, a control or the watchdog can end the
-                # buffering: an arrival or a control wakes the player
+                # buffering: an arrival that makes it ready or a control
+                # wakes the player
                 self._doze(now, self._watchdog_due(False))
             return
         # PLAYING: the playhead rounds to media ms once, and every question
@@ -772,10 +821,10 @@ class MediaPlayer:
         pos_ms = media_ms(position)
         due = self._buffer.pop_due_ms(pos_ms)
         if due:
-            rendered = self._rendered
+            render = self._digest.add
             tracer = self.tracer
             for unit in due:
-                rendered.append(RenderedUnit(now, position, unit))
+                render(now, position, unit)
                 if tracer is not None:
                     tracer.event(
                         "render.unit",
@@ -804,6 +853,17 @@ class MediaPlayer:
             # a traced player ticks every instant: its render.unit
             # records are emitted by the tick itself
             self._sleep(now, pos_ms, runway)
+
+    def _ready(self, position: float) -> bool:
+        """Whether a BUFFERING tick with the clock at ``position`` starts
+        playback: the preroll is buffered at the anchor, or the content's
+        end is, or the stream ended with something left to render."""
+        anchor = position if self._clock.started else self._start_position
+        return (
+            self._buffer.depth(anchor, self._media_streams) >= self.preroll
+            or self._end_of_content()
+            or (self._stream_ended and len(self._buffer) > 0)
+        )
 
     def _watchdog_due(self, end: bool) -> float:
         """The first instant the stall watchdog could fire (``inf`` when
@@ -874,12 +934,12 @@ class MediaPlayer:
             return  # a buffering player's ticks render nothing
         positions = self._clock.media_times(times)
         playheads = media_ms_each(positions)
-        render = self._rendered.append
+        render = self._digest.add
         i = 0
         for unit in self._buffer.pop_due_ms(playheads[-1]):
             if unit.timestamp_ms > playheads[i]:
                 i = bisect_left(playheads, unit.timestamp_ms, i)
-            render(RenderedUnit(times[i], positions[i], unit))
+            render(times[i], positions[i], unit)
 
     def _wake(self) -> None:
         """Settle, and tick at every instant again: called before anything
@@ -1030,7 +1090,7 @@ class MediaPlayer:
         if self.tracer is not None and self._playback_span is not None:
             self.tracer.end(
                 self._playback_span,
-                rendered=len(self.rendered),
+                rendered=self._digest.count,
                 rebuffers=self.rebuffer_count,
             )
             self._playback_span = None
@@ -1039,12 +1099,47 @@ class MediaPlayer:
     # user interactions
     # ------------------------------------------------------------------
 
+    def _issue(self, action: str, **fields) -> int:
+        """Send a user control on the current session and wait for its
+        reply; returns the count of sessions opened before it left.
+
+        One user control is in flight at a time: a control due during
+        another's round trip raises :class:`PlayerError`, as one issued in
+        a state that cannot take it does. What else runs during the trip
+        (a rebuffer, a reconnect, a relocate, the end of playback) is for
+        the caller to check against that count (:meth:`_overtaken`)."""
+        if self._in_control:
+            raise PlayerError(f"cannot {action}: a control is in flight")
+        opens = self._opens
+        self._in_control = True
+        try:
+            self._control(action, session_id=self.session_id, **fields)
+        finally:
+            self._in_control = False
+        return opens
+
+    def _overtaken(self, action: str, opens: int) -> None:
+        """Raise :class:`PlayerError` if a reconnect began or opened a new
+        session while ``action`` was in flight: it reached only the session
+        the reconnect replaces, which is closed as an orphan, and the new
+        one delivers from the buffered frontier the client still holds."""
+        if self._reconnecting or self._opens != opens:
+            raise PlayerError(
+                f"{action} overtaken: a reconnect replaced its session"
+            )
+
     def pause(self) -> None:
         if self.state is not PlayerState.PLAYING:
             raise PlayerError(f"cannot pause from {self.state.value}")
-        self._control("pause", session_id=self.session_id)
+        opens = self._issue("pause")
         if self.state is PlayerState.FINISHED:
             return  # playback ended during the round trip: nothing to pause
+        self._overtaken("pause", opens)
+        if self.state is not PlayerState.PLAYING:
+            # a rebuffer began during the round trip, and a buffering
+            # player does not pause: the server's session streams again
+            self._issue("resume")
+            raise PlayerError("pause overtaken: the player began buffering")
         self._wake()
         self._clock.pause(self.simulator.now)
         self.state = PlayerState.PAUSED
@@ -1052,9 +1147,11 @@ class MediaPlayer:
     def resume(self) -> None:
         if self.state is not PlayerState.PAUSED:
             raise PlayerError(f"cannot resume from {self.state.value}")
-        self._control("resume", session_id=self.session_id)
+        self._issue("resume")
         if self.state is PlayerState.FINISHED:
             return  # playback ended during the round trip
+        # a paused player neither ticks nor reconnects, and a relocate
+        # hands the session on: it is the one the resume reached
         self._clock.resume(self.simulator.now)
         if self._recovery is not None:
             # arrivals legitimately stopped while paused; restart the
@@ -1068,11 +1165,14 @@ class MediaPlayer:
             raise PlayerError(f"cannot seek from {self.state.value}")
         now = self.simulator.now
         was_paused = self.state is PlayerState.PAUSED
-        self._control("seek", session_id=self.session_id, position=position)
+        opens = self._issue("seek", position=position)
         if was_paused and self.state is not PlayerState.FINISHED:
-            self._control("resume", session_id=self.session_id)
+            self._issue("resume")
         if self.state is PlayerState.FINISHED:
             return  # playback ended during the round trip: nothing to move
+        self._overtaken("seek", opens)
+        # the session (or, after a relocate, its successor) now delivers
+        # from ``position``, whatever a rebuffer did to the client meanwhile
         self._seek_transition(now, position)
 
     def _seek_transition(self, now: float, position: float) -> None:
@@ -1126,7 +1226,7 @@ class MediaPlayer:
         seek (``seek_to``), or a reconnect-style action (``seek_to=None``,
         resume at the buffered frontier) — that member becomes a *twin*
         player on ``host``: it inherits the delegate's entire client-side
-        history (delivered bytes, rendered log, fired commands, clock,
+        history (delivered bytes, render digest, fired commands, clock,
         QoE counters — the member lived inside the cohort until this
         instant), opens its own server session, and restarts delivery
         exactly where the individuating action lands it. The delegate's
@@ -1193,7 +1293,8 @@ class MediaPlayer:
         twin._timer_commands = sorted(self.header.script_commands)
         twin._timer_cursor = self._timer_cursor
         twin._timer_origin = self._timer_origin
-        twin._rendered = list(self._rendered)
+        twin._digest = self._digest.copy()
+        twin._media_bytes = self._media_bytes
         twin.fired = list(self.fired)
         twin._connect_time = self._connect_time
         twin._first_render = self._first_render
@@ -1259,23 +1360,18 @@ class MediaPlayer:
             if self._first_render is not None and self._connect_time is not None
             else float("inf")
         )
-        media_bytes = sum(
-            unit.size
-            for unit in self._depacketizer.completed
-            if unit.stream_number != SCRIPT_STREAM_NUMBER
-        )
         return PlaybackReport(
             point=self._point or "",
             startup_latency=startup,
             rebuffer_count=self.rebuffer_count,
             rebuffer_time=self.rebuffer_time,
-            rendered=list(self._rendered),
+            digest=self._digest.copy(),
             commands=list(self.fired),
             loss_rates={
                 s: loss.loss_rate(s) for s in loss.delivered
             },
             duration_watched=self.position,
-            media_bytes=media_bytes,
+            media_bytes=self._media_bytes,
             recovery=self.recovery_stats.as_dict(),
             downshifts=list(self.downshift_log),
         )

@@ -1,9 +1,11 @@
 """Fixtures shared by several test modules (not collected as tests)."""
 
-from typing import Tuple
+from typing import Any, List, NamedTuple, Tuple
 
+from repro.asf.packets import Depacketizer
 from repro.core.petri import PetriNet
 from repro.load import LectureSpec
+from repro.streaming import RenderDigest
 
 
 def lecture_catalog(
@@ -51,6 +53,64 @@ def firing_times(execution, transition):
     ]
 
 
-def units_for(depacketizer, stream_number):
-    """The units a depacketizer completed on one stream, in order."""
-    return [u for u in depacketizer.completed if u.stream_number == stream_number]
+class CollectingDepacketizer(Depacketizer):
+    """A depacketizer that keeps ``units``: what its pushes returned, in
+    order. The depacketizer itself keeps no list of the units it completed;
+    a deep copy or a pickle of this one carries its list along."""
+
+    def __init__(self):
+        super().__init__()
+        self.units = []
+
+    def push_train(self, packets):
+        units = super().push_train(packets)
+        self.units += units
+        return units
+
+
+def units_for(units, stream_number):
+    """The units of one stream among ``units`` (what a depacketizer's
+    pushes returned), in order."""
+    return [u for u in units if u.stream_number == stream_number]
+
+
+class Rendered(NamedTuple):
+    """One unit handed to the renderer."""
+
+    wall_time: float
+    position: float
+    unit: Any
+
+
+class RenderLog(RenderDigest):
+    """A render digest that also keeps what it folds: ``entries``, one
+    :class:`Rendered` per unit, in render order. A player keeps only the
+    digest; a test that needs the whole log installs this one before the
+    player plays (:func:`log_renders`). A split twin inherits a copy, as it
+    inherits the digest, and every report carries one."""
+
+    __slots__ = ("entries",)
+
+    def __init__(self):
+        super().__init__()
+        self.entries: List[Rendered] = []
+
+    def add(self, wall_time, position, unit):
+        super().add(wall_time, position, unit)
+        self.entries.append(Rendered(wall_time, position, unit))
+
+    def copy(self):
+        other = super().copy()
+        other.entries = list(self.entries)
+        return other
+
+
+def log_renders(player):
+    """Give ``player`` a :class:`RenderLog`; returns the player."""
+    player._digest = RenderLog()
+    return player
+
+
+def rendered(report):
+    """The render log in the report of a player given a :class:`RenderLog`."""
+    return report.digest.entries

@@ -88,7 +88,7 @@ class TestLiveBroadcast:
         capture.finish()
         player.mark_stream_ended()
         net.simulator.run_until(12.0)
-        assert len(player.rendered) > 0
+        assert player.report().digest.count > 0
         player.stop()
 
 

@@ -50,13 +50,12 @@ def test_packetize_depacketize_lossless(seed, packet_size):
     unit_lists = random_units(seed)
     packets = Packetizer(packet_size=packet_size).packetize(unit_lists)
     depacketizer = Depacketizer()
+    completed = []
     for packet in packets:
-        depacketizer.push_packet(packet)
+        completed += depacketizer.push_packet(packet)
     for units in unit_lists:
         stream = units[0].stream_number
-        got = sorted(
-            units_for(depacketizer, stream), key=lambda u: u.object_number
-        )
+        got = sorted(units_for(completed, stream), key=lambda u: u.object_number)
         assert got == units
 
 

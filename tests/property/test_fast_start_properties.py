@@ -14,11 +14,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.asf import ASFEncoder, EncoderConfig
-from repro.asf.packets import Depacketizer
 from repro.media import AudioObject, VideoObject, get_profile
 from repro.obs import Tracer
 from repro.streaming import MediaServer, SessionState
 from repro.web import VirtualNetwork
+from tests.helpers import CollectingDepacketizer
 
 DURATION = 8.0
 ASF = ASFEncoder(EncoderConfig(profile=get_profile("dsl-256k"))).encode_file(
@@ -44,7 +44,7 @@ def deliver(conditions, **play_kwargs):
     link.rng.seed(seed)
     server = MediaServer(net, "server", pacing_quantum=quantum, tracer=tracer)
     server.publish("p", ASF)
-    receiver = Depacketizer()
+    receiver = CollectingDepacketizer()
     session = server.open_session("p", "viewer", receiver.push_train)
     server.play(session.session_id, start=start, **play_kwargs)
     factor = session._burst_factor
@@ -70,7 +70,7 @@ def deliver(conditions, **play_kwargs):
         for r in tracer.events("packet.train")
     ]
     units = {}
-    for unit in receiver.completed:
+    for unit in receiver.units:
         units.setdefault(unit.stream_number, []).append(
             (unit.object_number, unit.timestamp_ms, unit.data)
         )

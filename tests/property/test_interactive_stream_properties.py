@@ -20,6 +20,7 @@ from repro.lod import (
 )
 from repro.streaming import MediaPlayer
 from repro.web import VirtualNetwork
+from tests.helpers import log_renders, rendered
 
 DURATION = 30.0
 
@@ -104,7 +105,7 @@ def test_slides_always_end_on_last(seed):
 def test_rendered_positions_within_content(seed):
     net, record = world()
     script = random_stream_script(seed)
-    player = MediaPlayer(net, "student")
+    player = log_renders(MediaPlayer(net, "student"))
     result = apply_to_stream(net, player, record.url, script)
-    for rendered in result.report.rendered:
-        assert -1e-9 <= rendered.unit.timestamp <= DURATION
+    for r in rendered(result.report):
+        assert -1e-9 <= r.unit.timestamp <= DURATION

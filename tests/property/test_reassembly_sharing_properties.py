@@ -12,7 +12,8 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.asf.packets import DataPacket, Depacketizer, MediaUnit, Packetizer
+from repro.asf.packets import DataPacket, MediaUnit, Packetizer
+from tests.helpers import CollectingDepacketizer
 
 OPS = ["keep"] * 6 + ["drop", "dup", "swap", "copy", "replay", "replay-suppress"]
 
@@ -72,8 +73,8 @@ def test_sharing_receivers_match_a_memo_free_reference(sizes, packet_size, data)
     ).map(schedule_from)
     schedules = data.draw(st.lists(one_schedule, min_size=2, max_size=4))
 
-    sharing = [Depacketizer() for _ in schedules]
-    references = [Depacketizer() for _ in schedules]
+    sharing = [CollectingDepacketizer() for _ in schedules]
+    references = [CollectingDepacketizer() for _ in schedules]
     # round-robin, so whichever receiver completes an object first fills
     # the memo and the others meet it mid-schedule
     for tick in range(max(map(len, schedules))):
@@ -84,13 +85,13 @@ def test_sharing_receivers_match_a_memo_free_reference(sizes, packet_size, data)
                 receiver, steps[tick], packets, shares=True
             ) == run_step(reference, steps[tick], packets, shares=False)
     for receiver, reference in zip(sharing, references):
-        assert receiver.completed == reference.completed
+        assert receiver.units == reference.units
         assert receiver.loss_report() == reference.loss_report()
         assert receiver.suppressed_duplicates == reference.suppressed_duplicates
     # a fault-free pass over the same run now takes every unit as it is
-    first, second = Depacketizer(), Depacketizer()
+    first, second = CollectingDepacketizer(), CollectingDepacketizer()
     for packet in packets:
         first.push_packet(packet)
         second.push_packet(packet)
-    assert all(a is b for a, b in zip(first.completed, second.completed))
-    assert len(first.completed) == len(sizes)
+    assert all(a is b for a, b in zip(first.units, second.units))
+    assert len(first.units) == len(sizes)

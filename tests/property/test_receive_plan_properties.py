@@ -17,7 +17,8 @@ import copy
 
 from hypothesis import given, settings, strategies as st
 
-from repro.asf.packets import DataPacket, Depacketizer, Packetizer
+from repro.asf.packets import DataPacket, Packetizer
+from tests.helpers import CollectingDepacketizer
 from tests.test_receive_plans import (
     SeedDepacketizer,
     assert_matches_seed,
@@ -103,7 +104,7 @@ def test_receivers_emit_what_the_per_payload_loop_emits(sizes, packet_size, data
         st.lists(st.sampled_from(OPS), min_size=n, max_size=n),
     ).map(lambda drawn: schedule_from(*drawn))
     schedules = data.draw(st.lists(one_schedule, min_size=2, max_size=5))
-    receivers = [Receiver(s, Depacketizer(), SeedDepacketizer()) for s in schedules]
+    receivers = [Receiver(s, CollectingDepacketizer(), SeedDepacketizer()) for s in schedules]
     # a random interleaving: whichever receiver reaches a packet first
     # builds its plan, and the others meet it mid-schedule
     rng = data.draw(st.randoms(use_true_random=False))
@@ -122,7 +123,7 @@ def test_receivers_emit_what_the_per_payload_loop_emits(sizes, packet_size, data
 )
 def test_in_order_receivers_build_one_plan_per_packet(sizes, packet_size, receivers):
     run = make_run(sizes, packet_size)
-    group = [Depacketizer() for _ in range(receivers)]
+    group = [CollectingDepacketizer() for _ in range(receivers)]
     with counting_plans() as built:
         for packet in run:
             outputs = [receiver.push_packet(packet) for receiver in group]
@@ -133,4 +134,4 @@ def test_in_order_receivers_build_one_plan_per_packet(sizes, packet_size, receiv
             )
     # the first receiver only marks each packet, the second builds its plan
     assert built == [packet.sequence for packet in run]
-    assert len(group[0].completed) == len(sizes)
+    assert len(group[0].units) == len(sizes)

@@ -15,8 +15,9 @@ import copy
 
 from hypothesis import given, settings, strategies as st
 
-from repro.asf.packets import Depacketizer, Packetizer
+from repro.asf.packets import Packetizer
 from tests.test_receive_plans import SeedDepacketizer, make_units
+from tests.helpers import CollectingDepacketizer
 
 OPS = ["keep"] * 6 + ["drop", "dup", "swap", "repair", "replay", "suppress", "copy"]
 
@@ -89,7 +90,7 @@ def test_runs_filter_what_a_set_filters(sizes, packet_size, data):
     ops = data.draw(st.lists(st.sampled_from(OPS), min_size=n, max_size=n))
     lags = data.draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
     gaps = ([], [])
-    receiver = Depacketizer()
+    receiver = CollectingDepacketizer()
     receiver.on_gap = gaps[0].append
     seed = SeedDepacketizer(on_gap=gaps[1].append)
     for op, index in schedule_from(ops, lags):
@@ -101,7 +102,7 @@ def test_runs_filter_what_a_set_filters(sizes, packet_size, data):
         else:
             assert receiver.push_packet(run[index]) == seed.push_packet(twin[index])
         assert_runs_match(receiver, seed)
-    assert receiver.completed == seed.completed
+    assert receiver.units == seed.units
     assert receiver.loss_report() == seed.loss_report()
     assert gaps[0] == gaps[1]
 
@@ -110,7 +111,7 @@ def test_runs_filter_what_a_set_filters(sizes, packet_size, data):
 @given(sizes=st.lists(st.integers(min_value=1, max_value=4_000), min_size=1, max_size=30))
 def test_a_loss_free_playback_is_one_run(sizes):
     run = Packetizer(packet_size=600).packetize(make_units(sizes))
-    receiver = Depacketizer()
+    receiver = CollectingDepacketizer()
     for packet in run:
         receiver.push_packet(packet)
     assert receiver._runs == [run[0].sequence, run[-1].sequence + 1]

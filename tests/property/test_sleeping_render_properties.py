@@ -30,6 +30,8 @@ from repro.streaming import (
 )
 from repro.web import VirtualNetwork
 
+from tests.helpers import log_renders, rendered
+
 DURATION = 10.0
 SLIDES = 4
 MEMBERS = ("m0", "m1", "m2")
@@ -51,9 +53,10 @@ def lecture():
     )
 
 
-def play(script, *, traced, loss_seed, on_train=None):
+def play(script, *, traced, loss_seed, on_train=None, log=False):
     """Play ``script`` (``(time, action, argument)`` triples) on a cohort
-    delegate; returns every player's report and the event count."""
+    delegate; returns every player's report and the event count. ``log``
+    gives the delegate a :class:`~tests.helpers.RenderLog`."""
     net = VirtualNetwork()
     sim = net.simulator
     tracer = None
@@ -72,6 +75,8 @@ def play(script, *, traced, loss_seed, on_train=None):
         net, "cohort", tracer=tracer, multiplicity=len(MEMBERS) + 1,
         recovery=RecoveryConfig(), render_ticker=ticker, preroll_override=0.6,
     )
+    if log:
+        log_renders(delegate)
     if on_train is not None:
         receive = delegate._on_train
 
@@ -162,10 +167,10 @@ def test_the_lossy_link_repairs_units_late():
     late, while the player was asleep."""
     late = 0
     for loss in range(4):
-        (report,), _ = play((), traced=False, loss_seed=1000 + loss)
+        (report,), _ = play((), traced=False, loss_seed=1000 + loss, log=True)
         assert report.recovery.get("repairs_received", 0) >= 1
         late += sum(
             r.position - r.unit.timestamp_ms / 1000.0 > MediaPlayer.RENDER_TICK
-            for r in report.rendered
+            for r in rendered(report)
         )
     assert late

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from repro.lod import Lecture, MediaStore, WebPublishingManager
 from repro.streaming import MediaPlayer, MediaServer, PlayerError
 from repro.web import VirtualNetwork
+from tests.helpers import log_renders, rendered
 
 
 def run_playback(seed: int, loss: float, jitter: float, bandwidth: float):
@@ -36,7 +37,7 @@ def run_playback(seed: int, loss: float, jitter: float, bandwidth: float):
     record = WebPublishingManager(server, store).publish(
         video_path="/v", slide_dir="/s", point="prop"
     )
-    player = MediaPlayer(net, "student")
+    player = log_renders(MediaPlayer(net, "student"))
     try:
         report = player.watch(record.url)
     except PlayerError:
@@ -59,10 +60,10 @@ def test_rendered_timestamps_monotone_per_stream(params):
     if report is None:
         return
     last = {}
-    for rendered in report.rendered:
-        stream = rendered.unit.stream_number
-        assert rendered.unit.timestamp_ms >= last.get(stream, -1)
-        last[stream] = rendered.unit.timestamp_ms
+    for r in rendered(report):
+        stream = r.unit.stream_number
+        assert r.unit.timestamp_ms >= last.get(stream, -1)
+        last[stream] = r.unit.timestamp_ms
 
 
 @settings(deadline=None, max_examples=12)
@@ -102,5 +103,5 @@ def test_units_rendered_at_or_after_their_timestamp(params):
     report, _ = run_playback(*params)
     if report is None:
         return
-    for rendered in report.rendered:
-        assert rendered.position >= rendered.unit.timestamp - 1e-9
+    for r in rendered(report):
+        assert r.position >= r.unit.timestamp - 1e-9

@@ -12,7 +12,7 @@ receipt over generated arrivals:
   copy. Several receivers share each run's plans, in a random
   interleaving. Train by train both emit the same units, identical by
   ``is`` wherever the per-packet receivers share one, and they end with
-  the same gap callbacks, ``completed``, ``suppressed_duplicates`` and
+  the same gap callbacks, units, ``suppressed_duplicates`` and
   loss report. The per-payload oracle of ``tests/test_receive_plans.py``
   walks the same schedule too, and the duplicate filter's runs hold its
   set of sequences after every train. Half the runs are walked first by
@@ -48,6 +48,7 @@ from repro.net.engine import Simulator
 from repro.streaming import RecoveryClient, RecoveryConfig
 from repro.streaming.buffer import JitterBuffer
 from tests.property.test_sequence_runs_properties import assert_runs_match
+from tests.helpers import CollectingDepacketizer
 from tests.test_receive_plans import SeedDepacketizer, assert_matches_seed, make_units
 
 OPS = ["keep"] * 8 + [
@@ -178,7 +179,7 @@ def test_a_train_yields_what_its_packets_yield_one_by_one(
     ).map(lambda drawn: schedule_from(*drawn))
     schedules = data.draw(st.lists(one_schedule, min_size=1, max_size=4))
     receivers = [
-        Receiver(s, Depacketizer(), Depacketizer(), SeedDepacketizer())
+        Receiver(s, CollectingDepacketizer(), CollectingDepacketizer(), SeedDepacketizer())
         for s in schedules
     ]
     # whichever receiver reaches a packet first marks it, the next builds
@@ -202,7 +203,7 @@ def test_a_train_yields_what_its_packets_yield_one_by_one(
 )
 def test_in_order_trains_follow_one_plan_per_packet(sizes, packet_size, receivers, cut):
     run = make_run(sizes, packet_size)
-    group = [Depacketizer() for _ in range(receivers)]
+    group = [CollectingDepacketizer() for _ in range(receivers)]
     for start in range(0, len(run), cut):
         train = run[start:start + cut]
         outputs = [receiver.push_train(train) for receiver in group]
@@ -213,7 +214,7 @@ def test_in_order_trains_follow_one_plan_per_packet(sizes, packet_size, receiver
         )
     # every follower is still on the chain the second receiver built
     assert all(r._serial == group[1]._serial for r in group[1:])
-    assert all(len(r.completed) == len(sizes) for r in group)
+    assert all(len(r.units) == len(sizes) for r in group)
 
 
 # ----------------------------------------------------------------------
@@ -419,7 +420,7 @@ def test_a_suppressing_replay_follows_no_plan_across_trains():
     for receiver in (Depacketizer(), Depacketizer()):
         receiver.push_train(runs[0])
     assert all(packet._plan.prev == 0 for packet in runs[0])
-    got, seed = Depacketizer(), SeedDepacketizer()
+    got, seed = CollectingDepacketizer(), SeedDepacketizer()
     got.push_train(runs[0][:4])
     for packet in runs[1][:4]:
         seed.push_packet(packet)

@@ -20,7 +20,7 @@ from repro.asf.packets import (
 from repro.asf.script_commands import ScriptCommand
 from repro.asf.stream import ASFFile, ASFLiveStream
 from repro.asf.wire import Reader, pack_str, write_object
-from tests.helpers import units_for
+from tests.helpers import CollectingDepacketizer, units_for
 
 
 class TestWire:
@@ -209,11 +209,12 @@ class TestPacketizer:
         packets = Packetizer(packet_size=16_000).packetize([units])
         assert [len(p.payloads) for p in packets] == [255, 145]
         depacketizer = Depacketizer()
+        got = []
         for packet in packets:
             clone = DataPacket.unpack(packet.pack())
             assert clone == packet
-            depacketizer.push_packet(clone)
-        assert units_for(depacketizer, 1) == units
+            got += depacketizer.push_packet(clone)
+        assert units_for(got, 1) == units
 
     def test_zero_bitrate_rejected(self):
         with pytest.raises(ASFError):
@@ -223,7 +224,7 @@ class TestPacketizer:
 class TestDepacketizer:
     def roundtrip(self, unit_lists, packet_size=1450, drop=()):
         packets = Packetizer(packet_size=packet_size).packetize(unit_lists)
-        depacketizer = Depacketizer()
+        depacketizer = CollectingDepacketizer()
         for i, packet in enumerate(packets):
             if i in drop:
                 continue
@@ -233,13 +234,13 @@ class TestDepacketizer:
     def test_lossless_reassembly(self):
         units = make_units(count=10, size=400)
         depk = self.roundtrip([units])
-        got = units_for(depk, 1)
+        got = units_for(depk.units, 1)
         assert got == units
 
     def test_fragmented_reassembly(self):
         units = [MediaUnit(1, 0, 0, True, bytes(range(256)) * 30)]
         depk = self.roundtrip([units], packet_size=600)
-        assert units_for(depk, 1)[0].data == units[0].data
+        assert units_for(depk.units, 1)[0].data == units[0].data
 
     def test_loss_detection(self):
         # 1380-byte units fill a 1450-byte packet exactly one-to-one
@@ -261,7 +262,7 @@ class TestDepacketizer:
     def test_fragment_loss_kills_whole_object(self):
         units = [MediaUnit(1, 0, 0, True, b"q" * 4000)]
         depk = self.roundtrip([units], drop={1})
-        assert units_for(depk, 1) == []
+        assert units_for(depk.units, 1) == []
         assert depk.loss_report().lost[1] == [0]
 
     def test_loss_rate_empty_stream(self):

@@ -22,6 +22,7 @@ from repro.lod import Lecture, LODPublisher
 from repro.media import AudioObject, ImageObject, VideoObject, get_profile
 from repro.streaming import MediaPlayer, MediaServer, PlayerState
 from repro.web import VirtualNetwork
+from tests.helpers import log_renders, rendered
 
 PROFILE = get_profile("dsl-256k")
 DURATION = 20.0
@@ -192,7 +193,7 @@ class TestSeekToSlide:
         url = f"http://origin:8080/lod/lec"
 
         # catalog-navigating player: start from zero, then jump to s2
-        nav = MediaPlayer(net, "nav", user="nav")
+        nav = log_renders(MediaPlayer(net, "nav", user="nav"))
         nav.connect(url)
         nav.play()
         net.simulator.run_until(4.0)
@@ -202,7 +203,7 @@ class TestSeekToSlide:
             nav.stop()
 
         # reference player: plays the slide's tail directly
-        direct = MediaPlayer(net, "direct", user="direct")
+        direct = log_renders(MediaPlayer(net, "direct", user="direct"))
         direct.connect(url)
         direct.play(start=ref.timestamp)
         net.simulator.run_until(160.0)
@@ -213,7 +214,7 @@ class TestSeekToSlide:
             # everything rendered at/after the slide's playback position
             return {
                 (r.unit.stream_number, r.unit.object_number)
-                for r in report.rendered
+                for r in rendered(report)
                 if r.position >= ref.timestamp
             }
 

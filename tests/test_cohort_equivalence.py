@@ -44,6 +44,8 @@ from repro.streaming import (
 )
 from repro.web import VirtualNetwork
 
+from tests.helpers import log_renders, rendered
+
 N = 32
 DURATION = 12.0
 JOIN_AT = 1.0       # after prefetch; well inside the first quantum
@@ -107,8 +109,8 @@ def run_baseline(asf, *, seek=False, late=False):
     hosts = [f"c{i}" for i in range(N)] + (["late"] if late else [])
     net, relay, ticker = make_world(asf, hosts, tracer)
     players = [
-        MediaPlayer(net, host, user=host, tracer=tracer,
-                    render_ticker=ticker, preroll_override=PREROLL)
+        log_renders(MediaPlayer(net, host, user=host, tracer=tracer,
+                                render_ticker=ticker, preroll_override=PREROLL))
         for host in hosts
     ]
 
@@ -134,10 +136,10 @@ def run_cohort(asf, *, seek=False):
     tracer = Tracer("cohort")
     hosts = ["cohort"] + (["member"] if seek else [])
     net, relay, ticker = make_world(asf, hosts, tracer)
-    delegate = MediaPlayer(
+    delegate = log_renders(MediaPlayer(
         net, "cohort", user="cohort", tracer=tracer,
         multiplicity=N, render_ticker=ticker, preroll_override=PREROLL,
-    )
+    ))
     twins = []
 
     def join():
@@ -162,7 +164,7 @@ def run_cohort(asf, *, seek=False):
 def delivered_units(report):
     """Rendered media content, timing-free: the exact (stream, object,
     timestamp, payload) sequence handed to the renderer."""
-    return [r.unit for r in report.rendered]
+    return [r.unit for r in rendered(report)]
 
 
 def fired_content(report):
@@ -187,9 +189,10 @@ def assert_reports_identical(a, b, *, timing=True):
     assert fired_content(a) == fired_content(b)
     if timing:
         assert (
-            [(r.wall_time, r.position) for r in a.rendered]
-            == [(r.wall_time, r.position) for r in b.rendered]
+            [(r.wall_time, r.position) for r in rendered(a)]
+            == [(r.wall_time, r.position) for r in rendered(b)]
         )
+        assert a.digest == b.digest
 
 
 def weighted_summary(aggregator):
@@ -228,8 +231,8 @@ class TestPureCohortEquivalence:
         assert delivered_units(report) == delivered_units(reference)
         # the same 50 ms grid from a later clock start: equal positions,
         # up to the float rounding of that start
-        assert [r.position for r in report.rendered] == pytest.approx(
-            [r.position for r in reference.rendered], abs=1e-9
+        assert [r.position for r in rendered(report)] == pytest.approx(
+            [r.position for r in rendered(reference)], abs=1e-9
         )
         assert report.rebuffer_count == 0
         # the catch-up leaves at link rate: it starts no slower than the
@@ -342,8 +345,8 @@ class TestSplitSeekEquivalence:
 
 class TestSplitSharesUnits:
     """A twin clones the delegate's receive state without rebuilding it:
-    media units are frozen, so both hold the very same objects, while
-    the containers stay private to each player."""
+    media units are frozen, so both buffers hold the very same objects,
+    while the containers stay private to each player."""
 
     def test_twin_shares_completed_units_but_not_its_buffer(self):
         tracer = Tracer("split")
@@ -355,10 +358,10 @@ class TestSplitSharesUnits:
         delegate.connect(relay.url_of("lecture"))
         delegate.play()
         net.simulator.run_until(QUANTUM + 2.0)  # mid-playback
-        completed = list(delegate._depacketizer.completed)
+        completed = delegate._buffer._units[delegate._buffer._head:]
         assert completed
         twin = delegate.split_member("member", user="member")
-        shared = twin._depacketizer.completed[:len(completed)]
+        shared = twin._buffer._units[twin._buffer._head:]
         assert len(shared) == len(completed)
         assert all(a is b for a, b in zip(shared, completed))
         # the buffers are separate containers of the shared units

@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 
 from repro.asf.packets import (
     DataPacket,
-    Depacketizer,
     MediaUnit,
     Packetizer,
     Payload,
 )
+from tests.helpers import CollectingDepacketizer
 
 
 def fragment_packets(data: bytes, *, pieces: int, stream: int = 1,
@@ -41,7 +41,7 @@ class TestReordering:
     def test_out_of_order_fragments_reassemble(self):
         data = bytes(range(256)) * 3
         packets = fragment_packets(data, pieces=4)
-        depacketizer = Depacketizer()
+        depacketizer = CollectingDepacketizer()
         finished = []
         for packet in (packets[2], packets[0], packets[3], packets[1]):
             finished += depacketizer.push_packet(packet)
@@ -53,10 +53,10 @@ class TestReordering:
             MediaUnit(1, i, i * 100, True, bytes([i]) * 900) for i in range(6)
         ]
         packets = Packetizer(packet_size=700).packetize([units])
-        depacketizer = Depacketizer()
+        depacketizer = CollectingDepacketizer()
         for packet in reversed(packets):
             depacketizer.push_packet(packet)
-        got = {u.object_number: u.data for u in depacketizer.completed}
+        got = {u.object_number: u.data for u in depacketizer.units}
         assert got == {u.object_number: u.data for u in units}
         report = depacketizer.loss_report()
         assert report.lost[1] == []
@@ -66,11 +66,11 @@ class TestReordering:
         a = fragment_packets(b"A" * 1000, pieces=3, stream=1)
         b = fragment_packets(b"B" * 1000, pieces=3, stream=2,
                              first_sequence=100)
-        depacketizer = Depacketizer()
+        depacketizer = CollectingDepacketizer()
         for pa, pb in zip(a, b):
             depacketizer.push_packet(pb)
             depacketizer.push_packet(pa)
-        datas = {u.stream_number: u.data for u in depacketizer.completed}
+        datas = {u.stream_number: u.data for u in depacketizer.units}
         assert datas == {1: b"A" * 1000, 2: b"B" * 1000}
 
 
@@ -78,39 +78,39 @@ class TestDuplication:
     def test_duplicate_packet_produces_unit_once(self):
         units = [MediaUnit(1, 0, 0, True, b"x" * 500)]
         packets = Packetizer(packet_size=600).packetize([units])
-        depacketizer = Depacketizer()
+        depacketizer = CollectingDepacketizer()
         for packet in packets:
             depacketizer.push_packet(packet)
         for packet in packets:  # duplicated delivery of every packet
             assert depacketizer.push_packet(packet) == []
-        assert len(depacketizer.completed) == 1
+        assert len(depacketizer.units) == 1
         assert depacketizer.loss_report().delivered[1] == 1
 
     def test_duplicate_fragment_mid_reassembly(self):
         data = b"y" * 1200
         packets = fragment_packets(data, pieces=3)
-        depacketizer = Depacketizer()
+        depacketizer = CollectingDepacketizer()
         depacketizer.push_packet(packets[0])
         depacketizer.push_packet(packets[0])  # retransmit of the same fragment
         depacketizer.push_packet(packets[1])
         finished = depacketizer.push_packet(packets[2])
         assert len(finished) == 1
         assert finished[0].data == data
-        assert len(depacketizer.completed) == 1
+        assert len(depacketizer.units) == 1
 
     def test_expect_replay_allows_reseeding(self):
         """After a seek the server re-sends old sequences on purpose."""
         units = [MediaUnit(1, i, i * 100, True, b"z" * 400) for i in range(3)]
         packets = Packetizer(packet_size=600).packetize([units])
-        depacketizer = Depacketizer()
+        depacketizer = CollectingDepacketizer()
         for packet in packets:
             depacketizer.push_packet(packet)
-        assert len(depacketizer.completed) == 3
+        assert len(depacketizer.units) == 3
         depacketizer.expect_replay()
         for packet in packets:
             depacketizer.push_packet(packet)
         # the replayed units complete again (the player re-buffers them)...
-        assert len(depacketizer.completed) == 6
+        assert len(depacketizer.units) == 6
         # ...but delivery accounting stays per distinct object
         assert depacketizer.loss_report().delivered[1] == 3
 
@@ -122,18 +122,18 @@ class TestLossReports:
         drop = {p.sequence for p in packets if any(
             pl.object_number == 2 for pl in p.payloads
         )}
-        depacketizer = Depacketizer()
+        depacketizer = CollectingDepacketizer()
         survivors = [p for p in packets if p.sequence not in drop]
         for packet in survivors:
             depacketizer.push_packet(packet)
         report = depacketizer.loss_report()
         assert 2 in report.lost[1]
-        completed = {u.object_number for u in depacketizer.completed}
+        completed = {u.object_number for u in depacketizer.units}
         assert 2 not in completed
 
     def test_gap_implied_by_numbering_counts_as_lost(self):
         """Even with no fragment seen, a hole below the max is a loss."""
-        depacketizer = Depacketizer()
+        depacketizer = CollectingDepacketizer()
         for number in (0, 3):
             payload = Payload(1, number, 0, 4, 0, True, b"abcd")
             depacketizer.push_packet(DataPacket(number, 0, [payload],
@@ -146,7 +146,7 @@ class TestLossReports:
     def test_stream_begun_mid_window_counts_from_its_first_object(self):
         """A downshift's rendition starts mid-file: the objects before its
         first are not lost, a hole after it still is."""
-        depacketizer = Depacketizer()
+        depacketizer = CollectingDepacketizer()
         for sequence, (stream, number) in enumerate(
             [(1, 0), (1, 1), (2, 40), (2, 42)]
         ):
@@ -180,11 +180,11 @@ def test_packetize_drop_k_loss_report_exact(sizes, drop):
         p for p in packets
         if not any(pl.object_number in dropped_objects for pl in p.payloads)
     ]
-    depacketizer = Depacketizer()
+    depacketizer = CollectingDepacketizer()
     for packet in kept_packets:
         depacketizer.push_packet(packet)
 
-    completed = {u.object_number: u.data for u in depacketizer.completed}
+    completed = {u.object_number: u.data for u in depacketizer.units}
     # objects sharing a packet with a dropped object may be collateral
     # damage; everything that did complete must be byte-exact
     for number, data in completed.items():

@@ -22,6 +22,7 @@ from repro.metrics.counters import get_counters, reset_counters
 from repro.streaming import MediaPlayer, MediaServer, PlayerState, build_edge_tier
 
 from repro.web import VirtualNetwork
+from tests.helpers import log_renders, rendered
 
 CHAOS_SEED = int(os.environ.get("CHAOS_SEED", "0"))
 PROFILE = get_profile("dsl-256k")
@@ -75,7 +76,7 @@ def watch(net, player, url, horizon=60.0):
 
 def render_keys(report):
     return [
-        (r.unit.stream_number, r.unit.object_number) for r in report.rendered
+        (r.unit.stream_number, r.unit.object_number) for r in rendered(report)
     ]
 
 
@@ -98,8 +99,8 @@ class TestStaleServeDuringOutage:
 
         counters = get_counters("edge_cache")
         url = f"http://{edge0.host}:{edge0.port}/lod/lecture"
-        p1 = MediaPlayer(net, "s1", user="s1")
-        p2 = MediaPlayer(net, "s2", user="s2")
+        p1 = log_renders(MediaPlayer(net, "s1", user="s1"))
+        p2 = log_renders(MediaPlayer(net, "s2", user="s2"))
         # both arrive at the same instant, during the outage
         p1.connect(url)
         p2.connect(url)
@@ -141,7 +142,7 @@ class TestStaleServeDuringOutage:
         origin.crash()
 
         counters = get_counters("edge_cache")
-        player = MediaPlayer(net, "student", user="student")
+        player = log_renders(MediaPlayer(net, "student", user="student"))
         player.connect(f"http://{edge0.host}:{edge0.port}/lod/lecA")
         player.play()
         net.simulator.run_until(2.0)

@@ -46,6 +46,7 @@ from repro.streaming import (
 )
 from repro.streaming.edge import EdgeRelay
 from repro.web import VirtualNetwork
+from tests.helpers import log_renders, rendered
 
 CHAOS_SEED = int(os.environ.get("CHAOS_SEED", "0"))
 PROFILE = get_profile("dsl-256k")
@@ -319,10 +320,10 @@ class TestCrashRerouteResume:
             FaultPlan("edge-crash").edge_crash(home, at=6.0, restart_at=12.0)
         )
 
-        player = MediaPlayer(
+        player = log_renders(MediaPlayer(
             net, "student", directory=directory,
             recovery=RecoveryConfig(), tracer=tracer,
-        )
+        ))
         player.connect(directory.url_for("student", "lecture"))
         player.play()
         report = drive(net, player, 90.0)
@@ -341,7 +342,7 @@ class TestCrashRerouteResume:
         assert fired == [f"s{i}" for i in range(SLIDES)]
         keys = [
             (r.unit.stream_number, r.unit.object_number)
-            for r in report.rendered
+            for r in rendered(report)
         ]
         assert len(keys) == len(set(keys))
 
@@ -390,7 +391,7 @@ class TestReconnectHoldsNoSharedTick:
             net, "student", directory=directory, recovery=RecoveryConfig(),
             render_ticker=ticker,
         )
-        other = MediaPlayer(net, "other", render_ticker=ticker)
+        other = log_renders(MediaPlayer(net, "other", render_ticker=ticker))
         crashed.connect(directory.url_for("student", "lecture"))
         crashed.play()
         other.connect(f"http://{survivor.host}:{survivor.port}/lod/lecture")
@@ -406,9 +407,9 @@ class TestReconnectHoldsNoSharedTick:
         assert max(gaps) == pytest.approx(MediaPlayer.RENDER_TICK)
         assert watched.rebuffer_count == 0
         previous = dict(zip(fires[1:], fires))
-        first = watched.rendered[0].wall_time
-        assert any(r.wall_time > 6.0 for r in watched.rendered)
-        for r in watched.rendered:
+        first = rendered(watched)[0].wall_time
+        assert any(r.wall_time > 6.0 for r in rendered(watched))
+        for r in rendered(watched):
             assert r.wall_time in previous
             assert media_ms(r.position) >= r.unit.timestamp_ms
             if r.wall_time != first:

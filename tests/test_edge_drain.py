@@ -35,6 +35,7 @@ from repro.streaming import (
 )
 
 from repro.web import VirtualNetwork
+from tests.helpers import log_renders, rendered
 
 CHAOS_SEED = int(os.environ.get("CHAOS_SEED", "0"))
 PROFILE = get_profile("dsl-256k")
@@ -95,10 +96,10 @@ def make_tier(*, edges=2, tracer=None, seed=0, hosts=("student",),
 
 
 def start_player(net, directory, tracer=None, host="student"):
-    player = MediaPlayer(
+    player = log_renders(MediaPlayer(
         net, host, directory=directory,
         recovery=RecoveryConfig(), tracer=tracer,
-    )
+    ))
     player.connect(directory.url_for(host, "lecture"))
     player.play()
     return player
@@ -152,7 +153,7 @@ class TestWarmHandoff:
         assert fired == [f"s{i}" for i in range(SLIDES)]
         keys = [
             (r.unit.stream_number, r.unit.object_number)
-            for r in report.rendered
+            for r in rendered(report)
         ]
         assert len(keys) == len(set(keys))
         # the successor actually served the tail
@@ -207,7 +208,7 @@ class TestWarmHandoff:
         assert report.duration_watched == pytest.approx(DURATION, abs=0.3)
         keys = [
             (r.unit.stream_number, r.unit.object_number)
-            for r in report.rendered
+            for r in rendered(report)
         ]
         assert len(keys) == len(set(keys))
         teardown_audit(origin, relays, tracer)
@@ -288,7 +289,7 @@ class TestDrainFallback:
         assert report.duration_watched == pytest.approx(DURATION, abs=0.3)
         keys = [
             (r.unit.stream_number, r.unit.object_number)
-            for r in report.rendered
+            for r in rendered(report)
         ]
         assert len(keys) == len(set(keys))
 

@@ -361,7 +361,7 @@ class TestPassthrough:
         player = MediaPlayer(net, "student")
         report = player.watch(directory.url_for("student", "lecture"))
         assert player.state is PlayerState.FINISHED
-        assert report.rendered and not report.rebuffer_count
+        assert report.digest.count and not report.rebuffer_count
         assert all(rate == 0.0 for rate in report.loss_rates.values())
 
     def test_mbr_thinning_happens_at_the_edge(self):

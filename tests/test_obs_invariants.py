@@ -122,7 +122,7 @@ class TestCleanRun:
         assert summary["reservations_released"] == 1
         assert summary["trains_seen"] >= 1
         # every rendered unit left a monotonic render.unit record
-        assert summary["renders_seen"] == len(report.rendered)
+        assert summary["renders_seen"] == report.digest.count
         assert tracer.open_spans() == {}
         assert_no_session_leaks(server)
 

@@ -19,6 +19,8 @@ from repro.media import AudioObject, ImageObject, VideoObject, get_profile
 from repro.streaming import MediaPlayer, MediaServer
 from repro.web import VirtualNetwork
 
+from tests.helpers import log_renders, rendered
+
 # lan-1m video frames span several packets: the fragmented path
 PROFILE = get_profile("lan-1m")
 DURATION = 6.0
@@ -53,7 +55,9 @@ def make_world(asf, clients=STUDENTS):
 
 
 def watch_all(net, server, players):
+    """Play ``players`` to the end; their reports carry render logs."""
     for player in players:
+        log_renders(player)
         player.connect(server.url_of("lecture"))
         player.play()
     for player in players:
@@ -75,16 +79,18 @@ def number(unit):
 
 
 def numbers(report):
-    return [number(r.unit) for r in report.rendered]
+    return [number(r.unit) for r in rendered(report)]
 
 
 def reference_units(asf):
     """What a receiver that can never share reassembles, by number: every
     packet goes through its wire image first."""
     depacketizer = Depacketizer()
-    for packet in asf.packets:
-        depacketizer.push_packet(DataPacket.unpack(packet.pack()))
-    return {number(unit): unit for unit in depacketizer.completed}
+    return {
+        number(unit): unit
+        for packet in asf.packets
+        for unit in depacketizer.push_packet(DataPacket.unpack(packet.pack()))
+    }
 
 
 def test_ten_players_hold_one_copy_of_every_unit():
@@ -99,22 +105,22 @@ def test_ten_players_hold_one_copy_of_every_unit():
     one = numbers(reports[0])
     assert len(one) == len(set(one)) > 0
     assert all(numbers(report) == one for report in reports)
-    units = {id(r.unit) for report in reports for r in report.rendered}
+    units = {id(r.unit) for report in reports for r in rendered(report)}
     assert len(units) == len(one)
-    held = {id(r.unit.data) for report in reports for r in report.rendered}
+    held = {id(r.unit.data) for report in reports for r in rendered(report)}
     assert len(held) <= len(one)
     # every declared-size unit (all but the script commands: the encoder
     # generated no payload bytes) holds the zero block of its length
     declared = [
-        r.unit for r in reports[0].rendered
+        r.unit for r in rendered(reports[0])
         if r.unit.stream_number != SCRIPT_STREAM_NUMBER
     ]
     assert declared and not EncoderConfig(profile=PROFILE).with_data
     assert all(unit.data is zero_block(unit.size) for unit in declared)
     # and they are the right bytes
     expected = reference_units(asf)
-    for rendered in reports[0].rendered:
-        assert rendered.unit == expected[number(rendered.unit)]
+    for r in rendered(reports[0]):
+        assert r.unit == expected[number(r.unit)]
 
 
 def test_republish_reuses_object_numbers_but_never_a_unit():
@@ -129,33 +135,34 @@ def test_republish_reuses_object_numbers_but_never_a_unit():
 
     assert numbers(early) == numbers(late)
     assert not (
-        {id(r.unit) for r in early.rendered} & {id(r.unit) for r in late.rendered}
+        {id(r.unit) for r in rendered(early)}
+        & {id(r.unit) for r in rendered(late)}
     )
     expected = reference_units(new)
-    for rendered in late.rendered:
-        assert rendered.unit == expected[number(rendered.unit)]
+    for r in rendered(late):
+        assert r.unit == expected[number(r.unit)]
 
 
 def test_bucket_mixing_two_generations_falls_through_to_the_join():
     asf = make_asf()
     warm = Depacketizer()
-    for packet in asf.packets:
-        warm.push_packet(packet)
+    warm_units = [unit for packet in asf.packets for unit in warm.push_packet(packet)]
     assert memos(asf)
     # the same content, every odd packet from another generation of the run
     carriers = {}
     mixed = Depacketizer()
+    mixed_units = []
     for packet in asf.packets:
         for payload in packet.payloads:
             carriers.setdefault(number(payload), set()).add(packet.sequence % 2)
         if packet.sequence % 2:
             packet = DataPacket.unpack(packet.pack())
-        mixed.push_packet(packet)
-    assert mixed.completed == warm.completed
+        mixed_units += mixed.push_packet(packet)
+    assert mixed_units == warm_units
     assert {frozenset(c) for c in carriers.values()} == {
         frozenset({0}), frozenset({1}), frozenset({0, 1})
     }
-    for unit, first in zip(mixed.completed, warm.completed):
+    for unit, first in zip(mixed_units, warm_units):
         assert (unit is first) == (carriers[number(unit)] == {0})
 
 
@@ -170,17 +177,18 @@ def test_drm_sessions_keep_private_descrambled_units():
         players.append(MediaPlayer(net, user, license_server=licenses))
     alice, bob = watch_all(net, server, players)
 
-    assert [r.unit for r in alice.rendered] == [r.unit for r in bob.rendered]
+    assert [r.unit for r in rendered(alice)] == [r.unit for r in rendered(bob)]
     assert not (
-        {id(r.unit) for r in alice.rendered} & {id(r.unit) for r in bob.rendered}
+        {id(r.unit) for r in rendered(alice)}
+        & {id(r.unit) for r in rendered(bob)}
     )
     # the shared run still holds what is on the wire: the scrambled bytes
     on_the_run = {id(unit) for _, unit in memos(asf)}
     assert on_the_run
-    assert not on_the_run & {id(r.unit) for r in alice.rendered}
+    assert not on_the_run & {id(r.unit) for r in rendered(alice)}
     clear_units = reference_units(clear)
-    for rendered in alice.rendered:
-        assert rendered.unit == clear_units[number(rendered.unit)]
+    for r in rendered(alice):
+        assert r.unit == clear_units[number(r.unit)]
     scrambled = reference_units(asf)
     assert scrambled != clear_units
     for _, unit in memos(asf):
@@ -229,8 +237,9 @@ def test_farm_results_cross_the_process_boundary_with_the_memo_empty():
     assert asf.fingerprint() == make_asf().fingerprint()
     # ... and the copy shares like any other run
     a, b = Depacketizer(), Depacketizer()
+    a_units, b_units = [], []
     for packet in asf.packets:
-        a.push_packet(packet)
-        b.push_packet(packet)
-    assert a.completed == b.completed
-    assert all(x is y for x, y in zip(a.completed, b.completed))
+        a_units += a.push_packet(packet)
+        b_units += b.push_packet(packet)
+    assert a_units == b_units
+    assert all(x is y for x, y in zip(a_units, b_units))

@@ -27,7 +27,6 @@ from repro.asf import ASFEncoder, EncoderConfig, slide_commands
 from repro.asf import packets as packets_module
 from repro.asf.packets import (
     DataPacket,
-    Depacketizer,
     LossReport,
     MediaUnit,
     Packetizer,
@@ -37,6 +36,7 @@ from repro.media import AudioObject, ImageObject, VideoObject, get_profile
 from repro.streaming import MediaPlayer, MediaServer
 from repro.streaming.server import _PointSchedule
 from repro.web import VirtualNetwork
+from tests.helpers import CollectingDepacketizer, log_renders, rendered
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +81,7 @@ class SeedDepacketizer:
     def __init__(self, *, on_gap=None) -> None:
         self._fragments: Dict[Tuple[int, int], Dict[int, Payload]] = {}
         self._have: Dict[Tuple[int, int], int] = {}
-        self.completed: List[MediaUnit] = []
+        self.units: List[MediaUnit] = []
         #: per delivery window, the object numbers seen in it per stream
         self._seen_objects: List[Dict[int, set]] = [{}]
         #: ... and those completed in it
@@ -142,7 +142,7 @@ class SeedDepacketizer:
                 else:
                     unit = memo[1]
                 finished.append(unit)
-                self.completed.append(unit)
+                self.units.append(unit)
                 done.add(payload.object_number)
                 self._window_done[-1].setdefault(stream, set()).add(
                     payload.object_number
@@ -158,7 +158,7 @@ class SeedDepacketizer:
             if have >= payload.object_size:
                 unit = _seed_reassemble(bucket, payload)
                 finished.append(unit)
-                self.completed.append(unit)
+                self.units.append(unit)
                 done.add(payload.object_number)
                 self._window_done[-1].setdefault(stream, set()).add(
                     payload.object_number
@@ -222,13 +222,13 @@ def make_run(sizes=SIZES, packet_size=700):
 
 def assert_matches_seed(receivers, seeds):
     for got, want in zip(receivers, seeds):
-        assert got.completed == want.completed
+        assert got.units == want.units
         assert got.loss_report() == want.loss_report()
         assert got.suppressed_duplicates == want.suppressed_duplicates
     # identical by `is` wherever the oracle shares a unit
     groups: Dict[int, set] = {}
     for got, want in zip(receivers, seeds):
-        for unit, seed_unit in zip(got.completed, want.completed):
+        for unit, seed_unit in zip(got.units, want.units):
             groups.setdefault(id(seed_unit), set()).add(id(unit))
     assert all(len(ids) == 1 for ids in groups.values())
 
@@ -257,7 +257,7 @@ def counting_plans():
 def lead(packets):
     """Walk a run once, so the next receiver to reach each packet builds
     its plan (a packet's first arrival only marks it)."""
-    leader = Depacketizer()
+    leader = CollectingDepacketizer()
     for packet in packets:
         leader.push_packet(packet)
 
@@ -319,7 +319,7 @@ def record_states(depacketizer):
 def test_in_order_receivers_build_exactly_one_plan_per_packet():
     run, twin = make_run(), make_run()
     assert any(not p.is_complete_object for q in run for p in q.payloads)
-    receivers = [Depacketizer() for _ in range(6)]
+    receivers = [CollectingDepacketizer() for _ in range(6)]
     seeds = [SeedDepacketizer() for _ in receivers]
     with counting_plans() as built:
         # four in lock-step, then two latecomers over the whole run
@@ -334,16 +334,16 @@ def test_in_order_receivers_build_exactly_one_plan_per_packet():
     assert all(isinstance(packet._plan, packets_module._ReceivePlan)
                for packet in run)
     assert_matches_seed(receivers, seeds)
-    first = receivers[0].completed
+    first = receivers[0].units
     assert len(first) == len(SIZES)
     for receiver in receivers[1:]:
-        assert all(a is b for a, b in zip(receiver.completed, first))
+        assert all(a is b for a, b in zip(receiver.units, first))
 
 
 def test_a_lone_or_off_chain_receiver_builds_no_plan():
     run, twin = make_run(), make_run()
     lost = spanning_packet(run)
-    receivers = [Depacketizer() for _ in range(3)]
+    receivers = [CollectingDepacketizer() for _ in range(3)]
     seeds = [SeedDepacketizer() for _ in receivers]
     leader, lossy, follower = receivers
     with counting_plans() as built:
@@ -392,7 +392,7 @@ def test_loss_reorder_duplicates_and_replays_match_the_seed():
     gaps: Dict[str, Tuple[list, list]] = {}
     for name in schedules:
         gaps[name] = ([], [])
-        receiver = Depacketizer()
+        receiver = CollectingDepacketizer()
         receiver.on_gap = gaps[name][0].append
         receivers.append(receiver)
         seeds.append(SeedDepacketizer(on_gap=gaps[name][1].append))
@@ -435,7 +435,7 @@ def test_a_plan_rechecks_a_memo_repinned_since_it_was_built():
         "follower": everything,
         "looping": [("push", i) for i in range(len(run)) if i != lost],
     }
-    receivers = [Depacketizer() for _ in schedules]
+    receivers = [CollectingDepacketizer() for _ in schedules]
     seeds = [SeedDepacketizer() for _ in schedules]
     states = record_states(receivers[3])
     # one after the other, so each completes X before the next
@@ -455,7 +455,7 @@ def test_a_plan_rechecks_a_memo_repinned_since_it_was_built():
 
     def unit_x(receiver):
         [unit] = [
-            u for u in receiver.completed
+            u for u in receiver.units
             if (u.stream_number, u.object_number) == x
         ]
         return unit
@@ -470,7 +470,7 @@ def test_a_plan_rechecks_a_memo_repinned_since_it_was_built():
 def test_a_runs_plans_die_with_it_while_a_receiver_holds_its_last():
     run = make_run()
     lead(run)
-    receiver = Depacketizer()
+    receiver = CollectingDepacketizer()
     for packet in run[: spanning_packet(run) + 1]:
         receiver.push_packet(packet)
     last = packet._plan
@@ -494,7 +494,7 @@ def test_deepcopy_and_pickle_mid_chain_write_out_the_reference_state():
     run, twin = make_run(), make_run()
     lead(run)
     half = spanning_packet(run) + 1
-    receiver, seed = Depacketizer(), SeedDepacketizer()
+    receiver, seed = CollectingDepacketizer(), SeedDepacketizer()
     for packet, seed_packet in zip(run[:half], twin[:half]):
         receiver.push_packet(packet)
         seed.push_packet(seed_packet)
@@ -527,7 +527,7 @@ def test_deepcopy_and_pickle_mid_chain_write_out_the_reference_state():
         seed.push_packet(seed_packet)
         seed_clone.push_packet(seed_packet)
     assert_matches_seed([receiver, clone], [seed, seed_clone])
-    assert restored.completed == seed_clone.completed
+    assert restored.units == seed_clone.units
 
 
 def test_the_plan_memo_is_invisible_to_fields_equality_and_pickle():
@@ -572,8 +572,8 @@ def test_players_of_one_run_follow_its_plans_and_a_split_twin_leaves_them():
         net.connect("server", host, bandwidth=4_000_000, delay=0.02)
     server = MediaServer(net, "server", port=8080)
     server.publish("lecture", asf)
-    delegate = MediaPlayer(net, "delegate", multiplicity=2)
-    peer = MediaPlayer(net, "peer")
+    delegate = log_renders(MediaPlayer(net, "delegate", multiplicity=2))
+    peer = log_renders(MediaPlayer(net, "peer"))
     # the peer's session is first in the pacing group: it reaches every
     # packet first and only marks it, the delegate builds and follows
     for player in (peer, delegate):
@@ -600,7 +600,7 @@ def test_players_of_one_run_follow_its_plans_and_a_split_twin_leaves_them():
     # the delegate stays on the shared chain, the peer never joins it
     assert None not in states[delegate] and any(states[delegate])
     assert states[peer] and not any(states[peer])
-    units = [[r.unit for r in report.rendered] for report in reports]
+    units = [[r.unit for r in rendered(report)] for report in reports]
     assert units[0] == units[1] == units[2] and units[0]
     assert all(a is b for a, b in zip(units[0], units[1]))
     assert all(report.loss_rates == reports[0].loss_rates for report in reports)

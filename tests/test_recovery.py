@@ -39,6 +39,8 @@ from repro.streaming import (
 )
 from repro.web import VirtualNetwork
 
+from tests.helpers import CollectingDepacketizer, log_renders, rendered
+
 CHAOS_SEED = int(os.environ.get("CHAOS_SEED", "0"))
 PROFILE = get_profile("dsl-256k")
 DURATION = 20.0
@@ -127,15 +129,15 @@ class TestDepacketizerGapHook:
         assert len(gaps) == 1
 
     def test_replay_suppresses_already_completed_objects(self):
-        depacketizer = Depacketizer()
+        depacketizer = CollectingDepacketizer()
         packets = self._packets()
         for packet in packets:
             depacketizer.push_packet(packet)
-        completed = len(depacketizer.completed)
+        completed = len(depacketizer.units)
         depacketizer.expect_replay(suppress_completed=True)
         for packet in packets:
             assert depacketizer.push_packet(packet) == []
-        assert len(depacketizer.completed) == completed
+        assert len(depacketizer.units) == completed
         assert depacketizer.suppressed_duplicates > 0
 
 
@@ -228,7 +230,9 @@ class TestCrashResume:
         injector.apply(
             FaultPlan("crash").server_crash("media", at=6.0, restart_at=8.0)
         )
-        player = MediaPlayer(net, "student", recovery=RecoveryConfig())
+        player = log_renders(
+            MediaPlayer(net, "student", recovery=RecoveryConfig())
+        )
         player.connect(server.url_of("lecture"))
         player.play()
         report = drive(net, player, 60.0)
@@ -245,7 +249,7 @@ class TestCrashResume:
         # renders twice, and the replay overlap is at most a boundary sliver
         keys = [
             (r.unit.stream_number, r.unit.object_number)
-            for r in report.rendered
+            for r in rendered(report)
         ]
         assert len(keys) == len(set(keys))
         assert server.sessions.total_created == 2
@@ -376,5 +380,5 @@ class TestFaultFreeParity:
         # the acceptance bar: a fault-free run is event-for-event identical
         assert on_events == off_events
         assert on_report.media_bytes == off_report.media_bytes
-        assert len(on_report.rendered) == len(off_report.rendered)
+        assert on_report.digest == off_report.digest
         assert on_report.rebuffer_count == off_report.rebuffer_count == 0

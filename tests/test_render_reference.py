@@ -9,10 +9,13 @@ number; the content duration is read once at connect.
 by packet into a heap buffer asked in float seconds, rounding on every
 call (:class:`SeedJitterBuffer`), a per-tick walk of the header, and
 hand-rolled horizon minimums. Every scenario below plays
-once with each player; the reports must be equal and the tracer records
-identical — every ``render.unit`` at the same wall time and position,
-every command at the same playhead, every rebuffer and downshift — with
-the same number of simulator events, so no render tick was skipped.
+once with each player, and the reference tick folds each unit into the
+same :class:`~repro.streaming.RenderDigest` the player does. The reports
+must be equal — their digests too, so every unit rendered at the same wall
+time and position — and the tracer records identical — every
+``render.unit``, every command at the same playhead, every rebuffer and
+downshift — with the same number of simulator events, so no render tick
+was skipped.
 
 Every scenario plays a third time with untraced players
 (``tracer=None``), which sleep through the instants at which nothing but
@@ -37,7 +40,6 @@ from repro.net import FaultInjector, FaultPlan, GilbertElliott
 from repro.net.engine import SharedTicker
 from repro.obs import Tracer
 from repro.streaming import MediaPlayer, MediaServer, PlayerState, RecoveryConfig
-from repro.streaming.client import RenderedUnit
 from repro.web import VirtualNetwork
 
 #: reseeds the lossy link (the chaos job runs seeds 0, 1, 2)
@@ -115,6 +117,7 @@ class SeedRenderPlayer(MediaPlayer):
                 if self._broadcast:
                     self._on_live_command(unit)
                 continue
+            self._media_bytes += unit.size
             if self._license is not None:
                 unit = MediaUnit(
                     unit.stream_number,
@@ -165,7 +168,7 @@ class SeedRenderPlayer(MediaPlayer):
             return
         due = self._buffer.pop_due(position)
         for unit in due:
-            self.rendered.append(RenderedUnit(now, position, unit))
+            self._digest.add(now, position, unit)
             if self.tracer is not None:
                 self.tracer.event(
                     "render.unit",
@@ -394,7 +397,7 @@ def test_render_path_matches_seed(scenario):
     assert records == seed_records
     assert events == seed_events
     assert any(r["name"] == "render.unit" for r in records)
-    assert all(report.rendered for report in reports)
+    assert all(report.digest.count for report in reports)
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda s: s.__name__)
@@ -403,7 +406,7 @@ def test_untraced_render_path_matches_seed(scenario):
     seed_reports, _, seed_events = scenario(SeedRenderPlayer)
     assert reports == seed_reports
     assert events == seed_events
-    assert all(report.rendered for report in reports)
+    assert all(report.digest.count for report in reports)
 
 
 def test_an_untraced_player_sleeps_between_wake_ups():
@@ -422,7 +425,7 @@ def test_an_untraced_player_sleeps_between_wake_ups():
     ticker = player._render_task.ticker
     assert ticker.fires > 200
     assert len(calls) < ticker.fires / 10
-    assert len(report.rendered) > len(calls)
+    assert report.digest.count > len(calls)
 
 
 def test_scenarios_reach_their_paths():

@@ -27,6 +27,7 @@ from repro.streaming import (
     SessionTable,
 )
 from repro.web import VirtualNetwork
+from tests.helpers import log_renders, rendered
 
 PROFILE = get_profile("dsl-256k")
 
@@ -235,9 +236,9 @@ class TestPlayback:
 
     def test_rendered_units_cover_all_streams(self):
         net, server = make_world()
-        player = MediaPlayer(net, "student")
+        player = log_renders(MediaPlayer(net, "student"))
         report = player.watch(server.url_of("lecture1"))
-        streams = {r.unit.stream_number for r in report.rendered}
+        streams = {r.unit.stream_number for r in rendered(report)}
         assert {1, 2, 3} <= streams
 
     def test_lossy_link_reports_loss(self):
@@ -256,14 +257,14 @@ class TestPlayback:
 
     def test_start_midway(self):
         net, server = make_world()
-        player = MediaPlayer(net, "student")
+        player = log_renders(MediaPlayer(net, "student"))
         assert player._pending_catchup is False  # declared before any play()
         player.connect(server.url_of("lecture1"))
         player.play(start=10.0)
         assert player._pending_catchup is True
         report = player.run_until_finished()
         assert player._pending_catchup is False
-        positions = [r.position for r in report.rendered]
+        positions = [r.position for r in rendered(report)]
         assert min(positions) >= 9.0  # nothing from the first slide segment
 
     def test_clean_mid_start_reports_no_loss(self):

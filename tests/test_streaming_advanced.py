@@ -7,6 +7,7 @@ from repro.asf.drm import LicenseServer
 from repro.media import AudioObject, ImageObject, VideoObject, get_profile
 from repro.streaming import MediaPlayer, MediaServer, SessionError
 from repro.web import VirtualNetwork
+from tests.helpers import log_renders, rendered
 
 
 def single_rate_asf(duration=30.0):
@@ -149,10 +150,10 @@ class TestIntelligentStreaming:
     def test_only_selected_rendition_delivered(self):
         asf = mbr_asf()
         net, server = world(asf, bandwidth=400_000)
-        player = MediaPlayer(net, "student")
+        player = log_renders(MediaPlayer(net, "student"))
         report = player.watch(server.url_of("p"))
         video_streams = {s.stream_number for s in asf.header.mbr_group("video")}
-        received = {r.unit.stream_number for r in report.rendered}
+        received = {r.unit.stream_number for r in rendered(report)}
         assert received & video_streams == {player.selected_video}
 
     def test_thinning_reduces_bytes_on_the_wire(self):

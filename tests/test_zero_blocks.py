@@ -27,6 +27,7 @@ from repro.load import encode_lecture
 from repro.media import AudioObject, ImageObject, VideoObject
 from repro.streaming import MediaPlayer
 
+from tests.helpers import rendered
 from tests.test_reassembly_sharing import (
     DURATION,
     PROFILE,
@@ -78,7 +79,7 @@ def shares_no_block(units):
 def watch(asf, users, license_server=None):
     net, server = make_world(asf, users)
     players = [MediaPlayer(net, u, license_server=license_server) for u in users]
-    return [[r.unit for r in report.rendered]
+    return [[r.unit for r in rendered(report)]
             for report in watch_all(net, server, players)]
 
 
@@ -142,9 +143,7 @@ def test_drm_sessions_descramble_into_private_units():
 
 
 def _receive(packets):
-    depacketizer = Depacketizer()
-    depacketizer.push_train(packets)
-    return depacketizer.completed
+    return Depacketizer().push_train(packets)
 
 
 def test_a_pickled_run_reassembles_privately():
