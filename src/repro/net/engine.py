@@ -454,7 +454,7 @@ class _TickerSlot:
         self.callback = callback
         #: the ticker skips this slot at every instant before ``wake``
         self.wake = -math.inf
-        #: number of the first fire :meth:`missed` has not reported yet
+        #: tick index of the first instant :meth:`missed` has not reported
         self.since = 0
 
     def stop(self) -> None:
@@ -467,7 +467,7 @@ class _TickerSlot:
         """Skip this slot at every instant before ``when``, from the next
         fire on; called from the slot's own callback."""
         self.wake = when
-        self.since = self.ticker.fires
+        self.since = self.ticker.ticks
 
     def wake_up(self) -> None:
         """Call this slot again at every instant."""
@@ -480,14 +480,14 @@ class _TickerSlot:
         an awake slot has none.
 
         An instant's turn has come once its fire is done, or while it
-        runs, once the fire has walked past this slot's key. A callback
-        that ran the event loop (a blocking round trip) moved the clock
-        for the registrants after it, and so for this one.
+        runs, once the fire has walked past this slot's key. While a slot
+        is registered its ticker fires at every grid instant, and no fire
+        moves the clock, so instant ``k`` is ``epoch + k·interval``.
         """
         if self.wake == -math.inf:
             return []
         ticker = self.ticker
-        end = ticker.fires
+        end = ticker.ticks
         cursor = ticker._cursor
         if cursor is not None and self.key >= cursor:
             end -= 1  # the fire in progress has not reached this slot
@@ -495,14 +495,8 @@ class _TickerSlot:
         if end <= since:
             return []
         self.since = end
-        offset = ticker._offset
-        times = ticker._instants[since - offset:end - offset]
-        for fire, key, now in reversed(ticker._shifts):
-            if fire < since:
-                break
-            if fire < end and key < self.key and now > times[fire - since]:
-                times[fire - since] = now
-        return times
+        epoch, interval = ticker.epoch, ticker.interval
+        return [epoch + k * interval for k in range(since, end)]
 
 
 class SharedTicker:
@@ -517,9 +511,10 @@ class SharedTicker:
     lets their deliveries coalesce into shared pacing groups upstream.
 
     A registrant with nothing to do until some sim time sleeps through
-    its slot (:meth:`_TickerSlot.sleep_until`): the fire skips it, and the
-    ticker records every fire's instant so the sleeper can settle, from
-    :meth:`_TickerSlot.missed`, exactly the instants it slept through.
+    its slot (:meth:`_TickerSlot.sleep_until`): the fire skips it, and
+    :meth:`_TickerSlot.missed` derives the instants it slept through
+    from their tick indices. No fire moves the clock — blocking work goes
+    to :meth:`after_tick` — so the ticker keeps no history.
 
     The ticker only occupies the event queue while it has registrants;
     late registrants join at the next grid instant. It is never
@@ -527,18 +522,15 @@ class SharedTicker:
     quiet-window :meth:`Simulator.fast_forward` must not leap.
     """
 
-    #: recorded instants kept before the ones no sleeper needs are dropped
-    _KEEP = 1024
-
     def __init__(self, simulator: Simulator, interval: float) -> None:
         if interval <= 0:
             raise SimulationError("interval must be positive")
         self.simulator = simulator
         self.interval = interval
         self.epoch = simulator.now
+        #: index of the next grid instant to fire (during a fire: the one
+        #: after it)
         self.ticks = 0
-        #: fires begun so far
-        self.fires = 0
         self._slots: Dict[int, _TickerSlot] = {}
         self._keys = itertools.count()
         self._handle: Optional[EventHandle] = None
@@ -546,12 +538,6 @@ class SharedTicker:
         self._after: Optional[List[Callable[[], None]]] = None
         #: key of the slot the fire in progress is calling, else None
         self._cursor: Optional[int] = None
-        #: the instant of every fire from number ``_offset`` on
-        self._instants: List[float] = []
-        self._offset = 0
-        #: ``(fire, key, now)``: during that fire the slot ``key``'s
-        #: callback ran the event loop up to ``now``
-        self._shifts: List[Tuple[int, int, float]] = []
 
     def __len__(self) -> int:
         return len(self._slots)
@@ -584,35 +570,21 @@ class SharedTicker:
         """Run ``job`` after this instant's callbacks, the next tick
         already scheduled.
 
-        A job may block on a control round trip (a reconnect, a close),
-        and a blocking wait runs the event loop: started inline, it would
-        hold the tick — and so every other registrant's rendering — until
-        the handshake ends. Outside a fire the job runs now.
+        A job may block on a control round trip (a reconnect, a
+        downshift, a close): a blocking wait runs the event loop, which a
+        callback may not (see :meth:`_fire`). Outside a fire the job runs
+        now.
         """
         if self._after is None:
             job()
         else:
             self._after.append(job)
 
-    def _forget(self) -> None:
-        """Drop the recorded instants every sleeper has been told of."""
-        keep = min(
-            (slot.since for slot in self._slots.values() if slot.wake > -math.inf),
-            default=self.fires,
-        )
-        del self._instants[:keep - self._offset]
-        self._offset = keep
-        self._shifts = [shift for shift in self._shifts if shift[0] >= keep]
-
     def _fire(self) -> None:
         self._handle = None
         simulator = self.simulator
         now = simulator.now
-        if len(self._instants) >= self._KEEP:
-            self._forget()
-        fire = self.fires
-        self.fires = fire + 1
-        self._instants.append(now)
+        self.ticks += 1
         after = self._after = []
         for slot in list(self._slots.values()):
             if slot.wake > now:
@@ -620,11 +592,12 @@ class SharedTicker:
             self._cursor = slot.key
             slot.callback()
             if simulator.now != now:
-                now = simulator.now
-                self._shifts.append((fire, slot.key, now))
+                raise SimulationError(
+                    f"a ticker callback ran the event loop from t={now} "
+                    f"to t={simulator.now}: blocking work goes to after_tick"
+                )
         self._cursor = None
         self._after = None
-        self.ticks += 1
         if self._slots:
             self._schedule_next()
         for job in after:

@@ -15,9 +15,10 @@ simulator cannot enforce locally:
 * **floor mutual exclusion** — at most one holder at any point of the
   ``floor.grant`` / ``floor.release`` / ``floor.drop`` event stream, and
   grants only ever go to a free floor;
-* **render monotonicity** — per (client, stream), ``render.unit`` media
-  timestamps never decrease, except across an explicit
-  ``playback.seek`` which rebases the playhead;
+* **render monotonicity** — per (client, stream), a ``render.run``
+  spans ``first_ts ≤ last_ts``, and starts at or after the previous
+  run's ``last_ts``, except across an explicit ``playback.seek`` which
+  rebases the playhead;
 * **drain discipline** — every session named by a ``drain.begin`` gets
   exactly one outcome (``session.handoff`` to an already-open successor
   session, or ``session.handoff_fallback``) before that edge's
@@ -260,20 +261,19 @@ class TraceChecker:
                     )
                 floor_holder = None
 
-            elif name == "render.unit":
+            elif name == "render.run":
                 client = attrs.get("client", "")
                 stream = attrs.get("stream")
-                ts = attrs.get("ts", 0)
-                self.renders_seen += 1
-                key = (client, stream)
-                last = render_frontier.get(key)
-                if last is not None and ts < last:
+                first, last = attrs.get("first_ts", 0), attrs.get("last_ts", 0)
+                self.renders_seen += attrs.get("n", 0)
+                before = render_frontier.get((client, stream), first)
+                if not before <= first <= last:
                     self._fail(
                         f"render timestamp regressed on client {client!r} "
-                        f"stream {stream!r}: {ts} ms after {last} ms "
-                        f"(t={t:.3f}) with no seek"
+                        f"stream {stream!r}: a run from {first} to {last} ms "
+                        f"after {before} ms (t={t:.3f}) with no seek"
                     )
-                render_frontier[key] = ts
+                render_frontier[(client, stream)] = last
 
             elif name == "drain.begin":
                 edge = attrs.get("edge")

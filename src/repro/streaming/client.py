@@ -67,7 +67,8 @@ class RenderDigest:
     only, so it is the same in every run of one interpreter whatever
     ``PYTHONHASHSEED`` is; it may differ between Python versions, so
     digests are compared between runs, never against a stored value. A
-    traced player's ``render.unit`` records are the full log.
+    traced player writes a ``render.run`` record per stream for each tick
+    or settle that rendered it, not one per unit.
     """
 
     __slots__ = ("count", "first", "last", "value")
@@ -810,7 +811,7 @@ class MediaPlayer:
         if self.state is PlayerState.BUFFERING:
             if self._ready(position):
                 self._start_playing(now)
-            elif self.tracer is None:
+            else:
                 # only an arrival, a control or the watchdog can end the
                 # buffering: an arrival that makes it ready or a control
                 # wakes the player
@@ -822,17 +823,10 @@ class MediaPlayer:
         due = self._buffer.pop_due_ms(pos_ms)
         if due:
             render = self._digest.add
-            tracer = self.tracer
             for unit in due:
                 render(now, position, unit)
-                if tracer is not None:
-                    tracer.event(
-                        "render.unit",
-                        span=self._playback_span,
-                        client=self.user,
-                        stream=unit.stream_number,
-                        ts=unit.timestamp_ms,
-                    )
+            if self.tracer is not None:
+                self._trace_runs(due, lambda unit: now)
         if self.sync_mode == "script":
             if self._dispatcher is not None:
                 self._dispatcher.advance_to_ms(pos_ms)
@@ -849,9 +843,7 @@ class MediaPlayer:
             runway is None or runway / 1000.0 <= self.UNDERRUN_MARGIN
         ) and not self._end_of_content():
             self._enter_rebuffer(now)
-        elif self.tracer is None:
-            # a traced player ticks every instant: its render.unit
-            # records are emitted by the tick itself
+        else:
             self._sleep(now, pos_ms, runway)
 
     def _ready(self, position: float) -> bool:
@@ -935,11 +927,32 @@ class MediaPlayer:
         positions = self._clock.media_times(times)
         playheads = media_ms_each(positions)
         render = self._digest.add
+        due = self._buffer.pop_due_ms(playheads[-1])
         i = 0
-        for unit in self._buffer.pop_due_ms(playheads[-1]):
+        for unit in due:
             if unit.timestamp_ms > playheads[i]:
                 i = bisect_left(playheads, unit.timestamp_ms, i)
             render(times[i], positions[i], unit)
+        if self.tracer is not None and due:
+            self._trace_runs(due, lambda unit: times[
+                bisect_left(playheads, unit.timestamp_ms)
+            ])
+
+    def _trace_runs(self, units: List[MediaUnit], wall_time) -> None:
+        """Record a ``render.run`` per stream of ``units`` (rendered in
+        order, each at ``wall_time(unit)``): its first and last timestamp,
+        unit count, and the wall instants of its first and last unit."""
+        runs: Dict[int, List[MediaUnit]] = {}
+        for unit in units:
+            runs.setdefault(unit.stream_number, []).append(unit)
+        for stream, run in runs.items():
+            first, last = run[0], run[-1]
+            self.tracer.event(
+                "render.run", span=self._playback_span, client=self.user,
+                stream=stream, first_ts=first.timestamp_ms,
+                last_ts=last.timestamp_ms, n=len(run),
+                t0=wall_time(first), t1=wall_time(last),
+            )
 
     def _wake(self) -> None:
         """Settle, and tick at every instant again: called before anything
@@ -1031,8 +1044,21 @@ class MediaPlayer:
             and not self._recovery.stalled(now)
         ):
             # data still flows, just not fast enough: degrade gracefully
-            # to a lighter rendition instead of rebuffering repeatedly
-            self._recovery.request_downshift()
+            # to a lighter rendition instead of rebuffering repeatedly.
+            # The request blocks: it runs once the render tick is done,
+            # if the player is still in this rebuffer and not reconnecting
+            rebuffer = self.rebuffer_count
+
+            def downshift() -> None:
+                if (
+                    self.state is PlayerState.BUFFERING
+                    and self._stall_is_underrun
+                    and self.rebuffer_count == rebuffer
+                    and not self._reconnecting
+                ):
+                    self._recovery.request_downshift()
+
+            self._render_task.after_tick(downshift)
 
     def _fire_timer_commands(self, now: float) -> None:
         """Strawman sync: commands fire at wall-clock offsets from start."""

@@ -1664,7 +1664,7 @@ class EdgeRelay(MediaServer):
         The crash path costs each viewer a stall-watchdog timeout plus a
         seek+replay reconnect; a *planned* removal shouldn't. ``drain``
         first stops admitting viewers (the directory reports this edge
-        unavailable), then for every live streaming session transfers
+        unavailable), then for every streaming or paused session transfers
         the delivery cursor — point, packet-sequence frontier, unspent
         fast-start window, effectively the pacing-group position — to the
         first available successor in :meth:`EdgeDirectory.spill_order`,
@@ -1674,6 +1674,8 @@ class EdgeRelay(MediaServer):
         callback, and only then is the local session closed (releasing
         this edge's reservation) — no double-reservation window on a
         single link, no gap or overlap in the packet stream, ~0 rebuffer.
+        A paused session stays paused on the successor until the viewer
+        resumes it there.
 
         The *upstream* side migrates warm too: adopting a session the
         successor does not hold locally triggers its ordinary fill, and
@@ -1698,7 +1700,7 @@ class EdgeRelay(MediaServer):
         self.draining = True
         candidates = [
             session for session in self.sessions.all()
-            if session.state is SessionState.STREAMING and not session.replica
+            if session.active and not session.replica
         ]
         if self.tracer is not None:
             self.tracer.event(
@@ -1719,8 +1721,8 @@ class EdgeRelay(MediaServer):
                 handoffs=handoffs,
                 fallbacks=fallbacks,
             )
-        # whatever remains (paused/finished/connecting sessions, idle
-        # points, upstream replicas) takes the ordinary teardown path
+        # whatever remains (finished/connecting sessions, idle points,
+        # upstream replicas) takes the ordinary teardown path
         self.shutdown()
         return {"handoffs": handoffs, "fallbacks": fallbacks}
 
@@ -1753,6 +1755,7 @@ class EdgeRelay(MediaServer):
                         # delivery above wrote the remainder back); the
                         # successor grants its own factor over it
                         "burst_window_ms": session._burst_window_ms,
+                        "paused": session.state is SessionState.PAUSED,
                     },
                 )
             except HTTPError:

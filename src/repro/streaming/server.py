@@ -559,6 +559,7 @@ class MediaServer:
         multiplicity: int = 1,
         burst_window_ms: float = 0.0,
         relocate: Optional[Callable] = None,
+        paused: bool = False,
     ) -> StreamSession:
         """Successor side of a warm hand-off: continue another server's
         delivery from an exact packet cursor.
@@ -570,6 +571,8 @@ class MediaServer:
         ``burst_window_ms`` is what the predecessor left unspent of the
         session's fast-start window; this server grants its own factor
         over it (its link to the client, not the predecessor's).
+        A ``paused`` session is adopted paused at its cursor: it joins no
+        pacing group, and its window is granted when it resumes.
         A cursor at/past the end of the schedule adopts straight into
         FINISHED (the predecessor had already delivered everything);
         broadcast sessions just attach to the live fan-out.
@@ -580,23 +583,26 @@ class MediaServer:
         session.relocate = relocate
         point = self._point(name)
         session.transition(SessionState.STREAMING)
-        if point.broadcast:
-            return session
-        sched = self._schedules[name]
-        cursor = max(0, min(int(cursor), len(sched.packets)))
-        session.packet_cursor = cursor
-        if cursor < len(sched.packets):
+        if not point.broadcast:
+            sched = self._schedules[name]
+            cursor = max(0, min(int(cursor), len(sched.packets)))
+            session.packet_cursor = cursor
+            if cursor == len(sched.packets):
+                session.position = (
+                    point.header.file_properties.duration_ms / 1000.0
+                )
+                session.transition(SessionState.FINISHED)
+                return session
             session.position = sched.packets[cursor].send_time_ms / 1000.0
+        if paused:
+            session._burst_window_ms = burst_window_ms
+            session.transition(SessionState.PAUSED)
+        elif not point.broadcast:
             if burst_window_ms > 0.0:
                 self._grant_fast_start(
                     session, point, "resume", burst_window_ms
                 )
             self._join_group(session)
-        else:
-            session.position = (
-                point.header.file_properties.duration_ms / 1000.0
-            )
-            session.transition(SessionState.FINISHED)
         return session
 
     def pause(self, session_id: int) -> None:
@@ -1185,6 +1191,7 @@ class MediaServer:
                     multiplicity=int(body.get("multiplicity", 1)),
                     burst_window_ms=float(body.get("burst_window_ms", 0.0)),
                     relocate=body.get("relocate"),
+                    paused=bool(body.get("paused", False)),
                 )
                 return HTTPResponse(
                     200,

@@ -5,7 +5,7 @@ from typing import Any, List, NamedTuple, Tuple
 from repro.asf.packets import Depacketizer
 from repro.core.petri import PetriNet
 from repro.load import LectureSpec
-from repro.streaming import RenderDigest
+from repro.streaming import MediaPlayer, RenderDigest
 
 
 def lecture_catalog(
@@ -114,3 +114,12 @@ def log_renders(player):
 def rendered(report):
     """The render log in the report of a player given a :class:`RenderLog`."""
     return report.digest.entries
+
+
+class TickingPlayer(MediaPlayer):
+    """A player that never sleeps: its tick runs at every render instant,
+    traced or not, so nothing is left to settle. The every-instant oracle
+    a sleeping player is compared against; its split twins tick too."""
+
+    def _doze(self, now, wake):
+        pass

@@ -1,15 +1,16 @@
 """A sleeping player renders what a ticking one renders.
 
-An untraced :class:`MediaPlayer` skips the render instants at which its
-tick could do nothing but render due units, and settles them — each unit
-at the instant whose playhead first reached it — before anything can see
-or change its render state. A traced player ticks at every instant. Here
-both play the same lecture from a cohort delegate over a lossy link with
-NAK repairs — a long path and a short preroll, so some repairs land after
-their unit was due — under a generated script of seeks,
-pauses, resumes, stops and member splits at instants on the 50 ms render
-grid, off it, and equal to a delivery; every report must be equal, and so
-must the simulator's event count.
+A :class:`MediaPlayer` skips the render instants at which its tick could
+do nothing but render due units, and settles them — each unit at the
+instant whose playhead first reached it — before anything can see or
+change its render state. Its twin here is a
+:class:`~tests.helpers.TickingPlayer`, traced, which ticks at every
+instant and never settles. Both play the same lecture from a cohort
+delegate over a lossy link with NAK repairs — a long path and a short
+preroll, so some repairs land after their unit was due — under a
+generated script of seeks, pauses, resumes, stops and member splits at
+instants on the 50 ms render grid, off it, and equal to a delivery; every
+report must be equal, and so must the simulator's event count.
 """
 
 from functools import lru_cache
@@ -30,7 +31,7 @@ from repro.streaming import (
 )
 from repro.web import VirtualNetwork
 
-from tests.helpers import log_renders, rendered
+from tests.helpers import TickingPlayer, log_renders, rendered
 
 DURATION = 10.0
 SLIDES = 4
@@ -53,10 +54,11 @@ def lecture():
     )
 
 
-def play(script, *, traced, loss_seed, on_train=None, log=False):
+def play(script, *, traced, loss_seed, on_train=None, log=False,
+         cls=MediaPlayer):
     """Play ``script`` (``(time, action, argument)`` triples) on a cohort
-    delegate; returns every player's report and the event count. ``log``
-    gives the delegate a :class:`~tests.helpers.RenderLog`."""
+    delegate of class ``cls``; returns every player's report and the event
+    count. ``log`` gives the delegate a :class:`~tests.helpers.RenderLog`."""
     net = VirtualNetwork()
     sim = net.simulator
     tracer = None
@@ -71,7 +73,7 @@ def play(script, *, traced, loss_seed, on_train=None, log=False):
     server = MediaServer(net, "server", port=8080)
     server.publish("lecture", lecture())
     ticker = SharedTicker(sim, MediaPlayer.RENDER_TICK)
-    delegate = MediaPlayer(
+    delegate = cls(
         net, "cohort", tracer=tracer, multiplicity=len(MEMBERS) + 1,
         recovery=RecoveryConfig(), render_ticker=ticker, preroll_override=0.6,
     )
@@ -157,8 +159,8 @@ def test_an_untraced_player_reports_what_a_traced_twin_reports(steps, loss):
             when = arrivals[when[1] % len(arrivals)]
         script.append((when, name, argument))
     untraced = play(script, traced=False, loss_seed=loss_seed)
-    traced = play(script, traced=True, loss_seed=loss_seed)
-    assert untraced == traced
+    ticking = play(script, traced=True, loss_seed=loss_seed, cls=TickingPlayer)
+    assert untraced == ticking
 
 
 def test_the_lossy_link_repairs_units_late():

@@ -358,6 +358,7 @@ class TestSplitSharesUnits:
         delegate.connect(relay.url_of("lecture"))
         delegate.play()
         net.simulator.run_until(QUANTUM + 2.0)  # mid-playback
+        delegate.report()  # settles the instants the delegate slept through
         completed = delegate._buffer._units[delegate._buffer._head:]
         assert completed
         twin = delegate.split_member("member", user="member")

@@ -242,6 +242,44 @@ class TestWarmHandoff:
         assert checker.handoffs_seen == stats["handoffs"]
         assert checker.fallbacks_seen == 0
 
+    def test_drain_hands_off_a_paused_viewer_paused(self):
+        """A paused session is handed off too: the successor adopts it
+        paused at its cursor and grants nothing until the resume, which
+        reaches the successor and plays the lecture to its end."""
+        tracer = Tracer("drain-paused")
+        net, origin, directory, relays = make_tier(tracer=tracer)
+        home = directory.place("student|lecture")
+        home_relay = next(r for r in relays if r.name == home)
+        survivor = next(r for r in relays if r.name != home)
+
+        player = start_player(net, directory, tracer)
+        stats = {}
+        sim = net.simulator
+        sim.schedule_at(3.0, player.pause)
+        sim.schedule_at(
+            4.0, lambda: stats.update(home_relay.drain(directory))
+        )
+        sim.run_until(6.0)
+        assert stats == {"handoffs": 1, "fallbacks": 0}
+        (adopted,) = [s for s in survivor.sessions.all() if not s.replica]
+        assert adopted.state.value == "paused"
+        assert adopted.pacing_group is None
+        assert adopted.packets_sent == 0
+        grants = len(tracer.events("faststart.grant"))
+
+        sim.schedule_at(8.0, player.resume)
+        report = finish(net, player)
+        assert player.session_id is None  # closed at the end, not lost
+        assert report.recovery.get("handoffs", 0) == 1
+        assert report.recovery.get("stalls_detected", 0) == 0
+        assert report.duration_watched == pytest.approx(DURATION, abs=0.3)
+        assert adopted.packets_sent > 0
+        # the resume granted at most the window the pause left
+        assert len(tracer.events("faststart.grant")) <= grants + 1
+        checker = teardown_audit(origin, relays, tracer)
+        assert checker.handoffs_seen == 1
+        assert checker.fallbacks_seen == 0
+
     def test_drain_is_idempotent_and_refuses_crashed(self):
         from repro.streaming import SessionError
 

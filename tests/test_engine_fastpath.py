@@ -289,7 +289,7 @@ class TestSleepingSlot:
         sim.run_until(0.31)
         assert calls == pytest.approx([0.0, 0.2, 0.25, 0.3])
         assert slept == pytest.approx([0.05, 0.1, 0.15])
-        assert ticker.fires == 7
+        assert ticker.ticks == 7
 
     def test_an_instant_counts_once_the_fire_passed_the_slot(self):
         # keys 0 and 2 sleep; key 1 asks both, mid-fire, what they missed:
@@ -315,9 +315,9 @@ class TestSleepingSlot:
         assert asked["early"] == pytest.approx([0.05, 0.1])
         assert asked["late"] == pytest.approx([0.05])
 
-    def test_a_callback_that_runs_the_loop_moves_later_slots_clocks(self):
-        # the first registrant blocks for 10 ms of sim time inside the
-        # fire at 0.05: the sleeper after it would have ticked at 0.06
+    def test_a_callback_that_runs_the_loop_raises(self):
+        # a registrant that blocks for 10 ms of sim time inside the fire
+        # at 0.05 would move the clock for the slots after it
         sim = Simulator()
         ticker = SharedTicker(sim, 0.05)
 
@@ -326,18 +326,31 @@ class TestSleepingSlot:
                 sim.schedule(0.01, lambda: None)
                 sim.wait(lambda: False, deadline=sim.now + 0.01)
 
+        ticker.register(blocking)
+        with pytest.raises(SimulationError, match="after_tick"):
+            sim.run_until(0.12)
+
+    def test_a_blocking_job_after_the_tick_keeps_the_grid(self):
+        # the same wait handed to after_tick: the next fire lands inside
+        # it on the grid, and a sleeper is told grid instants
+        sim = Simulator()
+        ticker = SharedTicker(sim, 0.05)
+        calls = []
+
+        def wait():
+            sim.wait(lambda: False, deadline=sim.now + 0.06)
+
+        def blocking():
+            calls.append(sim.now)
+            if len(calls) == 2:
+                blocker.after_tick(wait)
+
         def sleeper():
             if sim.now == 0.0:
                 slot.sleep_until(1.0)
 
-        ticker.register(blocking)
+        blocker = ticker.register(blocking)
         slot = ticker.register(sleeper)
-        sim.run_until(0.12)
-        assert slot.missed() == pytest.approx([0.06, 0.1])
-
-    def test_recorded_instants_are_kept_only_for_sleepers(self):
-        sim = Simulator()
-        ticker = SharedTicker(sim, 0.05)
-        ticker.register(lambda: None)
-        sim.run_until(0.05 * (SharedTicker._KEEP + 10))
-        assert len(ticker._instants) <= SharedTicker._KEEP
+        sim.run_until(0.22)
+        assert calls == pytest.approx([0.0, 0.05, 0.1, 0.15, 0.2])
+        assert slot.missed() == [0.05 * k for k in range(1, 5)]

@@ -121,8 +121,10 @@ class TestCleanRun:
         assert summary["reservations_made"] == 1
         assert summary["reservations_released"] == 1
         assert summary["trains_seen"] >= 1
-        # every rendered unit left a monotonic render.unit record
-        assert summary["renders_seen"] == report.digest.count
+        # monotonic render.run records whose unit counts add up to every
+        # unit rendered, in fewer records than units
+        runs = tracer.events("render.run")
+        assert summary["renders_seen"] == report.digest.count > len(runs) > 0
         assert tracer.open_spans() == {}
         assert_no_session_leaks(server)
 

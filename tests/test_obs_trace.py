@@ -313,31 +313,45 @@ class TestTraceCheckerFloor:
         )).assert_ok()
 
 
+def run(client, stream, first, last, n=2):
+    """A ``render.run`` record's name and attrs."""
+    return ("render.run", {
+        "client": client, "stream": stream,
+        "first_ts": first, "last_ts": last, "n": n,
+    })
+
+
 class TestTraceCheckerRender:
     def test_monotonic_renders_pass(self):
-        TraceChecker(trace_of(
-            ("render.unit", {"client": "c", "stream": 1, "ts": 0}),
-            ("render.unit", {"client": "c", "stream": 1, "ts": 100}),
-            ("render.unit", {"client": "c", "stream": 2, "ts": 50}),
+        checker = TraceChecker(trace_of(
+            run("c", 1, 0, 60),
+            run("c", 1, 60, 100, n=3),
+            run("c", 2, 50, 50, n=1),
         )).assert_ok()
+        assert checker.renders_seen == 6
 
     def test_regression_flagged_per_stream(self):
+        # a run that starts below the previous run's last timestamp
         violations = TraceChecker(trace_of(
-            ("render.unit", {"client": "c", "stream": 1, "ts": 100}),
-            ("render.unit", {"client": "c", "stream": 1, "ts": 40}),
+            run("c", 1, 0, 100),
+            run("c", 1, 40, 140),
         )).check()
         assert any("regressed" in v for v in violations)
 
+    def test_a_run_that_ends_before_it_starts_is_flagged(self):
+        violations = TraceChecker(trace_of(run("c", 1, 100, 40))).check()
+        assert any("a run from 100 to 40 ms" in v for v in violations)
+
     def test_seek_rebases_only_that_client(self):
         TraceChecker(trace_of(
-            ("render.unit", {"client": "c", "stream": 1, "ts": 100}),
+            run("c", 1, 0, 100),
             ("playback.seek", {"client": "c", "position": 0.0}),
-            ("render.unit", {"client": "c", "stream": 1, "ts": 0}),
+            run("c", 1, 0, 40),
         )).assert_ok()
         violations = TraceChecker(trace_of(
-            ("render.unit", {"client": "c", "stream": 1, "ts": 100}),
+            run("c", 1, 0, 100),
             ("playback.seek", {"client": "other", "position": 0.0}),
-            ("render.unit", {"client": "c", "stream": 1, "ts": 0}),
+            run("c", 1, 0, 40),
         )).check()
         assert any("regressed" in v for v in violations)
 

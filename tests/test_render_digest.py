@@ -21,6 +21,7 @@ from repro.streaming import MediaPlayer, MediaServer, RenderDigest, client
 from repro.streaming.buffer import JitterBuffer
 from repro.web import VirtualNetwork
 
+from tests.helpers import TickingPlayer
 from tests.test_reassembly_sharing import make_asf
 
 
@@ -46,24 +47,43 @@ def _history_held(snapshot):
     return held
 
 
-def held_history_bytes(seconds=20.0):
-    """``(bytes, units)``: what an untraced player that watched a
-    ``seconds`` ``lan-1m`` lecture to its end still holds of its render
-    and receive history (allocations traced from before it played), and
-    how many units it rendered."""
+def lan_lecture(seconds):
+    """A network with a ``seconds`` ``lan-1m`` lecture published on
+    ``server`` for host ``student``; returns the network and its URL."""
     asf = encode_lecture("lec", seconds, profile="lan-1m")
     net = VirtualNetwork()
     net.connect("server", "student", bandwidth=10_000_000, delay=0.02)
     server = MediaServer(net, "server", port=8080)
     server.publish("lecture", asf)
+    return net, server.url_of("lecture")
+
+
+def held_history_bytes(seconds=20.0):
+    """``(bytes, units)``: what an untraced player that watched a
+    ``seconds`` ``lan-1m`` lecture to its end still holds of its render
+    and receive history (allocations traced from before it played), and
+    how many units it rendered."""
+    net, url = lan_lecture(seconds)
     player = MediaPlayer(net, "student")
     tracemalloc.start()
     try:
-        player.watch(server.url_of("lecture"))
+        player.watch(url)
         held = _history_held(tracemalloc.take_snapshot())
     finally:
         tracemalloc.stop()
     return held, player.report().digest.count
+
+
+def traced_render_records(seconds=20.0):
+    """``(records, units)``: the render records a traced player that
+    watched a ``seconds`` ``lan-1m`` lecture to its end wrote, and how
+    many units it rendered."""
+    net, url = lan_lecture(seconds)
+    tracer = Tracer("render")
+    tracer.bind_clock(net.simulator)
+    report = MediaPlayer(net, "student", tracer=tracer).watch(url)
+    records = sum(r["name"].startswith("render.") for r in tracer.records)
+    return records, report.digest.count
 
 
 def test_an_untraced_player_holds_no_history_per_unit():
@@ -77,9 +97,17 @@ def test_an_untraced_player_holds_no_history_per_unit():
     assert long - short < 8 * extra
 
 
+def test_a_traced_player_records_runs_not_units():
+    """A traced player sleeps like an untraced one and writes one record
+    per stream per wake-up, not one per unit."""
+    records, units = traced_render_records()
+    assert 0 < 10 * records < units
+
+
 class LateByOneInstant(JitterBuffer):
     """Hands its ``nth`` due unit to the renderer one pop late: with a
-    traced player, which pops at every render instant, one instant late."""
+    :class:`~tests.helpers.TickingPlayer`, which pops at every render
+    instant, one instant late."""
 
     def __init__(self, nth):
         super().__init__()
@@ -97,7 +125,7 @@ class LateByOneInstant(JitterBuffer):
         return out
 
 
-def watch(*, late=None, traced=True):
+def watch(*, late=None, traced=True, cls=TickingPlayer):
     net = VirtualNetwork()
     net.connect("server", "student", bandwidth=4_000_000, delay=0.02)
     server = MediaServer(net, "server", port=8080)
@@ -106,7 +134,7 @@ def watch(*, late=None, traced=True):
     if traced:
         tracer = Tracer("digest")
         tracer.bind_clock(net.simulator)
-    player = MediaPlayer(net, "student", tracer=tracer)
+    player = cls(net, "student", tracer=tracer)
     if late is not None:
         player._buffer = LateByOneInstant(late)
     return player.watch(server.url_of("lecture")), tracer
@@ -114,7 +142,7 @@ def watch(*, late=None, traced=True):
 
 def test_rendering_one_unit_one_instant_late_changes_the_digest():
     honest, honest_trace = watch()
-    assert watch(traced=False)[0].digest == honest.digest
+    assert watch(traced=False, cls=MediaPlayer)[0].digest == honest.digest
     mutant, mutant_trace = watch(late=40)
     assert mutant.digest != honest.digest
     # the same units, the same first and last render: only the fold sees it
@@ -123,14 +151,15 @@ def test_rendering_one_unit_one_instant_late_changes_the_digest():
         honest.digest.first, honest.digest.last
     )
 
-    def renders(tracer):
-        return [(r["t"], r["attrs"]["ts"]) for r in tracer.events("render.unit")]
+    def runs(tracer):
+        return [r["attrs"] for r in tracer.events("render.run")]
 
     moved = [
-        pair for pair in zip(renders(honest_trace), renders(mutant_trace))
+        pair for pair in zip(runs(honest_trace), runs(mutant_trace))
         if pair[0] != pair[1]
     ]
-    assert moved and len(renders(mutant_trace)) == honest.digest.count
+    assert moved
+    assert sum(run["n"] for run in runs(mutant_trace)) == honest.digest.count
 
 
 def test_a_copy_is_equal_and_folds_on_its_own():
